@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	monatt-bench [-seed N] [-exp all|table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|ablation|hotpath|traces|shards]
+//	monatt-bench [-seed N] [-exp all|table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|ablation|comparison|rfa|traces|shards]
 //
 // The shards experiment is sized by -shards (max shard count, doubling from
 // 1), -shard-tasks, -shard-freq and -shard-window; it reads the wall clock
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig4, fig5, fig6, fig7, fig9, fig10, fig11, ablation, comparison, rfa, hotpath, traces, shards)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, fig4, fig5, fig6, fig7, fig9, fig10, fig11, ablation, comparison, rfa, traces, shards)")
 	shards := flag.Int("shards", 8, "shards: max shard count (curve doubles 1, 2, ... up to this)")
 	shardTasks := flag.Int("shard-tasks", 120000, "shards: periodic attestation streams across the fleet")
 	shardServers := flag.Int("shard-servers", 48, "shards: simulated cloud servers the streams spread over")
@@ -97,13 +97,6 @@ func main() {
 	run("rfa", func() (string, error) {
 		r, err := bench.RFA(*seed)
 		return r.Render(), err
-	})
-	run("hotpath", func() (string, error) {
-		r, err := bench.HotPath(*seed, 50, 200)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
 	})
 	run("shards", func() (string, error) {
 		r, err := bench.Shards(*seed, *shardTasks, *shards, *shardServers, *shardFreq, *shardWindow)

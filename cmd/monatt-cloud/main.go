@@ -1,5 +1,5 @@
 // Command monatt-cloud runs the complete CloudMonatt cloud — controller,
-// attestation server, privacy CA and N cloud servers — in one process, with
+// attestation server shards, privacy CA and N cloud servers — in one process, with
 // every entity speaking the real protocol over loopback TCP. It writes a
 // bootstrap file containing the controller endpoint, the controller's
 // public key, and an enrolled customer identity seed that monatt-cli uses
@@ -12,9 +12,8 @@
 //
 // Usage:
 //
-//	monatt-cloud [-servers 3] [-shards N] [-seed 1] [-bootstrap monatt-bootstrap.json]
-//	             [-admin-addr 127.0.0.1:9190]
-//	             [-codec binary|gob] [-resume] [-batch-verify]
+//	monatt-cloud [-servers 3] [-shards 1] [-seed 1] [-bootstrap monatt-bootstrap.json]
+//	             [-admin-addr 127.0.0.1:9190] [-resume]
 package main
 
 import (
@@ -52,7 +51,7 @@ type Bootstrap struct {
 
 func main() {
 	servers := flag.Int("servers", 3, "number of cloud servers")
-	shards := flag.Int("shards", 0, "attestation-server shards behind the consistent-hash ring; 0 keeps the static cluster split")
+	shards := flag.Int("shards", 1, "attestation-server shards behind the consistent-hash ring (at least 1)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	bootstrapPath := flag.String("bootstrap", "monatt-bootstrap.json", "bootstrap file for monatt-cli")
 	pump := flag.Duration("pump", 200*time.Millisecond, "virtual-clock pump interval (real time)")
@@ -69,17 +68,12 @@ func main() {
 	trustBackend := flag.String("trust-backend", "tpm", "comma-separated trust backends assigned to servers round-robin (tpm, vtpm, sev-snp); a mixed list gives a mixed fleet")
 	reattestEvery := flag.Duration("reattest-every", 0, "virtual-time interval for the reconcile loop to re-attest every active VM; 0 disables")
 	resume := flag.Bool("resume", true, "cache secchan resumption tickets so reconnects skip the asymmetric handshake")
-	codec := flag.String("codec", "binary", "wire codec for protocol messages (binary, gob); gob is the pre-codec compatibility mode")
-	batchVerify := flag.Bool("batch-verify", true, "batch the attestation servers' signature verifications across concurrent appraisals")
 	flag.Parse()
 
-	switch *codec {
-	case "binary":
-		rpc.SetLegacyGob(false)
-	case "gob":
-		rpc.SetLegacyGob(true)
-	default:
-		log.Fatalf("-codec: unknown codec %q (want binary or gob)", *codec)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "-shards: need at least 1 attestation-server shard, got %d\n", *shards)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	var backends []driver.Backend
@@ -120,7 +114,6 @@ func main() {
 		},
 		ReattestEvery: *reattestEvery,
 		Resume:        *resume,
-		BatchVerify:   *batchVerify,
 	})
 	if err != nil {
 		log.Fatalf("assembling cloud: %v", err)
@@ -152,10 +145,9 @@ func main() {
 			"attestsrv":  tb.Attest.Metrics(),
 			"ledger":     tb.Ledger.Metrics(),
 		}
-		if *shards > 0 {
-			for _, as := range tb.AttestServers {
-				regs["attestsrv-"+as.Shard()] = as.Metrics()
-			}
+		// The first shard keeps the bare prefix; the others are namespaced.
+		for _, as := range tb.AttestServers[1:] {
+			regs["attestsrv-"+as.Shard()] = as.Metrics()
 		}
 		mux := obs.AdminMux(obs.AdminConfig{
 			Registries: regs,
@@ -173,9 +165,7 @@ func main() {
 	fmt.Printf("CloudMonatt cloud is up:\n")
 	fmt.Printf("  controller (nova api):  %s\n", tb.ControllerAddr)
 	fmt.Printf("  cloud servers:          %d (backends: %s)\n", *servers, *trustBackend)
-	if *shards > 0 {
-		fmt.Printf("  attestation shards:     %d (consistent-hash ring, epoch %d)\n", *shards, tb.Ring.Epoch())
-	}
+	fmt.Printf("  attestation shards:     %d (consistent-hash ring, epoch %d)\n", *shards, tb.Ring.Epoch())
 	fmt.Printf("  bootstrap written to:   %s\n", *bootstrapPath)
 	fmt.Printf("  customer seed:          %s (%s)\n", seedPath, cryptoutil.Redact(customer.Seed()))
 	if *adminAddr != "" {

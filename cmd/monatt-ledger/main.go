@@ -129,10 +129,7 @@ func demo(args []string) {
 	}
 	anchor := cryptoutil.MustIdentity("cloud-operator")
 	cp := tb.Ledger.Checkpoint(anchor)
-	// The auditor re-checks the anchor signature through the batch
-	// verifier — the same path a fleet auditor uses to validate many
-	// anchored checkpoints in one sweep.
-	if err := ledger.VerifyCheckpointWith(cp, anchor.Public(), cryptoutil.NewBatchVerifier(0)); err != nil {
+	if err := ledger.VerifyCheckpoint(cp, anchor.Public()); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  signed checkpoint: seq=%d signer=%s sig=%x... (verified)\n", cp.Seq, cp.Signer, cp.Sig[:8])

@@ -107,31 +107,19 @@ type Config struct {
 	// Obs, when set, receives one span per appraisal stage (entity
 	// "attest-server") plus a root span per periodic tick.
 	Obs *obs.Store
-	// Batch, when set, routes evidence-signature and certificate checks
-	// through a shared BatchVerifier: concurrent appraisals coalesce
-	// identical certificate verifications and fan distinct signature
-	// checks across cores. Nil verifies inline.
-	Batch *cryptoutil.BatchVerifier
 	// Resume enables secure-channel session resumption on the measurement
 	// channels: reconnects to a cloud server ride a ticket instead of
 	// re-running the asymmetric handshake.
 	Resume bool
-	// Ring, when set, makes this server one shard of a sharded attestation
-	// plane: VM-addressed requests for VMs the ring assigns elsewhere are
+	// Ring (required) is the attestation plane this server is one shard
+	// of: VM-addressed requests for VMs the ring assigns elsewhere are
 	// refused with a WrongShardError naming the owner, instead of being
-	// served from possibly-stale local state.
+	// served from possibly-stale local state. A single Attestation Server
+	// is the only member of its ring.
 	Ring *shard.Ring
 	// ShardName is this server's name on the Ring. Empty defaults to the
 	// identity name.
 	ShardName string
-}
-
-// verifier returns the signature verifier appraisals should use.
-func (c Config) verifier() cryptoutil.Verifier {
-	if c.Batch != nil {
-		return c.Batch
-	}
-	return cryptoutil.Direct
 }
 
 // Server is the Attestation Server.
@@ -152,7 +140,7 @@ type Server struct {
 
 // New creates an Attestation Server.
 func New(cfg Config) *Server {
-	if cfg.Ring != nil && cfg.ShardName == "" && cfg.Identity != nil {
+	if cfg.ShardName == "" && cfg.Identity != nil {
 		cfg.ShardName = cfg.Identity.Name
 	}
 	s := &Server{
@@ -416,7 +404,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	}, &ev); err != nil {
 		return nil, fmt.Errorf("attestsrv: measurement collection failed: %w", err)
 	}
-	if err := wire.VerifyEvidenceWith(&ev, s.cfg.PCAName, ed25519.PublicKey(s.cfg.PCAKey), req.Vid, rM, n3, s.cfg.verifier()); err != nil {
+	if err := wire.VerifyEvidence(&ev, s.cfg.PCAName, ed25519.PublicKey(s.cfg.PCAKey), req.Vid, rM, n3); err != nil {
 		return nil, fmt.Errorf("attestsrv: rejecting evidence: %w", err)
 	}
 	if ev.Backend != string(backend) {
@@ -561,19 +549,15 @@ func (s *Server) NextDue() (time.Duration, bool) {
 
 // --- sharded attestation plane ---
 
-// Shard returns this server's name on the ring ("" when unsharded).
+// Shard returns this server's name on the ring.
 func (s *Server) Shard() string { return s.cfg.ShardName }
 
-// checkOwner enforces ring ownership for a VM-addressed request. Nil ring
-// (unsharded deployment) or local ownership passes; otherwise the caller
-// gets a WrongShardError naming the owner under this shard's current view,
-// so it can retry against the right shard without a view refresh.
+// checkOwner enforces ring ownership for a VM-addressed request. Local
+// ownership passes; otherwise the caller gets a WrongShardError naming the
+// owner under this shard's current view, so it can retry against the right
+// shard without a view refresh.
 func (s *Server) checkOwner(vid string) error {
-	r := s.cfg.Ring
-	if r == nil {
-		return nil
-	}
-	owner, epoch, ok := r.Lookup(vid)
+	owner, epoch, ok := s.cfg.Ring.Lookup(vid)
 	if ok && owner == s.cfg.ShardName {
 		return nil
 	}
@@ -592,13 +576,9 @@ type ShardState struct {
 // ExportNotOwned removes and returns the state of every VM the ring no
 // longer assigns to this shard. In-flight periodic appraisals of exported
 // tasks resolve as counted stopped-discards locally; all future ticks
-// belong to the importing shard. On a nil ring it exports nothing.
+// belong to the importing shard.
 func (s *Server) ExportNotOwned() ShardState {
-	r := s.cfg.Ring
-	if r == nil {
-		return ShardState{}
-	}
-	moved := func(vid string) bool { return !r.Owns(s.cfg.ShardName, vid) }
+	moved := func(vid string) bool { return !s.cfg.Ring.Owns(s.cfg.ShardName, vid) }
 	var st ShardState
 	s.mu.Lock()
 	for vid, rec := range s.vms {

@@ -19,13 +19,13 @@ import (
 // shards. Each shard runs the real periodic engine (the same scheduler,
 // shedding and accounting the Attestation Server serves RPCs from); the
 // appraisal stack below it is modeled as a fixed real-time service time, so
-// the experiment measures scheduling capacity, not signature cycles. Like
-// the hot-path experiment this one reads the wall clock: service times are
+// the experiment measures scheduling capacity, not signature cycles. This
+// experiment reads the wall clock: service times are
 // real sleeps, so shard capacity — and the scaling curve — are real-time
 // quantities.
 
 // shardsServiceTime is the modeled per-appraisal service time: roughly the
-// measured hot-path cost of one full appraisal (codec + batched verify)
+// measured hot-path cost of one full appraisal (codec + signature checks)
 // under the binary codec.
 const shardsServiceTime = 2 * time.Millisecond
 

@@ -46,21 +46,18 @@ type Options struct {
 	Seed           int64
 	Servers        int
 	PCPUsPerServer int
-	// AttestServers shards the cloud servers across this many Attestation
-	// Servers (paper §3.2.3's scalability claim). Default 1. Cloud server i
-	// belongs to cluster i mod AttestServers.
-	AttestServers int
-	// Shards, when positive, replaces the static cluster split with a
-	// consistent-hash ring: this many Attestation Server shards join the
-	// ring, every cloud server registers with every shard, and a VM's
-	// appraisal state lives on the shard owning its id. JoinShard/LeaveShard
-	// then grow and shrink the plane at runtime, moving only ~1/N of the
-	// fleet per step. Overrides AttestServers.
+	// Shards is how many Attestation Server shards join the
+	// consistent-hash ring at start (paper §3.2.3's scalability claim;
+	// default 1, the paper's single Attestation Server). Every cloud server
+	// registers with every shard, and a VM's appraisal state lives on the
+	// shard owning its id. JoinShard/LeaveShard grow and shrink the plane at
+	// runtime, moving only ~1/N of the fleet per step.
 	Shards int
 	// SessionMaxUses bounds attestation-session key reuse on the cloud
-	// servers (server.Config.SessionMaxUses). 0 in ring mode defaults to 8
-	// so the privacy CA's per-session cert cache carries the repeat
-	// certification load; 0 otherwise keeps one fresh key per attestation.
+	// servers (server.Config.SessionMaxUses). 0 with Shards set defaults to
+	// 8 so the privacy CA's per-session cert cache carries the repeat
+	// certification load; 0 with Shards unset keeps the paper's one fresh
+	// key per attestation.
 	SessionMaxUses int
 	// TamperPlatform lists server names booted with a trojaned hypervisor.
 	TamperPlatform map[string]bool
@@ -118,10 +115,6 @@ type Options struct {
 	// for their cloud-server connections, so a redial after a drop skips
 	// the asymmetric handshake (cmd/monatt-cloud -resume).
 	Resume bool
-	// BatchVerify routes the Attestation Servers' evidence and certificate
-	// signature checks through a shared group-commit BatchVerifier
-	// (cmd/monatt-cloud -batch-verify).
-	BatchVerify bool
 }
 
 // Testbed is the assembled cloud.
@@ -131,8 +124,9 @@ type Testbed struct {
 	Lat    *latency.Model
 	Images *image.Library
 	PCA    *pca.PCA
-	// Attest is the cluster-0 Attestation Server (the only one unless
-	// Options.AttestServers > 1); AttestServers lists all of them.
+	// Attest is the first Attestation Server shard (the only one unless
+	// Options.Shards > 1 or JoinShard grew the plane); AttestServers lists
+	// all of them.
 	Attest        *attestsrv.Server
 	AttestServers []*attestsrv.Server
 	Ctrl          *controller.Controller
@@ -143,12 +137,8 @@ type Testbed struct {
 	// Obs is the shared span store: every entity records its attestation
 	// spans here, keyed by the trace IDs customers mint from their nonces.
 	Obs *obs.Store
-	// Batch is the Attestation Servers' shared signature batcher (nil
-	// unless Options.BatchVerify); its Stats show what batching saved.
-	Batch *cryptoutil.BatchVerifier
-	// Ring is the data-plane consistent-hash ring (nil unless
-	// Options.Shards): the view the Attestation Server shards enforce
-	// ownership against.
+	// Ring is the data-plane consistent-hash ring: the view the Attestation
+	// Server shards enforce ownership against.
 	Ring *shard.Ring
 
 	// ControllerAddr is where the nova api listens (useful with TCP).
@@ -169,7 +159,7 @@ type Testbed struct {
 	serverAddrs map[string]string
 	attestAddrs []string
 
-	// Ring-mode state. The controller routes against its own ring instance
+	// The controller routes against its own ring instance
 	// (ctrlRing), normally mirrored join-for-join with the data-plane Ring:
 	// both are built from the same seed, so identical memberships map
 	// identically. SplitRing stops the mirroring, leaving the controller
@@ -210,14 +200,13 @@ func New(opts Options) (*Testbed, error) {
 	if opts.Capacity == (server.Capacity{}) {
 		opts.Capacity = server.Capacity{VCPUs: 16, MemoryMB: 32768, DiskGB: 500}
 	}
-	if opts.AttestServers <= 0 {
-		opts.AttestServers = 1
+	// Session-key reuse is the one default that still depends on whether
+	// the caller asked for shards; decide it before Shards is normalised.
+	if opts.Shards > 0 && opts.SessionMaxUses == 0 {
+		opts.SessionMaxUses = 8
 	}
-	if opts.Shards > 0 {
-		opts.AttestServers = opts.Shards
-		if opts.SessionMaxUses == 0 {
-			opts.SessionMaxUses = 8
-		}
+	if opts.Shards <= 0 {
+		opts.Shards = 1
 	}
 	kernel := sim.NewKernel(opts.Seed)
 	network := opts.Network
@@ -263,15 +252,6 @@ func New(opts Options) (*Testbed, error) {
 
 	ctrlID := cryptoutil.MustIdentity("cloud-controller")
 	tb.register("cloud-controller", ctrlID.Public())
-	attIDs := make([]*cryptoutil.Identity, opts.AttestServers)
-	for i := range attIDs {
-		name := "attestation-server"
-		if i > 0 {
-			name = fmt.Sprintf("attestation-server-%d", i)
-		}
-		attIDs[i] = cryptoutil.MustIdentity(name)
-		tb.register(name, attIDs[i].Public())
-	}
 
 	// Cloud servers.
 	backendOf := tb.backendOf
@@ -311,87 +291,27 @@ func New(opts Options) (*Testbed, error) {
 		srv.Serve(l, tb.Verify)
 	}
 
-	// Attestation Servers. Cluster mode: one per cluster, each cloud server
-	// registered with its cluster's appraiser only. Ring mode: every shard
-	// joins the consistent-hash ring and every cloud server registers with
-	// every shard, since the shard owning a VM is decided by the VM id, not
-	// the host.
-	if opts.Shards > 0 {
-		tb.Ring = shard.NewRing(opts.Seed+3, 0)
-		tb.ctrlRing = shard.NewRing(opts.Seed+3, 0)
-		tb.shardByName = make(map[string]*attestsrv.Server, opts.Shards)
-		for _, id := range attIDs {
-			tb.Ring.Join(id.Name)
-			tb.ctrlRing.Join(id.Name)
-		}
-	}
-	attestAddrs := make([]string, opts.AttestServers)
-	if opts.BatchVerify {
-		// One verifier shared by every cluster: concurrent appraisals
-		// coalesce even across Attestation Servers.
-		tb.Batch = cryptoutil.NewBatchVerifier(0)
-	}
-	for i, id := range attIDs {
-		as := attestsrv.New(attestsrv.Config{
-			Identity:    id,
-			PCAName:     caSrv.Name(),
-			PCAKey:      caSrv.PublicKey(),
-			Network:     tb.Net,
-			Clock:       tb.Clock,
-			Latency:     tb.Lat,
-			Verify:      tb.Verify,
-			Rand:        rand.Reader,
-			Ledger:      led,
-			CallTimeout: opts.CallTimeout,
-			Retry:       opts.Retry,
-			Breaker:     opts.Breaker,
-			Periodic:    opts.Periodic,
-			Obs:         tb.Obs,
-			MinTCB:      opts.MinTCB,
-			Batch:       tb.Batch,
-			Resume:      opts.Resume,
-			Ring:        tb.Ring,
-		})
-		tb.AttestServers = append(tb.AttestServers, as)
-		if tb.shardByName != nil {
-			tb.shardByName[id.Name] = as
-		}
-		al, addr, err := listen(id.Name)
+	// Attestation Servers: every shard joins the consistent-hash ring and
+	// every cloud server registers with every shard, since the shard owning
+	// a VM is decided by the VM id, not the host.
+	tb.Ring = shard.NewRing(opts.Seed+3, 0)
+	tb.ctrlRing = shard.NewRing(opts.Seed+3, 0)
+	tb.shardByName = make(map[string]*attestsrv.Server, opts.Shards)
+	tb.serverAddrs = serverAddrs
+	for i := 0; i < opts.Shards; i++ {
+		id, _, err := tb.startShard()
 		if err != nil {
 			return nil, err
 		}
-		attestAddrs[i] = addr
-		as.Serve(al, tb.Verify)
+		tb.Ring.Join(id.Name)
+		tb.ctrlRing.Join(id.Name)
 	}
 	tb.Attest = tb.AttestServers[0]
-	for i := 0; i < opts.Servers; i++ {
-		name := serverName(i)
-		srv := tb.Servers[name]
-		b := backendOf(i)
-		rec := attestsrv.ServerRecord{
-			Name:        name,
-			Addr:        serverAddrs[name],
-			IdentityKey: srv.IdentityKey(),
-			AIK:         srv.AIK(),
-			Properties:  driver.AttestableProps(b),
-			Backend:     b,
-		}
-		if opts.Shards > 0 {
-			for _, as := range tb.AttestServers {
-				as.RegisterServer(rec)
-			}
-		} else {
-			tb.AttestServers[i%opts.AttestServers].RegisterServer(rec)
-		}
-	}
 
 	// Cloud Controller. The construction recipe is retained on the testbed
 	// (newController) so a crash/restart test can build a replacement
 	// process against the same ledger and fleet.
 	tb.ctrlID = ctrlID
-	tb.attIDs = attIDs
-	tb.serverAddrs = serverAddrs
-	tb.attestAddrs = attestAddrs
 	tb.Ctrl = tb.newController(opts.FailPoint)
 	cl, ctrlAddr, err := listen("cloud-controller")
 	if err != nil {
@@ -457,7 +377,6 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 		Images:        tb.Images,
 		Verify:        tb.Verify,
 		Rand:          rand.Reader,
-		AttestAddrs:   tb.attestAddrs,
 		Policy:        tb.opts.Policy,
 		AutoRespond:   true,
 		ImageTamper:   tb.imageTamper,
@@ -471,14 +390,8 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 		FailPoint:     fp,
 		Ring:          tb.ctrlRing,
 	})
-	if tb.ctrlRing != nil {
-		for i, id := range tb.attIDs {
-			c.RegisterAttestShard(id.Name, tb.attestAddrs[i], id.Public())
-		}
-	} else {
-		for i, id := range tb.attIDs {
-			c.SetAttestKeyFor(i, id.Public())
-		}
+	for i, id := range tb.attIDs {
+		c.RegisterAttestShard(id.Name, tb.attestAddrs[i], id.Public())
 	}
 	for i := 0; i < tb.opts.Servers; i++ {
 		name := serverName(i)
@@ -488,7 +401,6 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 			Capacity: tb.opts.Capacity,
 			Props:    driver.AttestableProps(backendOf(i)),
 			Backend:  string(backendOf(i)),
-			Cluster:  i % tb.opts.AttestServers,
 		})
 	}
 	return c
@@ -509,10 +421,18 @@ func (tb *Testbed) RestartController() error {
 	return ctrl.Recover()
 }
 
-// newShard assembles one ring-mode Attestation Server against the
-// testbed's fleet (same recipe New uses for the initial shards).
-func (tb *Testbed) newShard(id *cryptoutil.Identity) *attestsrv.Server {
-	return attestsrv.New(attestsrv.Config{
+// startShard brings up the next Attestation Server shard against the
+// testbed's fleet — a fresh identity, a listening endpoint, every cloud
+// server registered with it — and records it on the testbed. Joining the
+// rings and telling the controller is the caller's business.
+func (tb *Testbed) startShard() (*cryptoutil.Identity, string, error) {
+	shardName := "attestation-server"
+	if n := len(tb.attIDs); n > 0 {
+		shardName = fmt.Sprintf("attestation-server-%d", n)
+	}
+	id := cryptoutil.MustIdentity(shardName)
+	tb.register(id.Name, id.Public())
+	as := attestsrv.New(attestsrv.Config{
 		Identity:    id,
 		PCAName:     tb.PCA.Name(),
 		PCAKey:      tb.PCA.PublicKey(),
@@ -528,30 +448,12 @@ func (tb *Testbed) newShard(id *cryptoutil.Identity) *attestsrv.Server {
 		Periodic:    tb.opts.Periodic,
 		Obs:         tb.Obs,
 		MinTCB:      tb.opts.MinTCB,
-		Batch:       tb.Batch,
 		Resume:      tb.opts.Resume,
 		Ring:        tb.Ring,
 	})
-}
-
-// JoinShard grows the ring-mode attestation plane by one shard: a fresh
-// Attestation Server joins the ring, the controller learns its endpoint and
-// report-signing key, and the ~1/N of the fleet the ring now assigns to it
-// is handed off — periodic tasks keep their deadlines and buffered results,
-// nothing is lost or double-armed. Returns the new shard's name and how
-// many periodic tasks moved.
-func (tb *Testbed) JoinShard() (string, int, error) {
-	tb.opMu.Lock()
-	defer tb.opMu.Unlock()
-	if tb.Ring == nil {
-		return "", 0, fmt.Errorf("cloudsim: not a ring-mode testbed (set Options.Shards)")
-	}
-	id := cryptoutil.MustIdentity(fmt.Sprintf("attestation-server-%d", len(tb.attIDs)))
-	tb.register(id.Name, id.Public())
-	as := tb.newShard(id)
 	l, addr, err := tb.listen(id.Name)
 	if err != nil {
-		return "", 0, err
+		return nil, "", err
 	}
 	as.Serve(l, tb.Verify)
 	for i := 0; i < tb.opts.Servers; i++ {
@@ -572,6 +474,24 @@ func (tb *Testbed) JoinShard() (string, int, error) {
 	tb.shardByName[id.Name] = as
 	tb.attIDs = append(tb.attIDs, id)
 	tb.attestAddrs = append(tb.attestAddrs, addr)
+	tb.mu.Unlock()
+	return id, addr, nil
+}
+
+// JoinShard grows the attestation plane by one shard: a fresh Attestation
+// Server joins the ring, the controller learns its endpoint and
+// report-signing key, and the ~1/N of the fleet the ring now assigns to it
+// is handed off — periodic tasks keep their deadlines and buffered results,
+// nothing is lost or double-armed. Returns the new shard's name and how
+// many periodic tasks moved.
+func (tb *Testbed) JoinShard() (string, int, error) {
+	tb.opMu.Lock()
+	defer tb.opMu.Unlock()
+	id, addr, err := tb.startShard()
+	if err != nil {
+		return "", 0, err
+	}
+	tb.mu.Lock()
 	ctrl := tb.Ctrl
 	tb.mu.Unlock()
 	ctrl.RegisterAttestShard(id.Name, addr, id.Public())
@@ -590,9 +510,6 @@ func (tb *Testbed) JoinShard() (string, int, error) {
 func (tb *Testbed) LeaveShard(name string) (int, error) {
 	tb.opMu.Lock()
 	defer tb.opMu.Unlock()
-	if tb.Ring == nil {
-		return 0, fmt.Errorf("cloudsim: not a ring-mode testbed (set Options.Shards)")
-	}
 	if _, ok := tb.shardByName[name]; !ok {
 		return 0, fmt.Errorf("cloudsim: no shard %q", name)
 	}
@@ -664,9 +581,6 @@ func (tb *Testbed) HealRing() {
 	tb.opMu.Lock()
 	defer tb.opMu.Unlock()
 	tb.ringSplit = false
-	if tb.Ring == nil {
-		return
-	}
 	have := make(map[string]bool)
 	for _, n := range tb.ctrlRing.Nodes() {
 		have[n] = true

@@ -1,7 +1,6 @@
 package cloudsim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -318,41 +317,41 @@ func TestSuspensionRecheckLoop(t *testing.T) {
 }
 
 // TestMultipleAttestationServers exercises §3.2.3's scalability claim:
-// cloud servers shard across attestation clusters, each with its own
-// Attestation Server; attestation, periodic monitoring and migration all
-// route to the VM's cluster.
+// VMs shard across Attestation Servers by ring ownership of the VM id;
+// attestation, periodic monitoring and migration all route to the VM's
+// owning shard, wherever the VM is hosted.
 func TestMultipleAttestationServers(t *testing.T) {
-	tb := newTB(t, Options{Seed: 82, Servers: 4, AttestServers: 2})
+	tb := newTB(t, Options{Seed: 82, Servers: 4, Shards: 2})
 	if len(tb.AttestServers) != 2 {
 		t.Fatalf("attestation servers: %d", len(tb.AttestServers))
 	}
 	cu, _ := tb.NewCustomer("alice")
 
-	// Fill the cloud so both clusters host VMs.
-	clusters := map[string][]string{}
+	// Launch until both shards own VMs.
+	second := tb.AttestServers[1].Shard()
+	owned := map[string][]string{}
 	req := basicLaunch()
 	req.Flavor = "small"
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		res := launch(t, cu, req)
-		clusters[res.Server] = append(clusters[res.Server], res.Vid)
+		owner, _, _ := tb.Ring.Lookup(res.Vid)
+		owned[owner] = append(owned[owner], res.Vid)
 	}
-	if len(clusters) != 4 {
-		t.Fatalf("VMs not spread over all servers: %v", clusters)
+	if len(owned) != 2 {
+		t.Fatalf("VMs not spread over both shards: %v", owned)
 	}
 	tb.RunFor(time.Second)
 
-	// Every VM attests healthy through its own cluster's appraiser.
-	var vids []string
-	for _, vs := range clusters {
-		vids = append(vids, vs...)
-	}
-	for _, vid := range vids {
-		v, err := cu.Attest(vid, properties.RuntimeIntegrity)
-		if err != nil {
-			t.Fatalf("%s: %v", vid, err)
-		}
-		if !v.Healthy {
-			t.Fatalf("%s unhealthy: %v", vid, v)
+	// Every VM attests healthy through its owning shard.
+	for _, vs := range owned {
+		for _, vid := range vs {
+			v, err := cu.Attest(vid, properties.RuntimeIntegrity)
+			if err != nil {
+				t.Fatalf("%s: %v", vid, err)
+			}
+			if !v.Healthy {
+				t.Fatalf("%s unhealthy: %v", vid, v)
+			}
 		}
 	}
 	// Both appraisers did real work (launch startup attestations at least).
@@ -362,8 +361,8 @@ func TestMultipleAttestationServers(t *testing.T) {
 		}
 	}
 
-	// Periodic monitoring works for VMs in the second cluster too.
-	vid := clusters[serverName(1)][0] // cluster 1 (index 1 % 2)
+	// Periodic monitoring works for a VM the second shard owns.
+	vid := owned[second][0]
 	if err := cu.StartPeriodic(vid, properties.CPUAvailability, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -373,32 +372,31 @@ func TestMultipleAttestationServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(vs) == 0 {
-		t.Fatal("no periodic results from the second cluster")
+		t.Fatal("no periodic results from the second shard")
 	}
 
-	// Migration keeps the VM inside its attestation cluster.
+	// Migration may cross to any qualified host: ownership hashes the VM
+	// id, so the owning shard is unchanged and the stream keeps running.
 	srcName, _ := tb.Ctrl.VMServer(vid)
 	dest, err := tb.Ctrl.MigrateVM(vid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcIdx := serverIndex(t, srcName)
-	destIdx := serverIndex(t, dest)
-	if srcIdx%2 != destIdx%2 {
-		t.Fatalf("migration crossed clusters: %s -> %s", srcName, dest)
+	if dest == srcName {
+		t.Fatalf("migration stayed on %s", srcName)
+	}
+	if owner, _, _ := tb.Ring.Lookup(vid); owner != second {
+		t.Fatalf("migration moved ownership of %s to %s", vid, owner)
+	}
+	if keys := shardTaskKeys(t, tb); keys[vid+"|"+string(properties.CPUAvailability)] != second {
+		t.Fatalf("periodic stream of %s not on %s after migration: %v", vid, second, keys)
+	}
+	tb.RunFor(12 * time.Second)
+	if vs, err := cu.FetchPeriodic(vid, properties.CPUAvailability); err != nil || len(vs) == 0 {
+		t.Fatalf("stream interrupted by migration: %d verdicts, err=%v", len(vs), err)
 	}
 	// And the VM still attests at its new home.
 	if v, err := cu.Attest(vid, properties.RuntimeIntegrity); err != nil || !v.Healthy {
 		t.Fatalf("post-migration attest: %v %v", v, err)
 	}
-}
-
-// serverIndex parses "cloud-server-N" back to its zero-based index.
-func serverIndex(t *testing.T, name string) int {
-	t.Helper()
-	var n int
-	if _, err := fmt.Sscanf(name, "cloud-server-%d", &n); err != nil {
-		t.Fatalf("bad server name %q", name)
-	}
-	return n - 1
 }

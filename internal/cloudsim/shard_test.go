@@ -24,6 +24,76 @@ func shardTaskKeys(t *testing.T, tb *Testbed) map[string]string {
 	return out
 }
 
+// TestDefaultTestbedIsOneMemberRing pins what "no Shards option" means: a
+// one-member ring whose single appraiser is an ordinary shard — so the
+// plane grows to two and shrinks back to one under live periodic streams,
+// with exact tick accounting on every shard and every fetched report
+// verifying (FetchPeriodic verifies each report it returns).
+func TestDefaultTestbedIsOneMemberRing(t *testing.T) {
+	tb := newTB(t, Options{Seed: 12, Servers: 4})
+	if n := tb.Ring.Size(); n != 1 {
+		t.Fatalf("default ring has %d members, want 1", n)
+	}
+	if got := tb.Attest.Shard(); got != "attestation-server" {
+		t.Fatalf("default appraiser is shard %q, want attestation-server", got)
+	}
+	cu, err := tb.NewCustomer("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vms = 8
+	vids := make([]string, 0, vms)
+	for i := 0; i < vms; i++ {
+		res := launch(t, cu, basicLaunch())
+		vids = append(vids, res.Vid)
+		if err := cu.StartPeriodic(res.Vid, properties.CPUAvailability, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func(stage string) {
+		t.Helper()
+		tb.RunFor(6 * time.Second)
+		if n := len(shardTaskKeys(t, tb)); n != vms {
+			t.Fatalf("%s: %d of %d streams armed", stage, n, vms)
+		}
+		for _, vid := range vids {
+			if vs, err := cu.FetchPeriodic(vid, properties.CPUAvailability); err != nil || len(vs) == 0 {
+				t.Fatalf("%s: stream %s: %d verdicts, err=%v", stage, vid, len(vs), err)
+			}
+		}
+	}
+	drain("one shard")
+
+	name, moved, err := tb.JoinShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Ring.Size() != 2 || moved == 0 || moved == vms {
+		t.Fatalf("join: ring size %d, moved %d of %d streams", tb.Ring.Size(), moved, vms)
+	}
+	drain("two shards")
+
+	if _, err := tb.LeaveShard(name); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Ring.Size() != 1 {
+		t.Fatalf("leave: ring size %d, want 1", tb.Ring.Size())
+	}
+	drain("one shard again")
+
+	for _, as := range tb.AttestServers {
+		reg := as.Metrics()
+		ticks := reg.Counter("periodic/ticks").Value()
+		resolved := reg.Counter("periodic/produced").Value() +
+			reg.Counter("periodic/skipped").Value() +
+			reg.Counter("periodic/failures").Value() +
+			reg.Counter("periodic/stopped-discards").Value()
+		if ticks != resolved {
+			t.Fatalf("%s accounting: ticks=%d resolved=%d", as.Shard(), ticks, resolved)
+		}
+	}
+}
+
 // TestShardChurnRebalanceMovesFraction grows and shrinks the sharded
 // attestation plane under live periodic load: a join moves roughly 1/N of
 // the armed streams to the new shard (exactly the ones the ring reassigns),

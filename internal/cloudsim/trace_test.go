@@ -237,8 +237,23 @@ func TestTracesUnderChaos(t *testing.T) {
 	res := launch(t, cu, basicLaunch())
 	tb.RunFor(time.Second)
 
-	if _, err := cu.AttestReport(res.Vid, properties.RuntimeIntegrity); err != nil {
-		t.Fatalf("attestation under chaos: %v", err)
+	// Faults are drawn per dial, and which call meets which one depends on
+	// goroutine interleaving, so one attestation proves nothing either way.
+	// Keep attesting until a traced call was retried: re-registering the
+	// shard drops the controller's connection to it, so every appraisal —
+	// the only controller RPC in this loop, always under the request's span
+	// — dials afresh and draws a new fault plan (~1/3 carry a drop or a
+	// reset).
+	retries := tb.Ctrl.Metrics().Counter("controller/rpc-retries")
+	before := retries.Value()
+	for i := 0; i < 50 && retries.Value() == before; i++ {
+		redialShard(tb)
+		if _, err := cu.AttestReport(res.Vid, properties.RuntimeIntegrity); err != nil {
+			t.Fatalf("attestation under chaos: %v", err)
+		}
+	}
+	if retries.Value() == before {
+		t.Fatalf("50 attestations on fresh connections drew no retried traced call (%+v)", fn.Stats())
 	}
 
 	traces := attestTraces(tb, res.Vid)

@@ -201,13 +201,13 @@ func (c *Controller) drainPeriodic(req wire.StopPeriodicRequest, method string) 
 }
 
 // verifyShardReport verifies a drained report against the answering
-// route's key first and then, in ring mode, any registered shard's key: a
+// route's key first and then any registered shard's key: a
 // report buffered before a rebalance was signed by the task's previous
 // owner, travels to the new owner inside the handoff state, and is still
 // genuine — just under a sibling shard's signature.
 func (c *Controller) verifyShardReport(rt attestRoute, rep *wire.Report, vid string, p properties.Property) error {
 	err := wire.VerifyReport(rep, rt.key, vid, p, rep.N2)
-	if err == nil || !c.ringMode() {
+	if err == nil {
 		return err
 	}
 	for _, key := range c.shardKeys() {
@@ -448,15 +448,9 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	ctx, cancel := c.opCtx()
 	defer cancel()
 
-	// Cluster mode restricts destinations to the VM's attestation cluster so
-	// its appraisal state stays with one Attestation Server (paper §3.2.3).
-	// Ring mode shards by VM id, so ownership follows the VM to any host and
-	// every qualified server is a candidate.
-	wantCluster := -1
-	if !c.ringMode() {
-		wantCluster = c.clusterOfServer(src)
-	}
-	cands := c.candidates(flavor, props, src, wantCluster)
+	// The ring shards by VM id, so appraisal ownership follows the VM to any
+	// host and every qualified server is a candidate.
+	cands := c.candidates(flavor, props, src)
 	if len(cands) == 0 {
 		return "", fmt.Errorf("controller: no qualified destination for %s", vid)
 	}
@@ -508,10 +502,9 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		Phase: "end", Op: "migrated", ID: c.intentID(), OK: true, Server: dest.Name,
 	})
 	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Migrated", dest.Name)
-	// Ongoing periodic monitoring follows the VM to its new host. In ring
-	// mode the owning shard is unchanged (ownership hashes the VM id, not
-	// the host), so the rebind goes to the same route either way.
-	if rt, err := c.routeForVMOnServer(vid, dest.Name); err == nil {
+	// Ongoing periodic monitoring follows the VM to its new host; the owning
+	// shard is unchanged (ownership hashes the VM id, not the host).
+	if rt, err := c.routeForVM(vid); err == nil {
 		c.callRouted(rt, func(rt attestRoute) error {
 			return rt.client.CallCtx(ctx, attestsrv.MethodRebindVM, attestsrv.RebindRequest{Vid: vid, ServerID: dest.Name}, nil)
 		})

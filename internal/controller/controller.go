@@ -65,12 +65,6 @@ type ServerEntry struct {
 	// "sev-snp"; empty = tpm), recorded in launch and remediation ledger
 	// entries so the evidence trail names the root of trust involved.
 	Backend string
-	// Cluster selects which Attestation Server appraises this server's
-	// VMs (paper §3.2.3: "different Attestation Servers for different
-	// clusters of cloud servers, enabling scalability"). Migration keeps a
-	// VM within its cluster, so its appraisal state stays with one
-	// Attestation Server.
-	Cluster int
 }
 
 func (e *ServerEntry) supports(ps []properties.Property) bool {
@@ -166,15 +160,11 @@ type Config struct {
 	Images   *image.Library
 	Verify   secchan.VerifyPeer
 	Rand     io.Reader
-	// AttestAddr is the single Attestation Server's endpoint (cluster 0).
-	// Deployments sharding across clusters set AttestAddrs instead.
-	AttestAddr string
-	// AttestAddrs lists one Attestation Server endpoint per cluster.
-	AttestAddrs []string
-	// Ring, when set, shards the attestation plane by consistent hashing of
-	// VM ids instead of the static cluster split: routes resolve through the
-	// ring, shards are registered with RegisterAttestShard, and wrong-shard
-	// refusals are followed to the owner the refusing shard names.
+	// Ring (required) is the controller's view of the attestation plane:
+	// VM ids hash onto it, its members are registered with
+	// RegisterAttestShard, and wrong-shard refusals are followed to the
+	// owner the refusing shard names. A one-member ring is the paper's
+	// single Attestation Server.
 	Ring   *shard.Ring
 	Policy map[properties.Property]ResponseKind
 	// AutoRespond executes the policy response when an attestation comes
@@ -242,14 +232,12 @@ type Controller struct {
 	// driven toward its desired state with per-VM serialization.
 	loop *reconcile.Loop
 
-	mu         sync.Mutex
-	servers    map[string]*ServerEntry
-	used       map[string]server.Capacity
-	vms        map[string]*vmRecord
-	mgmt       map[string]*rpc.ReconnectClient
-	attest     map[int]*rpc.ReconnectClient
-	attestPubs map[int][]byte
-	// Ring-mode shard registry (RegisterAttestShard); unused in cluster mode.
+	mu      sync.Mutex
+	servers map[string]*ServerEntry
+	used    map[string]server.Capacity
+	vms     map[string]*vmRecord
+	mgmt    map[string]*rpc.ReconnectClient
+	// Attestation shard registry (RegisterAttestShard).
 	shardAddrs   map[string]string
 	shardPubs    map[string][]byte
 	shardClients map[string]*rpc.ReconnectClient
@@ -273,11 +261,13 @@ func New(cfg Config) *Controller {
 	if cfg.Policy == nil {
 		cfg.Policy = DefaultPolicy()
 	}
-	if len(cfg.AttestAddrs) == 0 && cfg.AttestAddr != "" {
-		cfg.AttestAddrs = []string{cfg.AttestAddr}
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
+	}
+	if cfg.Ring == nil {
+		// An empty ring: the first route reports it, instead of a nil
+		// dereference deep in a launch.
+		cfg.Ring = shard.NewRing(0, 0)
 	}
 	c := &Controller{
 		cfg:          cfg,
@@ -287,8 +277,6 @@ func New(cfg Config) *Controller {
 		used:         make(map[string]server.Capacity),
 		vms:          make(map[string]*vmRecord),
 		mgmt:         make(map[string]*rpc.ReconnectClient),
-		attest:       make(map[int]*rpc.ReconnectClient),
-		attestPubs:   make(map[int][]byte),
 		shardAddrs:   make(map[string]string),
 		shardPubs:    make(map[string][]byte),
 		shardClients: make(map[string]*rpc.ReconnectClient),
@@ -314,11 +302,8 @@ func (c *Controller) Metrics() *metrics.Registry { return c.cfg.Metrics }
 // RPC channel it holds, for the operator /healthz endpoint.
 func (c *Controller) Health() obs.EntityHealth {
 	c.mu.Lock()
-	clients := make(map[string]*rpc.ReconnectClient, len(c.mgmt)+len(c.attest))
+	clients := make(map[string]*rpc.ReconnectClient, len(c.mgmt)+len(c.shardClients))
 	for _, rc := range c.mgmt {
-		clients[rc.Peer()] = rc
-	}
-	for _, rc := range c.attest {
 		clients[rc.Peer()] = rc
 	}
 	for _, rc := range c.shardClients {
@@ -506,51 +491,6 @@ func (c *Controller) EventsFor(owner string) []ResponseEvent {
 	return out
 }
 
-// attestClientFor returns the fault-tolerant client for a cluster's
-// Attestation Server (connections are established lazily per call).
-func (c *Controller) attestClientFor(cluster int) (*rpc.ReconnectClient, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cl, ok := c.attest[cluster]; ok {
-		return cl, nil
-	}
-	if cluster < 0 || cluster >= len(c.cfg.AttestAddrs) {
-		return nil, fmt.Errorf("controller: no attestation server for cluster %d", cluster)
-	}
-	cl := c.newClient(fmt.Sprintf("attest-server-%d", cluster), c.cfg.AttestAddrs[cluster])
-	c.attest[cluster] = cl
-	return cl, nil
-}
-
-// clusterOfServer returns the cluster a cloud server belongs to.
-func (c *Controller) clusterOfServer(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.servers[name]; ok {
-		return e.Cluster
-	}
-	return 0
-}
-
-// attestClientOfVM returns the Attestation Server client and cluster for
-// the VM's current host.
-func (c *Controller) attestClientOfVM(vid string) (*rpc.ReconnectClient, int, error) {
-	c.mu.Lock()
-	rec, ok := c.vms[vid]
-	var cluster int
-	if ok {
-		if e, okS := c.servers[rec.Server]; okS {
-			cluster = e.Cluster
-		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("controller: no such VM %q", vid)
-	}
-	cl, err := c.attestClientFor(cluster)
-	return cl, cluster, err
-}
-
 // opCtx bounds one control-plane exchange end to end: the per-attempt
 // CallTimeout times the retry budget, plus slack for backoff sleeps. Every
 // controller-originated RPC derives its context here so a wedged peer can
@@ -589,17 +529,13 @@ func (c *Controller) mgmtClient(name string) (*rpc.ReconnectClient, error) {
 
 // candidates returns servers passing the property_filter (capability check)
 // and the capacity filter, best-first (most free vCPUs, then memory — the
-// OpenStack workload-balance weigher). cluster restricts the pool to one
-// attestation cluster (-1 = any; migrations stay within the VM's cluster).
-func (c *Controller) candidates(f image.Flavor, props []properties.Property, exclude string, cluster int) []*ServerEntry {
+// OpenStack workload-balance weigher).
+func (c *Controller) candidates(f image.Flavor, props []properties.Property, exclude string) []*ServerEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []*ServerEntry
 	for _, e := range c.servers {
 		if e.Name == exclude {
-			continue
-		}
-		if cluster >= 0 && e.Cluster != cluster {
 			continue
 		}
 		if !e.supports(props) {
@@ -827,7 +763,7 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 	if req.Server != "" {
 		cands = c.namedCandidate(flavor, req.Server)
 	} else {
-		cands = c.candidates(flavor, req.Props, "", -1)
+		cands = c.candidates(flavor, req.Props, "")
 	}
 	stage("scheduling", c.cfg.Latency.Scheduling(len(c.servers)))
 	if len(cands) == 0 {
@@ -924,17 +860,11 @@ func (c *Controller) placeAndAttest(lsp *obs.ActiveSpan, vid string, req LaunchR
 		return false, "", properties.Verdict{}, err
 	}
 
-	// Register appraisal references (with the VM's owning shard in ring
-	// mode, the candidate's cluster Attestation Server otherwise) and
-	// record the VM before attesting. From here on every failure must
-	// unwind the spawn and the reservation — leaving either behind leaks
-	// capacity until the host is drained.
-	var rt attestRoute
-	if c.ringMode() {
-		rt, err = c.routeForVMOnServer(vid, cand.Name)
-	} else {
-		rt, err = c.routeForCluster(cand.Cluster)
-	}
+	// Register appraisal references with the VM's owning shard and record
+	// the VM before attesting. From here on every failure must unwind the
+	// spawn and the reservation — leaving either behind leaks capacity
+	// until the host is drained.
+	rt, err := c.routeForVM(vid)
 	if err != nil {
 		c.unplace(vid, cand.Name, flavor)
 		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
@@ -1075,29 +1005,9 @@ func (c *Controller) teardown(vid string) {
 	if mgmt, err := c.mgmtClient(rec.Server); err == nil {
 		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
 	}
-	if rt, err := c.routeForVMOnServer(vid, rec.Server); err == nil {
+	if rt, err := c.routeForVM(vid); err == nil {
 		c.callRouted(rt, func(rt attestRoute) error {
 			return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
 		})
 	}
-}
-
-// attestKey returns the public report-signing key of a cluster's
-// Attestation Server.
-func (c *Controller) attestKey(cluster int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.attestPubs[cluster]
-}
-
-// SetAttestKey installs the cluster-0 Attestation Server's public
-// report-signing key (provisioned out of band, like any trust anchor).
-func (c *Controller) SetAttestKey(pub []byte) { c.SetAttestKeyFor(0, pub) }
-
-// SetAttestKeyFor installs the report-signing key for one cluster's
-// Attestation Server.
-func (c *Controller) SetAttestKeyFor(cluster int, pub []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.attestPubs[cluster] = append([]byte(nil), pub...)
 }

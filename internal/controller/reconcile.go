@@ -274,7 +274,7 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 			return err
 		}
 	}
-	if rt, err := c.routeForVMOnServer(vid, srv); err == nil {
+	if rt, err := c.routeForVM(vid); err == nil {
 		// Best effort, matching the pre-existing teardown semantics: the
 		// Attestation Server tolerates appraising a forgotten VM.
 		c.callRouted(rt, func(rt attestRoute) error {

@@ -290,7 +290,7 @@ func (c *Controller) recoverCleanup(vid, srv string) {
 	if mgmt, err := c.mgmtClient(srv); err == nil {
 		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
 	}
-	if rt, err := c.routeForVMOnServer(vid, srv); err == nil {
+	if rt, err := c.routeForVM(vid); err == nil {
 		c.callRouted(rt, func(rt attestRoute) error {
 			return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
 		})

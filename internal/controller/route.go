@@ -1,18 +1,13 @@
 package controller
 
-// Attestation-plane routing. The controller reaches Attestation Servers two
-// ways:
+// Attestation-plane routing. Shards joined to a consistent-hash ring
+// (Config.Ring) own VMs by hashing the VM id, so ownership survives
+// migration across hosts and Join/Leave moves only ~1/N of the fleet; a
+// one-member ring is the single-appraiser deployment.
 //
-//   - Cluster mode (the paper's §3.2.3 static split): each cloud server
-//     belongs to a cluster, each cluster has one Attestation Server, and a
-//     VM's appraisal state lives wherever its host's cluster points.
-//   - Ring mode (Config.Ring set): shards joined to a consistent-hash ring
-//     own VMs by hashing the VM id, so ownership survives migration across
-//     hosts and Join/Leave moves only ~1/N of the fleet.
-//
-// Both modes resolve to an attestRoute — a client plus the report-signing
-// key to verify against. In ring mode a route can be stale the moment it is
-// computed (a shard joined between lookup and call); the misrouted shard
+// Every VM-addressed call resolves to an attestRoute — a client plus the
+// report-signing key to verify against. A route can be stale the moment it
+// is computed (a shard joined between lookup and call); the misrouted shard
 // answers with a WrongShardError naming the owner under its newer view, and
 // callRouted retries directly against that named owner. The redirect works
 // even when the controller's own ring is behind, because the error carries
@@ -28,16 +23,12 @@ import (
 
 // attestRoute is one resolved path to an Attestation Server.
 type attestRoute struct {
-	client  *rpc.ReconnectClient
-	key     []byte // the server's report-signing public key
-	node    string // shard name in ring mode; "" in cluster mode
-	cluster int    // cluster index in cluster mode; -1 in ring mode
+	client *rpc.ReconnectClient
+	key    []byte // the shard's report-signing public key
+	node   string // shard name on the ring
 }
 
-// ringMode reports whether the attestation plane is sharded by ring.
-func (c *Controller) ringMode() bool { return c.cfg.Ring != nil }
-
-// RegisterAttestShard records one shard of the ring-mode attestation plane:
+// RegisterAttestShard records one shard of the attestation plane:
 // its name on the ring, its endpoint, and its report-signing key
 // (provisioned out of band, like any trust anchor). Re-registering a name
 // replaces the endpoint and key.
@@ -63,56 +54,18 @@ func (c *Controller) routeForNode(node string) (attestRoute, error) {
 		cl = c.newClient("attest-"+node, addr)
 		c.shardClients[node] = cl
 	}
-	return attestRoute{client: cl, key: c.shardPubs[node], node: node, cluster: -1}, nil
+	return attestRoute{client: cl, key: c.shardPubs[node], node: node}, nil
 }
 
-// routeForCluster resolves a route in cluster mode.
-func (c *Controller) routeForCluster(cluster int) (attestRoute, error) {
-	cl, err := c.attestClientFor(cluster)
-	if err != nil {
-		return attestRoute{}, err
-	}
-	return attestRoute{client: cl, key: c.attestKey(cluster), cluster: cluster}, nil
-}
-
-// routeForVM resolves the route for a VM-addressed request: by ring
-// ownership of the VM id in ring mode, by the VM's host's cluster
-// otherwise.
+// routeForVM resolves the route for a VM-addressed request by ring
+// ownership of the VM id. It needs no VM record, so teardown and crash
+// recovery route VMs the controller has already forgotten.
 func (c *Controller) routeForVM(vid string) (attestRoute, error) {
-	if c.ringMode() {
-		owner, _, ok := c.cfg.Ring.Lookup(vid)
-		if !ok {
-			return attestRoute{}, fmt.Errorf("controller: attestation ring is empty")
-		}
-		return c.routeForNode(owner)
-	}
-	c.mu.Lock()
-	rec, ok := c.vms[vid]
-	var cluster int
-	if ok {
-		if e, okS := c.servers[rec.Server]; okS {
-			cluster = e.Cluster
-		}
-	}
-	c.mu.Unlock()
+	owner, _, ok := c.cfg.Ring.Lookup(vid)
 	if !ok {
-		return attestRoute{}, fmt.Errorf("controller: no such VM %q", vid)
+		return attestRoute{}, fmt.Errorf("controller: attestation ring is empty")
 	}
-	return c.routeForCluster(cluster)
-}
-
-// routeForVMOnServer resolves the route for a VM whose record may already
-// be gone (teardown, crash recovery): ring mode still routes by the VM id;
-// cluster mode falls back to the named host's cluster.
-func (c *Controller) routeForVMOnServer(vid, srv string) (attestRoute, error) {
-	if c.ringMode() {
-		owner, _, ok := c.cfg.Ring.Lookup(vid)
-		if !ok {
-			return attestRoute{}, fmt.Errorf("controller: attestation ring is empty")
-		}
-		return c.routeForNode(owner)
-	}
-	return c.routeForCluster(c.clusterOfServer(srv))
+	return c.routeForNode(owner)
 }
 
 // maxShardRedirects bounds how many wrong-shard answers one logical call

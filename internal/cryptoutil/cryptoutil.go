@@ -160,19 +160,13 @@ func IssueCertificate(issuer *Identity, subject, purpose string, key ed25519.Pub
 // VerifyCertificate checks the certificate signature under the issuer's
 // public key and that the issuer name matches.
 func VerifyCertificate(c *Certificate, issuerName string, issuerKey ed25519.PublicKey) error {
-	return VerifyCertificateWith(c, issuerName, issuerKey, Direct)
-}
-
-// VerifyCertificateWith is VerifyCertificate with a pluggable Verifier, so
-// hot paths can route the signature check through a BatchVerifier.
-func VerifyCertificateWith(c *Certificate, issuerName string, issuerKey ed25519.PublicKey, v Verifier) error {
 	if c == nil {
 		return errors.New("cryptoutil: nil certificate")
 	}
 	if c.Issuer != issuerName {
 		return fmt.Errorf("cryptoutil: certificate issued by %q, want %q", c.Issuer, issuerName)
 	}
-	if !v.Verify(issuerKey, certBody(c), c.Sig) {
+	if !Verify(issuerKey, certBody(c), c.Sig) {
 		return errors.New("cryptoutil: certificate signature invalid")
 	}
 	return nil

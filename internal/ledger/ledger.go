@@ -784,14 +784,7 @@ func (l *Ledger) Checkpoint(signer *cryptoutil.Identity) Checkpoint {
 
 // VerifyCheckpoint checks cp's signature under pub.
 func VerifyCheckpoint(cp Checkpoint, pub []byte) error {
-	return VerifyCheckpointWith(cp, pub, cryptoutil.Direct)
-}
-
-// VerifyCheckpointWith is VerifyCheckpoint with a pluggable Verifier, so
-// an auditor replaying many anchored checkpoints can batch the signature
-// checks.
-func VerifyCheckpointWith(cp Checkpoint, pub []byte, v cryptoutil.Verifier) error {
-	if !v.Verify(pub, checkpointBody(cp.Seq, cp.Hash, cp.Signer), cp.Sig) {
+	if !cryptoutil.Verify(pub, checkpointBody(cp.Seq, cp.Hash, cp.Signer), cp.Sig) {
 		return errors.New("ledger: checkpoint signature invalid")
 	}
 	return nil

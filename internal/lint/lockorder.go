@@ -11,7 +11,7 @@ import (
 //
 //  1. No mutex is held across an operation that can park the goroutine
 //     indefinitely — an RPC round-trip, a channel send or receive, a
-//     select without default, a BatchVerifier or WaitGroup wait. A lock
+//     select without default, a WaitGroup wait. A lock
 //     held across an RPC turns one slow peer into a stalled shard. The
 //     documented op-serializer locks (opSerializers in the taxonomy)
 //     exist precisely to serialize whole operations and are exempt.

@@ -6,14 +6,14 @@ import (
 	"strings"
 )
 
-// ShardRoute enforces routing discipline in ring-mode controller code.
-// Since the attestation plane was sharded behind consistent hashing, the
-// only sanctioned way to reach a VM-addressed attestsrv method is through
-// an attestRoute minted by routeForVM/routeForNode/routeForCluster and
-// driven by callRouted, which follows typed wrong-shard redirects. A
-// direct rpc client call to a VM-addressed method bypasses ownership
-// checks and redirect handling: it works in single-shard tests and
-// silently talks to the wrong shard in production.
+// ShardRoute enforces routing discipline in controller code. The
+// attestation plane is sharded behind consistent hashing, so the only
+// sanctioned way to reach a VM-addressed attestsrv method is through an
+// attestRoute minted by routeForVM/routeForNode and driven by callRouted,
+// which follows typed wrong-shard redirects. A direct rpc client call to
+// a VM-addressed method bypasses ownership checks and redirect handling:
+// it works in single-shard tests and silently talks to the wrong shard in
+// production.
 //
 // Which methods are VM-addressed is not hard-coded here: the facts pass
 // over internal/attestsrv exports a "vmAddressed" fact for every method
@@ -167,7 +167,7 @@ func constIdent(expr ast.Expr) *ast.Ident {
 // clientFromRoute reports whether the call's receiver is the client field
 // of a value whose type is named attestRoute (any package: the fixture
 // defines its own). This is how provenance travels: routes are only
-// minted by the routeFor* helpers.
+// minted by routeForVM/routeForNode.
 func clientFromRoute(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

@@ -114,7 +114,7 @@ var vmAddressedMethods = map[string]bool{
 // routeTypeName is the routing-provenance type: a VM-addressed call is
 // sanctioned only through the client field of a value of this (package-
 // local) type, because such values are only minted by routeForVM and
-// friends and consumed under callRouted's redirect loop.
+// routeForNode and consumed under callRouted's redirect loop.
 const routeTypeName = "attestRoute"
 
 // --- intentbracket ---
@@ -237,17 +237,16 @@ var secretPropagatorFuncs = map[string]bool{
 // --- lockorder ---
 
 // blockingMethods are method calls ("pkg.Type.Method") that can park the
-// calling goroutine indefinitely: RPC round-trips and coalesced
-// batch-verification waits. Channel operations and selects are recognized
+// calling goroutine indefinitely: RPC round-trips and WaitGroup waits.
+// Channel operations and selects are recognized
 // syntactically; everything else arrives transitively via "blocks" facts.
 var blockingMethods = map[string]string{
-	"cloudmonatt/internal/rpc.Client.Call":                 "rpc call",
-	"cloudmonatt/internal/rpc.ReconnectClient.Call":        "rpc call",
-	"cloudmonatt/internal/rpc.ReconnectClient.CallCtx":     "rpc call",
-	"cloudmonatt/internal/rpc.ReconnectClient.CallIdem":    "rpc call",
-	"cloudmonatt/internal/rpc.ReconnectClient.CallFresh":   "rpc call",
-	"cloudmonatt/internal/cryptoutil.BatchVerifier.Verify": "batch-verifier wait",
-	"sync.WaitGroup.Wait":                                  "waitgroup wait",
+	"cloudmonatt/internal/rpc.Client.Call":               "rpc call",
+	"cloudmonatt/internal/rpc.ReconnectClient.Call":      "rpc call",
+	"cloudmonatt/internal/rpc.ReconnectClient.CallCtx":   "rpc call",
+	"cloudmonatt/internal/rpc.ReconnectClient.CallIdem":  "rpc call",
+	"cloudmonatt/internal/rpc.ReconnectClient.CallFresh": "rpc call",
+	"sync.WaitGroup.Wait":                                "waitgroup wait",
 }
 
 // blockingFuncs are plain functions that block.

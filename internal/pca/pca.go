@@ -222,14 +222,7 @@ func (p *PCA) recordIssuance(subject string, serial uint64) {
 // VerifyAttestationCert checks that cert is a genuine attestation-key
 // certificate from this CA (by name/key) for the given key.
 func VerifyAttestationCert(cert *cryptoutil.Certificate, caName string, caKey, avk ed25519.PublicKey) error {
-	return VerifyAttestationCertWith(cert, caName, caKey, avk, cryptoutil.Direct)
-}
-
-// VerifyAttestationCertWith is VerifyAttestationCert with a pluggable
-// Verifier: concurrent appraisals presenting the same session certificate
-// coalesce into one signature check under a BatchVerifier.
-func VerifyAttestationCertWith(cert *cryptoutil.Certificate, caName string, caKey, avk ed25519.PublicKey, v cryptoutil.Verifier) error {
-	if err := cryptoutil.VerifyCertificateWith(cert, caName, caKey, v); err != nil {
+	if err := cryptoutil.VerifyCertificate(cert, caName, caKey); err != nil {
 		return err
 	}
 	if cert.Purpose != PurposeAttestationKey {

@@ -1,16 +1,16 @@
-// Binary codec dispatch for the rpc layer. Messages that implement the
-// WireAppender/WireDecoder pair (the internal/wire protocol messages and
-// this package's envelopes) travel as hand-rolled binary; everything else
-// keeps gob. The two formats coexist on the wire: binary messages start
-// with binenc.Magic (0xC1), a byte no gob stream can begin with, so Decode
-// auto-detects the codec per message and a mixed-version fleet keeps
-// interoperating through the migration window.
+// Codec dispatch for the rpc layer: one codec per message type, chosen by
+// the Go type alone. Messages that implement the WireAppender/WireDecoder
+// pair (the internal/wire protocol messages and this package's envelopes)
+// travel as hand-rolled binary only; every other (control-plane) type
+// travels as gob only. Binary messages start with binenc.Magic (0xC1), a
+// byte no gob stream can begin with, so each decoder refuses the other
+// format's bytes and an attacker-supplied message reaches exactly one
+// parser.
 package rpc
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cloudmonatt/internal/binenc"
 )
@@ -27,15 +27,6 @@ type WireAppender interface {
 type WireDecoder interface {
 	DecodeWire(data []byte) error
 }
-
-// legacyGob, when set, forces Encode to emit gob even for binary-capable
-// messages — the escape hatch for talking to a pre-codec peer (and for the
-// codec ablation in monatt-bench). Decoding always auto-detects.
-var legacyGob atomic.Bool
-
-// SetLegacyGob switches Encode between the binary codec (false, default)
-// and gob-only (true) for messages that support both.
-func SetLegacyGob(v bool) { legacyGob.Store(v) }
 
 // Envelope tags continue the internal/wire tag space (1-8 are the
 // protocol messages).

@@ -195,7 +195,7 @@ type responseEnvelope struct {
 // the zero-allocation binary codec when v supports it, gob otherwise. The
 // returned slice is owned by the caller.
 func Encode(v any) ([]byte, error) {
-	if wa, ok := v.(WireAppender); ok && !legacyGob.Load() {
+	if wa, ok := v.(WireAppender); ok {
 		return encodeBinary(wa), nil
 	}
 	var buf bytes.Buffer
@@ -205,16 +205,16 @@ func Encode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode deserializes body into v, auto-detecting the codec: bodies
-// starting with the binary magic byte use v's strict binary decoder,
-// everything else (including messages from pre-codec peers) is gob.
+// Decode deserializes body into v with the one codec v's type has: its
+// strict binary decoder when it is a WireDecoder (which refuses anything
+// not led by the binary header), gob otherwise (which refuses a body led
+// by the binary magic byte).
 func Decode(body []byte, v any) error {
-	if len(body) > 0 && body[0] == binenc.Magic {
-		wd, ok := v.(WireDecoder)
-		if !ok {
-			return fmt.Errorf("rpc: binary message for %T, which has no binary decoder", v)
-		}
+	if wd, ok := v.(WireDecoder); ok {
 		return wd.DecodeWire(body)
+	}
+	if len(body) > 0 && body[0] == binenc.Magic {
+		return fmt.Errorf("rpc: binary message for %T, which has no binary decoder", v)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		return fmt.Errorf("rpc: decoding %T: %w", v, err)

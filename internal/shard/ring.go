@@ -10,12 +10,11 @@
 package shard
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
-
-	"cloudmonatt/internal/cryptoutil"
 )
 
 // DefaultVirtualNodes is the per-node vnode count when NewRing gets 0.
@@ -54,14 +53,28 @@ func NewRing(seed int64, vnodes int) *Ring {
 }
 
 // hash64 derives a circle position from the ring's seed and the given
-// fields, via the domain-separated SHA-256 the rest of the repo uses.
-// Cryptographic hashing is deliberate: vnode placement must look uniform
-// even for adversarially similar node names ("shard-1" vs "shard-2").
-func (r *Ring) hash64(domain string, fields ...[]byte) uint64 {
-	var seed [8]byte
-	binary.BigEndian.PutUint64(seed[:], uint64(r.seed))
-	h := cryptoutil.Hash(domain, append([][]byte{seed[:]}, fields...)...)
+// fields. The bytes hashed are exactly cryptoutil.Hash(domain, seed,
+// fields...) — the repo's domain-separated SHA-256 framing, every field
+// behind an 8-byte big-endian length — so placement is the one every
+// existing ring computed (TestRingPlacementGolden pins it); they are framed
+// into a stack buffer because Lookup sits on every VM-addressed call and
+// must not allocate. Cryptographic hashing is deliberate: vnode placement
+// must look uniform even for adversarially similar node names ("shard-1"
+// vs "shard-2").
+func (r *Ring) hash64(domain string, fields ...string) uint64 {
+	var stack [128]byte // longer inputs spill to the heap, still correct
+	b := appendField(stack[:0], domain)
+	b = binary.BigEndian.AppendUint64(b, 8)
+	b = binary.BigEndian.AppendUint64(b, uint64(r.seed))
+	for _, f := range fields {
+		b = appendField(b, f)
+	}
+	h := sha256.Sum256(b)
 	return binary.BigEndian.Uint64(h[:8])
+}
+
+func appendField(b []byte, f string) []byte {
+	return append(binary.BigEndian.AppendUint64(b, uint64(len(f))), f...)
 }
 
 // Join adds a node and its virtual nodes to the ring, bumping the epoch.
@@ -77,7 +90,7 @@ func (r *Ring) Join(node string) uint64 {
 	var idx [8]byte
 	for i := 0; i < r.vnodes; i++ {
 		binary.BigEndian.PutUint64(idx[:], uint64(i))
-		r.points = append(r.points, point{hash: r.hash64("shard-vnode", []byte(node), idx[:]), node: node})
+		r.points = append(r.points, point{hash: r.hash64("shard-vnode", node, string(idx[:])), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	r.epoch++
@@ -112,7 +125,7 @@ func (r *Ring) Lookup(key string) (node string, epoch uint64, ok bool) {
 	if len(r.points) == 0 {
 		return "", r.epoch, false
 	}
-	h := r.hash64("shard-key", []byte(key))
+	h := r.hash64("shard-key", key)
 	// First vnode clockwise of the key's position, wrapping at the top.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

@@ -203,3 +203,46 @@ func TestWrongShardErrorRoundTrip(t *testing.T) {
 		t.Fatal("ParseWrongShard accepted a truncated message")
 	}
 }
+
+// TestRingPlacementGolden pins placement byte for byte: the owners below
+// were generated before hash64 stopped calling cryptoutil.Hash, so a ring
+// built today agrees with every ring (and every persisted handoff decision)
+// built before. Digit i of a row is the index into members of the owner of
+// vm-%04d (i+1).
+func TestRingPlacementGolden(t *testing.T) {
+	members := []string{"attestation-server", "attestation-server-1", "attestation-server-2", "attestation-server-3"}
+	golden := map[int64]string{
+		1:  "2012222233322213130203300101123322123020112031332222311203220200",
+		14: "1103131121211320231100333121011320330302010000120011123111023133",
+	}
+	for seed, want := range golden {
+		r := NewRing(seed, 0)
+		for _, m := range members {
+			r.Join(m)
+		}
+		for i := range want {
+			key := fmt.Sprintf("vm-%04d", i+1)
+			got, _, _ := r.Lookup(key)
+			if exp := members[want[i]-'0']; got != exp {
+				t.Errorf("seed %d: %s owned by %s, want %s", seed, key, got, exp)
+			}
+			if !r.Owns(got, key) {
+				t.Errorf("seed %d: Owns(%s, %s) = false", seed, got, key)
+			}
+		}
+	}
+}
+
+// TestRingLookupAllocFree keeps the routing lookup off the heap: it runs
+// twice per attestation (controller route, shard ownership check).
+func TestRingLookupAllocFree(t *testing.T) {
+	r := NewRing(1, 0)
+	r.Join("attestation-server")
+	r.Join("attestation-server-1")
+	if n := testing.AllocsPerRun(200, func() { r.Lookup("vm-0001") }); n != 0 {
+		t.Errorf("Lookup allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { r.Owns("attestation-server", "vm-0001") }); n != 0 {
+		t.Errorf("Owns allocates %v times per call, want 0", n)
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/pca"
-	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/trust"
 )
 
@@ -88,27 +87,6 @@ func BenchmarkEvidenceEncodeBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkEvidenceEncodeGob: the same message through the legacy gob
-// path (fresh encoder state and type descriptors every call) for the
-// before/after comparison.
-func BenchmarkEvidenceEncodeGob(b *testing.B) {
-	ev := benchEvidence(b)
-	rpc.SetLegacyGob(true)
-	defer rpc.SetLegacyGob(false)
-	enc, err := rpc.Encode(*ev)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rpc.Encode(*ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEvidenceDecodeBinary decodes the binary form repeatedly.
 func BenchmarkEvidenceDecodeBinary(b *testing.B) {
 	ev := benchEvidence(b)
@@ -124,30 +102,9 @@ func BenchmarkEvidenceDecodeBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkEvidenceDecodeGob decodes the gob form repeatedly.
-func BenchmarkEvidenceDecodeGob(b *testing.B) {
-	ev := benchEvidence(b)
-	rpc.SetLegacyGob(true)
-	data, err := rpc.Encode(*ev)
-	rpc.SetLegacyGob(false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var m Evidence
-		if err := rpc.Decode(data, &m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEvidenceEncodeAllocFree pins the acceptance criterion as a test, not
 // just a bench number: encoding Evidence into a reused buffer performs zero
-// heap allocations, while the legacy gob path allocates on every call —
-// so the binary path trivially beats gob's B/op by any margin.
+// heap allocations.
 func TestEvidenceEncodeAllocFree(t *testing.T) {
 	tb := &testing.B{}
 	ev := benchEvidence(tb)
@@ -159,15 +116,6 @@ func TestEvidenceEncodeAllocFree(t *testing.T) {
 		buf = ev.AppendWire(buf[:0])
 	}); allocs != 0 {
 		t.Fatalf("binary encode into reused buffer: %v allocs/op, want 0", allocs)
-	}
-	rpc.SetLegacyGob(true)
-	defer rpc.SetLegacyGob(false)
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := rpc.Encode(*ev); err != nil {
-			t.Error(err)
-		}
-	}); allocs < 5 {
-		t.Fatalf("gob encode reported %v allocs/op — comparison baseline looks wrong", allocs)
 	}
 }
 

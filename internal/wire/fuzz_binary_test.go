@@ -16,7 +16,10 @@ import (
 // no panic, no over-read, and no non-canonical encoding (trailing bytes,
 // mislength fixed fields, unsorted map keys, non-0/1 bools) may slip
 // through, because two distinct byte strings decoding to one value would
-// let a relay re-encode a signed message without detection.
+// let a relay re-encode a signed message without detection. Whatever does
+// decode into a signed message then goes through its signature
+// verification with the decoded (attacker-chosen) fields: verification
+// must reject or accept, never panic, whatever the bytes claim.
 
 func binarySeeds() [][]byte {
 	seeds := make([][]byte, 0, 12)
@@ -35,14 +38,16 @@ func FuzzBinaryWireDecode(f *testing.F) {
 	for _, s := range binarySeeds() {
 		f.Add(s)
 	}
+	key := fuzzIdentity("verifier").Public()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(name string, err error, reenc func() []byte) {
+		check := func(name string, err error, reenc func() []byte) bool {
 			if err != nil {
-				return
+				return false
 			}
 			if got := reenc(); !bytes.Equal(got, data) {
 				t.Fatalf("%s accepted a non-canonical encoding:\n in: %x\nout: %x", name, data, got)
 			}
+			return true
 		}
 		var ar wire.AttestRequest
 		check("attest-request", ar.DecodeWire(data), func() []byte { return ar.AppendWire(nil) })
@@ -55,11 +60,17 @@ func FuzzBinaryWireDecode(f *testing.F) {
 		var mr wire.MeasureRequest
 		check("measure-request", mr.DecodeWire(data), func() []byte { return mr.AppendWire(nil) })
 		var ev wire.Evidence
-		check("evidence", ev.DecodeWire(data), func() []byte { return ev.AppendWire(nil) })
+		if check("evidence", ev.DecodeWire(data), func() []byte { return ev.AppendWire(nil) }) {
+			_ = wire.VerifyEvidence(&ev, "pca", key, ev.Vid, ev.Req, ev.N3)
+		}
 		var rep wire.Report
-		check("report", rep.DecodeWire(data), func() []byte { return rep.AppendWire(nil) })
+		if check("report", rep.DecodeWire(data), func() []byte { return rep.AppendWire(nil) }) {
+			_ = wire.VerifyReport(&rep, key, rep.Vid, rep.Prop, rep.N2)
+		}
 		var cr wire.CustomerReport
-		check("customer-report", cr.DecodeWire(data), func() []byte { return cr.AppendWire(nil) })
+		if check("customer-report", cr.DecodeWire(data), func() []byte { return cr.AppendWire(nil) }) {
+			_ = wire.VerifyCustomerReport(&cr, key, cr.Vid, cr.Prop, cr.N1)
+		}
 	})
 }
 

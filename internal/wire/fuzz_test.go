@@ -1,25 +1,26 @@
 package wire_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"time"
 
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/wire"
 )
 
-// Wire messages arrive gob-encoded over the secure channel; the channel
-// authenticates the peer, but a compromised cloud server or attestation
-// server is exactly the adversary the paper's quotes defend against, so
-// the decoders must survive arbitrary bytes. The target decodes fuzzed
-// input into every protocol message and, when a decode succeeds, pushes
-// the result through re-encoding and signature verification — none of
-// which may panic, whatever the bytes claim.
+// A protocol message has one codec. The channel authenticates the peer, but
+// a compromised cloud server or attestation server is exactly the adversary
+// the paper's quotes defend against, so what it sends must reach exactly
+// one parser: rpc.Decode into a protocol message accepts nothing that does
+// not start with the binary header — in particular not the gob encodings a
+// pre-binary peer produced, which are this target's seeds and committed
+// corpus. (What the binary parser does with hostile bytes is
+// FuzzBinaryWireDecode's business.)
 
 func fuzzIdentity(name string) *cryptoutil.Identity {
 	seed := cryptoutil.Hash("fuzz-seed", []byte(name))
@@ -37,95 +38,47 @@ func fuzzNonce(tag string) cryptoutil.Nonce {
 	return n
 }
 
-func wireSeeds() [][]byte {
+// gobSeeds returns the eight protocol messages as gob encodes them.
+func gobSeeds() [][]byte {
 	signer := fuzzIdentity("attestsrv")
 	n1, n2, n3 := fuzzNonce("n1"), fuzzNonce("n2"), fuzzNonce("n3")
 	req := properties.Request{Kinds: []properties.MeasurementKind{properties.KindTaskList}, Window: time.Second}
 	ms := []properties.Measurement{{Kind: properties.KindTaskList, Tasks: []string{"init", "sshd"}}}
 	verdict := properties.Verdict{Property: properties.RuntimeIntegrity, Healthy: true}
-	ev := wire.Evidence{
-		Vid:          "vm-1",
-		Req:          req,
-		Measurements: ms,
-		N3:           n3,
-		Q3:           wire.ComputeQ3("vm-1", req, ms, n3),
-		Backend:      "tpm",
-	}
 	msgs := []any{
 		wire.AttestRequest{Vid: "vm-1", Prop: properties.RuntimeIntegrity, N1: n1},
 		wire.PeriodicRequest{Vid: "vm-1", Prop: properties.CPUAvailability, Freq: 5 * time.Second, Random: true, N1: n1},
 		wire.StopPeriodicRequest{Vid: "vm-1", Prop: properties.CPUAvailability, N1: n1},
 		wire.AppraisalRequest{Vid: "vm-1", ServerID: "server-1", Prop: properties.StartupIntegrity, N2: n2},
 		wire.MeasureRequest{Vid: "vm-1", Req: req, N3: n3},
-		ev,
+		wire.Evidence{Vid: "vm-1", Req: req, Measurements: ms, N3: n3, Q3: wire.ComputeQ3("vm-1", req, ms, n3), Backend: "tpm"},
 		*wire.BuildReport(signer, "vm-1", "server-1", properties.RuntimeIntegrity, verdict, n2),
 		*wire.BuildCustomerReport(signer, "vm-1", properties.RuntimeIntegrity, verdict, n1),
 	}
 	seeds := make([][]byte, 0, len(msgs)+1)
 	for _, m := range msgs {
-		b, err := rpc.Encode(m)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 			panic(err)
 		}
-		seeds = append(seeds, b)
+		seeds = append(seeds, buf.Bytes())
 	}
 	return append(seeds, []byte{})
 }
 
 func FuzzWireDecode(f *testing.F) {
-	for _, s := range wireSeeds() {
+	for _, s := range gobSeeds() {
 		f.Add(s)
 	}
-	key := fuzzIdentity("verifier").Public()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ar wire.AttestRequest
-		_ = rpc.Decode(data, &ar)
-		var pr wire.PeriodicRequest
-		_ = rpc.Decode(data, &pr)
-		var spr wire.StopPeriodicRequest
-		_ = rpc.Decode(data, &spr)
-		var apr wire.AppraisalRequest
-		_ = rpc.Decode(data, &apr)
-		var mr wire.MeasureRequest
-		_ = rpc.Decode(data, &mr)
-
-		// The signed messages additionally go through verification with
-		// the decoded (attacker-chosen) fields: verification must reject
-		// or accept, never panic, and a decoded value must re-encode.
-		var ev wire.Evidence
-		if err := rpc.Decode(data, &ev); err == nil {
-			if _, err := rpc.Encode(&ev); err != nil {
-				t.Fatalf("re-encoding decoded evidence: %v", err)
+		for _, m := range []any{
+			&wire.AttestRequest{}, &wire.PeriodicRequest{}, &wire.StopPeriodicRequest{},
+			&wire.AppraisalRequest{}, &wire.MeasureRequest{},
+			&wire.Evidence{}, &wire.Report{}, &wire.CustomerReport{},
+		} {
+			if err := rpc.Decode(data, m); err == nil && (len(data) == 0 || data[0] != binenc.Magic) {
+				t.Fatalf("rpc.Decode accepted a non-binary body into %T: %x", m, data)
 			}
-			_ = wire.VerifyEvidence(&ev, "pca", key, ev.Vid, ev.Req, ev.N3)
-		}
-		var rep wire.Report
-		if err := rpc.Decode(data, &rep); err == nil {
-			_ = wire.VerifyReport(&rep, key, rep.Vid, rep.Prop, rep.N2)
-		}
-		var cr wire.CustomerReport
-		if err := rpc.Decode(data, &cr); err == nil {
-			_ = wire.VerifyCustomerReport(&cr, key, cr.Vid, cr.Prop, cr.N1)
 		}
 	})
-}
-
-// TestRegenFuzzSeeds rewrites the committed seed corpus under
-// testdata/fuzz from the real message builders and gob encoder. Run with
-// REGEN_FUZZ_SEEDS=1 after changing any wire struct.
-func TestRegenFuzzSeeds(t *testing.T) {
-	if os.Getenv("REGEN_FUZZ_SEEDS") == "" {
-		t.Skip("set REGEN_FUZZ_SEEDS=1 to rewrite testdata/fuzz seeds")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range wireSeeds() {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

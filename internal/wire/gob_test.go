@@ -10,7 +10,8 @@ import (
 )
 
 // The protocol structs cross process boundaries through the RPC layer's
-// gob encoding; these tests pin down that a full round trip preserves
+// codec (binary for these types; the test names predate it); these tests
+// pin down that a full round trip preserves
 // signature-relevant content (a lossy field would silently break
 // verification at the far end).
 

@@ -11,7 +11,6 @@ import (
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/wire"
 )
 
@@ -182,46 +181,5 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("%s golden vector does not round-trip", gc.name)
 			}
 		})
-	}
-}
-
-// TestGobBinaryCrossDecode covers the migration window: a message encoded
-// by a pre-codec (gob) peer must decode into the same value as its binary
-// encoding, through the same rpc.Decode entry point, with no flag flips.
-func TestGobBinaryCrossDecode(t *testing.T) {
-	signer := fuzzIdentity("attestsrv")
-	verdict := properties.Verdict{Property: properties.CovertChannelFreedom, Healthy: true, Backend: "vtpm"}
-	orig := *wire.BuildReport(signer, "vm-9", "server-2", properties.CovertChannelFreedom, verdict, fuzzNonce("x"))
-
-	rpc.SetLegacyGob(true)
-	gobBytes, err := rpc.Encode(orig)
-	rpc.SetLegacyGob(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binBytes, err := rpc.Encode(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(gobBytes, binBytes) {
-		t.Fatal("legacy toggle did not change the encoding")
-	}
-	var fromGob, fromBin wire.Report
-	if err := rpc.Decode(gobBytes, &fromGob); err != nil {
-		t.Fatalf("decoding gob form: %v", err)
-	}
-	if err := rpc.Decode(binBytes, &fromBin); err != nil {
-		t.Fatalf("decoding binary form: %v", err)
-	}
-	for name, got := range map[string]wire.Report{"gob": fromGob, "binary": fromBin} {
-		if got.Vid != orig.Vid || got.ServerID != orig.ServerID || got.Prop != orig.Prop ||
-			got.N2 != orig.N2 || got.Q2 != orig.Q2 || !bytes.Equal(got.Sig, orig.Sig) ||
-			got.Verdict.Property != orig.Verdict.Property || got.Verdict.Healthy != orig.Verdict.Healthy ||
-			got.Verdict.Backend != orig.Verdict.Backend {
-			t.Fatalf("%s decode diverged: %+v vs %+v", name, got, orig)
-		}
-		if err := wire.VerifyReport(&got, signer.Public(), got.Vid, got.Prop, got.N2); err != nil {
-			t.Fatalf("%s-decoded report fails verification: %v", name, err)
-		}
 	}
 }

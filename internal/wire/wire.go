@@ -132,14 +132,6 @@ func BuildEvidence(sess *trust.Session, vid string, req properties.Request, ms [
 // the session key, the signature verifies under it, the nonce is ours, and
 // the quote matches the content.
 func VerifyEvidence(e *Evidence, caName string, caKey ed25519.PublicKey, vid string, req properties.Request, n3 cryptoutil.Nonce) error {
-	return VerifyEvidenceWith(e, caName, caKey, vid, req, n3, cryptoutil.Direct)
-}
-
-// VerifyEvidenceWith is VerifyEvidence with a pluggable Verifier. The
-// attestation server passes a BatchVerifier here so concurrent appraisals
-// coalesce their certificate checks and fan their evidence-signature
-// checks across cores.
-func VerifyEvidenceWith(e *Evidence, caName string, caKey ed25519.PublicKey, vid string, req properties.Request, n3 cryptoutil.Nonce, v cryptoutil.Verifier) error {
 	if e == nil {
 		return errors.New("wire: nil evidence")
 	}
@@ -149,10 +141,10 @@ func VerifyEvidenceWith(e *Evidence, caName string, caKey ed25519.PublicKey, vid
 	if e.N3 != n3 {
 		return errors.New("wire: evidence nonce mismatch (replay?)")
 	}
-	if err := pca.VerifyAttestationCertWith(e.Cert, caName, caKey, ed25519.PublicKey(e.AVK), v); err != nil {
+	if err := pca.VerifyAttestationCert(e.Cert, caName, caKey, ed25519.PublicKey(e.AVK)); err != nil {
 		return fmt.Errorf("wire: attestation key not certified: %w", err)
 	}
-	if !v.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e), e.Sig) {
+	if !cryptoutil.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e), e.Sig) {
 		return errors.New("wire: evidence signature invalid")
 	}
 	want3 := ComputeQ3(e.Vid, e.Req, e.Measurements, e.N3)
