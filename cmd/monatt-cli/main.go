@@ -106,7 +106,7 @@ func connect(path string, timeout time.Duration, retries int) (*cli, error) {
 		},
 	})
 	c := &cli{client: client, ctrlKey: ctrlKey,
-		opBudget: time.Duration(retries)*timeout + 5*time.Second}
+		opBudget: rpc.OpBudget(timeout, rpc.RetryPolicy{MaxAttempts: retries})}
 	ctx, cancel := c.opCtx()
 	defer cancel()
 	if err := client.Connect(ctx); err != nil {

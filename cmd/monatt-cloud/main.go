@@ -84,7 +84,7 @@ func main() {
 		}
 		b, err := driver.ParseBackend(f)
 		if err != nil {
-			log.Fatalf("-trust-backend: %v (registered: %v)", err, driver.Backends())
+			log.Fatalf("-trust-backend: %v", err)
 		}
 		backends = append(backends, b)
 	}

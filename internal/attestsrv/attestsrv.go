@@ -29,7 +29,6 @@ import (
 	"cloudmonatt/internal/server"
 	"cloudmonatt/internal/shard"
 	"cloudmonatt/internal/trust/driver"
-	"cloudmonatt/internal/trust/driver/sevsnp"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
 )
@@ -48,14 +47,6 @@ type ServerRecord struct {
 	Backend driver.Backend
 	// Properties lists the security properties the server can monitor.
 	Properties []properties.Property
-}
-
-// BackendOrDefault returns the record's backend, defaulting to tpm.
-func (r *ServerRecord) BackendOrDefault() driver.Backend {
-	if r.Backend == "" {
-		return driver.BackendTPM
-	}
-	return r.Backend
 }
 
 // Supports reports whether the server can monitor property p.
@@ -351,7 +342,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	if !okV {
 		return nil, fmt.Errorf("attestsrv: no references for VM %q", req.Vid)
 	}
-	backend := srvRec.BackendOrDefault()
+	backend := srvRec.Backend.OrDefault()
 	sp.Annotate("backend", string(backend))
 	s.metrics.Counter("appraise/backend-" + string(backend)).Inc()
 	if !driver.Attestable(backend, req.Prop) {
@@ -380,15 +371,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	// The whole measurement exchange — every retry and its backoff — is
 	// bounded so a wedged cloud server degrades this appraisal instead of
 	// pinning an attestation worker forever.
-	per := s.cfg.CallTimeout
-	if per <= 0 {
-		per = 30 * time.Second
-	}
-	attempts := s.cfg.Retry.MaxAttempts
-	if attempts <= 0 {
-		attempts = 4 // rpc default
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(attempts)*per+5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), rpc.OpBudget(s.cfg.CallTimeout, s.cfg.Retry))
 	defer cancel()
 	// N3 is regenerated for every retry attempt, so a re-issued measurement
 	// request is a fresh challenge, never a replay.
@@ -415,10 +398,6 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	if lat := s.cfg.Latency; lat != nil {
 		s.cfg.Clock.Advance(lat.InterpretCost)
 	}
-	minTCB := s.cfg.MinTCB
-	if minTCB.IsZero() {
-		minTCB = sevsnp.CurrentTCB
-	}
 	verdict := interpret.Interpret(req.Prop, ev.Measurements, n3, interpret.References{
 		ServerAIK:      ed25519.PublicKey(srvRec.AIK),
 		PlatformGolden: interpret.GoldenPlatform(),
@@ -427,7 +406,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		TaskAllowlist:  vmRec.TaskAllowlist,
 		MinCPUShare:    vmRec.MinCPUShare,
 		Backend:        backend,
-		MinTCB:         minTCB,
+		MinTCB:         s.cfg.MinTCB,
 	})
 	s.recordAppraisal(&req, verdict, sp.Context().Trace)
 	return wire.BuildReport(s.cfg.Identity, req.Vid, req.ServerID, req.Prop, verdict, req.N2), nil

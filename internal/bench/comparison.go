@@ -129,11 +129,7 @@ func cloudmonattDetects(s *scenario, seed int64, threat string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	tm, err := newTrustModule("cmp-server")
-	if err != nil {
-		return false, err
-	}
-	mon, err := newTPMMonitor(s2.hv, tm, monitor.StandardPlatform())
+	mon, aik, err := newTPMMonitor(s2.hv, monitor.StandardPlatform())
 	if err != nil {
 		return false, err
 	}
@@ -148,7 +144,7 @@ func cloudmonattDetects(s *scenario, seed int64, threat string) (bool, error) {
 	// attestation of the VM image. Model: the tampered kernel came from a
 	// tampered image, so the image digest differs from pristine.
 	refs := interpret.References{
-		ServerAIK:      tm.TPM().AIK(),
+		ServerAIK:      aik,
 		PlatformGolden: interpret.GoldenPlatform(),
 		ExpectedImage:  imageDigest,
 		Vid:            "victim",

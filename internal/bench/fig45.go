@@ -87,11 +87,7 @@ func Fig5(seed int64, window time.Duration) (Fig5Result, error) {
 	run := func(covert bool) ([]uint64, error) {
 		k := sim.NewKernel(seed)
 		hv := xen.New(k, xen.DefaultConfig(), 1)
-		tm, err := newTrustModule("fig5-server")
-		if err != nil {
-			return nil, err
-		}
-		mon, err := newTPMMonitor(hv, tm, monitor.StandardPlatform())
+		mon, _, err := newTPMMonitor(hv, monitor.StandardPlatform())
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"cloudmonatt/internal/sim"
 	"cloudmonatt/internal/trust"
 	"cloudmonatt/internal/trust/driver"
-	_ "cloudmonatt/internal/trust/driver/tpmdrv"
 	"cloudmonatt/internal/workload"
 	"cloudmonatt/internal/xen"
 )
@@ -18,20 +17,17 @@ import (
 // CoTenants is the attacker-VM sweep of Fig. 6/7, in the paper's order.
 var CoTenants = []string{"idle", "database", "file", "web", "app", "stream", "mail", "cpu_avail"}
 
-// newTrustModule builds a Trust Module with crypto randomness.
-func newTrustModule(name string) (*trust.Module, error) {
-	return trust.NewModule(name, 0, rand.Reader)
-}
-
-// newTPMMonitor wires a Monitor Module to the module's TPM through the tpm
+// newTPMMonitor wires a Monitor Module to a fresh register bank and the tpm
 // trust-backend driver — the benches always model the paper's own
-// architecture, so the backend is fixed.
-func newTPMMonitor(hv *xen.Hypervisor, tm *trust.Module, platform []monitor.Component) (*monitor.Module, error) {
-	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "bench", TPM: tm.TPM()})
+// architecture, so the backend is fixed. It also returns the TPM's AIK for
+// the appraisal references.
+func newTPMMonitor(hv *xen.Hypervisor, platform []monitor.Component) (*monitor.Module, []byte, error) {
+	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "bench", Rand: rand.Reader})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return monitor.New(hv, tm.Registers(), drv, platform)
+	mon, err := monitor.New(hv, trust.NewRegisters(0), drv, platform)
+	return mon, drv.AttestationKey(), err
 }
 
 // Fig6Result reproduces Fig. 6: victim relative execution time under each

@@ -38,7 +38,6 @@ import (
 	"cloudmonatt/internal/trust/driver/sevsnp"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
-	"cloudmonatt/internal/xen"
 )
 
 // Options configures the testbed.
@@ -77,9 +76,6 @@ type Options struct {
 	MinTCB driver.TCBVersion
 	// Policy overrides the controller's response policy.
 	Policy map[properties.Property]controller.ResponseKind
-	// SchedConfig overrides the hypervisor scheduler on every server
-	// (ablation benches disable BOOST here).
-	SchedConfig *xen.Config
 	// Capacity overrides the per-server allocatable resources.
 	Capacity server.Capacity
 	// Network selects the transport. nil assembles the cloud on an
@@ -102,8 +98,6 @@ type Options struct {
 	// Periodic tunes every Attestation Server's periodic monitoring engine
 	// (worker pool, per-server in-flight cap, result buffer bound).
 	Periodic attestsrv.PeriodicConfig
-	// SpanCapacity bounds the shared span store (0 = obs default).
-	SpanCapacity int
 	// ReattestEvery, when positive, makes the controller's reconcile loop
 	// periodically re-attest every active VM's provisioned properties.
 	ReattestEvery time.Duration
@@ -219,7 +213,7 @@ func New(opts Options) (*Testbed, error) {
 		Lat:       latency.New(opts.Seed + 1),
 		Images:    image.NewLibrary(opts.Seed + 2),
 		Servers:   make(map[string]*server.Server),
-		Obs:       obs.NewStore(opts.SpanCapacity),
+		Obs:       obs.NewStore(0),
 		directory: make(map[string]ed25519.PublicKey),
 		opts:      opts,
 	}
@@ -254,7 +248,6 @@ func New(opts Options) (*Testbed, error) {
 	tb.register("cloud-controller", ctrlID.Public())
 
 	// Cloud servers.
-	backendOf := tb.backendOf
 	serverAddrs := make(map[string]string, opts.Servers)
 	for i := 0; i < opts.Servers; i++ {
 		name := serverName(i)
@@ -265,10 +258,11 @@ func New(opts Options) (*Testbed, error) {
 			Capacity:       opts.Capacity,
 			Certifier:      tb.certSwitch,
 			Rand:           rand.Reader,
-			SchedConfig:    opts.SchedConfig,
 			Obs:            tb.Obs,
-			Backend:        backendOf(i),
 			SessionMaxUses: opts.SessionMaxUses,
+		}
+		if n := len(opts.Backends); n > 0 {
+			cfg.Backend = opts.Backends[i%n]
 		}
 		if opts.TamperPlatform[name] {
 			cfg.Platform = trojanedPlatform()
@@ -355,20 +349,11 @@ func (tb *Testbed) listen(role string) (net.Listener, string, error) {
 	return l, l.Addr().String(), nil
 }
 
-// backendOf returns the trust backend assigned to the i-th cloud server.
-func (tb *Testbed) backendOf(i int) driver.Backend {
-	if len(tb.opts.Backends) == 0 {
-		return driver.BackendTPM
-	}
-	return tb.opts.Backends[i%len(tb.opts.Backends)]
-}
-
 // newController assembles a cloud controller against the testbed's fleet:
 // same identity, network, ledger, and server registry every time. fp is
 // the crash-injection hook; a restarted controller gets none, like a
 // freshly exec'd process.
 func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
-	backendOf := tb.backendOf
 	c := controller.New(controller.Config{
 		Identity:      tb.ctrlID,
 		Network:       tb.Net,
@@ -395,12 +380,13 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 	}
 	for i := 0; i < tb.opts.Servers; i++ {
 		name := serverName(i)
+		b := tb.Servers[name].Backend()
 		c.RegisterServer(controller.ServerEntry{
 			Name:     name,
 			Addr:     tb.serverAddrs[name],
 			Capacity: tb.opts.Capacity,
-			Props:    driver.AttestableProps(backendOf(i)),
-			Backend:  string(backendOf(i)),
+			Props:    driver.AttestableProps(b),
+			Backend:  b,
 		})
 	}
 	return c
@@ -459,7 +445,7 @@ func (tb *Testbed) startShard() (*cryptoutil.Identity, string, error) {
 	for i := 0; i < tb.opts.Servers; i++ {
 		name := serverName(i)
 		srv := tb.Servers[name]
-		b := tb.backendOf(i)
+		b := srv.Backend()
 		as.RegisterServer(attestsrv.ServerRecord{
 			Name:        name,
 			Addr:        tb.serverAddrs[name],
@@ -871,16 +857,8 @@ func (tb *Testbed) NewCustomerWithIdentity(id *cryptoutil.Identity) (*Customer, 
 		Breaker:     tb.opts.Breaker,
 		CallTimeout: tb.opts.CallTimeout,
 	})
-	per := tb.opts.CallTimeout
-	if per <= 0 {
-		per = 30 * time.Second
-	}
-	attempts := tb.opts.Retry.MaxAttempts
-	if attempts <= 0 {
-		attempts = 4 // rpc default
-	}
 	cu := &Customer{id: id, client: client, ctrlKey: tb.Ctrl.PublicKey(),
-		opBudget: time.Duration(attempts)*per + 5*time.Second}
+		opBudget: rpc.OpBudget(tb.opts.CallTimeout, tb.opts.Retry)}
 	ctx, cancel := cu.opCtx()
 	defer cancel()
 	if err := client.Connect(ctx); err != nil {

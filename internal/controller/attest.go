@@ -117,17 +117,15 @@ func (c *Controller) AttestTraced(parent obs.SpanContext, req wire.AttestRequest
 
 // staleReport serves the cached last-known-good verdict as a stale report
 // when the attestation infrastructure is unavailable, or nil when nothing
-// acceptable is cached. The degradation is recorded in metrics and the
-// evidence ledger.
+// is cached. A verdict of any age is served: the report carries its age, so
+// the customer decides what is too old. The degradation is recorded in
+// metrics and the evidence ledger.
 func (c *Controller) staleReport(vid string, p properties.Property, n1 cryptoutil.Nonce, trace string, cause error) *wire.CustomerReport {
 	lg, ok := c.lastGoodFor(vid, p)
 	if !ok {
 		return nil
 	}
 	age := c.cfg.Clock.Now() - lg.at
-	if c.cfg.StaleTTL > 0 && age > c.cfg.StaleTTL {
-		return nil
-	}
 	c.cfg.Metrics.Counter("controller/degraded-stale-reports").Inc()
 	c.record(ledger.KindDegraded, vid, p, trace, struct {
 		AgeNS int64  `json:"age_ns"`

@@ -32,6 +32,7 @@ import (
 	"cloudmonatt/internal/secchan"
 	"cloudmonatt/internal/server"
 	"cloudmonatt/internal/shard"
+	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
 )
@@ -64,7 +65,7 @@ type ServerEntry struct {
 	// Backend is the server's trust backend type ("tpm", "vtpm",
 	// "sev-snp"; empty = tpm), recorded in launch and remediation ledger
 	// entries so the evidence trail names the root of trust involved.
-	Backend string
+	Backend driver.Backend
 }
 
 func (e *ServerEntry) supports(ps []properties.Property) bool {
@@ -191,10 +192,6 @@ type Config struct {
 	Retry rpc.RetryPolicy
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker rpc.BreakerPolicy
-	// StaleTTL caps how old a cached verdict may be and still be served as a
-	// stale report when the attestation infrastructure is unreachable
-	// (virtual-clock age). 0 means any age is acceptable.
-	StaleTTL time.Duration
 	// Metrics receives retry/breaker/degradation counters; New allocates a
 	// registry when nil.
 	Metrics *metrics.Registry
@@ -497,15 +494,7 @@ func (c *Controller) EventsFor(owner string) []ResponseEvent {
 // degrade an operation but never wedge the controller (the ctxdeadline
 // analyzer enforces this at each call site).
 func (c *Controller) opCtx() (context.Context, context.CancelFunc) {
-	per := c.cfg.CallTimeout
-	if per <= 0 {
-		per = 30 * time.Second
-	}
-	attempts := c.cfg.Retry.MaxAttempts
-	if attempts <= 0 {
-		attempts = 4 // rpc default
-	}
-	return context.WithTimeout(context.Background(), time.Duration(attempts)*per+5*time.Second)
+	return context.WithTimeout(context.Background(), rpc.OpBudget(c.cfg.CallTimeout, c.cfg.Retry))
 }
 
 // mgmtClient returns the fault-tolerant client for a cloud server's
@@ -594,10 +583,7 @@ func (c *Controller) serverBackend(name string) string {
 	if !ok {
 		return ""
 	}
-	if e.Backend == "" {
-		return "tpm"
-	}
-	return e.Backend
+	return string(e.Backend.OrDefault())
 }
 
 func (c *Controller) reserve(name string, f image.Flavor) {

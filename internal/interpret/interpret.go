@@ -26,12 +26,6 @@ import (
 	"cloudmonatt/internal/monitor"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/trust/driver"
-
-	// Startup-evidence appraisal dispatches to the per-backend appraisers,
-	// so the verifier links every backend the fleet can contain.
-	_ "cloudmonatt/internal/trust/driver/sevsnp"
-	_ "cloudmonatt/internal/trust/driver/tpmdrv"
-	_ "cloudmonatt/internal/trust/driver/vtpmdrv"
 )
 
 // References holds the appraisal inputs for one VM's attestation: what the
@@ -60,7 +54,7 @@ type References struct {
 	// = the classic TPM Trust Module); startup appraisal dispatches on it.
 	Backend driver.Backend
 	// MinTCB is the fleet-minimum platform security version for
-	// confidential-VM backends (rollback floor; zero accepts any version).
+	// confidential-VM backends (rollback floor; zero = fleet-current).
 	MinTCB driver.TCBVersion
 }
 
@@ -116,11 +110,7 @@ func UnregisterInterpreter(p properties.Property) {
 func Interpret(p properties.Property, ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
 	v := interpret(p, ms, nonce, refs)
 	if v.Backend == "" {
-		b := refs.Backend
-		if b == "" {
-			b = driver.BackendTPM
-		}
-		v.Backend = string(b)
+		v.Backend = string(refs.Backend.OrDefault())
 	}
 	return v
 }
@@ -145,15 +135,6 @@ func interpret(p properties.Property, ms []properties.Measurement, nonce cryptou
 	return properties.Verdict{Property: p, Healthy: false, Reason: "unsupported property"}
 }
 
-func find(ms []properties.Measurement, kind properties.MeasurementKind) (properties.Measurement, bool) {
-	for _, m := range ms {
-		if m.Kind == kind {
-			return m, true
-		}
-	}
-	return properties.Measurement{}, false
-}
-
 func unhealthy(p properties.Property, class properties.FailureClass, reason string, details map[string]string) properties.Verdict {
 	return properties.Verdict{Property: p, Healthy: false, Class: class, Reason: reason, Details: details}
 }
@@ -164,11 +145,7 @@ func unhealthy(p properties.Property, class properties.FailureClass, reason stri
 // TPM measured-boot appraisal, the vTPM endorsement-chain appraisal, or
 // the SEV-SNP report appraisal with its rollback floor.
 func StartupIntegrity(ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
-	b := refs.Backend
-	if b == "" {
-		b = driver.BackendTPM
-	}
-	return driver.AppraiseStartup(b, ms, nonce, driver.Refs{
+	return driver.AppraiseStartup(refs.Backend, ms, nonce, driver.Refs{
 		AttestationKey:   refs.ServerAIK,
 		PlatformGolden:   refs.PlatformGolden,
 		ApprovedVersions: refs.ApprovedVersions,
@@ -183,7 +160,7 @@ func StartupIntegrity(ms []properties.Measurement, nonce cryptoutil.Nonce, refs 
 // hide here, because the list comes from hypervisor-level VMI.
 func RuntimeIntegrity(ms []properties.Measurement, refs References) properties.Verdict {
 	const p = properties.RuntimeIntegrity
-	tl, ok := find(ms, properties.KindTaskList)
+	tl, ok := properties.Find(ms, properties.KindTaskList)
 	if !ok {
 		return unhealthy(p, properties.FailureRuntime, "missing task list", nil)
 	}
@@ -412,7 +389,7 @@ func AnalyzeBusTrace(counters []uint64, window time.Duration) BusAnalysis {
 // either signal yields a compromised verdict.
 func CovertChannel(ms []properties.Measurement) properties.Verdict {
 	const p = properties.CovertChannelFreedom
-	h, ok := find(ms, properties.KindIntervalHistogram)
+	h, ok := properties.Find(ms, properties.KindIntervalHistogram)
 	if !ok {
 		return unhealthy(p, properties.FailureRuntime, "missing interval histogram", nil)
 	}
@@ -425,7 +402,7 @@ func CovertChannel(ms []properties.Measurement) properties.Verdict {
 		return unhealthy(p, properties.FailureRuntime, "bimodal CPU-usage-interval distribution indicates covert-channel modulation", details)
 	}
 
-	if bus, ok := find(ms, properties.KindBusLockTrace); ok {
+	if bus, ok := properties.Find(ms, properties.KindBusLockTrace); ok {
 		ba := AnalyzeBusTrace(bus.Counters, properties.DefaultWindow)
 		details["bus-lock-rate"] = fmt.Sprintf("%.0f/s", ba.RatePerSec)
 		if ba.Flagged {
@@ -443,7 +420,7 @@ func CovertChannel(ms []properties.Measurement) properties.Verdict {
 // Availability interprets the VM's relative CPU usage (case study IV).
 func Availability(ms []properties.Measurement, refs References) properties.Verdict {
 	const p = properties.CPUAvailability
-	ct, ok := find(ms, properties.KindCPUTime)
+	ct, ok := properties.Find(ms, properties.KindCPUTime)
 	if !ok {
 		return unhealthy(p, properties.FailureRuntime, "missing cpu-time measurement", nil)
 	}

@@ -40,7 +40,7 @@ func newTestbed(t *testing.T, platform []monitor.Component) *testbed {
 	if platform == nil {
 		platform = monitor.StandardPlatform()
 	}
-	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "server-1", TPM: tm.TPM()})
+	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "server-1", Rand: rand.Reader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func newTestbed(t *testing.T, platform []monitor.Component) *testbed {
 		k: k, hv: hv, tm: tm, mon: mon,
 		nonce: cryptoutil.MustNonce(),
 		refs: References{
-			ServerAIK:      tm.TPM().AIK(),
+			ServerAIK:      drv.AttestationKey(),
 			PlatformGolden: GoldenPlatform(),
 			Vid:            "vm-1",
 			MinCPUShare:    0.25,
@@ -124,9 +124,8 @@ func TestStartupIntegrityRejectsWrongAIK(t *testing.T) {
 	tb := newTestbed(t, nil)
 	tb.addVM(t, workload.Idle(), guest.NewOS(), []byte("pristine-image"))
 	ms := tb.collect(t, properties.StartupIntegrity)
-	other, _ := trust.NewModule("other", 0, rand.Reader)
 	refs := tb.refs
-	refs.ServerAIK = other.TPM().AIK()
+	refs.ServerAIK = cryptoutil.MustIdentity("other-aik").Public()
 	if v := Interpret(properties.StartupIntegrity, ms, tb.nonce, refs); v.Healthy {
 		t.Fatal("quote accepted under foreign AIK")
 	}

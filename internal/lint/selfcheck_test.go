@@ -35,8 +35,6 @@ func TestCryptoScopeCoversDriverTree(t *testing.T) {
 	covered := []string{
 		"cloudmonatt/internal/trust",
 		"cloudmonatt/internal/trust/driver",
-		"cloudmonatt/internal/trust/driver/tpmdrv",
-		"cloudmonatt/internal/trust/driver/vtpmdrv",
 		"cloudmonatt/internal/trust/driver/sevsnp",
 		"cloudmonatt/internal/vtpm",
 	}

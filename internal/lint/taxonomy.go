@@ -61,9 +61,9 @@ var freshNonceMethods = map[string]string{
 // entropy sources instead.
 //
 // Scoping is by the first path segment under internal/, so an entry covers
-// its whole subtree: "trust" includes the trust-backend driver packages
-// (trust/driver, trust/driver/tpmdrv, trust/driver/vtpmdrv,
-// trust/driver/sevsnp), whose evidence and measurement comparisons are the
+// its whole subtree: "trust" includes trust/driver, which holds all three
+// trust backends and their appraisers, and the trust/driver/sevsnp report
+// format — the evidence and measurement comparisons that are the
 // verifier-side targets the consttime rule exists for.
 var cryptoPkgs = map[string]bool{
 	"cryptoutil": true,

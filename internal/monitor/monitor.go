@@ -3,7 +3,8 @@
 // requests, and four monitor tools —
 //
 //   - the Integrity Measurement Unit (IMU), which measures the platform
-//     boot chain and VM images into the Trust Module's TPM;
+//     boot chain and VM images into the server's trust backend (the TPM,
+//     on the paper's own architecture);
 //   - the VM Introspection (VMI) tool, which reads the *true* task list of
 //     a guest from outside the VM;
 //   - the VMM Profile tool, which accounts a VM's virtual running time over
@@ -397,9 +398,6 @@ func (m *Module) PlatformEvidence(vid string, kind properties.MeasurementKind, n
 	}
 	return meas, nil
 }
-
-// Backend reports the trust backend rooting this server's evidence.
-func (m *Module) Backend() driver.Backend { return m.drv.Backend() }
 
 // ImageDigest returns the measurement of the VM's image taken before launch.
 func (m *Module) ImageDigest(vid string) (properties.Measurement, error) {

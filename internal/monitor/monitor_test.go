@@ -14,7 +14,6 @@ import (
 	"cloudmonatt/internal/tpm"
 	"cloudmonatt/internal/trust"
 	"cloudmonatt/internal/trust/driver"
-	_ "cloudmonatt/internal/trust/driver/tpmdrv"
 	"cloudmonatt/internal/workload"
 	"cloudmonatt/internal/xen"
 )
@@ -23,7 +22,9 @@ type rig struct {
 	k  *sim.Kernel
 	hv *xen.Hypervisor
 	tm *trust.Module
-	m  *Module
+	// aik is the tpm backend's attestation key.
+	aik []byte
+	m   *Module
 }
 
 func newRig(t *testing.T, platform []Component) *rig {
@@ -37,7 +38,7 @@ func newRig(t *testing.T, platform []Component) *rig {
 	if platform == nil {
 		platform = StandardPlatform()
 	}
-	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "server-1", TPM: tm.TPM()})
+	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "server-1", Rand: rand.Reader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func newRig(t *testing.T, platform []Component) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, hv: hv, tm: tm, m: m}
+	return &rig{k: k, hv: hv, tm: tm, aik: drv.AttestationKey(), m: m}
 }
 
 func (r *rig) addVM(t *testing.T, vid string, prog xen.Program, g *guest.OS) *xen.Domain {
@@ -237,7 +238,7 @@ func TestPlatformQuoteVerifies(t *testing.T) {
 		q.PCRs = append(q.PCRs, int(p))
 		q.Values = append(q.Values, meas.QuoteVal[i])
 	}
-	if err := tpm.VerifyQuote(q, r.tm.TPM().AIK(), nonce); err != nil {
+	if err := tpm.VerifyQuote(q, r.aik, nonce); err != nil {
 		t.Fatalf("platform quote does not verify: %v", err)
 	}
 	if len(meas.LogNames) < len(StandardPlatform()) {

@@ -200,6 +200,16 @@ func (m Measurement) Encode() []byte {
 	return out
 }
 
+// Find returns the first measurement of the given kind.
+func Find(ms []Measurement, kind MeasurementKind) (Measurement, bool) {
+	for _, m := range ms {
+		if m.Kind == kind {
+			return m, true
+		}
+	}
+	return Measurement{}, false
+}
+
 // EncodeAll renders a measurement list canonically.
 func EncodeAll(ms []Measurement) []byte {
 	var out []byte

@@ -48,6 +48,23 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+// defaultCallTimeout is the per-attempt bound a zero CallTimeout means.
+const defaultCallTimeout = 30 * time.Second
+
+// OpBudget bounds one fault-tolerant exchange end to end: every retry
+// attempt at its per-attempt timeout, plus slack for the backoff sleeps
+// between them. Callers derive the context of a whole operation from it,
+// so a wedged peer degrades the operation instead of hanging its caller
+// (the ctxdeadline analyzer checks each call site has such a bound). The
+// arguments are the ClientConfig's CallTimeout and Retry, defaulted the
+// way NewReconnectClient defaults them.
+func OpBudget(callTimeout time.Duration, retry RetryPolicy) time.Duration {
+	if callTimeout <= 0 {
+		callTimeout = defaultCallTimeout
+	}
+	return time.Duration(retry.withDefaults().MaxAttempts)*callTimeout + 5*time.Second
+}
+
 // EventKind classifies a fault-tolerance event.
 type EventKind string
 
@@ -119,7 +136,7 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 30 * time.Second
+		cfg.CallTimeout = defaultCallTimeout
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now

@@ -23,12 +23,6 @@ import (
 	"cloudmonatt/internal/sim"
 	"cloudmonatt/internal/trust"
 	"cloudmonatt/internal/trust/driver"
-
-	// Every trust backend a server can be provisioned with registers here.
-	_ "cloudmonatt/internal/trust/driver/sevsnp"
-	_ "cloudmonatt/internal/trust/driver/tpmdrv"
-	_ "cloudmonatt/internal/trust/driver/vtpmdrv"
-
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
 	"cloudmonatt/internal/workload"
@@ -70,11 +64,6 @@ type Config struct {
 	// TCB is the platform security version a confidential-VM backend
 	// reports; an old version models a stale-firmware rollback scenario.
 	TCB driver.TCBVersion
-	// Dom0CostPerCollection is the host-VM CPU work each measurement
-	// collection costs (it runs in Dom0, never intercepting the guest).
-	Dom0CostPerCollection time.Duration
-	// SchedConfig overrides the hypervisor scheduler parameters.
-	SchedConfig *xen.Config
 	// Obs, when set, receives one span per served measurement (the entity
 	// is the server's Name).
 	Obs *obs.Store
@@ -149,6 +138,10 @@ type Server struct {
 	sessUses int
 }
 
+// dom0CostPerCollection is the host-VM CPU work each measurement collection
+// costs (it runs in Dom0, never intercepting the guest).
+const dom0CostPerCollection = 200 * time.Microsecond
+
 // dom0Program models the host VM: it executes queued management work (like
 // measurement collection) in small bursts and otherwise stays idle.
 type dom0Program struct {
@@ -179,38 +172,22 @@ func (d *dom0Program) NextBurst(env xen.Env, self *xen.VCPU) xen.Burst {
 	return xen.Burst{Run: run}
 }
 
-// New boots a cloud server: provisions the Trust Module, measures the
-// platform into the TPM, and starts Dom0.
+// New boots a cloud server: provisions the Trust Module and the trust
+// backend, measures the platform into it, and starts Dom0.
 func New(cfg Config) (*Server, error) {
 	if cfg.PCPUs <= 0 {
 		cfg.PCPUs = 1
-	}
-	if cfg.Dom0CostPerCollection <= 0 {
-		cfg.Dom0CostPerCollection = 200 * time.Microsecond
 	}
 	tm, err := trust.NewModule(cfg.Name, 0, cfg.Rand)
 	if err != nil {
 		return nil, err
 	}
-	sched := xen.DefaultConfig()
-	if cfg.SchedConfig != nil {
-		sched = *cfg.SchedConfig
-	}
-	hv := xen.New(cfg.Clock.Kernel(), sched, cfg.PCPUs)
+	hv := xen.New(cfg.Clock.Kernel(), xen.DefaultConfig(), cfg.PCPUs)
 	platform := cfg.Platform
 	if platform == nil {
 		platform = monitor.StandardPlatform()
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = driver.BackendTPM
-	}
-	drv, err := driver.Open(backend, driver.Config{
-		ServerName: cfg.Name,
-		Rand:       cfg.Rand,
-		TPM:        tm.TPM(),
-		TCB:        cfg.TCB,
-	})
+	drv, err := driver.Open(cfg.Backend, driver.Config{ServerName: cfg.Name, Rand: cfg.Rand, TCB: cfg.TCB})
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +508,7 @@ func (s *Server) Measure(req wire.MeasureRequest) (*wire.Evidence, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.dom0Prog.enqueue(s.cfg.Dom0CostPerCollection)
+	s.dom0Prog.enqueue(dom0CostPerCollection)
 	ms, err := s.mon.Collect(req.Vid, req.Req, req.N3, func(w sim.Time) { s.cfg.Clock.Advance(w) })
 	if err != nil {
 		return nil, err

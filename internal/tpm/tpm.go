@@ -162,6 +162,14 @@ func VerifyQuote(q *Quote, aik ed25519.PublicKey, nonce cryptoutil.Nonce) error 
 	if len(q.PCRs) != len(q.Values) {
 		return errors.New("tpm: malformed quote")
 	}
+	// The signed body carries each index as one byte, so p and p+256 sign
+	// alike: an out-of-range index must be refused here, not left for the
+	// signature to catch.
+	for _, p := range q.PCRs {
+		if p < 0 || p >= NumPCRs {
+			return fmt.Errorf("tpm: quoted PCR %d out of range", p)
+		}
+	}
 	if q.Nonce != nonce {
 		return errors.New("tpm: quote nonce mismatch (replay?)")
 	}

@@ -134,6 +134,13 @@ func TestQuoteRejectsTampering(t *testing.T) {
 	if err := VerifyQuote(q, tp.AIK(), nonce); err == nil {
 		t.Fatal("tampered quote accepted")
 	}
+	// The signed body carries each PCR index as one byte, so index+256
+	// signs like the genuine index; the range check must refuse it.
+	q, _ = tp.GenerateQuote([]int{0}, nonce)
+	q.PCRs[0] += 256
+	if err := VerifyQuote(q, tp.AIK(), nonce); err == nil {
+		t.Fatal("quote with an aliased PCR index accepted")
+	}
 }
 
 func TestQuoteRejectsWrongAIK(t *testing.T) {

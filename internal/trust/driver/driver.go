@@ -13,10 +13,12 @@
 // capability map yields the paper's V_fail — `unattestable` — rather than a
 // healthy-or-compromised verdict.
 //
-// Backends self-register from their package init, so linking a backend
-// package (tpmdrv, vtpmdrv, sevsnp) is what makes it available; the
-// backend type travels in wire messages, ledger entries, traces and
-// metrics end to end.
+// All three backends live in this package behind one static table, so a
+// binary that links the package has every backend the fleet can contain;
+// the evidence formats they speak (internal/tpm, internal/vtpm,
+// trust/driver/sevsnp) are separate packages that import nothing from
+// here. The backend type travels in wire messages, ledger entries, traces
+// and metrics end to end.
 package driver
 
 import (
@@ -24,11 +26,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/tpm"
+	"cloudmonatt/internal/trust/driver/sevsnp"
 )
 
 // Backend names one trust-backend type. The string form is what travels in
@@ -48,44 +49,28 @@ const (
 	BackendSEVSNP Backend = "sev-snp"
 )
 
-// ParseBackend resolves a backend name to a registered backend type.
+// OrDefault resolves the unset backend to the paper's own Trust Module.
+// Configs, server records and appraisal references all leave Backend empty
+// to mean "tpm"; this is the one place that is decided.
+func (b Backend) OrDefault() Backend {
+	if b == "" {
+		return BackendTPM
+	}
+	return b
+}
+
+// ParseBackend resolves an operator-supplied backend name.
 func ParseBackend(s string) (Backend, error) {
 	b := Backend(s)
-	regMu.RLock()
-	_, ok := registry[b]
-	regMu.RUnlock()
-	if !ok {
+	if _, ok := backends[b]; !ok {
 		return "", fmt.Errorf("driver: unknown trust backend %q (have %v)", s, Backends())
 	}
 	return b, nil
 }
 
 // TCBVersion is the platform security-version vector a confidential-VM
-// backend reports: the secure-processor bootloader, trusted OS, SNP
-// firmware and microcode SVNs. A platform is acceptable only if every
-// component is at or above the verifier's floor — the defense against the
-// "Insecure Until Proven Updated" firmware-rollback attack
-// (arXiv:1908.11680).
-type TCBVersion struct {
-	Bootloader uint8
-	TEE        uint8
-	SNP        uint8
-	Microcode  uint8
-}
-
-// AtLeast reports whether every component of t meets the floor min.
-func (t TCBVersion) AtLeast(min TCBVersion) bool {
-	return t.Bootloader >= min.Bootloader && t.TEE >= min.TEE &&
-		t.SNP >= min.SNP && t.Microcode >= min.Microcode
-}
-
-// IsZero reports whether no version is set.
-func (t TCBVersion) IsZero() bool { return t == TCBVersion{} }
-
-// String renders the vector as bootloader.tee.snp.microcode.
-func (t TCBVersion) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", t.Bootloader, t.TEE, t.SNP, t.Microcode)
-}
+// backend reports; it is part of the sev-snp report format.
+type TCBVersion = sevsnp.TCBVersion
 
 // Config provisions a driver for one cloud server.
 type Config struct {
@@ -93,10 +78,6 @@ type Config struct {
 	ServerName string
 	// Rand is the entropy source for backend key generation.
 	Rand io.Reader
-	// TPM, when the server already provisioned a Trust Module, is its
-	// embedded TPM; the tpm backend roots in it so evidence matches the
-	// module's AIK. Other backends ignore it.
-	TPM *tpm.TPM
 	// TCB is the platform security version a confidential-VM backend
 	// reports (zero = the backend's fleet-current version). Setting an old
 	// version models a stale-firmware / rollback scenario.
@@ -139,79 +120,46 @@ type Refs struct {
 	// Vid is the attested VM's identifier.
 	Vid string
 	// MinTCB is the minimum acceptable platform security version for
-	// confidential-VM backends (zero accepts any version).
+	// confidential-VM backends (zero = the fleet-current version).
 	MinTCB TCBVersion
 }
 
-// AppraiseFunc appraises a backend's startup evidence into a verdict.
-type AppraiseFunc func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs) properties.Verdict
-
-// Registration describes one backend to the registry.
-type Registration struct {
-	// New opens the backend's driver on a cloud server.
-	New func(Config) (Driver, error)
-	// Caps is the backend's capability map: for each built-in property it
+// backend is one row of the backend table.
+type backend struct {
+	// open provisions the backend's driver on a cloud server.
+	open func(Config) (Driver, error)
+	// caps is the backend's capability map: for each built-in property it
 	// can evidence, the measurement request that backs it. A built-in
 	// property absent from the map is unattestable on this backend.
-	Caps map[properties.Property]properties.Request
-	// AppraiseStartup is the verifier-side interpreter for the backend's
-	// startup evidence.
-	AppraiseStartup AppraiseFunc
+	caps map[properties.Property]properties.Request
+	// appraise is the verifier-side interpreter for the backend's startup
+	// evidence.
+	appraise func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs) properties.Verdict
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[Backend]Registration{}
-)
-
-// Register installs a backend. Backends register from init; a duplicate
-// registration is a programming error.
-func Register(b Backend, reg Registration) error {
-	if b == "" || reg.New == nil || reg.AppraiseStartup == nil {
-		return fmt.Errorf("driver: incomplete registration for backend %q", b)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[b]; dup {
-		return fmt.Errorf("driver: backend %q already registered", b)
-	}
-	registry[b] = reg
-	return nil
+var backends = map[Backend]backend{
+	BackendTPM:    {open: openTPM, caps: tpmCaps(), appraise: appraiseTPM},
+	BackendVTPM:   {open: openVTPM, caps: vtpmCaps, appraise: appraiseVTPM},
+	BackendSEVSNP: {open: openSEVSNP, caps: sevsnpCaps, appraise: appraiseSEVSNP},
 }
 
-// MustRegister is Register for package init paths.
-func MustRegister(b Backend, reg Registration) {
-	if err := Register(b, reg); err != nil {
-		panic(err)
-	}
-}
-
-// Backends lists the registered backend types in stable order.
+// Backends lists the backend types in stable order.
 func Backends() []Backend {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Backend, 0, len(registry))
-	for b := range registry {
+	out := make([]Backend, 0, len(backends))
+	for b := range backends {
 		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func lookup(b Backend) (Registration, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	reg, ok := registry[b]
-	return reg, ok
-}
-
 // Open provisions the backend's driver on a cloud server.
 func Open(b Backend, cfg Config) (Driver, error) {
-	reg, ok := lookup(b)
+	be, ok := backends[b.OrDefault()]
 	if !ok {
 		return nil, fmt.Errorf("driver: unknown trust backend %q (have %v)", b, Backends())
 	}
-	return reg.New(cfg)
+	return be.open(cfg)
 }
 
 // builtin reports whether p is one of the paper's built-in properties.
@@ -235,11 +183,7 @@ func Attestable(b Backend, p properties.Property) bool {
 	if !builtin(p) {
 		return true
 	}
-	reg, ok := lookup(b)
-	if !ok {
-		return false
-	}
-	_, ok = reg.Caps[p]
+	_, ok := backends[b.OrDefault()].caps[p]
 	return ok
 }
 
@@ -247,13 +191,10 @@ func Attestable(b Backend, p properties.Property) bool {
 // the catalog's order (the server's monitoring capabilities as provisioned
 // in the Attestation Server and controller databases).
 func AttestableProps(b Backend) []properties.Property {
-	reg, ok := lookup(b)
-	if !ok {
-		return nil
-	}
+	caps := backends[b.OrDefault()].caps
 	var out []properties.Property
 	for _, p := range properties.All {
-		if _, ok := reg.Caps[p]; ok {
+		if _, ok := caps[p]; ok {
 			out = append(out, p)
 		}
 	}
@@ -265,11 +206,11 @@ func AttestableProps(b Backend) []properties.Property {
 // evidences p on backend b. Unattestable built-ins return ErrUnattestable;
 // custom properties fall back to the extension registry's mapping.
 func MapToMeasurements(b Backend, p properties.Property) (properties.Request, error) {
-	reg, ok := lookup(b)
+	be, ok := backends[b.OrDefault()]
 	if !ok {
 		return properties.Request{}, fmt.Errorf("driver: unknown trust backend %q", b)
 	}
-	if req, ok := reg.Caps[p]; ok {
+	if req, ok := be.caps[p]; ok {
 		return req, nil
 	}
 	if builtin(p) {
@@ -278,17 +219,17 @@ func MapToMeasurements(b Backend, p properties.Property) (properties.Request, er
 	return properties.MapToMeasurements(p)
 }
 
+// unhealthy builds a failed startup-integrity verdict.
+func unhealthy(class properties.FailureClass, reason string, details map[string]string) properties.Verdict {
+	return properties.Verdict{Property: properties.StartupIntegrity, Healthy: false, Class: class, Reason: reason, Details: details}
+}
+
 // AppraiseStartup dispatches startup-evidence appraisal to backend b's
 // interpreter.
 func AppraiseStartup(b Backend, ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs) properties.Verdict {
-	reg, ok := lookup(b)
+	be, ok := backends[b.OrDefault()]
 	if !ok {
-		return properties.Verdict{
-			Property: properties.StartupIntegrity,
-			Healthy:  false,
-			Class:    properties.FailurePlatform,
-			Reason:   fmt.Sprintf("unknown trust backend %q", b),
-		}
+		return unhealthy(properties.FailurePlatform, fmt.Sprintf("unknown trust backend %q", b), nil)
 	}
-	return reg.AppraiseStartup(ms, nonce, refs)
+	return be.appraise(ms, nonce, refs)
 }

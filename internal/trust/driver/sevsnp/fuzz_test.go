@@ -96,7 +96,7 @@ func FuzzReportDecode(f *testing.F) {
 		}
 		// The appraiser sees the raw bytes before any decode: it must
 		// return a verdict, never panic, whatever the report claims.
-		v := sevsnp.AppraiseStartup([]properties.Measurement{
+		v := driver.AppraiseStartup(driver.BackendSEVSNP, []properties.Measurement{
 			{Kind: properties.KindAttestationReport, Report: data},
 		}, nonce, refs)
 		if v.Healthy {

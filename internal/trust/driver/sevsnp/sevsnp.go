@@ -1,20 +1,11 @@
-// Package sevsnp is a simulated SEV-SNP confidential-VM trust backend.
-// Its platform evidence is an attestation report in the style of the AMD
-// secure processor's: a launch measurement over the guest image, the
+// Package sevsnp is the evidence format of the simulated SEV-SNP
+// confidential-VM trust backend: an attestation report in the style of the
+// AMD secure processor's — a launch measurement over the guest image, the
 // verifier's nonce bound in as report data, and the platform's TCB
-// security-version vector, all signed by a per-server VCEK-style key.
-//
-// The appraiser accepts a report only if the signature verifies, the
-// report is bound to the fresh nonce, the launch measurement matches the
-// pristine image, and the reported TCB meets the verifier's fleet-minimum
-// floor. The last check is the defense against the "Insecure Until Proven
-// Updated" rollback attack (arXiv:1908.11680): a platform rolled back to
-// exploitable firmware still produces a correct launch measurement, so
-// appraisal must fail on the platform version alone.
-//
-// Capability gap: SNP memory encryption defeats hypervisor-level VM
-// introspection, so runtime integrity is absent from this backend's
-// capability map and appraises as unattestable (V_fail).
+// security-version vector, all signed by a per-server VCEK-style key. The
+// attester that emits these reports and the appraiser that judges them
+// live in the parent driver package; this package is the bytes only, and
+// imports nothing from it.
 package sevsnp
 
 import (
@@ -22,29 +13,53 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"cloudmonatt/internal/cryptoutil"
-	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/trust/driver"
 )
+
+// TCBVersion is the platform security-version vector a confidential-VM
+// backend reports: the secure-processor bootloader, trusted OS, SNP
+// firmware and microcode SVNs. A platform is acceptable only if every
+// component is at or above the verifier's floor — the defense against the
+// "Insecure Until Proven Updated" firmware-rollback attack
+// (arXiv:1908.11680).
+type TCBVersion struct {
+	Bootloader uint8
+	TEE        uint8
+	SNP        uint8
+	Microcode  uint8
+}
+
+// AtLeast reports whether every component of t meets the floor min.
+func (t TCBVersion) AtLeast(min TCBVersion) bool {
+	return t.Bootloader >= min.Bootloader && t.TEE >= min.TEE &&
+		t.SNP >= min.SNP && t.Microcode >= min.Microcode
+}
+
+// IsZero reports whether no version is set.
+func (t TCBVersion) IsZero() bool { return t == TCBVersion{} }
+
+// String renders the vector as bootloader.tee.snp.microcode.
+func (t TCBVersion) String() string {
+	return fmt.Sprintf("%d.%d.%d.%d", t.Bootloader, t.TEE, t.SNP, t.Microcode)
+}
 
 // CurrentTCB is the fleet-current platform security version the simulated
 // secure processor ships with; verifiers default their rollback floor to
 // it.
-var CurrentTCB = driver.TCBVersion{Bootloader: 3, TEE: 1, SNP: 22, Microcode: 213}
+var CurrentTCB = TCBVersion{Bootloader: 3, TEE: 1, SNP: 22, Microcode: 213}
 
 // RolledBackTCB is a stale firmware version below CurrentTCB — what a
 // platform looks like after the downgrade step of a rollback attack.
-var RolledBackTCB = driver.TCBVersion{Bootloader: 3, TEE: 1, SNP: 8, Microcode: 170}
+var RolledBackTCB = TCBVersion{Bootloader: 3, TEE: 1, SNP: 8, Microcode: 170}
 
-// defaultPolicy is the guest policy word carried in reports (debug off,
+// DefaultPolicy is the guest policy word carried in reports (debug off,
 // migration off — the bits are opaque to the simulation but signed).
-const defaultPolicy uint64 = 0x30000
+const DefaultPolicy uint64 = 0x30000
 
-// reportVersion is the only report format version this package emits or
+// ReportVersion is the only report format version the backend emits or
 // appraises.
-const reportVersion uint16 = 2
+const ReportVersion uint16 = 2
 
 // reportMagic frames an encoded report.
 var reportMagic = [4]byte{'S', 'N', 'P', 'R'}
@@ -59,7 +74,7 @@ type Report struct {
 	Policy     uint64
 	LaunchHash [32]byte // launch measurement over the guest image
 	ReportData [32]byte // verifier nonce binding
-	TCB        driver.TCBVersion
+	TCB        TCBVersion
 	Sig        []byte // VCEK signature over the report body
 }
 
@@ -104,7 +119,7 @@ func DecodeReport(data []byte) (*Report, error) {
 	r.Policy = binary.BigEndian.Uint64(data[10:18])
 	copy(r.LaunchHash[:], data[18:50])
 	copy(r.ReportData[:], data[50:82])
-	r.TCB = driver.TCBVersion{Bootloader: data[82], TEE: data[83], SNP: data[84], Microcode: data[85]}
+	r.TCB = TCBVersion{Bootloader: data[82], TEE: data[83], SNP: data[84], Microcode: data[85]}
 	sigLen := int(binary.BigEndian.Uint16(data[reportBodyLen : reportBodyLen+2]))
 	if sigLen > maxSigLen {
 		return nil, fmt.Errorf("sevsnp: signature length %d exceeds %d", sigLen, maxSigLen)
@@ -143,146 +158,4 @@ func LaunchMeasurement(imageDigest [32]byte) [32]byte {
 // NonceData derives the report-data field binding the verifier's nonce.
 func NonceData(nonce cryptoutil.Nonce) [32]byte {
 	return cryptoutil.Hash("sev-snp-report-data", nonce[:])
-}
-
-func init() {
-	driver.MustRegister(driver.BackendSEVSNP, driver.Registration{
-		New: New,
-		Caps: map[properties.Property]properties.Request{
-			properties.StartupIntegrity: {Kinds: []properties.MeasurementKind{properties.KindAttestationReport, properties.KindImageDigest}},
-			// The scheduler-level monitors observe vCPU run segments from
-			// outside the encrypted guest, so they survive on SNP hosts.
-			properties.CovertChannelFreedom: {Kinds: []properties.MeasurementKind{properties.KindIntervalHistogram, properties.KindBusLockTrace}, Window: properties.DefaultWindow},
-			properties.CPUAvailability:      {Kinds: []properties.MeasurementKind{properties.KindCPUTime}, Window: properties.DefaultWindow},
-		},
-		AppraiseStartup: AppraiseStartup,
-	})
-}
-
-// Driver simulates the SEV-SNP secure processor of one cloud server.
-type Driver struct {
-	vcek *cryptoutil.Identity
-	tcb  driver.TCBVersion
-
-	mu       sync.Mutex
-	launches map[string][32]byte
-}
-
-// New provisions the per-server VCEK and records the platform's firmware
-// version (cfg.TCB; zero means fleet-current). Passing an old version
-// models the rollback scenario.
-func New(cfg driver.Config) (driver.Driver, error) {
-	vcek, err := cryptoutil.NewIdentity(cfg.ServerName+"-vcek", cfg.Rand)
-	if err != nil {
-		return nil, fmt.Errorf("sevsnp: %w", err)
-	}
-	tcb := cfg.TCB
-	if tcb.IsZero() {
-		tcb = CurrentTCB
-	}
-	return &Driver{vcek: vcek, tcb: tcb, launches: make(map[string][32]byte)}, nil
-}
-
-// Backend implements driver.Driver.
-func (d *Driver) Backend() driver.Backend { return driver.BackendSEVSNP }
-
-// AttestationKey returns the VCEK public key.
-func (d *Driver) AttestationKey() []byte { return d.vcek.Public() }
-
-// BootMeasure implements driver.Driver. The hypervisor stack is outside
-// the SNP trust boundary — the secure processor vouches for the guest and
-// its own firmware, not the host software — so host components are
-// accepted and dropped.
-func (d *Driver) BootMeasure(string, []byte) error { return nil }
-
-// AddVM records the guest's launch measurement.
-func (d *Driver) AddVM(vid string, imageDigest [32]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, dup := d.launches[vid]; dup {
-		return fmt.Errorf("sevsnp: launch context for %s exists", vid)
-	}
-	d.launches[vid] = LaunchMeasurement(imageDigest)
-	return nil
-}
-
-// RemoveVM forgets the guest's launch context.
-func (d *Driver) RemoveVM(vid string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.launches, vid)
-}
-
-// PlatformEvidence produces the signed attestation report for the guest,
-// bound to the verifier's nonce.
-func (d *Driver) PlatformEvidence(vid string, nonce cryptoutil.Nonce) (properties.Measurement, error) {
-	d.mu.Lock()
-	lm, ok := d.launches[vid]
-	d.mu.Unlock()
-	if !ok {
-		return properties.Measurement{}, fmt.Errorf("sevsnp: no launch context for %s", vid)
-	}
-	r := &Report{
-		Version:    reportVersion,
-		GuestSVN:   1,
-		Policy:     defaultPolicy,
-		LaunchHash: lm,
-		ReportData: NonceData(nonce),
-		TCB:        d.tcb,
-	}
-	SignReport(r, d.vcek)
-	return properties.Measurement{Kind: properties.KindAttestationReport, Report: EncodeReport(r)}, nil
-}
-
-func unhealthy(class properties.FailureClass, reason string, details map[string]string) properties.Verdict {
-	return properties.Verdict{Property: properties.StartupIntegrity, Healthy: false, Class: class, Reason: reason, Details: details}
-}
-
-// AppraiseStartup appraises an attestation report: signature, nonce
-// binding, launch measurement against the pristine image, and — last, so
-// the rollback case demonstrably passes every measurement check first —
-// the platform version against the fleet floor.
-func AppraiseStartup(ms []properties.Measurement, nonce cryptoutil.Nonce, refs driver.Refs) properties.Verdict {
-	var meas properties.Measurement
-	found := false
-	for _, m := range ms {
-		if m.Kind == properties.KindAttestationReport {
-			meas, found = m, true
-			break
-		}
-	}
-	if !found {
-		return unhealthy(properties.FailurePlatform, "missing attestation report", nil)
-	}
-	r, err := DecodeReport(meas.Report)
-	if err != nil {
-		return unhealthy(properties.FailurePlatform, "malformed attestation report: "+err.Error(), nil)
-	}
-	if err := VerifyReport(r, ed25519.PublicKey(refs.AttestationKey)); err != nil {
-		return unhealthy(properties.FailurePlatform, "attestation report rejected: "+err.Error(), nil)
-	}
-	if r.Version != reportVersion {
-		return unhealthy(properties.FailurePlatform, fmt.Sprintf("unsupported report version %d", r.Version), nil)
-	}
-	want := NonceData(nonce)
-	if !cryptoutil.ConstEqual(r.ReportData[:], want[:]) {
-		return unhealthy(properties.FailurePlatform, "report not bound to the verifier nonce (replay?)", nil)
-	}
-	expect := LaunchMeasurement(refs.ExpectedImage)
-	if !cryptoutil.ConstEqual(r.LaunchHash[:], expect[:]) {
-		return unhealthy(properties.FailureImage, "launch measurement differs from pristine image", nil)
-	}
-	for _, m := range ms {
-		if m.Kind == properties.KindImageDigest && !cryptoutil.ConstEqual(m.Digest[:], refs.ExpectedImage[:]) {
-			return unhealthy(properties.FailureImage, "VM image digest mismatch", nil)
-		}
-	}
-	if !r.TCB.AtLeast(refs.MinTCB) {
-		return unhealthy(properties.FailurePlatform,
-			fmt.Sprintf("platform security version %s below the fleet minimum %s (firmware rollback)", r.TCB, refs.MinTCB),
-			map[string]string{"tcb": r.TCB.String(), "min-tcb": refs.MinTCB.String()})
-	}
-	return properties.Verdict{Property: properties.StartupIntegrity, Healthy: true,
-		Reason:  "launch measurement and platform security version match policy",
-		Details: map[string]string{"tcb": r.TCB.String()}}
 }

@@ -1,0 +1,179 @@
+package driver
+
+import (
+	"crypto/ed25519"
+	"fmt"
+	"strings"
+
+	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/tpm"
+)
+
+// The tpm backend is the paper's own Trust Module: a hardware TPM as the
+// Integrity Measurement Unit's storage root. The attester side measures
+// the platform boot chain and VM images into the TPM's PCRs and quotes
+// them under its AIK; the verifier side is the measured-boot appraisal of
+// case study I — quote verification, log replay, and component-by-
+// component comparison against known-good builds.
+
+// tpmCaps is the tpm backend's capability map. The Trust Module backend
+// evidences the full catalog; its mapping is exactly the canonical one of
+// paper §4.1.
+func tpmCaps() map[properties.Property]properties.Request {
+	caps := make(map[properties.Property]properties.Request, len(properties.All))
+	for _, p := range properties.All {
+		req, err := properties.MapToMeasurements(p)
+		if err != nil {
+			panic(err)
+		}
+		caps[p] = req
+	}
+	return caps
+}
+
+// tpmDriver roots platform evidence in a (hardware) TPM.
+type tpmDriver struct {
+	t *tpm.TPM
+}
+
+// openTPM provisions the server's TPM; its AIK is the attestation key the
+// server registers.
+func openTPM(cfg Config) (Driver, error) {
+	t, err := tpm.New(cfg.Rand)
+	if err != nil {
+		return nil, err
+	}
+	return &tpmDriver{t: t}, nil
+}
+
+func (d *tpmDriver) Backend() Backend { return BackendTPM }
+
+// AttestationKey returns the TPM's AIK.
+func (d *tpmDriver) AttestationKey() []byte { return d.t.AIK() }
+
+// componentPCR maps a platform component to the PCR it extends.
+func componentPCR(name string) int {
+	switch name {
+	case "firmware":
+		return tpm.PCRFirmware
+	case "hypervisor":
+		return tpm.PCRHypervisor
+	case "host-os":
+		return tpm.PCRHostOS
+	default:
+		return tpm.PCRConfig
+	}
+}
+
+// BootMeasure measures a platform component into its boot-chain PCR.
+func (d *tpmDriver) BootMeasure(name string, data []byte) error {
+	if _, err := d.t.Measure(componentPCR(name), name, data); err != nil {
+		return fmt.Errorf("driver: measuring %s: %w", name, err)
+	}
+	return nil
+}
+
+// AddVM extends the VM's pristine image digest into the image PCR.
+func (d *tpmDriver) AddVM(vid string, imageDigest [32]byte) error {
+	return d.t.Extend(tpm.PCRVMImage, "vm-image-"+vid, imageDigest)
+}
+
+// RemoveVM is a no-op: PCR history is append-only, so the image extension
+// stays in the log, exactly as the Trust Module behaved.
+func (d *tpmDriver) RemoveVM(string) {}
+
+// PlatformEvidence produces the measured-boot evidence: a TPM quote over
+// the platform PCRs bound to the verifier's nonce, plus the measurement
+// log that explains it.
+func (d *tpmDriver) PlatformEvidence(_ string, nonce cryptoutil.Nonce) (properties.Measurement, error) {
+	pcrs := []int{tpm.PCRFirmware, tpm.PCRHypervisor, tpm.PCRHostOS, tpm.PCRConfig, tpm.PCRVMImage}
+	return quoteEvidence(d.t, properties.KindPlatformQuote, pcrs, nonce)
+}
+
+// appraiseTPM appraises the platform quote and the VM image digest (case
+// study I). The verdict distinguishes a compromised platform from a
+// compromised image because the remediation differs (reschedule vs.
+// reject, paper §5.1).
+func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs) properties.Verdict {
+	quote, ok := properties.Find(ms, properties.KindPlatformQuote)
+	if !ok {
+		return unhealthy(properties.FailurePlatform, "missing platform quote", nil)
+	}
+	img, ok := properties.Find(ms, properties.KindImageDigest)
+	if !ok {
+		return unhealthy(properties.FailureImage, "missing image digest", nil)
+	}
+
+	// 1. The quote signature must verify under the server's TPM AIK and be
+	// bound to our nonce.
+	q, err := measuredQuote(quote, nonce)
+	if err == nil {
+		err = tpm.VerifyQuote(q, ed25519.PublicKey(refs.AttestationKey), nonce)
+	}
+	if err != nil {
+		return unhealthy(properties.FailurePlatform, "platform quote rejected: "+err.Error(), nil)
+	}
+
+	// 2. The measurement log must explain the quoted PCR values.
+	events, err := measuredLog(quote, "")
+	if err != nil {
+		return unhealthy(properties.FailurePlatform, err.Error(), nil)
+	}
+	if pcr, bad := unexplainedPCR(q, events); bad {
+		return unhealthy(properties.FailurePlatform, fmt.Sprintf("measurement log does not explain PCR %d", pcr), nil)
+	}
+
+	// 3. Every logged platform component must be known-good; our VM's image
+	// entry must match the expected image. (Other VMs' image entries are
+	// appraised by their own attestations.)
+	for _, e := range events {
+		name := e.Description
+		if strings.HasPrefix(name, "vm-image-") {
+			if name == "vm-image-"+refs.Vid && !cryptoutil.ConstEqual(e.Measurement[:], refs.ExpectedImage[:]) {
+				return unhealthy(properties.FailureImage, "VM image measurement differs from pristine image",
+					map[string]string{"component": name})
+			}
+			continue
+		}
+		if !approvedComponent(refs, name, e.Measurement) {
+			if _, known := refs.PlatformGolden[name]; !known && !knownInAnyVersion(refs, name) {
+				return unhealthy(properties.FailurePlatform, "unknown software measured into platform",
+					map[string]string{"component": name})
+			}
+			return unhealthy(properties.FailurePlatform, "platform component differs from known-good build",
+				map[string]string{"component": name})
+		}
+	}
+
+	// 4. Belt and braces: the directly reported image digest must also match.
+	if !cryptoutil.ConstEqual(img.Digest[:], refs.ExpectedImage[:]) {
+		return unhealthy(properties.FailureImage, "VM image digest mismatch", nil)
+	}
+	return properties.Verdict{Property: properties.StartupIntegrity, Healthy: true,
+		Reason: "platform and VM image match known-good measurements"}
+}
+
+// approvedComponent checks a measured component against every approved
+// catalog.
+func approvedComponent(refs Refs, name string, m [32]byte) bool {
+	if golden, ok := refs.PlatformGolden[name]; ok && cryptoutil.ConstEqual(m[:], golden[:]) {
+		return true
+	}
+	for _, cat := range refs.ApprovedVersions {
+		if golden, ok := cat[name]; ok && cryptoutil.ConstEqual(m[:], golden[:]) {
+			return true
+		}
+	}
+	return false
+}
+
+// knownInAnyVersion reports whether any approved catalog names the component.
+func knownInAnyVersion(refs Refs, name string) bool {
+	for _, cat := range refs.ApprovedVersions {
+		if _, ok := cat[name]; ok {
+			return true
+		}
+	}
+	return false
+}

@@ -15,6 +15,12 @@ func newModule(t *testing.T) *Module {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.Name() != "server-1" {
+		t.Fatalf("Name = %q", m.Name())
+	}
+	if m.Registers().Len() != DefaultRegisters {
+		t.Fatalf("register count %d", m.Registers().Len())
+	}
 	return m
 }
 
@@ -184,18 +190,5 @@ func TestModuleNonces(t *testing.T) {
 	}
 	if a == b {
 		t.Fatal("two nonces identical")
-	}
-}
-
-func TestModuleHasTPM(t *testing.T) {
-	m := newModule(t)
-	if m.TPM() == nil {
-		t.Fatal("module has no TPM")
-	}
-	if m.Name() != "server-1" {
-		t.Fatalf("Name = %q", m.Name())
-	}
-	if m.Registers().Len() != DefaultRegisters {
-		t.Fatalf("register count %d", m.Registers().Len())
 	}
 }
