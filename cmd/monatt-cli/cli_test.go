@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,7 +17,8 @@ import (
 // TestCLIBinaryEndToEnd builds the real monatt-cloud and monatt-cli
 // binaries, runs the cloud daemon over loopback TCP, and drives the full
 // customer flow from the CLI process: launch, list, attest all four
-// properties, and terminate.
+// properties (each printing the trace ID the operator surface files the
+// request under), and terminate.
 func TestCLIBinaryEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary end-to-end test skipped in -short mode")
@@ -32,8 +36,16 @@ func TestCLIBinaryEndToEnd(t *testing.T) {
 	cloudBin := build("monatt-cloud", "./cmd/monatt-cloud")
 	cliBin := build("monatt-cli", "./cmd/monatt-cli")
 
+	// Reserve a loopback port for the operator surface.
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := pl.Addr().String()
+	pl.Close()
+
 	bootstrap := filepath.Join(dir, "bootstrap.json")
-	cloud := exec.Command(cloudBin, "-servers", "2", "-bootstrap", bootstrap, "-pump", "50ms")
+	cloud := exec.Command(cloudBin, "-servers", "2", "-bootstrap", bootstrap, "-pump", "50ms", "-admin-addr", admin)
 	var cloudOut bytes.Buffer
 	cloud.Stdout = &cloudOut
 	cloud.Stderr = &cloudOut
@@ -87,6 +99,21 @@ func TestCLIBinaryEndToEnd(t *testing.T) {
 		out := cli("attest", "-vid", vid, "-prop", prop)
 		if !strings.Contains(out, "HEALTHY") {
 			t.Fatalf("attest %s: %s", prop, out)
+		}
+		// The trace ID is minted by the customer from N1, so the one the
+		// CLI prints is the one the daemon filed the request's spans under.
+		tm := regexp.MustCompile(`trace=([0-9a-f]{16})`).FindStringSubmatch(out)
+		if tm == nil {
+			t.Fatalf("attest %s printed no trace ID: %s", prop, out)
+		}
+		resp, err := http.Get("http://" + admin + "/traces?vm=" + vid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || !strings.Contains(string(traces), tm[1]) {
+			t.Fatalf("trace %s (attest %s) not under /traces?vm=%s (err %v):\n%s", tm[1], prop, vid, err, traces)
 		}
 	}
 

@@ -23,98 +23,17 @@
 package main
 
 import (
-	"context"
-	"crypto/ed25519"
-	"encoding/base64"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
 	"cloudmonatt/internal/controller"
-	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/customer"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
-	"cloudmonatt/internal/secchan"
-	"cloudmonatt/internal/wire"
 )
-
-type bootstrap struct {
-	ControllerAddr   string `json:"controller_addr"`
-	ControllerKey    string `json:"controller_key"`
-	CustomerName     string `json:"customer_name"`
-	CustomerSeedPath string `json:"customer_seed_path"` // raw Ed25519 seed file
-}
-
-type cli struct {
-	client   *rpc.ReconnectClient
-	ctrlKey  ed25519.PublicKey
-	opBudget time.Duration
-}
-
-// opCtx bounds one CLI operation end to end (every retry attempt plus
-// backoff), so a dead controller yields an error instead of a hung prompt.
-func (c *cli) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), c.opBudget)
-}
-
-func connect(path string, timeout time.Duration, retries int) (*cli, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading bootstrap (is monatt-cloud running?): %w", err)
-	}
-	var bs bootstrap
-	if err := json.Unmarshal(data, &bs); err != nil {
-		return nil, err
-	}
-	ctrlKey, err := base64.StdEncoding.DecodeString(bs.ControllerKey)
-	if err != nil {
-		return nil, err
-	}
-	// The seed is provisioned out of band from the public bootstrap JSON:
-	// a raw 0600 file monatt-cloud wrote through WriteSecretFile.
-	seed, err := os.ReadFile(bs.CustomerSeedPath)
-	if err != nil {
-		return nil, fmt.Errorf("reading customer seed: %w", err)
-	}
-	id, err := cryptoutil.IdentityFromSeed(bs.CustomerName, seed)
-	if err != nil {
-		return nil, err
-	}
-	verify := func(name string, key ed25519.PublicKey) error {
-		if name != "cloud-controller" || !cryptoutil.KeyEqual(key, ctrlKey) {
-			return errors.New("controller identity mismatch")
-		}
-		return nil
-	}
-	client := rpc.NewReconnectClient(rpc.ClientConfig{
-		Network:     rpc.TCPNetwork{},
-		Addr:        bs.ControllerAddr,
-		Peer:        "cloud-controller",
-		Secchan:     secchan.Config{Identity: id, Verify: verify},
-		Retry:       rpc.RetryPolicy{MaxAttempts: retries},
-		CallTimeout: timeout,
-		// Read-only queries are safe to blindly re-issue; mutations go
-		// through idempotency keys or fresh nonces below.
-		Idempotent: func(method string) bool {
-			return method == controller.MethodListVMs || method == controller.MethodListEvents ||
-				method == controller.MethodVMStatus
-		},
-	})
-	c := &cli{client: client, ctrlKey: ctrlKey,
-		opBudget: rpc.OpBudget(timeout, rpc.RetryPolicy{MaxAttempts: retries})}
-	ctx, cancel := c.opCtx()
-	defer cancel()
-	if err := client.Connect(ctx); err != nil {
-		client.Close()
-		return nil, fmt.Errorf("dialing controller: %w", err)
-	}
-	return c, nil
-}
 
 func parseProp(s string) (properties.Property, error) {
 	p := properties.Property(s)
@@ -140,11 +59,16 @@ func main() {
 	if flag.NArg() < 1 {
 		log.Fatal("usage: monatt-cli [-bootstrap FILE] [-timeout 30s] [-retries 4] <launch|attest|periodic|fetch|stop|terminate> [flags]")
 	}
-	c, err := connect(*bootstrapPath, *timeout, *retries)
+	cfg, err := customer.ReadBootstrap(*bootstrapPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer c.client.Close()
+	cfg.CallTimeout, cfg.Retry = *timeout, rpc.RetryPolicy{MaxAttempts: *retries}
+	cu, err := customer.Connect(cfg)
+	if err != nil {
+		log.Fatalf("dialing controller: %v", err)
+	}
+	defer cu.Close()
 
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 	switch cmd {
@@ -166,13 +90,10 @@ func main() {
 			}
 			ps = append(ps, p)
 		}
-		var res controller.LaunchResult
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		err := c.client.CallIdem(ctx, controller.MethodLaunchVM, rpc.NewIdemKey(), controller.LaunchRequest{
+		res, err := cu.Launch(controller.LaunchRequest{
 			ImageName: *img, Flavor: *flavor, Workload: *work, Server: *server,
 			Props: ps, Allowlist: splitList(*allow), MinShare: *minShare, Pin: -1,
-		}, &res)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -193,30 +114,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		method := controller.MethodRuntimeAttestCurrent
-		if p == properties.StartupIntegrity {
-			method = controller.MethodStartupAttestCurrent
-		}
-		// N1 is regenerated per retry attempt so the controller's replay
-		// cache never rejects a re-issued request.
-		var n1 cryptoutil.Nonce
-		var rep wire.CustomerReport
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallFresh(ctx, method, func(int) (any, error) {
-			n1 = cryptoutil.MustNonce()
-			return wire.AttestRequest{Vid: *vid, Prop: p, N1: n1}, nil
-		}, &rep); err != nil {
+		// An unverifiable report comes back as an error, never as a verdict.
+		rep, err := cu.AttestReport(*vid, p)
+		if err != nil {
 			log.Fatal(err)
-		}
-		if err := wire.VerifyCustomerReport(&rep, c.ctrlKey, *vid, p, n1); err != nil {
-			log.Fatalf("REJECTING report: %v", err)
 		}
 		if rep.Stale {
 			fmt.Printf("WARNING: attestation infrastructure unavailable; last-known-good verdict, %s old\n",
 				rep.Age.Round(time.Millisecond))
 		}
-		fmt.Println(rep.Verdict.String())
+		fmt.Printf("%s  trace=%s\n", rep.Verdict.String(), customer.TraceOf(rep))
 		for k, v := range rep.Verdict.Details {
 			fmt.Printf("  %s: %s\n", k, v)
 		}
@@ -231,11 +138,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallIdem(ctx, controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(), wire.PeriodicRequest{
-			Vid: *vid, Prop: p, Freq: *freq, N1: cryptoutil.MustNonce(),
-		}, nil); err != nil {
+		if err := cu.StartPeriodic(*vid, p, *freq); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("periodic attestation of %s armed at %v; use `fetch` for fresh results\n", p, *freq)
@@ -249,29 +152,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		method := controller.MethodFetchPeriodic
+		drain := cu.FetchPeriodic
 		if cmd == "stop" {
-			method = controller.MethodStopAttestPeriodic
+			drain = cu.StopPeriodic
 		}
-		n1 := cryptoutil.MustNonce()
-		var reps []*wire.CustomerReport
-		// Drains are idempotency-keyed: a retried drain replays the recorded
-		// batch instead of losing it.
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallIdem(ctx, method, rpc.NewIdemKey(),
-			wire.StopPeriodicRequest{Vid: *vid, Prop: p, N1: n1}, &reps); err != nil {
+		verdicts, err := drain(*vid, p)
+		if err != nil {
 			log.Fatal(err)
 		}
-		for _, rep := range reps {
-			if err := wire.VerifyCustomerReport(rep, c.ctrlKey, *vid, p, n1); err != nil {
-				log.Fatalf("REJECTING report: %v", err)
-			}
-			fmt.Println(rep.Verdict.String())
+		for _, v := range verdicts {
+			fmt.Println(v.String())
 		}
 		if cmd == "stop" {
 			fmt.Println("periodic attestation stopped")
-		} else if len(reps) == 0 {
+		} else if len(verdicts) == 0 {
 			fmt.Println("no fresh results yet")
 		}
 
@@ -279,19 +173,14 @@ func main() {
 		fs := flag.NewFlagSet("terminate", flag.ExitOnError)
 		vid := fs.String("vid", "", "VM id")
 		fs.Parse(args)
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallIdem(ctx, controller.MethodTerminateVM, rpc.NewIdemKey(),
-			struct{ Vid string }{*vid}, nil); err != nil {
+		if err := cu.Terminate(*vid); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s terminated\n", *vid)
 
 	case "list":
-		var vms []controller.VMSummary
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallCtx(ctx, controller.MethodListVMs, struct{}{}, &vms); err != nil {
+		vms, err := cu.ListVMs()
+		if err != nil {
 			log.Fatal(err)
 		}
 		if len(vms) == 0 {
@@ -309,10 +198,8 @@ func main() {
 		}
 
 	case "events":
-		var events []controller.ResponseEvent
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallCtx(ctx, controller.MethodListEvents, struct{}{}, &events); err != nil {
+		events, err := cu.Events()
+		if err != nil {
 			log.Fatal(err)
 		}
 		if len(events) == 0 {
@@ -335,10 +222,8 @@ func main() {
 		fs := flag.NewFlagSet("status", flag.ExitOnError)
 		vid := fs.String("vid", "", "VM id")
 		fs.Parse(args)
-		var st wire.VMStatus
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		if err := c.client.CallCtx(ctx, controller.MethodVMStatus, struct{ Vid string }{*vid}, &st); err != nil {
+		st, err := cu.Status(*vid)
+		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s  owner=%s  server=%s  state=%s", st.Vid, st.Owner, st.Server, st.State)

@@ -17,8 +17,6 @@
 package main
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -31,23 +29,12 @@ import (
 	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/cloudsim"
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/customer"
 	"cloudmonatt/internal/metrics"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/trust/driver"
 )
-
-// Bootstrap is the connection info monatt-cli consumes. It carries only
-// public material; the customer's private seed lives in a separate file
-// (CustomerSeedPath) written through cryptoutil.WriteSecretFile, so the
-// human-readable bootstrap JSON can be pasted into a terminal, a bug
-// report, or a CI log without leaking a signing key.
-type Bootstrap struct {
-	ControllerAddr   string `json:"controller_addr"`
-	ControllerKey    string `json:"controller_key"` // base64 Ed25519 public key
-	CustomerName     string `json:"customer_name"`
-	CustomerSeedPath string `json:"customer_seed_path"` // raw Ed25519 seed, 0600
-}
 
 func main() {
 	servers := flag.Int("servers", 3, "number of cloud servers")
@@ -119,24 +106,11 @@ func main() {
 		log.Fatalf("assembling cloud: %v", err)
 	}
 
-	customer := cryptoutil.MustIdentity("cli-customer")
-	tb.RegisterIdentity(customer.Name, customer.Public())
-	seedPath := *bootstrapPath + ".seed"
-	if err := cryptoutil.WriteSecretFile(seedPath, customer.Seed()); err != nil {
-		log.Fatalf("writing customer seed: %v", err)
-	}
-	bs := Bootstrap{
-		ControllerAddr:   tb.ControllerAddr,
-		ControllerKey:    base64.StdEncoding.EncodeToString(tb.Ctrl.PublicKey()),
-		CustomerName:     customer.Name,
-		CustomerSeedPath: seedPath,
-	}
-	data, err := json.MarshalIndent(bs, "", "  ")
+	cliID := cryptoutil.MustIdentity("cli-customer")
+	tb.RegisterIdentity(cliID.Name, cliID.Public())
+	bs, err := customer.WriteBootstrap(*bootstrapPath, tb.ControllerAddr, tb.Ctrl.PublicKey(), cliID)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if err := os.WriteFile(*bootstrapPath, data, 0o600); err != nil {
-		log.Fatalf("writing bootstrap: %v", err)
 	}
 
 	if *adminAddr != "" {
@@ -167,7 +141,7 @@ func main() {
 	fmt.Printf("  cloud servers:          %d (backends: %s)\n", *servers, *trustBackend)
 	fmt.Printf("  attestation shards:     %d (consistent-hash ring, epoch %d)\n", *shards, tb.Ring.Epoch())
 	fmt.Printf("  bootstrap written to:   %s\n", *bootstrapPath)
-	fmt.Printf("  customer seed:          %s (%s)\n", seedPath, cryptoutil.Redact(customer.Seed()))
+	fmt.Printf("  customer seed:          %s (%s)\n", bs.CustomerSeedPath, cryptoutil.Redact(cliID.Seed()))
 	if *adminAddr != "" {
 		fmt.Printf("  operator surface:       http://%s/{metrics,healthz,traces,debug/pprof}\n", *adminAddr)
 	}

@@ -8,12 +8,10 @@
 package attestsrv
 
 import (
-	"context"
 	"crypto/ed25519"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -47,6 +45,8 @@ type ServerRecord struct {
 	Backend driver.Backend
 	// Properties lists the security properties the server can monitor.
 	Properties []properties.Property
+
+	peer string // the measurement channel's name in the peer set
 }
 
 // Supports reports whether the server can monitor property p.
@@ -106,23 +106,20 @@ type Config struct {
 	// of: VM-addressed requests for VMs the ring assigns elsewhere are
 	// refused with a WrongShardError naming the owner, instead of being
 	// served from possibly-stale local state. A single Attestation Server
-	// is the only member of its ring.
+	// is the only member of its ring. The identity name is this server's
+	// name on it.
 	Ring *shard.Ring
-	// ShardName is this server's name on the Ring. Empty defaults to the
-	// identity name.
-	ShardName string
 }
 
 // Server is the Attestation Server.
 type Server struct {
 	cfg Config
 
-	mu       sync.Mutex
-	servers  map[string]*ServerRecord
-	vms      map[string]*VMRecord
-	clients  map[string]*rpc.ReconnectClient
-	sessions *secchan.SessionCache // resumption tickets, nil unless cfg.Resume
-	replay   *cryptoutil.ReplayCache
+	mu      sync.Mutex
+	servers map[string]*ServerRecord
+	vms     map[string]*VMRecord
+	peers   *rpc.PeerSet // measurement channels to the cloud servers
+	replay  *cryptoutil.ReplayCache
 
 	periodic *periodicEngine
 	metrics  *metrics.Registry
@@ -131,71 +128,31 @@ type Server struct {
 
 // New creates an Attestation Server.
 func New(cfg Config) *Server {
-	if cfg.ShardName == "" && cfg.Identity != nil {
-		cfg.ShardName = cfg.Identity.Name
-	}
 	s := &Server{
 		cfg:     cfg,
 		servers: make(map[string]*ServerRecord),
 		vms:     make(map[string]*VMRecord),
-		clients: make(map[string]*rpc.ReconnectClient),
 		replay:  cryptoutil.NewReplayCache(4096),
 		metrics: metrics.NewRegistry(),
 		tracer:  obs.NewTracer(cfg.Obs, "attest-server", cfg.Clock.Now),
 	}
+	sc := secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand}
 	if cfg.Resume {
-		s.sessions = secchan.NewSessionCache()
+		sc.Session = secchan.NewSessionCache()
 	}
+	s.peers = rpc.NewPeerSet(rpc.PeerSetConfig{
+		Entity:      "attestsrv",
+		Network:     cfg.Network,
+		Secchan:     sc,
+		Retry:       cfg.Retry,
+		Breaker:     cfg.Breaker,
+		CallTimeout: cfg.CallTimeout,
+		Metrics:     s.metrics,
+		Ledger:      cfg.Ledger,
+		Now:         cfg.Clock.Now,
+	})
 	s.periodic = newPeriodicEngine(cfg.Periodic, s.cfg.Clock.Now, s.drawJitter, s.appraiseOnce, s.metrics, s.tracer)
 	return s
-}
-
-// onRPCEvent counts retries and breaker transitions on the measurement
-// channels and records them as evidence.
-func (s *Server) onRPCEvent(ev rpc.Event) {
-	switch ev.Kind {
-	case rpc.EventRetry:
-		s.metrics.Counter("attestsrv/rpc-retries").Inc()
-	case rpc.EventBreaker:
-		s.metrics.Counter("attestsrv/rpc-breaker-transitions").Inc()
-		if ev.To == rpc.BreakerOpen {
-			s.metrics.Counter("attestsrv/rpc-breaker-opens").Inc()
-		}
-	}
-	if s.cfg.Ledger == nil {
-		return
-	}
-	errMsg := ""
-	if ev.Err != nil {
-		errMsg = ev.Err.Error()
-	}
-	payload, err := json.Marshal(struct {
-		Event   string `json:"event"`
-		Peer    string `json:"peer"`
-		Method  string `json:"method,omitempty"`
-		Attempt int    `json:"attempt,omitempty"`
-		Err     string `json:"err,omitempty"`
-		From    string `json:"from,omitempty"`
-		To      string `json:"to,omitempty"`
-	}{string(ev.Kind), ev.Peer, ev.Method, ev.Attempt, errMsg, breakerName(ev, true), breakerName(ev, false)})
-	if err != nil {
-		return
-	}
-	s.cfg.Ledger.Append(ledger.Entry{
-		At:      s.cfg.Clock.Now(),
-		Kind:    ledger.KindRPCFault,
-		Payload: payload,
-	})
-}
-
-func breakerName(ev rpc.Event, from bool) string {
-	if ev.Kind != rpc.EventBreaker {
-		return ""
-	}
-	if from {
-		return ev.From.String()
-	}
-	return ev.To.String()
 }
 
 // Metrics exposes the appraisal-timing registry (virtual-time cost of each
@@ -205,26 +162,17 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // Health reports the Attestation Server's liveness and the breaker state of
 // its measurement channels, for the operator /healthz endpoint.
 func (s *Server) Health() obs.EntityHealth {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.clients))
-	for name := range s.clients {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := obs.EntityHealth{Entity: "attest-server", Alive: true}
-	for _, name := range names {
-		h.Peers = append(h.Peers, obs.PeerHealth{Peer: s.clients[name].Peer(), Breaker: s.clients[name].BreakerState().String()})
-	}
-	s.mu.Unlock()
-	return h
+	return obs.EntityHealth{Entity: "attest-server", Alive: true, Peers: s.peers.Health()}
 }
 
 // RegisterServer records a provisioned cloud server (its address, identity
 // key, TPM AIK, and monitoring capabilities).
 func (s *Server) RegisterServer(rec ServerRecord) {
+	cp := rec
+	cp.peer = "server-" + rec.Name
+	s.peers.Register(cp.peer, rec.Addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := rec
 	s.servers[rec.Name] = &cp
 }
 
@@ -267,33 +215,6 @@ func (s *Server) ForgetVM(vid string) {
 	delete(s.vms, vid)
 	s.mu.Unlock()
 	s.periodic.forget(vid)
-}
-
-// client returns the fault-tolerant channel to a server (connections are
-// established lazily per call).
-func (s *Server) client(rec *ServerRecord) *rpc.ReconnectClient {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.clients[rec.Name]; ok {
-		return c
-	}
-	c := rpc.NewReconnectClient(rpc.ClientConfig{
-		Network: s.cfg.Network,
-		Addr:    rec.Addr,
-		Peer:    "server-" + rec.Name,
-		Secchan: secchan.Config{
-			Identity: s.cfg.Identity,
-			Verify:   s.cfg.Verify,
-			Rand:     s.cfg.Rand,
-			Session:  s.sessions,
-		},
-		Retry:       s.cfg.Retry,
-		Breaker:     s.cfg.Breaker,
-		CallTimeout: s.cfg.CallTimeout,
-		OnEvent:     s.onRPCEvent,
-	})
-	s.clients[rec.Name] = c
-	return c
 }
 
 // Appraise serves one attestation (the middle of Fig. 3): request
@@ -363,7 +284,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	if err != nil {
 		return nil, err
 	}
-	c := s.client(srvRec)
+	c, _ := s.peers.Client(srvRec.peer) // registered with the record
 
 	if lat := s.cfg.Latency; lat != nil {
 		s.cfg.Clock.Advance(lat.HopRTT + lat.QuoteCost + lat.CertifyCost)
@@ -371,7 +292,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	// The whole measurement exchange — every retry and its backoff — is
 	// bounded so a wedged cloud server degrades this appraisal instead of
 	// pinning an attestation worker forever.
-	ctx, cancel := context.WithTimeout(context.Background(), rpc.OpBudget(s.cfg.CallTimeout, s.cfg.Retry))
+	ctx, cancel := s.peers.OpCtx()
 	defer cancel()
 	// N3 is regenerated for every retry attempt, so a re-issued measurement
 	// request is a fresh challenge, never a replay.
@@ -490,25 +411,15 @@ func (s *Server) appraiseOnce(parent obs.SpanContext, vid, serverID string, p pr
 }
 
 // StopPeriodic disarms a periodic attestation and returns any undelivered
-// results.
-func (s *Server) StopPeriodic(vid string, p properties.Property) []*wire.Report {
-	return s.StopPeriodicBatch(vid, p).Reports
-}
-
-// StopPeriodicBatch is StopPeriodic with the loss accounting (dropped
-// reports, shed ticks) accumulated since the last drain.
-func (s *Server) StopPeriodicBatch(vid string, p properties.Property) PeriodicBatch {
+// results with the loss accounting (dropped reports, shed ticks)
+// accumulated since the last drain.
+func (s *Server) StopPeriodic(vid string, p properties.Property) PeriodicBatch {
 	return s.periodic.stop(vid, p)
 }
 
-// FetchPeriodic drains the accumulated fresh results for (vid, prop).
-func (s *Server) FetchPeriodic(vid string, p properties.Property) []*wire.Report {
-	return s.FetchPeriodicBatch(vid, p).Reports
-}
-
-// FetchPeriodicBatch is FetchPeriodic with the loss accounting (dropped
-// reports, shed ticks) accumulated since the last drain.
-func (s *Server) FetchPeriodicBatch(vid string, p properties.Property) PeriodicBatch {
+// FetchPeriodic drains the accumulated fresh results for (vid, prop), with
+// the loss accounting since the last drain.
+func (s *Server) FetchPeriodic(vid string, p properties.Property) PeriodicBatch {
 	return s.periodic.fetch(vid, p)
 }
 
@@ -529,7 +440,7 @@ func (s *Server) NextDue() (time.Duration, bool) {
 // --- sharded attestation plane ---
 
 // Shard returns this server's name on the ring.
-func (s *Server) Shard() string { return s.cfg.ShardName }
+func (s *Server) Shard() string { return s.cfg.Identity.Name }
 
 // checkOwner enforces ring ownership for a VM-addressed request. Local
 // ownership passes; otherwise the caller gets a WrongShardError naming the
@@ -537,7 +448,7 @@ func (s *Server) Shard() string { return s.cfg.ShardName }
 // shard without a view refresh.
 func (s *Server) checkOwner(vid string) error {
 	owner, epoch, ok := s.cfg.Ring.Lookup(vid)
-	if ok && owner == s.cfg.ShardName {
+	if ok && owner == s.Shard() {
 		return nil
 	}
 	s.metrics.Counter("attestsrv/wrong-shard-rejections").Inc()
@@ -557,7 +468,7 @@ type ShardState struct {
 // tasks resolve as counted stopped-discards locally; all future ticks
 // belong to the importing shard.
 func (s *Server) ExportNotOwned() ShardState {
-	moved := func(vid string) bool { return !s.cfg.Ring.Owns(s.cfg.ShardName, vid) }
+	moved := func(vid string) bool { return !s.cfg.Ring.Owns(s.Shard(), vid) }
 	var st ShardState
 	s.mu.Lock()
 	for vid, rec := range s.vms {

@@ -106,7 +106,7 @@ func (s *Server) Handler() rpc.Handler {
 				return nil, err
 			}
 			return rpc.Encode(true)
-		case MethodPeriodicStop:
+		case MethodPeriodicStop, MethodPeriodicFetch:
 			var req PeriodicControl
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
@@ -114,16 +114,10 @@ func (s *Server) Handler() rpc.Handler {
 			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(s.StopPeriodicBatch(req.Vid, req.Prop))
-		case MethodPeriodicFetch:
-			var req PeriodicControl
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
+			if method == MethodPeriodicStop {
+				return rpc.Encode(s.StopPeriodic(req.Vid, req.Prop))
 			}
-			if err := s.checkOwner(req.Vid); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(s.FetchPeriodicBatch(req.Vid, req.Prop))
+			return rpc.Encode(s.FetchPeriodic(req.Vid, req.Prop))
 		case MethodRebindVM:
 			var req RebindRequest
 			if err := rpc.Decode(body, &req); err != nil {

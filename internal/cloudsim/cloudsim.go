@@ -8,7 +8,6 @@
 package cloudsim
 
 import (
-	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/customer"
 	"cloudmonatt/internal/guest"
 	"cloudmonatt/internal/image"
 	"cloudmonatt/internal/latency"
@@ -37,7 +37,6 @@ import (
 	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/trust/driver/sevsnp"
 	"cloudmonatt/internal/vclock"
-	"cloudmonatt/internal/wire"
 )
 
 // Options configures the testbed.
@@ -143,7 +142,7 @@ type Testbed struct {
 	directory  map[string]ed25519.PublicKey
 	tamperNext bool
 	nextCoVM   int
-	opts       Options // retained for customer client fault-tolerance knobs
+	opts       Options // retained for customer channels and controller/shard rebuilds
 
 	// Assembly state retained so RestartController can rebuild the
 	// controller exactly as New did (same identity, same fleet), minus the
@@ -363,7 +362,6 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 		Verify:        tb.Verify,
 		Rand:          rand.Reader,
 		Policy:        tb.opts.Policy,
-		AutoRespond:   true,
 		ImageTamper:   tb.imageTamper,
 		Serialize:     &tb.opMu,
 		Ledger:        tb.Ledger,
@@ -824,48 +822,22 @@ func (tb *Testbed) LaunchRFACoResident(targetVid string, pin int) (string, error
 }
 
 // Customer is a cloud customer: the protocol initiator and end-verifier.
-type Customer struct {
-	id       *cryptoutil.Identity
-	client   *rpc.ReconnectClient
-	ctrlKey  ed25519.PublicKey
-	opBudget time.Duration
-}
-
-// opCtx bounds one customer exchange end to end (all retry attempts plus
-// backoff), so a wedged or partitioned controller fails the call instead
-// of hanging the customer forever.
-func (cu *Customer) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), cu.opBudget)
-}
+type Customer = customer.Customer
 
 // NewCustomer registers a fresh customer identity and connects it to the
 // controller's nova api.
 func (tb *Testbed) NewCustomer(name string) (*Customer, error) {
-	return tb.NewCustomerWithIdentity(cryptoutil.MustIdentity(name))
-}
-
-// NewCustomerWithIdentity registers an existing identity (e.g. one whose
-// seed was provisioned to an external CLI) and connects it.
-func (tb *Testbed) NewCustomerWithIdentity(id *cryptoutil.Identity) (*Customer, error) {
+	id := cryptoutil.MustIdentity(name)
 	tb.register(id.Name, id.Public())
-	client := rpc.NewReconnectClient(rpc.ClientConfig{
-		Network:     tb.Net,
-		Addr:        tb.ControllerAddr,
-		Peer:        "cloud-controller",
-		Secchan:     secchan.Config{Identity: id, Verify: tb.Verify},
-		Retry:       tb.opts.Retry,
-		Breaker:     tb.opts.Breaker,
-		CallTimeout: tb.opts.CallTimeout,
+	return customer.Connect(customer.Config{
+		Identity:      id,
+		Network:       tb.Net,
+		Addr:          tb.ControllerAddr,
+		ControllerKey: tb.ctrlID.Public(),
+		CallTimeout:   tb.opts.CallTimeout,
+		Retry:         tb.opts.Retry,
+		Breaker:       tb.opts.Breaker,
 	})
-	cu := &Customer{id: id, client: client, ctrlKey: tb.Ctrl.PublicKey(),
-		opBudget: rpc.OpBudget(tb.opts.CallTimeout, tb.opts.Retry)}
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	if err := client.Connect(ctx); err != nil {
-		client.Close()
-		return nil, err
-	}
-	return cu, nil
 }
 
 // RegisterIdentity adds an externally provisioned identity (like a CLI
@@ -873,126 +845,3 @@ func (tb *Testbed) NewCustomerWithIdentity(id *cryptoutil.Identity) (*Customer, 
 func (tb *Testbed) RegisterIdentity(name string, pub ed25519.PublicKey) {
 	tb.register(name, pub)
 }
-
-// Launch requests a VM. The idempotency key lets the request be retried
-// across connection failures without double-launching.
-func (cu *Customer) Launch(req controller.LaunchRequest) (controller.LaunchResult, error) {
-	req.Owner = cu.id.Name
-	var res controller.LaunchResult
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	err := cu.client.CallIdem(ctx, controller.MethodLaunchVM, rpc.NewIdemKey(), req, &res)
-	return res, err
-}
-
-// Attest issues a one-time attestation and end-verifies the report chain:
-// the customer checks the controller's signature, its own nonce N1, and the
-// quote Q1 before trusting the verdict. A stale verdict (degraded mode) is
-// surfaced like a fresh one; use AttestReport for the staleness flags.
-func (cu *Customer) Attest(vid string, p properties.Property) (properties.Verdict, error) {
-	rep, err := cu.AttestReport(vid, p)
-	if err != nil {
-		return properties.Verdict{}, err
-	}
-	return rep.Verdict, nil
-}
-
-// AttestReport is Attest returning the full verified CustomerReport
-// (including the Stale/Age degradation flags). N1 is regenerated on every
-// retry attempt so the controller's replay cache never rejects a re-issue.
-func (cu *Customer) AttestReport(vid string, p properties.Property) (*wire.CustomerReport, error) {
-	method := controller.MethodRuntimeAttestCurrent
-	if p == properties.StartupIntegrity {
-		method = controller.MethodStartupAttestCurrent
-	}
-	var n1 cryptoutil.Nonce
-	var rep wire.CustomerReport
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	if err := cu.client.CallFresh(ctx, method, func(int) (any, error) {
-		n1 = cryptoutil.MustNonce()
-		// The trace ID is minted from the request nonce: deterministic
-		// under the seeded RNG, and fresh per retry attempt like N1 itself.
-		return wire.AttestRequest{Vid: vid, Prop: p, N1: n1, Trace: obs.MintTrace(n1[:])}, nil
-	}, &rep); err != nil {
-		return nil, err
-	}
-	if err := wire.VerifyCustomerReport(&rep, cu.ctrlKey, vid, p, n1); err != nil {
-		return nil, fmt.Errorf("customer: rejecting report: %w", err)
-	}
-	return &rep, nil
-}
-
-// StartPeriodic arms periodic attestation (runtime_attest_periodic).
-func (cu *Customer) StartPeriodic(vid string, p properties.Property, freq time.Duration) error {
-	n1 := cryptoutil.MustNonce()
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	return cu.client.CallIdem(ctx, controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(),
-		wire.PeriodicRequest{Vid: vid, Prop: p, Freq: freq, N1: n1, Trace: obs.MintTrace(n1[:])}, nil)
-}
-
-// StartPeriodicRandom arms periodic attestation at random intervals around
-// the given mean frequency, so a co-resident attacker cannot predict the
-// measurement windows.
-func (cu *Customer) StartPeriodicRandom(vid string, p properties.Property, freq time.Duration) error {
-	n1 := cryptoutil.MustNonce()
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	return cu.client.CallIdem(ctx, controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(),
-		wire.PeriodicRequest{Vid: vid, Prop: p, Freq: freq, Random: true, N1: n1, Trace: obs.MintTrace(n1[:])}, nil)
-}
-
-// FetchPeriodic drains and end-verifies accumulated periodic results.
-func (cu *Customer) FetchPeriodic(vid string, p properties.Property) ([]properties.Verdict, error) {
-	return cu.periodicCall(controller.MethodFetchPeriodic, vid, p)
-}
-
-// StopPeriodic stops periodic attestation (stop_attest_periodic) and
-// returns any undelivered verified results.
-func (cu *Customer) StopPeriodic(vid string, p properties.Property) ([]properties.Verdict, error) {
-	return cu.periodicCall(controller.MethodStopAttestPeriodic, vid, p)
-}
-
-func (cu *Customer) periodicCall(method, vid string, p properties.Property) ([]properties.Verdict, error) {
-	n1 := cryptoutil.MustNonce()
-	var reps []*wire.CustomerReport
-	// Fetch/stop drain results controller-side; the idempotency key makes a
-	// retried drain replay the recorded batch instead of losing it.
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	if err := cu.client.CallIdem(ctx, method, rpc.NewIdemKey(),
-		wire.StopPeriodicRequest{Vid: vid, Prop: p, N1: n1, Trace: obs.MintTrace(n1[:])}, &reps); err != nil {
-		return nil, err
-	}
-	var out []properties.Verdict
-	for _, rep := range reps {
-		if err := wire.VerifyCustomerReport(rep, cu.ctrlKey, vid, p, n1); err != nil {
-			return nil, fmt.Errorf("customer: rejecting periodic report: %w", err)
-		}
-		out = append(out, rep.Verdict)
-	}
-	return out, nil
-}
-
-// Status fetches the desired/observed state join the controller keeps for
-// one of the customer's VMs: lifecycle state, placement, the teardown
-// finalizer and the typed reconcile conditions.
-func (cu *Customer) Status(vid string) (wire.VMStatus, error) {
-	var st wire.VMStatus
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodVMStatus, struct{ Vid string }{vid}, &st)
-	return st, err
-}
-
-// Terminate releases the VM (idempotency-keyed: never executed twice).
-func (cu *Customer) Terminate(vid string) error {
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	return cu.client.CallIdem(ctx, controller.MethodTerminateVM, rpc.NewIdemKey(),
-		struct{ Vid string }{vid}, nil)
-}
-
-// Close tears down the customer's channel.
-func (cu *Customer) Close() error { return cu.client.Close() }

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -65,45 +64,32 @@ func (c *Controller) AttestTraced(parent obs.SpanContext, req wire.AttestRequest
 	if err != nil {
 		return nil, err
 	}
-	rt, err := c.routeForVM(req.Vid)
-	if err != nil {
-		return nil, err
-	}
 	sp := c.tracer.Start(parent, "controller.attest")
 	sp.SetVM(req.Vid, string(req.Prop))
-	c.cfg.Clock.Advance(c.cfg.Latency.HopRTT)
-	var rep *wire.Report
-	var n2 cryptoutil.Nonce
-	rt, err = c.callRouted(rt, func(rt attestRoute) error {
-		var aerr error
-		rep, n2, aerr = c.appraise(obs.ContextWith(context.Background(), sp), rt, req.Vid, rec.Server, req.Prop)
-		return aerr
-	})
+	rep, err := c.verifiedAppraisal(sp, req.Vid, rec.Server, req.Prop)
 	if err != nil {
-		var rerr *rpc.RemoteError
-		if errors.As(err, &rerr) {
-			// The Attestation Server answered and refused: a protocol
-			// failure, not an availability problem — no degradation.
+		if isBadReport(err) {
 			sp.EndErr(err)
-			return nil, fmt.Errorf("controller: appraisal failed: %w", err)
+			return nil, fmt.Errorf("controller: rejecting attestation report: %w", err)
 		}
-		if r := c.staleReport(req.Vid, req.Prop, req.N1, sp.Context().Trace, err); r != nil {
-			sp.Annotate("degraded", "stale-report")
-			sp.End("degraded")
-			return r, nil
+		// A shard that answered and refused is a protocol failure, not an
+		// availability problem — only unreachable infrastructure degrades.
+		var rerr *rpc.RemoteError
+		if !errors.As(err, &rerr) {
+			if r := c.staleReport(req.Vid, req.Prop, req.N1, sp.Context().Trace, err); r != nil {
+				sp.Annotate("degraded", "stale-report")
+				sp.End("degraded")
+				return r, nil
+			}
 		}
 		sp.EndErr(err)
 		return nil, fmt.Errorf("controller: appraisal failed: %w", err)
-	}
-	if err := wire.VerifyReport(rep, rt.key, req.Vid, req.Prop, n2); err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("controller: rejecting attestation report: %w", err)
 	}
 	c.storeLastGood(req.Vid, req.Prop, rep.Verdict)
 	// Unattestable (V_fail) is a capability statement about the trust
 	// backend, not a compromise finding: remediation would punish a healthy
 	// VM, so the Response Module is never triggered for it.
-	if !rep.Verdict.Healthy && !rep.Verdict.Unattestable && c.cfg.AutoRespond {
+	if !rep.Verdict.Healthy && !rep.Verdict.Unattestable {
 		sp.Annotate("respond", rep.Verdict.Reason)
 		c.Respond(req.Vid, req.Prop, rep.Verdict.Reason)
 	}
@@ -126,7 +112,7 @@ func (c *Controller) staleReport(vid string, p properties.Property, n1 cryptouti
 		return nil
 	}
 	age := c.cfg.Clock.Now() - lg.at
-	c.cfg.Metrics.Counter("controller/degraded-stale-reports").Inc()
+	c.metrics.Counter("controller/degraded-stale-reports").Inc()
 	c.record(ledger.KindDegraded, vid, p, trace, struct {
 		AgeNS int64  `json:"age_ns"`
 		Cause string `json:"cause"`
@@ -140,13 +126,9 @@ func (c *Controller) StartPeriodic(req wire.PeriodicRequest) error {
 	if err != nil {
 		return err
 	}
-	rt, err := c.routeForVM(req.Vid)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
-	_, err = c.callRouted(rt, func(rt attestRoute) error {
+	_, err = c.callVM(req.Vid, func(rt attestRoute) error {
 		return rt.client.CallCtx(ctx, attestsrv.MethodPeriodicStart, attestsrv.PeriodicControl{
 			Vid: req.Vid, ServerID: rec.Server, Prop: req.Prop, Freq: req.Freq, Random: req.Random,
 		}, nil)
@@ -154,42 +136,34 @@ func (c *Controller) StartPeriodic(req wire.PeriodicRequest) error {
 	return err
 }
 
-// StopPeriodic serves stop_attest_periodic, returning undelivered results.
-func (c *Controller) StopPeriodic(req wire.StopPeriodicRequest) ([]*wire.CustomerReport, error) {
-	return c.drainPeriodic(req, attestsrv.MethodPeriodicStop)
-}
-
-// FetchPeriodic drains fresh periodic results for the customer.
-func (c *Controller) FetchPeriodic(req wire.StopPeriodicRequest) ([]*wire.CustomerReport, error) {
-	return c.drainPeriodic(req, attestsrv.MethodPeriodicFetch)
-}
-
-// drainPeriodic drains a periodic stream (fetch keeps it armed, stop
-// disarms it) and surfaces the engine's loss accounting: reports the
-// bounded buffer evicted and ticks shed under overload are counted in the
-// controller's metrics and, when any occurred, recorded as evidence.
-func (c *Controller) drainPeriodic(req wire.StopPeriodicRequest, method string) ([]*wire.CustomerReport, error) {
+// DrainPeriodic serves fetch_attest_periodic (the stream stays armed) and
+// stop_attest_periodic (stop disarms it), returning the undelivered results
+// and surfacing the engine's loss accounting: reports the bounded buffer
+// evicted and ticks shed under overload are counted in the controller's
+// metrics and, when any occurred, recorded as evidence.
+func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) ([]*wire.CustomerReport, error) {
 	if _, err := c.vmFor(req.Vid, req.Prop); err != nil {
 		return nil, err
 	}
-	rt, err := c.routeForVM(req.Vid)
-	if err != nil {
-		return nil, err
+	method := attestsrv.MethodPeriodicFetch
+	if stop {
+		method = attestsrv.MethodPeriodicStop
 	}
 	var batch attestsrv.PeriodicBatch
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	// Drains are destructive server-side; the idempotency key makes a
 	// retried drain replay the recorded batch instead of losing it.
-	if rt, err = c.callRouted(rt, func(rt attestRoute) error {
+	rt, err := c.callVM(req.Vid, func(rt attestRoute) error {
 		return rt.client.CallIdem(ctx, method, rpc.NewIdemKey(),
 			attestsrv.PeriodicControl{Vid: req.Vid, Prop: req.Prop}, &batch)
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if batch.Dropped > 0 || batch.Skipped > 0 {
-		c.cfg.Metrics.Counter("controller/periodic-dropped-reports").Add(int64(batch.Dropped))
-		c.cfg.Metrics.Counter("controller/periodic-skipped-ticks").Add(int64(batch.Skipped))
+		c.metrics.Counter("controller/periodic-dropped-reports").Add(int64(batch.Dropped))
+		c.metrics.Counter("controller/periodic-skipped-ticks").Add(int64(batch.Skipped))
 		c.record(ledger.KindDegraded, req.Vid, req.Prop, req.Trace, struct {
 			Dropped uint64 `json:"dropped,omitempty"`
 			Skipped uint64 `json:"skipped,omitempty"`
@@ -229,7 +203,7 @@ func (c *Controller) repackage(vid string, p properties.Property, n1 cryptoutil.
 			continue
 		}
 		c.storeLastGood(vid, p, rep.Verdict)
-		if !rep.Verdict.Healthy && !rep.Verdict.Unattestable && c.cfg.AutoRespond && !responded {
+		if !rep.Verdict.Healthy && !rep.Verdict.Unattestable && !responded {
 			c.Respond(vid, p, rep.Verdict.Reason)
 			responded = true
 		}
@@ -326,7 +300,7 @@ func (c *Controller) SuspendVM(vid string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if err := mgmt.CallCtx(ctx, server.MethodSuspend, server.VidRequest{Vid: vid}, nil); err != nil {
 		return err
@@ -350,7 +324,7 @@ func (c *Controller) ResumeVM(vid string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if err := mgmt.CallCtx(ctx, server.MethodResume, server.VidRequest{Vid: vid}, nil); err != nil {
 		return err
@@ -388,26 +362,14 @@ func (c *Controller) RecheckAndResume(vid string) (properties.Verdict, bool, err
 	if err := c.ResumeVM(vid); err != nil {
 		return properties.Verdict{}, false, err
 	}
-	rt, err := c.routeForVM(vid)
-	if err != nil {
-		return properties.Verdict{}, false, err
-	}
-	c.cfg.Clock.Advance(c.cfg.Latency.HopRTT)
-	var rep *wire.Report
-	var n2 cryptoutil.Nonce
-	rt, err = c.callRouted(rt, func(rt attestRoute) error {
-		var aerr error
-		rep, n2, aerr = c.appraise(context.Background(), rt, vid, srv, prop)
-		return aerr
-	})
+	rep, err := c.verifiedAppraisal(nil, vid, srv, prop)
 	if err != nil {
 		// Could not re-check: fail safe, back to suspended.
 		c.SuspendVM(vid)
+		if isBadReport(err) {
+			return properties.Verdict{}, false, fmt.Errorf("controller: rejecting recheck report: %w", err)
+		}
 		return properties.Verdict{}, false, fmt.Errorf("controller: recheck failed: %w", err)
-	}
-	if err := wire.VerifyReport(rep, rt.key, vid, prop, n2); err != nil {
-		c.SuspendVM(vid)
-		return properties.Verdict{}, false, fmt.Errorf("controller: rejecting recheck report: %w", err)
 	}
 	if !rep.Verdict.Healthy {
 		if err := c.SuspendVM(vid); err != nil {
@@ -443,7 +405,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 
 	// One deadline covers the whole migration: it is a single logical
 	// remediation, and a half-migrated VM is worse than a timed-out one.
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 
 	// The ring shards by VM id, so appraisal ownership follows the VM to any
@@ -502,11 +464,9 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Migrated", dest.Name)
 	// Ongoing periodic monitoring follows the VM to its new host; the owning
 	// shard is unchanged (ownership hashes the VM id, not the host).
-	if rt, err := c.routeForVM(vid); err == nil {
-		c.callRouted(rt, func(rt attestRoute) error {
-			return rt.client.CallCtx(ctx, attestsrv.MethodRebindVM, attestsrv.RebindRequest{Vid: vid, ServerID: dest.Name}, nil)
-		})
-	}
+	c.callVM(vid, func(rt attestRoute) error {
+		return rt.client.CallCtx(ctx, attestsrv.MethodRebindVM, attestsrv.RebindRequest{Vid: vid, ServerID: dest.Name}, nil)
+	})
 	return dest.Name, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cloudmonatt/internal/cloudsim"
+	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
@@ -93,7 +94,7 @@ func TestCapacityAccountingBalanced(t *testing.T) {
 		r.Owner = "tester"
 		// Direct call: the controller's retry budget against the partitioned
 		// appraiser outlives a customer-facing rpc timeout.
-		res, err := tb.Ctrl.LaunchVM(r)
+		res, err := tb.Ctrl.LaunchVMTraced(obs.SpanContext{}, r)
 		if err == nil && res.OK {
 			t.Fatal("launch succeeded with the appraiser unreachable")
 		}

@@ -34,7 +34,6 @@ import (
 	"cloudmonatt/internal/shard"
 	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/vclock"
-	"cloudmonatt/internal/wire"
 )
 
 // ResponseKind is one remediation response (paper §5.2).
@@ -66,6 +65,8 @@ type ServerEntry struct {
 	// "sev-snp"; empty = tpm), recorded in launch and remediation ledger
 	// entries so the evidence trail names the root of trust involved.
 	Backend driver.Backend
+
+	peer string // the management channel's name in the peer set
 }
 
 func (e *ServerEntry) supports(ps []properties.Property) bool {
@@ -168,9 +169,6 @@ type Config struct {
 	// single Attestation Server.
 	Ring   *shard.Ring
 	Policy map[properties.Property]ResponseKind
-	// AutoRespond executes the policy response when an attestation comes
-	// back unhealthy (paper §5.2). On by default in the testbed.
-	AutoRespond bool
 	// ImageTamper, when set, corrupts image bytes in storage/transit before
 	// they are measured on the cloud server (failure injection for the
 	// startup-integrity case study).
@@ -192,9 +190,6 @@ type Config struct {
 	Retry rpc.RetryPolicy
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker rpc.BreakerPolicy
-	// Metrics receives retry/breaker/degradation counters; New allocates a
-	// registry when nil.
-	Metrics *metrics.Registry
 	// Obs, when set, receives distributed-tracing spans: the customer-facing
 	// nova api records the root span of each request and the controller's
 	// internal stages nest under it.
@@ -229,21 +224,23 @@ type Controller struct {
 	// driven toward its desired state with per-VM serialization.
 	loop *reconcile.Loop
 
-	mu      sync.Mutex
-	servers map[string]*ServerEntry
-	used    map[string]server.Capacity
-	vms     map[string]*vmRecord
-	mgmt    map[string]*rpc.ReconnectClient
-	// Attestation shard registry (RegisterAttestShard).
-	shardAddrs   map[string]string
-	shardPubs    map[string][]byte
-	shardClients map[string]*rpc.ReconnectClient
-	nextVid      int
-	nextIntent   int
-	replay       *cryptoutil.ReplayCache
-	events       []ResponseEvent // bounded drop-oldest ring (Config.EventsCap)
-	policy       map[properties.Property]ResponseKind
-	lastGood     map[string]lastVerdict
+	// metrics holds the retry, breaker and degradation counters; peers is
+	// every outbound channel (cloud-server management endpoints and
+	// attestation shards).
+	metrics *metrics.Registry
+	peers   *rpc.PeerSet
+
+	mu         sync.Mutex
+	servers    map[string]*ServerEntry
+	used       map[string]server.Capacity
+	vms        map[string]*vmRecord
+	shards     map[string]shardEntry // RegisterAttestShard
+	nextVid    int
+	nextIntent int
+	replay     *cryptoutil.ReplayCache
+	events     []ResponseEvent // bounded drop-oldest ring (Config.EventsCap)
+	policy     map[properties.Property]ResponseKind
+	lastGood   map[string]lastVerdict
 }
 
 // lastVerdict caches the most recent verified verdict for one (vid, prop),
@@ -258,33 +255,40 @@ func New(cfg Config) *Controller {
 	if cfg.Policy == nil {
 		cfg.Policy = DefaultPolicy()
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	if cfg.Ring == nil {
 		// An empty ring: the first route reports it, instead of a nil
 		// dereference deep in a launch.
 		cfg.Ring = shard.NewRing(0, 0)
 	}
 	c := &Controller{
-		cfg:          cfg,
-		apiTracer:    obs.NewTracer(cfg.Obs, "customer-api", cfg.Clock.Now),
-		tracer:       obs.NewTracer(cfg.Obs, "controller", cfg.Clock.Now),
-		servers:      make(map[string]*ServerEntry),
-		used:         make(map[string]server.Capacity),
-		vms:          make(map[string]*vmRecord),
-		mgmt:         make(map[string]*rpc.ReconnectClient),
-		shardAddrs:   make(map[string]string),
-		shardPubs:    make(map[string][]byte),
-		shardClients: make(map[string]*rpc.ReconnectClient),
-		replay:       cryptoutil.NewReplayCache(4096),
-		policy:       cfg.Policy,
-		lastGood:     make(map[string]lastVerdict),
+		cfg:       cfg,
+		apiTracer: obs.NewTracer(cfg.Obs, "customer-api", cfg.Clock.Now),
+		tracer:    obs.NewTracer(cfg.Obs, "controller", cfg.Clock.Now),
+		metrics:   metrics.NewRegistry(),
+		servers:   make(map[string]*ServerEntry),
+		used:      make(map[string]server.Capacity),
+		vms:       make(map[string]*vmRecord),
+		shards:    make(map[string]shardEntry),
+		replay:    cryptoutil.NewReplayCache(4096),
+		policy:    cfg.Policy,
+		lastGood:  make(map[string]lastVerdict),
 	}
+	c.peers = rpc.NewPeerSet(rpc.PeerSetConfig{
+		Entity:      "controller",
+		Network:     cfg.Network,
+		Secchan:     secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand},
+		Retry:       cfg.Retry,
+		Breaker:     cfg.Breaker,
+		CallTimeout: cfg.CallTimeout,
+		Idempotent:  idempotentMethod,
+		Metrics:     c.metrics,
+		Ledger:      cfg.Ledger,
+		Now:         cfg.Clock.Now,
+	})
 	c.loop = reconcile.NewLoop(reconcile.LoopConfig{
 		Queue:     reconcile.QueueConfig{Now: cfg.Clock.Now},
 		Reconcile: c.reconcileVM,
-		Metrics:   cfg.Metrics,
+		Metrics:   c.metrics,
 		Obs:       cfg.Obs,
 		Entity:    "controller",
 	})
@@ -293,66 +297,16 @@ func New(cfg Config) *Controller {
 
 // Metrics returns the controller's registry (retry, breaker and
 // degradation counters).
-func (c *Controller) Metrics() *metrics.Registry { return c.cfg.Metrics }
+func (c *Controller) Metrics() *metrics.Registry { return c.metrics }
 
 // Health reports the controller's liveness and the breaker state of every
 // RPC channel it holds, for the operator /healthz endpoint.
 func (c *Controller) Health() obs.EntityHealth {
-	c.mu.Lock()
-	clients := make(map[string]*rpc.ReconnectClient, len(c.mgmt)+len(c.shardClients))
-	for _, rc := range c.mgmt {
-		clients[rc.Peer()] = rc
-	}
-	for _, rc := range c.shardClients {
-		clients[rc.Peer()] = rc
-	}
-	c.mu.Unlock()
-	h := obs.EntityHealth{Entity: "controller", Alive: true, Queue: &obs.QueueHealth{
+	return obs.EntityHealth{Entity: "controller", Alive: true, Peers: c.peers.Health(), Queue: &obs.QueueHealth{
 		Ready:   c.loop.Len(),
 		Delayed: c.loop.DelayedLen(),
 		Dropped: c.loop.Dropped(),
 	}}
-	names := make([]string, 0, len(clients))
-	for name := range clients {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h.Peers = append(h.Peers, obs.PeerHealth{Peer: name, Breaker: clients[name].BreakerState().String()})
-	}
-	return h
-}
-
-// onRPCEvent records a retry or breaker transition in the metrics registry
-// and the evidence ledger. It runs on the RPC client's goroutine, possibly
-// concurrently.
-func (c *Controller) onRPCEvent(ev rpc.Event) {
-	switch ev.Kind {
-	case rpc.EventRetry:
-		c.cfg.Metrics.Counter("controller/rpc-retries").Inc()
-		errMsg := ""
-		if ev.Err != nil {
-			errMsg = ev.Err.Error()
-		}
-		c.record(ledger.KindRPCFault, "", "", "", struct {
-			Event   string `json:"event"`
-			Peer    string `json:"peer"`
-			Method  string `json:"method"`
-			Attempt int    `json:"attempt"`
-			Err     string `json:"err,omitempty"`
-		}{"retry", ev.Peer, ev.Method, ev.Attempt, errMsg})
-	case rpc.EventBreaker:
-		c.cfg.Metrics.Counter("controller/rpc-breaker-transitions").Inc()
-		if ev.To == rpc.BreakerOpen {
-			c.cfg.Metrics.Counter("controller/rpc-breaker-opens").Inc()
-		}
-		c.record(ledger.KindRPCFault, "", "", "", struct {
-			Event string `json:"event"`
-			Peer  string `json:"peer"`
-			From  string `json:"from"`
-			To    string `json:"to"`
-		}{"breaker", ev.Peer, ev.From.String(), ev.To.String()})
-	}
 }
 
 // idempotentMethod reports the RPCs the controller may blindly re-issue
@@ -367,21 +321,6 @@ func idempotentMethod(method string) bool {
 		return true
 	}
 	return false
-}
-
-// newClient builds the fault-tolerant client for one peer.
-func (c *Controller) newClient(peer, addr string) *rpc.ReconnectClient {
-	return rpc.NewReconnectClient(rpc.ClientConfig{
-		Network:     c.cfg.Network,
-		Addr:        addr,
-		Peer:        peer,
-		Secchan:     secchan.Config{Identity: c.cfg.Identity, Verify: c.cfg.Verify, Rand: c.cfg.Rand},
-		Retry:       c.cfg.Retry,
-		Breaker:     c.cfg.Breaker,
-		CallTimeout: c.cfg.CallTimeout,
-		Idempotent:  idempotentMethod,
-		OnEvent:     c.onRPCEvent,
-	})
 }
 
 // record appends one evidence entry, best-effort: the ledger is the audit
@@ -407,9 +346,11 @@ func (c *Controller) record(kind ledger.Kind, vid string, prop properties.Proper
 
 // RegisterServer adds a cloud server to the scheduling pool.
 func (c *Controller) RegisterServer(e ServerEntry) {
+	cp := e
+	cp.peer = "server-" + e.Name
+	c.peers.Register(cp.peer, e.Addr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp := e
 	c.servers[e.Name] = &cp
 }
 
@@ -438,7 +379,7 @@ func (c *Controller) appendEvent(ev ResponseEvent) {
 	}
 	c.mu.Unlock()
 	if dropped > 0 {
-		c.cfg.Metrics.Counter("controller/events-dropped").Add(dropped)
+		c.metrics.Counter("controller/events-dropped").Add(dropped)
 	}
 }
 
@@ -488,29 +429,16 @@ func (c *Controller) EventsFor(owner string) []ResponseEvent {
 	return out
 }
 
-// opCtx bounds one control-plane exchange end to end: the per-attempt
-// CallTimeout times the retry budget, plus slack for backoff sleeps. Every
-// controller-originated RPC derives its context here so a wedged peer can
-// degrade an operation but never wedge the controller (the ctxdeadline
-// analyzer enforces this at each call site).
-func (c *Controller) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), rpc.OpBudget(c.cfg.CallTimeout, c.cfg.Retry))
-}
-
 // mgmtClient returns the fault-tolerant client for a cloud server's
 // management endpoint (connections are established lazily per call).
 func (c *Controller) mgmtClient(name string) (*rpc.ReconnectClient, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	entry, ok := c.servers[name]
+	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("controller: unknown server %q", name)
 	}
-	if cl, ok := c.mgmt[name]; ok {
-		return cl, nil
-	}
-	cl := c.newClient("server-"+name, entry.Addr)
-	c.mgmt[name] = cl
+	cl, _ := c.peers.Client(entry.peer) // registered with the entry
 	return cl, nil
 }
 
@@ -654,18 +582,13 @@ type LaunchResult struct {
 	Verdict properties.Verdict // startup attestation result
 }
 
-// LaunchVM runs the launch pipeline: Scheduling → Networking →
+// LaunchVMTraced runs the launch pipeline: Scheduling → Networking →
 // Block_device_mapping → Spawning → Attestation (the fifth stage
 // CloudMonatt adds, §7.1.1). A platform-integrity failure reschedules onto
 // the next qualified server; an image-integrity failure rejects the launch
-// (paper §5.1).
-func (c *Controller) LaunchVM(req LaunchRequest) (LaunchResult, error) {
-	return c.LaunchVMTraced(obs.SpanContext{}, req)
-}
-
-// LaunchVMTraced is LaunchVM recording its pipeline under parent: one
-// "launch" span with a child span per stage, so the Fig. 9 stage breakdown
-// can be read from real per-request spans.
+// (paper §5.1). The pipeline is recorded under parent: one "launch" span
+// with a child span per stage, so the Fig. 9 stage breakdown can be read
+// from real per-request spans.
 func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (result LaunchResult, retErr error) {
 	flavor, err := image.FlavorByName(req.Flavor)
 	if err != nil {
@@ -808,7 +731,7 @@ func (c *Controller) placeAndAttest(lsp *obs.ActiveSpan, vid string, req LaunchR
 	if err != nil {
 		return false, fmt.Sprintf("server %s unknown: %v", cand.Name, err), properties.Verdict{}, nil
 	}
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if err := mgmt.Connect(ctx); err != nil {
 		// An unreachable server is a candidate failure, not a launch
@@ -850,13 +773,7 @@ func (c *Controller) placeAndAttest(lsp *obs.ActiveSpan, vid string, req LaunchR
 	// the VM before attesting. From here on every failure must unwind the
 	// spawn and the reservation — leaving either behind leaks capacity
 	// until the host is drained.
-	rt, err := c.routeForVM(vid)
-	if err != nil {
-		c.unplace(vid, cand.Name, flavor)
-		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
-		return false, "", properties.Verdict{}, err
-	}
-	if rt, err = c.callRouted(rt, func(rt attestRoute) error {
+	if _, err := c.callVM(vid, func(rt attestRoute) error {
 		return rt.client.CallCtx(ctx, attestsrv.MethodRegisterVM, attestsrv.VMRecord{
 			Vid:           vid,
 			ExpectedImage: golden,
@@ -881,25 +798,15 @@ func (c *Controller) placeAndAttest(lsp *obs.ActiveSpan, vid string, req LaunchR
 	attStart := c.cfg.Clock.Now()
 	asp := lsp.Child("stage:attestation")
 	asp.SetVM(vid, string(properties.StartupIntegrity))
-	c.cfg.Clock.Advance(c.cfg.Latency.HopRTT) // controller ↔ attestation server
-	var rep *wire.Report
-	var n2 cryptoutil.Nonce
-	rt, err = c.callRouted(rt, func(rt attestRoute) error {
-		var aerr error
-		rep, n2, aerr = c.appraise(obs.ContextWith(context.Background(), asp), rt, vid, cand.Name, properties.StartupIntegrity)
-		return aerr
-	})
+	rep, err := c.verifiedAppraisal(asp, vid, cand.Name, properties.StartupIntegrity)
 	if err != nil {
 		asp.EndErr(err)
 		c.teardown(vid)
 		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
+		if isBadReport(err) {
+			return false, fmt.Sprintf("attestation report rejected: %v", err), properties.Verdict{}, nil
+		}
 		return false, fmt.Sprintf("startup attestation failed: %v", err), properties.Verdict{}, nil
-	}
-	if err := wire.VerifyReport(rep, rt.key, vid, properties.StartupIntegrity, n2); err != nil {
-		asp.EndErr(err)
-		c.teardown(vid)
-		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
-		return false, fmt.Sprintf("attestation report rejected: %v", err), properties.Verdict{}, nil
 	}
 	asp.End("")
 	result.Stages = append(result.Stages, StageTiming{Stage: "attestation", Duration: c.cfg.Clock.Now() - attStart})
@@ -928,35 +835,11 @@ func (c *Controller) placeAndAttest(lsp *obs.ActiveSpan, vid string, req LaunchR
 // place intent lets recovery finish the job if this call also fails).
 func (c *Controller) unplace(vid, srv string, flavor image.Flavor) {
 	c.release(srv, flavor)
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if mgmt, err := c.mgmtClient(srv); err == nil {
 		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
 	}
-}
-
-// appraise requests one appraisal, regenerating N2 on every retry attempt
-// so the Attestation Server's replay cache never rejects a re-issue. It
-// returns the nonce the delivered report must answer. ctx may carry a span
-// (obs.ContextWith), under which each RPC attempt records a child span.
-// Taking the attestRoute — not a bare client — keeps routing provenance in
-// the signature: the appraisal goes to the shard the routing layer
-// resolved, and every caller sits inside a callRouted redirect loop.
-func (c *Controller) appraise(ctx context.Context, rt attestRoute, vid, serverID string, p properties.Property) (*wire.Report, cryptoutil.Nonce, error) {
-	var n2 cryptoutil.Nonce
-	var rep wire.Report
-	err := rt.client.CallFresh(ctx, attestsrv.MethodAppraise, func(int) (any, error) {
-		n, err := cryptoutil.NewNonce(c.cfg.Rand)
-		if err != nil {
-			return nil, err
-		}
-		n2 = n
-		return wire.AppraisalRequest{Vid: vid, ServerID: serverID, Prop: p, N2: n}, nil
-	}, &rep)
-	if err != nil {
-		return nil, cryptoutil.Nonce{}, err
-	}
-	return &rep, n2, nil
 }
 
 // storeLastGood caches a verified verdict for degradation.
@@ -986,14 +869,19 @@ func (c *Controller) teardown(vid string) {
 		return
 	}
 	c.release(rec.Server, rec.Flavor)
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if mgmt, err := c.mgmtClient(rec.Server); err == nil {
 		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
 	}
-	if rt, err := c.routeForVM(vid); err == nil {
-		c.callRouted(rt, func(rt attestRoute) error {
-			return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
-		})
-	}
+	c.forgetVM(ctx, vid)
+}
+
+// forgetVM drops a VM's appraisal references and periodic tasks on its
+// owning shard. Best effort: the Attestation Server tolerates appraising a
+// forgotten VM, and a later pass (finalizer, recovery) repeats the call.
+func (c *Controller) forgetVM(ctx context.Context, vid string) {
+	c.callVM(vid, func(rt attestRoute) error {
+		return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
+	})
 }

@@ -1,14 +1,11 @@
 package controller
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"cloudmonatt/internal/attestsrv"
-	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
@@ -261,7 +258,7 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 	if err := c.failpoint("mid-teardown"); err != nil {
 		return err
 	}
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if !migratedOut {
 		mgmt, err := c.mgmtClient(srv)
@@ -274,13 +271,7 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 			return err
 		}
 	}
-	if rt, err := c.routeForVM(vid); err == nil {
-		// Best effort, matching the pre-existing teardown semantics: the
-		// Attestation Server tolerates appraising a forgotten VM.
-		c.callRouted(rt, func(rt attestRoute) error {
-			return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
-		})
-	}
+	c.forgetVM(ctx, vid)
 	c.intentEnd(vid, intentRecord{Op: "terminate", ID: intentID, OK: true})
 	c.mu.Lock()
 	rec.Finalized = true
@@ -431,41 +422,29 @@ func (c *Controller) reattest(rec *vmRecord) {
 	if len(props) == 0 {
 		props = []properties.Property{properties.RuntimeIntegrity}
 	}
-	rt0, err := c.routeForVM(vid)
-	if err != nil {
-		return
-	}
 	sp := c.tracer.Start(obs.SpanContext{}, "controller.reattest")
 	sp.SetVM(vid, "")
 	defer sp.End("")
 	for _, p := range props {
-		c.cfg.Clock.Advance(c.cfg.Latency.HopRTT)
-		var rep *wire.Report
-		var n2 cryptoutil.Nonce
-		rt, err := c.callRouted(rt0, func(rt attestRoute) error {
-			var aerr error
-			rep, n2, aerr = c.appraise(obs.ContextWith(context.Background(), sp), rt, vid, srv, p)
-			return aerr
-		})
+		rep, err := c.verifiedAppraisal(sp, vid, srv, p)
 		if err != nil {
 			var rerr *rpc.RemoteError
-			if !errors.As(err, &rerr) {
-				// Unreachable infrastructure: degrade, never remediate.
-				c.cfg.Metrics.Counter("controller/reattest-degraded").Inc()
-				c.setCond(rec, reconcile.CondAttested, reconcile.Unknown, "InfraUnreachable", err.Error())
-			} else {
+			switch {
+			case isBadReport(err):
+				c.setCond(rec, reconcile.CondAttested, reconcile.False, "BadReport", err.Error())
+			case errors.As(err, &rerr):
 				c.setCond(rec, reconcile.CondAttested, reconcile.False, "AppraisalRefused", rerr.Msg)
+			default:
+				// Unreachable infrastructure: degrade, never remediate.
+				c.metrics.Counter("controller/reattest-degraded").Inc()
+				c.setCond(rec, reconcile.CondAttested, reconcile.Unknown, "InfraUnreachable", err.Error())
 			}
-			continue
-		}
-		if err := wire.VerifyReport(rep, rt.key, vid, p, n2); err != nil {
-			c.setCond(rec, reconcile.CondAttested, reconcile.False, "BadReport", err.Error())
 			continue
 		}
 		c.storeLastGood(vid, p, rep.Verdict)
 		c.setCond(rec, reconcile.CondAttested, reconcile.True, "Verified", string(p))
 		c.observeVerdict(rec, p, rep.Verdict)
-		if !rep.Verdict.Healthy && !rep.Verdict.Unattestable && c.cfg.AutoRespond {
+		if !rep.Verdict.Healthy && !rep.Verdict.Unattestable {
 			c.declareRemediation(rec, p, rep.Verdict.Reason)
 			c.mu.Lock()
 			pending := rec.Pending

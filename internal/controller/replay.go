@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/image"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/properties"
@@ -213,7 +212,7 @@ func (c *Controller) Recover() error {
 			c.recoverCleanup(vid, srv)
 		}
 		delete(openPlaces, vid)
-		c.cfg.Metrics.Counter("controller/recover-torn-launches").Inc()
+		c.metrics.Counter("controller/recover-torn-launches").Inc()
 	}
 	// Torn places under a completed launch cannot happen (a crash kills the
 	// whole launch), but clean up defensively if the fold disagrees.
@@ -251,7 +250,7 @@ func (c *Controller) Recover() error {
 		if p := openRemediate[vid]; p != nil && !rec.Finalized {
 			torn++
 			rec.Pending = p
-			c.cfg.Metrics.Counter("controller/recover-torn-remediations").Inc()
+			c.metrics.Counter("controller/recover-torn-remediations").Inc()
 		}
 		if rec.Deleted && !rec.Finalized {
 			torn++
@@ -269,8 +268,8 @@ func (c *Controller) Recover() error {
 	for _, ev := range eventOrder {
 		c.appendEvent(ev)
 	}
-	c.cfg.Metrics.Counter("controller/recover-replayed-entries").Add(int64(replayed))
-	c.cfg.Metrics.Counter("controller/recover-torn-intents").Add(int64(torn))
+	c.metrics.Counter("controller/recover-replayed-entries").Add(int64(replayed))
+	c.metrics.Counter("controller/recover-torn-intents").Add(int64(torn))
 	c.record(ledger.KindIntent, "", "", "", intentRecord{
 		Phase: "end", Op: "recover", ID: c.intentID(), OK: true,
 	})
@@ -285,14 +284,10 @@ func (c *Controller) Recover() error {
 // candidate server and its appraisal registration. Best effort — the
 // server may never have spawned it, and "no VM" is the converged outcome.
 func (c *Controller) recoverCleanup(vid, srv string) {
-	ctx, cancel := c.opCtx()
+	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if mgmt, err := c.mgmtClient(srv); err == nil {
 		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
 	}
-	if rt, err := c.routeForVM(vid); err == nil {
-		c.callRouted(rt, func(rt attestRoute) error {
-			return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
-		})
-	}
+	c.forgetVM(ctx, vid)
 }

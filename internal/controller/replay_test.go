@@ -24,13 +24,12 @@ import (
 func newRecoverController(t *testing.T, led *ledger.Ledger) *Controller {
 	t.Helper()
 	c := New(Config{
-		Identity:    cryptoutil.MustIdentity("cloud-controller"),
-		Network:     rpc.NewMemNetwork(),
-		Clock:       vclock.New(sim.NewKernel(1)),
-		Latency:     latency.New(1),
-		Rand:        rand.Reader,
-		Ledger:      led,
-		AutoRespond: true,
+		Identity: cryptoutil.MustIdentity("cloud-controller"),
+		Network:  rpc.NewMemNetwork(),
+		Clock:    vclock.New(sim.NewKernel(1)),
+		Latency:  latency.New(1),
+		Rand:     rand.Reader,
+		Ledger:   led,
 	})
 	c.RegisterServer(ServerEntry{
 		Name: "srv-a", Addr: "srv-a",
@@ -153,7 +152,7 @@ func TestRecoverReplayTable(t *testing.T) {
 		if got := c.UsedCapacity("srv-a"); got != (server.Capacity{}) {
 			t.Fatalf("torn launch holds a reservation: %+v", got)
 		}
-		if n := c.cfg.Metrics.Counter("controller/recover-torn-launches").Value(); n != 1 {
+		if n := c.metrics.Counter("controller/recover-torn-launches").Value(); n != 1 {
 			t.Fatalf("recover-torn-launches = %d, want 1", n)
 		}
 		// The torn vid is burned: the counter resumes past it.
@@ -223,7 +222,7 @@ func TestRecoverReplayTable(t *testing.T) {
 		if rec.Pending.Response != Terminate || rec.Pending.Prop != properties.RuntimeIntegrity {
 			t.Fatalf("pending = %+v", rec.Pending)
 		}
-		if n := c.cfg.Metrics.Counter("controller/recover-torn-remediations").Value(); n != 1 {
+		if n := c.metrics.Counter("controller/recover-torn-remediations").Value(); n != 1 {
 			t.Fatalf("recover-torn-remediations = %d, want 1", n)
 		}
 		if !c.ReconcilePending() {
@@ -327,7 +326,7 @@ func TestEventsRingBounded(t *testing.T) {
 	if events[0].Vid != "vm-0003" || events[2].Vid != "vm-0005" {
 		t.Fatalf("ring did not drop oldest: %+v", events)
 	}
-	if n := c.cfg.Metrics.Counter("controller/events-dropped").Value(); n != 2 {
+	if n := c.metrics.Counter("controller/events-dropped").Value(); n != 2 {
 		t.Fatalf("events-dropped = %d, want 2", n)
 	}
 }

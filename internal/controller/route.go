@@ -12,13 +12,23 @@ package controller
 // callRouted retries directly against that named owner. The redirect works
 // even when the controller's own ring is behind, because the error carries
 // the answer — no view refresh sits on the hot path.
+//
+// Two entry points sit on top: verifiedAppraisal is the one requester of
+// protocol hop 2 (controller → attestation shard: fresh N2, appraise,
+// verify), and callVM carries every other VM-addressed request.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"cloudmonatt/internal/attestsrv"
+	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/obs"
+	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/shard"
+	"cloudmonatt/internal/wire"
 )
 
 // attestRoute is one resolved path to an Attestation Server.
@@ -28,33 +38,36 @@ type attestRoute struct {
 	node   string // shard name on the ring
 }
 
+// shardEntry is one registered shard: its channel's name in the peer set
+// and its report-signing public key.
+type shardEntry struct {
+	peer string
+	key  []byte
+}
+
 // RegisterAttestShard records one shard of the attestation plane:
 // its name on the ring, its endpoint, and its report-signing key
 // (provisioned out of band, like any trust anchor). Re-registering a name
-// replaces the endpoint and key.
+// replaces the endpoint and key, and the next route re-dials the new
+// endpoint.
 func (c *Controller) RegisterAttestShard(node, addr string, pub []byte) {
+	e := shardEntry{peer: "attest-" + node, key: append([]byte(nil), pub...)}
+	c.peers.Register(e.peer, addr)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shardAddrs[node] = addr
-	c.shardPubs[node] = append([]byte(nil), pub...)
-	// Drop a stale client so the next route re-dials the new endpoint.
-	delete(c.shardClients, node)
+	c.shards[node] = e
+	c.mu.Unlock()
 }
 
 // routeForNode resolves a route to a named shard.
 func (c *Controller) routeForNode(node string) (attestRoute, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	addr, ok := c.shardAddrs[node]
+	e, ok := c.shards[node]
+	c.mu.Unlock()
 	if !ok {
 		return attestRoute{}, fmt.Errorf("controller: unknown attestation shard %q", node)
 	}
-	cl, ok := c.shardClients[node]
-	if !ok {
-		cl = c.newClient("attest-"+node, addr)
-		c.shardClients[node] = cl
-	}
-	return attestRoute{client: cl, key: c.shardPubs[node], node: node}, nil
+	cl, _ := c.peers.Client(e.peer) // registered with the entry
+	return attestRoute{client: cl, key: e.key, node: node}, nil
 }
 
 // routeForVM resolves the route for a VM-addressed request by ring
@@ -99,18 +112,91 @@ func (c *Controller) callRouted(rt attestRoute, fn func(attestRoute) error) (att
 		if routeErr != nil {
 			return rt, err
 		}
-		c.cfg.Metrics.Counter("controller/wrong-shard-redirects").Inc()
+		c.metrics.Counter("controller/wrong-shard-redirects").Inc()
 		rt = next
 	}
+}
+
+// callVM runs one VM-addressed exchange against the shard owning vid and
+// returns the route that answered. fn issues the call on the route it is
+// handed, so every client still comes off an attestRoute and the method
+// stays a constant the shardroute and noncefresh analyzers can see.
+func (c *Controller) callVM(vid string, fn func(attestRoute) error) (attestRoute, error) {
+	rt, err := c.routeForVM(vid)
+	if err != nil {
+		return rt, err
+	}
+	return c.callRouted(rt, fn)
+}
+
+// badReportError marks a report the answering shard delivered but that
+// failed verification. A verifiedAppraisal failure is one of three classes:
+// this, a shard refusal (*rpc.RemoteError), or — anything else —
+// unreachable infrastructure. It prints as the verification failure.
+type badReportError struct{ err error }
+
+func (e *badReportError) Error() string { return e.err.Error() }
+
+func isBadReport(err error) bool {
+	var bad *badReportError
+	return errors.As(err, &bad)
+}
+
+// verifiedAppraisal is the controller's one requester for protocol hop 2:
+// route by VM id, charge the hop RTT, appraise with a fresh N2 per attempt
+// inside the redirect loop, and verify the report under the key of the
+// shard that answered and that N2. RPC attempts nest under sp (nil when
+// untraced). Callers keep only what a failure of each class means to them.
+func (c *Controller) verifiedAppraisal(sp *obs.ActiveSpan, vid, serverID string, p properties.Property) (*wire.Report, error) {
+	rt, err := c.routeForVM(vid)
+	if err != nil {
+		return nil, err
+	}
+	c.cfg.Clock.Advance(c.cfg.Latency.HopRTT) // controller ↔ attestation server
+	var rep *wire.Report
+	var n2 cryptoutil.Nonce
+	rt, err = c.callRouted(rt, func(rt attestRoute) error {
+		var aerr error
+		rep, n2, aerr = c.appraise(obs.ContextWith(context.Background(), sp), rt, vid, serverID, p)
+		return aerr
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := wire.VerifyReport(rep, rt.key, vid, p, n2); err != nil {
+		return nil, &badReportError{err}
+	}
+	return rep, nil
+}
+
+// appraise requests one appraisal, regenerating N2 on every retry attempt
+// so the Attestation Server's replay cache never rejects a re-issue. It
+// returns the nonce the delivered report must answer. ctx may carry a span
+// (obs.ContextWith), under which each RPC attempt records a child span.
+func (c *Controller) appraise(ctx context.Context, rt attestRoute, vid, serverID string, p properties.Property) (*wire.Report, cryptoutil.Nonce, error) {
+	var n2 cryptoutil.Nonce
+	var rep wire.Report
+	err := rt.client.CallFresh(ctx, attestsrv.MethodAppraise, func(int) (any, error) {
+		n, err := cryptoutil.NewNonce(c.cfg.Rand)
+		if err != nil {
+			return nil, err
+		}
+		n2 = n
+		return wire.AppraisalRequest{Vid: vid, ServerID: serverID, Prop: p, N2: n}, nil
+	}, &rep)
+	if err != nil {
+		return nil, cryptoutil.Nonce{}, err
+	}
+	return &rep, n2, nil
 }
 
 // shardKeys snapshots every registered shard's report-signing key.
 func (c *Controller) shardKeys() [][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([][]byte, 0, len(c.shardPubs))
-	for _, k := range c.shardPubs {
-		out = append(out, append([]byte(nil), k...))
+	out := make([][]byte, 0, len(c.shards))
+	for _, e := range c.shards {
+		out = append(out, e.key)
 	}
 	return out
 }

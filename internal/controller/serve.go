@@ -2,11 +2,9 @@ package controller
 
 import (
 	"fmt"
-	"net"
 
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/rpc"
-	"cloudmonatt/internal/secchan"
 	"cloudmonatt/internal/wire"
 )
 
@@ -104,25 +102,13 @@ func (c *Controller) Handler() rpc.Handler {
 				return nil, err
 			}
 			return rpc.Encode(true)
-		case MethodStopAttestPeriodic:
+		case MethodStopAttestPeriodic, MethodFetchPeriodic:
 			var req wire.StopPeriodicRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
 			sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
-			reps, err := c.StopPeriodic(req)
-			sp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(reps)
-		case MethodFetchPeriodic:
-			var req wire.StopPeriodicRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
-			reps, err := c.FetchPeriodic(req)
+			reps, err := c.DrainPeriodic(req, method == MethodStopAttestPeriodic)
 			sp.EndErr(err)
 			if err != nil {
 				return nil, err
@@ -150,9 +136,4 @@ func (c *Controller) Handler() rpc.Handler {
 		}
 		return nil, fmt.Errorf("controller: unknown method %q", method)
 	}
-}
-
-// Serve starts the nova api endpoint on l.
-func (c *Controller) Serve(l net.Listener, verify secchan.VerifyPeer) {
-	go rpc.Serve(l, secchan.Config{Identity: c.cfg.Identity, Verify: verify, Rand: c.cfg.Rand}, c.Handler())
 }

@@ -56,6 +56,19 @@ const (
 	KindIntent Kind = "intent"
 )
 
+// RPCFault is the payload of every KindRPCFault entry, whichever entity's
+// channel observed the event. Retries fill Method/Attempt/Err, breaker
+// transitions From/To.
+type RPCFault struct {
+	Event   string `json:"event"` // "retry" | "breaker"
+	Peer    string `json:"peer"`
+	Method  string `json:"method,omitempty"`
+	Attempt int    `json:"attempt,omitempty"`
+	Err     string `json:"err,omitempty"`
+	From    string `json:"from,omitempty"`
+	To      string `json:"to,omitempty"`
+}
+
 // Entry is one committed evidence record. Seq, PrevHash and Hash are
 // assigned by the ledger at commit time.
 type Entry struct {

@@ -79,7 +79,7 @@ func (b *breaker) State() BreakerState {
 }
 
 // allow reports whether a call may proceed now; ErrBreakerOpen otherwise.
-func (b *breaker) allow(now time.Time) error {
+func (b *breaker) allow() error {
 	if b.policy.Threshold < 0 {
 		return nil
 	}
@@ -89,7 +89,8 @@ func (b *breaker) allow(now time.Time) error {
 	case BreakerClosed:
 		return nil
 	case BreakerOpen:
-		if now.Sub(b.openedAt) < b.policy.Cooldown {
+		//lint:wallclock the cooldown paces redials of a real peer, like the backoff sleeps; it elapses in real time
+		if time.Since(b.openedAt) < b.policy.Cooldown {
 			return ErrBreakerOpen
 		}
 		b.transition(BreakerHalfOpen)
@@ -120,7 +121,7 @@ func (b *breaker) success() {
 
 // failure records a transport failure, tripping the breaker at the
 // threshold (or immediately when a half-open probe fails).
-func (b *breaker) failure(now time.Time) {
+func (b *breaker) failure() {
 	if b.policy.Threshold < 0 {
 		return
 	}
@@ -128,15 +129,13 @@ func (b *breaker) failure(now time.Time) {
 	defer b.mu.Unlock()
 	b.probing = false
 	b.failures++
-	switch {
-	case b.state == BreakerHalfOpen:
-		b.openedAt = now
+	if b.state == BreakerClosed && b.failures < b.policy.Threshold {
+		return
+	}
+	//lint:wallclock the cooldown is measured from the latest failure in real time (see allow)
+	b.openedAt = time.Now()
+	if b.state != BreakerOpen {
 		b.transition(BreakerOpen)
-	case b.state == BreakerClosed && b.failures >= b.policy.Threshold:
-		b.openedAt = now
-		b.transition(BreakerOpen)
-	case b.state == BreakerOpen:
-		b.openedAt = now
 	}
 }
 

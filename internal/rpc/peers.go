@@ -1,0 +1,137 @@
+package rpc
+
+import (
+	"context"
+	"encoding/json"
+	"sort"
+	"sync"
+	"time"
+
+	"cloudmonatt/internal/ledger"
+	"cloudmonatt/internal/metrics"
+	"cloudmonatt/internal/obs"
+	"cloudmonatt/internal/secchan"
+)
+
+// PeerSetConfig configures the outbound side of one entity.
+type PeerSetConfig struct {
+	// Entity prefixes the fault-tolerance counters:
+	// <Entity>/rpc-retries, /rpc-breaker-transitions, /rpc-breaker-opens.
+	Entity  string
+	Network Network
+	Secchan secchan.Config
+	Retry   RetryPolicy
+	Breaker BreakerPolicy
+	// CallTimeout bounds each attempt (ClientConfig.CallTimeout); it and
+	// Retry also size the OpCtx budget.
+	CallTimeout time.Duration
+	// Idempotent marks the methods safe to blindly re-issue on every peer.
+	Idempotent func(method string) bool
+	Metrics    *metrics.Registry
+	// Ledger, when set, receives one rpc-fault entry per retry and breaker
+	// transition, stamped with Now (the entity's virtual clock).
+	Ledger *ledger.Ledger
+	Now    func() time.Duration
+}
+
+// PeerSet is every outbound channel one entity holds: a peer → address
+// registry, one lazily built ReconnectClient per peer, and the counting
+// and evidence recording of their retries and breaker transitions. It
+// hands out *ReconnectClient, so call sites keep the CallCtx / CallFresh /
+// CallIdem surface the noncefresh and ctxdeadline analyzers police.
+type PeerSet struct {
+	cfg PeerSetConfig
+
+	mu      sync.Mutex
+	addrs   map[string]string
+	clients map[string]*ReconnectClient
+}
+
+// NewPeerSet creates an empty peer set.
+func NewPeerSet(cfg PeerSetConfig) *PeerSet {
+	return &PeerSet{cfg: cfg, addrs: make(map[string]string), clients: make(map[string]*ReconnectClient)}
+}
+
+// Register records (or replaces) a peer's address. A client built for the
+// previous address is dropped, so the next call dials the new one.
+func (ps *PeerSet) Register(peer, addr string) {
+	ps.mu.Lock()
+	ps.addrs[peer] = addr
+	delete(ps.clients, peer)
+	ps.mu.Unlock()
+}
+
+// Client returns the fault-tolerant client for a registered peer, or false
+// for an unknown one. Nothing is dialed until the client's first call.
+func (ps *PeerSet) Client(peer string) (*ReconnectClient, bool) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if rc, ok := ps.clients[peer]; ok {
+		return rc, true
+	}
+	addr, ok := ps.addrs[peer]
+	if !ok {
+		return nil, false
+	}
+	rc := NewReconnectClient(ClientConfig{
+		Network:     ps.cfg.Network,
+		Addr:        addr,
+		Peer:        peer,
+		Secchan:     ps.cfg.Secchan,
+		Retry:       ps.cfg.Retry,
+		Breaker:     ps.cfg.Breaker,
+		CallTimeout: ps.cfg.CallTimeout,
+		Idempotent:  ps.cfg.Idempotent,
+		OnEvent:     ps.onEvent,
+	})
+	ps.clients[peer] = rc
+	return rc, true
+}
+
+// OpCtx bounds one exchange end to end (OpBudget): every entity-originated
+// RPC derives its context here, so a wedged peer can degrade an operation
+// but never wedge its caller.
+func (ps *PeerSet) OpCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), OpBudget(ps.cfg.CallTimeout, ps.cfg.Retry))
+}
+
+// Health reports the breaker state of every channel built so far, sorted
+// by peer, for the operator /healthz endpoint.
+func (ps *PeerSet) Health() []obs.PeerHealth {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	out := make([]obs.PeerHealth, 0, len(ps.clients))
+	for peer, rc := range ps.clients {
+		out = append(out, obs.PeerHealth{Peer: peer, Breaker: rc.BreakerState().String()})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
+	return out
+}
+
+// onEvent counts a retry or breaker transition and records it as evidence.
+// It runs on the calling client's goroutine, possibly concurrently.
+func (ps *PeerSet) onEvent(ev Event) {
+	fault := ledger.RPCFault{Event: string(ev.Kind), Peer: ev.Peer}
+	switch ev.Kind {
+	case EventRetry:
+		ps.cfg.Metrics.Counter(ps.cfg.Entity + "/rpc-retries").Inc()
+		fault.Method, fault.Attempt = ev.Method, ev.Attempt
+		if ev.Err != nil {
+			fault.Err = ev.Err.Error()
+		}
+	case EventBreaker:
+		ps.cfg.Metrics.Counter(ps.cfg.Entity + "/rpc-breaker-transitions").Inc()
+		if ev.To == BreakerOpen {
+			ps.cfg.Metrics.Counter(ps.cfg.Entity + "/rpc-breaker-opens").Inc()
+		}
+		fault.From, fault.To = ev.From.String(), ev.To.String()
+	}
+	if ps.cfg.Ledger == nil {
+		return
+	}
+	payload, err := json.Marshal(fault)
+	if err != nil {
+		return
+	}
+	ps.cfg.Ledger.Append(ledger.Entry{At: ps.cfg.Now(), Kind: ledger.KindRPCFault, Payload: payload})
+}

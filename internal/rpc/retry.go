@@ -107,10 +107,6 @@ type ClientConfig struct {
 	OnEvent func(Event)
 	// Seed makes backoff jitter deterministic; 0 derives a seed from Addr.
 	Seed int64
-	// Now supplies the clock the circuit breaker uses for its open/half-open
-	// cooldown. Tests and the simulator inject a virtual clock so breaker
-	// state machines replay deterministically; nil falls back to wall time.
-	Now func() time.Time
 }
 
 // ReconnectClient is a fault-tolerant RPC client: it dials lazily,
@@ -138,9 +134,6 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = defaultCallTimeout
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		h := fnv.New64a()
@@ -153,9 +146,6 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 	})
 	return rc
 }
-
-// Peer returns the label this client reports in events and errors.
-func (rc *ReconnectClient) Peer() string { return rc.cfg.Peer }
 
 // BreakerState returns the current circuit-breaker state.
 func (rc *ReconnectClient) BreakerState() BreakerState { return rc.breaker.State() }
@@ -227,7 +217,7 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 				return lastErr
 			}
 		}
-		if err := rc.breaker.allow(rc.cfg.Now()); err != nil {
+		if err := rc.breaker.allow(); err != nil {
 			parent.Annotate("breaker", fmt.Sprintf("%s to %s rejected: breaker %s", method, rc.cfg.Peer, rc.breaker.State()))
 			if lastErr != nil {
 				return fmt.Errorf("rpc: %s to %s: %w (last failure: %v)", method, rc.cfg.Peer, err, lastErr)
@@ -253,7 +243,7 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 			rc.breaker.success()
 			return err
 		}
-		rc.breaker.failure(rc.cfg.Now())
+		rc.breaker.failure()
 		lastErr = err
 		if ctx.Err() != nil {
 			return lastErr

@@ -234,34 +234,21 @@ type Peer struct {
 // response body.
 type Handler func(peer Peer, method string, body []byte) ([]byte, error)
 
-// ServeOptions tunes Serve's failure handling.
-type ServeOptions struct {
-	// HandshakeTimeout bounds the secure-channel handshake of each accepted
-	// connection (real time), so a peer that connects and stalls cannot pin
-	// a goroutine forever. Default 15s.
-	HandshakeTimeout time.Duration
-	// IdemCacheSize bounds the idempotency replay cache shared by all of
-	// this listener's connections. Default 1024 responses.
-	IdemCacheSize int
-}
+// handshakeTimeout bounds the secure-channel handshake of each accepted
+// connection (real time), so a peer that connects and stalls cannot pin a
+// goroutine forever.
+const handshakeTimeout = 15 * time.Second
+
+// idemCacheSize bounds the idempotency replay cache shared by all of one
+// listener's connections, in responses.
+const idemCacheSize = 1024
 
 // Serve accepts secure-channel connections on l and dispatches requests to
 // h until the listener is closed. It blocks; run it in a goroutine.
 // Transient Accept failures (ECONNABORTED, fd exhaustion, injected faults)
 // are retried with a short backoff: only a closed listener stops the loop.
 func Serve(l net.Listener, cfg secchan.Config, h Handler) {
-	ServeOpts(l, cfg, h, ServeOptions{})
-}
-
-// ServeOpts is Serve with explicit failure-handling options.
-func ServeOpts(l net.Listener, cfg secchan.Config, h Handler, opts ServeOptions) {
-	if opts.HandshakeTimeout <= 0 {
-		opts.HandshakeTimeout = 15 * time.Second
-	}
-	if opts.IdemCacheSize <= 0 {
-		opts.IdemCacheSize = 1024
-	}
-	idem := newIdemCache(opts.IdemCacheSize)
+	idem := newIdemCache(idemCacheSize)
 	var backoff time.Duration
 	for {
 		raw, err := l.Accept()
@@ -279,14 +266,14 @@ func ServeOpts(l net.Listener, cfg secchan.Config, h Handler, opts ServeOptions)
 			continue
 		}
 		backoff = 0
-		go serveConn(raw, cfg, h, opts.HandshakeTimeout, idem)
+		go serveConn(raw, cfg, h, idem)
 	}
 }
 
-func serveConn(raw net.Conn, cfg secchan.Config, h Handler, hsTimeout time.Duration, idem *idemCache) {
+func serveConn(raw net.Conn, cfg secchan.Config, h Handler, idem *idemCache) {
 	defer raw.Close()
 	//lint:wallclock net.Conn deadlines are kernel wall-clock deadlines by contract
-	raw.SetDeadline(time.Now().Add(hsTimeout))
+	raw.SetDeadline(time.Now().Add(handshakeTimeout))
 	conn, err := secchan.Server(raw, cfg)
 	if err != nil {
 		return // handshake failed: unauthenticated peer or network attacker

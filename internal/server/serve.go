@@ -95,19 +95,13 @@ func (s *Server) Handler() rpc.Handler {
 	}
 }
 
-// Serve starts the RPC endpoint on l with default failure handling. Verify
-// gates which peers may speak to this server (the Attestation Server and
-// the Cloud Controller).
+// Serve starts the RPC endpoint on l. Verify gates which peers may speak
+// to this server (the Attestation Server and the Cloud Controller).
+// Remediation RPCs — terminate, suspend, resume, migrate-out, and launch —
+// arrive bearing idempotency keys from the controller; the rpc layer's
+// per-listener cache executes each key at most once and replays the
+// recorded response to retried duplicates, so a redelivered terminate
+// cannot kill a reincarnated VM.
 func (s *Server) Serve(l net.Listener, verify secchan.VerifyPeer) {
-	s.ServeOpts(l, verify, rpc.ServeOptions{})
-}
-
-// ServeOpts is Serve with explicit failure-handling options (handshake
-// timeout, idempotency-cache size). Remediation RPCs — terminate, suspend,
-// resume, migrate-out, and launch — arrive bearing idempotency keys from
-// the controller; the rpc layer's per-listener cache executes each key at
-// most once and replays the recorded response to retried duplicates, so a
-// redelivered terminate cannot kill a reincarnated VM.
-func (s *Server) ServeOpts(l net.Listener, verify secchan.VerifyPeer, opts rpc.ServeOptions) {
-	go rpc.ServeOpts(l, secchan.Config{Identity: s.Identity(), Verify: verify, Tickets: s.tickets}, s.Handler(), opts)
+	go rpc.Serve(l, secchan.Config{Identity: s.Identity(), Verify: verify, Tickets: s.tickets}, s.Handler())
 }
