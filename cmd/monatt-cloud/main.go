@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/cloudsim"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/customer"
@@ -42,15 +41,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	bootstrapPath := flag.String("bootstrap", "monatt-bootstrap.json", "bootstrap file for monatt-cli")
 	pump := flag.Duration("pump", 200*time.Millisecond, "virtual-clock pump interval (real time)")
-	callTimeout := flag.Duration("call-timeout", 30*time.Second, "per-attempt RPC timeout for inter-entity calls")
-	retries := flag.Int("retries", 4, "max attempts per retryable inter-entity RPC")
 	chaosDrop := flag.Float64("chaos-drop", 0, "inject connection-drop rate (0..1) on every link")
-	chaosDelay := flag.Float64("chaos-delay", 0, "inject per-operation delay rate (0..1) on every link")
-	chaosMaxDelay := flag.Duration("chaos-max-delay", 5*time.Millisecond, "max injected delay per operation")
+	chaosDelay := flag.Float64("chaos-delay", 0, "inject per-operation delay rate (0..1, up to 5ms each) on every link")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection RNG seed")
-	periodicWorkers := flag.Int("periodic-workers", 8, "max concurrent periodic appraisals across all cloud servers")
-	periodicServerCap := flag.Int("periodic-server-cap", 2, "max in-flight periodic appraisals per cloud server")
-	periodicBuffer := flag.Int("periodic-buffer", 64, "undelivered periodic results kept per task (oldest dropped beyond this)")
 	adminAddr := flag.String("admin-addr", "", "serve the operator HTTP surface (/metrics, /healthz, /traces, /debug/pprof) on this address; empty disables it")
 	trustBackend := flag.String("trust-backend", "tpm", "comma-separated trust backends assigned to servers round-robin (tpm, vtpm, sev-snp); a mixed list gives a mixed fleet")
 	reattestEvery := flag.Duration("reattest-every", 0, "virtual-time interval for the reconcile loop to re-attest every active VM; 0 disables")
@@ -82,23 +75,16 @@ func main() {
 			Seed:      *chaosSeed,
 			DropRate:  *chaosDrop,
 			DelayRate: *chaosDelay,
-			MaxDelay:  *chaosMaxDelay,
+			MaxDelay:  5 * time.Millisecond,
 		})
 		fmt.Printf("chaos mode: drop=%.0f%% delay=%.0f%% (seed %d)\n", *chaosDrop*100, *chaosDelay*100, *chaosSeed)
 	}
 	tb, err := cloudsim.New(cloudsim.Options{
-		Seed:        *seed,
-		Servers:     *servers,
-		Shards:      *shards,
-		Backends:    backends,
-		Network:     network,
-		CallTimeout: *callTimeout,
-		Retry:       rpc.RetryPolicy{MaxAttempts: *retries},
-		Periodic: attestsrv.PeriodicConfig{
-			Workers:        *periodicWorkers,
-			ServerInflight: *periodicServerCap,
-			ResultBuffer:   *periodicBuffer,
-		},
+		Seed:          *seed,
+		Servers:       *servers,
+		Shards:        *shards,
+		Backends:      backends,
+		Network:       network,
 		ReattestEvery: *reattestEvery,
 		Resume:        *resume,
 	})

@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/monatt-vet ./...
 //	go run ./cmd/monatt-vet -only consttime,ctxdeadline ./internal/rpc
-//	go run ./cmd/monatt-vet -json -facts-dir .cache/monatt-facts ./...
+//	go run ./cmd/monatt-vet -json ./...
 //	go run ./cmd/monatt-vet -list
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
@@ -21,10 +21,8 @@
 // //lint:ignore <analyzer> <why>; a directive that suppresses nothing is
 // itself a finding.
 //
-// -facts-dir caches per-package analysis facts keyed by a hash of the
-// package's sources, so warm runs skip the facts phase for unchanged
-// packages. -json emits one object per finding (analyzer, pos, message,
-// suppression state) including directive-suppressed ones.
+// -json emits one object per finding (analyzer, pos, message, suppression
+// state) including directive-suppressed ones.
 package main
 
 import (
@@ -49,12 +47,11 @@ type jsonDiag struct {
 
 func main() {
 	var (
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		timing   = flag.Bool("t", false, "print load/analysis wall times and facts-cache stats")
-		exclude  = flag.String("exclude", "", "comma-separated analyzer names to skip")
-		asJSON   = flag.Bool("json", false, "emit findings as JSON lines (includes suppressed findings, marked)")
-		factsDir = flag.String("facts-dir", "", "directory for the per-package facts cache (keyed by source hash)")
+		only    = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list    = flag.Bool("list", false, "list analyzers and exit")
+		timing  = flag.Bool("t", false, "print load and analysis wall times")
+		exclude = flag.String("exclude", "", "comma-separated analyzer names to skip")
+		asJSON  = flag.Bool("json", false, "emit findings as JSON lines (includes suppressed findings, marked)")
 	)
 	flag.Parse()
 
@@ -90,9 +87,8 @@ func main() {
 	tLoad := time.Since(t0)
 
 	t1 := time.Now()
-	diags, stats := lint.Analyze(pkgs, analyzers, lint.AnalyzeOptions{
+	diags := lint.Analyze(pkgs, analyzers, lint.AnalyzeOptions{
 		Loader:         loader,
-		FactsDir:       *factsDir,
 		KeepSuppressed: *asJSON,
 	})
 	tRun := time.Since(t1)
@@ -116,9 +112,8 @@ func main() {
 		fmt.Println(d.String(loader.Fset))
 	}
 	if *timing {
-		fmt.Fprintf(os.Stderr, "monatt-vet: %d packages, load+typecheck %v, analysis %v, facts %d/%d cached\n",
-			len(pkgs), tLoad.Round(time.Millisecond), tRun.Round(time.Millisecond),
-			stats.FactsCached, stats.FactPackages)
+		fmt.Fprintf(os.Stderr, "monatt-vet: %d packages, load+typecheck %v, analysis %v\n",
+			len(pkgs), tLoad.Round(time.Millisecond), tRun.Round(time.Millisecond))
 	}
 	if failing > 0 {
 		fmt.Fprintf(os.Stderr, "monatt-vet: %d finding(s)\n", failing)

@@ -11,38 +11,22 @@ import (
 // They run on the virtual clock from a fixed seed, so the text is
 // deterministic; a refactor of those paths must leave it byte-identical.
 func TestGoldenArtefacts(t *testing.T) {
+	type artefact interface{ Render() string }
 	cases := []struct {
-		name   string
-		render func() (string, error)
+		name string
+		run  func() (artefact, error)
 	}{
-		{"fig9", func() (string, error) {
-			r, err := Fig9(1)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"fig11", func() (string, error) {
-			r, err := Fig11(1)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"table1", func() (string, error) {
-			r, err := Table1(1)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
+		{"fig9", func() (artefact, error) { return Fig9(1) }},
+		{"fig11", func() (artefact, error) { return Fig11(1) }},
+		{"table1", func() (artefact, error) { return Table1(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.render()
+			r, err := tc.run()
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := r.Render()
 			path := filepath.Join("testdata", tc.name+".golden")
 			want, err := os.ReadFile(path)
 			if err != nil {

@@ -761,7 +761,9 @@ func (tb *Testbed) GuestOf(vid string) (*guest.OS, error) {
 }
 
 // LaunchCoResident places a VM directly on a named server (bypassing the
-// scheduler) — how the experiments position attacker VMs next to victims.
+// scheduler) — how the experiments position attacker VMs next to victims
+// ("attack:rfa:<vid>" is the Resource-Freeing attacker of the cached-server
+// VM <vid> hosted there).
 func (tb *Testbed) LaunchCoResident(serverName, workloadName string, pin int) (string, error) {
 	srv, ok := tb.Servers[serverName]
 	if !ok {
@@ -791,31 +793,6 @@ func (tb *Testbed) LaunchCoResident(serverName, workloadName string, pin int) (s
 		Pin:         pin,
 	})
 	if err != nil {
-		return "", err
-	}
-	return vid, nil
-}
-
-// LaunchRFACoResident places a Resource-Freeing attacker next to a
-// cached-server victim on its host.
-func (tb *Testbed) LaunchRFACoResident(targetVid string, pin int) (string, error) {
-	srv, err := tb.ServerOf(targetVid)
-	if err != nil {
-		return "", err
-	}
-	tb.mu.Lock()
-	tb.nextCoVM++
-	vid := fmt.Sprintf("covm-%03d", tb.nextCoVM)
-	tb.mu.Unlock()
-	img, err := tb.Images.Get("cirros")
-	if err != nil {
-		return "", err
-	}
-	flavor, err := image.FlavorByName("small")
-	if err != nil {
-		return "", err
-	}
-	if err := srv.LaunchRFA(vid, targetVid, flavor, pin, img.Digest()); err != nil {
 		return "", err
 	}
 	return vid, nil

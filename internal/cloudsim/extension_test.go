@@ -211,7 +211,7 @@ func TestRFADetectedAndMigrated(t *testing.T) {
 	}
 
 	// The RFA attacker arrives on the same pCPU.
-	if _, err := tb.LaunchRFACoResident(res.Vid, 1); err != nil {
+	if _, err := tb.LaunchCoResident(srcServer, "attack:rfa:"+res.Vid, 1); err != nil {
 		t.Fatal(err)
 	}
 	tb.RunFor(2 * time.Second)

@@ -287,37 +287,33 @@ func (c *Controller) TerminateVM(vid string) error {
 
 // SuspendVM pauses a VM (#2 Suspension).
 func (c *Controller) SuspendVM(vid string) error {
-	c.mu.Lock()
-	rec, ok := c.vms[vid]
-	if !ok || rec.State != "active" {
-		c.mu.Unlock()
-		return fmt.Errorf("controller: no active VM %q", vid)
-	}
-	rec.State = "suspended"
-	srv := rec.Server
-	c.mu.Unlock()
-	mgmt, err := c.mgmtClient(srv)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
-	if err := mgmt.CallCtx(ctx, server.MethodSuspend, server.VidRequest{Vid: vid}, nil); err != nil {
-		return err
-	}
-	c.stateIntent(vid, "suspended")
-	return nil
+	return c.setRunState(vid, "active", "suspended")
 }
 
 // ResumeVM continues a suspended VM after the platform re-attests healthy.
 func (c *Controller) ResumeVM(vid string) error {
+	if err := c.setRunState(vid, "suspended", "active"); err != nil {
+		return err
+	}
+	c.record(ledger.KindRemediation, vid, "", "", struct {
+		Response string `json:"response"`
+	}{"resume"})
+	return nil
+}
+
+// setRunState is the one host-state transition: it pauses (to "suspended")
+// or continues (to "active") the guest on its host, and only once the host
+// has acknowledged does it flip the record and append the state intent a
+// restarted controller replays. A transition the host never saw changes
+// nothing: a failed suspension stays a pending remediation over an "active"
+// VM, never a recorded one over a compromised guest that is still running.
+func (c *Controller) setRunState(vid, from, to string) error {
 	c.mu.Lock()
 	rec, ok := c.vms[vid]
-	if !ok || rec.State != "suspended" {
+	if !ok || rec.State != from {
 		c.mu.Unlock()
-		return fmt.Errorf("controller: VM %q is not suspended", vid)
+		return fmt.Errorf("controller: VM %q is not %s", vid, from)
 	}
-	rec.State = "active"
 	srv := rec.Server
 	c.mu.Unlock()
 	mgmt, err := c.mgmtClient(srv)
@@ -326,16 +322,20 @@ func (c *Controller) ResumeVM(vid string) error {
 	}
 	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
-	if err := mgmt.CallCtx(ctx, server.MethodResume, server.VidRequest{Vid: vid}, nil); err != nil {
+	if to == "suspended" {
+		err = mgmt.CallCtx(ctx, server.MethodSuspend, server.VidRequest{Vid: vid}, nil)
+	} else {
+		err = mgmt.CallCtx(ctx, server.MethodResume, server.VidRequest{Vid: vid}, nil)
+	}
+	if err != nil {
 		return err
 	}
-	// Mirror SuspendVM: without the state intent, a controller restart
-	// replays the ledger to "suspended" and the recovered record disagrees
-	// with the running guest.
-	c.stateIntent(vid, "active")
-	c.record(ledger.KindRemediation, vid, "", "", struct {
-		Response string `json:"response"`
-	}{"resume"})
+	c.mu.Lock()
+	if rec.State == from { // a teardown declared meanwhile wins
+		rec.State = to
+	}
+	c.mu.Unlock()
+	c.stateIntent(vid, to)
 	return nil
 }
 
@@ -410,7 +410,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 
 	// The ring shards by VM id, so appraisal ownership follows the VM to any
 	// host and every qualified server is a candidate.
-	cands := c.candidates(flavor, props, src)
+	cands := c.candidates(flavor, props, "", src)
 	if len(cands) == 0 {
 		return "", fmt.Errorf("controller: no qualified destination for %s", vid)
 	}
@@ -444,15 +444,9 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		}
 	}
 
-	destMgmt, err := c.mgmtClient(dest.Name)
-	if err != nil {
-		return "", err
-	}
-	var launched bool
-	if err := destMgmt.CallIdem(ctx, server.MethodLaunch, rpc.NewIdemKey(), spec, &launched); err != nil {
+	if err := c.spawn(ctx, dest.Name, spec); err != nil {
 		return "", fmt.Errorf("controller: relaunch on %s failed: %w", dest.Name, err)
 	}
-	c.reserve(dest.Name, flavor)
 	c.mu.Lock()
 	rec.Server = dest.Name
 	rec.MigratedOut = false

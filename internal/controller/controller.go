@@ -446,60 +446,42 @@ func (c *Controller) mgmtClient(name string) (*rpc.ReconnectClient, error) {
 
 // candidates returns servers passing the property_filter (capability check)
 // and the capacity filter, best-first (most free vCPUs, then memory — the
-// OpenStack workload-balance weigher).
-func (c *Controller) candidates(f image.Flavor, props []properties.Property, exclude string) []*ServerEntry {
+// OpenStack workload-balance weigher). A named server is an explicitly
+// requested placement: only it is considered, regardless of its property
+// support (LaunchRequest.Server documents why); capacity is still enforced.
+func (c *Controller) candidates(f image.Flavor, props []properties.Property, named, exclude string) []*ServerEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	free := func(e *ServerEntry) server.Capacity { return e.Capacity.Minus(c.used[e.Name]) }
 	var out []*ServerEntry
 	for _, e := range c.servers {
-		if e.Name == exclude {
+		if e.Name == exclude || (named != "" && e.Name != named) {
 			continue
 		}
-		if !e.supports(props) {
+		if named == "" && !e.supports(props) {
 			continue
 		}
-		used := c.used[e.Name]
-		if f.VCPUs > e.Capacity.VCPUs-used.VCPUs ||
-			f.MemoryMB > e.Capacity.MemoryMB-used.MemoryMB ||
-			f.DiskGB > e.Capacity.DiskGB-used.DiskGB {
+		if !free(e).Fits(f) {
 			continue
 		}
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		ui, uj := c.used[out[i].Name], c.used[out[j].Name]
-		fi := out[i].Capacity.VCPUs - ui.VCPUs
-		fj := out[j].Capacity.VCPUs - uj.VCPUs
-		if fi != fj {
-			return fi > fj
-		}
-		mi := out[i].Capacity.MemoryMB - ui.MemoryMB
-		mj := out[j].Capacity.MemoryMB - uj.MemoryMB
-		if mi != mj {
-			return mi > mj
+		if d := roomier(free(out[i]), free(out[j])); d != 0 {
+			return d > 0
 		}
 		return out[i].Name < out[j].Name
 	})
 	return out
 }
 
-// namedCandidate resolves an explicitly requested placement: the named
-// server if it exists and has capacity, regardless of its property
-// support (LaunchRequest.Server documents why).
-func (c *Controller) namedCandidate(f image.Flavor, name string) []*ServerEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.servers[name]
-	if !ok {
-		return nil
+// roomier is the weigher's order on free capacity: positive when a has more
+// free vCPUs than b or, at equal vCPUs, more free memory; zero on a tie.
+func roomier(a, b server.Capacity) int {
+	if d := a.VCPUs - b.VCPUs; d != 0 {
+		return d
 	}
-	used := c.used[name]
-	if f.VCPUs > e.Capacity.VCPUs-used.VCPUs ||
-		f.MemoryMB > e.Capacity.MemoryMB-used.MemoryMB ||
-		f.DiskGB > e.Capacity.DiskGB-used.DiskGB {
-		return nil
-	}
-	return []*ServerEntry{e}
+	return a.MemoryMB - b.MemoryMB
 }
 
 // serverBackend reports a registered server's trust backend ("tpm" when
@@ -517,21 +499,13 @@ func (c *Controller) serverBackend(name string) string {
 func (c *Controller) reserve(name string, f image.Flavor) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	u := c.used[name]
-	u.VCPUs += f.VCPUs
-	u.MemoryMB += f.MemoryMB
-	u.DiskGB += f.DiskGB
-	c.used[name] = u
+	c.used[name] = c.used[name].Add(f)
 }
 
 func (c *Controller) release(name string, f image.Flavor) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	u := c.used[name]
-	u.VCPUs -= f.VCPUs
-	u.MemoryMB -= f.MemoryMB
-	u.DiskGB -= f.DiskGB
-	c.used[name] = u
+	c.used[name] = c.used[name].Sub(f)
 }
 
 // UsedCapacity reports the resources currently reserved on a server. Every
@@ -580,6 +554,29 @@ type LaunchResult struct {
 	Reason  string
 	Stages  []StageTiming
 	Verdict properties.Verdict // startup attestation result
+}
+
+// launchOp is one launch request on its way through the pipeline: what was
+// asked for, resolved once, plus the span and result every stage reports
+// into.
+type launchOp struct {
+	c      *Controller
+	vid    string
+	req    LaunchRequest
+	flavor image.Flavor
+	img    *image.Image
+	golden [32]byte
+	span   *obs.ActiveSpan // the "launch" span; nil-safe when untraced
+	result *LaunchResult
+}
+
+// stage charges one modeled pipeline stage: a child span of the launch
+// span around the virtual-clock advance, and a row of the Fig. 9 breakdown.
+func (l *launchOp) stage(name string, d time.Duration) {
+	ssp := l.span.Child("stage:" + name)
+	l.c.cfg.Clock.Advance(d)
+	ssp.End("")
+	l.result.Stages = append(l.result.Stages, StageTiming{Stage: name, Duration: d})
 }
 
 // LaunchVMTraced runs the launch pipeline: Scheduling → Networking →
@@ -659,22 +656,12 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 			Op: "launch", ID: launchIntent, OK: result.OK, Server: result.Server,
 		})
 	}()
-	stage := func(name string, d time.Duration) {
-		ssp := lsp.Child("stage:" + name)
-		c.cfg.Clock.Advance(d)
-		ssp.End("")
-		result.Stages = append(result.Stages, StageTiming{Stage: name, Duration: d})
-	}
+	l := &launchOp{c: c, vid: vid, req: req, flavor: flavor, img: img, golden: golden, span: lsp, result: &result}
 
 	// Stage 1: Scheduling (the property_filter consults the capability DB,
 	// unless the request pins an explicit server).
-	var cands []*ServerEntry
-	if req.Server != "" {
-		cands = c.namedCandidate(flavor, req.Server)
-	} else {
-		cands = c.candidates(flavor, req.Props, "")
-	}
-	stage("scheduling", c.cfg.Latency.Scheduling(len(c.servers)))
+	cands := c.candidates(flavor, req.Props, req.Server, "")
+	l.stage("scheduling", c.cfg.Latency.Scheduling(len(c.servers)))
 	if len(cands) == 0 {
 		if req.Server != "" {
 			result.Reason = fmt.Sprintf("requested server %s is unknown or lacks capacity", req.Server)
@@ -686,19 +673,12 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 
 	// Stages 2–5, retrying on another qualified server if the platform
 	// fails its integrity attestation.
-	for attempt, cand := range cands {
-		ok, reason, verdict, err := c.placeAndAttest(lsp, vid, req, flavor, img, golden, cand, &result, attempt == 0)
-		if err != nil {
+	for _, cand := range cands {
+		placed, err := l.place(cand)
+		if err != nil || placed {
 			return result, err
 		}
-		result.Verdict = verdict
-		if ok {
-			result.OK = true
-			result.Server = cand.Name
-			return result, nil
-		}
-		result.Reason = reason
-		if verdict.Details["component"] == "" && !verdict.Healthy && verdictBlamesImage(verdict) {
+		if v := result.Verdict; v.Details["component"] == "" && !v.Healthy && verdictBlamesImage(v) {
 			// Compromised VM image: rejecting, not rescheduling.
 			return result, nil
 		}
@@ -718,128 +698,162 @@ func verdictBlamesImage(v properties.Verdict) bool {
 	return strings.Contains(v.Reason, "image")
 }
 
-// placeAndAttest runs stages 2–5 on one candidate server, recording each
-// stage as a child span of lsp (the launch span; nil when untraced).
-func (c *Controller) placeAndAttest(lsp *obs.ActiveSpan, vid string, req LaunchRequest, flavor image.Flavor, img *image.Image, golden [32]byte, cand *ServerEntry, result *LaunchResult, firstAttempt bool) (bool, string, properties.Verdict, error) {
-	stage := func(name string, d time.Duration) {
-		ssp := lsp.Child("stage:" + name)
-		c.cfg.Clock.Advance(d)
-		ssp.End("")
-		result.Stages = append(result.Stages, StageTiming{Stage: name, Duration: d})
-	}
-	mgmt, err := c.mgmtClient(cand.Name)
-	if err != nil {
-		return false, fmt.Sprintf("server %s unknown: %v", cand.Name, err), properties.Verdict{}, nil
-	}
+// place runs stages 2–5 on one candidate server and reports whether the VM
+// now runs there. If not, l.result says why (and carries the failing
+// verdict when the attestation produced one), and the one deferred block
+// below has undone whatever the attempt created.
+func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
+	c, res := l.c, l.result
+	res.Verdict = properties.Verdict{}
+	mgmt, _ := c.peers.Client(cand.peer) // registered with the entry
 	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if err := mgmt.Connect(ctx); err != nil {
 		// An unreachable server is a candidate failure, not a launch
 		// failure: the scheduler moves on to the next qualified host.
-		return false, fmt.Sprintf("server %s unreachable: %v", cand.Name, err), properties.Verdict{}, nil
+		res.Reason = fmt.Sprintf("server %s unreachable: %v", cand.Name, err)
+		return false, nil
 	}
 
-	stage("networking", c.cfg.Latency.Networking(flavor))
-	stage("block_device_mapping", c.cfg.Latency.BlockDeviceMapping(flavor))
+	l.stage("networking", c.cfg.Latency.Networking(l.flavor))
+	l.stage("block_device_mapping", c.cfg.Latency.BlockDeviceMapping(l.flavor))
 
-	spec := server.LaunchSpec{
-		Vid:         vid,
-		ImageName:   req.ImageName,
-		ImageDigest: img.Digest(), // what actually arrived at the server
-		Flavor:      flavor,
-		Workload:    req.Workload,
-		Pin:         req.Pin,
-	}
 	// The place intent goes in *before* the spawn: a crash after the guest
 	// exists but before any completion record leaves a torn place intent
 	// naming the server, which recovery cleans up.
-	placeIntent := c.intentBegin(vid, "", intentRecord{Op: "place", Server: cand.Name})
-	var launched bool
-	// The idempotency key lets the spawn be retried without double-booking
-	// the host if only the response was lost.
-	if err := mgmt.CallIdem(ctx, server.MethodLaunch, rpc.NewIdemKey(), spec, &launched); err != nil {
-		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
-		return false, fmt.Sprintf("spawn failed on %s: %v", cand.Name, err), properties.Verdict{}, nil
+	placeIntent := c.intentBegin(l.vid, "", intentRecord{Op: "place", Server: cand.Name})
+	// Every failure from here on undoes what the attempt got to — a guest or
+	// reservation left behind leaks capacity until the host is drained — and
+	// closes the place intent as failed. A crash undoes nothing: guest,
+	// reservation and both intents stay torn for Recover.
+	spawned, rowInstalled := false, false
+	defer func() {
+		if placed || errors.Is(err, ErrCrash) {
+			return
+		}
+		if rowInstalled {
+			c.mu.Lock()
+			delete(c.vms, l.vid)
+			c.mu.Unlock()
+		}
+		if spawned {
+			c.release(cand.Name, l.flavor)
+			// Best effort, on a budget of its own: the attempt's may be
+			// what ran out, and the host may be what failed.
+			ectx, ecancel := c.peers.OpCtx()
+			defer ecancel()
+			_ = c.evict(ectx, l.vid, cand.Name)
+		}
+		c.intentEnd(l.vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
+	}()
+
+	if err := c.spawn(ctx, cand.Name, server.LaunchSpec{
+		Vid:         l.vid,
+		ImageName:   l.req.ImageName,
+		ImageDigest: l.img.Digest(), // what actually arrived at the server
+		Flavor:      l.flavor,
+		Workload:    l.req.Workload,
+		Pin:         l.req.Pin,
+	}); err != nil {
+		res.Reason = fmt.Sprintf("spawn failed on %s: %v", cand.Name, err)
+		return false, nil
 	}
-	c.reserve(cand.Name, flavor)
-	stage("spawning", c.cfg.Latency.Spawning(img, flavor))
+	spawned = true
+	l.stage("spawning", c.cfg.Latency.Spawning(l.img, l.flavor))
 	if err := c.failpoint("launch-spawned"); err != nil {
-		// Crash with the guest live on the host, the reservation held in
-		// memory only, and both the launch and place intents torn.
-		return false, "", properties.Verdict{}, err
+		return false, err
 	}
 
 	// Register appraisal references with the VM's owning shard and record
-	// the VM before attesting. From here on every failure must unwind the
-	// spawn and the reservation — leaving either behind leaks capacity
-	// until the host is drained.
-	if _, err := c.callVM(vid, func(rt attestRoute) error {
+	// the VM before attesting.
+	if _, err := c.callVM(l.vid, func(rt attestRoute) error {
 		return rt.client.CallCtx(ctx, attestsrv.MethodRegisterVM, attestsrv.VMRecord{
-			Vid:           vid,
-			ExpectedImage: golden,
-			TaskAllowlist: req.Allowlist,
-			MinCPUShare:   req.MinShare,
+			Vid:           l.vid,
+			ExpectedImage: l.golden,
+			TaskAllowlist: l.req.Allowlist,
+			MinCPUShare:   l.req.MinShare,
 		}, nil)
 	}); err != nil {
-		c.unplace(vid, cand.Name, flavor)
-		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
-		return false, "", properties.Verdict{}, err
+		return false, err
+	}
+	rec := &vmRecord{
+		Vid: l.vid, Owner: l.req.Owner, Server: cand.Name,
+		ImageName: l.req.ImageName, Flavor: l.flavor, Props: l.req.Props,
+		Allowlist: l.req.Allowlist, MinShare: l.req.MinShare,
+		Workload: l.req.Workload, State: "active",
 	}
 	c.mu.Lock()
-	c.vms[vid] = &vmRecord{
-		Vid: vid, Owner: req.Owner, Server: cand.Name,
-		ImageName: req.ImageName, Flavor: flavor, Props: req.Props,
-		Allowlist: req.Allowlist, MinShare: req.MinShare,
-		Workload: req.Workload, State: "active",
-	}
+	c.vms[l.vid] = rec
 	c.mu.Unlock()
+	rowInstalled = true
 
 	// Stage 5: Attestation — startup integrity of platform and image.
 	attStart := c.cfg.Clock.Now()
-	asp := lsp.Child("stage:attestation")
-	asp.SetVM(vid, string(properties.StartupIntegrity))
-	rep, err := c.verifiedAppraisal(asp, vid, cand.Name, properties.StartupIntegrity)
+	asp := l.span.Child("stage:attestation")
+	asp.SetVM(l.vid, string(properties.StartupIntegrity))
+	rep, err := c.verifiedAppraisal(asp, l.vid, cand.Name, properties.StartupIntegrity)
 	if err != nil {
 		asp.EndErr(err)
-		c.teardown(vid)
-		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
+		what := "startup attestation failed"
 		if isBadReport(err) {
-			return false, fmt.Sprintf("attestation report rejected: %v", err), properties.Verdict{}, nil
+			what = "attestation report rejected"
 		}
-		return false, fmt.Sprintf("startup attestation failed: %v", err), properties.Verdict{}, nil
+		res.Reason = fmt.Sprintf("%s: %v", what, err)
+		return false, nil
 	}
 	asp.End("")
-	result.Stages = append(result.Stages, StageTiming{Stage: "attestation", Duration: c.cfg.Clock.Now() - attStart})
+	res.Stages = append(res.Stages, StageTiming{Stage: "attestation", Duration: c.cfg.Clock.Now() - attStart})
 
+	res.Verdict = rep.Verdict
 	if !rep.Verdict.Healthy {
-		c.teardown(vid)
-		c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
-		return false, rep.Verdict.Reason, rep.Verdict, nil
+		res.Reason = rep.Verdict.Reason
+		return false, nil
 	}
-	c.storeLastGood(vid, properties.StartupIntegrity, rep.Verdict)
-	c.intentEnd(vid, intentRecord{Op: "place", ID: placeIntent, OK: true, Server: cand.Name})
-	c.mu.Lock()
-	rec := c.vms[vid]
-	c.mu.Unlock()
+	c.storeLastGood(l.vid, properties.StartupIntegrity, rep.Verdict)
+	c.intentEnd(l.vid, intentRecord{Op: "place", ID: placeIntent, OK: true, Server: cand.Name})
 	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Scheduled", cand.Name)
 	c.setCond(rec, reconcile.CondAttested, reconcile.True, "Verified", string(properties.StartupIntegrity))
 	c.setCond(rec, reconcile.CondHealthy, reconcile.True, "Verified", string(properties.StartupIntegrity))
 	// Hand the VM to the reconcile loop (periodic re-attestation rides on
 	// its requeue-after schedule).
-	c.loop.Enqueue(vid)
-	return true, "", rep.Verdict, nil
+	c.loop.Enqueue(l.vid)
+	res.OK, res.Server = true, cand.Name
+	return true, nil
 }
 
-// unplace reverses a spawn that will not become a VM: release the
-// reservation and terminate the guest on the host (best effort; the torn
-// place intent lets recovery finish the job if this call also fails).
-func (c *Controller) unplace(vid, srv string, flavor image.Flavor) {
-	c.release(srv, flavor)
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
-	if mgmt, err := c.mgmtClient(srv); err == nil {
-		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
+// spawn starts a guest on a host and books its flavor against the host in
+// the controller's capacity ledger — launch stage 4 and a migration's
+// relaunch. The idempotency key lets the call be retried without
+// double-booking the host if only the response was lost.
+func (c *Controller) spawn(ctx context.Context, srv string, spec server.LaunchSpec) error {
+	mgmt, err := c.mgmtClient(srv)
+	if err != nil {
+		return err
 	}
+	var launched bool
+	if err := mgmt.CallIdem(ctx, server.MethodLaunch, rpc.NewIdemKey(), spec, &launched); err != nil {
+		return err
+	}
+	c.reserve(srv, spec.Flavor)
+	return nil
+}
+
+// evict takes a guest off a host and drops its appraisal state on its
+// owning shard: the one way a VM leaves the fleet, whether a launch is
+// unwinding, a teardown finalizing or recovery sweeping a torn placement.
+// Idempotent — "no VM" from the host is the converged outcome of an earlier
+// pass — so callers simply repeat it after a transport failure. Capacity is
+// the caller's to release: only it knows whether a reservation is held.
+func (c *Controller) evict(ctx context.Context, vid, srv string) error {
+	mgmt, err := c.mgmtClient(srv)
+	if err != nil {
+		return err
+	}
+	if err := mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
+		return err
+	}
+	c.forgetVM(ctx, vid)
+	return nil
 }
 
 // storeLastGood caches a verified verdict for degradation.
@@ -855,26 +869,6 @@ func (c *Controller) lastGoodFor(vid string, p properties.Property) (lastVerdict
 	defer c.mu.Unlock()
 	lg, ok := c.lastGood[vid+"|"+string(p)]
 	return lg, ok
-}
-
-// teardown removes a VM that failed its launch attestation.
-func (c *Controller) teardown(vid string) {
-	c.mu.Lock()
-	rec, ok := c.vms[vid]
-	if ok {
-		delete(c.vms, vid)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return
-	}
-	c.release(rec.Server, rec.Flavor)
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
-	if mgmt, err := c.mgmtClient(rec.Server); err == nil {
-		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
-	}
-	c.forgetVM(ctx, vid)
 }
 
 // forgetVM drops a VM's appraisal references and periodic tasks on its

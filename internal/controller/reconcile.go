@@ -236,10 +236,9 @@ func (c *Controller) reconcileVM(vid string) (reconcile.Result, error) {
 }
 
 // finalizeTeardown finishes a declared teardown: release the capacity
-// reservation (once per process lifetime), terminate the guest on the
-// host, forget the appraisal registration, and close the terminate
-// intent. Each step is idempotent, so a pass interrupted by a transport
-// failure (or a crash) is simply resumed by the next one.
+// reservation (once per process lifetime), evict the guest, and close the
+// terminate intent. Each step is idempotent, so a pass interrupted by a
+// transport failure (or a crash) is simply resumed by the next one.
 func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 	c.mu.Lock()
 	vid, srv, flavor := rec.Vid, rec.Server, rec.Flavor
@@ -260,18 +259,13 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 	}
 	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
-	if !migratedOut {
-		mgmt, err := c.mgmtClient(srv)
-		if err != nil {
-			return err
-		}
-		if err := mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
-			// Transport failure: the finalizer retries on the next pass
-			// (half-finished teardowns always finish).
-			return err
-		}
+	if migratedOut {
+		c.forgetVM(ctx, vid) // on no host: only the appraisal references are left
+	} else if err := c.evict(ctx, vid, srv); err != nil {
+		// Transport failure: the finalizer retries on the next pass
+		// (half-finished teardowns always finish).
+		return err
 	}
-	c.forgetVM(ctx, vid)
 	c.intentEnd(vid, intentRecord{Op: "terminate", ID: intentID, OK: true})
 	c.mu.Lock()
 	rec.Finalized = true

@@ -8,8 +8,6 @@ import (
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/reconcile"
-	"cloudmonatt/internal/rpc"
-	"cloudmonatt/internal/server"
 )
 
 // Recover rebuilds the controller's desired state and in-flight intents
@@ -36,10 +34,7 @@ func (c *Controller) Recover() error {
 		return fmt.Errorf("controller: recovery requires a ledger")
 	}
 
-	type launchBegin struct {
-		ir intentRecord
-	}
-	launchBegins := make(map[string]*launchBegin)         // vid → open launch
+	launchBegins := make(map[string]intentRecord)         // vid → open launch
 	openPlaces := make(map[string]map[string]string)      // vid → intent id → server
 	openRemediate := make(map[string]*pendingRemediation) // vid → torn remediation
 	recs := make(map[string]*vmRecord)
@@ -61,6 +56,19 @@ func (c *Controller) Recover() error {
 	flavorOf := func(name string) (image.Flavor, bool) {
 		f, err := image.FlavorByName(name)
 		return f, err == nil
+	}
+	// foldFinalized folds a completed teardown, however it was declared: the
+	// row is gone for good and its reservation is given back exactly once.
+	foldFinalized := func(rec *vmRecord) {
+		if rec.Finalized {
+			return
+		}
+		rec.State = "terminated"
+		rec.Deleted, rec.Finalized = true, true
+		if !rec.MigratedOut { // a half-migrated VM holds no reservation
+			c.release(rec.Server, rec.Flavor)
+		}
+		rec.MigratedOut = false
 	}
 
 	cur := c.cfg.Ledger.Cursor()
@@ -84,28 +92,27 @@ func (c *Controller) Recover() error {
 			switch {
 			case ir.Op == "launch" && ir.Phase == "begin":
 				noteVid(e.Vid)
-				launchBegins[e.Vid] = &launchBegin{ir: ir}
+				launchBegins[e.Vid] = ir
 			case ir.Op == "launch" && ir.Phase == "end":
-				lb := launchBegins[e.Vid]
+				lb, begun := launchBegins[e.Vid]
 				delete(launchBegins, e.Vid)
-				if !ir.OK || lb == nil {
+				if !ir.OK || !begun {
 					break
 				}
-				flavor, okF := flavorOf(lb.ir.Flavor)
+				flavor, okF := flavorOf(lb.Flavor)
 				if !okF {
 					break
 				}
-				props := make([]properties.Property, len(lb.ir.Props))
-				for i, p := range lb.ir.Props {
+				props := make([]properties.Property, len(lb.Props))
+				for i, p := range lb.Props {
 					props[i] = properties.Property(p)
 				}
-				nr := &vmRecord{
-					Vid: e.Vid, Owner: lb.ir.Owner, Server: ir.Server,
-					ImageName: lb.ir.Image, Flavor: flavor, Props: props,
-					Allowlist: lb.ir.Allowlist, MinShare: lb.ir.MinShare,
-					Workload: lb.ir.Workload, State: "active",
+				recs[e.Vid] = &vmRecord{
+					Vid: e.Vid, Owner: lb.Owner, Server: ir.Server,
+					ImageName: lb.Image, Flavor: flavor, Props: props,
+					Allowlist: lb.Allowlist, MinShare: lb.MinShare,
+					Workload: lb.Workload, State: "active",
 				}
-				recs[e.Vid] = nr
 				c.reserve(ir.Server, flavor)
 			case ir.Op == "place" && ir.Phase == "begin":
 				if openPlaces[e.Vid] == nil {
@@ -140,15 +147,7 @@ func (c *Controller) Recover() error {
 				case ir.Terminated:
 					// The remediation completion is only written after the
 					// termination fully finalized.
-					rec.State = "terminated"
-					rec.Deleted = true
-					if !rec.Finalized {
-						rec.Finalized = true
-						if !rec.MigratedOut {
-							c.release(rec.Server, rec.Flavor)
-						}
-					}
-					rec.MigratedOut = false
+					foldFinalized(rec)
 				case ResponseKind(ir.Response) == Suspend:
 					rec.State = "suspended"
 					rec.SuspendedFor = ev.Prop
@@ -160,13 +159,8 @@ func (c *Controller) Recover() error {
 					rec.terminateIntent = ir.ID
 				}
 			case ir.Op == "terminate" && ir.Phase == "end":
-				if rec != nil && !rec.Finalized {
-					rec.State = "terminated"
-					rec.Deleted, rec.Finalized = true, true
-					if !rec.MigratedOut {
-						c.release(rec.Server, rec.Flavor)
-					}
-					rec.MigratedOut = false
+				if rec != nil {
+					foldFinalized(rec)
 				}
 			case ir.Op == "migrate-out":
 				if rec != nil && !rec.MigratedOut {
@@ -206,10 +200,17 @@ func (c *Controller) Recover() error {
 	// candidate server — clean both up, best effort; the VM row never
 	// materializes, so the customer simply saw the launch fail.
 	torn := 0
+	sweep := func(vid, srv string) {
+		torn++
+		ctx, cancel := c.peers.OpCtx()
+		defer cancel()
+		// Best effort: the server may never have spawned the guest ("no VM"
+		// is the converged outcome) or be gone itself.
+		_ = c.evict(ctx, vid, srv)
+	}
 	for vid := range launchBegins {
 		for _, srv := range openPlaces[vid] {
-			torn++
-			c.recoverCleanup(vid, srv)
+			sweep(vid, srv)
 		}
 		delete(openPlaces, vid)
 		c.metrics.Counter("controller/recover-torn-launches").Inc()
@@ -222,8 +223,7 @@ func (c *Controller) Recover() error {
 			if rec != nil && rec.Server == srv {
 				continue
 			}
-			torn++
-			c.recoverCleanup(vid, srv)
+			sweep(vid, srv)
 		}
 	}
 
@@ -278,16 +278,4 @@ func (c *Controller) Recover() error {
 	// schedule periodic re-attestation for the survivors.
 	c.loop.ProcessReady()
 	return nil
-}
-
-// recoverCleanup removes the debris of a torn placement: the guest on the
-// candidate server and its appraisal registration. Best effort — the
-// server may never have spawned it, and "no VM" is the converged outcome.
-func (c *Controller) recoverCleanup(vid, srv string) {
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
-	if mgmt, err := c.mgmtClient(srv); err == nil {
-		mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil)
-	}
-	c.forgetVM(ctx, vid)
 }

@@ -1,15 +1,9 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // The facts layer makes the analyzers cross-package, in the style of
@@ -25,13 +19,8 @@ import (
 // a helper takes custody of an open intent, and let shardroute recognize a
 // VM-addressed method constant it has never seen the declaration of.
 //
-// A FactStore optionally persists each package's facts to a cache
-// directory, keyed by a hash of the package's sources, so repeated CI runs
-// skip the fact-computation passes for unchanged packages (-facts-dir).
-
-// factsFormatVersion invalidates cached facts when the encoding or the
-// fact-producing analyzers change shape.
-const factsFormatVersion = 1
+// Facts live in memory for one run: computing them is a small fraction of
+// a run that has to load and type-check every package anyway.
 
 // A FactKey names one fact: the object it is attached to plus the fact name.
 type FactKey struct {
@@ -102,100 +91,6 @@ func (s *FactStore) lookup(obj types.Object, name string) (json.RawMessage, bool
 	}
 	raw, ok := s.byPkg[obj.Pkg().Path()][FactKey{Object: key, Name: name}]
 	return raw, ok
-}
-
-// serializedFact is the on-disk form of one fact.
-type serializedFact struct {
-	Object string          `json:"object"`
-	Name   string          `json:"name"`
-	Value  json.RawMessage `json:"value"`
-}
-
-// factsFile is the on-disk form of one package's facts.
-type factsFile struct {
-	Version    int              `json:"version"`
-	Package    string           `json:"package"`
-	SourceHash string           `json:"source_hash"`
-	Facts      []serializedFact `json:"facts"`
-}
-
-// Save writes pkgPath's facts (and the source hash they were computed
-// from) into dir, creating it if needed.
-func (s *FactStore) Save(dir, pkgPath, sourceHash string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	ff := factsFile{Version: factsFormatVersion, Package: pkgPath, SourceHash: sourceHash}
-	keys := make([]FactKey, 0, len(s.byPkg[pkgPath]))
-	for k := range s.byPkg[pkgPath] {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Object != keys[j].Object {
-			return keys[i].Object < keys[j].Object
-		}
-		return keys[i].Name < keys[j].Name
-	})
-	for _, k := range keys {
-		ff.Facts = append(ff.Facts, serializedFact{Object: k.Object, Name: k.Name, Value: s.byPkg[pkgPath][k]})
-	}
-	data, err := json.MarshalIndent(ff, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, factsFileName(pkgPath)), data, 0o644)
-}
-
-// LoadCached loads pkgPath's facts from dir into the store if a cache file
-// exists whose source hash matches. It reports whether the cache was fresh.
-func (s *FactStore) LoadCached(dir, pkgPath, sourceHash string) (bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, factsFileName(pkgPath)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	var ff factsFile
-	if err := json.Unmarshal(data, &ff); err != nil {
-		return false, nil // corrupt cache: recompute
-	}
-	if ff.Version != factsFormatVersion || ff.Package != pkgPath || ff.SourceHash != sourceHash {
-		return false, nil
-	}
-	m := make(map[FactKey]json.RawMessage, len(ff.Facts))
-	for _, f := range ff.Facts {
-		m[FactKey{Object: f.Object, Name: f.Name}] = f.Value
-	}
-	s.byPkg[pkgPath] = m
-	return true, nil
-}
-
-// factsFileName maps an import path to a flat, filesystem-safe file name.
-func factsFileName(pkgPath string) string {
-	sum := sha256.Sum256([]byte(pkgPath))
-	base := strings.NewReplacer("/", "_", ".", "_").Replace(pkgPath)
-	return base + "-" + hex.EncodeToString(sum[:6]) + ".json"
-}
-
-// SourceHash hashes the non-test Go sources of a package directory (names
-// and contents), the input key for the facts cache.
-func SourceHash(dir string) (string, error) {
-	srcs, err := goSources(dir)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d\n", factsFormatVersion)
-	for _, src := range srcs {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "%s %d\n", filepath.Base(src), len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // dependencyOrder topologically sorts packages so every package appears

@@ -1,14 +1,12 @@
 package lint
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 )
 
-// TestFactsRoundTrip drives the on-disk facts cache end to end: compute a
-// real fact over a fixture package, persist it, and check that a fresh
-// store serves it back only when the source hash matches.
+// TestFactsRoundTrip drives the facts store end to end: compute a real
+// fact over a fixture package and import it back by object.
 func TestFactsRoundTrip(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -28,78 +26,9 @@ func TestFactsRoundTrip(t *testing.T) {
 
 	store := NewFactStore()
 	runFacts(pkg, []*Analyzer{ShardRoute}, store)
-	importFact := func(s *FactStore) (vmAddressedFact, bool) {
-		pass := &Pass{Analyzer: ShardRoute, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, facts: s}
-		var fact vmAddressedFact
-		ok := pass.ImportFact(obj, "vmAddressed", &fact)
-		return fact, ok
-	}
-	if fact, ok := importFact(store); !ok || fact.Method != "rebind-fixture" {
+	pass := &Pass{Analyzer: ShardRoute, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, facts: store}
+	var fact vmAddressedFact
+	if ok := pass.ImportFact(obj, "vmAddressed", &fact); !ok || fact.Method != "rebind-fixture" {
 		t.Fatalf("fact after runFacts = %+v, %v; want Method rebind-fixture", fact, ok)
-	}
-
-	dir := t.TempDir()
-	hash, err := SourceHash(pkg.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(dir, pkg.Path, hash); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh store, matching hash: cache hit, same fact back.
-	warm := NewFactStore()
-	fresh, err := warm.LoadCached(dir, pkg.Path, hash)
-	if err != nil || !fresh {
-		t.Fatalf("LoadCached(matching hash) = %v, %v; want fresh", fresh, err)
-	}
-	if fact, ok := importFact(warm); !ok || fact.Method != "rebind-fixture" {
-		t.Fatalf("fact after LoadCached = %+v, %v; want Method rebind-fixture", fact, ok)
-	}
-
-	// Changed sources: the stale entry must not be served.
-	if fresh, err := NewFactStore().LoadCached(dir, pkg.Path, "different-hash"); err != nil || fresh {
-		t.Fatalf("LoadCached(stale hash) = %v, %v; want miss", fresh, err)
-	}
-
-	// Corrupt cache file: a miss (recompute), not an error.
-	if err := os.WriteFile(filepath.Join(dir, factsFileName(pkg.Path)), []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if fresh, err := NewFactStore().LoadCached(dir, pkg.Path, hash); err != nil || fresh {
-		t.Fatalf("LoadCached(corrupt file) = %v, %v; want miss", fresh, err)
-	}
-}
-
-// TestAnalyzeUsesFactsCache checks the driver wiring: a second Analyze
-// over the same packages with the same facts dir reports cache hits and
-// identical diagnostics.
-func TestAnalyzeUsesFactsCache(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.Alias("cloudmonatt/internal/shardroutedep", filepath.Join("testdata", "src", "shardroutedep"))
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "shardroute"), "cloudmonatt/internal/shardroutefix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cold, coldStats := Analyze([]*Package{pkg}, []*Analyzer{ShardRoute}, AnalyzeOptions{Loader: loader, FactsDir: dir})
-	if coldStats.FactsCached != 0 {
-		t.Fatalf("cold run reported %d cached fact packages, want 0", coldStats.FactsCached)
-	}
-	warm, warmStats := Analyze([]*Package{pkg}, []*Analyzer{ShardRoute}, AnalyzeOptions{Loader: loader, FactsDir: dir})
-	if warmStats.FactsCached != warmStats.FactPackages {
-		t.Fatalf("warm run cached %d/%d fact packages, want all",
-			warmStats.FactsCached, warmStats.FactPackages)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("warm run found %d diagnostics, cold found %d", len(warm), len(cold))
-	}
-	for i := range warm {
-		if warm[i].Message != cold[i].Message || warm[i].Pos != cold[i].Pos {
-			t.Fatalf("diagnostic %d differs between cold and warm runs:\ncold: %+v\nwarm: %+v", i, cold[i], warm[i])
-		}
 	}
 }

@@ -89,7 +89,7 @@ func runFixture(t *testing.T, loader *Loader, dir, asPath string, analyzer *Anal
 	// The full Analyze driver (rather than single-package Run) computes
 	// facts over every package the loader has cached — in particular the
 	// aliased dep packages — in dependency order before diagnosing.
-	ds, _ := Analyze([]*Package{pkg}, []*Analyzer{analyzer}, AnalyzeOptions{Loader: loader})
+	ds := Analyze([]*Package{pkg}, []*Analyzer{analyzer}, AnalyzeOptions{Loader: loader})
 	matched := make(map[lineKey]bool)
 	for _, d := range ds {
 		pos := pkg.Fset.Position(d.Pos)

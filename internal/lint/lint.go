@@ -126,26 +126,16 @@ type AnalyzeOptions struct {
 	// Loader, when set, contributes every module package it has cached
 	// (dependencies of the requested ones) to the facts phase.
 	Loader *Loader
-	// FactsDir, when set, persists per-package facts keyed by source hash
-	// and reuses fresh entries on later runs.
-	FactsDir string
 	// KeepSuppressed returns directive-suppressed findings (marked) rather
 	// than dropping them.
 	KeepSuppressed bool
 }
 
-// AnalyzeStats reports what the facts phase did.
-type AnalyzeStats struct {
-	FactPackages int // packages whose facts were needed
-	FactsCached  int // of those, how many came from the cache
-}
-
-// Analyze is the full driver: it computes (or loads) facts for the
-// dependency closure of pkgs in topological order, then runs the
-// analyzers' diagnostic passes over pkgs.
-func Analyze(pkgs []*Package, analyzers []*Analyzer, opt AnalyzeOptions) ([]Diagnostic, AnalyzeStats) {
+// Analyze is the full driver: it computes facts for the dependency closure
+// of pkgs in topological order, then runs the analyzers' diagnostic passes
+// over pkgs.
+func Analyze(pkgs []*Package, analyzers []*Analyzer, opt AnalyzeOptions) []Diagnostic {
 	store := NewFactStore()
-	stats := AnalyzeStats{}
 
 	factPkgs := pkgs
 	if opt.Loader != nil {
@@ -161,21 +151,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, opt AnalyzeOptions) ([]Diag
 		}
 	}
 	for _, pkg := range dependencyOrder(factPkgs) {
-		stats.FactPackages++
-		var hash string
-		if opt.FactsDir != "" {
-			if h, err := SourceHash(pkg.Dir); err == nil {
-				hash = h
-				if fresh, _ := store.LoadCached(opt.FactsDir, pkg.Path, hash); fresh {
-					stats.FactsCached++
-					continue
-				}
-			}
-		}
 		runFacts(pkg, analyzers, store)
-		if opt.FactsDir != "" && hash != "" {
-			_ = store.Save(opt.FactsDir, pkg.Path, hash)
-		}
 	}
 
 	var out []Diagnostic
@@ -188,7 +164,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, opt AnalyzeOptions) ([]Diag
 			out = append(out, d)
 		}
 	}
-	return out, stats
+	return out
 }
 
 // runFacts executes every analyzer's facts pass over one package.
@@ -246,15 +222,13 @@ func runDiagnostics(pkg *Package, analyzers []*Analyzer, store *FactStore) []Dia
 // directive-suppressed findings are dropped, malformed directives and
 // unused waivers are added. Cross-package facts require Analyze.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	ds, _ := Analyze([]*Package{pkg}, analyzers, AnalyzeOptions{})
-	return ds
+	return Analyze([]*Package{pkg}, analyzers, AnalyzeOptions{})
 }
 
 // RunAll runs analyzers over every package — facts first, in dependency
 // order — and concatenates the surviving findings.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	ds, _ := Analyze(pkgs, analyzers, AnalyzeOptions{})
-	return ds
+	return Analyze(pkgs, analyzers, AnalyzeOptions{})
 }
 
 func sortDiagnostics(fset *token.FileSet, ds []Diagnostic) {

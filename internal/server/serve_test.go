@@ -125,14 +125,13 @@ func TestCachedServerAndRFAHandles(t *testing.T) {
 	if _, err := r.srv.CachedServerOf("vm-i"); err == nil {
 		t.Fatal("idle VM reported a cached server")
 	}
-	f := smallSpec("vm-a", "x").Flavor
-	if err := r.srv.LaunchRFA("vm-a", "vm-c", f, 1, [32]byte{1}); err != nil {
+	if err := r.srv.Launch(smallSpec("vm-a", "attack:rfa:vm-c")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.srv.LaunchRFA("vm-a", "vm-c", f, 1, [32]byte{1}); err == nil {
+	if err := r.srv.Launch(smallSpec("vm-a", "attack:rfa:vm-c")); err == nil {
 		t.Fatal("duplicate RFA vid accepted")
 	}
-	if err := r.srv.LaunchRFA("vm-b", "vm-i", f, 1, [32]byte{1}); err == nil {
+	if err := r.srv.Launch(smallSpec("vm-b", "attack:rfa:vm-i")); err == nil {
 		t.Fatal("RFA against a non-cached target accepted")
 	}
 	r.clock.Advance(500 * time.Millisecond)

@@ -40,11 +40,33 @@ type Certifier interface {
 	Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error)
 }
 
-// Capacity is the server's allocatable resources.
+// Capacity is the server's allocatable resources. Its methods are the one
+// place the resource triple is added, subtracted or compared, on the host
+// and in the controller's scheduler alike.
 type Capacity struct {
 	VCPUs    int
 	MemoryMB int
 	DiskGB   int
+}
+
+// Fits reports whether c has room for a flavor.
+func (c Capacity) Fits(f image.Flavor) bool {
+	return f.VCPUs <= c.VCPUs && f.MemoryMB <= c.MemoryMB && f.DiskGB <= c.DiskGB
+}
+
+// Add returns c grown by a flavor's resources.
+func (c Capacity) Add(f image.Flavor) Capacity {
+	return Capacity{VCPUs: c.VCPUs + f.VCPUs, MemoryMB: c.MemoryMB + f.MemoryMB, DiskGB: c.DiskGB + f.DiskGB}
+}
+
+// Sub returns c shrunk by a flavor's resources.
+func (c Capacity) Sub(f image.Flavor) Capacity {
+	return Capacity{VCPUs: c.VCPUs - f.VCPUs, MemoryMB: c.MemoryMB - f.MemoryMB, DiskGB: c.DiskGB - f.DiskGB}
+}
+
+// Minus returns what used leaves of c.
+func (c Capacity) Minus(used Capacity) Capacity {
+	return Capacity{VCPUs: c.VCPUs - used.VCPUs, MemoryMB: c.MemoryMB - used.MemoryMB, DiskGB: c.DiskGB - used.DiskGB}
 }
 
 // Config configures one cloud server.
@@ -86,7 +108,9 @@ type LaunchSpec struct {
 	Flavor      image.Flavor
 	// Workload names the vCPU program: a service ("database", …), a victim
 	// job ("bzip2", …), "idle", "probe" (fine-grained spinner), "spinner",
-	// or an attack ("attack:covert-sender", "attack:cpu-starver").
+	// an attack ("attack:covert-sender", "attack:cpu-starver"), or
+	// "attack:rfa:<vid>", the Resource-Freeing attacker of the hosted
+	// cached-server VM <vid>.
 	Workload string
 	// Pin selects the pCPU (for co-residency experiments); -1 = spread.
 	Pin int
@@ -245,15 +269,15 @@ func (s *Server) Hypervisor() *xen.Hypervisor { return s.hv }
 func (s *Server) Free() Capacity {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Capacity{
-		VCPUs:    s.cfg.Capacity.VCPUs - s.used.VCPUs,
-		MemoryMB: s.cfg.Capacity.MemoryMB - s.used.MemoryMB,
-		DiskGB:   s.cfg.Capacity.DiskGB - s.used.DiskGB,
-	}
+	return s.cfg.Capacity.Minus(s.used)
 }
 
+// rfaWorkload prefixes the Resource-Freeing attacker's workload name; the
+// rest names the co-resident cached-server victim.
+const rfaWorkload = "attack:rfa:"
+
 // buildPrograms constructs the vCPU programs for a workload name.
-func buildPrograms(name string, hv *xen.Hypervisor) ([]xen.Program, func(*xen.Domain) error, error) {
+func (s *Server) buildPrograms(name string) ([]xen.Program, func(*xen.Domain) error, error) {
 	noBind := func(*xen.Domain) error { return nil }
 	switch {
 	case name == "" || name == "idle":
@@ -279,10 +303,18 @@ func buildPrograms(name string, hv *xen.Hypervisor) ([]xen.Program, func(*xen.Do
 			bits = append(bits, attack.Bit((i/2)%2)) // 00110011… pattern
 		}
 		sender := attack.NewCovertSender(bits, true)
-		if err := sender.Validate(hv.Config().TickPeriod); err != nil {
+		if err := sender.Validate(s.hv.Config().TickPeriod); err != nil {
 			return nil, nil, err
 		}
 		return []xen.Program{sender}, noBind, nil
+	case strings.HasPrefix(name, rfaWorkload):
+		// Experiment rigs only: a real attacker would reach the victim's
+		// cache through its public request interface.
+		target, err := s.CachedServerOf(strings.TrimPrefix(name, rfaWorkload))
+		if err != nil {
+			return nil, nil, err
+		}
+		return []xen.Program{attack.NewResourceFreeing(target)}, noBind, nil
 	}
 	if svc, err := workload.NewService(name); err == nil {
 		return []xen.Program{svc}, noBind, nil
@@ -293,21 +325,21 @@ func buildPrograms(name string, hv *xen.Hypervisor) ([]xen.Program, func(*xen.Do
 	return nil, nil, fmt.Errorf("server: unknown workload %q", name)
 }
 
-// Launch places and starts a VM.
+// Launch places and starts a VM: the one admission path onto this host,
+// whatever the workload. The programs are built before the lock because an
+// attacker workload looks its victim up among the hosted VMs.
 func (s *Server) Launch(spec LaunchSpec) error {
+	progs, bind, err := s.buildPrograms(spec.Workload)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.vms[spec.Vid]; dup {
 		return fmt.Errorf("server %s: VM %s already hosted", s.cfg.Name, spec.Vid)
 	}
-	if spec.Flavor.VCPUs > s.cfg.Capacity.VCPUs-s.used.VCPUs ||
-		spec.Flavor.MemoryMB > s.cfg.Capacity.MemoryMB-s.used.MemoryMB ||
-		spec.Flavor.DiskGB > s.cfg.Capacity.DiskGB-s.used.DiskGB {
+	if !s.cfg.Capacity.Minus(s.used).Fits(spec.Flavor) {
 		return fmt.Errorf("server %s: insufficient capacity for %s", s.cfg.Name, spec.Vid)
-	}
-	progs, bind, err := buildPrograms(spec.Workload, s.hv)
-	if err != nil {
-		return err
 	}
 	pin := spec.Pin
 	if pin < 0 || pin >= len(s.hv.PCPUs()) {
@@ -327,9 +359,7 @@ func (s *Server) Launch(spec LaunchSpec) error {
 	}
 	dom.WakeAll()
 	s.vms[spec.Vid] = vm
-	s.used.VCPUs += spec.Flavor.VCPUs
-	s.used.MemoryMB += spec.Flavor.MemoryMB
-	s.used.DiskGB += spec.Flavor.DiskGB
+	s.used = s.used.Add(spec.Flavor)
 	return nil
 }
 
@@ -389,9 +419,7 @@ func (s *Server) Terminate(vid string) error {
 		return fmt.Errorf("server %s: no VM %s", s.cfg.Name, vid)
 	}
 	delete(s.vms, vid)
-	s.used.VCPUs -= vm.spec.Flavor.VCPUs
-	s.used.MemoryMB -= vm.spec.Flavor.MemoryMB
-	s.used.DiskGB -= vm.spec.Flavor.DiskGB
+	s.used = s.used.Sub(vm.spec.Flavor)
 	s.mu.Unlock()
 	s.hv.DestroyDomain(vm.domain)
 	s.mon.RemoveVM(vid)
@@ -440,43 +468,6 @@ func (s *Server) CachedServerOf(vid string) (*workload.CachedServer, error) {
 		}
 	}
 	return nil, fmt.Errorf("server %s: VM %s does not run a cached server", s.cfg.Name, vid)
-}
-
-// LaunchRFA places a Resource-Freeing attacker VM targeting a co-resident
-// cached-server victim (experiment rigs only — a real attacker would reach
-// the victim's cache through its public request interface).
-func (s *Server) LaunchRFA(vid, targetVid string, flavor image.Flavor, pin int, imageDigest [32]byte) error {
-	target, err := s.CachedServerOf(targetVid)
-	if err != nil {
-		return err
-	}
-	rfa := attack.NewResourceFreeing(target)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.vms[vid]; dup {
-		return fmt.Errorf("server %s: VM %s already hosted", s.cfg.Name, vid)
-	}
-	if pin < 0 || pin >= len(s.hv.PCPUs()) {
-		pin = 0
-	}
-	dom := s.hv.NewDomain(vid, 256, pin, rfa)
-	g := guest.NewOS()
-	if err := s.mon.AddVM(&monitor.VM{Vid: vid, Domain: dom, Guest: g, ImageDigest: imageDigest}); err != nil {
-		s.hv.DestroyDomain(dom)
-		return err
-	}
-	dom.WakeAll()
-	s.vms[vid] = &hostedVM{
-		spec:     LaunchSpec{Vid: vid, Flavor: flavor, Workload: "attack:rfa"},
-		domain:   dom,
-		guest:    g,
-		programs: []xen.Program{rfa},
-		state:    "running",
-	}
-	s.used.VCPUs += flavor.VCPUs
-	s.used.MemoryMB += flavor.MemoryMB
-	s.used.DiskGB += flavor.DiskGB
-	return nil
 }
 
 // MigrateOut removes the VM and returns the spec a destination server can
