@@ -17,6 +17,7 @@ package monitor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloudmonatt/internal/guest"
@@ -84,6 +85,11 @@ type Module struct {
 	watches    map[string]*intervalWatch
 	busWatches map[string]*busWatch
 	profiles   map[string]*profileWindow
+
+	// armed mirrors len(watches) + len(busWatches), updated under mu, so the
+	// scheduler's per-segment callbacks cost one atomic load while the
+	// monitor watches nothing.
+	armed atomic.Int32
 }
 
 // New creates the Monitor Module, wires the PMU into the hypervisor's run
@@ -138,7 +144,11 @@ func (m *Module) RemoveVM(vid string) {
 	delete(m.watches, vid)
 	delete(m.busWatches, vid)
 	delete(m.profiles, vid)
+	m.countArmed()
 }
+
+// countArmed republishes the armed-watch count; callers hold mu.
+func (m *Module) countArmed() { m.armed.Store(int32(len(m.watches) + len(m.busWatches))) }
 
 // vm looks up a registered VM.
 func (m *Module) vm(vid string) (*VM, error) {
@@ -194,6 +204,9 @@ func (w *intervalWatch) closeInterval() {
 
 // observe routes hypervisor run segments to the active PMU watches.
 func (m *Module) observe(v *xen.VCPU, start, end sim.Time) {
+	if m.armed.Load() == 0 {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, w := range m.watches {
@@ -213,6 +226,7 @@ func (m *Module) StartIntervalWatch(vid string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.watches[vid] = &intervalWatch{dom: vm.Domain}
+	m.countArmed()
 	return nil
 }
 
@@ -221,9 +235,8 @@ func (m *Module) StartIntervalWatch(vid string) error {
 func (m *Module) CollectIntervalHistogram(vid string) (properties.Measurement, error) {
 	m.mu.Lock()
 	w, ok := m.watches[vid]
-	if ok {
-		delete(m.watches, vid)
-	}
+	delete(m.watches, vid)
+	m.countArmed()
 	m.mu.Unlock()
 	if !ok {
 		return properties.Measurement{}, fmt.Errorf("monitor: no interval watch armed for %s", vid)
@@ -269,6 +282,9 @@ func (w *busWatch) observe(at sim.Time, count int) {
 
 // observeBus routes bus-lock events to the active watches.
 func (m *Module) observeBus(v *xen.VCPU, at sim.Time, count int) {
+	if m.armed.Load() == 0 {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, w := range m.busWatches {
@@ -294,6 +310,7 @@ func (m *Module) StartBusWatch(vid string, window sim.Time) error {
 		start:  m.hv.Kernel().Now(),
 		binLen: window / HistogramBins,
 	}
+	m.countArmed()
 	return nil
 }
 
@@ -301,9 +318,8 @@ func (m *Module) StartBusWatch(vid string, window sim.Time) error {
 func (m *Module) CollectBusTrace(vid string) (properties.Measurement, error) {
 	m.mu.Lock()
 	w, ok := m.busWatches[vid]
-	if ok {
-		delete(m.busWatches, vid)
-	}
+	delete(m.busWatches, vid)
+	m.countArmed()
 	m.mu.Unlock()
 	if !ok {
 		return properties.Measurement{}, fmt.Errorf("monitor: no bus watch armed for %s", vid)

@@ -390,3 +390,106 @@ func TestBusWatchIdleVMIsQuiet(t *testing.T) {
 		}
 	}
 }
+
+// TestUnarmedMonitorTakesNoLock pins the scheduler-side fast path: while no
+// watch is armed, run segments and bus-lock counts are dropped without
+// touching the Module's mutex. The test holds that mutex across an advance
+// that delivers both kinds of callback; taking it would deadlock.
+func TestUnarmedMonitorTakesNoLock(t *testing.T) {
+	r := newRig(t, nil)
+	svc, err := workload.NewService("file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.addVM(t, "vm-1", svc, nil)
+	r.m.mu.Lock()
+	advanced := make(chan struct{})
+	go func() {
+		defer close(advanced)
+		r.advance(500 * time.Millisecond)
+	}()
+	select {
+	case <-advanced:
+		r.m.mu.Unlock()
+	case <-time.After(30 * time.Second):
+		r.m.mu.Unlock()
+		<-advanced
+		t.Fatal("scheduler callbacks block on the monitor's mutex with nothing armed")
+	}
+	if d.TotalRuntime() == 0 {
+		t.Fatal("the guest never ran, so no segment was delivered")
+	}
+
+	// Armed, the same callbacks must arrive.
+	if err := r.m.StartIntervalWatch("vm-1"); err != nil {
+		t.Fatal(err)
+	}
+	r.advance(500 * time.Millisecond)
+	meas, err := r.m.CollectIntervalHistogram("vm-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for _, c := range meas.Counters {
+		total += c
+	}
+	if total == 0 {
+		t.Fatal("armed watch saw no intervals")
+	}
+	if r.m.armed.Load() != 0 {
+		t.Fatalf("armed = %d after the only watch was collected", r.m.armed.Load())
+	}
+}
+
+// TestWatchesUnderConcurrentAdvance arms, collects and removes watches from
+// one goroutine while another advances the scheduler, which is what a cloud
+// server's RPC handlers do to each other. Run under -race: the armed count
+// beside the mutex must not let a callback touch a watch unsynchronised.
+func TestWatchesUnderConcurrentAdvance(t *testing.T) {
+	r := newRig(t, nil)
+	vids := []string{"vm-1", "vm-2", "vm-3", "vm-4"}
+	for _, vid := range vids {
+		svc, err := workload.NewService("file")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.addVM(t, vid, svc, nil)
+	}
+	stop, advanced := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(advanced)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.advance(10 * time.Millisecond)
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		vid := vids[i%len(vids)]
+		if err := r.m.StartIntervalWatch(vid); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			// Leave this one armed for RemoveVM or a later re-arm to clear.
+			continue
+		}
+		if _, err := r.m.CollectIntervalHistogram(vid); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1000 {
+			r.m.RemoveVM(vids[len(vids)-1])
+			vids = vids[:len(vids)-1]
+		}
+	}
+	close(stop)
+	<-advanced
+	for _, vid := range vids {
+		r.m.RemoveVM(vid)
+	}
+	if r.m.armed.Load() != 0 {
+		t.Fatalf("armed = %d with every VM removed", r.m.armed.Load())
+	}
+}

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -19,14 +18,11 @@ import (
 // the familiar literals (30*time.Millisecond etc.).
 type Time = time.Duration
 
-// Event is a scheduled callback. Fire runs when the simulation clock reaches
-// the event's due time.
+// Event is the handle on one scheduled callback: it refers to the one At or
+// After call that returned it for as long as anything holds it, and is never
+// handed out again.
 type Event struct {
-	due  Time
-	seq  uint64 // tie-break: FIFO among events with equal due time
-	fire func()
-
-	index     int // heap index; -1 when not queued
+	fire      func()
 	cancelled bool
 }
 
@@ -41,44 +37,27 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel has been called on the event.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-// Due returns the virtual time at which the event is scheduled to fire.
-func (e *Event) Due() Time { return e.due }
+// slot is one entry of the event queue. The ordering key lives in the slot,
+// not behind the pointer, so sifting compares without a dereference.
+type slot struct {
+	due Time
+	seq uint64 // tie-break: FIFO among events with equal due time
+	ev  *Event
+}
 
-// eventQueue is a min-heap ordered by (due, seq).
-type eventQueue []*Event
+func (a slot) before(b slot) bool {
+	return a.due < b.due || (a.due == b.due && a.seq < b.seq)
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].due != q[j].due {
-		return q[i].due < q[j].due
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
+// slabSize is how many Events one allocation hands out.
+const slabSize = 128
 
 // Kernel is a discrete-event simulation executive. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
 	now    Time
-	queue  eventQueue
+	queue  []slot  // binary min-heap ordered by (due, seq)
+	slab   []Event // Events of the current slab not yet handed out
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
@@ -112,10 +91,60 @@ func (k *Kernel) At(due Time, fire func()) *Event {
 	if due < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", due, k.now))
 	}
-	e := &Event{due: due, seq: k.seq, fire: fire, index: -1}
+	if len(k.slab) == 0 {
+		k.slab = make([]Event, slabSize)
+	}
+	e := &k.slab[0]
+	k.slab = k.slab[1:]
+	e.fire = fire
+	s := slot{due: due, seq: k.seq, ev: e}
 	k.seq++
-	heap.Push(&k.queue, e)
+	// Sift up: move later parents down into the hole until s fits.
+	q := append(k.queue, s)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = s
+	k.queue = q
 	return e
+}
+
+// pop removes and returns the earliest slot of a non-empty queue.
+func (k *Kernel) pop() slot {
+	q := k.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{} // do not keep the popped Event reachable from the spare capacity
+	q = q[:n]
+	k.queue = q
+	if n == 0 {
+		return top
+	}
+	// Sift down: move the earlier child up into the hole until last fits.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // After schedules fire to run delay after the current time.
@@ -134,13 +163,13 @@ func (k *Kernel) Halt() { k.halted = true }
 // true, or returns false if the queue is empty.
 func (k *Kernel) Step() bool {
 	for len(k.queue) > 0 {
-		e := heap.Pop(&k.queue).(*Event)
-		if e.cancelled {
+		s := k.pop()
+		if s.ev.cancelled {
 			continue
 		}
-		k.now = e.due
+		k.now = s.due
 		k.fired++
-		e.fire()
+		s.ev.fire()
 		return true
 	}
 	return false
@@ -152,12 +181,12 @@ func (k *Kernel) Step() bool {
 // Now() == deadline when the simulation reached it.
 func (k *Kernel) RunUntil(deadline Time) {
 	k.halted = false
-	for !k.halted {
-		// Skip cancelled events without advancing time.
-		for len(k.queue) > 0 && k.queue[0].cancelled {
-			heap.Pop(&k.queue)
+	for !k.halted && len(k.queue) > 0 {
+		if k.queue[0].ev.cancelled {
+			k.pop() // skip cancelled events without advancing time
+			continue
 		}
-		if len(k.queue) == 0 || k.queue[0].due > deadline {
+		if k.queue[0].due > deadline {
 			break
 		}
 		k.Step()

@@ -244,11 +244,27 @@ func TestQuickCancelSubsetProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkKernelThroughput measures one schedule + one fire at the queue
+// depth of the eight-server fleet: 71 standing events, each rescheduling
+// itself after a pseudo-random delay from a handler bound once.
 func BenchmarkKernelThroughput(b *testing.B) {
 	k := NewKernel(1)
+	var delays [1024]Time
+	for i := range delays {
+		delays[i] = Time(1+k.Rand().Intn(10000)) * time.Microsecond
+	}
+	next := 0
+	var again func()
+	again = func() {
+		next++
+		k.After(delays[next%len(delays)], again)
+	}
+	for i := 0; i < 71; i++ {
+		again()
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.After(time.Millisecond, func() {})
 		k.Step()
 	}
 }

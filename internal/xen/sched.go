@@ -14,13 +14,41 @@ type queueEntry struct {
 	tok uint64
 }
 
+// runQueue is a FIFO of queue entries: a ring over one backing array that
+// only grows when more entries are queued at once than ever before.
+type runQueue struct {
+	buf     []queueEntry // len(buf) is zero or a power of two
+	head, n int
+}
+
+func (q *runQueue) push(e queueEntry) {
+	if q.n == len(q.buf) {
+		grown := make([]queueEntry, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *runQueue) drop() {
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
 // PCPU is one physical CPU with its three-priority run queue.
 type PCPU struct {
 	id      int
 	hv      *Hypervisor
-	runq    [numPrios][]queueEntry
+	runq    [numPrios]runQueue
 	current *VCPU
 	endEv   *sim.Event // burst/timeslice expiry of the current vCPU
+	live    []*VCPU    // acct's scratch list, reused between periods
+
+	// The pCPU's three events, bound once so scheduling one allocates nothing.
+	tickFn, acctFn, sliceEndFn func()
 
 	idleTime    sim.Time
 	idleSince   sim.Time
@@ -55,17 +83,20 @@ func (p *PCPU) scheduleTick() {
 	if now := p.hv.k.Now(); due < now {
 		due = now
 	}
-	p.hv.k.At(due, func() {
-		p.tick()
-		p.scheduleTick()
-	})
+	p.hv.k.At(due, p.tickFn)
 }
 
-func (p *PCPU) scheduleAcct() {
-	p.hv.k.After(p.hv.cfg.AcctPeriod, func() {
-		p.acct()
-		p.scheduleAcct()
-	})
+func (p *PCPU) scheduleAcct() { p.hv.k.After(p.hv.cfg.AcctPeriod, p.acctFn) }
+
+// tickEvent and acctEvent are the periodic events: do the work, then re-arm.
+func (p *PCPU) tickEvent() {
+	p.tick()
+	p.scheduleTick()
+}
+
+func (p *PCPU) acctEvent() {
+	p.acct()
+	p.scheduleAcct()
 }
 
 // tick implements sampled credit debiting: whoever runs at the tick instant
@@ -95,7 +126,7 @@ func (p *PCPU) tick() {
 // UNDER/OVER class is recomputed.
 func (p *PCPU) acct() {
 	var weights float64
-	var live []*VCPU
+	live := p.live[:0]
 	for _, d := range p.hv.domains {
 		perVCPU := float64(d.Weight) / float64(len(d.vcpus))
 		for _, v := range d.vcpus {
@@ -105,6 +136,7 @@ func (p *PCPU) acct() {
 			}
 		}
 	}
+	p.live = live
 	if len(live) == 0 {
 		return
 	}
@@ -135,50 +167,39 @@ func (p *PCPU) maybePreemptCurrent() {
 		p.pickNext()
 		return
 	}
-	if head, ok := p.peek(); ok && head.Priority() < p.current.Priority() {
+	if head, _ := p.peek(); head != nil && head.Priority() < p.current.Priority() {
 		p.preempt()
 		p.pickNext()
 	}
 }
 
-// peek returns the highest-priority valid queued vCPU without removing it.
-func (p *PCPU) peek() (*VCPU, bool) {
-	for prio := 0; prio < int(numPrios); prio++ {
-		q := p.runq[prio]
-		for len(q) > 0 {
-			e := q[0]
-			if e.tok == e.v.tok && e.v.state == StateRunnable {
-				p.runq[prio] = q
-				return e.v, true
+// peek returns the highest-priority valid queued vCPU (nil when there is
+// none) and the queue it heads, dropping the stale entries in front of it.
+func (p *PCPU) peek() (*VCPU, *runQueue) {
+	for prio := range p.runq {
+		q := &p.runq[prio]
+		for ; q.n > 0; q.drop() {
+			if e := q.buf[q.head]; e.tok == e.v.tok && e.v.state == StateRunnable {
+				return e.v, q
 			}
-			q = q[1:]
 		}
-		p.runq[prio] = q
 	}
-	return nil, false
+	return nil, nil
 }
 
-// pop removes and returns the next vCPU to dispatch.
-func (p *PCPU) pop() (*VCPU, bool) {
-	for prio := 0; prio < int(numPrios); prio++ {
-		q := p.runq[prio]
-		for len(q) > 0 {
-			e := q[0]
-			q = q[1:]
-			if e.tok == e.v.tok && e.v.state == StateRunnable {
-				p.runq[prio] = q
-				return e.v, true
-			}
-		}
-		p.runq[prio] = q
+// pop removes and returns the next vCPU to dispatch, or nil.
+func (p *PCPU) pop() *VCPU {
+	v, q := p.peek()
+	if v != nil {
+		q.drop()
 	}
-	return nil, false
+	return v
 }
 
 // enqueue places a runnable vCPU at the tail of its priority queue.
 func (p *PCPU) enqueue(v *VCPU) {
 	v.tokBump()
-	p.runq[v.Priority()] = append(p.runq[v.Priority()], queueEntry{v, v.tok})
+	p.runq[v.Priority()].push(queueEntry{v, v.tok})
 }
 
 // requeue refreshes a queued vCPU's position after its priority changed.
@@ -194,8 +215,8 @@ func (p *PCPU) pickNext() {
 		return
 	}
 	for {
-		v, ok := p.pop()
-		if !ok {
+		v := p.pop()
+		if v == nil {
 			return
 		}
 		if p.dispatch(v) {
@@ -236,7 +257,7 @@ func (p *PCPU) dispatch(v *VCPU) bool {
 	if runFor > p.hv.cfg.Timeslice {
 		runFor = p.hv.cfg.Timeslice
 	}
-	p.endEv = p.hv.k.After(runFor, p.sliceEnd)
+	p.endEv = p.hv.k.After(runFor, p.sliceEndFn)
 	return true
 }
 
@@ -256,7 +277,6 @@ func (p *PCPU) sliceEnd() {
 		v.finishBurst()
 	} else {
 		// Timeslice expired: back to the tail of its class.
-		v.state = StateRunnable
 		p.enqueue(v)
 	}
 	p.pickNext()
@@ -336,18 +356,12 @@ func (v *VCPU) finishBurst() {
 		if delay < 0 {
 			delay = 0
 		}
-		v.wakeEvent = hv.k.After(delay, func() {
-			v.wakeEvent = nil
-			v.wake(true)
-		})
+		v.wakeEvent = hv.k.After(delay, v.timerWakeFn)
 	case b.Halt:
 		v.state = StateBlocked
 	case b.Block > 0:
 		v.state = StateBlocked
-		v.wakeEvent = hv.k.After(b.Block, func() {
-			v.wakeEvent = nil
-			v.wake(true)
-		})
+		v.wakeEvent = hv.k.After(b.Block, v.timerWakeFn)
 	default:
 		// Yield: runnable again immediately, tail of its class.
 		v.state = StateRunnable
@@ -357,9 +371,15 @@ func (v *VCPU) finishBurst() {
 
 // SendIPI delivers an inter-processor interrupt to the target vCPU after the
 // configured delivery latency. A wakeup of an UNDER vCPU grants BOOST.
-func (hv *Hypervisor) SendIPI(target *VCPU) {
-	hv.k.After(hv.cfg.IPILatency, func() { target.wake(true) })
+func (hv *Hypervisor) SendIPI(target *VCPU) { hv.k.After(hv.cfg.IPILatency, target.ipiWakeFn) }
+
+// timerWake fires when the vCPU's own timer or IO request completes.
+func (v *VCPU) timerWake() {
+	v.wakeEvent = nil
+	v.wake(true)
 }
+
+func (v *VCPU) ipiWake() { v.wake(true) }
 
 // wake transitions a blocked vCPU to runnable. When boost is true and the
 // vCPU is in the UNDER class (and boosting is enabled), it enters BOOST and

@@ -19,6 +19,7 @@ package xen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cloudmonatt/internal/sim"
@@ -240,6 +241,9 @@ type VCPU struct {
 	doneAt     sim.Time
 	wakeEvent  *sim.Event
 	dispatches uint64
+
+	// The vCPU's two wake events, bound once so scheduling one allocates nothing.
+	timerWakeFn, ipiWakeFn func()
 }
 
 // Domain returns the owning domain.
@@ -337,6 +341,7 @@ func New(k *sim.Kernel, cfg Config, nPCPUs int) *Hypervisor {
 	hv.disk = newIODevice(hv, cfg.DiskBytesPerSec)
 	for i := 0; i < nPCPUs; i++ {
 		p := &PCPU{id: i, hv: hv}
+		p.tickFn, p.acctFn, p.sliceEndFn = p.tickEvent, p.acctEvent, p.sliceEnd
 		hv.pcpus = append(hv.pcpus, p)
 		p.scheduleTick()
 		p.scheduleAcct()
@@ -353,7 +358,7 @@ func (hv *Hypervisor) Config() Config { return hv.cfg }
 // PCPUs returns the physical CPUs.
 func (hv *Hypervisor) PCPUs() []*PCPU { return hv.pcpus }
 
-// Domains returns all created domains.
+// Domains returns the created domains that have not been destroyed.
 func (hv *Hypervisor) Domains() []*Domain { return hv.domains }
 
 // Observe registers an observer for completed run segments of all vCPUs.
@@ -398,6 +403,7 @@ func (hv *Hypervisor) NewDomain(name string, weight, pin int, programs ...Progra
 			prio:    PrioUnder,
 			credits: hv.cfg.CreditsPerAcct / 3, // modest initial allowance
 		}
+		v.timerWakeFn, v.ipiWakeFn = v.timerWake, v.ipiWake
 		d.vcpus = append(d.vcpus, v)
 	}
 	hv.domains = append(hv.domains, d)
@@ -415,10 +421,15 @@ func (d *Domain) WakeAll() {
 }
 
 // DestroyDomain removes the domain's vCPUs from scheduling immediately
-// (used by the Termination and Migration responses).
+// (used by the Termination and Migration responses) and forgets the domain,
+// so the accounting walk costs what the live domains cost however many have
+// come and gone.
 func (hv *Hypervisor) DestroyDomain(d *Domain) {
 	for _, v := range d.vcpus {
 		v.retire()
+	}
+	if i := slices.Index(hv.domains, d); i >= 0 {
+		hv.domains = slices.Delete(hv.domains, i, i+1)
 	}
 }
 
