@@ -39,16 +39,17 @@ func newFleet(tb testing.TB, seed int64, hypervisors, guestsEach int) (*sim.Kern
 // every figure that runs on the scheduler.
 func TestFiredCountPinned(t *testing.T) {
 	for _, tc := range []struct {
-		name                   string
-		hypervisors, guests    int
-		wantFired, wantPending uint64
+		name                string
+		hypervisors, guests int
+		wantFired           uint64
+		wantPending         int
 	}{
 		{"steady", 1, 1, 7160, 6},
 		{"fleet", 8, 4, 116240, 71},
 	} {
 		k, _ := newFleet(t, 1, tc.hypervisors, tc.guests)
 		k.RunUntil(10 * time.Second)
-		if k.Fired() != tc.wantFired || uint64(k.Pending()) != tc.wantPending {
+		if k.Fired() != tc.wantFired || k.Pending() != tc.wantPending {
 			t.Errorf("%s: 10 virtual seconds fired %d events and left %d pending, want %d and %d",
 				tc.name, k.Fired(), k.Pending(), tc.wantFired, tc.wantPending)
 		}

@@ -356,12 +356,12 @@ func (v *VCPU) finishBurst() {
 		if delay < 0 {
 			delay = 0
 		}
-		v.wakeEvent = hv.k.After(delay, v.timerWakeFn)
+		v.wakeEvent = hv.k.After(delay, v.wakeFn)
 	case b.Halt:
 		v.state = StateBlocked
 	case b.Block > 0:
 		v.state = StateBlocked
-		v.wakeEvent = hv.k.After(b.Block, v.timerWakeFn)
+		v.wakeEvent = hv.k.After(b.Block, v.wakeFn)
 	default:
 		// Yield: runnable again immediately, tail of its class.
 		v.state = StateRunnable
@@ -371,15 +371,12 @@ func (v *VCPU) finishBurst() {
 
 // SendIPI delivers an inter-processor interrupt to the target vCPU after the
 // configured delivery latency. A wakeup of an UNDER vCPU grants BOOST.
-func (hv *Hypervisor) SendIPI(target *VCPU) { hv.k.After(hv.cfg.IPILatency, target.ipiWakeFn) }
+func (hv *Hypervisor) SendIPI(target *VCPU) { hv.k.After(hv.cfg.IPILatency, target.wakeFn) }
 
-// timerWake fires when the vCPU's own timer or IO request completes.
-func (v *VCPU) timerWake() {
-	v.wakeEvent = nil
-	v.wake(true)
-}
-
-func (v *VCPU) ipiWake() { v.wake(true) }
+// wakeBoosted is the event an IPI, the vCPU's own timer and its IO completion
+// all fire. wake drops v.wakeEvent whether it is the one firing or still
+// pending; cancelling a fired event is a no-op.
+func (v *VCPU) wakeBoosted() { v.wake(true) }
 
 // wake transitions a blocked vCPU to runnable. When boost is true and the
 // vCPU is in the UNDER class (and boosting is enabled), it enters BOOST and

@@ -242,8 +242,9 @@ type VCPU struct {
 	wakeEvent  *sim.Event
 	dispatches uint64
 
-	// The vCPU's two wake events, bound once so scheduling one allocates nothing.
-	timerWakeFn, ipiWakeFn func()
+	// The vCPU's wake event (timer, IO completion or IPI), bound once so
+	// scheduling one allocates nothing.
+	wakeFn func()
 }
 
 // Domain returns the owning domain.
@@ -403,7 +404,7 @@ func (hv *Hypervisor) NewDomain(name string, weight, pin int, programs ...Progra
 			prio:    PrioUnder,
 			credits: hv.cfg.CreditsPerAcct / 3, // modest initial allowance
 		}
-		v.timerWakeFn, v.ipiWakeFn = v.timerWake, v.ipiWake
+		v.wakeFn = v.wakeBoosted
 		d.vcpus = append(d.vcpus, v)
 	}
 	hv.domains = append(hv.domains, d)
