@@ -51,12 +51,6 @@ type Options struct {
 	// shard owning its id. JoinShard/LeaveShard grow and shrink the plane at
 	// runtime, moving only ~1/N of the fleet per step.
 	Shards int
-	// SessionMaxUses bounds attestation-session key reuse on the cloud
-	// servers (server.Config.SessionMaxUses). 0 with Shards set defaults to
-	// 8 so the privacy CA's per-session cert cache carries the repeat
-	// certification load; 0 with Shards unset keeps the paper's one fresh
-	// key per attestation.
-	SessionMaxUses int
 	// TamperPlatform lists server names booted with a trojaned hypervisor.
 	TamperPlatform map[string]bool
 	// Backends assigns trust backends to the cloud servers: server i runs
@@ -193,11 +187,6 @@ func New(opts Options) (*Testbed, error) {
 	if opts.Capacity == (server.Capacity{}) {
 		opts.Capacity = server.Capacity{VCPUs: 16, MemoryMB: 32768, DiskGB: 500}
 	}
-	// Session-key reuse is the one default that still depends on whether
-	// the caller asked for shards; decide it before Shards is normalised.
-	if opts.Shards > 0 && opts.SessionMaxUses == 0 {
-		opts.SessionMaxUses = 8
-	}
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
@@ -251,14 +240,13 @@ func New(opts Options) (*Testbed, error) {
 	for i := 0; i < opts.Servers; i++ {
 		name := serverName(i)
 		cfg := server.Config{
-			Name:           name,
-			Clock:          tb.Clock,
-			PCPUs:          opts.PCPUsPerServer,
-			Capacity:       opts.Capacity,
-			Certifier:      tb.certSwitch,
-			Rand:           rand.Reader,
-			Obs:            tb.Obs,
-			SessionMaxUses: opts.SessionMaxUses,
+			Name:      name,
+			Clock:     tb.Clock,
+			PCPUs:     opts.PCPUsPerServer,
+			Capacity:  opts.Capacity,
+			Certifier: tb.certSwitch,
+			Rand:      rand.Reader,
+			Obs:       tb.Obs,
 		}
 		if n := len(opts.Backends); n > 0 {
 			cfg.Backend = opts.Backends[i%n]

@@ -450,7 +450,9 @@ func TestChaosInfraFailureNeverRemediatesAcrossRestart(t *testing.T) {
 // process memory, so a restarted pCA would re-issue anon-1, anon-2, … and
 // silently break certificate-subject uniqueness. Recovery must replay the
 // high-water mark from the KindCertIssue ledger entries and keep the
-// sequence strictly increasing across the restart.
+// sequence strictly increasing across the restart. A server asks the pCA
+// only when its session rotates, so each side of the restart drives one
+// whole window of attestations to be sure to cross a rotation.
 func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 	tb := newTB(t, Options{Seed: 17})
 	cu, err := tb.NewCustomer("dana")
@@ -458,14 +460,14 @@ func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := launch(t, cu, basicLaunch())
-	for i := 0; i < 3; i++ {
+	for i := 0; i < sessionUses; i++ {
 		if v, err := cu.Attest(res.Vid, properties.RuntimeIntegrity); err != nil || !v.Healthy {
 			t.Fatalf("pre-restart attest %d: %v %v", i, v, err)
 		}
 	}
 	before := tb.PCA.SerialHighWater()
-	if before == 0 {
-		t.Fatal("no certificates issued before the restart")
+	if before < 2 {
+		t.Fatalf("high-water %d before the restart, want a rotation crossed (>= 2)", before)
 	}
 
 	if err := tb.RestartPCA(); err != nil {
@@ -474,7 +476,7 @@ func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 	if got := tb.PCA.SerialHighWater(); got != before {
 		t.Fatalf("restarted pCA recovered high-water %d, want %d", got, before)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < sessionUses; i++ {
 		if v, err := cu.Attest(res.Vid, properties.RuntimeIntegrity); err != nil || !v.Healthy {
 			t.Fatalf("post-restart attest %d: %v %v", i, v, err)
 		}
@@ -489,8 +491,8 @@ func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) < 6 {
-		t.Fatalf("expected >=6 issuance entries, got %d", len(entries))
+	if len(entries) < 3 {
+		t.Fatalf("expected >=3 issuance entries (two before the restart, one after), got %d", len(entries))
 	}
 	last := uint64(0)
 	subjects := make(map[string]bool)

@@ -261,15 +261,18 @@ var blockingFuncs = map[string]string{
 var opSerializers = map[string]bool{
 	"Testbed.opMu":     true, // cloudsim: serializes kernel-driving operations
 	"Config.Serialize": true, // controller: the nova-api single-writer contract
+	"Server.sessMu":    true, // server: session rotation, the pCA round-trip included, once per 8 measurements
 }
 
 // lockOrder lists known lock pairs in acquisition order: the first member
 // must never be acquired while the second is held. Keyed "Type.field".
 var lockOrder = [][2]string{
-	{"Testbed.opMu", "Testbed.mu"},         // cloudsim: op serializer before state
-	{"Testbed.opMu", "certifierSwitch.mu"}, // cloudsim: op serializer before pCA switch
-	{"certifierSwitch.mu", "Testbed.mu"},   // cloudsim: RestartPCA ordering
-	{"periodicEngine.mu", "Server.mu"},     // attestsrv: engine before server state
+	{"Testbed.opMu", "Testbed.mu"},          // cloudsim: op serializer before state
+	{"Testbed.opMu", "certifierSwitch.mu"},  // cloudsim: op serializer before pCA switch
+	{"certifierSwitch.mu", "Testbed.mu"},    // cloudsim: RestartPCA ordering
+	{"Server.sessMu", "certifierSwitch.mu"}, // server: rotation certifies through the pCA switch …
+	{"Server.sessMu", "PCA.mu"},             // … and then the pCA itself; neither calls back into a server
+	{"periodicEngine.mu", "Server.mu"},      // attestsrv: engine before server state
 }
 
 // blockingMarker in an interface method's doc or line comment declares the

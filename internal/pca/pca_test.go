@@ -3,6 +3,7 @@ package pca
 import (
 	"crypto/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudmonatt/internal/cryptoutil"
@@ -225,5 +226,206 @@ func TestCertifyCachesSessions(t *testing.T) {
 	}
 	if c3.Serial == c1.Serial {
 		t.Fatal("distinct session keys shared a serial")
+	}
+}
+
+// --- the verified-certificate set ---
+
+// issued returns a genuine attestation-key certificate and its key.
+func issued(t *testing.T, ca *PCA, m *trust.Module) (*cryptoutil.Certificate, []byte) {
+	t.Helper()
+	sess, req, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := ca.Certify(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert, sess.Public()
+}
+
+// verifies counts the ed25519 verifications one call performs.
+func verifies(f func()) uint64 {
+	before := cryptoutil.Ops()
+	f()
+	return cryptoutil.Ops().Sub(before).Verify
+}
+
+func verifiedLen() int {
+	verified.mu.Lock()
+	defer verified.mu.Unlock()
+	return len(verified.set)
+}
+
+func TestVerifiedCertHitSkipsOnlyTheSignature(t *testing.T) {
+	ca, m := setup(t)
+	cert, avk := issued(t, ca, m)
+	check := func() error { return VerifyAttestationCert(cert, ca.Name(), ca.PublicKey(), avk) }
+	// A miss pays the signature check, every later call is a hit.
+	for call, want := range []uint64{1, 0, 0} {
+		if n := verifies(func() {
+			if err := check(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != want {
+			t.Fatalf("call %d on one certificate did %d verifications, want %d", call+1, n, want)
+		}
+	}
+	// The per-evidence checks still run on a hit.
+	_, otherKey := issued(t, ca, m)
+	if err := VerifyAttestationCert(cert, ca.Name(), ca.PublicKey(), otherKey); err == nil {
+		t.Fatal("remembered certificate accepted for a key it does not cover")
+	}
+	// The lookup stays off the heap (attest-fleet's allocs_per_op bound is
+	// five allocations).
+	if a := testing.AllocsPerRun(100, func() { _ = check() }); a != 0 {
+		t.Fatalf("a hit allocates %.0f times, want 0", a)
+	}
+}
+
+func TestVerifiedCertMutationsStillRejected(t *testing.T) {
+	ca, m := setup(t)
+	cert, avk := issued(t, ca, m)
+	if err := VerifyAttestationCert(cert, ca.Name(), ca.PublicKey(), avk); err != nil {
+		t.Fatal(err)
+	}
+	flip := func(b []byte) []byte {
+		out := append([]byte(nil), b...)
+		out[len(out)/2] ^= 1
+		return out
+	}
+	mutants := map[string]func(c *cryptoutil.Certificate){
+		"Sig":     func(c *cryptoutil.Certificate) { c.Sig = flip(c.Sig) },
+		"Key":     func(c *cryptoutil.Certificate) { c.Key = flip(c.Key) },
+		"Subject": func(c *cryptoutil.Certificate) { c.Subject = string(flip([]byte(c.Subject))) },
+		"Serial":  func(c *cryptoutil.Certificate) { c.Serial ^= 1 },
+		"Purpose": func(c *cryptoutil.Certificate) { c.Purpose = string(flip([]byte(c.Purpose))) },
+		"Issuer":  func(c *cryptoutil.Certificate) { c.Issuer = string(flip([]byte(c.Issuer))) },
+	}
+	for field, mutate := range mutants {
+		c := *cert
+		mutate(&c)
+		// Present the mutated key as the AVK too, so it is the signature,
+		// not the binding check, that has to catch a changed Key.
+		if err := VerifyAttestationCert(&c, ca.Name(), ca.PublicKey(), c.Key); err == nil {
+			t.Errorf("certificate with one bit of %s changed accepted after the genuine one was remembered", field)
+		}
+	}
+	if err := VerifyAttestationCert(cert, ca.Name(), ca.PublicKey(), avk); err != nil {
+		t.Fatalf("genuine certificate rejected after its mutants: %v", err)
+	}
+}
+
+func TestVerifiedCertBoundToCAKeyAndName(t *testing.T) {
+	ca, m := setup(t)
+	cert, avk := issued(t, ca, m)
+	if err := VerifyAttestationCert(cert, ca.Name(), ca.PublicKey(), avk); err != nil {
+		t.Fatal(err)
+	}
+	other, err := New("pca", rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAttestationCert(cert, ca.Name(), other.PublicKey(), avk); err == nil {
+		t.Fatal("remembered certificate accepted under another CA key")
+	}
+	if err := VerifyAttestationCert(cert, "other-ca", ca.PublicKey(), avk); err == nil {
+		t.Fatal("remembered certificate accepted under another CA name")
+	}
+	if err := VerifyAttestationCert(cert, ca.Name(), ca.PublicKey(), avk); err != nil {
+		t.Fatalf("genuine check fails after the rejected ones: %v", err)
+	}
+}
+
+func TestFailedVerificationIsNotRemembered(t *testing.T) {
+	ca, m := setup(t)
+	cert, avk := issued(t, ca, m)
+	forged := *cert
+	forged.Sig = append([]byte(nil), cert.Sig...)
+	forged.Sig[0] ^= 1
+	before := verifiedLen()
+	for i := 0; i < 2; i++ {
+		if n := verifies(func() {
+			if err := VerifyAttestationCert(&forged, ca.Name(), ca.PublicKey(), avk); err == nil {
+				t.Fatal("forged certificate accepted")
+			}
+		}); n != 1 {
+			t.Fatalf("check %d of a forged certificate did %d verifications, want 1 every time", i+1, n)
+		}
+	}
+	if got := verifiedLen(); got != before {
+		t.Fatalf("set grew from %d to %d on failed verifications", before, got)
+	}
+	if err := VerifyAttestationCert(nil, ca.Name(), ca.PublicKey(), avk); err == nil {
+		t.Fatal("nil certificate accepted")
+	}
+}
+
+func TestVerifiedSetIsBoundedFIFO(t *testing.T) {
+	id := cryptoutil.MustIdentity("pca")
+	key := cryptoutil.MustIdentity("avk").Public()
+	mint := func(serial uint64) *cryptoutil.Certificate {
+		return cryptoutil.IssueCertificate(id, "anon", PurposeAttestationKey, key, serial)
+	}
+	oldest := mint(0)
+	if err := VerifyAttestationCert(oldest, id.Name, id.Public(), key); err != nil {
+		t.Fatal(err)
+	}
+	for serial := uint64(1); serial <= 10*verifiedCertsSize; serial++ {
+		if err := VerifyAttestationCert(mint(serial), id.Name, id.Public(), key); err != nil {
+			t.Fatal(err)
+		}
+		if n := verifiedLen(); n > verifiedCertsSize {
+			t.Fatalf("set holds %d entries after %d certificates, bound is %d", n, serial+1, verifiedCertsSize)
+		}
+	}
+	if n := verifiedLen(); n != verifiedCertsSize {
+		t.Fatalf("set holds %d entries, want it full at %d", n, verifiedCertsSize)
+	}
+	recheck := func(c *cryptoutil.Certificate) uint64 {
+		return verifies(func() {
+			if err := VerifyAttestationCert(c, id.Name, id.Public(), key); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := recheck(oldest); n != 1 {
+		t.Fatalf("evicted certificate re-checked with %d verifications, want 1", n)
+	}
+	if n := recheck(mint(10 * verifiedCertsSize)); n != 0 {
+		t.Fatalf("newest certificate re-checked with %d verifications, want 0", n)
+	}
+}
+
+func TestVerifiedSetConcurrentShards(t *testing.T) {
+	ca, m := setup(t)
+	const sessions, shards = 20, 4
+	certs := make([]*cryptoutil.Certificate, sessions)
+	avks := make([][]byte, sessions)
+	for i := range certs {
+		certs[i], avks[i] = issued(t, ca, m)
+	}
+	var wg sync.WaitGroup
+	n := verifies(func() {
+		for i := range certs {
+			for shard := 0; shard < shards; shard++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := 0; k < 10; k++ {
+						if err := VerifyAttestationCert(certs[i], ca.Name(), ca.PublicKey(), avks[i]); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	})
+	// Exact whatever the interleaving: shards that miss together verify once
+	// between them.
+	if n != sessions {
+		t.Fatalf("%d shards checking %d new certificates did %d verifications, want %d", shards, sessions, n, sessions)
 	}
 }

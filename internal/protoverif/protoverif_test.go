@@ -92,6 +92,38 @@ func TestFullProtocolHasNoViolations(t *testing.T) {
 	}
 }
 
+// TestFullModelSharesOneSessionKeyAcrossRequests states what the cloud
+// server's session policy relies on (DESIGN.md §15): the model the six
+// properties are proved on already signs the evidence of both of its
+// requests under one ASKs carrying one pCA certificate, so none of them
+// hangs on a fresh key per attestation — telling the two evidences apart is
+// N3's job. A model changed to per-request keys fails here, and reusing a
+// key has to be argued again.
+func TestFullModelSharesOneSessionKeyAcrossRequests(t *testing.T) {
+	m := NewModel(Full)
+	if findings := m.Check(); len(findings) != 0 {
+		t.Fatalf("full protocol violated: %v", findings)
+	}
+	var evidence, certs []*Term
+	for i, s := range []*Session{m.S1, m.S2} {
+		hop4 := s.Trace[3] // senc(kz, pair(sign(asks, …), cert))
+		if hop4.Op != OpSEnc || !hop4.Args[0].Equal(m.Kz) || hop4.Args[1].Op != OpPair {
+			t.Fatalf("request %d: hop 4 is %s, want evidence and certificate under Kz", i+1, hop4)
+		}
+		ev, cert := hop4.Args[1].Args[0], hop4.Args[1].Args[1]
+		if ev.Op != OpSign || !ev.Args[0].Equal(m.ASKS) {
+			t.Fatalf("request %d: evidence %s not signed under the shared session key %s", i+1, ev, m.ASKS)
+		}
+		evidence, certs = append(evidence, ev), append(certs, cert)
+	}
+	if want := Sign(m.SKPCA, PK(m.ASKS)); !certs[0].Equal(want) || !certs[1].Equal(want) {
+		t.Fatalf("requests carry certificates %s and %s, want both %s", certs[0], certs[1], want)
+	}
+	if evidence[0].Equal(evidence[1]) {
+		t.Fatal("the two requests' evidence is one term: N3 no longer separates them")
+	}
+}
+
 func expectViolation(t *testing.T, v Variant, property, detailFragment string) {
 	t.Helper()
 	findings := NewModel(v).Check()

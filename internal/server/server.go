@@ -34,7 +34,8 @@ import (
 // deployment it is an RPC stub.
 type Certifier interface {
 	// Certify is a privacy-CA round-trip (issuance, ledger group-commit
-	// waits, possibly an RPC); callers must not hold locks across it.
+	// waits, possibly an RPC); the only lock a caller may hold across it is
+	// one that exists to serialize the round-trip (Server.sessMu).
 	//
 	// lockorder: blocking
 	Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error)
@@ -89,15 +90,6 @@ type Config struct {
 	// Obs, when set, receives one span per served measurement (the entity
 	// is the server's Name).
 	Obs *obs.Store
-	// SessionMaxUses bounds how many measurements reuse one attestation
-	// session key before the Trust Module mints a fresh one (<=1 = a fresh
-	// key per measurement, the paper's per-attestation key). The
-	// certification request is still sent to the privacy CA every
-	// measurement; within the reuse window the pCA answers from its
-	// per-session certificate cache without re-verifying or re-signing,
-	// which is what makes certification cheap on the sharded hot path. The
-	// bound keeps the unlinkability window (§3.4.2) short.
-	SessionMaxUses int
 }
 
 // LaunchSpec describes a VM to place on this server.
@@ -155,10 +147,11 @@ type Server struct {
 	// server's periodic reconnects skip the asymmetric handshake.
 	tickets *secchan.TicketKeeper
 
-	// Bounded attestation-session reuse (Config.SessionMaxUses).
+	// The current attestation session and how many measurements it has been
+	// handed to. sessMu serializes rotation, the pCA round-trip included; a
+	// session is immutable once stored here.
 	sessMu   sync.Mutex
 	sess     *trust.Session
-	sessCSR  *trust.CertRequest
 	sessUses int
 }
 
@@ -486,11 +479,11 @@ func (s *Server) MigrateOut(vid string) (LaunchSpec, error) {
 }
 
 // Measure serves one attestation measurement request end to end (Fig. 2
-// steps 1–8): mint a session key, have it certified by the pCA, collect the
-// measurements through the Monitor Kernel (advancing virtual time for
-// windowed monitors), store them in the Trust Evidence Registers, and sign
-// the evidence. The Dom0 cost of collection is charged to the host VM — the
-// guest is never intercepted.
+// steps 1–8): take the certified session key (a new one every sessionUses
+// measurements), collect the measurements through the Monitor Kernel
+// (advancing virtual time for windowed monitors), store them in the Trust
+// Evidence Registers, and sign the evidence. The Dom0 cost of collection is
+// charged to the host VM — the guest is never intercepted.
 func (s *Server) Measure(req wire.MeasureRequest) (*wire.Evidence, error) {
 	if _, err := s.vm(req.Vid); err != nil {
 		return nil, err
@@ -507,14 +500,19 @@ func (s *Server) Measure(req wire.MeasureRequest) (*wire.Evidence, error) {
 	return wire.BuildEvidence(sess, req.Vid, req.Req, ms, req.N3, string(s.drv.Backend())), nil
 }
 
-// certifiedSession returns an attestation session with a fresh pCA
-// certificate. With SessionMaxUses <= 1 each call mints a new key pair (one
-// session per attestation, paper Fig. 2 step 3); otherwise the key pair is
-// reused for up to SessionMaxUses measurements, with the certification
-// request re-sent each time so the privacy CA's per-session cert cache —
-// not this server — decides how much certification work repeats cost.
+// sessionUses is how many measurements one certified attestation key signs
+// before the Trust Module mints the next: the linkability window of
+// DESIGN.md §15, bounded in uses, not in time.
+const sessionUses = 8
+
+// certifiedSession hands out the server's current attestation session,
+// rotating it first when it has signed sessionUses measurements: mint a key
+// pair, have the pCA certify it once, and only then publish it. A failed
+// certification keeps nothing, so the next call starts over.
 func (s *Server) certifiedSession() (*trust.Session, error) {
-	if s.cfg.SessionMaxUses <= 1 {
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	if s.sess == nil || s.sessUses == sessionUses {
 		sess, csr, err := s.tm.NewSession()
 		if err != nil {
 			return nil, err
@@ -524,42 +522,8 @@ func (s *Server) certifiedSession() (*trust.Session, error) {
 			return nil, fmt.Errorf("server %s: session key certification failed: %w", s.cfg.Name, err)
 		}
 		sess.Cert = cert
-		return sess, nil
+		s.sess, s.sessUses = sess, 0
 	}
-	// Mint (or reuse) the session under the lock, but certify outside it:
-	// Certify is a privacy-CA round-trip, and holding sessMu across it
-	// would serialize every concurrent measurement on this server behind
-	// one certification. The pCA's per-session cert cache makes concurrent
-	// certifications of the same CSR cheap.
-	s.sessMu.Lock()
-	if s.sess == nil || s.sessUses >= s.cfg.SessionMaxUses {
-		sess, csr, err := s.tm.NewSession()
-		if err != nil {
-			s.sessMu.Unlock()
-			return nil, err
-		}
-		s.sess, s.sessCSR, s.sessUses = sess, csr, 0
-	}
-	sess, csr := s.sess, s.sessCSR
-	s.sessMu.Unlock()
-
-	cert, err := s.cfg.Certifier.Certify(csr)
-	if err != nil {
-		return nil, fmt.Errorf("server %s: session key certification failed: %w", s.cfg.Name, err)
-	}
-
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	sess.Cert = cert
-	if s.sess == sess {
-		// Concurrent callers may each bump the count before either
-		// measures, overshooting SessionMaxUses by at most the number of
-		// in-flight measurements — reuse stays bounded, which is all the
-		// rotation exists for.
-		s.sessUses++
-	}
-	// If the session rotated while we certified, ours is still a validly
-	// certified key pair: use it for this measurement and let later calls
-	// pick up the new session.
-	return sess, nil
+	s.sessUses++
+	return s.sess, nil
 }

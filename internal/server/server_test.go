@@ -3,7 +3,10 @@ package server
 import (
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/sim"
+	"cloudmonatt/internal/trust"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
 )
@@ -22,6 +26,22 @@ type rig struct {
 	srv   *Server
 }
 
+func newServer(t *testing.T, name string, clock *vclock.Clock, certifier Certifier) *Server {
+	t.Helper()
+	srv, err := New(Config{
+		Name:      name,
+		Clock:     clock,
+		PCPUs:     2,
+		Capacity:  Capacity{VCPUs: 4, MemoryMB: 16384, DiskGB: 200},
+		Certifier: certifier,
+		Rand:      rand.Reader,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	ca, err := pca.New("pca", rand.Reader)
@@ -29,17 +49,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	clock := vclock.New(sim.NewKernel(17))
-	srv, err := New(Config{
-		Name:      "srv-1",
-		Clock:     clock,
-		PCPUs:     2,
-		Capacity:  Capacity{VCPUs: 4, MemoryMB: 16384, DiskGB: 200},
-		Certifier: ca,
-		Rand:      rand.Reader,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, "srv-1", clock, ca)
 	ca.RegisterServer(srv.Name(), srv.Identity().Public())
 	return &rig{clock: clock, ca: ca, srv: srv}
 }
@@ -192,22 +202,173 @@ func TestMeasureUnknownVM(t *testing.T) {
 	}
 }
 
-func TestEachMeasureUsesFreshSessionKey(t *testing.T) {
+// measureRT takes one runtime-integrity measurement (no window, so no
+// virtual time passes) and checks the evidence end to end.
+func (r *rig) measureRT(t *testing.T, vid string) (*wire.Evidence, error) {
+	t.Helper()
+	req, err := properties.MapToMeasurements(properties.RuntimeIntegrity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n3 := cryptoutil.MustNonce()
+	ev, err := r.srv.Measure(wire.MeasureRequest{Vid: vid, Req: req, N3: n3})
+	if err != nil {
+		return nil, err
+	}
+	if err := wire.VerifyEvidence(ev, r.ca.Name(), r.ca.PublicKey(), vid, req, n3); err != nil {
+		t.Errorf("evidence for %s does not verify: %v", vid, err)
+	}
+	return ev, nil
+}
+
+// TestSessionRotatesEveryEightMeasurements pins the one session policy: a
+// server signs exactly sessionUses consecutive measurements, of whichever
+// of its VMs, under one certified key, then rotates; servers never share a
+// key.
+func TestSessionRotatesEveryEightMeasurements(t *testing.T) {
+	r := newRig(t)
+	vids := []string{"vm-1", "vm-2", "vm-3"}
+	for _, vid := range vids {
+		if err := r.srv.Launch(smallSpec(vid, "idle")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var evs []*wire.Evidence
+	for i := 0; i < sessionUses+1; i++ {
+		ev, err := r.measureRT(t, vids[i%len(vids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	first, ninth := evs[0], evs[sessionUses]
+	for i, ev := range evs[:sessionUses] {
+		if !cryptoutil.KeyEqual(ev.AVK, first.AVK) || ev.Cert.Serial != first.Cert.Serial {
+			t.Fatalf("measurement %d (VM %s): AVK/serial %d differ from measurement 1's serial %d inside one window",
+				i+1, ev.Vid, ev.Cert.Serial, first.Cert.Serial)
+		}
+	}
+	if cryptoutil.KeyEqual(ninth.AVK, first.AVK) {
+		t.Fatalf("measurement %d still signed under the first session key", sessionUses+1)
+	}
+	if ninth.Cert.Serial <= first.Cert.Serial {
+		t.Fatalf("rotated certificate serial %d not above %d", ninth.Cert.Serial, first.Cert.Serial)
+	}
+	if got := r.ca.CertStats(); got.Issued != 2 || got.CacheHits != 0 {
+		t.Fatalf("pCA stats %+v after %d measurements, want 2 issued / 0 cache hits", got, sessionUses+1)
+	}
+
+	other := &rig{clock: r.clock, ca: r.ca, srv: newServer(t, "srv-2", r.clock, r.ca)}
+	r.ca.RegisterServer(other.srv.Name(), other.srv.Identity().Public())
+	if err := other.srv.Launch(smallSpec("vm-9", "idle")); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := other.measureRT(t, "vm-9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cryptoutil.KeyEqual(ev.AVK, first.AVK) || cryptoutil.KeyEqual(ev.AVK, ninth.AVK) {
+		t.Fatal("two servers share an attestation key")
+	}
+}
+
+// TestConcurrentMeasuresShareImmutableSession is the regression test for
+// the data race on a reused session's certificate (written per measurement
+// under sessMu, read unlocked by wire.BuildEvidence): a published session
+// is never written again, and counting at hand-out makes rotation exact
+// under concurrency. Run with -race.
+func TestConcurrentMeasuresShareImmutableSession(t *testing.T) {
 	r := newRig(t)
 	if err := r.srv.Launch(smallSpec("vm-1", "idle")); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := properties.MapToMeasurements(properties.RuntimeIntegrity)
-	ev1, err := r.srv.Measure(wire.MeasureRequest{Vid: "vm-1", Req: req, N3: cryptoutil.MustNonce()})
+	const workers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := r.measureRT(t, "vm-1"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := uint64((workers*each + sessionUses - 1) / sessionUses)
+	if got := r.ca.CertStats().Issued; got != want {
+		t.Fatalf("pCA issued %d certificates for %d measurements, want exactly %d", got, workers*each, want)
+	}
+}
+
+// flakyCertifier fails every certification while down is set.
+type flakyCertifier struct {
+	ca    *pca.PCA
+	down  atomic.Bool
+	calls atomic.Int64
+}
+
+var errPCADown = errors.New("pCA unreachable")
+
+func (f *flakyCertifier) Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error) {
+	f.calls.Add(1)
+	if f.down.Load() {
+		return nil, errPCADown
+	}
+	return f.ca.Certify(req)
+}
+
+// TestCertifierOutageStopsServerOnlyAtRotation: a server that holds its
+// certificate rides out a pCA outage until the window ends, keeps nothing
+// from a failed rotation, and retries on the very next call.
+func TestCertifierOutageStopsServerOnlyAtRotation(t *testing.T) {
+	ca, err := pca.New("pca", rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2, err := r.srv.Measure(wire.MeasureRequest{Vid: "vm-1", Req: req, N3: cryptoutil.MustNonce()})
+	cert := &flakyCertifier{ca: ca}
+	clock := vclock.New(sim.NewKernel(17))
+	r := &rig{clock: clock, ca: ca, srv: newServer(t, "srv-1", clock, cert)}
+	ca.RegisterServer(r.srv.Name(), r.srv.Identity().Public())
+	if err := r.srv.Launch(smallSpec("vm-1", "idle")); err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.measureRT(t, "vm-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cryptoutil.KeyEqual(ev1.AVK, ev2.AVK) {
-		t.Fatal("attestation key reused across sessions (location privacy)")
+	cert.down.Store(true)
+	for i := 2; i <= sessionUses; i++ {
+		ev, err := r.measureRT(t, "vm-1")
+		if err != nil {
+			t.Fatalf("measurement %d inside the window failed during the pCA outage: %v", i, err)
+		}
+		if !cryptoutil.KeyEqual(ev.AVK, first.AVK) {
+			t.Fatalf("measurement %d changed key inside the window", i)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := r.measureRT(t, "vm-1"); !errors.Is(err, errPCADown) {
+			t.Fatalf("rotation during the outage: err = %v, want the certification error", err)
+		}
+	}
+	if got := cert.calls.Load(); got != 3 {
+		t.Fatalf("certifier called %d times, want 3 (one per rotation attempt, none inside the window)", got)
+	}
+	cert.down.Store(false)
+	ev, err := r.measureRT(t, "vm-1")
+	if err != nil {
+		t.Fatalf("recovered pCA not retried on the next call: %v", err)
+	}
+	if cryptoutil.KeyEqual(ev.AVK, first.AVK) {
+		t.Fatal("expired session key handed out after a failed rotation")
+	}
+	// Nothing half-minted was kept: the keys of the two failed attempts were
+	// never certified, so exactly two certificates exist.
+	if got := ca.CertStats().Issued; got != 2 {
+		t.Fatalf("pCA issued %d certificates, want 2", got)
 	}
 }
 
