@@ -1,115 +1,67 @@
 // Command monatt-bench regenerates the tables and figures of the
 // CloudMonatt paper's evaluation on the simulated cloud and prints the same
-// rows/series the paper reports.
+// rows/series the paper reports, in virtual time.
 //
 // Usage:
 //
-//	monatt-bench [-seed N] [-exp all|table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|ablation|comparison|rfa|traces|shards]
+//	monatt-bench [-seed N] [-exp all|<id>]
 //
-// The shards experiment is sized by -shards (max shard count, doubling from
-// 1), -shard-tasks, -shard-freq and -shard-window; it reads the wall clock
-// and runs for roughly (1.5·freq + window) per shard count, so it is not
-// part of -exp all.
+// The ids are those of bench.Artefacts (table1, fig4 ... rfa). One id prints
+// exactly that artefact's rendering, so at -seed 1 the output is byte for
+// byte internal/bench/testdata/<id>.golden; all prints every artefact in
+// table order with a blank line between two.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
+	"strings"
 
 	"cloudmonatt/internal/bench"
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "simulation seed")
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig4, fig5, fig6, fig7, fig9, fig10, fig11, ablation, comparison, rfa, traces, shards)")
-	shards := flag.Int("shards", 8, "shards: max shard count (curve doubles 1, 2, ... up to this)")
-	shardTasks := flag.Int("shard-tasks", 120000, "shards: periodic attestation streams across the fleet")
-	shardServers := flag.Int("shard-servers", 48, "shards: simulated cloud servers the streams spread over")
-	shardFreq := flag.Duration("shard-freq", 4*time.Second, "shards: mean per-stream attestation frequency")
-	shardWindow := flag.Duration("shard-window", 8*time.Second, "shards: measured window per shard count (after a 1.5x freq warm-up)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	run := func(name string, f func() (string, error)) {
-		if *exp != name && (*exp != "all" || name == "shards") {
-			return
+func run(args []string, stdout, stderr io.Writer) int {
+	ids := make([]string, len(bench.Artefacts))
+	for i, a := range bench.Artefacts {
+		ids[i] = a.ID
+	}
+	fs := flag.NewFlagSet("monatt-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 1, "simulation seed")
+	exp := fs.String("exp", "all", "artefact to regenerate: all, "+strings.Join(ids, ", "))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		start := time.Now()
-		out, err := f()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
-		fmt.Printf("  [%s regenerated in %v wall time]\n\n", name, time.Since(start).Round(time.Millisecond))
+		return 2
 	}
 
-	run("table1", func() (string, error) {
-		r, err := bench.Table1(*seed)
-		return r.Render(), err
-	})
-	run("fig4", func() (string, error) {
-		return bench.Fig4(*seed, 200).Render(), nil
-	})
-	run("fig5", func() (string, error) {
-		r, err := bench.Fig5(*seed, 2*time.Second)
-		return r.Render(), err
-	})
-	run("fig6", func() (string, error) {
-		r, err := bench.Fig6(*seed)
-		if err != nil {
-			return "", err
+	printed := 0
+	for _, a := range bench.Artefacts {
+		if *exp != "all" && *exp != a.ID {
+			continue
 		}
-		return r.Render(), nil
-	})
-	run("fig7", func() (string, error) {
-		r, err := bench.Fig7(*seed)
-		return r.Render(), err
-	})
-	run("fig9", func() (string, error) {
-		r, err := bench.Fig9(*seed)
-		return r.Render(), err
-	})
-	run("fig10", func() (string, error) {
-		r, err := bench.Fig10(*seed, 2*time.Minute)
+		out, err := a.Run(*seed)
 		if err != nil {
-			return "", err
+			fmt.Fprintf(stderr, "%s: %v\n", a.ID, err)
+			return 1
 		}
-		return r.Render(), nil
-	})
-	run("fig11", func() (string, error) {
-		r, err := bench.Fig11(*seed)
-		return r.Render(), err
-	})
-	run("ablation", func() (string, error) {
-		out := bench.AblationScheduler(*seed).Render()
-		bins, err := bench.AblationBins(*seed)
-		if err != nil {
-			return "", err
+		if printed > 0 {
+			fmt.Fprintln(stdout)
 		}
-		return out + "\n" + bins.Render(), nil
-	})
-	run("comparison", func() (string, error) {
-		r, err := bench.Comparison(*seed)
-		return r.Render(), err
-	})
-	run("rfa", func() (string, error) {
-		r, err := bench.RFA(*seed)
-		return r.Render(), err
-	})
-	run("shards", func() (string, error) {
-		r, err := bench.Shards(*seed, *shardTasks, *shards, *shardServers, *shardFreq, *shardWindow)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("traces", func() (string, error) {
-		r, err := bench.TraceStages(*seed, 20)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
+		fmt.Fprint(stdout, out)
+		printed++
+	}
+	if printed == 0 {
+		fmt.Fprintf(stderr, "monatt-bench: unknown -exp %q; the ids are all, %s\n", *exp, strings.Join(ids, ", "))
+		return 2
+	}
+	return 0
 }

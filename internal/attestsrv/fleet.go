@@ -10,11 +10,11 @@ import (
 )
 
 // FleetEngine exposes the periodic monitoring engine standalone: one shard's
-// scheduler without the appraisal stack behind it. The fleet-scale shard
-// benchmark and the churn race test drive it directly — they need the
-// engine's exact shedding, accounting and handoff semantics at task counts
-// where running full appraisals per tick would measure crypto, not
-// scheduling.
+// scheduler without the appraisal stack behind it. The repository
+// benchmark's attestsrv.periodic_sched_us_per_tick leaf (benchmark/layers.go)
+// and the churn race test drive it directly — they need the engine's exact
+// shedding, accounting and handoff semantics at task counts where running
+// full appraisals per tick would measure crypto, not scheduling.
 type FleetEngine struct {
 	e *periodicEngine
 }
@@ -31,21 +31,11 @@ func NewFleetEngine(cfg PeriodicConfig, now func() time.Duration, jitter func(ma
 	return &FleetEngine{e: newPeriodicEngine(cfg, now, jitter, fn, metrics.NewRegistry(), obs.NewTracer(nil, "fleet", now))}
 }
 
-// Start arms periodic attestation of (vid, prop) at fixed frequency.
-func (f *FleetEngine) Start(vid, serverID string, p properties.Property, freq time.Duration) error {
-	return f.e.start(vid, serverID, p, freq, false)
-}
-
 // StartRandom arms periodic attestation at random intervals around the
 // mean frequency (drawn from the engine's jitter source), so fleet-scale
 // load spreads instead of ticking in lockstep.
 func (f *FleetEngine) StartRandom(vid, serverID string, p properties.Property, freq time.Duration) error {
 	return f.e.start(vid, serverID, p, freq, true)
-}
-
-// Stop disarms (vid, prop) and returns the undelivered batch.
-func (f *FleetEngine) Stop(vid string, p properties.Property) PeriodicBatch {
-	return f.e.stop(vid, p)
 }
 
 // RunDue dispatches and waits for every due task, returning the committed
@@ -57,27 +47,4 @@ func (f *FleetEngine) RunDue() []*wire.Report {
 // NextDue returns the earliest pending deadline.
 func (f *FleetEngine) NextDue() (time.Duration, bool) {
 	return f.e.nextDue()
-}
-
-// ExportWhere disarms and returns every task whose VM the predicate says to
-// move (the shard-handoff primitive).
-func (f *FleetEngine) ExportWhere(move func(vid string) bool) []PeriodicTaskState {
-	return f.e.exportWhere(move)
-}
-
-// Import arms one handed-off task at its preserved deadline; false means
-// the stream was already armed here (idempotent retry).
-func (f *FleetEngine) Import(st PeriodicTaskState) bool {
-	return f.e.importTask(st)
-}
-
-// TaskKeys lists the armed (vid, prop) keys.
-func (f *FleetEngine) TaskKeys() []string {
-	return f.e.taskKeys()
-}
-
-// Metrics exposes the engine's counters (ticks, produced, skipped,
-// failures, stopped-discards, dropped).
-func (f *FleetEngine) Metrics() *metrics.Registry {
-	return f.e.reg
 }

@@ -35,9 +35,9 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	appraise := func(vid, serverID string, p properties.Property) (*wire.Report, error) {
 		return &wire.Report{Vid: vid, ServerID: serverID, Prop: p}, nil
 	}
-	engines := map[string]*FleetEngine{
-		"shard-a": NewFleetEngine(PeriodicConfig{Workers: 4}, now, nil, appraise),
-		"shard-b": NewFleetEngine(PeriodicConfig{Workers: 4}, now, nil, appraise),
+	engines := map[string]*periodicEngine{
+		"shard-a": NewFleetEngine(PeriodicConfig{Workers: 4}, now, nil, appraise).e,
+		"shard-b": NewFleetEngine(PeriodicConfig{Workers: 4}, now, nil, appraise).e,
 	}
 	// The ring decides placement; flipping the generation remaps every
 	// stream deterministically without pausing dispatch.
@@ -55,7 +55,7 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	vids := make([]string, streams)
 	for i := range vids {
 		vids[i] = fmt.Sprintf("vm-%03d", i)
-		if err := engines[ownerOf(vids[i])].Start(vids[i], "srv", properties.CPUAvailability, freq); err != nil {
+		if err := engines[ownerOf(vids[i])].start(vids[i], "srv", properties.CPUAvailability, freq, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,14 +64,14 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, e := range engines {
 		wg.Add(1)
-		go func(e *FleetEngine) {
+		go func(e *periodicEngine) {
 			defer wg.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					e.RunDue()
+					e.runDue()
 				}
 			}
 		}(e)
@@ -83,9 +83,9 @@ func TestShardChurnHandoffRace(t *testing.T) {
 		clock.Add(int64(freq))
 		gen.Add(1)
 		for name, e := range engines {
-			exported := e.ExportWhere(func(vid string) bool { return ownerOf(vid) != name })
+			exported := e.exportWhere(func(vid string) bool { return ownerOf(vid) != name })
 			for _, st := range exported {
-				if !engines[ownerOf(st.Vid)].Import(st) {
+				if !engines[ownerOf(st.Vid)].importTask(st) {
 					t.Errorf("round %d: stream %s/%s double-armed on %s", round, st.Vid, st.Prop, ownerOf(st.Vid))
 				}
 			}
@@ -97,7 +97,7 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	// No stream lost, none duplicated, each on its current owner.
 	seen := make(map[string]string)
 	for name, e := range engines {
-		for _, k := range e.TaskKeys() {
+		for _, k := range e.taskKeys() {
 			if prev, dup := seen[k]; dup {
 				t.Fatalf("stream %q armed on both %s and %s", k, prev, name)
 			}
@@ -119,7 +119,7 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	// appraisal crossing a handoff must not leak or double-count.
 	produced := int64(0)
 	for name, e := range engines {
-		reg := e.Metrics()
+		reg := e.reg
 		ticks := reg.Counter("periodic/ticks").Value()
 		resolved := reg.Counter("periodic/produced").Value() +
 			reg.Counter("periodic/skipped").Value() +

@@ -1,17 +1,56 @@
 // Package bench regenerates every table and figure of the CloudMonatt
 // paper's evaluation (§7) plus the case-study figures (§4), as structured
 // results with text rendering. Each Fig*/Table* function runs the relevant
-// experiment end to end on the simulated cloud and returns the same rows or
-// series the paper plots; cmd/monatt-bench prints them and bench_test.go
-// wraps them as testing.B benchmarks.
+// experiment end to end on the simulated cloud, in virtual time, and returns
+// the same rows or series the paper plots. Artefacts lists them with the
+// arguments they are published at: cmd/monatt-bench prints from it, the
+// goldens under testdata/ pin its output at seed 1, and EXPERIMENTS.md
+// carries those goldens. What an attestation costs on the wall clock is
+// the repository benchmark's job (benchmark/), not this package's.
 package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
+
+// Artefact is one table or figure of the paper's evaluation.
+type Artefact struct {
+	// ID is the -exp value of cmd/monatt-bench and names the golden
+	// testdata/<ID>.golden and the block EXPERIMENTS.md carries.
+	ID string
+	// Run regenerates the artefact at the seed and renders it.
+	Run func(seed int64) (string, error)
+}
+
+// Artefacts is every artefact this package regenerates, in the order
+// EXPERIMENTS.md presents them. The arguments written here (bits sent,
+// windows, horizons) are the ones the goldens are pinned at.
+var Artefacts = []Artefact{
+	{"table1", func(seed int64) (string, error) { return render(Table1(seed)) }},
+	{"fig4", func(seed int64) (string, error) { return Fig4(seed, 200).Render(), nil }},
+	{"fig5", func(seed int64) (string, error) { return render(Fig5(seed, 2*time.Second)) }},
+	{"fig6", func(seed int64) (string, error) { return render(Fig6(seed)) }},
+	{"fig7", func(seed int64) (string, error) { return render(Fig7(seed)) }},
+	{"fig9", func(seed int64) (string, error) { return render(Fig9(seed)) }},
+	{"fig10", func(seed int64) (string, error) { return render(Fig10(seed, 2*time.Minute)) }},
+	{"fig11", func(seed int64) (string, error) { return render(Fig11(seed)) }},
+	{"ablation-scheduler", func(seed int64) (string, error) { return AblationScheduler(seed).Render(), nil }},
+	{"ablation-bins", func(seed int64) (string, error) { return render(AblationBins(seed)) }},
+	{"comparison", func(seed int64) (string, error) { return render(Comparison(seed)) }},
+	{"rfa", func(seed int64) (string, error) { return render(RFA(seed)) }},
+}
+
+// render is the tail of a table entry: the result's text, or the error the
+// experiment returned (a failed Fig6 or Fig10 carries a nil *Table, so the
+// error is checked before Render runs).
+func render[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
 
 // Series is one named sequence of (x, y) points.
 type Series struct {
@@ -92,13 +131,3 @@ func RenderSeries(title string, series ...Series) string {
 
 // seconds converts a duration to float seconds.
 func seconds(d time.Duration) float64 { return d.Seconds() }
-
-// sortedKeys returns map keys in stable order.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -311,19 +311,3 @@ func TestRFAShape(t *testing.T) {
 		t.Errorf("benign co-tenants flagged: %+v", r.Flagged)
 	}
 }
-
-func TestShardsSmoke(t *testing.T) {
-	tbl, err := Shards(1, 64, 2, 8, 100*time.Millisecond, 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := tbl.Render()
-	if !strings.Contains(r, "1 shard(s)") || !strings.Contains(r, "2 shard(s)") {
-		t.Fatalf("missing shard rows:\n%s", r)
-	}
-	for _, row := range []string{"1 shard(s)", "2 shard(s)"} {
-		if rate := tbl.Cells[row]["attest/s"]; rate <= 0 {
-			t.Fatalf("%s produced nothing (rate %.1f)", row, rate)
-		}
-	}
-}
