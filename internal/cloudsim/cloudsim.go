@@ -2,9 +2,10 @@
 // one Cloud Controller, one Attestation Server with its privacy CA, and N
 // cloud servers, all speaking the real attestation protocol over
 // authenticated encrypted channels on an in-memory network, with every
-// hypervisor and latency model driven by one shared virtual clock. It is
-// the equivalent of the paper's three-machine OpenStack deployment (§7),
-// squeezed into a deterministic process.
+// latency model and every server's own simulation kernel kept at the time of
+// one shared virtual clock. It is the equivalent of the paper's
+// three-machine OpenStack deployment (§7), squeezed into a deterministic
+// process.
 package cloudsim
 
 import (
@@ -132,7 +133,7 @@ type Testbed struct {
 	ControllerAddr string
 
 	mu         sync.Mutex
-	opMu       sync.Mutex // serializes kernel-driving logical operations
+	opMu       sync.Mutex // serializes clock-driving logical operations
 	directory  map[string]ed25519.PublicKey
 	tamperNext bool
 	nextCoVM   int
@@ -190,13 +191,12 @@ func New(opts Options) (*Testbed, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	kernel := sim.NewKernel(opts.Seed)
 	network := opts.Network
 	if network == nil {
 		network = rpc.NewMemNetwork()
 	}
 	tb := &Testbed{
-		Clock:     vclock.New(kernel),
+		Clock:     vclock.New(sim.NewKernel(opts.Seed)),
 		Net:       network,
 		Lat:       latency.New(opts.Seed + 1),
 		Images:    image.NewLibrary(opts.Seed + 2),
@@ -242,6 +242,7 @@ func New(opts Options) (*Testbed, error) {
 		cfg := server.Config{
 			Name:      name,
 			Clock:     tb.Clock,
+			Seed:      opts.Seed,
 			PCPUs:     opts.PCPUsPerServer,
 			Capacity:  opts.Capacity,
 			Certifier: tb.certSwitch,
@@ -652,8 +653,8 @@ func (tb *Testbed) imageTamper(name string, data []byte) []byte {
 }
 
 // RunFor advances virtual time by d, executing periodic attestations as
-// they come due. It serializes against in-flight nova api requests: the
-// shared discrete-event kernel admits one logical driver at a time. Each
+// they come due. It serializes against in-flight nova api requests, so a
+// seeded run meets every deadline at the same virtual instant. Each
 // pass drives the same concurrent engine the real-time daemon uses: due
 // appraisals of one batch run in parallel on the engine's worker pool and
 // the pass waits for the batch, so the deterministic virtual-clock loop
@@ -686,7 +687,7 @@ func (tb *Testbed) RunFor(d time.Duration) {
 }
 
 // ctrl returns the currently installed controller; it changes across
-// RestartController, so kernel-driving loops re-read it each step.
+// RestartController, so clock-driving loops re-read it each step.
 func (tb *Testbed) ctrl() *controller.Controller {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()

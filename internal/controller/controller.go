@@ -174,10 +174,10 @@ type Config struct {
 	// startup-integrity case study).
 	ImageTamper func(name string, data []byte) []byte
 	// Serialize, when set, is held for the duration of each nova api
-	// request. The whole testbed shares one discrete-event kernel, which is
-	// single-threaded by nature; serializing at the customer-facing entry
-	// keeps exactly one logical operation driving virtual time while the
-	// channel/crypto layers stay concurrent.
+	// request. A seeded run is one sequence of logical operations on one
+	// virtual clock; serializing at the customer-facing entry keeps exactly
+	// one of them driving virtual time while the channel/crypto layers stay
+	// concurrent.
 	Serialize *sync.Mutex
 	// Ledger, when set, receives evidence entries for launch decisions and
 	// executed remediation responses.

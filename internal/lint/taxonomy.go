@@ -247,6 +247,9 @@ var blockingMethods = map[string]string{
 	"cloudmonatt/internal/rpc.ReconnectClient.CallIdem":  "rpc call",
 	"cloudmonatt/internal/rpc.ReconnectClient.CallFresh": "rpc call",
 	"sync.WaitGroup.Wait":                                "waitgroup wait",
+	// Advance runs every cloud server's kernel, each under that server's
+	// lock: a caller holding one of them never returns.
+	"cloudmonatt/internal/vclock.Clock.Advance": "clock advance",
 }
 
 // blockingFuncs are plain functions that block.
@@ -273,6 +276,7 @@ var lockOrder = [][2]string{
 	{"Server.sessMu", "certifierSwitch.mu"}, // server: rotation certifies through the pCA switch …
 	{"Server.sessMu", "PCA.mu"},             // … and then the pCA itself; neither calls back into a server
 	{"periodicEngine.mu", "Server.mu"},      // attestsrv: engine before server state
+	{"Clock.mu", "Server.mu"},               // vclock: Advance and Attach take each cloud server's lock under the clock's
 }
 
 // blockingMarker in an interface method's doc or line comment declares the

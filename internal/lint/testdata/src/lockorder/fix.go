@@ -5,9 +5,11 @@ package lockorderfix
 
 import (
 	"sync"
+	"time"
 
 	"cloudmonatt/internal/lockorderdep"
 	"cloudmonatt/internal/rpc"
+	"cloudmonatt/internal/vclock"
 )
 
 // Testbed reuses the taxonomy's documented lock names: opMu is an
@@ -72,4 +74,26 @@ func (t *Testbed) waived() {
 	//lint:ignore lockorder fixture: the receive is bounded by a buffered channel drained elsewhere
 	<-t.ch
 	t.mu.Unlock()
+}
+
+// Server reuses the cloud server's lock name: mu covers the hypervisor on
+// the server's own kernel, and the clock takes it to run that kernel.
+type Server struct {
+	mu    sync.Mutex
+	clock *vclock.Clock
+}
+
+func (s *Server) advanceHeld() {
+	s.mu.Lock()
+	s.clock.Advance(time.Second) // want `clock advance while Server.mu is held`
+	s.mu.Unlock()
+}
+
+// windowed is a measurement's shape: arm, release, advance, re-take, collect.
+func (s *Server) windowed() {
+	s.mu.Lock()
+	s.mu.Unlock()
+	s.clock.Advance(time.Second)
+	s.mu.Lock()
+	s.mu.Unlock()
 }

@@ -4,10 +4,20 @@
 // that serves measurement requests from the Attestation Server, and the
 // Management Client that serves VM lifecycle commands from the Cloud
 // Controller (launch, terminate, suspend, resume, migrate).
+//
+// Each server simulates its hypervisor on a kernel of its own, attached to
+// the testbed's clock (vclock.Clock.Attach) and seeded from the testbed seed
+// and the server's name, so what a server's guests do depends on neither the
+// size of the fleet nor the order it was built in. One lock, Server.mu,
+// covers every touch of that hypervisor: the clock catching the kernel up,
+// domain creation, destruction, pause and resume, Info, and the monitor's arm
+// and collect steps. It is never held across Clock.Now or Clock.Advance.
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"strings"
 	"sync"
@@ -72,8 +82,10 @@ func (c Capacity) Minus(used Capacity) Capacity {
 
 // Config configures one cloud server.
 type Config struct {
-	Name      string
-	Clock     *vclock.Clock
+	Name  string
+	Clock *vclock.Clock
+	// Seed is the testbed's seed; with Name it seeds the server's kernel.
+	Seed      int64
 	PCPUs     int
 	Capacity  Capacity
 	Certifier Certifier
@@ -135,6 +147,9 @@ type Server struct {
 	mon    *monitor.Module
 	tracer *obs.Tracer
 
+	// mu guards the hosted-VM table and everything that runs on the
+	// server's kernel: the hypervisor, its domains, Dom0's work queue and the
+	// monitor's reads of them.
 	mu      sync.Mutex
 	vms     map[string]*hostedVM
 	used    Capacity
@@ -160,37 +175,43 @@ type Server struct {
 const dom0CostPerCollection = 200 * time.Microsecond
 
 // dom0Program models the host VM: it executes queued management work (like
-// measurement collection) in small bursts and otherwise stays idle.
+// measurement collection) in small bursts and halts when there is none, the
+// way a real Dom0 sleeps until an event channel fires. Whoever queues work
+// sends its vCPU an IPI (Server.kickDom0).
 type dom0Program struct {
-	mu      sync.Mutex
-	pending sim.Time
-}
-
-func (d *dom0Program) enqueue(work sim.Time) {
-	d.mu.Lock()
-	d.pending += work
-	d.mu.Unlock()
+	pending sim.Time // guarded by Server.mu, like everything on the kernel
 }
 
 // NextBurst implements xen.Program.
 func (d *dom0Program) NextBurst(env xen.Env, self *xen.VCPU) xen.Burst {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.pending <= 0 {
-		// Poll for new work at a coarse interval (a real Dom0 wakes on
-		// event channels; polling is equivalent at our timescales).
-		return xen.Burst{Run: 0, Block: 5 * time.Millisecond}
+		return xen.Burst{Halt: true}
 	}
-	run := d.pending
-	if run > time.Millisecond {
-		run = time.Millisecond
-	}
+	run := min(d.pending, time.Millisecond)
 	d.pending -= run
 	return xen.Burst{Run: run}
 }
 
+// kickDom0 queues host-VM work and raises Dom0's event channel. A kick that
+// finds Dom0 running or runnable wakes nothing and loses nothing: Dom0 halts
+// only on finding the queue empty. The caller holds s.mu.
+func (s *Server) kickDom0(work sim.Time) {
+	s.dom0Prog.pending += work
+	s.hv.SendIPI(s.dom0.VCPUs()[0])
+}
+
+// kernelSeed derives a server's simulation seed from the testbed's seed and
+// the server's name alone.
+func kernelSeed(seed int64, name string) int64 {
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(seed)))
+	h.Write([]byte(name))
+	return int64(h.Sum64())
+}
+
 // New boots a cloud server: provisions the Trust Module and the trust
-// backend, measures the platform into it, and starts Dom0.
+// backend, measures the platform into it, creates Dom0 and attaches the
+// server's kernel to the clock.
 func New(cfg Config) (*Server, error) {
 	if cfg.PCPUs <= 0 {
 		cfg.PCPUs = 1
@@ -199,7 +220,8 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	hv := xen.New(cfg.Clock.Kernel(), xen.DefaultConfig(), cfg.PCPUs)
+	k := sim.NewKernel(kernelSeed(cfg.Seed, cfg.Name))
+	hv := xen.New(k, xen.DefaultConfig(), cfg.PCPUs)
 	platform := cfg.Platform
 	if platform == nil {
 		platform = monitor.StandardPlatform()
@@ -228,7 +250,7 @@ func New(cfg Config) (*Server, error) {
 		tickets:  tickets,
 	}
 	s.dom0 = hv.NewDomain(cfg.Name+"/dom0", 512, 0, s.dom0Prog)
-	s.dom0.WakeAll()
+	cfg.Clock.Attach(&s.mu, k)
 	return s, nil
 }
 
@@ -255,7 +277,8 @@ func (s *Server) Backend() driver.Backend { return s.drv.Backend() }
 // TrustModule exposes the Trust Module (provisioning and tests).
 func (s *Server) TrustModule() *trust.Module { return s.tm }
 
-// Hypervisor exposes the hypervisor (experiment rigs attach observers).
+// Hypervisor exposes the hypervisor for tests; nothing that reads it may run
+// beside a Clock.Advance.
 func (s *Server) Hypervisor() *xen.Hypervisor { return s.hv }
 
 // Free returns the remaining allocatable capacity.
@@ -356,9 +379,15 @@ func (s *Server) Launch(spec LaunchSpec) error {
 	return nil
 }
 
+// vm looks up a hosted VM. Everything but its state is fixed at launch.
 func (s *Server) vm(vid string) (*hostedVM, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.vmLocked(vid)
+}
+
+// vmLocked is vm for callers that hold s.mu.
+func (s *Server) vmLocked(vid string) (*hostedVM, error) {
 	vm, ok := s.vms[vid]
 	if !ok {
 		return nil, fmt.Errorf("server %s: no VM %s", s.cfg.Name, vid)
@@ -386,7 +415,9 @@ func (s *Server) Domain(vid string) (*xen.Domain, error) {
 
 // Info reports the VM's runtime state.
 func (s *Server) Info(vid string) (VMInfo, error) {
-	vm, err := s.vm(vid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vm, err := s.vmLocked(vid)
 	if err != nil {
 		return VMInfo{}, err
 	}
@@ -406,14 +437,13 @@ func (s *Server) Info(vid string) (VMInfo, error) {
 // Terminate destroys a VM and releases its resources.
 func (s *Server) Terminate(vid string) error {
 	s.mu.Lock()
-	vm, ok := s.vms[vid]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("server %s: no VM %s", s.cfg.Name, vid)
+	defer s.mu.Unlock()
+	vm, err := s.vmLocked(vid)
+	if err != nil {
+		return err
 	}
 	delete(s.vms, vid)
 	s.used = s.used.Sub(vm.spec.Flavor)
-	s.mu.Unlock()
 	s.hv.DestroyDomain(vm.domain)
 	s.mon.RemoveVM(vid)
 	return nil
@@ -421,7 +451,9 @@ func (s *Server) Terminate(vid string) error {
 
 // Suspend pauses a VM, retaining its state.
 func (s *Server) Suspend(vid string) error {
-	vm, err := s.vm(vid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vm, err := s.vmLocked(vid)
 	if err != nil {
 		return err
 	}
@@ -435,7 +467,9 @@ func (s *Server) Suspend(vid string) error {
 
 // Resume continues a suspended VM.
 func (s *Server) Resume(vid string) error {
-	vm, err := s.vm(vid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vm, err := s.vmLocked(vid)
 	if err != nil {
 		return err
 	}
@@ -483,7 +517,9 @@ func (s *Server) MigrateOut(vid string) (LaunchSpec, error) {
 // measurements), collect the measurements through the Monitor Kernel
 // (advancing virtual time for windowed monitors), store them in the Trust
 // Evidence Registers, and sign the evidence. The Dom0 cost of collection is
-// charged to the host VM — the guest is never intercepted.
+// charged to the host VM — the guest is never intercepted. The monitor arms
+// and collects under s.mu; the window between them passes with it released,
+// because the clock takes it to run this server's kernel.
 func (s *Server) Measure(req wire.MeasureRequest) (*wire.Evidence, error) {
 	if _, err := s.vm(req.Vid); err != nil {
 		return nil, err
@@ -492,8 +528,14 @@ func (s *Server) Measure(req wire.MeasureRequest) (*wire.Evidence, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.dom0Prog.enqueue(dom0CostPerCollection)
-	ms, err := s.mon.Collect(req.Vid, req.Req, req.N3, func(w sim.Time) { s.cfg.Clock.Advance(w) })
+	s.mu.Lock()
+	s.kickDom0(dom0CostPerCollection)
+	ms, err := s.mon.Collect(req.Vid, req.Req, req.N3, func(w sim.Time) {
+		s.mu.Unlock()
+		s.cfg.Clock.Advance(w)
+		s.mu.Lock()
+	})
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}

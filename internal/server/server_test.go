@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	mathrand "math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"cloudmonatt/internal/trust"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
+	"cloudmonatt/internal/xen"
 )
 
 type rig struct {
@@ -372,20 +374,95 @@ func TestCertifierOutageStopsServerOnlyAtRotation(t *testing.T) {
 	}
 }
 
+// TestDom0AbsorbsCollectionCost: every measurement costs the host VM, not
+// the guest, its 200 µs — and Dom0 starts on it when the IPI lands, not at
+// its next poll.
 func TestDom0AbsorbsCollectionCost(t *testing.T) {
 	r := newRig(t)
 	if err := r.srv.Launch(smallSpec("vm-1", "idle")); err != nil {
 		t.Fatal(err)
 	}
+	var starts []sim.Time
+	r.srv.hv.Observe(xen.RunSegmentFunc(func(v *xen.VCPU, start, end sim.Time) {
+		if v.Domain() == r.srv.dom0 {
+			starts = append(starts, start)
+		}
+	}))
 	req, _ := properties.MapToMeasurements(properties.CPUAvailability)
+	ipi := r.srv.hv.Config().IPILatency
 	for i := 0; i < 5; i++ {
+		asked := r.clock.Now()
 		if _, err := r.srv.Measure(wire.MeasureRequest{Vid: "vm-1", Req: req, N3: cryptoutil.MustNonce()}); err != nil {
 			t.Fatal(err)
 		}
+		if len(starts) != i+1 {
+			t.Fatalf("measurement %d: Dom0 ran %d bursts in all, want one per measurement", i+1, len(starts))
+		}
+		if wait := starts[i] - asked; wait > ipi {
+			t.Fatalf("measurement %d: Dom0 started %v after Measure, want within the IPI latency %v", i+1, wait, ipi)
+		}
 	}
 	r.clock.Advance(time.Second)
-	if r.srv.dom0.TotalRuntime() <= 0 {
-		t.Fatal("Dom0 did no measurement work")
+	if got := r.srv.dom0.TotalRuntime(); got != 5*dom0CostPerCollection {
+		t.Fatalf("Dom0 ran %v for 5 collections, want %v", got, 5*dom0CostPerCollection)
+	}
+}
+
+// TestIdleServerRunsNoDom0Bursts: with no guest and no measurement a server's
+// kernel fires its pCPUs' ticks and accounting passes and nothing else; Dom0
+// sleeps on its event channel.
+func TestIdleServerRunsNoDom0Bursts(t *testing.T) {
+	r := newRig(t)
+	r.clock.Advance(time.Second)
+	k := r.srv.hv.Kernel()
+	before := k.Fired()
+	r.clock.Advance(time.Second)
+	cfg := r.srv.hv.Config()
+	perPCPU := uint64(time.Second/cfg.TickPeriod + time.Second/cfg.AcctPeriod)
+	// Tick jitter and the accounting phase can each move one event across
+	// an edge of the second.
+	if fired, want := k.Fired()-before, 2*perPCPU; fired < want-4 || fired > want+4 {
+		t.Fatalf("idle server fired %d events in a virtual second, want the %d ticks and accounting passes of 2 pCPUs", fired, want)
+	}
+	if v := r.srv.dom0.VCPUs()[0]; v.Dispatches() != 0 || v.TotalRuntime() != 0 {
+		t.Fatalf("idle Dom0 was dispatched %d times and ran %v", v.Dispatches(), v.TotalRuntime())
+	}
+}
+
+// TestDom0KickLosesNoWork: work queued while Dom0 is already running, or
+// runnable behind a guest, wakes nothing — the IPI is spurious — and is
+// still done: Dom0 halts only on finding its queue empty. A spinner shares
+// pCPU 0 and the kicks ask for more than the pCPU has, so Dom0 is caught in
+// every state.
+func TestDom0KickLosesNoWork(t *testing.T) {
+	r := newRig(t)
+	spin := smallSpec("vm-1", "spinner")
+	spin.Pin = 0
+	if err := r.srv.Launch(spin); err != nil {
+		t.Fatal(err)
+	}
+	const kicks = 3000
+	rng := mathrand.New(mathrand.NewSource(1))
+	seen := map[xen.VCPUState]int{}
+	v := r.srv.dom0.VCPUs()[0]
+	for i := 0; i < kicks; i++ {
+		r.srv.mu.Lock()
+		seen[v.State()]++
+		r.srv.kickDom0(dom0CostPerCollection)
+		r.srv.mu.Unlock()
+		r.clock.Advance(time.Duration(rng.Intn(300)) * time.Microsecond)
+	}
+	for _, st := range []xen.VCPUState{xen.StateBlocked, xen.StateRunnable, xen.StateRunning} {
+		if seen[st] == 0 {
+			t.Fatalf("no kick found Dom0 %v (%v); the scenario no longer covers it", st, seen)
+		}
+	}
+	r.clock.Advance(5 * time.Second)
+	if got, want := r.srv.dom0.TotalRuntime(), kicks*dom0CostPerCollection; got != want {
+		t.Fatalf("Dom0 ran %v for %d kicks, want %v", got, kicks, want)
+	}
+	if v.State() != xen.StateBlocked || r.srv.dom0Prog.pending != 0 {
+		t.Fatalf("drained Dom0 is %v with %v pending, want halted and empty", v.State(), r.srv.dom0Prog.pending)
 	}
 }
 

@@ -78,7 +78,7 @@ func runScript(s scheduler, sc *script, seed int64) fireLog {
 type kernelSched struct {
 	*Kernel
 	sc      *script
-	handles map[int]*Event
+	handles map[int]Event
 }
 
 func (k *kernelSched) at(due Time, id int) {
@@ -137,7 +137,7 @@ func (r *refSched) step() bool {
 func TestKernelMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		ksc := &script{}
-		got := runScript(&kernelSched{Kernel: NewKernel(seed), sc: ksc, handles: map[int]*Event{}}, ksc, seed)
+		got := runScript(&kernelSched{Kernel: NewKernel(seed), sc: ksc, handles: map[int]Event{}}, ksc, seed)
 		rsc := &script{}
 		want := runScript(&refSched{sc: rsc, byID: map[int]*refEvent{}}, rsc, seed)
 
@@ -181,15 +181,15 @@ func TestRunUntilPendingCountsUnpoppedCancelled(t *testing.T) {
 	}
 }
 
-// TestStaleHandleNeverCancelsLaterEvent is the handle-lifetime contract: a
-// *Event refers to the one scheduling that returned it, for ever. Cancel on
+// TestStaleHandleNeverCancelsLaterEvent is the handle-lifetime contract: an
+// Event refers to the one scheduling that returned it, for ever. Cancel on
 // a handle whose event already fired (or was cancelled and popped) is a
-// no-op however many events are scheduled afterwards, so whatever storage
-// the kernel recycles, it must not be reachable through an old handle.
+// no-op however many events are scheduled afterwards: the kernel recycles
+// the storage, and the old handle's generation no longer reaches it.
 func TestStaleHandleNeverCancelsLaterEvent(t *testing.T) {
 	k := NewKernel(1)
 	nop := func() {}
-	var stale []*Event
+	var stale []Event
 	for i := 0; i < 300; i++ {
 		stale = append(stale, k.After(time.Millisecond, nop))
 	}
@@ -219,8 +219,9 @@ func TestStaleHandleNeverCancelsLaterEvent(t *testing.T) {
 	}
 }
 
-// TestKernelAllocsPerEvent pins the event kernel's allocation rate: handing
-// out events must be amortised over slabs, not one allocation per At.
+// TestKernelAllocsPerEvent pins the event kernel's allocation rate: a fired
+// or popped-cancelled event is reused by the next At, so a queue that is not
+// growing allocates nothing.
 func TestKernelAllocsPerEvent(t *testing.T) {
 	k := NewKernel(1)
 	nop := func() {}
@@ -232,10 +233,13 @@ func TestKernelAllocsPerEvent(t *testing.T) {
 	perRun := testing.AllocsPerRun(20, func() {
 		for i := 0; i < events; i++ {
 			k.After(time.Millisecond, nop)
+			if i%4 == 0 {
+				k.After(time.Millisecond, nop).Cancel()
+			}
 			k.Step()
 		}
 	})
-	if perEvent := perRun / events; perEvent >= 0.05 {
-		t.Fatalf("After+Step allocates %.3f times per event (%.0f per %d), want < 0.05", perEvent, perRun, events)
+	if perRun != 0 {
+		t.Fatalf("After+Cancel+Step allocates %.0f times per %d events, want 0", perRun, events)
 	}
 }

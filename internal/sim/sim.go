@@ -18,46 +18,55 @@ import (
 // the familiar literals (30*time.Millisecond etc.).
 type Time = time.Duration
 
-// Event is the handle on one scheduled callback: it refers to the one At or
-// After call that returned it for as long as anything holds it, and is never
-// handed out again.
+// Event is the handle on one scheduled callback: a small value naming the one
+// At or After call that returned it. The kernel reuses an event's storage once
+// it has fired or been popped cancelled; the generation stamp is what keeps a
+// handle held past that point from reaching whatever is scheduled there next.
+// The zero Event refers to nothing.
 type Event struct {
+	e   *event
+	gen uint64
+}
+
+// event is the storage behind a handle. gen counts how many schedulings have
+// ended here (fired, or popped after a Cancel): a handle is live only while
+// its stamp equals it.
+type event struct {
 	fire      func()
+	gen       uint64
 	cancelled bool
 }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
+// already fired or been cancelled, or the zero Event, is a no-op.
+func (h Event) Cancel() {
+	if h.e != nil && h.e.gen == h.gen {
+		h.e.cancelled = true
 	}
 }
-
-// Cancelled reports whether Cancel has been called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // slot is one entry of the event queue. The ordering key lives in the slot,
 // not behind the pointer, so sifting compares without a dereference.
 type slot struct {
 	due Time
 	seq uint64 // tie-break: FIFO among events with equal due time
-	ev  *Event
+	ev  *event
 }
 
 func (a slot) before(b slot) bool {
 	return a.due < b.due || (a.due == b.due && a.seq < b.seq)
 }
 
-// slabSize is how many Events one allocation hands out.
+// slabSize is how many events one allocation adds when every event the kernel
+// owns is queued.
 const slabSize = 128
 
 // Kernel is a discrete-event simulation executive. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
 	now    Time
-	queue  []slot  // binary min-heap ordered by (due, seq)
-	slab   []Event // Events of the current slab not yet handed out
+	queue  []slot   // binary min-heap ordered by (due, seq)
+	free   []*event // events not queued, most recently released last
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
@@ -87,15 +96,18 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // At schedules fire to run at absolute virtual time due. Scheduling in the
 // past (before Now) panics: it indicates a model bug, not a runtime
 // condition a caller could handle.
-func (k *Kernel) At(due Time, fire func()) *Event {
+func (k *Kernel) At(due Time, fire func()) Event {
 	if due < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", due, k.now))
 	}
-	if len(k.slab) == 0 {
-		k.slab = make([]Event, slabSize)
+	if len(k.free) == 0 {
+		slab := make([]event, slabSize)
+		for i := range slab {
+			k.free = append(k.free, &slab[i])
+		}
 	}
-	e := &k.slab[0]
-	k.slab = k.slab[1:]
+	e := k.free[len(k.free)-1]
+	k.free = k.free[:len(k.free)-1]
 	e.fire = fire
 	s := slot{due: due, seq: k.seq, ev: e}
 	k.seq++
@@ -112,20 +124,30 @@ func (k *Kernel) At(due Time, fire func()) *Event {
 	}
 	q[i] = s
 	k.queue = q
-	return e
+	return Event{e, e.gen}
 }
 
-// pop removes and returns the earliest slot of a non-empty queue.
-func (k *Kernel) pop() slot {
+// pop removes the earliest slot of a non-empty queue and ends that scheduling:
+// the event goes back on the free list under its next generation, so every
+// handle on it is stale from here on. It returns when the event was due and
+// what it was to run, nil if it had been cancelled.
+func (k *Kernel) pop() (Time, func()) {
 	q := k.queue
 	top := q[0]
+	e := top.ev
+	fire := e.fire
+	if e.cancelled {
+		fire = nil
+	}
+	e.fire, e.cancelled = nil, false
+	e.gen++
+	k.free = append(k.free, e)
 	n := len(q) - 1
 	last := q[n]
-	q[n] = slot{} // do not keep the popped Event reachable from the spare capacity
 	q = q[:n]
 	k.queue = q
 	if n == 0 {
-		return top
+		return top.due, fire
 	}
 	// Sift down: move the earlier child up into the hole until last fits.
 	i := 0
@@ -144,11 +166,11 @@ func (k *Kernel) pop() slot {
 		i = c
 	}
 	q[i] = last
-	return top
+	return top.due, fire
 }
 
 // After schedules fire to run delay after the current time.
-func (k *Kernel) After(delay Time, fire func()) *Event {
+func (k *Kernel) After(delay Time, fire func()) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
@@ -163,13 +185,13 @@ func (k *Kernel) Halt() { k.halted = true }
 // true, or returns false if the queue is empty.
 func (k *Kernel) Step() bool {
 	for len(k.queue) > 0 {
-		s := k.pop()
-		if s.ev.cancelled {
+		due, fire := k.pop()
+		if fire == nil {
 			continue
 		}
-		k.now = s.due
+		k.now = due
 		k.fired++
-		s.ev.fire()
+		fire()
 		return true
 	}
 	return false

@@ -44,8 +44,8 @@ type PCPU struct {
 	hv      *Hypervisor
 	runq    [numPrios]runQueue
 	current *VCPU
-	endEv   *sim.Event // burst/timeslice expiry of the current vCPU
-	live    []*VCPU    // acct's scratch list, reused between periods
+	endEv   sim.Event // burst/timeslice expiry of the current vCPU
+	live    []*VCPU   // acct's scratch list, reused between periods
 
 	// The pCPU's three events, bound once so scheduling one allocates nothing.
 	tickFn, acctFn, sliceEndFn func()
@@ -271,7 +271,7 @@ func (p *PCPU) sliceEnd() {
 	p.accountRun(v)
 	p.current = nil
 	p.idleSince = p.hv.k.Now()
-	p.endEv = nil
+	p.endEv = sim.Event{}
 	v.state = StateRunnable
 	if v.remaining <= 0 {
 		v.finishBurst()
@@ -288,10 +288,8 @@ func (p *PCPU) preempt() {
 	if v == nil {
 		return
 	}
-	if p.endEv != nil {
-		p.endEv.Cancel()
-		p.endEv = nil
-	}
+	p.endEv.Cancel()
+	p.endEv = sim.Event{}
 	p.accountRun(v)
 	p.current = nil
 	p.idleSince = p.hv.k.Now()
@@ -385,10 +383,8 @@ func (v *VCPU) wake(boost bool) {
 	if v.state != StateBlocked {
 		return // spurious wake of a live or finished vCPU
 	}
-	if v.wakeEvent != nil {
-		v.wakeEvent.Cancel()
-		v.wakeEvent = nil
-	}
+	v.wakeEvent.Cancel()
+	v.wakeEvent = sim.Event{}
 	hv := v.hv()
 	if boost && hv.cfg.BoostEnabled && v.prio == PrioUnder {
 		v.boosted = true
@@ -411,10 +407,8 @@ func (v *VCPU) pause() {
 	switch v.state {
 	case StateRunning:
 		p := v.pcpu
-		if p.endEv != nil {
-			p.endEv.Cancel()
-			p.endEv = nil
-		}
+		p.endEv.Cancel()
+		p.endEv = sim.Event{}
 		p.accountRun(v)
 		p.current = nil
 		p.idleSince = p.hv.k.Now()
@@ -424,10 +418,8 @@ func (v *VCPU) pause() {
 		v.tokBump() // invalidate queue entry
 		v.state = StateBlocked
 	case StateBlocked:
-		if v.wakeEvent != nil {
-			v.wakeEvent.Cancel()
-			v.wakeEvent = nil
-		}
+		v.wakeEvent.Cancel()
+		v.wakeEvent = sim.Event{}
 	}
 }
 
@@ -439,19 +431,15 @@ func (v *VCPU) retire() {
 	hv := v.hv()
 	if v.state == StateRunning {
 		p := v.pcpu
-		if p.endEv != nil {
-			p.endEv.Cancel()
-			p.endEv = nil
-		}
+		p.endEv.Cancel()
+		p.endEv = sim.Event{}
 		p.accountRun(v)
 		p.current = nil
 		p.idleSince = hv.k.Now()
 		defer p.pickNext()
 	}
-	if v.wakeEvent != nil {
-		v.wakeEvent.Cancel()
-		v.wakeEvent = nil
-	}
+	v.wakeEvent.Cancel()
+	v.wakeEvent = sim.Event{}
 	v.tokBump()
 	v.state = StateDone
 	v.doneAt = hv.k.Now()

@@ -239,7 +239,7 @@ type VCPU struct {
 	lastWake   sim.Time // when the vCPU last became runnable
 	totalRun   sim.Time
 	doneAt     sim.Time
-	wakeEvent  *sim.Event
+	wakeEvent  sim.Event
 	dispatches uint64
 
 	// The vCPU's wake event (timer, IO completion or IPI), bound once so
