@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -47,6 +48,12 @@ type ServerRecord struct {
 	Properties []properties.Property
 
 	peer string // the measurement channel's name in the peer set
+	// log is what this shard has replayed of the server's TPM event log
+	// (driver.LogMemory), so that startup evidence carries only the events
+	// after it. It belongs to the server's name and AIK: registering the name
+	// under another key starts an empty one. Guarded by Server.mu, bounded by
+	// the VMs this shard holds a VMRecord for, never exported with them.
+	log *driver.LogMemory
 }
 
 // Supports reports whether the server can monitor property p.
@@ -120,6 +127,7 @@ type Server struct {
 	vms     map[string]*VMRecord
 	peers   *rpc.PeerSet // measurement channels to the cloud servers
 	replay  *cryptoutil.ReplayCache
+	golden  map[string][32]byte // interpret.GoldenPlatform(), hashed once
 
 	periodic *periodicEngine
 	metrics  *metrics.Registry
@@ -133,6 +141,7 @@ func New(cfg Config) *Server {
 		servers: make(map[string]*ServerRecord),
 		vms:     make(map[string]*VMRecord),
 		replay:  cryptoutil.NewReplayCache(4096),
+		golden:  interpret.GoldenPlatform(),
 		metrics: metrics.NewRegistry(),
 		tracer:  obs.NewTracer(cfg.Obs, "attest-server", cfg.Clock.Now),
 	}
@@ -166,13 +175,19 @@ func (s *Server) Health() obs.EntityHealth {
 }
 
 // RegisterServer records a provisioned cloud server (its address, identity
-// key, TPM AIK, and monitoring capabilities).
+// key, TPM AIK, and monitoring capabilities). What was replayed of the
+// server's event log stays remembered only if the name was registered under
+// the same AIK before.
 func (s *Server) RegisterServer(rec ServerRecord) {
 	cp := rec
 	cp.peer = "server-" + rec.Name
+	cp.log = new(driver.LogMemory)
 	s.peers.Register(cp.peer, rec.Addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if old, ok := s.servers[rec.Name]; ok && cryptoutil.KeyEqual(old.AIK, rec.AIK) {
+		cp.log = old.log
+	}
 	s.servers[rec.Name] = &cp
 }
 
@@ -212,9 +227,19 @@ func (s *Server) RebindVM(vid, serverID string) {
 // ForgetVM drops a VM's records and any periodic tasks (termination).
 func (s *Server) ForgetVM(vid string) {
 	s.mu.Lock()
-	delete(s.vms, vid)
+	s.dropVMLocked(vid)
 	s.mu.Unlock()
 	s.periodic.forget(vid)
+}
+
+// dropVMLocked removes a VM's appraisal references and, with them, what is
+// remembered of its image entry in any server's event log. The caller holds
+// s.mu.
+func (s *Server) dropVMLocked(vid string) {
+	delete(s.vms, vid)
+	for _, r := range s.servers {
+		r.log.Forget(vid)
+	}
 }
 
 // Appraise serves one attestation (the middle of Fig. 3): request
@@ -284,8 +309,77 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	if err != nil {
 		return nil, err
 	}
-	c, _ := s.peers.Client(srvRec.peer) // registered with the record
 
+	// The tpm backend's startup evidence is incremental: the request says
+	// how much of the server's event log this shard has replayed already
+	// and the evidence carries the rest (driver.LogMemory). mem is this
+	// appraisal's copy, nil wherever evidence is whole by nature.
+	var mem *driver.LogMemory
+	if backend == driver.BackendTPM && req.Prop == properties.StartupIntegrity {
+		s.mu.Lock()
+		mem = srvRec.log.For(req.Vid)
+		s.mu.Unlock()
+		if mem.Count == 0 {
+			s.metrics.Counter("appraise/log-from-zero-no-memory").Inc()
+		}
+	}
+	var verdict properties.Verdict
+	for {
+		logFrom := 0
+		if mem != nil {
+			logFrom = mem.Count
+		}
+		ev, n3, err := s.measure(sp, srvRec, req.Vid, rM, logFrom)
+		if err != nil {
+			return nil, err
+		}
+		if lat := s.cfg.Latency; lat != nil {
+			s.cfg.Clock.Advance(lat.InterpretCost)
+		}
+		verdict = interpret.Interpret(req.Prop, ev.Measurements, n3, interpret.References{
+			ServerAIK:      ed25519.PublicKey(srvRec.AIK),
+			PlatformGolden: s.golden,
+			ExpectedImage:  vmRec.ExpectedImage,
+			Vid:            req.Vid,
+			TaskAllowlist:  vmRec.TaskAllowlist,
+			MinCPUShare:    vmRec.MinCPUShare,
+			Backend:        backend,
+			MinTCB:         s.cfg.MinTCB,
+			LogMemory:      mem,
+		})
+		if mem == nil {
+			break
+		}
+		carried := 0
+		if q, ok := properties.Find(ev.Measurements, properties.KindPlatformQuote); ok {
+			carried = len(q.LogNames)
+		}
+		s.metrics.Counter("appraise/log-events-replayed").Add(int64(carried))
+		sp.Annotate("log-from", strconv.Itoa(logFrom))
+		sp.Annotate("log-events", strconv.Itoa(carried))
+		s.landLog(srvRec, mem)
+		if mem.Miss == "" {
+			break
+		}
+		// The carried events could not be judged on top of what this shard
+		// remembers (a handed-off VM, a rebooted server): that is no verdict
+		// yet. Ask once more for the whole log and appraise it with nothing
+		// remembered, which cannot miss. A whole log that then explains the
+		// quote leaves the mismatch visible here and nowhere else.
+		s.metrics.Counter("appraise/log-from-zero-" + mem.Miss).Inc()
+		sp.Annotate("log-refetch", mem.Miss)
+		mem = new(driver.LogMemory)
+	}
+	s.recordAppraisal(&req, verdict, sp.Context().Trace)
+	return wire.BuildReport(s.cfg.Identity, req.Vid, req.ServerID, req.Prop, verdict, req.N2), nil
+}
+
+// measure runs one measurement exchange with a cloud server (Fig. 3's
+// middle hops) and returns the verified evidence with the N3 it answers.
+// The request asks for the server's event log from event logFrom on. The
+// exchange is charged to the virtual clock each time it runs.
+func (s *Server) measure(sp *obs.ActiveSpan, srvRec *ServerRecord, vid string, rM properties.Request, logFrom int) (*wire.Evidence, cryptoutil.Nonce, error) {
+	c, _ := s.peers.Client(srvRec.peer) // registered with the record
 	if lat := s.cfg.Latency; lat != nil {
 		s.cfg.Clock.Advance(lat.HopRTT + lat.QuoteCost + lat.CertifyCost)
 	}
@@ -297,40 +391,38 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	// N3 is regenerated for every retry attempt, so a re-issued measurement
 	// request is a fresh challenge, never a replay.
 	var n3 cryptoutil.Nonce
-	var ev wire.Evidence
+	ev := new(wire.Evidence)
 	if err := c.CallFresh(obs.ContextWith(ctx, sp), server.MethodMeasure, func(int) (any, error) {
 		n, err := cryptoutil.NewNonce(s.cfg.Rand)
 		if err != nil {
 			return nil, err
 		}
 		n3 = n
-		return wire.MeasureRequest{Vid: req.Vid, Req: rM, N3: n}, nil
-	}, &ev); err != nil {
-		return nil, fmt.Errorf("attestsrv: measurement collection failed: %w", err)
+		return wire.MeasureRequest{Vid: vid, Req: rM, N3: n, LogFrom: uint32(logFrom)}, nil
+	}, ev); err != nil {
+		return nil, n3, fmt.Errorf("attestsrv: measurement collection failed: %w", err)
 	}
-	if err := wire.VerifyEvidence(&ev, s.cfg.PCAName, ed25519.PublicKey(s.cfg.PCAKey), req.Vid, rM, n3); err != nil {
-		return nil, fmt.Errorf("attestsrv: rejecting evidence: %w", err)
+	if err := wire.VerifyEvidence(ev, s.cfg.PCAName, ed25519.PublicKey(s.cfg.PCAKey), vid, rM, n3); err != nil {
+		return nil, n3, fmt.Errorf("attestsrv: rejecting evidence: %w", err)
 	}
+	backend := srvRec.Backend.OrDefault()
 	if ev.Backend != string(backend) {
-		return nil, fmt.Errorf("attestsrv: evidence claims backend %q, server %s is provisioned as %q",
-			ev.Backend, req.ServerID, backend)
+		return nil, n3, fmt.Errorf("attestsrv: evidence claims backend %q, server %s is provisioned as %q",
+			ev.Backend, srvRec.Name, backend)
 	}
+	return ev, n3, nil
+}
 
-	if lat := s.cfg.Latency; lat != nil {
-		s.cfg.Clock.Advance(lat.InterpretCost)
+// landLog gives an appraisal's copy of a server's log memory back
+// (driver.LogMemory.Land), unless the server has been registered under
+// another AIK since the copy was taken. Image entries are kept for the VMs
+// this shard holds records for.
+func (s *Server) landLog(srvRec *ServerRecord, mem *driver.LogMemory) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, ok := s.servers[srvRec.Name]; ok && cur.log == srvRec.log {
+		cur.log.Land(mem, func(vid string) bool { _, held := s.vms[vid]; return held })
 	}
-	verdict := interpret.Interpret(req.Prop, ev.Measurements, n3, interpret.References{
-		ServerAIK:      ed25519.PublicKey(srvRec.AIK),
-		PlatformGolden: interpret.GoldenPlatform(),
-		ExpectedImage:  vmRec.ExpectedImage,
-		Vid:            req.Vid,
-		TaskAllowlist:  vmRec.TaskAllowlist,
-		MinCPUShare:    vmRec.MinCPUShare,
-		Backend:        backend,
-		MinTCB:         s.cfg.MinTCB,
-	})
-	s.recordAppraisal(&req, verdict, sp.Context().Trace)
-	return wire.BuildReport(s.cfg.Identity, req.Vid, req.ServerID, req.Prop, verdict, req.N2), nil
 }
 
 // recordAppraisal appends one evidence entry for an appraised report.
@@ -474,7 +566,7 @@ func (s *Server) ExportNotOwned() ShardState {
 	for vid, rec := range s.vms {
 		if moved(vid) {
 			st.VMs = append(st.VMs, *rec)
-			delete(s.vms, vid)
+			s.dropVMLocked(vid)
 		}
 	}
 	s.mu.Unlock()

@@ -133,7 +133,7 @@ func Verify(ev *Evidence, nonce cryptoutil.Nonce, refs References) (Verdict, err
 	if err := tpm.VerifyQuote(ev.Quote, ed25519.PublicKey(ev.VAIK), nonce); err != nil {
 		return Verdict{}, err
 	}
-	replayed := tpm.ReplayLog(ev.Log)
+	replayed := tpm.ReplayLog([tpm.NumPCRs]tpm.Digest{}, ev.Log)
 	for i, pcr := range ev.Quote.PCRs {
 		if replayed[pcr] != ev.Quote.Values[i] {
 			return Verdict{}, fmt.Errorf("baseline: log does not explain PCR %d", pcr)

@@ -161,7 +161,7 @@ func cloudmonattDetects(s *scenario, seed int64, threat string) (bool, error) {
 		return false, err
 	}
 	nonce := cryptoutil.MustNonce()
-	ms, err := mon.Collect("victim", req, nonce, func(w sim.Time) { s2.k.RunUntil(s2.k.Now() + w) })
+	ms, err := mon.Collect("victim", req, nonce, 0, func(w sim.Time) { s2.k.RunUntil(s2.k.Now() + w) })
 	if err != nil {
 		return false, err
 	}

@@ -56,6 +56,11 @@ type References struct {
 	// MinTCB is the fleet-minimum platform security version for
 	// confidential-VM backends (rollback floor; zero = fleet-current).
 	MinTCB driver.TCBVersion
+	// LogMemory is this appraisal's copy of what the Attestation Server has
+	// replayed of the server's event log already, when the startup evidence
+	// was asked for from there on (driver.LogMemory); nil appraises the
+	// evidence as the whole log.
+	LogMemory *driver.LogMemory
 }
 
 // GoldenPlatform returns the reference digests of the standard platform
@@ -152,6 +157,7 @@ func StartupIntegrity(ms []properties.Measurement, nonce cryptoutil.Nonce, refs 
 		ExpectedImage:    refs.ExpectedImage,
 		Vid:              refs.Vid,
 		MinTCB:           refs.MinTCB,
+		LogMemory:        refs.LogMemory,
 	})
 }
 

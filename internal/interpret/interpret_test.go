@@ -79,7 +79,7 @@ func (tb *testbed) collect(t *testing.T, p properties.Property) []properties.Mea
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := tb.mon.Collect("vm-1", req, tb.nonce, tb.advance)
+	ms, err := tb.mon.Collect("vm-1", req, tb.nonce, 0, tb.advance)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -402,9 +402,11 @@ func (m *Module) CollectTaskList(vid string) (properties.Measurement, error) {
 // for the VM (a TPM platform quote, a vTPM quote, or an attestation
 // report) bound to the verifier's nonce. The evidence kind must match
 // what the verifier requested — a mismatch means the appraiser believes
-// the server runs a different backend than it does.
-func (m *Module) PlatformEvidence(vid string, kind properties.MeasurementKind, nonce [16]byte) (properties.Measurement, error) {
-	meas, err := m.drv.PlatformEvidence(vid, nonce)
+// the server runs a different backend than it does. logFrom is how much of
+// the backend's measurement log the verifier has replayed already
+// (driver.Driver.PlatformEvidence).
+func (m *Module) PlatformEvidence(vid string, kind properties.MeasurementKind, nonce [16]byte, logFrom int) (properties.Measurement, error) {
+	meas, err := m.drv.PlatformEvidence(vid, nonce, logFrom)
 	if err != nil {
 		return properties.Measurement{}, err
 	}
@@ -477,8 +479,8 @@ func lookupCollector(kind properties.MeasurementKind) (Collector, bool) {
 // Collect is the Monitor Kernel: it serves a measurement request end to
 // end. For windowed kinds it arms the watches, asks the caller to advance
 // virtual time by the window (the cloud server owns the simulation clock),
-// then gathers the results.
-func (m *Module) Collect(vid string, req properties.Request, nonce [16]byte, advance func(sim.Time)) ([]properties.Measurement, error) {
+// then gathers the results. logFrom goes to PlatformEvidence.
+func (m *Module) Collect(vid string, req properties.Request, nonce [16]byte, logFrom int, advance func(sim.Time)) ([]properties.Measurement, error) {
 	needsWindow := false
 	for _, k := range req.Kinds {
 		switch k {
@@ -513,13 +515,13 @@ func (m *Module) Collect(vid string, req properties.Request, nonce [16]byte, adv
 		}
 		advance(w)
 	}
-	var out []properties.Measurement
+	out := make([]properties.Measurement, 0, len(req.Kinds))
 	for _, k := range req.Kinds {
 		var meas properties.Measurement
 		var err error
 		switch k {
 		case properties.KindPlatformQuote, properties.KindVTPMQuote, properties.KindAttestationReport:
-			meas, err = m.PlatformEvidence(vid, k, nonce)
+			meas, err = m.PlatformEvidence(vid, k, nonce, logFrom)
 		case properties.KindImageDigest:
 			meas, err = m.ImageDigest(vid)
 		case properties.KindTaskList:

@@ -229,7 +229,7 @@ func TestHistogramCovertSenderIsBimodal(t *testing.T) {
 func TestPlatformQuoteVerifies(t *testing.T) {
 	r := newRig(t, nil)
 	nonce := cryptoutil.MustNonce()
-	meas, err := r.m.PlatformEvidence("vm-1", properties.KindPlatformQuote, nonce)
+	meas, err := r.m.PlatformEvidence("vm-1", properties.KindPlatformQuote, nonce, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestMonitorKernelCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), r.advance)
+	ms, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), 0, r.advance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestMonitorKernelWindowedNeedsDriver(t *testing.T) {
 	r := newRig(t, nil)
 	r.addVM(t, "vm", workload.Idle(), nil)
 	req, _ := properties.MapToMeasurements(properties.CovertChannelFreedom)
-	if _, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), nil); err == nil {
+	if _, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), 0, nil); err == nil {
 		t.Fatal("windowed collection without clock driver succeeded")
 	}
 }
@@ -293,7 +293,7 @@ func TestMonitorKernelRejectsUnknownKind(t *testing.T) {
 	r := newRig(t, nil)
 	r.addVM(t, "vm", workload.Idle(), nil)
 	req := properties.Request{Kinds: []properties.MeasurementKind{"bogus"}}
-	if _, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), r.advance); err == nil {
+	if _, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), 0, r.advance); err == nil {
 		t.Fatal("bogus measurement kind accepted")
 	}
 }
@@ -329,7 +329,7 @@ func TestCustomCollectorThroughMonitorKernel(t *testing.T) {
 	defer UnregisterCollector(kind)
 	r := newRig(t, nil)
 	r.addVM(t, "vm-c", workload.Idle(), guest.NewOS())
-	ms, err := r.m.Collect("vm-c", properties.Request{Kinds: []properties.MeasurementKind{kind}}, cryptoutil.MustNonce(), r.advance)
+	ms, err := r.m.Collect("vm-c", properties.Request{Kinds: []properties.MeasurementKind{kind}}, cryptoutil.MustNonce(), 0, r.advance)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,11 @@ type Request struct {
 
 // Encode renders the request canonically for inclusion in quotes.
 func (r Request) Encode() []byte {
-	var out []byte
+	n := 8 + 4
+	for _, k := range r.Kinds {
+		n += 4 + len(k)
+	}
+	out := make([]byte, 0, n)
 	out = binary.BigEndian.AppendUint64(out, uint64(r.Window))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Kinds)))
 	for _, k := range r.Kinds {
@@ -158,16 +162,49 @@ type Measurement struct {
 
 // Encode renders the measurement canonically.
 func (m Measurement) Encode() []byte {
-	var out []byte
+	return m.appendEncode(make([]byte, 0, m.encodedLen()))
+}
+
+// encodedLen is the length of the canonical encoding, so that Encode and
+// EncodeAll size their buffer once: a platform quote's log makes it tens of
+// kilobytes, and both are hashed on every build and verify of an evidence.
+func (m Measurement) encodedLen() int {
+	n := 4 + len(m.Kind) + 4 + len(m.Digest)
+	n += 4
+	for i, name := range m.LogNames {
+		n += 4 + len(name) + 4
+		if i < len(m.LogSums) {
+			n += len(m.LogSums[i])
+		}
+	}
+	n += 4 + len(m.QuoteSig)
+	n += 4 + len(m.QuotePCR)*(4+4)
+	n += min(len(m.QuotePCR), len(m.QuoteVal)) * len(m.Digest)
+	n += 4
+	for _, t := range m.Tasks {
+		n += 4 + len(t)
+	}
+	n += 4 + 8*len(m.Counters)
+	n += 8 + 8
+	n += 4 + len(m.Report) + 4 + len(m.VKey) + 4 + len(m.Endorse)
+	return n
+}
+
+// appendEncode appends the canonical encoding to out.
+func (m Measurement) appendEncode(out []byte) []byte {
 	appendBytes := func(b []byte) {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
 	}
-	appendBytes([]byte(m.Kind))
+	appendString := func(s string) {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
+		out = append(out, s...)
+	}
+	appendString(string(m.Kind))
 	appendBytes(m.Digest[:])
 	out = binary.BigEndian.AppendUint32(out, uint32(len(m.LogNames)))
 	for i, n := range m.LogNames {
-		appendBytes([]byte(n))
+		appendString(n)
 		if i < len(m.LogSums) {
 			appendBytes(m.LogSums[i][:])
 		} else {
@@ -186,7 +223,7 @@ func (m Measurement) Encode() []byte {
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Tasks)))
 	for _, t := range m.Tasks {
-		appendBytes([]byte(t))
+		appendString(t)
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Counters)))
 	for _, c := range m.Counters {
@@ -210,14 +247,18 @@ func Find(ms []Measurement, kind MeasurementKind) (Measurement, bool) {
 	return Measurement{}, false
 }
 
-// EncodeAll renders a measurement list canonically.
+// EncodeAll renders a measurement list canonically: the count, then each
+// measurement's encoding behind its length.
 func EncodeAll(ms []Measurement) []byte {
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, uint32(len(ms)))
+	n := 4
 	for _, m := range ms {
-		enc := m.Encode()
-		out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-		out = append(out, enc...)
+		n += 4 + m.encodedLen()
+	}
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(ms)))
+	for _, m := range ms {
+		at := len(out)
+		out = m.appendEncode(append(out, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
 	}
 	return out
 }

@@ -530,7 +530,7 @@ func (s *Server) Measure(req wire.MeasureRequest) (*wire.Evidence, error) {
 	}
 	s.mu.Lock()
 	s.kickDom0(dom0CostPerCollection)
-	ms, err := s.mon.Collect(req.Vid, req.Req, req.N3, func(w sim.Time) {
+	ms, err := s.mon.Collect(req.Vid, req.Req, req.N3, int(req.LogFrom), func(w sim.Time) {
 		s.mu.Unlock()
 		s.cfg.Clock.Advance(w)
 		s.mu.Lock()

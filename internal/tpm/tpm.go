@@ -142,6 +142,27 @@ func quoteBody(q *Quote) []byte {
 func (t *TPM) GenerateQuote(pcrs []int, nonce cryptoutil.Nonce) (*Quote, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.quoteLocked(pcrs, nonce)
+}
+
+// QuoteWithLog is GenerateQuote plus the measurement log from event number
+// from on (nothing when the log is no longer than that), both read in one
+// critical section: the quoted values are exactly what the whole log replays
+// to, whatever extends the bank meanwhile. A verifier that has replayed the
+// first from events already needs no more than this to check the quote.
+func (t *TPM) QuoteWithLog(pcrs []int, nonce cryptoutil.Nonce, from int) (*Quote, []Event, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	q, err := t.quoteLocked(pcrs, nonce)
+	if err != nil {
+		return nil, nil, err
+	}
+	from = min(max(from, 0), len(t.log))
+	return q, append([]Event(nil), t.log[from:]...), nil
+}
+
+// quoteLocked is GenerateQuote for callers that hold t.mu.
+func (t *TPM) quoteLocked(pcrs []int, nonce cryptoutil.Nonce) (*Quote, error) {
 	q := &Quote{PCRs: append([]int(nil), pcrs...), Nonce: nonce}
 	for _, p := range pcrs {
 		if p < 0 || p >= NumPCRs {
@@ -179,11 +200,11 @@ func VerifyQuote(q *Quote, aik ed25519.PublicKey, nonce cryptoutil.Nonce) error 
 	return nil
 }
 
-// ReplayLog recomputes the PCR values implied by a measurement log. An
-// appraiser uses this to check that a quote is explained by the log and
-// that each logged component is known-good.
-func ReplayLog(events []Event) [NumPCRs]Digest {
-	var pcrs [NumPCRs]Digest
+// ReplayLog recomputes the PCR values a measurement log leads to from the
+// bank pcrs (the zero bank for a whole log, the bank an earlier replay ended
+// on for the events after it). An appraiser uses this to check that a quote
+// is explained by the log and that each logged component is known-good.
+func ReplayLog(pcrs [NumPCRs]Digest, events []Event) [NumPCRs]Digest {
 	for _, e := range events {
 		if e.PCR < 0 || e.PCR >= NumPCRs {
 			continue

@@ -161,7 +161,7 @@ func TestReplayLogMatchesPCRs(t *testing.T) {
 	tp.Measure(PCRHypervisor, "hv", []byte("xen-4.2"))
 	tp.Measure(PCRHostOS, "dom0", []byte("dom0-kernel"))
 	tp.Measure(PCRHostOS, "dom0-user", []byte("dom0-userland"))
-	replayed := ReplayLog(tp.Log())
+	replayed := ReplayLog([NumPCRs]Digest{}, tp.Log())
 	for p := 0; p < NumPCRs; p++ {
 		got, _ := tp.ReadPCR(p)
 		if replayed[p] != got {
@@ -175,10 +175,81 @@ func TestReplayLogDetectsTamperedLog(t *testing.T) {
 	tp.Measure(0, "fw", []byte("firmware"))
 	log := tp.Log()
 	log[0].Measurement[0] ^= 1 // attacker edits the log
-	replayed := ReplayLog(log)
+	replayed := ReplayLog([NumPCRs]Digest{}, log)
 	actual, _ := tp.ReadPCR(0)
 	if replayed[0] == actual {
 		t.Fatal("tampered log still explains the PCR")
+	}
+}
+
+// The quote and the log QuoteWithLog returns describe one instant: whatever
+// a second goroutine extends meanwhile, every returned log suffix replayed on
+// top of the prefix before it lands on the quoted values. Read under two lock
+// acquisitions (GenerateQuote, then Log) the same loop draws logs that do not
+// explain their quotes (18 of 117 in a -race run), which an appraiser reads
+// as a compromised platform.
+func TestQuoteWithLogIsOneInstant(t *testing.T) {
+	tp := newTPM(t)
+	tp.Measure(PCRFirmware, "fw", []byte("firmware"))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tp.Extend(PCRVMImage, "vm-image", Digest{byte(i), byte(i >> 8)})
+		}
+	}()
+	pcrs := []int{PCRFirmware, PCRVMImage}
+	nonce := cryptoutil.MustNonce()
+	var bank [NumPCRs]Digest // what the events seen so far replay to
+	seen := 0
+	for n := 0; n <= 200; n++ {
+		if n == 200 { // the last quote is over the finished log
+			close(stop)
+			<-done
+		}
+		q, suffix, err := tp.QuoteWithLog(pcrs, nonce, seen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bank = ReplayLog(bank, suffix)
+		seen += len(suffix)
+		for i, p := range q.PCRs {
+			if bank[p] != q.Values[i] {
+				t.Fatalf("quote %d: %d events do not explain quoted PCR %d", n, seen, p)
+			}
+		}
+	}
+	log := tp.Log()
+	if seen != len(log) || ReplayLog([NumPCRs]Digest{}, log) != bank {
+		t.Fatalf("suffixes replayed in turn (%d events) disagree with the whole log (%d)", seen, len(log))
+	}
+}
+
+func TestQuoteWithLogClampsFrom(t *testing.T) {
+	tp := newTPM(t)
+	tp.Measure(0, "fw", []byte("firmware"))
+	tp.Measure(1, "hv", []byte("hypervisor"))
+	for _, tc := range []struct{ from, want int }{{-3, 2}, {0, 2}, {1, 1}, {2, 0}, {99, 0}} {
+		_, suffix, err := tp.QuoteWithLog([]int{0, 1}, cryptoutil.Nonce{}, tc.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(suffix) != tc.want {
+			t.Fatalf("from %d: %d events, want %d", tc.from, len(suffix), tc.want)
+		}
+	}
+	_, suffix, _ := tp.QuoteWithLog([]int{0}, cryptoutil.Nonce{}, 1)
+	suffix[0].Description = "mutated"
+	if tp.Log()[1].Description != "hv" {
+		t.Fatal("external mutation reached the TPM's log")
+	}
+	if _, _, err := tp.QuoteWithLog([]int{77}, cryptoutil.Nonce{}, 0); err == nil {
+		t.Fatal("out-of-range PCR quoted")
 	}
 }
 

@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/tpm"
 	"cloudmonatt/internal/trust/driver"
 )
 
@@ -79,10 +81,14 @@ func TestAppraiseRejections(t *testing.T) {
 			class: properties.FailurePlatform, reason: "differs from known-good build"},
 		{name: "image-entry-mismatch", backends: both, launched: "trojaned-image",
 			class: properties.FailureImage, reason: "VM image measurement differs"},
-		{name: "image-entry-absent", backends: vtpmOnly,
+		{name: "image-entry-absent", backends: both,
 			mutate: func(a *appraisal) {
 				// Replay ignores descriptions, so the quote stays explained.
-				a.ms[0].LogNames[0] = "8:vm-image-other"
+				for i, n := range a.ms[0].LogNames {
+					if n == "8:vm-image-vm-1" {
+						a.ms[0].LogNames[i] = "8:vm-image-other"
+					}
+				}
 			},
 			class: properties.FailureImage, reason: "no measurement for this VM's image"},
 		{name: "reported-digest-mismatch", backends: both,
@@ -172,38 +178,110 @@ func fuzzFleet(t testing.TB) map[driver.Backend]*appraisal {
 	return fleet
 }
 
-// appraiseSeeds is the seed corpus: genuine evidence from each backend and
-// the two crashers from TestAppraiseRejections, in wire form.
-func appraiseSeeds(t testing.TB) [][]byte {
+// appraiseSeed is one corpus entry: evidence in wire form and what the
+// verifier remembers of the attester's log when it arrives.
+type appraiseSeed struct {
+	evidence []byte
+	count    uint16
+	bank     []byte
+}
+
+// remembered builds the memory a seed describes: count events replayed to
+// the bank given as its PCR values end to end (short is zero-padded).
+func remembered(count uint16, bank []byte) *driver.LogMemory {
+	mem := &driver.LogMemory{Count: int(count)}
+	for i := range mem.Bank {
+		if len(bank) < 32 {
+			break
+		}
+		copy(mem.Bank[i][:], bank)
+		bank = bank[32:]
+	}
+	return mem
+}
+
+// appraiseSeeds is the seed corpus: genuine evidence from each backend, the
+// two crashers from TestAppraiseRejections, and the tpm attester's answer to
+// a verifier that has replayed its boot chain already, with that memory, with
+// none and with a wrong one.
+func appraiseSeeds(t testing.TB) []appraiseSeed {
 	fleet := fuzzFleet(t)
-	var seeds [][]byte
+	var seeds []appraiseSeed
 	for _, b := range driver.Backends() {
-		seeds = append(seeds, properties.AppendWireAll(nil, fleet[b].ms))
+		seeds = append(seeds, appraiseSeed{evidence: properties.AppendWireAll(nil, fleet[b].ms)})
 	}
 	unpaired := fleet[driver.BackendTPM].ms
 	unpaired[0].QuoteVal = unpaired[0].QuoteVal[:1]
-	seeds = append(seeds, properties.AppendWireAll(nil, unpaired))
+	seeds = append(seeds, appraiseSeed{evidence: properties.AppendWireAll(nil, unpaired)})
 	aliased := fleet[driver.BackendVTPM].ms
 	aliased[0].QuotePCR[0] += 256
-	return append(seeds, properties.AppendWireAll(nil, aliased))
+	seeds = append(seeds, appraiseSeed{evidence: properties.AppendWireAll(nil, aliased)})
+
+	// The boot chain is the log's first four events; the bank they replay to
+	// is what an appraisal of them alone would have remembered.
+	whole := fuzzFleet(t)[driver.BackendTPM]
+	boot := whole.ms[0]
+	boot.LogNames, boot.LogSums = boot.LogNames[:4], boot.LogSums[:4]
+	var bank []byte
+	for _, v := range replayBank(t, boot) {
+		bank = append(bank, v[:]...)
+	}
+	rest := whole.ms
+	rest[0].LogNames, rest[0].LogSums = rest[0].LogNames[4:], rest[0].LogSums[4:]
+	suffix := properties.AppendWireAll(nil, rest)
+	return append(seeds,
+		appraiseSeed{evidence: suffix, count: 4, bank: bank},
+		appraiseSeed{evidence: suffix},
+		appraiseSeed{evidence: suffix, count: 4, bank: bank[32:]})
+}
+
+// replayBank replays the log a platform quote carries from the zero bank.
+func replayBank(t testing.TB, quote properties.Measurement) [tpm.NumPCRs][32]byte {
+	t.Helper()
+	var events []tpm.Event
+	for i, n := range quote.LogNames {
+		pcr, desc, _ := strings.Cut(n, ":")
+		p, err := strconv.Atoi(pcr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, tpm.Event{PCR: p, Description: desc, Measurement: quote.LogSums[i]})
+	}
+	return tpm.ReplayLog([tpm.NumPCRs]tpm.Digest{}, events)
 }
 
 // FuzzAppraiseStartup feeds attacker-chosen evidence bytes through the wire
-// decoder into all three appraisers. A compromised cloud server picks these
-// bytes, and nothing on the Attestation Server recovers a panic, so every
-// appraiser must turn anything that decodes into a verdict.
+// decoder into all three appraisers, on top of an arbitrary memory of the
+// attester's log. A compromised cloud server picks these bytes, and nothing
+// on the Attestation Server recovers a panic, so every appraiser must turn
+// anything that decodes into a verdict; and whatever the verifier remembers,
+// only a healthy verdict may move it, only forward, and a miss is always an
+// unhealthy verdict over a memory that is not empty.
 func FuzzAppraiseStartup(f *testing.F) {
 	for _, s := range appraiseSeeds(f) {
-		f.Add(s)
+		f.Add(s.evidence, s.count, s.bank)
 	}
 	fleet := fuzzFleet(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, count uint16, bank []byte) {
 		rd := binenc.NewReader(data)
 		ms := properties.ReadWireAll(&rd)
 		for b, a := range fleet {
-			v := driver.AppraiseStartup(b, ms, a.nonce, a.refs)
+			mem := remembered(count, bank)
+			before := *mem
+			refs := a.refs
+			refs.LogMemory = mem
+			v := driver.AppraiseStartup(b, ms, a.nonce, refs)
 			if !v.Healthy && v.Class == properties.FailureUnclassified {
 				t.Fatalf("%s: unhealthy verdict without a failure class: %s", b, v.Reason)
+			}
+			if !v.Healthy && (mem.Count != before.Count || mem.Bank != before.Bank) {
+				t.Fatalf("%s: an unhealthy verdict moved the memory from %d to %d events", b, before.Count, mem.Count)
+			}
+			if mem.Count < before.Count {
+				t.Fatalf("%s: memory moved back from %d to %d events", b, before.Count, mem.Count)
+			}
+			if mem.Miss != "" && (v.Healthy || before.Count == 0) {
+				t.Fatalf("%s: miss %q beside healthy=%v over %d remembered events", b, mem.Miss, v.Healthy, before.Count)
 			}
 		}
 	})
@@ -211,19 +289,37 @@ func FuzzAppraiseStartup(f *testing.F) {
 
 // TestFuzzSeedsGenuine checks the seed corpus is what it claims: each
 // backend's genuine evidence appraises healthy on its own backend after a
-// wire round trip, so the fuzzer starts from the accepting path.
+// wire round trip, so the fuzzer starts from the accepting path; so does the
+// tpm log's tail on top of the memory of its head, which with no memory is
+// the verdict of a log without a boot chain and with a wrong one a miss.
 func TestFuzzSeedsGenuine(t *testing.T) {
 	seeds := appraiseSeeds(t)
 	fleet := fuzzFleet(t)
-	for i, b := range driver.Backends() {
-		rd := binenc.NewReader(seeds[i])
+	appraise := func(b driver.Backend, s appraiseSeed) (properties.Verdict, *driver.LogMemory) {
+		t.Helper()
+		rd := binenc.NewReader(s.evidence)
 		ms := properties.ReadWireAll(&rd)
 		if err := rd.Done(); err != nil {
 			t.Fatalf("%s seed does not decode: %v", b, err)
 		}
-		if v := driver.AppraiseStartup(b, ms, fleet[b].nonce, fleet[b].refs); !v.Healthy {
+		refs := fleet[b].refs
+		refs.LogMemory = remembered(s.count, s.bank)
+		return driver.AppraiseStartup(b, ms, fleet[b].nonce, refs), refs.LogMemory
+	}
+	for i, b := range driver.Backends() {
+		if v, _ := appraise(b, seeds[i]); !v.Healthy {
 			t.Fatalf("%s seed appraised unhealthy: %s", b, v.Reason)
 		}
+	}
+	tail := seeds[len(seeds)-3:]
+	if v, mem := appraise(driver.BackendTPM, tail[0]); !v.Healthy || mem.Count != 5 {
+		t.Fatalf("log tail over the memory of its head: %+v, %d events remembered", v, mem.Count)
+	}
+	if v, mem := appraise(driver.BackendTPM, tail[1]); v.Healthy || mem.Miss != "" || !strings.Contains(v.Reason, "does not explain PCR 0") {
+		t.Fatalf("log tail over no memory: %+v, miss %q", v, mem.Miss)
+	}
+	if v, mem := appraise(driver.BackendTPM, tail[2]); v.Healthy || mem.Miss != "replay-mismatch" || mem.Count != 4 {
+		t.Fatalf("log tail over a wrong memory: %+v, miss %q, %d events remembered", v, mem.Miss, mem.Count)
 	}
 }
 
@@ -239,7 +335,7 @@ func TestRegenFuzzSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range appraiseSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nuint16(%d)\n[]byte(%q)\n", s.evidence, s.count, s.bank)
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func provision(t testing.TB, b driver.Backend, cfg driver.Config, boot map[strin
 // reported image digest.
 func collect(t testing.TB, drv driver.Driver, nonce cryptoutil.Nonce, image [32]byte) []properties.Measurement {
 	t.Helper()
-	ev, err := drv.PlatformEvidence("vm-1", nonce)
+	ev, err := drv.PlatformEvidence("vm-1", nonce, 0)
 	if err != nil {
 		t.Fatalf("platform evidence: %v", err)
 	}
@@ -277,7 +277,7 @@ func BenchmarkStartupEvidence(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := drv.PlatformEvidence("vm-1", nonce); err != nil {
+				if _, err := drv.PlatformEvidence("vm-1", nonce, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

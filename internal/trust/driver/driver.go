@@ -101,8 +101,11 @@ type Driver interface {
 	// RemoveVM forgets a VM (termination or migration away).
 	RemoveVM(vid string)
 	// PlatformEvidence produces the backend's platform/startup evidence for
-	// the VM, bound to the verifier's nonce.
-	PlatformEvidence(vid string, nonce cryptoutil.Nonce) (properties.Measurement, error)
+	// the VM, bound to the verifier's nonce. logFrom is how many events of
+	// the backend's measurement log the verifier says it has replayed
+	// already: a backend whose log grows with the server's history (tpm)
+	// sends the events from there on, the others ignore it.
+	PlatformEvidence(vid string, nonce cryptoutil.Nonce, logFrom int) (properties.Measurement, error)
 }
 
 // Refs are the verifier-side appraisal references for one VM's startup
@@ -122,6 +125,11 @@ type Refs struct {
 	// MinTCB is the minimum acceptable platform security version for
 	// confidential-VM backends (zero = the fleet-current version).
 	MinTCB TCBVersion
+	// LogMemory is this appraisal's copy (LogMemory.For) of what the
+	// verifier has replayed of the server's event log already; the evidence
+	// was asked for from LogMemory.Count on. nil appraises the evidence as
+	// the whole log.
+	LogMemory *LogMemory
 }
 
 // backend is one row of the backend table.

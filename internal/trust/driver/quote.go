@@ -18,10 +18,11 @@ import (
 // checks every length and index before anything indexes by them.
 
 // quoteEvidence quotes the selected PCRs of t under the verifier's nonce
-// and renders the quote and t's measurement log as evidence of the given
-// kind.
-func quoteEvidence(t *tpm.TPM, kind properties.MeasurementKind, pcrs []int, nonce cryptoutil.Nonce) (properties.Measurement, error) {
-	q, err := t.GenerateQuote(pcrs, nonce)
+// and renders the quote and t's measurement log from event logFrom on as
+// evidence of the given kind. Quote and log are one read of the TPM, so the
+// log explains the quote whatever is launched meanwhile.
+func quoteEvidence(t *tpm.TPM, kind properties.MeasurementKind, pcrs []int, nonce cryptoutil.Nonce, logFrom int) (properties.Measurement, error) {
+	q, events, err := t.QuoteWithLog(pcrs, nonce, logFrom)
 	if err != nil {
 		return properties.Measurement{}, err
 	}
@@ -30,8 +31,12 @@ func quoteEvidence(t *tpm.TPM, kind properties.MeasurementKind, pcrs []int, nonc
 	for _, p := range q.PCRs {
 		meas.QuotePCR = append(meas.QuotePCR, uint32(p))
 	}
-	for _, e := range t.Log() {
-		meas.LogNames = append(meas.LogNames, fmt.Sprintf("%d:%s", e.PCR, e.Description))
+	if len(events) > 0 {
+		meas.LogNames = make([]string, 0, len(events))
+		meas.LogSums = make([][32]byte, 0, len(events))
+	}
+	for _, e := range events {
+		meas.LogNames = append(meas.LogNames, strconv.Itoa(e.PCR)+":"+e.Description)
 		meas.LogSums = append(meas.LogSums, e.Measurement)
 	}
 	return meas, nil
@@ -75,10 +80,9 @@ func measuredLog(m properties.Measurement, what string) ([]tpm.Event, error) {
 	return events, nil
 }
 
-// unexplainedPCR replays the log and returns the first quoted PCR whose
-// value it does not reproduce.
-func unexplainedPCR(q *tpm.Quote, events []tpm.Event) (int, bool) {
-	replayed := tpm.ReplayLog(events)
+// unexplainedPCR returns the first quoted PCR whose value the replayed bank
+// does not reproduce.
+func unexplainedPCR(q *tpm.Quote, replayed [tpm.NumPCRs]tpm.Digest) (int, bool) {
 	for i, pcr := range q.PCRs {
 		if replayed[pcr] != q.Values[i] {
 			return pcr, true

@@ -86,8 +86,8 @@ func (d *sevsnpDriver) RemoveVM(vid string) {
 }
 
 // PlatformEvidence produces the signed attestation report for the guest,
-// bound to the verifier's nonce.
-func (d *sevsnpDriver) PlatformEvidence(vid string, nonce cryptoutil.Nonce) (properties.Measurement, error) {
+// bound to the verifier's nonce. A report carries no log.
+func (d *sevsnpDriver) PlatformEvidence(vid string, nonce cryptoutil.Nonce, _ int) (properties.Measurement, error) {
 	d.mu.Lock()
 	lm, ok := d.launches[vid]
 	d.mu.Unlock()

@@ -76,7 +76,7 @@ func (d *tpmDriver) BootMeasure(name string, data []byte) error {
 
 // AddVM extends the VM's pristine image digest into the image PCR.
 func (d *tpmDriver) AddVM(vid string, imageDigest [32]byte) error {
-	return d.t.Extend(tpm.PCRVMImage, "vm-image-"+vid, imageDigest)
+	return d.t.Extend(tpm.PCRVMImage, imagePrefix+vid, imageDigest)
 }
 
 // RemoveVM is a no-op: PCR history is append-only, so the image extension
@@ -84,17 +84,30 @@ func (d *tpmDriver) AddVM(vid string, imageDigest [32]byte) error {
 func (d *tpmDriver) RemoveVM(string) {}
 
 // PlatformEvidence produces the measured-boot evidence: a TPM quote over
-// the platform PCRs bound to the verifier's nonce, plus the measurement
-// log that explains it.
-func (d *tpmDriver) PlatformEvidence(_ string, nonce cryptoutil.Nonce) (properties.Measurement, error) {
+// the platform PCRs bound to the verifier's nonce, plus the measurement log
+// from event logFrom on. With what the verifier replayed before, that is the
+// whole log that explains the quote.
+func (d *tpmDriver) PlatformEvidence(_ string, nonce cryptoutil.Nonce, logFrom int) (properties.Measurement, error) {
 	pcrs := []int{tpm.PCRFirmware, tpm.PCRHypervisor, tpm.PCRHostOS, tpm.PCRConfig, tpm.PCRVMImage}
-	return quoteEvidence(d.t, properties.KindPlatformQuote, pcrs, nonce)
+	return quoteEvidence(d.t, properties.KindPlatformQuote, pcrs, nonce, logFrom)
 }
+
+// imagePrefix starts the description of a VM image's log entry; the vid
+// follows.
+const imagePrefix = "vm-image-"
 
 // appraiseTPM appraises the platform quote and the VM image digest (case
 // study I). The verdict distinguishes a compromised platform from a
 // compromised image because the remediation differs (reschedule vs.
 // reject, paper §5.1).
+//
+// The evidence carries the log from refs.LogMemory.Count on and is judged on
+// top of what that memory holds of the events before: every event meets
+// every check below once, when it is replayed. What makes that as sound as
+// replaying the whole log each time is that the quoted value is signed by
+// the AIK, the bank the replay starts from is the verifier's own, and
+// SHA-256 extend is a hash chain: events that lead from the one to the other
+// are the log's.
 func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs) properties.Verdict {
 	quote, ok := properties.Find(ms, properties.KindPlatformQuote)
 	if !ok {
@@ -103,6 +116,10 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 	img, ok := properties.Find(ms, properties.KindImageDigest)
 	if !ok {
 		return unhealthy(properties.FailureImage, "missing image digest", nil)
+	}
+	mem := refs.LogMemory
+	if mem == nil {
+		mem = new(LogMemory) // the evidence is the whole log; what it teaches is dropped
 	}
 
 	// 1. The quote signature must verify under the server's TPM AIK and be
@@ -115,22 +132,37 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 		return unhealthy(properties.FailurePlatform, "platform quote rejected: "+err.Error(), nil)
 	}
 
-	// 2. The measurement log must explain the quoted PCR values.
+	// 2. The measurement log must explain the quoted PCR values: the carried
+	// events, replayed from where the remembered ones ended, land on every
+	// one of them.
 	events, err := measuredLog(quote, "")
 	if err != nil {
 		return unhealthy(properties.FailurePlatform, err.Error(), nil)
 	}
-	if pcr, bad := unexplainedPCR(q, events); bad {
+	bank := tpm.ReplayLog(mem.Bank, events)
+	if pcr, bad := unexplainedPCR(q, bank); bad {
+		mem.miss(missReplay)
 		return unhealthy(properties.FailurePlatform, fmt.Sprintf("measurement log does not explain PCR %d", pcr), nil)
 	}
 
 	// 3. Every logged platform component must be known-good; our VM's image
-	// entry must match the expected image. (Other VMs' image entries are
-	// appraised by their own attestations.)
+	// entry must be there and match the expected image. (Other VMs' image
+	// entries are appraised by their own attestations.) Remembered events
+	// passed when they were replayed; of them only our image entry, which
+	// another VM's appraisal may have replayed, is still to judge.
+	seen, imageSeen := mem.images[refs.Vid]
+	if imageSeen && (seen.conflict || !cryptoutil.ConstEqual(seen.digest[:], refs.ExpectedImage[:])) {
+		return unhealthy(properties.FailureImage, "VM image measurement differs from pristine image",
+			map[string]string{"component": imagePrefix + refs.Vid})
+	}
 	for _, e := range events {
 		name := e.Description
-		if strings.HasPrefix(name, "vm-image-") {
-			if name == "vm-image-"+refs.Vid && !cryptoutil.ConstEqual(e.Measurement[:], refs.ExpectedImage[:]) {
+		if vid, isImage := strings.CutPrefix(name, imagePrefix); isImage {
+			if vid != refs.Vid {
+				continue
+			}
+			imageSeen = true
+			if !cryptoutil.ConstEqual(e.Measurement[:], refs.ExpectedImage[:]) {
 				return unhealthy(properties.FailureImage, "VM image measurement differs from pristine image",
 					map[string]string{"component": name})
 			}
@@ -145,11 +177,16 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 				map[string]string{"component": name})
 		}
 	}
+	if !imageSeen {
+		mem.miss(missEntry)
+		return unhealthy(properties.FailureImage, "measurement log carries no measurement for this VM's image", nil)
+	}
 
 	// 4. Belt and braces: the directly reported image digest must also match.
 	if !cryptoutil.ConstEqual(img.Digest[:], refs.ExpectedImage[:]) {
 		return unhealthy(properties.FailureImage, "VM image digest mismatch", nil)
 	}
+	mem.advance(bank, events)
 	return properties.Verdict{Property: properties.StartupIntegrity, Healthy: true,
 		Reason: "platform and VM image match known-good measurements"}
 }

@@ -70,13 +70,14 @@ func (d *vtpmDriver) RemoveVM(vid string) { d.mgr.Destroy(vid) }
 
 // PlatformEvidence produces a vTPM quote over the VM's image PCR bound to
 // the verifier's nonce, carrying the vAIK and its hardware endorsement so
-// the verifier can chain the quote to the physical root of trust.
-func (d *vtpmDriver) PlatformEvidence(vid string, nonce cryptoutil.Nonce) (properties.Measurement, error) {
+// the verifier can chain the quote to the physical root of trust. A vTPM's
+// log is the VM's own and does not grow, so it is always sent whole.
+func (d *vtpmDriver) PlatformEvidence(vid string, nonce cryptoutil.Nonce, _ int) (properties.Measurement, error) {
 	inst, err := d.mgr.Get(vid)
 	if err != nil {
 		return properties.Measurement{}, err
 	}
-	meas, err := quoteEvidence(inst.TPM, properties.KindVTPMQuote, []int{tpm.PCRVMImage}, nonce)
+	meas, err := quoteEvidence(inst.TPM, properties.KindVTPMQuote, []int{tpm.PCRVMImage}, nonce, 0)
 	if err != nil {
 		return properties.Measurement{}, err
 	}
@@ -125,7 +126,7 @@ func appraiseVTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs
 			}
 		}
 	}
-	if pcr, bad := unexplainedPCR(q, events); bad {
+	if pcr, bad := unexplainedPCR(q, tpm.ReplayLog([tpm.NumPCRs]tpm.Digest{}, events)); bad {
 		return unhealthy(properties.FailurePlatform, fmt.Sprintf("vTPM log does not explain PCR %d", pcr), nil)
 	}
 	if !imageSeen {

@@ -137,6 +137,7 @@ func (m MeasureRequest) AppendWire(b []byte) []byte {
 	b = binenc.AppendString(b, m.Vid)
 	b = m.Req.AppendWire(b)
 	b = append(b, m.N3[:]...)
+	b = binenc.AppendUint32(b, m.LogFrom)
 	return b
 }
 
@@ -148,6 +149,7 @@ func (m *MeasureRequest) DecodeWire(data []byte) error {
 	m.Vid = rd.String()
 	m.Req.ReadWire(&rd)
 	rd.Fixed(m.N3[:])
+	m.LogFrom = rd.Uint32()
 	return finish(&rd, "MeasureRequest")
 }
 

@@ -84,7 +84,7 @@ func goldenCases() []goldenCase {
 	pr := wire.PeriodicRequest{Vid: "vm-1", Prop: properties.CPUAvailability, Freq: 5 * time.Second, Random: true, N1: n1}
 	spr := wire.StopPeriodicRequest{Vid: "vm-1", Prop: properties.CPUAvailability, N1: n1}
 	apr := wire.AppraisalRequest{Vid: "vm-1", ServerID: "server-1", Prop: properties.StartupIntegrity, N2: n2}
-	mr := wire.MeasureRequest{Vid: "vm-1", Req: req, N3: n3}
+	mr := wire.MeasureRequest{Vid: "vm-1", Req: req, N3: n3, LogFrom: 3310}
 
 	return []goldenCase{
 		{"attest-request", ar.AppendWire(nil), func(d []byte) ([]byte, error) {

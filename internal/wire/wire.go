@@ -73,11 +73,17 @@ type AppraisalRequest struct {
 // --- attestation server → cloud server ---
 
 // MeasureRequest asks the cloud server's Attestation Client for the
-// measurements rM backing a property.
+// measurements rM backing a property. LogFrom is how many events of the
+// server's measurement log the verifier has replayed already and need not be
+// sent again. It is a hint and on purpose outside rM and Q3: the verifier
+// replays whatever events come back on top of what it remembers and believes
+// only a replay that lands on the quoted PCR values, so nothing it concludes
+// rests on the server having honoured the field.
 type MeasureRequest struct {
-	Vid string
-	Req properties.Request
-	N3  cryptoutil.Nonce
+	Vid     string
+	Req     properties.Request
+	N3      cryptoutil.Nonce
+	LogFrom uint32
 }
 
 // --- cloud server → attestation server ---
@@ -101,12 +107,17 @@ type Evidence struct {
 
 // ComputeQ3 computes Q3 = H(Vid‖rM‖M‖N3).
 func ComputeQ3(vid string, req properties.Request, ms []properties.Measurement, n3 cryptoutil.Nonce) [32]byte {
-	return cryptoutil.Hash("Q3", []byte(vid), req.Encode(), properties.EncodeAll(ms), n3[:])
+	return computeQ3(vid, req.Encode(), properties.EncodeAll(ms), n3)
 }
 
-func evidenceBody(e *Evidence) []byte {
-	sum := cryptoutil.Hash("evidence",
-		[]byte(e.Vid), e.Req.Encode(), properties.EncodeAll(e.Measurements), e.N3[:], e.Q3[:], []byte(e.Backend), e.AVK)
+// computeQ3 and evidenceBody take rM and M in their canonical encoding, so
+// that building or verifying an evidence encodes them once for both hashes.
+func computeQ3(vid string, rM, m []byte, n3 cryptoutil.Nonce) [32]byte {
+	return cryptoutil.Hash("Q3", []byte(vid), rM, m, n3[:])
+}
+
+func evidenceBody(e *Evidence, rM, m []byte) []byte {
+	sum := cryptoutil.Hash("evidence", []byte(e.Vid), rM, m, e.N3[:], e.Q3[:], []byte(e.Backend), e.AVK)
 	return sum[:]
 }
 
@@ -114,17 +125,18 @@ func evidenceBody(e *Evidence) []byte {
 // session attestation key. backend names the trust backend that rooted the
 // measurements.
 func BuildEvidence(sess *trust.Session, vid string, req properties.Request, ms []properties.Measurement, n3 cryptoutil.Nonce, backend string) *Evidence {
+	rM, m := req.Encode(), properties.EncodeAll(ms)
 	e := &Evidence{
 		Vid:          vid,
 		Req:          req,
 		Measurements: ms,
 		N3:           n3,
-		Q3:           ComputeQ3(vid, req, ms, n3),
+		Q3:           computeQ3(vid, rM, m, n3),
 		Backend:      backend,
 		AVK:          append([]byte(nil), sess.Public()...),
 		Cert:         sess.Cert,
 	}
-	e.Sig = sess.Sign(evidenceBody(e))
+	e.Sig = sess.Sign(evidenceBody(e, rM, m))
 	return e
 }
 
@@ -144,10 +156,11 @@ func VerifyEvidence(e *Evidence, caName string, caKey ed25519.PublicKey, vid str
 	if err := pca.VerifyAttestationCert(e.Cert, caName, caKey, ed25519.PublicKey(e.AVK)); err != nil {
 		return fmt.Errorf("wire: attestation key not certified: %w", err)
 	}
-	if !cryptoutil.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e), e.Sig) {
+	rM, m := e.Req.Encode(), properties.EncodeAll(e.Measurements)
+	if !cryptoutil.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e, rM, m), e.Sig) {
 		return errors.New("wire: evidence signature invalid")
 	}
-	want3 := ComputeQ3(e.Vid, e.Req, e.Measurements, e.N3)
+	want3 := computeQ3(e.Vid, rM, m, e.N3)
 	if !cryptoutil.ConstEqual(e.Q3[:], want3[:]) {
 		return errors.New("wire: evidence quote Q3 mismatch")
 	}
