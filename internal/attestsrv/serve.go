@@ -77,9 +77,9 @@ func (s *Server) Handler() rpc.Handler {
 				return nil, err
 			}
 			s.RegisterVM(rec)
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodForgetVM:
-			var req struct{ Vid string }
+			var req wire.VidRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
@@ -87,7 +87,7 @@ func (s *Server) Handler() rpc.Handler {
 				return nil, err
 			}
 			s.ForgetVM(req.Vid)
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodPeriodicStart:
 			var req PeriodicControl
 			if err := rpc.Decode(body, &req); err != nil {
@@ -105,7 +105,7 @@ func (s *Server) Handler() rpc.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodPeriodicStop, MethodPeriodicFetch:
 			var req PeriodicControl
 			if err := rpc.Decode(body, &req); err != nil {
@@ -127,7 +127,7 @@ func (s *Server) Handler() rpc.Handler {
 				return nil, err
 			}
 			s.RebindVM(req.Vid, req.ServerID)
-			return rpc.Encode(true)
+			return nil, nil
 		}
 		return nil, fmt.Errorf("attestsrv: unknown method %q", method)
 	}

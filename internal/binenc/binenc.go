@@ -13,10 +13,9 @@ package binenc
 
 import "errors"
 
-// Magic is the first byte of every binary-codec message. A gob stream can
-// never start with it — gob's leading segment-length uvarint puts the first
-// byte below 0x80 or at 0xF8..0xFF — so one byte discriminates the two
-// codecs during the migration window.
+// Magic is the first byte of every message. It was chosen as a byte no
+// stream of the codec this one replaced could start with (below 0x80 or
+// at 0xF8..0xFF there), so what an old peer sends is refused at byte one.
 const Magic = 0xC1
 
 // Version is the current binary wire-format version.

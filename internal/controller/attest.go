@@ -323,9 +323,9 @@ func (c *Controller) setRunState(vid, from, to string) error {
 	ctx, cancel := c.peers.OpCtx()
 	defer cancel()
 	if to == "suspended" {
-		err = mgmt.CallCtx(ctx, server.MethodSuspend, server.VidRequest{Vid: vid}, nil)
+		err = mgmt.CallCtx(ctx, server.MethodSuspend, wire.VidRequest{Vid: vid}, nil)
 	} else {
-		err = mgmt.CallCtx(ctx, server.MethodResume, server.VidRequest{Vid: vid}, nil)
+		err = mgmt.CallCtx(ctx, server.MethodResume, wire.VidRequest{Vid: vid}, nil)
 	}
 	if err != nil {
 		return err
@@ -424,7 +424,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		// Migrate-out removes the VM from the source host; the key makes a
 		// retried call replay the captured spec instead of failing on a VM
 		// that is already gone.
-		if err := srcMgmt.CallIdem(ctx, server.MethodMigrateOut, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, &spec); err != nil {
+		if err := srcMgmt.CallIdem(ctx, server.MethodMigrateOut, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, &spec); err != nil {
 			return "", err
 		}
 		c.release(src, flavor)

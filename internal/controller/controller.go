@@ -34,6 +34,7 @@ import (
 	"cloudmonatt/internal/shard"
 	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/vclock"
+	"cloudmonatt/internal/wire"
 )
 
 // ResponseKind is one remediation response (paper §5.2).
@@ -522,6 +523,8 @@ func (c *Controller) UsedCapacity(name string) server.Capacity {
 // LaunchRequest is the customer's VM request (nova api extended with the
 // monitoring/attestation options, §6.1).
 type LaunchRequest struct {
+	// Owner is not part of the wire encoding: the launch_vm handler sets
+	// it to the authenticated peer, in-process callers set it themselves.
 	Owner     string
 	ImageName string
 	Flavor    string
@@ -595,6 +598,13 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 		if !properties.Valid(p) {
 			return LaunchResult{}, fmt.Errorf("controller: unsupported property %q", p)
 		}
+	}
+	// Written so that NaN fails it too.
+	if !(req.MinShare >= 0 && req.MinShare <= 1) {
+		return LaunchResult{}, fmt.Errorf("controller: minimum CPU share %v is not within [0, 1]", req.MinShare)
+	}
+	if req.Pin < -1 {
+		return LaunchResult{}, fmt.Errorf("controller: pin %d is neither a pCPU nor -1 (spread)", req.Pin)
 	}
 	img, err := c.cfg.Images.Get(req.ImageName)
 	if err != nil {
@@ -830,8 +840,7 @@ func (c *Controller) spawn(ctx context.Context, srv string, spec server.LaunchSp
 	if err != nil {
 		return err
 	}
-	var launched bool
-	if err := mgmt.CallIdem(ctx, server.MethodLaunch, rpc.NewIdemKey(), spec, &launched); err != nil {
+	if err := mgmt.CallIdem(ctx, server.MethodLaunch, rpc.NewIdemKey(), spec, nil); err != nil {
 		return err
 	}
 	c.reserve(srv, spec.Flavor)
@@ -849,7 +858,7 @@ func (c *Controller) evict(ctx context.Context, vid, srv string) error {
 	if err != nil {
 		return err
 	}
-	if err := mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), server.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
+	if err := mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
 		return err
 	}
 	c.forgetVM(ctx, vid)
@@ -876,6 +885,6 @@ func (c *Controller) lastGoodFor(vid string, p properties.Property) (lastVerdict
 // forgotten VM, and a later pass (finalizer, recovery) repeats the call.
 func (c *Controller) forgetVM(ctx context.Context, vid string) {
 	c.callVM(vid, func(rt attestRoute) error {
-		return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, struct{ Vid string }{vid}, nil)
+		return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, wire.VidRequest{Vid: vid}, nil)
 	})
 }

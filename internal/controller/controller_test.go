@@ -271,7 +271,7 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 		controller.MethodRuntimeAttestCurrent, controller.MethodRuntimeAttestPeriodic,
 		controller.MethodStopAttestPeriodic, controller.MethodFetchPeriodic,
 	} {
-		if _, err := h(rpcPeer("x"), method, []byte("not-gob")); err == nil {
+		if _, err := h(rpcPeer("x"), method, []byte("not-a-message")); err == nil {
 			t.Errorf("%s accepted garbage body", method)
 		}
 	}

@@ -75,7 +75,7 @@ func newHop2Rig(t *testing.T) *hop2Rig {
 				r.mu.Lock()
 				r.vmSeen = append(r.vmSeen, method)
 				r.mu.Unlock()
-				return rpc.Encode(true)
+				return nil, nil
 			}
 			var req wire.AppraisalRequest
 			if err := rpc.Decode(body, &req); err != nil {
@@ -91,7 +91,7 @@ func newHop2Rig(t *testing.T) *hop2Rig {
 			return rpc.Encode(rep)
 		})
 	}
-	serve(cryptoutil.MustIdentity("srv-a"), func(rpc.Peer, string, []byte) ([]byte, error) { return rpc.Encode(true) })
+	serve(cryptoutil.MustIdentity("srv-a"), func(rpc.Peer, string, []byte) ([]byte, error) { return nil, nil })
 
 	ring := shard.NewRing(1, 0)
 	ring.Join(r.a.Name)

@@ -53,9 +53,9 @@ func (c *Controller) Handler() rpc.Handler {
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
-			if req.Owner == "" {
-				req.Owner = peer.Name
-			}
+			// The owner is who the channel authenticated, never what the
+			// request says.
+			req.Owner = peer.Name
 			sp := c.apiRoot(peer, method, "", "", "")
 			res, err := c.LaunchVMTraced(sp.Context(), req)
 			sp.EndErr(err)
@@ -64,14 +64,14 @@ func (c *Controller) Handler() rpc.Handler {
 			}
 			return rpc.Encode(res)
 		case MethodTerminateVM:
-			var req struct{ Vid string }
+			var req wire.VidRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
 			if err := c.TerminateVM(req.Vid); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodStartupAttestCurrent, MethodRuntimeAttestCurrent:
 			// Both map to a one-time attestation; startup_attest_current is
 			// issued before relying on a freshly launched VM, while
@@ -101,7 +101,7 @@ func (c *Controller) Handler() rpc.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodStopAttestPeriodic, MethodFetchPeriodic:
 			var req wire.StopPeriodicRequest
 			if err := rpc.Decode(body, &req); err != nil {
@@ -113,14 +113,14 @@ func (c *Controller) Handler() rpc.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return rpc.Encode(reps)
+			return rpc.Encode(wire.CustomerReportList(reps))
 		case MethodListVMs:
 			// Scoped to the authenticated peer: a customer sees only its VMs.
-			return rpc.Encode(c.ListVMs(peer.Name))
+			return rpc.Encode(VMSummaryList(c.ListVMs(peer.Name)))
 		case MethodListEvents:
-			return rpc.Encode(c.EventsFor(peer.Name))
+			return rpc.Encode(ResponseEventList(c.EventsFor(peer.Name)))
 		case MethodVMStatus:
-			var req struct{ Vid string }
+			var req wire.VidRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}

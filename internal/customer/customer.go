@@ -45,7 +45,6 @@ type Config struct {
 
 // Customer is a connected cloud customer.
 type Customer struct {
-	name     string
 	client   *rpc.ReconnectClient
 	ctrlKey  ed25519.PublicKey
 	opBudget time.Duration
@@ -66,7 +65,6 @@ func readOnly(method string) bool {
 func Connect(cfg Config) (*Customer, error) {
 	ctrlKey := append(ed25519.PublicKey(nil), cfg.ControllerKey...)
 	cu := &Customer{
-		name:     cfg.Identity.Name,
 		ctrlKey:  ctrlKey,
 		opBudget: rpc.OpBudget(cfg.CallTimeout, cfg.Retry),
 		client: rpc.NewReconnectClient(rpc.ClientConfig{
@@ -104,7 +102,6 @@ func (cu *Customer) opCtx() (context.Context, context.CancelFunc) {
 // Launch requests a VM. The idempotency key lets the request be retried
 // across connection failures without double-launching.
 func (cu *Customer) Launch(req controller.LaunchRequest) (controller.LaunchResult, error) {
-	req.Owner = cu.name
 	var res controller.LaunchResult
 	ctx, cancel := cu.opCtx()
 	defer cancel()
@@ -189,7 +186,7 @@ func (cu *Customer) StopPeriodic(vid string, p properties.Property) ([]propertie
 
 func (cu *Customer) drainPeriodic(method, vid string, p properties.Property) ([]properties.Verdict, error) {
 	n1 := cryptoutil.MustNonce()
-	var reps []*wire.CustomerReport
+	var reps wire.CustomerReportList
 	// Fetch/stop drain results controller-side; the idempotency key makes a
 	// retried drain replay the recorded batch instead of losing it.
 	ctx, cancel := cu.opCtx()
@@ -215,25 +212,25 @@ func (cu *Customer) Status(vid string) (wire.VMStatus, error) {
 	var st wire.VMStatus
 	ctx, cancel := cu.opCtx()
 	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodVMStatus, struct{ Vid string }{vid}, &st)
+	err := cu.client.CallCtx(ctx, controller.MethodVMStatus, wire.VidRequest{Vid: vid}, &st)
 	return st, err
 }
 
 // ListVMs lists this customer's (non-terminated) VMs.
 func (cu *Customer) ListVMs() ([]controller.VMSummary, error) {
-	var vms []controller.VMSummary
+	var vms controller.VMSummaryList
 	ctx, cancel := cu.opCtx()
 	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodListVMs, struct{}{}, &vms)
+	err := cu.client.CallCtx(ctx, controller.MethodListVMs, nil, &vms)
 	return vms, err
 }
 
 // Events lists the remediation responses executed on this customer's VMs.
 func (cu *Customer) Events() ([]controller.ResponseEvent, error) {
-	var events []controller.ResponseEvent
+	var events controller.ResponseEventList
 	ctx, cancel := cu.opCtx()
 	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodListEvents, struct{}{}, &events)
+	err := cu.client.CallCtx(ctx, controller.MethodListEvents, nil, &events)
 	return events, err
 }
 
@@ -242,7 +239,7 @@ func (cu *Customer) Terminate(vid string) error {
 	ctx, cancel := cu.opCtx()
 	defer cancel()
 	return cu.client.CallIdem(ctx, controller.MethodTerminateVM, rpc.NewIdemKey(),
-		struct{ Vid string }{vid}, nil)
+		wire.VidRequest{Vid: vid}, nil)
 }
 
 // Close tears down the customer's channel.

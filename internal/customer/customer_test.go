@@ -88,9 +88,9 @@ func (s *stub) handle(_ rpc.Peer, method string, body []byte) ([]byte, error) {
 			s.dropConn()
 			return nil, errors.New("never delivered")
 		}
-		return rpc.Encode([]controller.VMSummary{{Vid: vid}})
+		return rpc.Encode(controller.VMSummaryList{{Vid: vid}})
 	default:
-		return rpc.Encode(true)
+		return nil, nil
 	}
 	s.mu.Lock()
 	attempt := len(s.n1s)
@@ -223,7 +223,7 @@ func TestDrainRejectsABatchWithOneBadReport(t *testing.T) {
 	mallory := cryptoutil.MustIdentity("mallory")
 	forged := false
 	s := newStub(t, func(s *stub, _ int, n1 cryptoutil.Nonce) (any, error) {
-		batch := []*wire.CustomerReport{
+		batch := wire.CustomerReportList{
 			wire.BuildCustomerReport(s.id, vid, prop, healthy, n1),
 			wire.BuildCustomerReport(s.id, vid, prop, healthy, n1),
 		}

@@ -12,9 +12,6 @@ import (
 	"cloudmonatt/internal/secchan"
 )
 
-type pingReq struct{ Secret string }
-type pingResp struct{ Echo string }
-
 const secretText = "SUPER-SECRET-ATTESTATION-REPORT-R"
 
 // rig starts an echo server on a MemNetwork owned by the attacker and
@@ -31,11 +28,8 @@ func rig(t *testing.T, atk *Attacker) func() (*rpc.Client, error) {
 	t.Cleanup(func() { l.Close() })
 	verify := func(name string, key ed25519.PublicKey) error { return nil }
 	go rpc.Serve(l, secchan.Config{Identity: server, Verify: verify}, func(peer rpc.Peer, method string, body []byte) ([]byte, error) {
-		var req pingReq
-		if err := rpc.Decode(body, &req); err != nil {
-			return nil, err
-		}
-		return rpc.Encode(pingResp{Echo: req.Secret})
+		// Echo: both sides pass raw bytes, which rpc carries as they are.
+		return body, nil
 	})
 	client := cryptoutil.MustIdentity("client")
 	return func() (*rpc.Client, error) {
@@ -51,12 +45,12 @@ func TestPassiveAttackerSeesOnlyCiphertext(t *testing.T) {
 		t.Fatalf("handshake under passive attacker failed: %v", err)
 	}
 	defer c.Close()
-	var resp pingResp
-	if err := c.Call("ping", pingReq{Secret: secretText}, &resp); err != nil {
+	var resp []byte
+	if err := c.Call("ping", []byte(secretText), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Echo != secretText {
-		t.Fatalf("echo %q", resp.Echo)
+	if string(resp) != secretText {
+		t.Fatalf("echo %q", resp)
 	}
 	obs := atk.ObservedPayloads()
 	if len(obs) == 0 {
@@ -80,8 +74,8 @@ func TestTamperedDataFrameDetected(t *testing.T) {
 		t.Fatalf("handshake failed: %v", err)
 	}
 	defer c.Close()
-	var resp pingResp
-	if err := c.Call("ping", pingReq{Secret: "x"}, &resp); err == nil {
+	var resp []byte
+	if err := c.Call("ping", []byte("x"), &resp); err == nil {
 		t.Fatal("tampered request produced a successful call")
 	}
 }
@@ -94,7 +88,7 @@ func TestTamperedHandshakeDetected(t *testing.T) {
 		// Client side may not fail until the server's (never-arriving)
 		// response; a call must fail at the latest.
 		defer c.Close()
-		if cerr := c.Call("ping", pingReq{Secret: "x"}, &pingResp{}); cerr == nil {
+		if cerr := c.Call("ping", []byte("x"), new([]byte)); cerr == nil {
 			t.Fatal("tampered handshake went unnoticed")
 		}
 	}
@@ -110,9 +104,9 @@ func TestReplayedFrameDetected(t *testing.T) {
 	defer c.Close()
 	// First call may succeed (original copy arrives first), but the server
 	// kills the channel on the replayed record, so a subsequent call fails.
-	var resp pingResp
-	err1 := c.Call("ping", pingReq{Secret: "a"}, &resp)
-	err2 := c.Call("ping", pingReq{Secret: "b"}, &resp)
+	var resp []byte
+	err1 := c.Call("ping", []byte("a"), &resp)
+	err2 := c.Call("ping", []byte("b"), &resp)
 	if err1 == nil && err2 == nil {
 		t.Fatal("replayed record never detected")
 	}
@@ -127,8 +121,8 @@ func TestInjectedFrameDetected(t *testing.T) {
 		t.Fatalf("handshake failed: %v", err)
 	}
 	defer c.Close()
-	var resp pingResp
-	if err := c.Call("ping", pingReq{Secret: "x"}, &resp); err == nil {
+	var resp []byte
+	if err := c.Call("ping", []byte("x"), &resp); err == nil {
 		t.Fatal("injected reply accepted")
 	}
 }
@@ -204,8 +198,8 @@ func TestDroppedFrameStallsNotForges(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	go func() {
-		var resp pingResp
-		done <- c.Call("ping", pingReq{Secret: "x"}, &resp)
+		var resp []byte
+		done <- c.Call("ping", []byte("x"), &resp)
 	}()
 	select {
 	case err := <-done:
@@ -228,8 +222,8 @@ func TestObservedFrameAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var resp pingResp
-	if err := c.Call("ping", pingReq{Secret: "x"}, &resp); err != nil {
+	var resp []byte
+	if err := c.Call("ping", []byte("x"), &resp); err != nil {
 		t.Fatal(err)
 	}
 	frames := atk.Observed()

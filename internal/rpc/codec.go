@@ -1,11 +1,10 @@
-// Codec dispatch for the rpc layer: one codec per message type, chosen by
-// the Go type alone. Messages that implement the WireAppender/WireDecoder
-// pair (the internal/wire protocol messages and this package's envelopes)
-// travel as hand-rolled binary only; every other (control-plane) type
-// travels as gob only. Binary messages start with binenc.Magic (0xC1), a
-// byte no gob stream can begin with, so each decoder refuses the other
-// format's bytes and an attacker-supplied message reaches exactly one
-// parser.
+// Codec dispatch for the rpc layer: one codec, chosen by the Go type
+// alone. Every message that crosses a secure channel — the internal/wire
+// protocol messages, the management-plane messages of the controller, the
+// cloud servers and the attestation servers, and this package's envelopes
+// — implements the WireAppender/WireDecoder pair and travels as
+// hand-written binary led by binenc.Magic; a type without the pair does
+// not travel at all. The tag table is DESIGN.md section 14.
 package rpc
 
 import (
@@ -28,8 +27,8 @@ type WireDecoder interface {
 	DecodeWire(data []byte) error
 }
 
-// Envelope tags continue the internal/wire tag space (1-8 are the
-// protocol messages).
+// Envelope tags sit in the internal/wire tag space (wire/codec.go
+// declares every other tag and reserves these two).
 const (
 	tagRequestEnvelope  = 9
 	tagResponseEnvelope = 10
@@ -37,7 +36,7 @@ const (
 
 // encScratch pools encode buffers so steady-state Encode does one exact-
 // size allocation (the returned slice, which callers may retain — the
-// idempotency cache does) instead of gob's encoder machinery.
+// idempotency cache does).
 var encScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 func encodeBinary(wa WireAppender) []byte {

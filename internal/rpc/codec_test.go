@@ -2,8 +2,7 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/gob"
-	"reflect"
+	"strings"
 	"testing"
 
 	"cloudmonatt/internal/binenc"
@@ -12,11 +11,14 @@ import (
 )
 
 // TestDecodeOneCodecPerType pins the codec rule: the Go type alone picks
-// the codec. Every binary-capable top-level type encodes binary, round-
-// trips, and refuses its own gob encoding; every other type travels as gob
-// and refuses a body led by the binary magic byte.
+// the codec, and there is one. Every message type encodes to a body led by
+// the binary header, round-trips, and refuses a body that is not led by
+// it; nil is the empty body, raw bytes pass through, and a type without
+// the AppendWire/DecodeWire pair is an error naming the type. (The
+// management messages of the packages that import this one get the same
+// table in internal/controller's TestMgmtDecodersRefuseForeignBodies.)
 func TestDecodeOneCodecPerType(t *testing.T) {
-	binary := []struct{ msg, into any }{
+	messages := []struct{ msg, into any }{
 		{wire.AttestRequest{Vid: "vm-1", Prop: properties.RuntimeIntegrity}, &wire.AttestRequest{}},
 		{wire.PeriodicRequest{Vid: "vm-1", Prop: properties.CPUAvailability, Random: true}, &wire.PeriodicRequest{}},
 		{wire.StopPeriodicRequest{Vid: "vm-1", Prop: properties.CPUAvailability}, &wire.StopPeriodicRequest{}},
@@ -25,13 +27,16 @@ func TestDecodeOneCodecPerType(t *testing.T) {
 		{wire.Evidence{Vid: "vm-1", Backend: "tpm"}, &wire.Evidence{}},
 		{wire.Report{Vid: "vm-1", ServerID: "cloud-server-1", Sig: []byte{1}}, &wire.Report{}},
 		{wire.CustomerReport{Vid: "vm-1", Sig: []byte{2}}, &wire.CustomerReport{}},
+		{wire.VidRequest{Vid: "vm-1"}, &wire.VidRequest{}},
+		{wire.VMStatus{Vid: "vm-1", Conditions: []wire.Condition{{Type: "Placed"}}}, &wire.VMStatus{}},
+		{wire.CustomerReportList{{Vid: "vm-1", Sig: []byte{2}}}, &wire.CustomerReportList{}},
 		{requestEnvelope{Method: "m", Body: []byte{3}}, &requestEnvelope{}},
 		{responseEnvelope{Err: "e", Body: []byte{4}}, &responseEnvelope{}},
 	}
-	for _, c := range binary {
+	for _, c := range messages {
 		enc, err := Encode(c.msg)
-		if err != nil || len(enc) == 0 || enc[0] != binenc.Magic {
-			t.Fatalf("%T: Encode = %x, %v; want a binary body", c.msg, enc, err)
+		if err != nil || len(enc) < 3 || enc[0] != binenc.Magic {
+			t.Fatalf("%T: Encode = %x, %v; want a body led by the binary header", c.msg, enc, err)
 		}
 		if err := Decode(enc, c.into); err != nil {
 			t.Fatalf("%T: decoding its own encoding: %v", c.msg, err)
@@ -39,30 +44,50 @@ func TestDecodeOneCodecPerType(t *testing.T) {
 		if re, _ := Encode(c.into); !bytes.Equal(re, enc) {
 			t.Fatalf("%T does not round-trip:\n in: %x\nout: %x", c.msg, enc, re)
 		}
-		var asGob bytes.Buffer
-		if err := gob.NewEncoder(&asGob).Encode(c.msg); err != nil {
-			t.Fatal(err)
-		}
-		if err := Decode(asGob.Bytes(), c.into); err == nil {
-			t.Fatalf("%T accepted a gob body", c.msg)
+		for name, body := range map[string][]byte{
+			"empty":          nil,
+			"gob-led":        append([]byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01}, enc[3:]...),
+			"no-magic":       enc[1:],
+			"future-version": append([]byte{binenc.Magic, binenc.Version + 1, enc[2]}, enc[3:]...),
+			"unknown-tag":    append([]byte{binenc.Magic, binenc.Version, 0xEE}, enc[3:]...),
+		} {
+			if err := Decode(body, c.into); err == nil {
+				t.Errorf("%T accepted a %s body: %x", c.msg, name, body)
+			}
 		}
 	}
 
-	type control struct {
-		Vid     string
-		Reports []*wire.Report
-	}
-	msg := control{Vid: "vm-1", Reports: []*wire.Report{{Vid: "vm-1"}}}
-	enc, err := Encode(msg)
-	if err != nil || enc[0] == binenc.Magic {
-		t.Fatalf("control-plane type: Encode = %x, %v; want a gob body", enc, err)
-	}
-	var got control
-	if err := Decode(enc, &got); err != nil || !reflect.DeepEqual(got, msg) {
-		t.Fatalf("control-plane type does not round-trip: %+v, %v", got, err)
+	type control struct{ Vid string }
+	if enc, err := Encode(control{Vid: "vm-1"}); err == nil || !strings.Contains(err.Error(), "rpc.control") {
+		t.Errorf("Encode of a type with no codec = %x, %v; want an error naming rpc.control", enc, err)
 	}
 	led, _ := Encode(wire.Report{Vid: "vm-1"})
-	if err := Decode(led, &got); err == nil {
-		t.Fatal("control-plane type accepted a magic-led body")
+	if err := Decode(led, &control{}); err == nil || !strings.Contains(err.Error(), "*rpc.control") {
+		t.Errorf("Decode into a type with no codec = %v; want an error naming *rpc.control", err)
+	}
+	if enc, err := Encode(true); err == nil {
+		t.Errorf("Encode(true) = %x; an ack is the empty body", enc)
+	}
+
+	if enc, err := Encode(nil); err != nil || len(enc) != 0 {
+		t.Errorf("Encode(nil) = %x, %v; want the empty body", enc, err)
+	}
+	if err := Decode(nil, nil); err != nil {
+		t.Errorf("Decode of the empty body into nil: %v", err)
+	}
+	if err := Decode(led, nil); err == nil {
+		t.Error("Decode of a message into nil succeeded")
+	}
+
+	raw := []byte("framed by the caller")
+	if enc, err := Encode(raw); err != nil || !bytes.Equal(enc, raw) {
+		t.Errorf("Encode([]byte) = %q, %v; want the bytes as they are", enc, err)
+	}
+	var got []byte
+	if err := Decode(raw, &got); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("Decode into *[]byte = %q, %v", got, err)
+	}
+	if len(got) > 0 && &got[0] == &raw[0] {
+		t.Error("Decode into *[]byte aliases the body, which the channel reuses")
 	}
 }

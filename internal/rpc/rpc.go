@@ -15,16 +15,13 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/secchan"
 )
@@ -179,8 +176,8 @@ type requestEnvelope struct {
 	// recorded response (see idemCache).
 	IdemKey string
 	// Trace/Span carry the caller's trace context so the remote handler's
-	// spans nest under the calling attempt. Empty when the caller is not
-	// traced; gob omits absent fields, so old peers interoperate.
+	// spans nest under the calling attempt. Empty (two zero-length
+	// fields) when the caller is not traced.
 	Trace string
 	Span  string
 	Body  []byte
@@ -191,35 +188,42 @@ type responseEnvelope struct {
 	Body []byte
 }
 
-// Encode serializes a value (exported for handlers building responses):
-// the zero-allocation binary codec when v supports it, gob otherwise. The
-// returned slice is owned by the caller.
+// Encode serializes a message (exported for handlers building responses)
+// with the one codec its type has: its AppendWire encoding. nil is the
+// empty body (a request without arguments, an ack), and a []byte already
+// holds an encoded body and passes through unchanged. A type with no codec
+// is an error. The returned slice is owned by the
+// caller.
 func Encode(v any) ([]byte, error) {
-	if wa, ok := v.(WireAppender); ok {
-		return encodeBinary(wa), nil
+	switch v := v.(type) {
+	case nil:
+		return nil, nil
+	case WireAppender:
+		return encodeBinary(v), nil
+	case []byte:
+		return v, nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("rpc: encoding %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
+	return nil, fmt.Errorf("rpc: encoding %T: the type has no wire codec", v)
 }
 
 // Decode deserializes body into v with the one codec v's type has: its
-// strict binary decoder when it is a WireDecoder (which refuses anything
-// not led by the binary header), gob otherwise (which refuses a body led
-// by the binary magic byte).
+// strict DecodeWire (which refuses anything not led by the binary header).
+// A nil v expects the empty body, a *[]byte receives a copy of the body as
+// it is, and a type with no codec is an error.
 func Decode(body []byte, v any) error {
-	if wd, ok := v.(WireDecoder); ok {
-		return wd.DecodeWire(body)
+	switch v := v.(type) {
+	case nil:
+		if len(body) != 0 {
+			return fmt.Errorf("rpc: decoding: %d-byte body where none is expected", len(body))
+		}
+		return nil
+	case WireDecoder:
+		return v.DecodeWire(body)
+	case *[]byte:
+		*v = append((*v)[:0], body...)
+		return nil
 	}
-	if len(body) > 0 && body[0] == binenc.Magic {
-		return fmt.Errorf("rpc: binary message for %T, which has no binary decoder", v)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return fmt.Errorf("rpc: decoding %T: %w", v, err)
-	}
-	return nil
+	return fmt.Errorf("rpc: decoding %T: the type has no wire codec", v)
 }
 
 // Peer describes the authenticated remote endpoint of a request, plus the
@@ -230,8 +234,9 @@ type Peer struct {
 }
 
 // Handler serves one RPC: it receives the authenticated peer, the method
-// name and the gob-encoded request body, and returns the gob-encoded
-// response body.
+// name and the encoded request body (rpc.Decode it into the method's
+// request message), and returns the encoded response body (rpc.Encode of
+// the response message; nil is the bodiless ack).
 type Handler func(peer Peer, method string, body []byte) ([]byte, error)
 
 // handshakeTimeout bounds the secure-channel handshake of each accepted

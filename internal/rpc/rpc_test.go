@@ -7,14 +7,35 @@ import (
 	"sync"
 	"testing"
 
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/secchan"
 )
 
 func verifyAny(name string, key ed25519.PublicKey) error { return nil }
 
+// echoReq and echoResp are the tests' messages: one string under a tag no
+// real message uses.
 type echoReq struct{ Text string }
 type echoResp struct{ Text string }
+
+const tagTestText = 0x7E
+
+func appendText(b []byte, s string) []byte {
+	return binenc.AppendString(binenc.AppendHeader(b, tagTestText), s)
+}
+
+func decodeText(data []byte, s *string) error {
+	rd := binenc.NewReader(data)
+	rd.Header(tagTestText)
+	*s = rd.String()
+	return rd.Done()
+}
+
+func (m echoReq) AppendWire(b []byte) []byte  { return appendText(b, m.Text) }
+func (m *echoReq) DecodeWire(d []byte) error  { return decodeText(d, &m.Text) }
+func (m echoResp) AppendWire(b []byte) []byte { return appendText(b, m.Text) }
+func (m *echoResp) DecodeWire(d []byte) error { return decodeText(d, &m.Text) }
 
 func startEcho(t *testing.T, n Network, addr string, id *cryptoutil.Identity) {
 	t.Helper()

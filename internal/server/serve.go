@@ -10,7 +10,9 @@ import (
 )
 
 // RPC method names served by a cloud server. "measure" is the Attestation
-// Client endpoint; the rest form the Management Client.
+// Client endpoint; the rest form the Management Client, whose requests are
+// a LaunchSpec ("launch") or a wire.VidRequest (everything else) and whose
+// replies are a bodiless ack, a LaunchSpec ("migrate-out") or a VMInfo.
 const (
 	MethodMeasure    = "measure"
 	MethodLaunch     = "launch"
@@ -20,11 +22,6 @@ const (
 	MethodMigrateOut = "migrate-out"
 	MethodInfo       = "vminfo"
 )
-
-// VidRequest addresses one hosted VM.
-type VidRequest struct {
-	Vid string
-}
 
 // Handler returns the RPC dispatch for this server.
 func (s *Server) Handler() rpc.Handler {
@@ -51,9 +48,9 @@ func (s *Server) Handler() rpc.Handler {
 			if err := s.Launch(spec); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodTerminate, MethodSuspend, MethodResume:
-			var req VidRequest
+			var req wire.VidRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
@@ -69,9 +66,9 @@ func (s *Server) Handler() rpc.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return rpc.Encode(true)
+			return nil, nil
 		case MethodMigrateOut:
-			var req VidRequest
+			var req wire.VidRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
@@ -81,7 +78,7 @@ func (s *Server) Handler() rpc.Handler {
 			}
 			return rpc.Encode(spec)
 		case MethodInfo:
-			var req VidRequest
+			var req wire.VidRequest
 			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}

@@ -22,60 +22,55 @@ func call(t *testing.T, s *Server, method string, req, resp any) error {
 	if err != nil {
 		return err
 	}
-	if resp == nil {
-		return nil
-	}
-	return rpc.Decode(out, resp)
+	return rpc.Decode(out, resp) // a nil resp expects the bodiless ack
 }
 
 func TestHandlerLifecycle(t *testing.T) {
 	r := newRig(t)
 	s := r.srv
 
-	var ok bool
-	if err := call(t, s, MethodLaunch, smallSpec("vm-1", "database"), &ok); err != nil || !ok {
+	if err := call(t, s, MethodLaunch, smallSpec("vm-1", "database"), nil); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
 	r.clock.Advance(300 * time.Millisecond)
 
 	var info VMInfo
-	if err := call(t, s, MethodInfo, VidRequest{Vid: "vm-1"}, &info); err != nil {
+	if err := call(t, s, MethodInfo, wire.VidRequest{Vid: "vm-1"}, &info); err != nil {
 		t.Fatal(err)
 	}
 	if info.Runtime <= 0 || info.State != "running" {
 		t.Fatalf("info: %+v", info)
 	}
 
-	if err := call(t, s, MethodSuspend, VidRequest{Vid: "vm-1"}, &ok); err != nil {
+	if err := call(t, s, MethodSuspend, wire.VidRequest{Vid: "vm-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := call(t, s, MethodResume, VidRequest{Vid: "vm-1"}, &ok); err != nil {
+	if err := call(t, s, MethodResume, wire.VidRequest{Vid: "vm-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	var spec LaunchSpec
-	if err := call(t, s, MethodMigrateOut, VidRequest{Vid: "vm-1"}, &spec); err != nil {
+	if err := call(t, s, MethodMigrateOut, wire.VidRequest{Vid: "vm-1"}, &spec); err != nil {
 		t.Fatal(err)
 	}
 	if spec.Vid != "vm-1" {
 		t.Fatalf("migrate-out spec: %+v", spec)
 	}
 
-	if err := call(t, s, MethodLaunch, spec, &ok); err != nil {
+	if err := call(t, s, MethodLaunch, spec, nil); err != nil {
 		t.Fatalf("relaunch after migrate-out: %v", err)
 	}
-	if err := call(t, s, MethodTerminate, VidRequest{Vid: "vm-1"}, &ok); err != nil {
+	if err := call(t, s, MethodTerminate, wire.VidRequest{Vid: "vm-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := call(t, s, MethodInfo, VidRequest{Vid: "vm-1"}, &info); err == nil {
+	if err := call(t, s, MethodInfo, wire.VidRequest{Vid: "vm-1"}, &info); err == nil {
 		t.Fatal("info for terminated VM succeeded")
 	}
 }
 
 func TestHandlerMeasure(t *testing.T) {
 	r := newRig(t)
-	var ok bool
-	if err := call(t, r.srv, MethodLaunch, smallSpec("vm-1", "database"), &ok); err != nil {
+	if err := call(t, r.srv, MethodLaunch, smallSpec("vm-1", "database"), nil); err != nil {
 		t.Fatal(err)
 	}
 	req, err := properties.MapToMeasurements(properties.RuntimeIntegrity)
@@ -97,13 +92,13 @@ func TestHandlerErrors(t *testing.T) {
 	if _, err := r.srv.Handler()(rpc.Peer{}, "no-such-method", nil); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if _, err := r.srv.Handler()(rpc.Peer{}, MethodLaunch, []byte("not-gob")); err == nil {
+	if _, err := r.srv.Handler()(rpc.Peer{}, MethodLaunch, []byte("not-a-message")); err == nil {
 		t.Fatal("garbage body accepted")
 	}
-	if err := call(t, r.srv, MethodTerminate, VidRequest{Vid: "ghost"}, nil); err == nil {
+	if err := call(t, r.srv, MethodTerminate, wire.VidRequest{Vid: "ghost"}, nil); err == nil {
 		t.Fatal("terminate of ghost VM succeeded")
 	}
-	if err := call(t, r.srv, MethodMigrateOut, VidRequest{Vid: "ghost"}, nil); err == nil {
+	if err := call(t, r.srv, MethodMigrateOut, wire.VidRequest{Vid: "ghost"}, nil); err == nil {
 		t.Fatal("migrate-out of ghost VM succeeded")
 	}
 }

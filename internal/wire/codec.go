@@ -1,5 +1,6 @@
-// Hand-rolled binary wire codec for the eight protocol messages. Every
-// message is framed [magic 0xC1][version][tag] followed by fixed-width or
+// Hand-rolled binary wire codec: the eight protocol messages here, the
+// management-plane messages this package owns in mgmt.go, and the tag of
+// every other message. Every message is framed [magic 0xC1][version][tag] followed by fixed-width or
 // u32-length-prefixed fields in declaration order — no reflection, no
 // per-field interface boxing, and encode appends into a caller-supplied
 // buffer so the steady-state hot path allocates nothing.
@@ -7,7 +8,8 @@
 // DecodeWire is strict: it accepts exactly the bytes AppendWire produces
 // (canonical booleans, nil empty fields, full consumption), so for every
 // message decode∘encode == identity — the invariant FuzzBinaryWireDecode
-// pins and TestGoldenVectors freezes byte-for-byte.
+// and each package's FuzzMgmtDecode pin and the golden vectors freeze
+// byte-for-byte.
 package wire
 
 import (
@@ -19,8 +21,12 @@ import (
 	"cloudmonatt/internal/properties"
 )
 
-// Message tags of the binary wire format. Tags 9 and 10 are reserved for
-// the rpc request/response envelopes (internal/rpc).
+// Message tags of the binary wire format: one tag space for everything
+// that crosses a secure channel, declared here and nowhere else (the rpc
+// envelopes' 9 and 10 live in internal/rpc, which this package's tests
+// import). 1-8 are the Fig. 3 protocol messages; 11 and up are the
+// management plane, each implemented by the package that owns the Go type.
+// DESIGN.md section 14 says who sends and who accepts each.
 const (
 	TagAttestRequest       = 1
 	TagPeriodicRequest     = 2
@@ -30,9 +36,25 @@ const (
 	TagEvidence            = 6
 	TagReport              = 7
 	TagCustomerReport      = 8
+	// 9, 10: rpc request and response envelope.
+	TagVidRequest         = 11 // wire.VidRequest
+	TagVMStatus           = 12 // wire.VMStatus
+	TagCustomerReportList = 13 // wire.CustomerReportList
+	TagPeriodicBatch      = 14 // attestsrv.PeriodicBatch
+	TagLaunchRequest      = 15 // controller.LaunchRequest
+	TagLaunchResult       = 16 // controller.LaunchResult
+	TagVMSummaryList      = 17 // controller.VMSummaryList
+	TagResponseEventList  = 18 // controller.ResponseEventList
+	TagLaunchSpec         = 19 // server.LaunchSpec
+	TagVMInfo             = 20 // server.VMInfo
+	TagVMRecord           = 21 // attestsrv.VMRecord
+	TagPeriodicControl    = 22 // attestsrv.PeriodicControl
+	TagRebindRequest      = 23 // attestsrv.RebindRequest
 )
 
-func finish(rd *binenc.Reader, what string) error {
+// Finish closes a message decoder: nil only when the cursor consumed the
+// whole input without error, otherwise the error under the message's name.
+func Finish(rd *binenc.Reader, what string) error {
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("wire: decoding %s: %w", what, err)
 	}
@@ -58,7 +80,7 @@ func (m *AttestRequest) DecodeWire(data []byte) error {
 	m.Prop = properties.Property(rd.String())
 	rd.Fixed(m.N1[:])
 	m.Trace = rd.String()
-	return finish(&rd, "AttestRequest")
+	return Finish(&rd, "AttestRequest")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -84,7 +106,7 @@ func (m *PeriodicRequest) DecodeWire(data []byte) error {
 	m.Random = rd.Bool()
 	rd.Fixed(m.N1[:])
 	m.Trace = rd.String()
-	return finish(&rd, "PeriodicRequest")
+	return Finish(&rd, "PeriodicRequest")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -106,7 +128,7 @@ func (m *StopPeriodicRequest) DecodeWire(data []byte) error {
 	m.Prop = properties.Property(rd.String())
 	rd.Fixed(m.N1[:])
 	m.Trace = rd.String()
-	return finish(&rd, "StopPeriodicRequest")
+	return Finish(&rd, "StopPeriodicRequest")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -128,7 +150,7 @@ func (m *AppraisalRequest) DecodeWire(data []byte) error {
 	m.ServerID = rd.String()
 	m.Prop = properties.Property(rd.String())
 	rd.Fixed(m.N2[:])
-	return finish(&rd, "AppraisalRequest")
+	return Finish(&rd, "AppraisalRequest")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -150,7 +172,7 @@ func (m *MeasureRequest) DecodeWire(data []byte) error {
 	m.Req.ReadWire(&rd)
 	rd.Fixed(m.N3[:])
 	m.LogFrom = rd.Uint32()
-	return finish(&rd, "MeasureRequest")
+	return Finish(&rd, "MeasureRequest")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -190,7 +212,7 @@ func (m *Evidence) DecodeWire(data []byte) error {
 		m.Cert.ReadWire(&rd)
 	}
 	m.Sig = rd.Bytes()
-	return finish(&rd, "Evidence")
+	return Finish(&rd, "Evidence")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -218,7 +240,7 @@ func (m *Report) DecodeWire(data []byte) error {
 	rd.Fixed(m.N2[:])
 	rd.Fixed(m.Q2[:])
 	m.Sig = rd.Bytes()
-	return finish(&rd, "Report")
+	return Finish(&rd, "Report")
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -248,5 +270,5 @@ func (m *CustomerReport) DecodeWire(data []byte) error {
 	m.Stale = rd.Bool()
 	m.Age = time.Duration(rd.Uint64())
 	m.Sig = rd.Bytes()
-	return finish(&rd, "CustomerReport")
+	return Finish(&rd, "CustomerReport")
 }

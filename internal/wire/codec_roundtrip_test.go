@@ -10,12 +10,11 @@ import (
 )
 
 // The protocol structs cross process boundaries through the RPC layer's
-// codec (binary for these types; the test names predate it); these tests
-// pin down that a full round trip preserves
+// codec; these tests pin down that a full round trip preserves
 // signature-relevant content (a lossy field would silently break
 // verification at the far end).
 
-func TestEvidenceGobRoundTrip(t *testing.T) {
+func TestEvidenceCodecRoundTrip(t *testing.T) {
 	f := newFixture(t)
 	req, ms := sampleMeasurements()
 	n3 := cryptoutil.MustNonce()
@@ -29,7 +28,7 @@ func TestEvidenceGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := VerifyEvidence(&got, f.ca.Name(), f.ca.PublicKey(), "vm-1", req, n3); err != nil {
-		t.Fatalf("evidence no longer verifies after gob round trip: %v", err)
+		t.Fatalf("evidence no longer verifies after a round trip: %v", err)
 	}
 }
 
@@ -71,7 +70,7 @@ func TestEvidenceWithAllMeasurementKindsRoundTrips(t *testing.T) {
 	}
 }
 
-func TestReportGobRoundTrip(t *testing.T) {
+func TestReportCodecRoundTrip(t *testing.T) {
 	f := newFixture(t)
 	n2 := cryptoutil.MustNonce()
 	v := properties.Verdict{
@@ -97,7 +96,7 @@ func TestReportGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCustomerReportGobRoundTrip(t *testing.T) {
+func TestCustomerReportCodecRoundTrip(t *testing.T) {
 	f := newFixture(t)
 	n1 := cryptoutil.MustNonce()
 	rep := BuildCustomerReport(f.ctrl, "vm-1", properties.CPUAvailability, sampleVerdict(), n1)
