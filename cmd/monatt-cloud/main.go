@@ -13,7 +13,7 @@
 // Usage:
 //
 //	monatt-cloud [-servers 3] [-shards 1] [-seed 1] [-bootstrap monatt-bootstrap.json]
-//	             [-admin-addr 127.0.0.1:9190] [-resume]
+//	             [-admin-addr 127.0.0.1:9190]
 package main
 
 import (
@@ -47,7 +47,6 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "serve the operator HTTP surface (/metrics, /healthz, /traces, /debug/pprof) on this address; empty disables it")
 	trustBackend := flag.String("trust-backend", "tpm", "comma-separated trust backends assigned to servers round-robin (tpm, vtpm, sev-snp); a mixed list gives a mixed fleet")
 	reattestEvery := flag.Duration("reattest-every", 0, "virtual-time interval for the reconcile loop to re-attest every active VM; 0 disables")
-	resume := flag.Bool("resume", true, "cache secchan resumption tickets so reconnects skip the asymmetric handshake")
 	flag.Parse()
 
 	if *shards < 1 {
@@ -86,7 +85,6 @@ func main() {
 		Backends:      backends,
 		Network:       network,
 		ReattestEvery: *reattestEvery,
-		Resume:        *resume,
 	})
 	if err != nil {
 		log.Fatalf("assembling cloud: %v", err)

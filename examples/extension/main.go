@@ -5,10 +5,12 @@
 //
 // The new property, guest-kernel-integrity, checks via VM introspection
 // that the guest's measured boot chain still matches known-good digests.
-// Three registrations — the property→measurement mapping, the Monitor
-// Module collector, and the Property Interpretation Module interpreter —
-// and the property flows through the entire architecture: launch
-// provisioning, the signed protocol, responses, everything.
+// It is one value — the measurements it needs, the Monitor Module collector
+// and the Property Interpretation Module interpreter — passed in the
+// testbed's options, and it flows through the entire architecture: launch
+// provisioning, the signed protocol, responses, everything. The example
+// exits non-zero if the clean guest is not healthy, the tampered one passes,
+// or the response does not terminate the VM.
 package main
 
 import (
@@ -17,14 +19,11 @@ import (
 	"time"
 
 	"cloudmonatt"
-	"cloudmonatt/internal/attestsrv"
-	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/guest"
 	"cloudmonatt/internal/interpret"
 	"cloudmonatt/internal/monitor"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/server"
 )
 
 const (
@@ -32,34 +31,30 @@ const (
 	kindChain  properties.MeasurementKind = "guest-bootchain"
 )
 
-func registerProperty() error {
+// kernelIntegrity is the custom property.
+func kernelIntegrity() interpret.Spec {
 	golden := make(map[string][32]byte)
 	for _, c := range guest.NewOS().BootChain() {
 		golden[c.Name] = c.Digest()
 	}
-
-	// 1. Attestation Server: property → measurements.
-	if err := properties.Register(propKernel, properties.Request{
-		Kinds: []properties.MeasurementKind{kindChain},
-	}); err != nil {
-		return err
-	}
-	// 2. Monitor Module: how to collect the new measurement (VMI).
-	if err := monitor.RegisterCollector(kindChain, func(vm *monitor.VM, nonce [16]byte) (properties.Measurement, error) {
-		m := properties.Measurement{Kind: kindChain}
-		for _, c := range vm.Guest.BootChain() {
-			m.LogNames = append(m.LogNames, c.Name)
-			m.LogSums = append(m.LogSums, c.Digest())
-		}
-		return m, nil
-	}); err != nil {
-		return err
-	}
-	// 3. Property Interpretation Module: measurements → verdict.
-	return interpret.RegisterInterpreter(propKernel, func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs interpret.References) properties.Verdict {
-		for _, m := range ms {
-			if m.Kind != kindChain {
-				continue
+	return interpret.Spec{
+		Property: propKernel,
+		// Attestation Server: property → measurements.
+		Request: properties.Request{Kinds: []properties.MeasurementKind{kindChain}},
+		// Monitor Module: how to collect the new measurement (VMI).
+		Collect: func(vm *monitor.VM, kind properties.MeasurementKind, nonce [16]byte) (properties.Measurement, error) {
+			m := properties.Measurement{Kind: kind}
+			for _, c := range vm.Guest.BootChain() {
+				m.LogNames = append(m.LogNames, c.Name)
+				m.LogSums = append(m.LogSums, c.Digest())
+			}
+			return m, nil
+		},
+		// Property Interpretation Module: measurements → verdict.
+		Interpret: func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs interpret.References) properties.Verdict {
+			m, ok := properties.Find(ms, kindChain)
+			if !ok {
+				return properties.Verdict{Property: propKernel, Healthy: false, Reason: "missing boot chain measurement"}
 			}
 			for i, name := range m.LogNames {
 				if want, ok := golden[name]; !ok || m.LogSums[i] != want {
@@ -69,34 +64,15 @@ func registerProperty() error {
 			}
 			return properties.Verdict{Property: propKernel, Healthy: true,
 				Reason: "guest boot chain matches known-good digests"}
-		}
-		return properties.Verdict{Property: propKernel, Healthy: false, Reason: "missing boot chain measurement"}
-	})
+		},
+	}
 }
 
 func main() {
-	if err := registerProperty(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("registered custom properties: %v\n", properties.Registered())
-
-	tb, err := cloudmonatt.NewTestbed(cloudmonatt.Options{Seed: 21})
+	tb, err := cloudmonatt.NewTestbed(cloudmonatt.Options{Seed: 21, Properties: []interpret.Spec{kernelIntegrity()}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Advertise the new monitoring capability for every cloud server.
-	for _, rec := range tb.Attest.Servers() {
-		rec.Properties = append(rec.Properties, propKernel)
-		tb.Attest.RegisterServer(rec)
-	}
-	for _, rec := range tb.Attest.Servers() {
-		tb.Ctrl.RegisterServer(controller.ServerEntry{
-			Name: rec.Name, Addr: rec.Addr,
-			Capacity: capacityOf(tb, rec),
-			Props:    append(append([]properties.Property{}, properties.All...), propKernel),
-		})
-	}
-
 	eve, err := tb.NewCustomer("eve")
 	if err != nil {
 		log.Fatal(err)
@@ -119,6 +95,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("clean guest:    %s\n", v)
+	if !v.Healthy {
+		log.Fatal("the clean guest is not healthy")
+	}
 
 	g, err := tb.GuestOf(vm.Vid)
 	if err != nil {
@@ -132,11 +111,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("tampered guest: %s (component: %s)\n", v, v.Details["component"])
+	if v.Healthy {
+		log.Fatal("the tampered guest passed")
+	}
 	st, _ := tb.Ctrl.VMState(vm.Vid)
 	fmt.Printf("response:       VM is now %q — the custom property drives the response machinery too\n", st)
-}
-
-// capacityOf recovers the testbed's per-server capacity for re-registration.
-func capacityOf(tb *cloudmonatt.Testbed, rec attestsrv.ServerRecord) server.Capacity {
-	return tb.Servers[rec.Name].Free()
+	if st != "terminated" {
+		log.Fatalf("the VM is %q, not terminated", st)
+	}
 }

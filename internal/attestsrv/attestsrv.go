@@ -105,10 +105,10 @@ type Config struct {
 	// Obs, when set, receives one span per appraisal stage (entity
 	// "attest-server") plus a root span per periodic tick.
 	Obs *obs.Store
-	// Resume enables secure-channel session resumption on the measurement
-	// channels: reconnects to a cloud server ride a ticket instead of
-	// re-running the asymmetric handshake.
-	Resume bool
+	// Properties are the deployment's custom security properties, validated
+	// (interpret.Validate): this server asks for each one's Request and
+	// appraises it with its Interpret, on every backend.
+	Properties []interpret.Spec
 	// Ring (required) is the attestation plane this server is one shard
 	// of: VM-addressed requests for VMs the ring assigns elsewhere are
 	// refused with a WrongShardError naming the owner, instead of being
@@ -129,6 +129,7 @@ type Server struct {
 	replay  *cryptoutil.ReplayCache
 	golden  map[string][32]byte // interpret.GoldenPlatform(), hashed once
 
+	custom   map[properties.Property]interpret.Spec // Config.Properties by name
 	periodic *periodicEngine
 	metrics  *metrics.Registry
 	tracer   *obs.Tracer
@@ -142,17 +143,19 @@ func New(cfg Config) *Server {
 		vms:     make(map[string]*VMRecord),
 		replay:  cryptoutil.NewReplayCache(4096),
 		golden:  interpret.GoldenPlatform(),
+		custom:  make(map[properties.Property]interpret.Spec, len(cfg.Properties)),
 		metrics: metrics.NewRegistry(),
 		tracer:  obs.NewTracer(cfg.Obs, "attest-server", cfg.Clock.Now),
 	}
-	sc := secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand}
-	if cfg.Resume {
-		sc.Session = secchan.NewSessionCache()
+	for _, spec := range cfg.Properties {
+		s.custom[spec.Property] = spec
 	}
+	// The measurement channels keep their resumption tickets, so a redial
+	// to a cloud server skips the asymmetric handshake.
 	s.peers = rpc.NewPeerSet(rpc.PeerSetConfig{
 		Entity:      "attestsrv",
 		Network:     cfg.Network,
-		Secchan:     sc,
+		Secchan:     secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand, Session: secchan.NewSessionCache()},
 		Retry:       cfg.Retry,
 		Breaker:     cfg.Breaker,
 		CallTimeout: cfg.CallTimeout,
@@ -272,7 +275,8 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 			sp.End("")
 		}
 	}()
-	if !properties.Valid(req.Prop) {
+	spec, custom := s.custom[req.Prop]
+	if !custom && !properties.Valid(req.Prop) {
 		return nil, fmt.Errorf("attestsrv: unsupported property %q", req.Prop)
 	}
 	if !s.replay.Check(req.N2) {
@@ -305,8 +309,10 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		return nil, fmt.Errorf("attestsrv: server %s cannot monitor %s", req.ServerID, req.Prop)
 	}
 
-	rM, err := driver.MapToMeasurements(backend, req.Prop)
-	if err != nil {
+	var rM properties.Request
+	if custom {
+		rM = spec.Request
+	} else if rM, err = driver.MapToMeasurements(backend, req.Prop); err != nil {
 		return nil, err
 	}
 
@@ -336,8 +342,8 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		if lat := s.cfg.Latency; lat != nil {
 			s.cfg.Clock.Advance(lat.InterpretCost)
 		}
-		verdict = interpret.Interpret(req.Prop, ev.Measurements, n3, interpret.References{
-			ServerAIK:      ed25519.PublicKey(srvRec.AIK),
+		refs := interpret.References{
+			ServerAIK:      srvRec.AIK,
 			PlatformGolden: s.golden,
 			ExpectedImage:  vmRec.ExpectedImage,
 			Vid:            req.Vid,
@@ -346,7 +352,12 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 			Backend:        backend,
 			MinTCB:         s.cfg.MinTCB,
 			LogMemory:      mem,
-		})
+		}
+		if custom {
+			verdict = spec.Appraise(ev.Measurements, n3, refs)
+		} else {
+			verdict = interpret.Interpret(req.Prop, ev.Measurements, n3, refs)
+		}
 		if mem == nil {
 			break
 		}

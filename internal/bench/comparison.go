@@ -15,6 +15,7 @@ import (
 	"cloudmonatt/internal/monitor"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/sim"
+	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/vtpm"
 	"cloudmonatt/internal/workload"
 	"cloudmonatt/internal/xen"
@@ -156,7 +157,7 @@ func cloudmonattDetects(s *scenario, seed int64, threat string) (bool, error) {
 		// The image that booted this tampered kernel is not the pristine one.
 		refs.ExpectedImage = sha256.Sum256([]byte("pristine-image-before-tamper"))
 	}
-	req, err := properties.MapToMeasurements(prop)
+	req, err := driver.MapToMeasurements(driver.BackendTPM, prop)
 	if err != nil {
 		return false, err
 	}

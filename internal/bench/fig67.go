@@ -26,7 +26,7 @@ func newTPMMonitor(hv *xen.Hypervisor, platform []monitor.Component) (*monitor.M
 	if err != nil {
 		return nil, nil, err
 	}
-	mon, err := monitor.New(hv, trust.NewRegisters(0), drv, platform)
+	mon, err := monitor.New(hv, trust.NewRegisters(0), drv, platform, nil)
 	return mon, drv.AttestationKey(), err
 }
 

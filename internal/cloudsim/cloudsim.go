@@ -23,6 +23,7 @@ import (
 	"cloudmonatt/internal/customer"
 	"cloudmonatt/internal/guest"
 	"cloudmonatt/internal/image"
+	"cloudmonatt/internal/interpret"
 	"cloudmonatt/internal/latency"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/monitor"
@@ -99,10 +100,11 @@ type Options struct {
 	// points (crash injection for the recovery tests). RestartController
 	// builds the replacement controller without it, like a fresh process.
 	FailPoint func(point string) bool
-	// Resume lets the Attestation Servers cache secchan resumption tickets
-	// for their cloud-server connections, so a redial after a drop skips
-	// the asymmetric handshake (cmd/monatt-cloud -resume).
-	Resume bool
+	// Properties are the deployment's custom security properties (paper §4:
+	// "an arbitrary number of security properties and monitoring
+	// mechanisms"). New validates them once; every cloud server collects and
+	// offers each one, and every Attestation Server shard appraises it.
+	Properties []interpret.Spec
 }
 
 // Testbed is the assembled cloud.
@@ -191,6 +193,15 @@ func New(opts Options) (*Testbed, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
+	if err := interpret.Validate(opts.Properties); err != nil {
+		return nil, err
+	}
+	collectors := make(map[properties.MeasurementKind]monitor.Collector)
+	for _, spec := range opts.Properties {
+		for _, k := range spec.Request.Kinds {
+			collectors[k] = spec.Collect
+		}
+	}
 	network := opts.Network
 	if network == nil {
 		network = rpc.NewMemNetwork()
@@ -240,14 +251,15 @@ func New(opts Options) (*Testbed, error) {
 	for i := 0; i < opts.Servers; i++ {
 		name := serverName(i)
 		cfg := server.Config{
-			Name:      name,
-			Clock:     tb.Clock,
-			Seed:      opts.Seed,
-			PCPUs:     opts.PCPUsPerServer,
-			Capacity:  opts.Capacity,
-			Certifier: tb.certSwitch,
-			Rand:      rand.Reader,
-			Obs:       tb.Obs,
+			Name:       name,
+			Clock:      tb.Clock,
+			Seed:       opts.Seed,
+			PCPUs:      opts.PCPUsPerServer,
+			Capacity:   opts.Capacity,
+			Certifier:  tb.certSwitch,
+			Rand:       rand.Reader,
+			Obs:        tb.Obs,
+			Collectors: collectors,
 		}
 		if n := len(opts.Backends); n > 0 {
 			cfg.Backend = opts.Backends[i%n]
@@ -372,11 +384,22 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 			Name:     name,
 			Addr:     tb.serverAddrs[name],
 			Capacity: tb.opts.Capacity,
-			Props:    driver.AttestableProps(b),
+			Props:    tb.offered(b),
 			Backend:  b,
 		})
 	}
 	return c
+}
+
+// offered lists the properties a server on backend b offers: the built-ins
+// the backend can evidence, then the deployment's custom ones, which every
+// backend attests.
+func (tb *Testbed) offered(b driver.Backend) []properties.Property {
+	props := driver.AttestableProps(b)
+	for _, spec := range tb.opts.Properties {
+		props = append(props, spec.Property)
+	}
+	return props
 }
 
 // RestartController simulates a controller crash and recovery: the old
@@ -421,7 +444,7 @@ func (tb *Testbed) startShard() (*cryptoutil.Identity, string, error) {
 		Periodic:    tb.opts.Periodic,
 		Obs:         tb.Obs,
 		MinTCB:      tb.opts.MinTCB,
-		Resume:      tb.opts.Resume,
+		Properties:  tb.opts.Properties,
 		Ring:        tb.Ring,
 	})
 	l, addr, err := tb.listen(id.Name)
@@ -438,7 +461,7 @@ func (tb *Testbed) startShard() (*cryptoutil.Identity, string, error) {
 			Addr:        tb.serverAddrs[name],
 			IdentityKey: srv.IdentityKey(),
 			AIK:         srv.AIK(),
-			Properties:  driver.AttestableProps(b),
+			Properties:  tb.offered(b),
 			Backend:     b,
 		})
 	}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"cloudmonatt/internal/controller"
+	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
 )
 
@@ -499,20 +501,33 @@ func TestScaleManyVMsManyServers(t *testing.T) {
 	}
 }
 
-// TestHotPathOptions wires the hot-path knob end to end: with Resume on,
-// launches and attestations still succeed.
+// TestHotPathOptions holds a default testbed to its hot path: an
+// Attestation Server keeps the resumption tickets of its measurement
+// channels, so its redial to a cloud server skips the asymmetric handshake.
 func TestHotPathOptions(t *testing.T) {
-	tb := newTB(t, Options{Seed: 1, Resume: true})
+	counted := &byteCountingNetwork{inner: rpc.NewMemNetwork()}
+	tb := newTB(t, Options{Seed: 1, Servers: 1, Network: counted})
 	cu, err := tb.NewCustomer("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := launch(t, cu, basicLaunch())
+	// Registering the server again drops the shard's channel to it.
+	for _, rec := range tb.Attest.Servers() {
+		tb.Attest.RegisterServer(rec)
+	}
+	dials, ops := counted.dials.Load(), cryptoutil.Ops()
 	v, err := cu.Attest(res.Vid, properties.RuntimeIntegrity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Healthy {
 		t.Fatalf("healthy VM attested unhealthy: %s", v.Reason)
+	}
+	if n := counted.dials.Load() - dials; n != 1 {
+		t.Fatalf("the attestation dialed %d times, want the shard's one redial", n)
+	}
+	if n := cryptoutil.Ops().Sub(ops).ECDH; n != 0 {
+		t.Fatalf("the redial ran %d X25519 operations: it did not resume", n)
 	}
 }

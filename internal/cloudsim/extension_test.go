@@ -11,82 +11,54 @@ import (
 	"cloudmonatt/internal/interpret"
 	"cloudmonatt/internal/monitor"
 	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/wire"
 )
 
-// TestCustomPropertyEndToEnd exercises the paper's extensibility claim
-// (§4: "the CloudMonatt architecture is flexible and allows the
-// integration of an arbitrary number of security properties and monitoring
-// mechanisms"): a deployment-defined fifth property — guest kernel
-// integrity via VM introspection of the guest boot chain — is registered
-// with the three extension points and then flows through the full
-// protocol, launch pipeline and response machinery without any change to
-// the architecture.
-func TestCustomPropertyEndToEnd(t *testing.T) {
-	const (
-		propKernel properties.Property        = "guest-kernel-integrity"
-		kindChain  properties.MeasurementKind = "guest-bootchain"
-	)
-
-	// Golden references: the digests of a pristine guest's boot chain.
+// bootChainSpec is a deployment-defined property p — guest kernel integrity
+// via VM introspection of the guest boot chain, measured as kind — judged
+// against the digests of a pristine guest's boot chain.
+func bootChainSpec(p properties.Property, kind properties.MeasurementKind) interpret.Spec {
 	golden := make(map[string][32]byte)
 	for _, c := range guest.NewOS().BootChain() {
 		golden[c.Name] = c.Digest()
 	}
-
-	// 1. Property → measurement mapping (Attestation Server side).
-	if err := properties.Register(propKernel, properties.Request{
-		Kinds: []properties.MeasurementKind{kindChain},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer properties.Unregister(propKernel)
-
-	// 2. Collector (Monitor Module side): VMI reads the guest boot chain.
-	if err := monitor.RegisterCollector(kindChain, func(vm *monitor.VM, nonce [16]byte) (properties.Measurement, error) {
-		m := properties.Measurement{Kind: kindChain}
-		for _, c := range vm.Guest.BootChain() {
-			m.LogNames = append(m.LogNames, c.Name)
-			m.LogSums = append(m.LogSums, c.Digest())
-		}
-		return m, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer monitor.UnregisterCollector(kindChain)
-
-	// 3. Interpreter (Property Interpretation Module side).
-	if err := interpret.RegisterInterpreter(propKernel, func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs interpret.References) properties.Verdict {
-		for _, m := range ms {
-			if m.Kind != kindChain {
-				continue
+	return interpret.Spec{
+		Property: p,
+		Request:  properties.Request{Kinds: []properties.MeasurementKind{kind}},
+		Collect: func(vm *monitor.VM, k properties.MeasurementKind, nonce [16]byte) (properties.Measurement, error) {
+			m := properties.Measurement{Kind: k}
+			for _, c := range vm.Guest.BootChain() {
+				m.LogNames = append(m.LogNames, c.Name)
+				m.LogSums = append(m.LogSums, c.Digest())
+			}
+			return m, nil
+		},
+		Interpret: func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs interpret.References) properties.Verdict {
+			m, ok := properties.Find(ms, kind)
+			if !ok {
+				return properties.Verdict{Property: p, Healthy: false, Reason: "missing boot chain measurement"}
 			}
 			for i, name := range m.LogNames {
-				want, known := golden[name]
-				if !known || m.LogSums[i] != want {
-					return properties.Verdict{Property: propKernel, Healthy: false,
+				if want, known := golden[name]; !known || m.LogSums[i] != want {
+					return properties.Verdict{Property: p, Healthy: false,
 						Reason: "guest boot component modified", Details: map[string]string{"component": name}}
 				}
 			}
-			return properties.Verdict{Property: propKernel, Healthy: true,
-				Reason: "guest boot chain matches known-good digests"}
-		}
-		return properties.Verdict{Property: propKernel, Healthy: false, Reason: "missing boot chain measurement"}
-	}); err != nil {
-		t.Fatal(err)
+			return properties.Verdict{Property: p, Healthy: true, Reason: "guest boot chain matches known-good digests"}
+		},
 	}
-	defer interpret.UnregisterInterpreter(propKernel)
+}
 
-	tb := newTB(t, Options{Seed: 77})
+// TestCustomPropertyEndToEnd exercises the paper's extensibility claim
+// (§4: "the CloudMonatt architecture is flexible and allows the
+// integration of an arbitrary number of security properties and monitoring
+// mechanisms"): a deployment-defined fifth property, passed to the testbed
+// as one value, flows through the full protocol, launch pipeline and
+// response machinery without any change to the architecture.
+func TestCustomPropertyEndToEnd(t *testing.T) {
+	const propKernel properties.Property = "guest-kernel-integrity"
+	tb := newTB(t, Options{Seed: 77, Properties: []interpret.Spec{bootChainSpec(propKernel, "guest-bootchain")}})
 	cu, _ := tb.NewCustomer("alice")
-
-	// The cloud servers advertise the new capability.
-	for _, rec := range tb.Attest.Servers() {
-		rec.Properties = append(rec.Properties, propKernel)
-		tb.Attest.RegisterServer(rec)
-	}
-	for name := range tb.Servers {
-		tb.Ctrl.RegisterServer(ctrlEntryWithProp(tb, name, propKernel))
-	}
 
 	req := basicLaunch()
 	req.Props = append(req.Props, propKernel)
@@ -130,18 +102,40 @@ func TestCustomPropertyEndToEnd(t *testing.T) {
 	}
 }
 
-// ctrlEntryWithProp rebuilds a controller server entry advertising an
-// additional property.
-func ctrlEntryWithProp(tb *Testbed, name string, p properties.Property) (e controllerServerEntry) {
-	for _, rec := range tb.Attest.Servers() {
-		if rec.Name == name {
-			e.Name = name
-			e.Addr = rec.Addr
-			e.Props = append(append([]properties.Property{}, properties.All...), p)
-		}
+// TestTwoTestbedsTwoCustomProperties runs two testbeds in one process, each
+// with a custom property of its own: each attests its own and refuses the
+// other's as unsupported, at launch and at its Attestation Server.
+func TestTwoTestbedsTwoCustomProperties(t *testing.T) {
+	specs := []interpret.Spec{
+		bootChainSpec("kernel-integrity-a", "bootchain-a"),
+		bootChainSpec("kernel-integrity-b", "bootchain-b"),
 	}
-	e.Capacity = serverCap(16, 32768, 500)
-	return
+	for i, own := range specs {
+		other := specs[1-i].Property
+		t.Run(string(own.Property), func(t *testing.T) {
+			t.Parallel()
+			tb := newTB(t, Options{Seed: int64(90 + i), Servers: 2, Properties: []interpret.Spec{own}})
+			cu, err := tb.NewCustomer("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := basicLaunch()
+			req.Props = append(req.Props, own.Property)
+			res := launch(t, cu, req)
+			if v, err := cu.Attest(res.Vid, own.Property); err != nil || !v.Healthy {
+				t.Fatalf("attesting %s: %v %v", own.Property, v, err)
+			}
+
+			req.Props = append(req.Props, other)
+			if _, err := cu.Launch(req); err == nil || !strings.Contains(err.Error(), "unsupported property") {
+				t.Fatalf("launch asking for %s: %v, want it refused as unsupported", other, err)
+			}
+			_, err = tb.Attest.Appraise(wire.AppraisalRequest{Vid: res.Vid, ServerID: res.Server, Prop: other, N2: cryptoutil.MustNonce()})
+			if err == nil || !strings.Contains(err.Error(), "unsupported property") {
+				t.Fatalf("appraising %s: %v, want it refused as unsupported", other, err)
+			}
+		})
+	}
 }
 
 // Keep periodic monitoring following a migration (regression test for the
@@ -182,9 +176,6 @@ func TestPeriodicFollowsMigration(t *testing.T) {
 		}
 	}
 }
-
-// controllerServerEntry aliases the controller's entry type for the helper.
-type controllerServerEntry = controller.ServerEntry
 
 // TestRFADetectedAndMigrated runs the Resource-Freeing Attack through the
 // full cloud: the availability attestation flags the starved victim, the

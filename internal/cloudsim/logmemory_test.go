@@ -23,10 +23,11 @@ import (
 // and everything that loses a shard's memory costs one exchange from event 0
 // and never a verdict.
 
-// byteCountingNetwork counts the bytes written on both ends of every
-// connection of an in-memory network.
+// byteCountingNetwork counts the dials of an in-memory network and the
+// bytes written on both ends of every connection.
 type byteCountingNetwork struct {
 	inner *rpc.MemNetwork
+	dials atomic.Int64
 	bytes atomic.Int64
 }
 
@@ -37,6 +38,7 @@ func (n *byteCountingNetwork) Dial(addr string) (net.Conn, error) {
 }
 
 func (n *byteCountingNetwork) DialContext(ctx context.Context, addr string) (net.Conn, error) {
+	n.dials.Add(1)
 	c, err := n.inner.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err

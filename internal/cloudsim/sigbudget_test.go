@@ -14,6 +14,7 @@ import (
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
+	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/wire"
 )
 
@@ -81,7 +82,7 @@ func TestAVKConfinement(t *testing.T) {
 	// Every session a server ever used is current at some probe: probes are
 	// fewer than sessionUses measurements apart, and the count of distinct
 	// keys is checked against the pCA's issuance count at the end.
-	rtReq, err := properties.MapToMeasurements(properties.RuntimeIntegrity)
+	rtReq, err := driver.MapToMeasurements(driver.BackendTPM, properties.RuntimeIntegrity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -476,6 +477,18 @@ func (c *Controller) candidates(f image.Flavor, props []properties.Property, nam
 	return out
 }
 
+// offered reports whether some registered server offers property p.
+func (c *Controller) offered(p properties.Property) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.servers {
+		if slices.Contains(e.Props, p) {
+			return true
+		}
+	}
+	return false
+}
+
 // roomier is the weigher's order on free capacity: positive when a has more
 // free vCPUs than b or, at equal vCPUs, more free memory; zero on a tie.
 func roomier(a, b server.Capacity) int {
@@ -595,7 +608,7 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 		return LaunchResult{}, err
 	}
 	for _, p := range req.Props {
-		if !properties.Valid(p) {
+		if !c.offered(p) {
 			return LaunchResult{}, fmt.Errorf("controller: unsupported property %q", p)
 		}
 	}

@@ -13,13 +13,11 @@
 package interpret
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cloudmonatt/internal/cryptoutil"
@@ -28,40 +26,8 @@ import (
 	"cloudmonatt/internal/trust/driver"
 )
 
-// References holds the appraisal inputs for one VM's attestation: what the
-// Attestation Server knows from its databases (oat database + nova database
-// in the prototype, Fig. 8).
-type References struct {
-	// ServerAIK verifies the platform TPM quote of the attested server.
-	ServerAIK ed25519.PublicKey
-	// PlatformGolden maps platform component names to known-good digests.
-	PlatformGolden map[string][32]byte
-	// ApprovedVersions lists additional acceptable platform catalogs (an
-	// IMA-style appraiser knows every approved build, not just the newest:
-	// a fleet mid-upgrade runs several pristine hypervisor versions at
-	// once). A measured component passes if it matches PlatformGolden or
-	// any approved catalog.
-	ApprovedVersions []map[string][32]byte
-	// ExpectedImage is the pristine digest of the VM's image.
-	ExpectedImage [32]byte
-	// Vid is the attested VM's identifier (to pick its image-log entries).
-	Vid string
-	// TaskAllowlist is the customer-declared set of legitimate processes.
-	TaskAllowlist []string
-	// MinCPUShare is the SLA floor for relative CPU usage (0..1).
-	MinCPUShare float64
-	// Backend identifies the trust backend that rooted the evidence (empty
-	// = the classic TPM Trust Module); startup appraisal dispatches on it.
-	Backend driver.Backend
-	// MinTCB is the fleet-minimum platform security version for
-	// confidential-VM backends (rollback floor; zero = fleet-current).
-	MinTCB driver.TCBVersion
-	// LogMemory is this appraisal's copy of what the Attestation Server has
-	// replayed of the server's event log already, when the startup evidence
-	// was asked for from there on (driver.LogMemory); nil appraises the
-	// evidence as the whole log.
-	LogMemory *driver.LogMemory
-}
+// References holds the appraisal inputs for one VM's attestation.
+type References = driver.Refs
 
 // GoldenPlatform returns the reference digests of the standard platform
 // stack (what a pristine CloudMonatt server measures at boot). The digests
@@ -78,66 +44,91 @@ func GoldenPlatform() map[string][32]byte {
 // property (the Attestation Server side of the paper's extension claim).
 type Interpreter func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict
 
-var (
-	interpMu     sync.RWMutex
-	interpreters = map[properties.Property]Interpreter{}
-)
+// Spec is one custom security property — the paper's §4 claim that a
+// deployment integrates "an arbitrary number of security properties and
+// monitoring mechanisms" — as one value: the measurements that evidence
+// it, how a cloud server's Monitor Kernel collects them and how the
+// Attestation Server appraises them. A testbed takes its specs in its
+// options and hands each part to the entity that uses it; a custom
+// property is backend-independent, so every cloud server offers it.
+type Spec struct {
+	Property properties.Property
+	// Request names the custom measurement kinds the property needs.
+	Request properties.Request
+	// Collect gathers each of them on the cloud server.
+	Collect monitor.Collector
+	// Interpret appraises them on the Attestation Server.
+	Interpret Interpreter
+}
 
-// RegisterInterpreter installs the interpreter for a custom property.
-// Built-in properties cannot be overridden.
-func RegisterInterpreter(p properties.Property, f Interpreter) error {
-	switch p {
-	case properties.StartupIntegrity, properties.RuntimeIntegrity,
-		properties.CovertChannelFreedom, properties.CPUAvailability:
-		return fmt.Errorf("interpret: %q is built in", p)
+// Validate checks a deployment's custom properties: each names a property
+// that is not built in and not specified twice, requests at least one
+// measurement kind, all of them custom and none requested by another spec,
+// and has both a collector and an interpreter.
+func Validate(specs []Spec) error {
+	props := make(map[properties.Property]bool, len(specs))
+	kinds := make(map[properties.MeasurementKind]properties.Property)
+	for _, s := range specs {
+		switch {
+		case s.Property == "":
+			return fmt.Errorf("interpret: custom property with an empty name")
+		case properties.Valid(s.Property):
+			return fmt.Errorf("interpret: %q is built in", s.Property)
+		case props[s.Property]:
+			return fmt.Errorf("interpret: %q specified twice", s.Property)
+		case len(s.Request.Kinds) == 0:
+			return fmt.Errorf("interpret: %q maps to no measurements", s.Property)
+		case s.Collect == nil:
+			return fmt.Errorf("interpret: %q has no collector", s.Property)
+		case s.Interpret == nil:
+			return fmt.Errorf("interpret: %q has no interpreter", s.Property)
+		}
+		props[s.Property] = true
+		for _, k := range s.Request.Kinds {
+			if driver.BuiltinKind(k) {
+				return fmt.Errorf("interpret: %q collects %q, a built-in measurement kind", s.Property, k)
+			}
+			if other, dup := kinds[k]; dup && other != s.Property {
+				return fmt.Errorf("interpret: %q and %q both collect %q", other, s.Property, k)
+			}
+			kinds[k] = s.Property
+		}
 	}
-	if f == nil {
-		return fmt.Errorf("interpret: nil interpreter for %q", p)
-	}
-	interpMu.Lock()
-	defer interpMu.Unlock()
-	if _, dup := interpreters[p]; dup {
-		return fmt.Errorf("interpret: interpreter for %q already registered", p)
-	}
-	interpreters[p] = f
 	return nil
 }
 
-// UnregisterInterpreter removes a custom interpreter (mainly for tests).
-func UnregisterInterpreter(p properties.Property) {
-	interpMu.Lock()
-	defer interpMu.Unlock()
-	delete(interpreters, p)
+// Interpret dispatches to the built-in property's interpreter and stamps
+// the verdict with the trust backend whose evidence it appraised.
+func Interpret(p properties.Property, ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
+	var v properties.Verdict
+	switch p {
+	case properties.StartupIntegrity:
+		v = StartupIntegrity(ms, nonce, refs)
+	case properties.RuntimeIntegrity:
+		v = RuntimeIntegrity(ms, refs)
+	case properties.CovertChannelFreedom:
+		v = CovertChannel(ms)
+	case properties.CPUAvailability:
+		v = Availability(ms, refs)
+	default:
+		v = properties.Verdict{Property: p, Healthy: false, Reason: "unsupported property"}
+	}
+	return stamp(v, refs)
 }
 
-// Interpret dispatches to the property's interpreter and stamps the
-// verdict with the trust backend whose evidence it appraised.
-func Interpret(p properties.Property, ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
-	v := interpret(p, ms, nonce, refs)
+// Appraise runs the custom property's interpreter and stamps the verdict
+// as Interpret does.
+func (s *Spec) Appraise(ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
+	return stamp(s.Interpret(ms, nonce, refs), refs)
+}
+
+// stamp names the trust backend whose evidence a verdict appraised, unless
+// the interpreter did.
+func stamp(v properties.Verdict, refs References) properties.Verdict {
 	if v.Backend == "" {
 		v.Backend = string(refs.Backend.OrDefault())
 	}
 	return v
-}
-
-func interpret(p properties.Property, ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
-	switch p {
-	case properties.StartupIntegrity:
-		return StartupIntegrity(ms, nonce, refs)
-	case properties.RuntimeIntegrity:
-		return RuntimeIntegrity(ms, refs)
-	case properties.CovertChannelFreedom:
-		return CovertChannel(ms)
-	case properties.CPUAvailability:
-		return Availability(ms, refs)
-	}
-	interpMu.RLock()
-	f, ok := interpreters[p]
-	interpMu.RUnlock()
-	if ok {
-		return f(ms, nonce, refs)
-	}
-	return properties.Verdict{Property: p, Healthy: false, Reason: "unsupported property"}
 }
 
 func unhealthy(p properties.Property, class properties.FailureClass, reason string, details map[string]string) properties.Verdict {
@@ -145,20 +136,11 @@ func unhealthy(p properties.Property, class properties.FailureClass, reason stri
 }
 
 // StartupIntegrity appraises the startup evidence (case study I,
-// generalized across trust backends): it converts the references to the
-// backend-neutral form and dispatches to the backend's appraiser — the
+// generalized across trust backends) with the backend's appraiser — the
 // TPM measured-boot appraisal, the vTPM endorsement-chain appraisal, or
 // the SEV-SNP report appraisal with its rollback floor.
 func StartupIntegrity(ms []properties.Measurement, nonce cryptoutil.Nonce, refs References) properties.Verdict {
-	return driver.AppraiseStartup(refs.Backend, ms, nonce, driver.Refs{
-		AttestationKey:   refs.ServerAIK,
-		PlatformGolden:   refs.PlatformGolden,
-		ApprovedVersions: refs.ApprovedVersions,
-		ExpectedImage:    refs.ExpectedImage,
-		Vid:              refs.Vid,
-		MinTCB:           refs.MinTCB,
-		LogMemory:        refs.LogMemory,
-	})
+	return driver.AppraiseStartup(refs.Backend, ms, nonce, refs)
 }
 
 // RuntimeIntegrity compares the introspected (true) task list against the

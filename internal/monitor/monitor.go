@@ -76,9 +76,10 @@ type VM struct {
 
 // Module is the Monitor Module of one cloud server.
 type Module struct {
-	hv   *xen.Hypervisor
-	regs *trust.Registers
-	drv  driver.Driver
+	hv         *xen.Hypervisor
+	regs       *trust.Registers
+	drv        driver.Driver
+	collectors map[properties.MeasurementKind]Collector // read-only after New
 
 	mu         sync.Mutex
 	vms        map[string]*VM
@@ -97,12 +98,14 @@ type Module struct {
 // the trust-backend driver (into the TPM, or dropped by backends whose
 // evidence does not cover the host). Passing tampered components models a
 // compromised platform. regs is the Trust Evidence Register bank the
-// scheduler-level monitors store into.
-func New(hv *xen.Hypervisor, regs *trust.Registers, drv driver.Driver, platform []Component) (*Module, error) {
+// scheduler-level monitors store into. collectors gathers the custom kinds
+// the deployment's properties request (nil: none), and is not written to.
+func New(hv *xen.Hypervisor, regs *trust.Registers, drv driver.Driver, platform []Component, collectors map[properties.MeasurementKind]Collector) (*Module, error) {
 	m := &Module{
 		hv:         hv,
 		regs:       regs,
 		drv:        drv,
+		collectors: collectors,
 		vms:        make(map[string]*VM),
 		watches:    make(map[string]*intervalWatch),
 		busWatches: make(map[string]*busWatch),
@@ -426,55 +429,12 @@ func (m *Module) ImageDigest(vid string) (properties.Measurement, error) {
 	return properties.Measurement{Kind: properties.KindImageDigest, Digest: vm.ImageDigest}, nil
 }
 
-// --- extension collectors ----------------------------------------------------
-
-// Collector gathers one custom measurement kind from a hosted VM. It runs
-// inside the Monitor Kernel with the same access the built-in tools have.
-type Collector func(vm *VM, nonce [16]byte) (properties.Measurement, error)
-
-var (
-	collectorMu sync.RWMutex
-	collectors  = map[properties.MeasurementKind]Collector{}
-)
-
-// RegisterCollector installs a collector for a custom measurement kind
-// (the Monitor Module side of the paper's property-extension claim, §4).
-// Built-in kinds cannot be overridden.
-func RegisterCollector(kind properties.MeasurementKind, c Collector) error {
-	switch kind {
-	case properties.KindPlatformQuote, properties.KindImageDigest,
-		properties.KindTaskList, properties.KindIntervalHistogram,
-		properties.KindBusLockTrace, properties.KindCPUTime,
-		properties.KindVTPMQuote, properties.KindAttestationReport:
-		return fmt.Errorf("monitor: %q is a built-in measurement kind", kind)
-	}
-	if c == nil {
-		return fmt.Errorf("monitor: nil collector for %q", kind)
-	}
-	collectorMu.Lock()
-	defer collectorMu.Unlock()
-	if _, dup := collectors[kind]; dup {
-		return fmt.Errorf("monitor: collector for %q already registered", kind)
-	}
-	collectors[kind] = c
-	return nil
-}
-
-// UnregisterCollector removes a custom collector (mainly for tests).
-func UnregisterCollector(kind properties.MeasurementKind) {
-	collectorMu.Lock()
-	defer collectorMu.Unlock()
-	delete(collectors, kind)
-}
-
-func lookupCollector(kind properties.MeasurementKind) (Collector, bool) {
-	collectorMu.RLock()
-	defer collectorMu.RUnlock()
-	c, ok := collectors[kind]
-	return c, ok
-}
-
 // --- Monitor Kernel ----------------------------------------------------------
+
+// Collector gathers one measurement of a custom kind from a hosted VM (the
+// Monitor Module side of the paper's property-extension claim, §4). It runs
+// inside the Monitor Kernel with the same access the built-in tools have.
+type Collector func(vm *VM, kind properties.MeasurementKind, nonce [16]byte) (properties.Measurement, error)
 
 // Collect is the Monitor Kernel: it serves a measurement request end to
 // end. For windowed kinds it arms the watches, asks the caller to advance
@@ -533,11 +493,11 @@ func (m *Module) Collect(vid string, req properties.Request, nonce [16]byte, log
 		case properties.KindCPUTime:
 			meas, err = m.CollectProfile(vid)
 		default:
-			if c, ok := lookupCollector(k); ok {
+			if c, ok := m.collectors[k]; ok {
 				var vm *VM
 				vm, err = m.vm(vid)
 				if err == nil {
-					meas, err = c(vm, nonce)
+					meas, err = c(vm, k, nonce)
 				}
 			} else {
 				err = fmt.Errorf("monitor: unsupported measurement kind %q", k)

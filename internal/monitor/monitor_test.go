@@ -42,7 +42,7 @@ func newRig(t *testing.T, platform []Component) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(hv, tm.Registers(), drv, platform)
+	m, err := New(hv, tm.Registers(), drv, platform, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestImageDigest(t *testing.T) {
 func TestMonitorKernelCollect(t *testing.T) {
 	r := newRig(t, nil)
 	r.addVM(t, "vm", workload.Spinner(5*time.Millisecond), guest.NewOS())
-	req, err := properties.MapToMeasurements(properties.CPUAvailability)
+	req, err := driver.MapToMeasurements(driver.BackendTPM, properties.CPUAvailability)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestMonitorKernelCollect(t *testing.T) {
 func TestMonitorKernelWindowedNeedsDriver(t *testing.T) {
 	r := newRig(t, nil)
 	r.addVM(t, "vm", workload.Idle(), nil)
-	req, _ := properties.MapToMeasurements(properties.CovertChannelFreedom)
+	req, _ := driver.MapToMeasurements(driver.BackendTPM, properties.CovertChannelFreedom)
 	if _, err := r.m.Collect("vm", req, cryptoutil.MustNonce(), 0, nil); err == nil {
 		t.Fatal("windowed collection without clock driver succeeded")
 	}
@@ -298,36 +298,21 @@ func TestMonitorKernelRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestRegisterCollectorValidation(t *testing.T) {
-	if err := RegisterCollector(properties.KindCPUTime, func(vm *VM, n [16]byte) (properties.Measurement, error) {
-		return properties.Measurement{}, nil
-	}); err == nil {
-		t.Fatal("built-in kind overridden")
-	}
-	if err := RegisterCollector("custom-k", nil); err == nil {
-		t.Fatal("nil collector accepted")
-	}
-	ok := func(vm *VM, n [16]byte) (properties.Measurement, error) {
-		return properties.Measurement{Kind: "custom-k"}, nil
-	}
-	if err := RegisterCollector("custom-k", ok); err != nil {
-		t.Fatal(err)
-	}
-	defer UnregisterCollector("custom-k")
-	if err := RegisterCollector("custom-k", ok); err == nil {
-		t.Fatal("duplicate collector accepted")
-	}
-}
-
 func TestCustomCollectorThroughMonitorKernel(t *testing.T) {
 	const kind properties.MeasurementKind = "custom-probe"
-	if err := RegisterCollector(kind, func(vm *VM, n [16]byte) (properties.Measurement, error) {
-		return properties.Measurement{Kind: kind, Tasks: []string{vm.Vid}}, nil
-	}); err != nil {
+	r := newRig(t, nil)
+	drv, err := driver.Open(driver.BackendTPM, driver.Config{ServerName: "server-1", Rand: rand.Reader})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer UnregisterCollector(kind)
-	r := newRig(t, nil)
+	r.m, err = New(r.hv, r.tm.Registers(), drv, StandardPlatform(), map[properties.MeasurementKind]Collector{
+		kind: func(vm *VM, k properties.MeasurementKind, n [16]byte) (properties.Measurement, error) {
+			return properties.Measurement{Kind: k, Tasks: []string{vm.Vid}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.addVM(t, "vm-c", workload.Idle(), guest.NewOS())
 	ms, err := r.m.Collect("vm-c", properties.Request{Kinds: []properties.MeasurementKind{kind}}, cryptoutil.MustNonce(), 0, r.advance)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package properties defines the security properties a CloudMonatt customer
-// can request, the measurement kinds that evidence them, and the canonical
-// property→measurement mapping the Attestation Server uses to translate a
-// requested property P into a measurement request rM (paper §4.1).
+// can request, the measurement kinds that evidence them, and the measurement
+// request rM the Attestation Server translates a requested property P into
+// (paper §4.1). Which request evidences a built-in property on which trust
+// backend is the capability table of internal/trust/driver.
 //
 // Measurements carry a canonical binary encoding so they can be hashed into
 // protocol quotes (Q3 = H(Vid‖rM‖M‖N3)) identically on both ends.
@@ -32,19 +33,19 @@ const (
 	CPUAvailability Property = "cpu-availability"
 )
 
-// All lists every supported property.
+// All lists every built-in property, in catalog order.
 var All = []Property{StartupIntegrity, RuntimeIntegrity, CovertChannelFreedom, CPUAvailability}
 
-// Valid reports whether p names a supported property (built in or
-// registered through the extension registry).
+// Valid reports whether p is a built-in property. A deployment's custom
+// properties are values it passes to the testbed (interpret.Spec), not names
+// known here.
 func Valid(p Property) bool {
 	for _, q := range All {
 		if p == q {
 			return true
 		}
 	}
-	_, ok := lookupRegistered(p)
-	return ok
+	return false
 }
 
 // MeasurementKind identifies one type of raw evidence a Monitor Module can
@@ -105,28 +106,6 @@ func (r Request) Encode() []byte {
 // DefaultWindow is the runtime monitors' observation window. One second
 // spans ~33 scheduler accounting periods — enough for a stable histogram.
 const DefaultWindow = time.Second
-
-// MapToMeasurements translates a requested property into the measurement
-// request the target cloud server must serve (the Attestation Server's
-// property→measurement mapping, paper §4.1).
-func MapToMeasurements(p Property) (Request, error) {
-	switch p {
-	case StartupIntegrity:
-		return Request{Kinds: []MeasurementKind{KindPlatformQuote, KindImageDigest}}, nil
-	case RuntimeIntegrity:
-		return Request{Kinds: []MeasurementKind{KindTaskList}}, nil
-	case CovertChannelFreedom:
-		// Both covert-channel monitors run over the same window: the CPU-
-		// interval histogram (case study III) and the bus-lock trace.
-		return Request{Kinds: []MeasurementKind{KindIntervalHistogram, KindBusLockTrace}, Window: DefaultWindow}, nil
-	case CPUAvailability:
-		return Request{Kinds: []MeasurementKind{KindCPUTime}, Window: DefaultWindow}, nil
-	}
-	if req, ok := lookupRegistered(p); ok {
-		return req, nil
-	}
-	return Request{}, fmt.Errorf("properties: unsupported property %q", p)
-}
 
 // Measurement is one collected piece of evidence. Exactly the fields
 // relevant to Kind are populated; Encode produces an injective canonical

@@ -7,30 +7,6 @@ import (
 	"time"
 )
 
-func TestMapToMeasurements(t *testing.T) {
-	for _, p := range All {
-		req, err := MapToMeasurements(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if len(req.Kinds) == 0 {
-			t.Fatalf("%s maps to no measurements", p)
-		}
-	}
-	if _, err := MapToMeasurements(Property("bogus")); err == nil {
-		t.Fatal("bogus property mapped")
-	}
-}
-
-func TestRuntimePropertiesHaveWindows(t *testing.T) {
-	for _, p := range []Property{CovertChannelFreedom, CPUAvailability} {
-		req, _ := MapToMeasurements(p)
-		if req.Window <= 0 {
-			t.Errorf("%s has no observation window", p)
-		}
-	}
-}
-
 func TestValid(t *testing.T) {
 	for _, p := range All {
 		if !Valid(p) {

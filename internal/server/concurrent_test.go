@@ -6,6 +6,7 @@ import (
 
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/wire"
 )
 
@@ -28,7 +29,7 @@ func TestConcurrentMeasuresAndLifecycleOnOneServer(t *testing.T) {
 		}
 	}
 	free := r.srv.Free()
-	req, err := properties.MapToMeasurements(properties.CPUAvailability)
+	req, err := driver.MapToMeasurements(driver.BackendTPM, properties.CPUAvailability)
 	if err != nil {
 		t.Fatal(err)
 	}

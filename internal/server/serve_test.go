@@ -7,6 +7,7 @@ import (
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
+	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/wire"
 )
 
@@ -73,7 +74,7 @@ func TestHandlerMeasure(t *testing.T) {
 	if err := call(t, r.srv, MethodLaunch, smallSpec("vm-1", "database"), nil); err != nil {
 		t.Fatal(err)
 	}
-	req, err := properties.MapToMeasurements(properties.RuntimeIntegrity)
+	req, err := driver.MapToMeasurements(driver.BackendTPM, properties.RuntimeIntegrity)
 	if err != nil {
 		t.Fatal(err)
 	}

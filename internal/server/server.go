@@ -29,6 +29,7 @@ import (
 	"cloudmonatt/internal/image"
 	"cloudmonatt/internal/monitor"
 	"cloudmonatt/internal/obs"
+	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/secchan"
 	"cloudmonatt/internal/sim"
 	"cloudmonatt/internal/trust"
@@ -102,6 +103,9 @@ type Config struct {
 	// Obs, when set, receives one span per served measurement (the entity
 	// is the server's Name).
 	Obs *obs.Store
+	// Collectors gathers the custom measurement kinds of the deployment's
+	// properties (interpret.Spec.Collect, by kind); it is only read.
+	Collectors map[properties.MeasurementKind]monitor.Collector
 }
 
 // LaunchSpec describes a VM to place on this server.
@@ -230,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mon, err := monitor.New(hv, tm.Registers(), drv, platform)
+	mon, err := monitor.New(hv, tm.Registers(), drv, platform, cfg.Collectors)
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/sim"
 	"cloudmonatt/internal/trust"
+	"cloudmonatt/internal/trust/driver"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
 	"cloudmonatt/internal/xen"
@@ -175,7 +176,7 @@ func TestMeasureProducesVerifiableEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clock.Advance(500 * time.Millisecond)
-	req, err := properties.MapToMeasurements(properties.CPUAvailability)
+	req, err := driver.MapToMeasurements(driver.BackendTPM, properties.CPUAvailability)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestMeasureProducesVerifiableEvidence(t *testing.T) {
 
 func TestMeasureUnknownVM(t *testing.T) {
 	r := newRig(t)
-	req, _ := properties.MapToMeasurements(properties.RuntimeIntegrity)
+	req, _ := driver.MapToMeasurements(driver.BackendTPM, properties.RuntimeIntegrity)
 	if _, err := r.srv.Measure(wire.MeasureRequest{Vid: "ghost", Req: req, N3: cryptoutil.MustNonce()}); err == nil {
 		t.Fatal("measured a nonexistent VM")
 	}
@@ -208,7 +209,7 @@ func TestMeasureUnknownVM(t *testing.T) {
 // virtual time passes) and checks the evidence end to end.
 func (r *rig) measureRT(t *testing.T, vid string) (*wire.Evidence, error) {
 	t.Helper()
-	req, err := properties.MapToMeasurements(properties.RuntimeIntegrity)
+	req, err := driver.MapToMeasurements(driver.BackendTPM, properties.RuntimeIntegrity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestDom0AbsorbsCollectionCost(t *testing.T) {
 			starts = append(starts, start)
 		}
 	}))
-	req, _ := properties.MapToMeasurements(properties.CPUAvailability)
+	req, _ := driver.MapToMeasurements(driver.BackendTPM, properties.CPUAvailability)
 	ipi := r.srv.hv.Config().IPILatency
 	for i := 0; i < 5; i++ {
 		asked := r.clock.Now()

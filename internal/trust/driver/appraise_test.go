@@ -6,11 +6,13 @@
 package driver_test
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,6 +81,22 @@ func TestAppraiseRejections(t *testing.T) {
 			class: properties.FailurePlatform, reason: "unknown software"},
 		{name: "modified-component", backends: tpmOnly, boot: bootWith("hypervisor", "xen-4.2 trojaned"),
 			class: properties.FailurePlatform, reason: "differs from known-good build"},
+		// The attester picks the selection its TPM signs. Over the image PCR
+		// alone, a log without the trojaned hypervisor explains the quote.
+		{name: "quote-without-boot-chain", backends: tpmOnly,
+			mutate: func(a *appraisal) { ownQuote(a, tpm.PCRVMImage) },
+			class:  properties.FailurePlatform, reason: "platform quote covers PCRs [8]"},
+		// An image entry is one on the image PCR only: relabelled anywhere
+		// else, a component is still judged.
+		{name: "image-label-off-image-pcr", backends: tpmOnly, boot: bootWith("rootkit", "lkm"),
+			mutate: func(a *appraisal) {
+				for i, n := range a.ms[0].LogNames {
+					if n == "3:rootkit" {
+						a.ms[0].LogNames[i] = "3:vm-image-x"
+					}
+				}
+			},
+			class: properties.FailurePlatform, reason: "unknown software"},
 		{name: "image-entry-mismatch", backends: both, launched: "trojaned-image",
 			class: properties.FailureImage, reason: "VM image measurement differs"},
 		{name: "image-entry-absent", backends: both,
@@ -142,6 +160,38 @@ func TestAppraiseRejections(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ownQuote replaces a's tpm evidence with what a compromised host can send
+// instead: its TPM, booted with a trojaned hypervisor and the pristine image
+// launched, quotes the PCRs the host picks under its genuine AIK, and the log
+// carries the events of those PCRs alone.
+func ownQuote(a *appraisal, pcrs ...int) {
+	t, err := tpm.New(rand.Reader)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := t.Measure(tpm.PCRHypervisor, "hypervisor", []byte("xen-4.2 trojaned")); err != nil {
+		panic(err)
+	}
+	if err := t.Extend(tpm.PCRVMImage, "vm-image-vm-1", pristineImage()); err != nil {
+		panic(err)
+	}
+	q, events, err := t.QuoteWithLog(pcrs, a.nonce, 0)
+	if err != nil {
+		panic(err)
+	}
+	m := properties.Measurement{Kind: properties.KindPlatformQuote, QuoteSig: q.Sig, QuoteVal: q.Values}
+	for _, p := range q.PCRs {
+		m.QuotePCR = append(m.QuotePCR, uint32(p))
+	}
+	for _, e := range events {
+		if slices.Contains(pcrs, e.PCR) {
+			m.LogNames = append(m.LogNames, strconv.Itoa(e.PCR)+":"+e.Description)
+			m.LogSums = append(m.LogSums, e.Measurement)
+		}
+	}
+	a.ms[0], a.refs.ServerAIK = m, t.AIK()
 }
 
 // seededRand is a deterministic entropy source, so the committed fuzz seeds

@@ -82,7 +82,7 @@ func collect(t testing.TB, drv driver.Driver, nonce cryptoutil.Nonce, image [32]
 
 func refsFor(drv driver.Driver, image [32]byte) driver.Refs {
 	return driver.Refs{
-		AttestationKey: drv.AttestationKey(),
+		ServerAIK:      drv.AttestationKey(),
 		PlatformGolden: goldenPlatform(),
 		ExpectedImage:  image,
 		Vid:            "vm-1",

@@ -8,10 +8,10 @@
 // key, measures the platform boot chain and VM images, and produces the
 // platform evidence (quote, vTPM quote, or attestation report) bound to the
 // verifier's nonce. The verifier side is the per-backend startup appraiser
-// plus the capability map: which security properties of the paper's catalog
-// the backend can evidence at all. A property outside a backend's
-// capability map yields the paper's V_fail — `unattestable` — rather than a
-// healthy-or-compromised verdict.
+// plus the capability table: which security properties of the paper's
+// catalog each backend can evidence at all, and with which measurements. A
+// property a backend has no cell for yields the paper's V_fail —
+// `unattestable` — rather than a healthy-or-compromised verdict.
 //
 // All three backends live in this package behind one static table, so a
 // binary that links the package has every backend the fleet can contain;
@@ -22,9 +22,11 @@
 package driver
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"cloudmonatt/internal/cryptoutil"
@@ -108,22 +110,36 @@ type Driver interface {
 	PlatformEvidence(vid string, nonce cryptoutil.Nonce, logFrom int) (properties.Measurement, error)
 }
 
-// Refs are the verifier-side appraisal references for one VM's startup
-// evidence (the backend-relevant subset of interpret.References, kept free
-// of an interpret import so backends stay leaf packages).
+// Refs are the appraisal inputs for one VM's attestation: what the
+// Attestation Server knows from its databases (oat database + nova database
+// in the prototype, Fig. 8). It is the one reference type; interpret names
+// it References.
 type Refs struct {
-	// AttestationKey is the registered key for the attested server.
-	AttestationKey []byte
+	// ServerAIK verifies the attested server's platform evidence: the TPM
+	// AIK, the vTPM hardware endorsement key, or the VCEK, per Backend.
+	ServerAIK ed25519.PublicKey
 	// PlatformGolden maps platform component names to known-good digests.
 	PlatformGolden map[string][32]byte
-	// ApprovedVersions lists additional acceptable platform catalogs.
+	// ApprovedVersions lists additional acceptable platform catalogs (an
+	// IMA-style appraiser knows every approved build, not just the newest:
+	// a fleet mid-upgrade runs several pristine hypervisor versions at
+	// once). A measured component passes if it matches PlatformGolden or
+	// any approved catalog.
 	ApprovedVersions []map[string][32]byte
 	// ExpectedImage is the pristine digest of the VM's image.
 	ExpectedImage [32]byte
-	// Vid is the attested VM's identifier.
+	// Vid is the attested VM's identifier (to pick its image-log entries).
 	Vid string
+	// TaskAllowlist is the customer-declared set of legitimate processes.
+	TaskAllowlist []string
+	// MinCPUShare is the SLA floor for relative CPU usage (0..1).
+	MinCPUShare float64
+	// Backend identifies the trust backend that rooted the evidence (empty
+	// = the classic TPM Trust Module); startup appraisal dispatches on it.
+	Backend Backend
 	// MinTCB is the minimum acceptable platform security version for
-	// confidential-VM backends (zero = the fleet-current version).
+	// confidential-VM backends (rollback floor; zero = the fleet-current
+	// version).
 	MinTCB TCBVersion
 	// LogMemory is this appraisal's copy (LogMemory.For) of what the
 	// verifier has replayed of the server's event log already; the evidence
@@ -136,19 +152,59 @@ type Refs struct {
 type backend struct {
 	// open provisions the backend's driver on a cloud server.
 	open func(Config) (Driver, error)
-	// caps is the backend's capability map: for each built-in property it
-	// can evidence, the measurement request that backs it. A built-in
-	// property absent from the map is unattestable on this backend.
-	caps map[properties.Property]properties.Request
 	// appraise is the verifier-side interpreter for the backend's startup
 	// evidence.
 	appraise func(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs) properties.Verdict
 }
 
 var backends = map[Backend]backend{
-	BackendTPM:    {open: openTPM, caps: tpmCaps(), appraise: appraiseTPM},
-	BackendVTPM:   {open: openVTPM, caps: vtpmCaps, appraise: appraiseVTPM},
-	BackendSEVSNP: {open: openSEVSNP, caps: sevsnpCaps, appraise: appraiseSEVSNP},
+	BackendTPM:    {open: openTPM, appraise: appraiseTPM},
+	BackendVTPM:   {open: openVTPM, appraise: appraiseVTPM},
+	BackendSEVSNP: {open: openSEVSNP, appraise: appraiseSEVSNP},
+}
+
+// The requests the capability table shares between backends.
+var (
+	taskList = properties.Request{Kinds: []properties.MeasurementKind{properties.KindTaskList}}
+	// Both covert-channel monitors run over the same window: the CPU-interval
+	// histogram (case study III) and the bus-lock trace.
+	covertMonitors = properties.Request{Kinds: []properties.MeasurementKind{properties.KindIntervalHistogram, properties.KindBusLockTrace}, Window: properties.DefaultWindow}
+	cpuTime        = properties.Request{Kinds: []properties.MeasurementKind{properties.KindCPUTime}, Window: properties.DefaultWindow}
+)
+
+// capabilities is the capability table: a row per built-in property and a
+// column per backend, each cell the measurement request rM that evidences
+// the property on that backend (paper §4.1's property→measurement mapping,
+// generalized across backend types). A missing cell is the paper's V_fail:
+// the backend cannot evidence the property at all.
+var capabilities = map[properties.Property]map[Backend]properties.Request{
+	// Each backend roots startup integrity in its own evidence: the Trust
+	// Module's quote over the platform PCRs with its event log (case study
+	// I), a vTPM quote over the VM's own image PCR — the host platform is
+	// outside its evidence chain, the gap the paper's §2.2 critique of vTPM
+	// attestation predicts — or a signed SEV-SNP launch report.
+	properties.StartupIntegrity: {
+		BackendTPM:    {Kinds: []properties.MeasurementKind{properties.KindPlatformQuote, properties.KindImageDigest}},
+		BackendVTPM:   {Kinds: []properties.MeasurementKind{properties.KindVTPMQuote, properties.KindImageDigest}},
+		BackendSEVSNP: {Kinds: []properties.MeasurementKind{properties.KindAttestationReport, properties.KindImageDigest}},
+	},
+	// VM introspection is hypervisor-level and needs no trust hardware, so
+	// it survives on vtpm hosts; SNP memory encryption defeats it.
+	properties.RuntimeIntegrity: {
+		BackendTPM:  taskList,
+		BackendVTPM: taskList,
+	},
+	// The scheduler-level monitors are backed by Trust Evidence Registers,
+	// which a vTPM host does not have. They observe vCPU run segments from
+	// outside the guest, so encryption does not hide them on SNP hosts.
+	properties.CovertChannelFreedom: {
+		BackendTPM:    covertMonitors,
+		BackendSEVSNP: covertMonitors,
+	},
+	properties.CPUAvailability: {
+		BackendTPM:    cpuTime,
+		BackendSEVSNP: cpuTime,
+	},
 }
 
 // Backends lists the backend types in stable order.
@@ -170,28 +226,20 @@ func Open(b Backend, cfg Config) (Driver, error) {
 	return be.open(cfg)
 }
 
-// builtin reports whether p is one of the paper's built-in properties.
-func builtin(p properties.Property) bool {
-	for _, q := range properties.All {
-		if p == q {
-			return true
-		}
-	}
-	return false
-}
-
 // ErrUnattestable marks a property a backend cannot evidence: the paper's
 // V_fail outcome, distinct from both healthy and compromised.
 var ErrUnattestable = errors.New("driver: property not attestable on this backend")
 
-// Attestable reports whether backend b can evidence property p at all.
-// Custom (registered-extension) properties are collected and interpreted by
-// backend-independent monitor tools, so every backend attests them.
+// Attestable reports whether backend b can evidence property p at all. A
+// property without a row is a deployment's custom one, collected and
+// interpreted by backend-independent monitor tools, so every backend
+// attests it.
 func Attestable(b Backend, p properties.Property) bool {
-	if !builtin(p) {
+	row, builtin := capabilities[p]
+	if !builtin {
 		return true
 	}
-	_, ok := backends[b.OrDefault()].caps[p]
+	_, ok := row[b.OrDefault()]
 	return ok
 }
 
@@ -199,32 +247,42 @@ func Attestable(b Backend, p properties.Property) bool {
 // the catalog's order (the server's monitoring capabilities as provisioned
 // in the Attestation Server and controller databases).
 func AttestableProps(b Backend) []properties.Property {
-	caps := backends[b.OrDefault()].caps
 	var out []properties.Property
 	for _, p := range properties.All {
-		if _, ok := caps[p]; ok {
+		if _, ok := capabilities[p][b.OrDefault()]; ok {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// MapToMeasurements is the per-backend property→measurement mapping (paper
-// §4.1 generalized across backend types): the measurement request rM that
-// evidences p on backend b. Unattestable built-ins return ErrUnattestable;
-// custom properties fall back to the extension registry's mapping.
+// MapToMeasurements returns the capability table's cell for built-in
+// property p on backend b: the measurement request rM that evidences it.
+// A missing cell, an unknown backend's included, returns ErrUnattestable. A
+// custom property's request is its own (interpret.Spec), not the table's.
 func MapToMeasurements(b Backend, p properties.Property) (properties.Request, error) {
-	be, ok := backends[b.OrDefault()]
+	row, builtin := capabilities[p]
+	if !builtin {
+		return properties.Request{}, fmt.Errorf("driver: %q is not a built-in property", p)
+	}
+	req, ok := row[b.OrDefault()]
 	if !ok {
-		return properties.Request{}, fmt.Errorf("driver: unknown trust backend %q", b)
-	}
-	if req, ok := be.caps[p]; ok {
-		return req, nil
-	}
-	if builtin(p) {
 		return properties.Request{}, fmt.Errorf("%w: %s on %s", ErrUnattestable, p, b)
 	}
-	return properties.MapToMeasurements(p)
+	return req, nil
+}
+
+// BuiltinKind reports whether some cell of the capability table requests
+// measurement kind k: the Monitor Kernel collects those kinds itself.
+func BuiltinKind(k properties.MeasurementKind) bool {
+	for _, row := range capabilities {
+		for _, req := range row {
+			if slices.Contains(req.Kinds, k) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // unhealthy builds a failed startup-integrity verdict.

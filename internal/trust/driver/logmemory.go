@@ -1,10 +1,6 @@
 package driver
 
-import (
-	"strings"
-
-	"cloudmonatt/internal/tpm"
-)
+import "cloudmonatt/internal/tpm"
 
 // LogMemory is what a verifier remembers of one tpm-backend server's event
 // log between startup-integrity appraisals, so that evidence need carry only
@@ -116,7 +112,7 @@ func (m *LogMemory) advance(bank [tpm.NumPCRs][32]byte, events []tpm.Event) {
 	m.Count += len(events)
 	m.Bank = bank
 	for _, e := range events {
-		if vid, isImage := strings.CutPrefix(e.Description, imagePrefix); isImage {
+		if vid, isImage := imageEntry(e); isImage {
 			m.meet(vid, imageSeen{digest: e.Measurement})
 		}
 	}

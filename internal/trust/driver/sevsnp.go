@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"sync"
 
@@ -21,17 +20,6 @@ import (
 // Updated" rollback attack (arXiv:1908.11680): a platform rolled back to
 // exploitable firmware still produces a correct launch measurement, so
 // appraisal must fail on the platform version alone.
-//
-// Capability gap: SNP memory encryption defeats hypervisor-level VM
-// introspection, so runtime integrity is absent from this backend's
-// capability map and appraises as unattestable (V_fail).
-var sevsnpCaps = map[properties.Property]properties.Request{
-	properties.StartupIntegrity: {Kinds: []properties.MeasurementKind{properties.KindAttestationReport, properties.KindImageDigest}},
-	// The scheduler-level monitors observe vCPU run segments from outside
-	// the encrypted guest, so they survive on SNP hosts.
-	properties.CovertChannelFreedom: {Kinds: []properties.MeasurementKind{properties.KindIntervalHistogram, properties.KindBusLockTrace}, Window: properties.DefaultWindow},
-	properties.CPUAvailability:      {Kinds: []properties.MeasurementKind{properties.KindCPUTime}, Window: properties.DefaultWindow},
-}
 
 // sevsnpDriver simulates the SEV-SNP secure processor of one cloud server.
 type sevsnpDriver struct {
@@ -119,7 +107,7 @@ func appraiseSEVSNP(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Re
 	if err != nil {
 		return unhealthy(properties.FailurePlatform, "malformed attestation report: "+err.Error(), nil)
 	}
-	if err := sevsnp.VerifyReport(r, ed25519.PublicKey(refs.AttestationKey)); err != nil {
+	if err := sevsnp.VerifyReport(r, refs.ServerAIK); err != nil {
 		return unhealthy(properties.FailurePlatform, "attestation report rejected: "+err.Error(), nil)
 	}
 	if r.Version != sevsnp.ReportVersion {

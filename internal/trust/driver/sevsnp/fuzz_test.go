@@ -79,10 +79,10 @@ func FuzzReportDecode(f *testing.F) {
 	image := cryptoutil.Hash("fuzz-image")
 	nonce := fuzzNonce("fuzz")
 	refs := driver.Refs{
-		AttestationKey: vcek,
-		ExpectedImage:  image,
-		Vid:            "vm-1",
-		MinTCB:         sevsnp.CurrentTCB,
+		ServerAIK:     vcek,
+		ExpectedImage: image,
+		Vid:           "vm-1",
+		MinTCB:        sevsnp.CurrentTCB,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := sevsnp.DecodeReport(data)

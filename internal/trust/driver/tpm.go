@@ -1,8 +1,8 @@
 package driver
 
 import (
-	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cloudmonatt/internal/cryptoutil"
@@ -17,20 +17,9 @@ import (
 // case study I — quote verification, log replay, and component-by-
 // component comparison against known-good builds.
 
-// tpmCaps is the tpm backend's capability map. The Trust Module backend
-// evidences the full catalog; its mapping is exactly the canonical one of
-// paper §4.1.
-func tpmCaps() map[properties.Property]properties.Request {
-	caps := make(map[properties.Property]properties.Request, len(properties.All))
-	for _, p := range properties.All {
-		req, err := properties.MapToMeasurements(p)
-		if err != nil {
-			panic(err)
-		}
-		caps[p] = req
-	}
-	return caps
-}
+// quotedPCRs is the selection every platform quote covers, in order: the
+// boot chain's four PCRs and the VM image PCR.
+var quotedPCRs = []int{tpm.PCRFirmware, tpm.PCRHypervisor, tpm.PCRHostOS, tpm.PCRConfig, tpm.PCRVMImage}
 
 // tpmDriver roots platform evidence in a (hardware) TPM.
 type tpmDriver struct {
@@ -88,13 +77,22 @@ func (d *tpmDriver) RemoveVM(string) {}
 // from event logFrom on. With what the verifier replayed before, that is the
 // whole log that explains the quote.
 func (d *tpmDriver) PlatformEvidence(_ string, nonce cryptoutil.Nonce, logFrom int) (properties.Measurement, error) {
-	pcrs := []int{tpm.PCRFirmware, tpm.PCRHypervisor, tpm.PCRHostOS, tpm.PCRConfig, tpm.PCRVMImage}
-	return quoteEvidence(d.t, properties.KindPlatformQuote, pcrs, nonce, logFrom)
+	return quoteEvidence(d.t, properties.KindPlatformQuote, quotedPCRs, nonce, logFrom)
 }
 
 // imagePrefix starts the description of a VM image's log entry; the vid
 // follows.
 const imagePrefix = "vm-image-"
+
+// imageEntry returns the vid of a VM image entry. An entry is one only on
+// the image PCR: a description that starts with imagePrefix anywhere else
+// is a platform component like any other.
+func imageEntry(e tpm.Event) (string, bool) {
+	if e.PCR != tpm.PCRVMImage {
+		return "", false
+	}
+	return strings.CutPrefix(e.Description, imagePrefix)
+}
 
 // appraiseTPM appraises the platform quote and the VM image digest (case
 // study I). The verdict distinguishes a compromised platform from a
@@ -123,13 +121,19 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 	}
 
 	// 1. The quote signature must verify under the server's TPM AIK and be
-	// bound to our nonce.
+	// bound to our nonce, and the quote must cover what it is asked for:
+	// the attester signs any selection it likes, and one without the boot
+	// chain's PCRs leaves the log of the boot chain unchecked against
+	// anything.
 	q, err := measuredQuote(quote, nonce)
 	if err == nil {
-		err = tpm.VerifyQuote(q, ed25519.PublicKey(refs.AttestationKey), nonce)
+		err = tpm.VerifyQuote(q, refs.ServerAIK, nonce)
 	}
 	if err != nil {
 		return unhealthy(properties.FailurePlatform, "platform quote rejected: "+err.Error(), nil)
+	}
+	if !slices.Equal(q.PCRs, quotedPCRs) {
+		return unhealthy(properties.FailurePlatform, fmt.Sprintf("platform quote covers PCRs %v, not %v", q.PCRs, quotedPCRs), nil)
 	}
 
 	// 2. The measurement log must explain the quoted PCR values: the carried
@@ -157,7 +161,7 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 	}
 	for _, e := range events {
 		name := e.Description
-		if vid, isImage := strings.CutPrefix(name, imagePrefix); isImage {
+		if vid, isImage := imageEntry(e); isImage {
 			if vid != refs.Vid {
 				continue
 			}

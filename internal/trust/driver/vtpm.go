@@ -20,14 +20,8 @@ import (
 // hosting environment. BootMeasure is accepted but produces nothing a
 // verifier sees — a trojaned hypervisor is invisible to this backend — and
 // the scheduler-level monitors backed by Trust Evidence Registers
-// (covert-channel freedom, CPU availability) are absent from its
-// capability map, so those properties appraise as unattestable (V_fail).
-var vtpmCaps = map[properties.Property]properties.Request{
-	properties.StartupIntegrity: {Kinds: []properties.MeasurementKind{properties.KindVTPMQuote, properties.KindImageDigest}},
-	// VM introspection is hypervisor-level and needs no trust hardware, so
-	// runtime integrity survives on this backend.
-	properties.RuntimeIntegrity: {Kinds: []properties.MeasurementKind{properties.KindTaskList}},
-}
+// (covert-channel freedom, CPU availability) have no vtpm cell in the
+// capability table, so those properties appraise as unattestable (V_fail).
 
 // vtpmDriver multiplexes per-VM virtual TPMs on one hardware endorsement
 // root.
@@ -100,7 +94,7 @@ func appraiseVTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs
 		return unhealthy(properties.FailureImage, "missing image digest", nil)
 	}
 	vaik := ed25519.PublicKey(quote.VKey)
-	if err := vtpm.VerifyEndorsement(ed25519.PublicKey(refs.AttestationKey), refs.Vid, vaik, quote.Endorse); err != nil {
+	if err := vtpm.VerifyEndorsement(refs.ServerAIK, refs.Vid, vaik, quote.Endorse); err != nil {
 		return unhealthy(properties.FailurePlatform, "vAIK endorsement rejected: "+err.Error(), nil)
 	}
 	q, err := measuredQuote(quote, nonce)

@@ -9,6 +9,7 @@ import (
 	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/trust"
+	"cloudmonatt/internal/trust/driver"
 )
 
 type fixture struct {
@@ -49,7 +50,7 @@ func newFixture(t *testing.T) *fixture {
 }
 
 func sampleMeasurements() (properties.Request, []properties.Measurement) {
-	req, _ := properties.MapToMeasurements(properties.CPUAvailability)
+	req, _ := driver.MapToMeasurements(driver.BackendTPM, properties.CPUAvailability)
 	ms := []properties.Measurement{{
 		Kind:     properties.KindCPUTime,
 		CPUTime:  480 * time.Millisecond,
@@ -71,7 +72,7 @@ func TestEvidenceRoundTrip(t *testing.T) {
 // startupMeasurements is the shape of a fresh server's startup evidence: a
 // platform quote over five PCRs with its six-event log, and the image digest.
 func startupMeasurements() (properties.Request, []properties.Measurement) {
-	req, _ := properties.MapToMeasurements(properties.StartupIntegrity)
+	req, _ := driver.MapToMeasurements(driver.BackendTPM, properties.StartupIntegrity)
 	quote := properties.Measurement{Kind: properties.KindPlatformQuote, QuoteSig: make([]byte, 64)}
 	for i, name := range []string{"0:firmware", "1:hypervisor", "2:host-os", "3:platform-config", "8:vm-image-vm-0001", "8:vm-image-vm-0002"} {
 		quote.LogNames = append(quote.LogNames, name)
