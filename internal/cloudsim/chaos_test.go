@@ -51,27 +51,16 @@ func TestFullFlowUnderChaos(t *testing.T) {
 	res := launch(t, cu, basicLaunch())
 	tb.RunFor(time.Second)
 
-	// One-time attestation. Every dial and operation draws from one seeded
-	// fault stream, so which dial meets a drop depends on goroutine
-	// interleaving and the handful of dials one lifecycle makes often meets
-	// none. Keep attesting on a fresh controller-to-shard connection
-	// (bounded) until a dial was refused, so the drop check at the end has a
-	// deterministic precondition.
-	for i := 0; ; i++ {
-		rep, err := cu.AttestReport(res.Vid, properties.RuntimeIntegrity)
-		if err != nil {
-			t.Fatalf("one-time attestation under chaos: %v", err)
-		}
-		if !rep.Verdict.Healthy {
-			t.Fatalf("attestation under chaos unhealthy: %v", rep.Verdict)
-		}
-		if rep.Stale {
-			t.Fatalf("attestation under chaos degraded to stale — infrastructure gave up: %+v", rep)
-		}
-		if fn.Stats().Drops > 0 || i == 50 {
-			break
-		}
-		redialShard(tb)
+	// One-time attestation.
+	rep, err := cu.AttestReport(res.Vid, properties.RuntimeIntegrity)
+	if err != nil {
+		t.Fatalf("one-time attestation under chaos: %v", err)
+	}
+	if !rep.Verdict.Healthy {
+		t.Fatalf("attestation under chaos unhealthy: %v", rep.Verdict)
+	}
+	if rep.Stale {
+		t.Fatalf("attestation under chaos degraded to stale — infrastructure gave up: %+v", rep)
 	}
 
 	// Full periodic cycle.
@@ -98,7 +87,10 @@ func TestFullFlowUnderChaos(t *testing.T) {
 		t.Fatalf("state %q err %v after terminate", st, err)
 	}
 
-	// The chaos must actually have bitten, or this test proves nothing.
+	// The chaos must actually have bitten, or this test proves nothing. Each
+	// connection's faults come from its own stream of (seed, address, dial
+	// ordinal), so whether a dial of this lifecycle is refused is fixed by
+	// the seeds above, not by goroutine interleaving.
 	st := fn.Stats()
 	if st.Drops == 0 {
 		t.Fatalf("no connection drops injected (stats %+v) — chaos inert", st)

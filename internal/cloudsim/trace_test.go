@@ -237,13 +237,13 @@ func TestTracesUnderChaos(t *testing.T) {
 	res := launch(t, cu, basicLaunch())
 	tb.RunFor(time.Second)
 
-	// Faults are drawn per dial, and which call meets which one depends on
-	// goroutine interleaving, so one attestation proves nothing either way.
-	// Keep attesting until a traced call was retried: re-registering the
-	// shard drops the controller's connection to it, so every appraisal —
-	// the only controller RPC in this loop, always under the request's span
-	// — dials afresh and draws a new fault plan (~1/3 carry a drop or a
-	// reset).
+	// Faults are drawn per dial, from a stream of (seed, address, dial
+	// ordinal), so the controller's n-th dial to the shard meets the same
+	// plan on every run. Attest until a traced call was retried:
+	// re-registering the shard drops the controller's connection to it, so
+	// every appraisal — the only controller RPC in this loop, always under
+	// the request's span — dials afresh and draws the next plan (~1/3 carry
+	// a drop or a reset).
 	retries := tb.Ctrl.Metrics().Counter("controller/rpc-retries")
 	before := retries.Value()
 	for i := 0; i < 50 && retries.Value() == before; i++ {

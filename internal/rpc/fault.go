@@ -2,8 +2,10 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	mathrand "math/rand"
+	"hash/fnv"
+	mathrand "math/rand/v2"
 	"net"
 	"os"
 	"sync"
@@ -12,7 +14,7 @@ import (
 )
 
 // FaultConfig tunes the failures a FaultNetwork injects. All rates are
-// probabilities in [0, 1]; everything is drawn from one seeded RNG so runs
+// probabilities in [0, 1]; every draw comes from a seeded stream so runs
 // are reproducible.
 type FaultConfig struct {
 	Seed int64
@@ -43,15 +45,20 @@ type FaultStats struct {
 
 // FaultNetwork wraps a Network and injects connection drops, latency,
 // partitions (blackholes), handshake failures and mid-stream resets — the
-// failure modes the fault-tolerant RPC layer must survive. Faults are
-// drawn from a seeded RNG for reproducible chaos tests.
+// failure modes the fault-tolerant RPC layer must survive.
+//
+// Each dial draws its connection's plan, and that connection's per-operation
+// delays, from its own stream derived from (Seed, address, how many dials to
+// that address came before). What one connection meets therefore depends on
+// the seed and that address's dial history alone, not on how goroutines
+// dialing other addresses or operating other connections interleave.
 type FaultNetwork struct {
 	inner Network
 
 	mu    sync.Mutex
-	rng   *mathrand.Rand
 	cfg   FaultConfig
 	parts map[string]bool
+	dials map[string]uint64 // per address: dials so far, the next dial's ordinal
 	stats FaultStats
 }
 
@@ -59,9 +66,9 @@ type FaultNetwork struct {
 func NewFaultNetwork(inner Network, cfg FaultConfig) *FaultNetwork {
 	return &FaultNetwork{
 		inner: inner,
-		rng:   mathrand.New(mathrand.NewSource(cfg.Seed)),
 		cfg:   cfg,
 		parts: make(map[string]bool),
+		dials: make(map[string]uint64),
 	}
 }
 
@@ -121,43 +128,51 @@ type connPlan struct {
 	opsLeft int // operations until an injected reset; -1 = never
 }
 
-func (f *FaultNetwork) plan() connPlan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stats.Dials++
-	p := connPlan{opsLeft: -1}
-	if f.rng.Float64() < f.cfg.DropRate {
-		p.drop = true
-		f.stats.Drops++
-		return p
-	}
-	if f.cfg.DelayRate > 0 && f.cfg.MaxDelay > 0 && f.rng.Float64() < f.cfg.DelayRate {
-		p.delay = time.Duration(1 + f.rng.Int63n(int64(f.cfg.MaxDelay)))
-		f.stats.Delays++
-	}
-	if f.rng.Float64() < f.cfg.HandshakeFailRate {
-		p.opsLeft = 0
-		f.stats.HandshakeFails++
-	} else if f.rng.Float64() < f.cfg.ResetRate {
-		// Die a few records in: mid-handshake or mid-exchange.
-		p.opsLeft = 2 + f.rng.Intn(12)
-		f.stats.Resets++
-	}
-	return p
+// stream derives the fault stream of the ordinal-th dial to addr.
+func stream(seed int64, addr string, ordinal uint64) *mathrand.Rand {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(seed))
+	h.Write(b[:])
+	h.Write([]byte(addr))
+	binary.BigEndian.PutUint64(b[:], ordinal)
+	h.Write(b[:])
+	return mathrand.New(mathrand.NewPCG(h.Sum64(), ordinal))
 }
 
-// opDelay draws the injected latency for one read/write.
-func (f *FaultNetwork) opDelay() time.Duration {
-	if f.cfg.DelayRate <= 0 || f.cfg.MaxDelay <= 0 {
-		return 0
-	}
+// plan draws the fault plan of the next dial to addr from that dial's
+// stream, and returns the stream for the connection's later operations.
+func (f *FaultNetwork) plan(addr string) (connPlan, *mathrand.Rand) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.rng.Float64() >= f.cfg.DelayRate {
-		return 0
+	rng := stream(f.cfg.Seed, addr, f.dials[addr])
+	f.dials[addr]++
+	f.stats.Dials++
+	p := connPlan{opsLeft: -1}
+	if rng.Float64() < f.cfg.DropRate {
+		p.drop = true
+		f.stats.Drops++
+		return p, rng
 	}
+	if f.cfg.DelayRate > 0 && f.cfg.MaxDelay > 0 && rng.Float64() < f.cfg.DelayRate {
+		p.delay = time.Duration(1 + rng.Int64N(int64(f.cfg.MaxDelay)))
+		f.stats.Delays++
+	}
+	if rng.Float64() < f.cfg.HandshakeFailRate {
+		p.opsLeft = 0
+		f.stats.HandshakeFails++
+	} else if rng.Float64() < f.cfg.ResetRate {
+		// Die a few records in: mid-handshake or mid-exchange.
+		p.opsLeft = 2 + rng.IntN(12)
+		f.stats.Resets++
+	}
+	return p, rng
+}
+
+func (f *FaultNetwork) countDelay() {
+	f.mu.Lock()
 	f.stats.Delays++
-	return time.Duration(1 + f.rng.Int63n(int64(f.cfg.MaxDelay)))
+	f.mu.Unlock()
 }
 
 func (f *FaultNetwork) countPartitionWait() {
@@ -170,7 +185,7 @@ func (f *FaultNetwork) countPartitionWait() {
 // by ctx), injected dial latency, dropped dials, and a per-connection fault
 // plan for the returned conn.
 func (f *FaultNetwork) DialContext(ctx context.Context, addr string) (net.Conn, error) {
-	p := f.plan()
+	p, rng := f.plan(addr)
 	// A partitioned address blackholes the SYN: block until healed or the
 	// context gives up.
 	waited := false
@@ -201,7 +216,7 @@ func (f *FaultNetwork) DialContext(ctx context.Context, addr string) (net.Conn, 
 	if err != nil {
 		return nil, err
 	}
-	return &faultConn{Conn: inner, f: f, addr: addr, opsLeft: p.opsLeft, closed: make(chan struct{})}, nil
+	return &faultConn{Conn: inner, f: f, addr: addr, rng: rng, opsLeft: p.opsLeft, closed: make(chan struct{})}, nil
 }
 
 // faultConn applies the connection's fault plan to every read and write.
@@ -211,6 +226,7 @@ type faultConn struct {
 	addr string
 
 	mu        sync.Mutex
+	rng       *mathrand.Rand // the dial's fault stream, for per-operation delays
 	opsLeft   int
 	readDL    time.Time
 	writeDL   time.Time
@@ -267,6 +283,16 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// opDelay draws the injected latency for one read/write from the
+// connection's stream. c.mu must be held.
+func (c *faultConn) opDelay() time.Duration {
+	cfg := &c.f.cfg
+	if cfg.DelayRate <= 0 || cfg.MaxDelay <= 0 || c.rng.Float64() >= cfg.DelayRate {
+		return 0
+	}
+	return time.Duration(1 + c.rng.Int64N(int64(cfg.MaxDelay)))
+}
+
 // gate applies partition blocking, injected latency and the reset
 // countdown before an operation touches the real connection.
 func (c *faultConn) gate(read bool) error {
@@ -299,12 +325,17 @@ func (c *faultConn) gate(read bool) error {
 			reset = true
 		}
 	}
+	var d time.Duration
+	if !reset {
+		d = c.opDelay()
+	}
 	c.mu.Unlock()
 	if reset {
 		c.Conn.Close()
 		return fmt.Errorf("rpc: injected connection reset: %w", syscall.ECONNRESET)
 	}
-	if d := c.f.opDelay(); d > 0 {
+	if d > 0 {
+		c.f.countDelay()
 		select {
 		case <-c.closed:
 			return net.ErrClosed
