@@ -131,10 +131,16 @@ func measureCycles(t *testing.T, tb *Testbed, counted *byteCountingNetwork, from
 // allocation count must read the same after a thousand cycles as after ten.
 // Before evidence was incremental each cycle moved 108 more wire bytes,
 // 3.9 KiB more allocated and 6 more allocations than the one before it.
+//
+// A window is 200 cycles: state that grows with every cycle (the ledger's
+// index, the controller's records) grows by whole-slice and whole-map
+// copies, up to ~600 KiB at a thousand cycles. A short window holds one
+// such copy or none, which moves its bytes per cycle by a few per cent of a
+// ~87 KiB cycle; a long one averages them out.
 func TestChurnCycleCostIsFlat(t *testing.T) {
 	counted := &byteCountingNetwork{inner: rpc.NewMemNetwork()}
 	tb := newTB(t, Options{Seed: 22, Servers: 1, Network: counted})
-	const window = 20
+	const window = 200
 	measureCycles(t, tb, counted, 0, 10)
 	early := measureCycles(t, tb, counted, 10, window)
 	measureCycles(t, tb, counted, 10+window, 1000-10-window)

@@ -106,21 +106,33 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 // SHA-256 over tag ‖ len(f1) ‖ f1 ‖ len(f2) ‖ f2 ‖ … . Length prefixes make
 // the encoding injective, so H(a‖b) collisions across field boundaries are
 // impossible; the tag separates protocol contexts (e.g. "Q1" vs "Q3").
+//
+// The input is assembled in a stack buffer, or on the heap when it
+// outgrows hashStack, and hashed in one call. Nothing keeps tag or fields,
+// so callers' []byte(s) conversions stay off the heap.
 func Hash(tag string, fields ...[]byte) [32]byte {
-	h := sha256.New()
-	var lbuf [8]byte
-	binary.BigEndian.PutUint64(lbuf[:], uint64(len(tag)))
-	h.Write(lbuf[:])
-	io.WriteString(h, tag)
+	n := 8 + len(tag)
 	for _, f := range fields {
-		binary.BigEndian.PutUint64(lbuf[:], uint64(len(f)))
-		h.Write(lbuf[:])
-		h.Write(f)
+		n += 8 + len(f)
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	var stack [hashStack]byte
+	b := stack[:0]
+	if n > hashStack {
+		b = make([]byte, 0, n)
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(len(tag)))
+	b = append(b, tag...)
+	for _, f := range fields {
+		b = binary.BigEndian.AppendUint64(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	return sha256.Sum256(b)
 }
+
+// hashStack bounds the input Hash assembles on the stack. It holds every
+// quote and signed body of an attestation but the first startup evidence of
+// a server whose whole measurement log is shipped (DESIGN.md §14).
+const hashStack = 1024
 
 // Certificate binds a public key to a subject string for a purpose, signed
 // by an issuer. For attestation-key certificates the privacy CA sets the
@@ -135,13 +147,12 @@ type Certificate struct {
 	Sig     []byte
 }
 
-// certBody returns the byte string the issuer signs.
-func certBody(c *Certificate) []byte {
+// certBody returns the digest the issuer signs.
+func certBody(c *Certificate) [32]byte {
 	var serial [8]byte
 	binary.BigEndian.PutUint64(serial[:], c.Serial)
-	sum := Hash("cloudmonatt-cert",
+	return Hash("cloudmonatt-cert",
 		[]byte(c.Subject), []byte(c.Purpose), c.Key, []byte(c.Issuer), serial[:])
-	return sum[:]
 }
 
 // IssueCertificate creates a certificate over key signed by issuer.
@@ -153,7 +164,8 @@ func IssueCertificate(issuer *Identity, subject, purpose string, key ed25519.Pub
 		Issuer:  issuer.Name,
 		Serial:  serial,
 	}
-	c.Sig = issuer.Sign(certBody(c))
+	body := certBody(c)
+	c.Sig = issuer.Sign(body[:])
 	return c
 }
 
@@ -166,7 +178,7 @@ func VerifyCertificate(c *Certificate, issuerName string, issuerKey ed25519.Publ
 	if c.Issuer != issuerName {
 		return fmt.Errorf("cryptoutil: certificate issued by %q, want %q", c.Issuer, issuerName)
 	}
-	if !Verify(issuerKey, certBody(c), c.Sig) {
+	if body := certBody(c); !Verify(issuerKey, body[:], c.Sig) {
 		return errors.New("cryptoutil: certificate signature invalid")
 	}
 	return nil

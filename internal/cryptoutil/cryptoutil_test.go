@@ -3,6 +3,9 @@ package cryptoutil
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +43,40 @@ func TestHashInjective(t *testing.T) {
 	// Field count matters.
 	if Hash("t", []byte("x")) == Hash("t", []byte("x"), nil) {
 		t.Fatal("appending an empty field did not change the hash")
+	}
+}
+
+// TestHashEncoding pins the bytes Hash digests — len(tag) ‖ tag ‖ len(f) ‖
+// f … with 8-byte big-endian lengths — on both sides of the stack buffer,
+// and one digest as a fixed vector: every signed quote rests on it.
+func TestHashEncoding(t *testing.T) {
+	want := "58fb0ed1359fc767ae7a0512c6d3e7af9ee5dff440d69f663d178f69739897a3"
+	if got := Hash("Q1", []byte("vm-0001"), []byte("startup-integrity"), nil, make([]byte, 16)); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("Hash vector = %x, want %s", got, want)
+	}
+	for _, size := range []int{0, hashStack - 8 - 2 - 8, hashStack - 8 - 2 - 8 + 1, 3 * hashStack} {
+		f := bytes.Repeat([]byte{0xa5}, size)
+		var enc []byte
+		enc = binary.BigEndian.AppendUint64(enc, 2)
+		enc = append(enc, "Q3"...)
+		enc = binary.BigEndian.AppendUint64(enc, uint64(size))
+		enc = append(enc, f...)
+		if got := Hash("Q3", f); got != sha256.Sum256(enc) {
+			t.Fatalf("%d-byte field: Hash differs from SHA-256 of its encoding", size)
+		}
+	}
+}
+
+// TestHashAllocFree: an input that fits the stack buffer hashes without a
+// heap allocation, and so do the callers' string-to-[]byte conversions.
+func TestHashAllocFree(t *testing.T) {
+	vid, prop := "vm-0001", "startup-integrity"
+	var n2 Nonce
+	verdict := make([]byte, 120)
+	if a := testing.AllocsPerRun(100, func() {
+		_ = Hash("Q2", []byte(vid), []byte("cloud-server-0"), []byte(prop), verdict, n2[:])
+	}); a != 0 {
+		t.Fatalf("Hash of a quote-sized input: %v allocs, want 0", a)
 	}
 }
 

@@ -142,6 +142,9 @@ func TestConcurrentAppendersGroupCommit(t *testing.T) {
 	}
 }
 
+// at returns the byte at off of an in-memory segment, to corrupt it in place.
+func (s *memSeg) at(off int) *byte { return &s.chunks[off/memChunk][off%memChunk] }
+
 func TestSingleBitMutationDetected(t *testing.T) {
 	// Flip one bit at every byte offset of a committed chain in turn; every
 	// single mutation must fail Verify.
@@ -153,13 +156,13 @@ func TestSingleBitMutationDetected(t *testing.T) {
 		t.Fatalf("segments: %v", names)
 	}
 	seg := ms.files[names[0]]
-	size := len(seg.buf)
+	size := seg.size
 	for off := 0; off < size; off++ {
-		seg.buf[off] ^= 0x01
+		*seg.at(off) ^= 0x01
 		if _, err := base.Verify(); err == nil {
 			t.Fatalf("bit flip at offset %d/%d not detected", off, size)
 		}
-		seg.buf[off] ^= 0x01
+		*seg.at(off) ^= 0x01
 	}
 	if n, err := base.Verify(); err != nil || n != 5 {
 		t.Fatalf("restored chain fails: %d, %v", n, err)

@@ -267,18 +267,27 @@ func (m *memStore) WriteAux(name string, data []byte) error {
 	return nil
 }
 
+// memSeg keeps a segment in fixed-size chunks that are never copied, so a
+// growing segment allocates only what it stores: one slice grown by append
+// would copy the whole segment, up to MaxSegmentBytes, at each growth step.
 type memSeg struct {
-	mu  sync.Mutex
-	buf []byte
+	mu     sync.Mutex
+	chunks [][]byte // each memChunk bytes long but the last
+	size   int
 }
+
+// memChunk is the unit a memSeg grows by.
+const memChunk = 16 << 10
 
 func (s *memSeg) ReadAt(p []byte, off int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off >= int64(len(s.buf)) {
-		return 0, io.EOF
+	n := 0
+	for n < len(p) && off < int64(s.size) {
+		k := copy(p[n:], s.chunks[off/memChunk][off%memChunk:])
+		n += k
+		off += int64(k)
 	}
-	n := copy(p, s.buf[off:])
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -288,23 +297,38 @@ func (s *memSeg) ReadAt(p []byte, off int64) (int, error) {
 func (s *memSeg) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = append(s.buf, p...)
+	for rest := p; len(rest) > 0; {
+		if s.size%memChunk == 0 {
+			s.chunks = append(s.chunks, make([]byte, 0, memChunk))
+		}
+		last := &s.chunks[len(s.chunks)-1]
+		k := min(len(rest), memChunk-len(*last))
+		*last = append(*last, rest[:k]...)
+		s.size += k
+		rest = rest[k:]
+	}
 	return len(p), nil
 }
 
 func (s *memSeg) Size() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(len(s.buf)), nil
+	return int64(s.size), nil
 }
 
 func (s *memSeg) Truncate(size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if size < 0 || size > int64(len(s.buf)) {
+	if size < 0 || size > int64(s.size) {
 		return fmt.Errorf("ledger: bad truncate size %d", size)
 	}
-	s.buf = s.buf[:size]
+	s.size = int(size)
+	n := (s.size + memChunk - 1) / memChunk
+	clear(s.chunks[n:])
+	s.chunks = s.chunks[:n]
+	if n > 0 {
+		s.chunks[n-1] = s.chunks[n-1][:s.size-(n-1)*memChunk]
+	}
 	return nil
 }
 

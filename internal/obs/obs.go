@@ -19,7 +19,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,11 +106,11 @@ func (t *Tracer) Start(parent SpanContext, name string) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	n := t.seq.Add(1)
+	var id [64]byte
 	sp := &ActiveSpan{tracer: t}
 	sp.span = Span{
 		Trace:  parent.Trace,
-		ID:     fmt.Sprintf("%s#%d", t.entity, n),
+		ID:     string(strconv.AppendUint(append(append(id[:0], t.entity...), '#'), t.seq.Add(1), 10)),
 		Parent: parent.Span,
 		Entity: t.entity,
 		Name:   name,

@@ -294,30 +294,30 @@ func UnattestableVerdict(p Property, backend string) Verdict {
 	}
 }
 
-// Encode renders the verdict canonically for the Q1/Q2 quotes.
-func (v Verdict) Encode() []byte {
-	var out []byte
-	appendBytes := func(b []byte) {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	appendBytes([]byte(v.Property))
-	if v.Healthy {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	appendBytes([]byte(v.Class))
-	appendBytes([]byte(v.Reason))
+// AppendEncode appends the verdict's canonical rendering — the R of the
+// Q1/Q2 quotes and the signed report bodies — to out. Signing and verifying
+// a report each render it once, into a buffer on the caller's stack.
+func (v Verdict) AppendEncode(out []byte) []byte {
+	out = appendField(out, string(v.Property))
+	out = appendFlag(out, v.Healthy)
+	out = appendField(out, string(v.Class))
+	out = appendField(out, v.Reason)
 	// Details are advisory and excluded from the signed body; Class and
 	// Reason carry the authoritative finding.
-	appendBytes([]byte(v.Backend))
-	if v.Unattestable {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+	out = appendField(out, v.Backend)
+	return appendFlag(out, v.Unattestable)
+}
+
+func appendField(out []byte, s string) []byte {
+	out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
+	return append(out, s...)
+}
+
+func appendFlag(out []byte, f bool) []byte {
+	if f {
+		return append(out, 1)
 	}
-	return out
+	return append(out, 0)
 }
 
 // String renders the verdict for humans.

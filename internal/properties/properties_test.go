@@ -2,6 +2,7 @@ package properties
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 	"time"
@@ -103,10 +104,47 @@ func TestRequestEncode(t *testing.T) {
 func TestVerdictEncodeAndString(t *testing.T) {
 	v := Verdict{Property: CPUAvailability, Healthy: true, Reason: "ok"}
 	w := Verdict{Property: CPUAvailability, Healthy: false, Reason: "ok"}
-	if bytes.Equal(v.Encode(), w.Encode()) {
+	if bytes.Equal(v.AppendEncode(nil), w.AppendEncode(nil)) {
 		t.Fatal("verdict encoding ignores health bit")
 	}
 	if got := v.String(); got == "" || got == w.String() {
 		t.Fatal("verdict String not distinguishing")
+	}
+}
+
+// TestVerdictEncodingPinned holds the canonical verdict rendering to fixed
+// bytes: every Q1/Q2 quote and signed report body hashes it, so a change
+// here is a protocol change. Details stay out.
+func TestVerdictEncodingPinned(t *testing.T) {
+	for _, c := range []struct {
+		v    Verdict
+		want string
+	}{
+		{
+			Verdict{Property: RuntimeIntegrity, Class: FailureRuntime, Reason: "rogue task: miner", Backend: "tpm", Details: map[string]string{"x": "y"}},
+			"0000001172756e74696d652d696e74656772697479000000000772756e74696d6500000011726f677565207461736b3a206d696e65720000000374706d00",
+		},
+		{
+			UnattestableVerdict(CPUAvailability, "sev-snp"),
+			"000000106370752d617661696c6162696c69747900000000000000004870726f7065727479206370752d617661696c6162696c697479206973206e6f742061747465737461626c65206f6e20746865207365762d736e70207472757374206261636b656e64000000077365762d736e7001",
+		},
+	} {
+		if got := hex.EncodeToString(c.v.AppendEncode(nil)); got != c.want {
+			t.Fatalf("%v encodes to %s, want %s", c.v, got, c.want)
+		}
+		if got := hex.EncodeToString(c.v.AppendEncode([]byte{0xff})[1:]); got != c.want {
+			t.Fatalf("%v appended after a prefix encodes to %s, want %s", c.v, got, c.want)
+		}
+	}
+}
+
+// TestVerdictAppendEncodeAllocFree: rendering a verdict into a buffer with
+// room, as the report builders and verifiers do on their stack, allocates
+// nothing.
+func TestVerdictAppendEncodeAllocFree(t *testing.T) {
+	v := Verdict{Property: StartupIntegrity, Healthy: true, Reason: "platform and image match their references", Backend: "tpm"}
+	var buf [256]byte
+	if a := testing.AllocsPerRun(100, func() { _ = v.AppendEncode(buf[:0]) }); a != 0 {
+		t.Fatalf("AppendEncode into a buffer with room: %v allocs, want 0", a)
 	}
 }

@@ -1,0 +1,125 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	mathrand "math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/secchan"
+)
+
+// TestWatchdogRaceNeverPoisons sweeps a call's deadline across the length
+// of its exchange, so the watchdog fires before, during and just as the
+// exchange ends. Each call must leave its connection usable or marked
+// broken (the next call then fails fast with ErrClientBroken); an interrupt
+// landing after a call that returned healthy would poison the connection
+// silently, and the next call would fail in transport after sending.
+func TestWatchdogRaceNeverPoisons(t *testing.T) {
+	n := NewMemNetwork()
+	startEcho(t, n, "srv", cryptoutil.MustIdentity("server"))
+	cfg := secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny}
+	c, err := Dial(n, "srv", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { c.Close() }()
+	var resp echoResp
+	start := time.Now()
+	const warm = 50
+	for i := 0; i < warm; i++ {
+		if err := c.Call("echo", echoReq{Text: "warm"}, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rtt := time.Since(start) / warm
+
+	var broken, healthy int
+	for i := 0; i < 600; i++ {
+		d := rtt * time.Duration(i%30) / 10 // 0 to 3 exchanges
+		if i%30 == 29 {
+			d = time.Second
+		}
+		err := c.call(context.Background(), time.Now().Add(d), "echo", "", echoReq{Text: "race"}, &resp)
+		if c.Broken() {
+			broken++
+			if err := c.Call("echo", echoReq{Text: "after"}, &resp); !errors.Is(err, ErrClientBroken) {
+				t.Fatalf("call on a broken connection: %v, want ErrClientBroken", err)
+			}
+			c.Close()
+			if c, err = Dial(n, "srv", cfg); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("deadline %v: call failed (%v) and left the connection unbroken", d, err)
+		}
+		healthy++
+		runtime.Gosched() // let a late interrupt land, if one were pending
+		if err := c.Call("echo", echoReq{Text: "after"}, &resp); err != nil || resp.Text != "after" {
+			t.Fatalf("deadline %v: the connection was poisoned silently: %v", d, err)
+		}
+	}
+	t.Logf("exchange ~%v: %d calls left the connection healthy, %d broke it", rtt, healthy, broken)
+	if broken == 0 || healthy == 0 {
+		t.Fatalf("%d healthy, %d broken: the sweep missed one side of the race", healthy, broken)
+	}
+}
+
+// TestIdemCacheRingBounded: a full idempotency cache admits each new key by
+// evicting the oldest, holding exactly idemCacheSize, and a duplicate still
+// inside the window replays the first execution's response.
+func TestIdemCacheRingBounded(t *testing.T) {
+	c := newIdemCache(idemCacheSize)
+	runs := 0
+	do := func(key string) responseEnvelope {
+		return c.do(key, func() responseEnvelope {
+			runs++
+			return responseEnvelope{Body: []byte(key)}
+		})
+	}
+	const keys = 10 * idemCacheSize
+	for i := 0; i < keys; i++ {
+		do(fmt.Sprintf("k%d", i))
+	}
+	if len(c.entries) != idemCacheSize || runs != keys {
+		t.Fatalf("%d distinct keys: %d cached, %d runs; want %d cached, %d runs", keys, len(c.entries), runs, idemCacheSize, keys)
+	}
+	for _, i := range []int{keys - idemCacheSize, keys - 1} {
+		key := fmt.Sprintf("k%d", i)
+		if r := do(key); runs != keys || !bytes.Equal(r.Body, []byte(key)) {
+			t.Fatalf("duplicate %s inside the window: %d runs, replayed %q", key, runs, r.Body)
+		}
+	}
+	if do(fmt.Sprintf("k%d", keys-idemCacheSize-1)); runs != keys+1 {
+		t.Fatal("a key evicted from the window replayed instead of running again")
+	}
+}
+
+// TestBackoffJitterBuiltLazily: a client builds its jitter source on its
+// first backoff, not at construction, and draws the sequence its seed always
+// gave.
+func TestBackoffJitterBuiltLazily(t *testing.T) {
+	const seed = 42
+	rc := NewReconnectClient(ClientConfig{
+		Network: NewMemNetwork(), Addr: "srv", Seed: seed,
+		Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Second, Jitter: 0.5},
+	})
+	if rc.rng != nil {
+		t.Fatal("jitter source built before any backoff")
+	}
+	eager := mathrand.New(mathrand.NewSource(seed))
+	for attempt := 1; attempt <= 8; attempt++ {
+		d := time.Millisecond << (attempt - 1)
+		want := time.Duration(float64(d) * (1 - 0.5*eager.Float64()))
+		if got := rc.backoff(attempt); got != want {
+			t.Fatalf("backoff before attempt %d: %v, want %v", attempt, got, want)
+		}
+	}
+}

@@ -8,6 +8,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -36,8 +37,14 @@ const (
 
 // encScratch pools encode buffers so steady-state Encode does one exact-
 // size allocation (the returned slice, which callers may retain — the
-// idempotency cache does).
-var encScratch = sync.Pool{New: func() any { return new([]byte) }}
+// idempotency cache does). A new buffer starts past the size of every
+// response of an attestation, so a pool miss (after a GC, or at random
+// under the race detector) costs one buffer and not a series of growing
+// ones.
+var encScratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2048)
+	return &b
+}}
 
 func encodeBinary(wa WireAppender) []byte {
 	bp := encScratch.Get().(*[]byte)
@@ -49,15 +56,38 @@ func encodeBinary(wa WireAppender) []byte {
 	return out
 }
 
-// appendWire implements the request envelope's binary encoding.
+// AppendWire implements the request envelope's binary encoding.
 func (e requestEnvelope) AppendWire(b []byte) []byte {
+	return binenc.AppendBytes(e.appendHead(b), e.Body)
+}
+
+// appendHead appends every field of the envelope but Body.
+func (e requestEnvelope) appendHead(b []byte) []byte {
 	b = binenc.AppendHeader(b, tagRequestEnvelope)
 	b = binenc.AppendString(b, e.Method)
 	b = binenc.AppendString(b, e.IdemKey)
 	b = binenc.AppendString(b, e.Trace)
-	b = binenc.AppendString(b, e.Span)
-	b = binenc.AppendBytes(b, e.Body)
-	return b
+	return binenc.AppendString(b, e.Span)
+}
+
+// appendRequest appends the request envelope e with v as its body, and is
+// byte for byte e.AppendWire with Body = Encode(v): v is encoded in place
+// behind its backfilled u32 length, so the body is never copied.
+func appendRequest(b []byte, e requestEnvelope, v any) ([]byte, error) {
+	b = e.appendHead(b)
+	at := len(b)
+	b = append(b, 0, 0, 0, 0)
+	if wa, ok := v.(WireAppender); ok {
+		b = wa.AppendWire(b)
+	} else {
+		body, err := Encode(v) // nil or a []byte: no copy
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, body...)
+	}
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b, nil
 }
 
 // DecodeWire strictly decodes the request envelope. Body borrows data —

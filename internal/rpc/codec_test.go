@@ -91,3 +91,27 @@ func TestDecodeOneCodecPerType(t *testing.T) {
 		t.Error("Decode into *[]byte aliases the body, which the channel reuses")
 	}
 }
+
+// TestAppendRequestIsTheEnvelope: the request a client writes, its body
+// encoded in place, is byte for byte the envelope AppendWire frames around
+// Encode of the body (the golden vector's encoding), for every kind of body,
+// and a body with no codec is refused.
+func TestAppendRequestIsTheEnvelope(t *testing.T) {
+	head := requestEnvelope{Method: "attest.v1/Appraise", IdemKey: "idem-1", Trace: "trace-a1b2", Span: "span-7"}
+	prefix := []byte("kept")
+	for _, body := range []any{nil, []byte{0xC1, 0x01, 0x06, 0xde}, wire.AppraisalRequest{Vid: "vm-1", Prop: properties.StartupIntegrity}} {
+		enc, err := Encode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := head
+		env.Body = enc
+		got, err := appendRequest(append([]byte(nil), prefix...), head, body)
+		if err != nil || !bytes.Equal(got, env.AppendWire(prefix)) {
+			t.Fatalf("%T body: appendRequest = %x, %v; want %x", body, got, err, env.AppendWire(prefix))
+		}
+	}
+	if got, err := appendRequest(prefix, head, struct{}{}); err == nil {
+		t.Fatalf("a body with no codec encoded to %x", got)
+	}
+}

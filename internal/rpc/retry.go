@@ -96,7 +96,8 @@ type ClientConfig struct {
 	Retry   RetryPolicy
 	Breaker BreakerPolicy
 	// CallTimeout bounds each attempt (dial + handshake + exchange) in real
-	// time. Default 30s; negative disables the bound.
+	// time: a redial under a context derived for it, the exchange under the
+	// connection's watchdog. Default 30s; negative disables the bound.
 	CallTimeout time.Duration
 	// Idempotent reports methods safe to blindly re-issue after a transport
 	// failure mid-call. Dial failures are always retried (the request never
@@ -120,7 +121,7 @@ type ReconnectClient struct {
 
 	mu     sync.Mutex
 	client *Client
-	rng    *mathrand.Rand
+	rng    *mathrand.Rand // backoff jitter; built by the first backoff
 	closed bool
 }
 
@@ -134,13 +135,12 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = defaultCallTimeout
 	}
-	seed := cfg.Seed
-	if seed == 0 {
+	if cfg.Seed == 0 {
 		h := fnv.New64a()
 		h.Write([]byte(cfg.Addr))
-		seed = int64(h.Sum64())
+		cfg.Seed = int64(h.Sum64())
 	}
-	rc := &ReconnectClient{cfg: cfg, rng: mathrand.New(mathrand.NewSource(seed))}
+	rc := &ReconnectClient{cfg: cfg}
 	rc.breaker = newBreaker(cfg.Breaker, func(from, to BreakerState) {
 		rc.event(Event{Kind: EventBreaker, Peer: cfg.Peer, From: from, To: to})
 	})
@@ -154,9 +154,7 @@ func (rc *ReconnectClient) BreakerState() BreakerState { return rc.breaker.State
 // ctx and CallTimeout). Calls dial lazily, so Connect is only needed when
 // reachability must be probed eagerly.
 func (rc *ReconnectClient) Connect(ctx context.Context) error {
-	actx, cancel := rc.attemptCtx(ctx)
-	defer cancel()
-	_, err := rc.conn(actx)
+	_, err := rc.conn(ctx, rc.attemptDeadline())
 	return err
 }
 
@@ -259,13 +257,12 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 // the peer: dial and broken-connection failures are always safe to retry,
 // failures after send only for retryable calls.
 func (rc *ReconnectClient) attempt(ctx context.Context, method, idemKey string, req, resp any) (sent bool, err error) {
-	actx, cancel := rc.attemptCtx(ctx)
-	defer cancel()
-	c, err := rc.conn(actx)
+	deadline := rc.attemptDeadline()
+	c, err := rc.conn(ctx, deadline)
 	if err != nil {
 		return false, err
 	}
-	err = c.call(actx, method, idemKey, req, resp)
+	err = c.call(ctx, deadline, method, idemKey, req, resp)
 	if err == nil {
 		return true, nil
 	}
@@ -282,16 +279,20 @@ func (rc *ReconnectClient) attempt(ctx context.Context, method, idemKey string, 
 	return true, err
 }
 
-// attemptCtx bounds one attempt with CallTimeout (in addition to any
-// caller deadline, so retries fit inside it).
-func (rc *ReconnectClient) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if rc.cfg.CallTimeout > 0 {
-		return context.WithTimeout(ctx, rc.cfg.CallTimeout)
+// attemptDeadline is when an attempt starting now must have ended, or zero
+// when attempts are unbounded. The caller's context bounds the attempt as
+// well, so retries fit inside its deadline.
+func (rc *ReconnectClient) attemptDeadline() time.Time {
+	if rc.cfg.CallTimeout <= 0 {
+		return time.Time{}
 	}
-	return context.WithCancel(ctx)
+	//lint:wallclock CallTimeout bounds real network exchanges; it elapses in real time
+	return time.Now().Add(rc.cfg.CallTimeout)
 }
 
-func (rc *ReconnectClient) conn(ctx context.Context) (*Client, error) {
+// conn returns the live connection, or dials one bounded by ctx and the
+// attempt's deadline.
+func (rc *ReconnectClient) conn(ctx context.Context, deadline time.Time) (*Client, error) {
 	rc.mu.Lock()
 	if rc.closed {
 		rc.mu.Unlock()
@@ -302,6 +303,11 @@ func (rc *ReconnectClient) conn(ctx context.Context) (*Client, error) {
 		return c, nil
 	}
 	rc.mu.Unlock()
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	c, err := DialContext(ctx, rc.cfg.Network, rc.cfg.Addr, rc.cfg.Secchan)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dialing %s: %w", rc.cfg.Peer, err)
@@ -357,6 +363,11 @@ func (rc *ReconnectClient) backoff(attempt int) time.Duration {
 		d = rc.cfg.Retry.MaxDelay
 	}
 	rc.mu.Lock()
+	if rc.rng == nil {
+		// Built here, not per client: most clients never retry, and the
+		// source is ~4.9 KiB.
+		rc.rng = mathrand.New(mathrand.NewSource(rc.cfg.Seed))
+	}
 	f := 1 - rc.cfg.Retry.Jitter*rc.rng.Float64()
 	rc.mu.Unlock()
 	return time.Duration(float64(d) * f)

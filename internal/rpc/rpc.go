@@ -6,12 +6,22 @@
 // The attestation protocol threads every request across four networked
 // entities (Customer → Controller → Attestation Server → Cloud Server), so
 // this layer is built to survive component churn: every call can be
-// bounded by a context deadline (plumbed into the connection's read/write
-// deadlines), Serve outlives transient Accept failures, and requests may
+// bounded, Serve outlives transient Accept failures, and requests may
 // carry idempotency keys so a retried non-idempotent method executes at
 // most once. ReconnectClient (retry.go) adds redial with exponential
 // backoff and per-peer circuit breakers; FaultNetwork (fault.go) injects
 // the failures the rest is built to tolerate.
+//
+// How a call is bounded: each bound interrupts the exchange the same way,
+// by moving the connection's deadline into the past, and nothing else
+// touches connection deadlines. The caller's context does it through the
+// one context.AfterFunc a call registers, when it expires or is cancelled.
+// A ReconnectClient attempt is bounded by CallTimeout through a watchdog
+// timer the connection keeps and re-arms per exchange (Reset/Stop); only
+// the rare redial derives a context, for the dial and handshake. Whenever
+// a bound may have fired, the connection is marked broken, since its
+// interrupt can land after the call returns: the next call redials
+// instead of meeting a deadline in the past.
 package rpc
 
 import (
@@ -285,13 +295,14 @@ func serveConn(raw net.Conn, cfg secchan.Config, h Handler, idem *idemCache) {
 	}
 	raw.SetDeadline(time.Time{})
 	basePeer := Peer{Name: conn.PeerName()}
+	var out []byte // the response envelope, reused across requests
 	for {
 		msg, err := conn.ReadMsg()
 		if err != nil {
 			return
 		}
 		var req requestEnvelope
-		if err := Decode(msg, &req); err != nil {
+		if err := req.DecodeWire(msg); err != nil {
 			return
 		}
 		peer := basePeer
@@ -302,10 +313,7 @@ func serveConn(raw net.Conn, cfg secchan.Config, h Handler, idem *idemCache) {
 		} else {
 			resp = dispatch(h, peer, req)
 		}
-		out, err := Encode(resp)
-		if err != nil {
-			return
-		}
+		out = resp.AppendWire(out[:0])
 		if err := conn.WriteMsg(out); err != nil {
 			return
 		}
@@ -323,12 +331,15 @@ func dispatch(h Handler, peer Peer, req requestEnvelope) responseEnvelope {
 // idemCache replays responses for requests bearing an idempotency key, so
 // clients can safely retry non-idempotent methods (e.g. remediation RPCs):
 // the handler runs at most once per key, and duplicates — including
-// concurrent ones — receive the first execution's response.
+// concurrent ones — receive the first execution's response. The oldest key
+// is evicted first; arrival order lives in a fixed ring, as in
+// cryptoutil.ReplayCache, so a full cache admits a key without allocating.
 type idemCache struct {
 	mu      sync.Mutex
 	entries map[string]*idemEntry
-	order   []string // FIFO eviction
-	max     int
+	ring    []string // keys in arrival order
+	head    int      // ring slot holding the oldest key
+	n       int      // keys currently held
 }
 
 type idemEntry struct {
@@ -337,7 +348,7 @@ type idemEntry struct {
 }
 
 func newIdemCache(max int) *idemCache {
-	return &idemCache{entries: make(map[string]*idemEntry), max: max}
+	return &idemCache{entries: make(map[string]*idemEntry), ring: make([]string, max)}
 }
 
 func (c *idemCache) do(key string, fn func() responseEnvelope) responseEnvelope {
@@ -349,10 +360,13 @@ func (c *idemCache) do(key string, fn func() responseEnvelope) responseEnvelope 
 	}
 	e := &idemEntry{done: make(chan struct{})}
 	c.entries[key] = e
-	c.order = append(c.order, key)
-	if len(c.order) > c.max {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
+	if c.n == len(c.ring) {
+		delete(c.entries, c.ring[c.head])
+		c.ring[c.head] = key
+		c.head = (c.head + 1) % len(c.ring)
+	} else {
+		c.ring[(c.head+c.n)%len(c.ring)] = key
+		c.n++
 	}
 	c.mu.Unlock()
 	e.resp = fn()
@@ -382,6 +396,10 @@ type Client struct {
 	mu     sync.Mutex
 	conn   *secchan.Conn
 	broken bool
+	out    []byte // the request envelope, reused across calls
+	// watchdog interrupts an exchange past a ReconnectClient attempt's
+	// deadline. Built on the first bounded call, then re-armed per call.
+	watchdog *time.Timer
 }
 
 // Dial establishes a secure channel to addr over n and wraps it in a Client.
@@ -404,17 +422,17 @@ func DialContext(ctx context.Context, n Network, addr string, cfg secchan.Config
 	if err != nil {
 		return nil, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		raw.SetDeadline(dl)
-	}
 	stop := context.AfterFunc(ctx, func() { raw.SetDeadline(aLongTimeAgo) })
 	conn, err := secchan.Client(raw, cfg)
-	stop()
+	if !stop() && err == nil {
+		// ctx ended as the handshake did: its interrupt may still land on
+		// the connection.
+		err = fmt.Errorf("rpc: dialing %q: %w", addr, ctx.Err())
+	}
 	if err != nil {
 		raw.Close()
 		return nil, err
 	}
-	conn.SetDeadline(time.Time{})
 	return &Client{conn: conn}, nil
 }
 
@@ -444,13 +462,13 @@ func (c *Client) Call(method string, req, resp any) error {
 	return c.CallCtx(context.Background(), method, req, resp)
 }
 
-// CallCtx sends method(req) and decodes the reply into resp. The context's
-// deadline and cancellation bound the whole exchange via the connection's
-// read/write deadlines, so a hung or partitioned peer cannot block the
-// caller past them. A call that fails in transport poisons the connection
-// — later calls fail fast with ErrClientBroken until the caller redials.
+// CallCtx sends method(req) and decodes the reply into resp. Expiry or
+// cancellation of the context interrupts the exchange, so a hung or
+// partitioned peer cannot block the caller past it. A call that fails in
+// transport poisons the connection — later calls fail fast with
+// ErrClientBroken until the caller redials.
 func (c *Client) CallCtx(ctx context.Context, method string, req, resp any) error {
-	return c.call(ctx, method, "", req, resp)
+	return c.call(ctx, time.Time{}, method, "", req, resp)
 }
 
 // CallIdem is CallCtx with an idempotency key: the server executes the
@@ -458,44 +476,44 @@ func (c *Client) CallCtx(ctx context.Context, method string, req, resp any) erro
 // duplicates, making the call safe to retry even when the method is not
 // naturally idempotent.
 func (c *Client) CallIdem(ctx context.Context, method, key string, req, resp any) error {
-	return c.call(ctx, method, key, req, resp)
+	return c.call(ctx, time.Time{}, method, key, req, resp)
 }
 
-func (c *Client) call(ctx context.Context, method, idemKey string, req, resp any) error {
-	body, err := Encode(req)
-	if err != nil {
-		return err
-	}
-	env := requestEnvelope{Method: method, IdemKey: idemKey, Body: body}
+// call runs one exchange, interrupted when ctx ends or, for a non-zero
+// deadline, when the connection's watchdog fires at it.
+func (c *Client) call(ctx context.Context, deadline time.Time, method, idemKey string, req, resp any) error {
+	env := requestEnvelope{Method: method, IdemKey: idemKey}
 	if sc := obs.FromContext(ctx).Context(); sc.Traced() {
 		env.Trace, env.Span = sc.Trace, sc.Span
-	}
-	out, err := Encode(env)
-	if err != nil {
-		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
 		return fmt.Errorf("rpc: calling %s: %w", method, ErrClientBroken)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
-		defer c.conn.SetDeadline(time.Time{})
+	out, err := appendRequest(c.out[:0], env, req)
+	if err != nil {
+		return err
 	}
-	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(aLongTimeAgo) })
-	defer stop()
-	if err := c.conn.WriteMsg(out); err != nil {
+	c.out = out
+	stop := context.AfterFunc(ctx, c.interrupt)
+	if !deadline.IsZero() {
+		//lint:wallclock CallTimeout bounds a real network exchange; it elapses in real time
+		c.arm(time.Until(deadline))
+	}
+	msg, err := c.exchange(method, out)
+	ctxFired := !stop()
+	if !deadline.IsZero() && !c.watchdog.Stop() || ctxFired {
+		// A bound fired: its interrupt may reach the connection after
+		// this call returns, so no later call may use it.
 		c.broken = true
-		return fmt.Errorf("rpc: sending %s: %w", method, err)
 	}
-	msg, err := c.conn.ReadMsg()
 	if err != nil {
 		c.broken = true
-		return fmt.Errorf("rpc: awaiting %s reply: %w", method, err)
+		return err
 	}
 	var reply responseEnvelope
-	if err := Decode(msg, &reply); err != nil {
+	if err := reply.DecodeWire(msg); err != nil {
 		c.broken = true
 		return err
 	}
@@ -507,3 +525,29 @@ func (c *Client) call(ctx context.Context, method, idemKey string, req, resp any
 	}
 	return Decode(reply.Body, resp)
 }
+
+// exchange writes one request record and reads its reply.
+func (c *Client) exchange(method string, out []byte) ([]byte, error) {
+	if err := c.conn.WriteMsg(out); err != nil {
+		return nil, fmt.Errorf("rpc: sending %s: %w", method, err)
+	}
+	msg, err := c.conn.ReadMsg()
+	if err != nil {
+		return nil, fmt.Errorf("rpc: awaiting %s reply: %w", method, err)
+	}
+	return msg, nil
+}
+
+// arm starts the watchdog to interrupt the exchange after d. c.mu is held.
+func (c *Client) arm(d time.Duration) {
+	if c.watchdog == nil {
+		//lint:wallclock CallTimeout bounds a real network exchange; it elapses in real time
+		c.watchdog = time.AfterFunc(d, c.interrupt)
+		return
+	}
+	c.watchdog.Reset(d)
+}
+
+// interrupt fails the exchange in flight, and any later one: the deadline
+// it sets is never cleared, which is why call marks the connection broken.
+func (c *Client) interrupt() { c.conn.SetDeadline(aLongTimeAgo) }

@@ -116,9 +116,8 @@ func computeQ3(vid string, rM, m []byte, n3 cryptoutil.Nonce) [32]byte {
 	return cryptoutil.Hash("Q3", []byte(vid), rM, m, n3[:])
 }
 
-func evidenceBody(e *Evidence, rM, m []byte) []byte {
-	sum := cryptoutil.Hash("evidence", []byte(e.Vid), rM, m, e.N3[:], e.Q3[:], []byte(e.Backend), e.AVK)
-	return sum[:]
+func evidenceBody(e *Evidence, rM, m []byte) [32]byte {
+	return cryptoutil.Hash("evidence", []byte(e.Vid), rM, m, e.N3[:], e.Q3[:], []byte(e.Backend), e.AVK)
 }
 
 // BuildEvidence assembles and signs the evidence with the Trust Module's
@@ -136,7 +135,8 @@ func BuildEvidence(sess *trust.Session, vid string, req properties.Request, ms [
 		AVK:          append([]byte(nil), sess.Public()...),
 		Cert:         sess.Cert,
 	}
-	e.Sig = sess.Sign(evidenceBody(e, rM, m))
+	body := evidenceBody(e, rM, m)
+	e.Sig = sess.Sign(body[:])
 	return e
 }
 
@@ -157,7 +157,7 @@ func VerifyEvidence(e *Evidence, caName string, caKey ed25519.PublicKey, vid str
 		return fmt.Errorf("wire: attestation key not certified: %w", err)
 	}
 	rM, m := e.Req.Encode(), properties.EncodeAll(e.Measurements)
-	if !cryptoutil.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e, rM, m), e.Sig) {
+	if body := evidenceBody(e, rM, m); !cryptoutil.Verify(ed25519.PublicKey(e.AVK), body[:], e.Sig) {
 		return errors.New("wire: evidence signature invalid")
 	}
 	want3 := computeQ3(e.Vid, rM, m, e.N3)
@@ -181,29 +181,42 @@ type Report struct {
 	Sig      []byte
 }
 
+// verdictStack sizes the stack buffer a verdict is rendered into for its
+// quote and signed body; a longer reason spills to the heap.
+const verdictStack = 256
+
 // ComputeQ2 computes Q2 = H(Vid‖I‖P‖R‖N2).
 func ComputeQ2(vid, serverID string, p properties.Property, v properties.Verdict, n2 cryptoutil.Nonce) [32]byte {
-	return cryptoutil.Hash("Q2", []byte(vid), []byte(serverID), []byte(p), v.Encode(), n2[:])
+	var buf [verdictStack]byte
+	return computeQ2(vid, serverID, p, v.AppendEncode(buf[:0]), n2)
 }
 
-func reportBody(r *Report) []byte {
-	sum := cryptoutil.Hash("report",
-		[]byte(r.Vid), []byte(r.ServerID), []byte(r.Prop), r.Verdict.Encode(), r.N2[:], r.Q2[:])
-	return sum[:]
+// computeQ2 and reportBody take R in its canonical rendering, so that
+// building or verifying a report renders the verdict once for both hashes.
+func computeQ2(vid, serverID string, p properties.Property, verdict []byte, n2 cryptoutil.Nonce) [32]byte {
+	return cryptoutil.Hash("Q2", []byte(vid), []byte(serverID), []byte(p), verdict, n2[:])
+}
+
+func reportBody(r *Report, verdict []byte) [32]byte {
+	return cryptoutil.Hash("report",
+		[]byte(r.Vid), []byte(r.ServerID), []byte(r.Prop), verdict, r.N2[:], r.Q2[:])
 }
 
 // BuildReport assembles and signs the report with the Attestation Server's
 // identity key SKa.
 func BuildReport(signer *cryptoutil.Identity, vid, serverID string, p properties.Property, v properties.Verdict, n2 cryptoutil.Nonce) *Report {
+	var buf [verdictStack]byte
+	verdict := v.AppendEncode(buf[:0])
 	r := &Report{
 		Vid:      vid,
 		ServerID: serverID,
 		Prop:     p,
 		Verdict:  v,
 		N2:       n2,
-		Q2:       ComputeQ2(vid, serverID, p, v, n2),
+		Q2:       computeQ2(vid, serverID, p, verdict, n2),
 	}
-	r.Sig = signer.Sign(reportBody(r))
+	body := reportBody(r, verdict)
+	r.Sig = signer.Sign(body[:])
 	return r
 }
 
@@ -218,10 +231,12 @@ func VerifyReport(r *Report, attestKey ed25519.PublicKey, vid string, p properti
 	if r.N2 != n2 {
 		return errors.New("wire: report nonce mismatch (replay?)")
 	}
-	if !cryptoutil.Verify(attestKey, reportBody(r), r.Sig) {
+	var buf [verdictStack]byte
+	verdict := r.Verdict.AppendEncode(buf[:0])
+	if body := reportBody(r, verdict); !cryptoutil.Verify(attestKey, body[:], r.Sig) {
 		return errors.New("wire: report signature invalid")
 	}
-	want2 := ComputeQ2(r.Vid, r.ServerID, r.Prop, r.Verdict, r.N2)
+	want2 := computeQ2(r.Vid, r.ServerID, r.Prop, verdict, r.N2)
 	if !cryptoutil.ConstEqual(r.Q2[:], want2[:]) {
 		return errors.New("wire: report quote Q2 mismatch")
 	}
@@ -248,48 +263,46 @@ type CustomerReport struct {
 
 // ComputeQ1 computes Q1 = H(Vid‖P‖R‖N1).
 func ComputeQ1(vid string, p properties.Property, v properties.Verdict, n1 cryptoutil.Nonce) [32]byte {
-	return cryptoutil.Hash("Q1", []byte(vid), []byte(p), v.Encode(), n1[:])
+	var buf [verdictStack]byte
+	return computeQ1(vid, p, v.AppendEncode(buf[:0]), n1)
 }
 
-func customerReportBody(r *CustomerReport) []byte {
-	staleness := make([]byte, 9)
+// computeQ1 and customerReportBody take R in its canonical rendering (see
+// computeQ2).
+func computeQ1(vid string, p properties.Property, verdict []byte, n1 cryptoutil.Nonce) [32]byte {
+	return cryptoutil.Hash("Q1", []byte(vid), []byte(p), verdict, n1[:])
+}
+
+func customerReportBody(r *CustomerReport, verdict []byte) [32]byte {
+	var staleness [9]byte
 	if r.Stale {
 		staleness[0] = 1
 	}
 	binary.BigEndian.PutUint64(staleness[1:], uint64(r.Age))
-	sum := cryptoutil.Hash("customer-report",
-		[]byte(r.Vid), []byte(r.Prop), r.Verdict.Encode(), r.N1[:], r.Q1[:], staleness)
-	return sum[:]
+	return cryptoutil.Hash("customer-report",
+		[]byte(r.Vid), []byte(r.Prop), verdict, r.N1[:], r.Q1[:], staleness[:])
 }
 
 // BuildCustomerReport assembles and signs the final report with the Cloud
 // Controller's identity key SKc.
 func BuildCustomerReport(signer *cryptoutil.Identity, vid string, p properties.Property, v properties.Verdict, n1 cryptoutil.Nonce) *CustomerReport {
-	r := &CustomerReport{
-		Vid:     vid,
-		Prop:    p,
-		Verdict: v,
-		N1:      n1,
-		Q1:      ComputeQ1(vid, p, v, n1),
-	}
-	r.Sig = signer.Sign(customerReportBody(r))
-	return r
+	return signCustomerReport(signer, &CustomerReport{Vid: vid, Prop: p, Verdict: v, N1: n1})
 }
 
 // BuildStaleCustomerReport signs a degraded report: the last-known-good
 // verdict, marked stale with its age at signing time. The customer's fresh
 // N1 is still bound in, so the report cannot be replayed for a later query.
 func BuildStaleCustomerReport(signer *cryptoutil.Identity, vid string, p properties.Property, v properties.Verdict, n1 cryptoutil.Nonce, age time.Duration) *CustomerReport {
-	r := &CustomerReport{
-		Vid:     vid,
-		Prop:    p,
-		Verdict: v,
-		N1:      n1,
-		Q1:      ComputeQ1(vid, p, v, n1),
-		Stale:   true,
-		Age:     age,
-	}
-	r.Sig = signer.Sign(customerReportBody(r))
+	return signCustomerReport(signer, &CustomerReport{Vid: vid, Prop: p, Verdict: v, N1: n1, Stale: true, Age: age})
+}
+
+// signCustomerReport fills in r's Q1 and signature.
+func signCustomerReport(signer *cryptoutil.Identity, r *CustomerReport) *CustomerReport {
+	var buf [verdictStack]byte
+	verdict := r.Verdict.AppendEncode(buf[:0])
+	r.Q1 = computeQ1(r.Vid, r.Prop, verdict, r.N1)
+	body := customerReportBody(r, verdict)
+	r.Sig = signer.Sign(body[:])
 	return r
 }
 
@@ -305,10 +318,12 @@ func VerifyCustomerReport(r *CustomerReport, controllerKey ed25519.PublicKey, vi
 	if r.N1 != n1 {
 		return errors.New("wire: customer report nonce mismatch (replay?)")
 	}
-	if !cryptoutil.Verify(controllerKey, customerReportBody(r), r.Sig) {
+	var buf [verdictStack]byte
+	verdict := r.Verdict.AppendEncode(buf[:0])
+	if body := customerReportBody(r, verdict); !cryptoutil.Verify(controllerKey, body[:], r.Sig) {
 		return errors.New("wire: customer report signature invalid")
 	}
-	want1 := ComputeQ1(r.Vid, r.Prop, r.Verdict, r.N1)
+	want1 := computeQ1(r.Vid, r.Prop, verdict, r.N1)
 	if !cryptoutil.ConstEqual(r.Q1[:], want1[:]) {
 		return errors.New("wire: customer report quote Q1 mismatch")
 	}
