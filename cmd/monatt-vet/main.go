@@ -12,8 +12,8 @@
 //
 // The analyzers encode rules the compiler cannot see: virtual-clock
 // discipline (vclockonly), nonce freshness across retries (noncefresh),
-// constant-time comparison of secret-derived material (consttime), RPC
-// deadlines at every entity boundary (ctxdeadline), span hygiene
+// constant-time comparison of secret-derived material (consttime), a
+// caller's deadline on every raw rpc.Client call (ctxdeadline), span hygiene
 // (spanend), metric naming (metricsname), secret-taint flow (secretflow),
 // intent-ledger bracketing of side effects (intentbracket), shard-routing
 // provenance (shardroute), and lock discipline (lockorder). Suppress a

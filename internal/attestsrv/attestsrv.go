@@ -8,6 +8,7 @@
 package attestsrv
 
 import (
+	"context"
 	"crypto/ed25519"
 	"encoding/json"
 	"fmt"
@@ -88,8 +89,8 @@ type Config struct {
 	// Ledger, when set, receives one evidence entry per appraised report
 	// (the durable trail behind the Property Certification Module).
 	Ledger *ledger.Ledger
-	// CallTimeout bounds each measurement RPC attempt in real time. 0
-	// applies the rpc default (30s); negative disables the bound.
+	// CallTimeout bounds each measurement RPC attempt in real time. Zero
+	// applies the rpc default (30s).
 	CallTimeout time.Duration
 	// Retry tunes per-call retries on the channels to cloud servers.
 	Retry rpc.RetryPolicy
@@ -394,16 +395,13 @@ func (s *Server) measure(sp *obs.ActiveSpan, srvRec *ServerRecord, vid string, r
 	if lat := s.cfg.Latency; lat != nil {
 		s.cfg.Clock.Advance(lat.HopRTT + lat.QuoteCost + lat.CertifyCost)
 	}
-	// The whole measurement exchange — every retry and its backoff — is
-	// bounded so a wedged cloud server degrades this appraisal instead of
-	// pinning an attestation worker forever.
-	ctx, cancel := s.peers.OpCtx()
-	defer cancel()
 	// N3 is regenerated for every retry attempt, so a re-issued measurement
-	// request is a fresh challenge, never a replay.
+	// request is a fresh challenge, never a replay. The client bounds the
+	// whole exchange (rpc.OpBudget), so a wedged cloud server degrades this
+	// appraisal instead of pinning an attestation worker forever.
 	var n3 cryptoutil.Nonce
 	ev := new(wire.Evidence)
-	if err := c.CallFresh(obs.ContextWith(ctx, sp), server.MethodMeasure, func(int) (any, error) {
+	if err := c.CallFresh(obs.ContextWith(context.Background(), sp), server.MethodMeasure, func(int) (any, error) {
 		n, err := cryptoutil.NewNonce(s.cfg.Rand)
 		if err != nil {
 			return nil, err

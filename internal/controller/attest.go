@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -126,10 +127,8 @@ func (c *Controller) StartPeriodic(req wire.PeriodicRequest) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
 	_, err = c.callVM(req.Vid, func(rt attestRoute) error {
-		return rt.client.CallCtx(ctx, attestsrv.MethodPeriodicStart, attestsrv.PeriodicControl{
+		return rt.client.CallCtx(context.Background(), attestsrv.MethodPeriodicStart, attestsrv.PeriodicControl{
 			Vid: req.Vid, ServerID: rec.Server, Prop: req.Prop, Freq: req.Freq, Random: req.Random,
 		}, nil)
 	})
@@ -150,12 +149,10 @@ func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) ([]*
 		method = attestsrv.MethodPeriodicStop
 	}
 	var batch attestsrv.PeriodicBatch
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
 	// Drains are destructive server-side; the idempotency key makes a
 	// retried drain replay the recorded batch instead of losing it.
 	rt, err := c.callVM(req.Vid, func(rt attestRoute) error {
-		return rt.client.CallIdem(ctx, method, rpc.NewIdemKey(),
+		return rt.client.CallIdem(context.Background(), method, rpc.NewIdemKey(),
 			attestsrv.PeriodicControl{Vid: req.Vid, Prop: req.Prop}, &batch)
 	})
 	if err != nil {
@@ -320,12 +317,10 @@ func (c *Controller) setRunState(vid, from, to string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
 	if to == "suspended" {
-		err = mgmt.CallCtx(ctx, server.MethodSuspend, wire.VidRequest{Vid: vid}, nil)
+		err = mgmt.CallCtx(context.Background(), server.MethodSuspend, wire.VidRequest{Vid: vid}, nil)
 	} else {
-		err = mgmt.CallCtx(ctx, server.MethodResume, wire.VidRequest{Vid: vid}, nil)
+		err = mgmt.CallCtx(context.Background(), server.MethodResume, wire.VidRequest{Vid: vid}, nil)
 	}
 	if err != nil {
 		return err
@@ -403,11 +398,6 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	}
 	c.mu.Unlock()
 
-	// One deadline covers the whole migration: it is a single logical
-	// remediation, and a half-migrated VM is worse than a timed-out one.
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
-
 	// The ring shards by VM id, so appraisal ownership follows the VM to any
 	// host and every qualified server is a candidate.
 	cands := c.candidates(flavor, props, "", src)
@@ -424,7 +414,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		// Migrate-out removes the VM from the source host; the key makes a
 		// retried call replay the captured spec instead of failing on a VM
 		// that is already gone.
-		if err := srcMgmt.CallIdem(ctx, server.MethodMigrateOut, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, &spec); err != nil {
+		if err := srcMgmt.CallIdem(context.Background(), server.MethodMigrateOut, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, &spec); err != nil {
 			return "", err
 		}
 		c.release(src, flavor)
@@ -444,7 +434,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		}
 	}
 
-	if err := c.spawn(ctx, dest.Name, spec); err != nil {
+	if err := c.spawn(dest.Name, spec); err != nil {
 		return "", fmt.Errorf("controller: relaunch on %s failed: %w", dest.Name, err)
 	}
 	c.mu.Lock()
@@ -459,7 +449,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	// Ongoing periodic monitoring follows the VM to its new host; the owning
 	// shard is unchanged (ownership hashes the VM id, not the host).
 	c.callVM(vid, func(rt attestRoute) error {
-		return rt.client.CallCtx(ctx, attestsrv.MethodRebindVM, attestsrv.RebindRequest{Vid: vid, ServerID: dest.Name}, nil)
+		return rt.client.CallCtx(context.Background(), attestsrv.MethodRebindVM, attestsrv.RebindRequest{Vid: vid, ServerID: dest.Name}, nil)
 	})
 	return dest.Name, nil
 }

@@ -185,8 +185,7 @@ type Config struct {
 	// executed remediation responses.
 	Ledger *ledger.Ledger
 	// CallTimeout bounds each RPC attempt to the Attestation Servers and
-	// cloud servers in real time. 0 applies the rpc default (30s); negative
-	// disables the bound.
+	// cloud servers in real time. Zero applies the rpc default (30s).
 	CallTimeout time.Duration
 	// Retry tunes per-call retries on the controller's RPC channels.
 	Retry rpc.RetryPolicy
@@ -729,9 +728,7 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 	c, res := l.c, l.result
 	res.Verdict = properties.Verdict{}
 	mgmt, _ := c.peers.Client(cand.peer) // registered with the entry
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
-	if err := mgmt.Connect(ctx); err != nil {
+	if err := mgmt.Connect(context.Background()); err != nil {
 		// An unreachable server is a candidate failure, not a launch
 		// failure: the scheduler moves on to the next qualified host.
 		res.Reason = fmt.Sprintf("server %s unreachable: %v", cand.Name, err)
@@ -761,16 +758,13 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 		}
 		if spawned {
 			c.release(cand.Name, l.flavor)
-			// Best effort, on a budget of its own: the attempt's may be
-			// what ran out, and the host may be what failed.
-			ectx, ecancel := c.peers.OpCtx()
-			defer ecancel()
-			_ = c.evict(ectx, l.vid, cand.Name)
+			// Best effort: the host may be what failed.
+			_ = c.evict(l.vid, cand.Name)
 		}
 		c.intentEnd(l.vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
 	}()
 
-	if err := c.spawn(ctx, cand.Name, server.LaunchSpec{
+	if err := c.spawn(cand.Name, server.LaunchSpec{
 		Vid:         l.vid,
 		ImageName:   l.req.ImageName,
 		ImageDigest: l.img.Digest(), // what actually arrived at the server
@@ -790,7 +784,7 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 	// Register appraisal references with the VM's owning shard and record
 	// the VM before attesting.
 	if _, err := c.callVM(l.vid, func(rt attestRoute) error {
-		return rt.client.CallCtx(ctx, attestsrv.MethodRegisterVM, attestsrv.VMRecord{
+		return rt.client.CallCtx(context.Background(), attestsrv.MethodRegisterVM, attestsrv.VMRecord{
 			Vid:           l.vid,
 			ExpectedImage: l.golden,
 			TaskAllowlist: l.req.Allowlist,
@@ -848,12 +842,12 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 // the controller's capacity ledger — launch stage 4 and a migration's
 // relaunch. The idempotency key lets the call be retried without
 // double-booking the host if only the response was lost.
-func (c *Controller) spawn(ctx context.Context, srv string, spec server.LaunchSpec) error {
+func (c *Controller) spawn(srv string, spec server.LaunchSpec) error {
 	mgmt, err := c.mgmtClient(srv)
 	if err != nil {
 		return err
 	}
-	if err := mgmt.CallIdem(ctx, server.MethodLaunch, rpc.NewIdemKey(), spec, nil); err != nil {
+	if err := mgmt.CallIdem(context.Background(), server.MethodLaunch, rpc.NewIdemKey(), spec, nil); err != nil {
 		return err
 	}
 	c.reserve(srv, spec.Flavor)
@@ -866,15 +860,15 @@ func (c *Controller) spawn(ctx context.Context, srv string, spec server.LaunchSp
 // Idempotent — "no VM" from the host is the converged outcome of an earlier
 // pass — so callers simply repeat it after a transport failure. Capacity is
 // the caller's to release: only it knows whether a reservation is held.
-func (c *Controller) evict(ctx context.Context, vid, srv string) error {
+func (c *Controller) evict(vid, srv string) error {
 	mgmt, err := c.mgmtClient(srv)
 	if err != nil {
 		return err
 	}
-	if err := mgmt.CallIdem(ctx, server.MethodTerminate, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
+	if err := mgmt.CallIdem(context.Background(), server.MethodTerminate, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
 		return err
 	}
-	c.forgetVM(ctx, vid)
+	c.forgetVM(vid)
 	return nil
 }
 
@@ -896,8 +890,8 @@ func (c *Controller) lastGoodFor(vid string, p properties.Property) (lastVerdict
 // forgetVM drops a VM's appraisal references and periodic tasks on its
 // owning shard. Best effort: the Attestation Server tolerates appraising a
 // forgotten VM, and a later pass (finalizer, recovery) repeats the call.
-func (c *Controller) forgetVM(ctx context.Context, vid string) {
+func (c *Controller) forgetVM(vid string) {
 	c.callVM(vid, func(rt attestRoute) error {
-		return rt.client.CallCtx(ctx, attestsrv.MethodForgetVM, wire.VidRequest{Vid: vid}, nil)
+		return rt.client.CallCtx(context.Background(), attestsrv.MethodForgetVM, wire.VidRequest{Vid: vid}, nil)
 	})
 }

@@ -31,12 +31,14 @@ import (
 // hop2Rig is a controller whose attestation plane is two scripted shards:
 // the ring names only shard-a, shard-b is registered (its key is a trust
 // anchor) but owns nothing, and one stub cloud server acknowledges every
-// management call. answer decides what an appraisal on each shard returns.
+// management call. answer decides what an appraisal on each shard returns;
+// it may wait on healed, which closes when the test ends.
 type hop2Rig struct {
 	c      *Controller
 	led    *ledger.Ledger
 	a, b   *cryptoutil.Identity
 	answer func(shardName string, req wire.AppraisalRequest) (*wire.Report, error)
+	healed chan struct{}
 
 	mu     sync.Mutex
 	conns  map[string]net.Conn // latest server-side connection per address
@@ -47,11 +49,13 @@ type hop2Rig struct {
 func newHop2Rig(t *testing.T) *hop2Rig {
 	t.Helper()
 	r := &hop2Rig{
-		led:   memLedger(t),
-		a:     cryptoutil.MustIdentity("shard-a"),
-		b:     cryptoutil.MustIdentity("shard-b"),
-		conns: make(map[string]net.Conn),
+		led:    memLedger(t),
+		a:      cryptoutil.MustIdentity("shard-a"),
+		b:      cryptoutil.MustIdentity("shard-b"),
+		conns:  make(map[string]net.Conn),
+		healed: make(chan struct{}),
 	}
+	t.Cleanup(func() { close(r.healed) })
 	network := rpc.NewMemNetwork()
 	network.Intercept = func(addr string, client, srv net.Conn) (net.Conn, net.Conn) {
 		r.mu.Lock()
@@ -105,8 +109,8 @@ func newHop2Rig(t *testing.T) *hop2Rig {
 		Rand:        rand.Reader,
 		Ring:        ring,
 		Ledger:      r.led,
-		CallTimeout: 2 * time.Second,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 1},
+		CallTimeout: 250 * time.Millisecond,
+		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 250 * time.Millisecond},
 		Breaker:     rpc.BreakerPolicy{Threshold: -1},
 	})
 	r.c.RegisterAttestShard(r.a.Name, r.a.Name, r.a.Public())
@@ -196,9 +200,10 @@ func TestOnDemandAppraisalRejectsASiblingShardsSignature(t *testing.T) {
 // TestAppraisalFailureClassesPerCaller drives each of the four callers of
 // verifiedAppraisal through the three failure classes — the shard answered
 // and refused, the infrastructure was unreachable (connection reset before
-// the reply), the report failed verification — and checks what only that
-// caller decides: degrade to stale, unwind the launch, re-suspend, set the
-// condition. No class ever remediates.
+// the reply, or the shard partitioned so no reply ever comes), the report
+// failed verification — and checks what only that caller decides: degrade
+// to stale, unwind the launch, re-suspend, set the condition. No class ever
+// remediates, and no caller waits on the shard past rpc.OpBudget.
 func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 	const vid = "vm-0001"
 	classes := map[string]func(r *hop2Rig) func(string, wire.AppraisalRequest) (*wire.Report, error){
@@ -215,9 +220,26 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 				return nil, errors.New("never delivered")
 			}
 		},
+		"partitioned": func(r *hop2Rig) func(string, wire.AppraisalRequest) (*wire.Report, error) {
+			return func(string, wire.AppraisalRequest) (*wire.Report, error) {
+				<-r.healed
+				return nil, errors.New("never delivered")
+			}
+		},
 		"bad-report": func(*hop2Rig) func(string, wire.AppraisalRequest) (*wire.Report, error) {
 			return signedBy(cryptoutil.MustIdentity("mallory"))
 		},
+	}
+	// within runs one caller and fails the test if it outlasted the bound
+	// every RPC client holds itself to.
+	within := func(t *testing.T, r *hop2Rig, caller func()) {
+		t.Helper()
+		budget := rpc.OpBudget(r.c.cfg.CallTimeout, r.c.cfg.Retry)
+		start := time.Now()
+		caller()
+		if d := time.Since(start); d > budget {
+			t.Fatalf("the caller returned after %v, past rpc.OpBudget %v", d, budget)
+		}
 	}
 	for class, script := range classes {
 		class, script := class, script
@@ -231,14 +253,18 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 			r.answer = script(r)
 			r.addVM(vid, "active")
 			r.c.storeLastGood(vid, properties.RuntimeIntegrity, hop2Healthy)
-			rep, err := r.c.Attest(wire.AttestRequest{Vid: vid, Prop: properties.RuntimeIntegrity, N1: cryptoutil.MustNonce()})
+			var rep *wire.CustomerReport
+			var err error
+			within(t, r, func() {
+				rep, err = r.c.Attest(wire.AttestRequest{Vid: vid, Prop: properties.RuntimeIntegrity, N1: cryptoutil.MustNonce()})
+			})
 			stale := r.c.metrics.Counter("controller/degraded-stale-reports").Value()
 			switch class {
 			case "refused":
 				if err == nil || !strings.HasPrefix(err.Error(), "controller: appraisal failed:") || !isRemote(err) || stale != 0 {
 					t.Fatalf("refusal: rep=%+v err=%v stale=%d; want an undegraded remote failure", rep, err, stale)
 				}
-			case "unreachable":
+			case "unreachable", "partitioned":
 				if err != nil || rep == nil || !rep.Stale || stale != 1 {
 					t.Fatalf("unreachable: rep=%+v err=%v stale=%d; want the last-known-good verdict, stale", rep, err, stale)
 				}
@@ -255,9 +281,13 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 		t.Run(class+"/launch", func(t *testing.T) {
 			r := newHop2Rig(t)
 			r.answer = script(r)
-			res, err := r.c.LaunchVMTraced(obs.SpanContext{}, LaunchRequest{
-				Owner: "alice", ImageName: "cirros", Flavor: "small", Workload: "idle",
-				Props: []properties.Property{properties.RuntimeIntegrity}, Pin: -1,
+			var res LaunchResult
+			var err error
+			within(t, r, func() {
+				res, err = r.c.LaunchVMTraced(obs.SpanContext{}, LaunchRequest{
+					Owner: "alice", ImageName: "cirros", Flavor: "small", Workload: "idle",
+					Props: []properties.Property{properties.RuntimeIntegrity}, Pin: -1,
+				})
 			})
 			if err != nil || res.OK {
 				t.Fatalf("launch with a failing startup appraisal = (%+v, %v), want a rejection", res, err)
@@ -300,7 +330,9 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 			r := newHop2Rig(t)
 			r.answer = script(r)
 			r.addVM(vid, "suspended")
-			_, active, err := r.c.RecheckAndResume(vid)
+			var active bool
+			var err error
+			within(t, r, func() { _, active, err = r.c.RecheckAndResume(vid) })
 			want := "controller: recheck failed:"
 			if class == "bad-report" {
 				want = "controller: rejecting recheck report:"
@@ -317,18 +349,19 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 			r := newHop2Rig(t)
 			r.answer = script(r)
 			rec := r.addVM(vid, "active")
-			r.c.reattest(rec)
+			within(t, r, func() { r.c.reattest(rec) })
 			cond, _ := rec.Conditions.Get(reconcile.CondAttested)
 			want := map[string]reconcile.Condition{
 				"refused":     {Status: reconcile.False, Reason: "AppraisalRefused"},
 				"unreachable": {Status: reconcile.Unknown, Reason: "InfraUnreachable"},
+				"partitioned": {Status: reconcile.Unknown, Reason: "InfraUnreachable"},
 				"bad-report":  {Status: reconcile.False, Reason: "BadReport"},
 			}[class]
 			if cond.Status != want.Status || cond.Reason != want.Reason {
 				t.Fatalf("Attested condition = %s/%s (%s), want %s/%s", cond.Status, cond.Reason, cond.Message, want.Status, want.Reason)
 			}
 			degraded := r.c.metrics.Counter("controller/reattest-degraded").Value()
-			if (degraded == 1) != (class == "unreachable") {
+			if (degraded == 1) != (class == "unreachable" || class == "partitioned") {
 				t.Fatalf("reattest-degraded = %d for class %s", degraded, class)
 			}
 			if evs := r.c.Events(); len(evs) != 0 {

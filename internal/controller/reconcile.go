@@ -257,11 +257,9 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 	if err := c.failpoint("mid-teardown"); err != nil {
 		return err
 	}
-	ctx, cancel := c.peers.OpCtx()
-	defer cancel()
 	if migratedOut {
-		c.forgetVM(ctx, vid) // on no host: only the appraisal references are left
-	} else if err := c.evict(ctx, vid, srv); err != nil {
+		c.forgetVM(vid) // on no host: only the appraisal references are left
+	} else if err := c.evict(vid, srv); err != nil {
 		// Transport failure: the finalizer retries on the next pass
 		// (half-finished teardowns always finish).
 		return err

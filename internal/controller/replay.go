@@ -202,11 +202,9 @@ func (c *Controller) Recover() error {
 	torn := 0
 	sweep := func(vid, srv string) {
 		torn++
-		ctx, cancel := c.peers.OpCtx()
-		defer cancel()
 		// Best effort: the server may never have spawned the guest ("no VM"
 		// is the converged outcome) or be gone itself.
-		_ = c.evict(ctx, vid, srv)
+		_ = c.evict(vid, srv)
 	}
 	for vid := range launchBegins {
 		for _, srv := range openPlaces[vid] {

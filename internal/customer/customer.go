@@ -36,8 +36,8 @@ type Config struct {
 	// channel accepts, and the key every report is verified under.
 	ControllerKey ed25519.PublicKey
 	// CallTimeout, Retry and Breaker tune the fault-tolerant channel
-	// (rpc.ClientConfig); together the first two bound every operation
-	// end to end (rpc.OpBudget).
+	// (rpc.ClientConfig); the first two bound every operation end to end
+	// (rpc.OpBudget).
 	CallTimeout time.Duration
 	Retry       rpc.RetryPolicy
 	Breaker     rpc.BreakerPolicy
@@ -45,9 +45,8 @@ type Config struct {
 
 // Customer is a connected cloud customer.
 type Customer struct {
-	client   *rpc.ReconnectClient
-	ctrlKey  ed25519.PublicKey
-	opBudget time.Duration
+	client  *rpc.ReconnectClient
+	ctrlKey ed25519.PublicKey
 }
 
 // readOnly marks the nova api queries that are safe to blindly re-issue
@@ -65,8 +64,7 @@ func readOnly(method string) bool {
 func Connect(cfg Config) (*Customer, error) {
 	ctrlKey := append(ed25519.PublicKey(nil), cfg.ControllerKey...)
 	cu := &Customer{
-		ctrlKey:  ctrlKey,
-		opBudget: rpc.OpBudget(cfg.CallTimeout, cfg.Retry),
+		ctrlKey: ctrlKey,
 		client: rpc.NewReconnectClient(rpc.ClientConfig{
 			Network: cfg.Network,
 			Addr:    cfg.Addr,
@@ -83,29 +81,18 @@ func Connect(cfg Config) (*Customer, error) {
 			Idempotent:  readOnly,
 		}),
 	}
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	if err := cu.client.Connect(ctx); err != nil {
+	if err := cu.client.Connect(context.Background()); err != nil {
 		cu.client.Close()
 		return nil, err
 	}
 	return cu, nil
 }
 
-// opCtx bounds one customer exchange end to end (all retry attempts plus
-// backoff), so a wedged or partitioned controller fails the call instead
-// of hanging the customer forever.
-func (cu *Customer) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), cu.opBudget)
-}
-
 // Launch requests a VM. The idempotency key lets the request be retried
 // across connection failures without double-launching.
 func (cu *Customer) Launch(req controller.LaunchRequest) (controller.LaunchResult, error) {
 	var res controller.LaunchResult
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	err := cu.client.CallIdem(ctx, controller.MethodLaunchVM, rpc.NewIdemKey(), req, &res)
+	err := cu.client.CallIdem(context.Background(), controller.MethodLaunchVM, rpc.NewIdemKey(), req, &res)
 	return res, err
 }
 
@@ -132,9 +119,7 @@ func (cu *Customer) AttestReport(vid string, p properties.Property) (*wire.Custo
 	}
 	var n1 cryptoutil.Nonce
 	var rep wire.CustomerReport
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	if err := cu.client.CallFresh(ctx, method, func(int) (any, error) {
+	if err := cu.client.CallFresh(context.Background(), method, func(int) (any, error) {
 		n1 = cryptoutil.MustNonce()
 		// The trace ID is minted from the request nonce: deterministic
 		// under the seeded RNG, and fresh per retry attempt like N1 itself.
@@ -168,9 +153,7 @@ func (cu *Customer) StartPeriodicRandom(vid string, p properties.Property, freq 
 func (cu *Customer) startPeriodic(req wire.PeriodicRequest) error {
 	req.N1 = cryptoutil.MustNonce()
 	req.Trace = obs.MintTrace(req.N1[:])
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	return cu.client.CallIdem(ctx, controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(), req, nil)
+	return cu.client.CallIdem(context.Background(), controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(), req, nil)
 }
 
 // FetchPeriodic drains and end-verifies accumulated periodic results.
@@ -189,9 +172,7 @@ func (cu *Customer) drainPeriodic(method, vid string, p properties.Property) ([]
 	var reps wire.CustomerReportList
 	// Fetch/stop drain results controller-side; the idempotency key makes a
 	// retried drain replay the recorded batch instead of losing it.
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	if err := cu.client.CallIdem(ctx, method, rpc.NewIdemKey(),
+	if err := cu.client.CallIdem(context.Background(), method, rpc.NewIdemKey(),
 		wire.StopPeriodicRequest{Vid: vid, Prop: p, N1: n1, Trace: obs.MintTrace(n1[:])}, &reps); err != nil {
 		return nil, err
 	}
@@ -210,35 +191,27 @@ func (cu *Customer) drainPeriodic(method, vid string, p properties.Property) ([]
 // finalizer and the typed reconcile conditions.
 func (cu *Customer) Status(vid string) (wire.VMStatus, error) {
 	var st wire.VMStatus
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodVMStatus, wire.VidRequest{Vid: vid}, &st)
+	err := cu.client.CallCtx(context.Background(), controller.MethodVMStatus, wire.VidRequest{Vid: vid}, &st)
 	return st, err
 }
 
 // ListVMs lists this customer's (non-terminated) VMs.
 func (cu *Customer) ListVMs() ([]controller.VMSummary, error) {
 	var vms controller.VMSummaryList
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodListVMs, nil, &vms)
+	err := cu.client.CallCtx(context.Background(), controller.MethodListVMs, nil, &vms)
 	return vms, err
 }
 
 // Events lists the remediation responses executed on this customer's VMs.
 func (cu *Customer) Events() ([]controller.ResponseEvent, error) {
 	var events controller.ResponseEventList
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	err := cu.client.CallCtx(ctx, controller.MethodListEvents, nil, &events)
+	err := cu.client.CallCtx(context.Background(), controller.MethodListEvents, nil, &events)
 	return events, err
 }
 
 // Terminate releases the VM (idempotency-keyed: never executed twice).
 func (cu *Customer) Terminate(vid string) error {
-	ctx, cancel := cu.opCtx()
-	defer cancel()
-	return cu.client.CallIdem(ctx, controller.MethodTerminateVM, rpc.NewIdemKey(),
+	return cu.client.CallIdem(context.Background(), controller.MethodTerminateVM, rpc.NewIdemKey(),
 		wire.VidRequest{Vid: vid}, nil)
 }
 

@@ -227,6 +227,10 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 
 // --- ledger ---
 
+// maxBatchScratch caps the serialization buffer the committer keeps for the
+// next batch, so one huge payload does not pin its size for good.
+const maxBatchScratch = 1 << 20
+
 // Options configures a ledger.
 type Options struct {
 	// Dir is the storage directory. Empty selects an in-process store:
@@ -267,13 +271,31 @@ type loc struct {
 	n   int32
 }
 
+// waiter is one queued append. out, err and done are written by the
+// committer under Ledger.mu, and done is what the appender waits for on
+// Ledger.cond.
 type waiter struct {
 	in    Entry
 	start time.Time
 	out   Entry
 	err   error
-	done  chan struct{}
+	done  bool
 }
+
+// postingKey names one posting list: the entries whose field (one of the
+// postingVid… tags) has the value val.
+type postingKey struct {
+	field byte
+	val   string
+}
+
+// The indexed fields.
+const (
+	postingVid byte = iota
+	postingKind
+	postingProp
+	postingTrace
+)
 
 // Ledger is the append-only hash-chained evidence ledger.
 type Ledger struct {
@@ -286,10 +308,16 @@ type Ledger struct {
 	batchSum  *metrics.IntSummary
 
 	mu         sync.Mutex
-	cond       *sync.Cond // signaled when a commit round finishes
+	cond       *sync.Cond // signaled when a batch is published and when a commit round finishes
 	closed     bool
 	committing bool
 	queue      []*waiter
+	spare      []*waiter // the last batch's array, for the queue after the next
+
+	// The committer's scratch, reused batch to batch: only the appender
+	// holding the committer role touches it, and both stores copy on Write.
+	batchBuf  []byte
+	batchLocs []loc
 
 	base     snapshot // chain state before the first indexed entry
 	headSeq  uint64
@@ -297,7 +325,7 @@ type Ledger struct {
 
 	segs     []*segment
 	locs     []loc // locs[i] addresses seq base.Seq+1+i
-	postings map[string][]uint64
+	postings map[postingKey][]uint64
 }
 
 // Open opens (creating or recovering as needed) the ledger described by
@@ -338,7 +366,7 @@ func open(opts Options, st store) (*Ledger, error) {
 		appendSum: reg.Summary("ledger/append"),
 		flushSum:  reg.Summary("ledger/flush"),
 		batchSum:  reg.IntSummary("ledger/batch-size"),
-		postings:  make(map[string][]uint64),
+		postings:  make(map[postingKey][]uint64),
 	}
 	l.cond = sync.NewCond(&l.mu)
 
@@ -444,14 +472,18 @@ func (l *Ledger) scanSegment(seg *segment, segIdx int) (int64, error) {
 // Callers hold l.mu or are still single-threaded (open/scan/commit role).
 func (l *Ledger) indexEntry(e *Entry, lc loc) {
 	l.locs = append(l.locs, lc)
-	l.postings["v:"+e.Vid] = append(l.postings["v:"+e.Vid], e.Seq)
-	l.postings["k:"+string(e.Kind)] = append(l.postings["k:"+string(e.Kind)], e.Seq)
+	l.post(postingKey{postingVid, e.Vid}, e.Seq)
+	l.post(postingKey{postingKind, string(e.Kind)}, e.Seq)
 	if e.Prop != "" {
-		l.postings["p:"+e.Prop] = append(l.postings["p:"+e.Prop], e.Seq)
+		l.post(postingKey{postingProp, e.Prop}, e.Seq)
 	}
 	if e.Trace != "" {
-		l.postings["t:"+e.Trace] = append(l.postings["t:"+e.Trace], e.Seq)
+		l.post(postingKey{postingTrace, e.Trace}, e.Seq)
 	}
+}
+
+func (l *Ledger) post(key postingKey, seq uint64) {
+	l.postings[key] = append(l.postings[key], seq)
 }
 
 // Metrics returns the registry holding the ledger's summaries.
@@ -489,7 +521,7 @@ func (l *Ledger) Append(e Entry) (Entry, error) {
 	if l.opts.ReadOnly {
 		return Entry{}, errors.New("ledger: read-only")
 	}
-	w := &waiter{in: e, start: l.opts.Now(), done: make(chan struct{})}
+	w := &waiter{in: e, start: l.opts.Now()}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -498,17 +530,21 @@ func (l *Ledger) Append(e Entry) (Entry, error) {
 	l.queue = append(l.queue, w)
 	if l.committing {
 		// A committer is active: it (or its successor) will flush us.
+		for !w.done {
+			l.cond.Wait()
+		}
 		l.mu.Unlock()
-		<-w.done
 	} else {
 		// Become the committer and drain batches until the queue is empty.
 		l.committing = true
 		for len(l.queue) > 0 {
 			batch := l.queue
-			l.queue = nil
+			l.queue, l.spare = l.spare, nil
 			l.mu.Unlock()
 			l.commit(batch)
 			l.mu.Lock()
+			clear(batch)
+			l.spare = batch[:0]
 		}
 		l.committing = false
 		l.cond.Broadcast()
@@ -529,16 +565,17 @@ func (l *Ledger) commit(batch []*waiter) {
 	seg, err := l.activeSegmentLocked(seq + 1)
 	l.mu.Unlock()
 	if err != nil {
-		finishBatch(batch, err)
+		l.finishBatch(batch, err)
 		return
 	}
 
-	// Serialize the whole batch against the running chain.
-	buf := make([]byte, 0, 256*len(batch))
-	offs := make([]loc, len(batch))
-	segIdx := l.segIndex(seg)
+	// Serialize the whole batch against the running chain. Each loc's
+	// segment index is filled in at publish: a compaction may renumber the
+	// segments meanwhile.
+	buf := l.batchBuf[:0]
+	offs := l.batchLocs[:0]
 	writeOff := seg.size
-	for i, w := range batch {
+	for _, w := range batch {
 		e := w.in
 		seq++
 		e.Seq = seq
@@ -547,46 +584,53 @@ func (l *Ledger) commit(batch []*waiter) {
 		prev = e.Hash
 		start := len(buf)
 		buf = appendFrame(buf, &e)
-		offs[i] = loc{seg: segIdx, off: writeOff + int64(start), n: int32(len(buf) - start)}
+		offs = append(offs, loc{off: writeOff + int64(start), n: int32(len(buf) - start)})
 		w.out = e
 	}
+	if cap(buf) <= maxBatchScratch {
+		l.batchBuf = buf
+	}
+	l.batchLocs = offs
 
 	if _, err := seg.file.Write(buf); err != nil {
 		seg.file.Truncate(seg.size)
-		finishBatch(batch, fmt.Errorf("ledger: write: %w", err))
+		l.finishBatch(batch, fmt.Errorf("ledger: write: %w", err))
 		return
 	}
 	if !l.opts.NoSync {
 		if err := seg.file.Sync(); err != nil {
 			seg.file.Truncate(seg.size)
-			finishBatch(batch, fmt.Errorf("ledger: fsync: %w", err))
+			l.finishBatch(batch, fmt.Errorf("ledger: fsync: %w", err))
 			return
 		}
 	}
 
-	// Publish: index the batch and advance the head.
+	// Publish: index the batch, advance the head and wake its appenders.
 	l.mu.Lock()
+	segIdx := l.segIndexLocked(seg)
 	for i, w := range batch {
+		offs[i].seg = segIdx
 		l.indexEntry(&w.out, offs[i])
+		w.done = true
 	}
 	seg.size += int64(len(buf))
 	l.headSeq = seq
 	l.headHash = prev
+	l.cond.Broadcast()
 	l.mu.Unlock()
 
-	finishBatch(batch, nil)
 	l.flushSum.Observe(l.opts.Now().Sub(flushStart))
 	l.batchSum.Observe(int64(len(batch)))
 }
 
-func finishBatch(batch []*waiter, err error) {
+// finishBatch fails every appender of a batch that was not committed.
+func (l *Ledger) finishBatch(batch []*waiter, err error) {
+	l.mu.Lock()
 	for _, w := range batch {
-		if err != nil {
-			w.err = err
-			w.out = Entry{}
-		}
-		close(w.done)
+		w.out, w.err, w.done = Entry{}, err, true
 	}
+	l.cond.Broadcast()
+	l.mu.Unlock()
 }
 
 // activeSegmentLocked returns the segment to append to, rolling to a new
@@ -605,9 +649,8 @@ func (l *Ledger) activeSegmentLocked(nextSeq uint64) (*segment, error) {
 	return seg, nil
 }
 
-func (l *Ledger) segIndex(seg *segment) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// segIndexLocked returns seg's index in l.segs. l.mu is held.
+func (l *Ledger) segIndexLocked(seg *segment) int {
 	for i, s := range l.segs {
 		if s == seg {
 			return i
@@ -659,7 +702,7 @@ func (l *Ledger) Query(f Filter) ([]Entry, error) {
 	l.mu.Lock()
 	var cands []uint64
 	narrowed := false
-	consider := func(key string) {
+	consider := func(key postingKey) {
 		p, ok := l.postings[key]
 		if !narrowed || (ok && len(p) < len(cands)) {
 			cands, narrowed = p, true
@@ -669,16 +712,16 @@ func (l *Ledger) Query(f Filter) ([]Entry, error) {
 		}
 	}
 	if f.Vid != "" {
-		consider("v:" + f.Vid)
+		consider(postingKey{postingVid, f.Vid})
 	}
 	if f.Kind != "" {
-		consider("k:" + string(f.Kind))
+		consider(postingKey{postingKind, string(f.Kind)})
 	}
 	if f.Prop != "" {
-		consider("p:" + f.Prop)
+		consider(postingKey{postingProp, f.Prop})
 	}
 	if f.Trace != "" {
-		consider("t:" + f.Trace)
+		consider(postingKey{postingTrace, f.Trace})
 	}
 	if !narrowed {
 		cands = make([]uint64, 0, len(l.locs))

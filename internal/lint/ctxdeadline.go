@@ -5,32 +5,35 @@ import (
 	"go/types"
 )
 
-// CtxDeadline enforces the failure model built in the fault-tolerance PR:
-// every RPC crossing an entity boundary must be bounded by a deadline, so
-// a wedged peer degrades the caller instead of wedging it. The analyzer
-// checks each call site on rpc.Client / rpc.ReconnectClient:
+// CtxDeadline enforces the RPC failure model (DESIGN.md §7):
+// every RPC crossing an entity boundary must be bounded, so a wedged peer
+// degrades the caller instead of wedging it. A ReconnectClient bounds each
+// call itself (rpc.OpBudget); a raw rpc.Client is bounded only by its
+// caller's context, so the analyzer checks each call site on rpc.Client:
 //
 //   - the deadline-less convenience method Call is rejected outright in
 //     production code (it exists for tests);
-//   - for CallCtx/CallFresh/CallIdem/Connect, the context argument must
-//     not provably lack a deadline. "Provably" is syntactic and local:
-//     context.Background()/TODO(), possibly laundered through
-//     context.WithValue/WithCancel or obs.ContextWith, or a local variable
-//     assigned from those. Contexts received as parameters are assumed
-//     bounded by the caller (the rule then applies at that caller).
+//   - for CallCtx/CallIdem, the context argument must not provably lack a
+//     deadline. "Provably" is syntactic and local: context.Background()/
+//     TODO(), possibly laundered through context.WithValue/WithCancel or
+//     obs.ContextWith, or a local variable assigned from those. Contexts
+//     received as parameters are assumed bounded by the caller (the rule
+//     then applies at that caller).
 var CtxDeadline = &Analyzer{
 	Name: "ctxdeadline",
-	Doc: "every rpc.Client/ReconnectClient call site must receive a " +
-		"context that can carry a deadline: derive it from context.WithTimeout " +
-		"or pass the caller's bounded context",
+	Doc: "every rpc.Client call site must receive a context that can " +
+		"carry a deadline: derive it from context.WithTimeout or pass the " +
+		"caller's bounded context",
 	Run: runCtxDeadline,
 }
 
+// callerBoundedClient is the one client type bounded by its caller's
+// context alone.
+const callerBoundedClient = "cloudmonatt/internal/rpc.Client"
+
 var deadlineMethods = map[string]bool{
-	"CallCtx":   true,
-	"CallFresh": true,
-	"CallIdem":  true,
-	"Connect":   true,
+	"CallCtx":  true,
+	"CallIdem": true,
 }
 
 func runCtxDeadline(pass *Pass) {
@@ -49,12 +52,12 @@ func runCtxDeadline(pass *Pass) {
 				return true
 			}
 			recv, method := methodOf(pass.Info, call)
-			if !rpcClientTypes[recv] {
+			if recv != callerBoundedClient {
 				return true
 			}
 			if method == "Call" {
 				pass.Reportf(call.Pos(),
-					"%s.Call carries no context; use CallCtx/CallFresh/CallIdem with a deadline-carrying context",
+					"%s.Call carries no context; use CallCtx/CallIdem with a deadline-carrying context",
 					shortType(recv))
 				return true
 			}

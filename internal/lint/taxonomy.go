@@ -83,8 +83,8 @@ func cryptoScoped(path string) bool {
 	return cryptoPkgs[top]
 }
 
-// rpcClientTypes are the client types whose call methods the noncefresh
-// and ctxdeadline analyzers police.
+// rpcClientTypes are the client types whose call methods the noncefresh,
+// intentbracket and shardroute analyzers police.
 var rpcClientTypes = map[string]bool{
 	"cloudmonatt/internal/rpc.Client":          true,
 	"cloudmonatt/internal/rpc.ReconnectClient": true,

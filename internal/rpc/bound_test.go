@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/secchan"
 )
 
@@ -45,7 +46,7 @@ func TestWatchdogRaceNeverPoisons(t *testing.T) {
 		if i%30 == 29 {
 			d = time.Second
 		}
-		err := c.call(context.Background(), time.Now().Add(d), "echo", "", echoReq{Text: "race"}, &resp)
+		err := c.call(context.Background(), obs.SpanContext{}, time.Now().Add(d), "echo", "", echoReq{Text: "race"}, &resp)
 		if c.Broken() {
 			broken++
 			if err := c.Call("echo", echoReq{Text: "after"}, &resp); !errors.Is(err, ErrClientBroken) {
@@ -70,6 +71,71 @@ func TestWatchdogRaceNeverPoisons(t *testing.T) {
 	if broken == 0 || healthy == 0 {
 		t.Fatalf("%d healthy, %d broken: the sweep missed one side of the race", healthy, broken)
 	}
+}
+
+// TestReconnectClientBoundsItself: handed a context that never ends, every
+// entry point of a ReconnectClient still returns within OpBudget when its
+// peer is partitioned — whether the partition blackholes a live connection
+// or every redial — and leaves no goroutine behind.
+func TestReconnectClientBoundsItself(t *testing.T) {
+	fn := NewFaultNetwork(NewMemNetwork(), FaultConfig{Seed: 3})
+	startEcho(t, fn, "srv", cryptoutil.MustIdentity("server"))
+	before := runtime.NumGoroutine()
+	cfg := ClientConfig{
+		Network: fn, Addr: "srv", Peer: "srv",
+		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
+		// Every method retryable: the most attempts a call can make.
+		Idempotent:  func(string) bool { return true },
+		Retry:       RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond},
+		Breaker:     BreakerPolicy{Threshold: -1},
+		CallTimeout: 100 * time.Millisecond,
+	}
+	budget := OpBudget(cfg.CallTimeout, cfg.Retry)
+	ctx := context.Background()
+	var resp echoResp
+	calls := []struct {
+		name string
+		call func(*ReconnectClient) error
+	}{
+		{"CallCtx", func(rc *ReconnectClient) error { return rc.CallCtx(ctx, "echo", echoReq{Text: "x"}, &resp) }},
+		{"CallFresh", func(rc *ReconnectClient) error {
+			return rc.CallFresh(ctx, "echo", func(int) (any, error) { return echoReq{Text: "x"}, nil }, &resp)
+		}},
+		{"CallIdem", func(rc *ReconnectClient) error {
+			return rc.CallIdem(ctx, "echo", NewIdemKey(), echoReq{Text: "x"}, &resp)
+		}},
+		{"Connect", func(rc *ReconnectClient) error { return rc.Connect(ctx) }},
+	}
+	for _, c := range calls {
+		for _, live := range []bool{true, false} {
+			if live && c.name == "Connect" {
+				continue // a live connection is all Connect asks for
+			}
+			fn.HealAll()
+			rc := NewReconnectClient(cfg)
+			if live {
+				if err := rc.Connect(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fn.Partition("srv")
+			start := time.Now()
+			err := c.call(rc)
+			elapsed := time.Since(start)
+			rc.Close()
+			if err == nil {
+				t.Fatalf("%s (live connection %v) succeeded across a partition", c.name, live)
+			}
+			if elapsed > budget {
+				t.Fatalf("%s (live connection %v) returned after %v, past OpBudget %v: %v", c.name, live, elapsed, budget, err)
+			}
+		}
+	}
+	if st := fn.Stats(); st.PartitionWaits == 0 {
+		t.Fatal("no operation ever blocked on the partition — fault injection inert")
+	}
+	fn.HealAll()
+	waitGoroutines(t, before)
 }
 
 // TestIdemCacheRingBounded: a full idempotency cache admits each new key by

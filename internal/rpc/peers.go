@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"encoding/json"
 	"sort"
 	"sync"
@@ -23,7 +22,7 @@ type PeerSetConfig struct {
 	Retry   RetryPolicy
 	Breaker BreakerPolicy
 	// CallTimeout bounds each attempt (ClientConfig.CallTimeout); it and
-	// Retry also size the OpCtx budget.
+	// Retry bound every call end to end (OpBudget).
 	CallTimeout time.Duration
 	// Idempotent marks the methods safe to blindly re-issue on every peer.
 	Idempotent func(method string) bool
@@ -38,7 +37,7 @@ type PeerSetConfig struct {
 // registry, one lazily built ReconnectClient per peer, and the counting
 // and evidence recording of their retries and breaker transitions. It
 // hands out *ReconnectClient, so call sites keep the CallCtx / CallFresh /
-// CallIdem surface the noncefresh and ctxdeadline analyzers police.
+// CallIdem surface the noncefresh analyzer polices.
 type PeerSet struct {
 	cfg PeerSetConfig
 
@@ -86,13 +85,6 @@ func (ps *PeerSet) Client(peer string) (*ReconnectClient, bool) {
 	})
 	ps.clients[peer] = rc
 	return rc, true
-}
-
-// OpCtx bounds one exchange end to end (OpBudget): every entity-originated
-// RPC derives its context here, so a wedged peer can degrade an operation
-// but never wedge its caller.
-func (ps *PeerSet) OpCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), OpBudget(ps.cfg.CallTimeout, ps.cfg.Retry))
 }
 
 // Health reports the breaker state of every channel built so far, sorted

@@ -69,10 +69,8 @@ func TestPeerSetDialsLazilyAndRedialsOnReRegister(t *testing.T) {
 	if !ok || len(n.dials) != 0 {
 		t.Fatalf("Register+Client: ok=%v, dials=%v; want a client and no dial", ok, n.dials)
 	}
-	ctx, cancel := ps.OpCtx()
-	defer cancel()
 	var resp echoResp
-	if err := first.CallCtx(ctx, "echo", echoReq{Text: "a"}, &resp); err != nil {
+	if err := first.Call("echo", echoReq{Text: "a"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if again, _ := ps.Client("srv"); again != first {
@@ -84,7 +82,7 @@ func TestPeerSetDialsLazilyAndRedialsOnReRegister(t *testing.T) {
 	if second == first {
 		t.Fatal("re-registering the peer kept the client for the old address")
 	}
-	if err := second.CallCtx(ctx, "echo", echoReq{Text: "b"}, &resp); err != nil {
+	if err := second.Call("echo", echoReq{Text: "b"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"old", "new"}; len(n.dials) != 2 || n.dials[0] != want[0] || n.dials[1] != want[1] {
@@ -122,9 +120,7 @@ func TestPeerSetRecordsRetryAndBreakerOpen(t *testing.T) {
 		BreakerPolicy{Threshold: 1, Cooldown: time.Minute})
 	ps.Register("server-dead", "nowhere")
 	rc, _ := ps.Client("server-dead")
-	ctx, cancel := ps.OpCtx()
-	defer cancel()
-	if err := rc.CallCtx(ctx, "echo", echoReq{}, nil); !errors.Is(err, ErrBreakerOpen) {
+	if err := rc.Call("echo", echoReq{}, nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("call to a dead peer: %v, want the breaker to reject the second attempt", err)
 	}
 	for name, want := range map[string]int64{

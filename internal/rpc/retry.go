@@ -51,18 +51,21 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // defaultCallTimeout is the per-attempt bound a zero CallTimeout means.
 const defaultCallTimeout = 30 * time.Second
 
-// OpBudget bounds one fault-tolerant exchange end to end: every retry
-// attempt at its per-attempt timeout, plus slack for the backoff sleeps
-// between them. Callers derive the context of a whole operation from it,
-// so a wedged peer degrades the operation instead of hanging its caller
-// (the ctxdeadline analyzer checks each call site has such a bound). The
+// OpBudget is the longest one ReconnectClient call can take, whatever
+// context it is handed: at most MaxAttempts attempts, each ended within
+// CallTimeout (the redial's context and the connection's watchdog both
+// enforce it), and at most MaxDelay of backoff between two of them. A
+// wedged or partitioned peer therefore degrades the caller's operation
+// instead of hanging it, and callers need no deadline of their own. The
 // arguments are the ClientConfig's CallTimeout and Retry, defaulted the
 // way NewReconnectClient defaults them.
 func OpBudget(callTimeout time.Duration, retry RetryPolicy) time.Duration {
 	if callTimeout <= 0 {
 		callTimeout = defaultCallTimeout
 	}
-	return time.Duration(retry.withDefaults().MaxAttempts)*callTimeout + 5*time.Second
+	retry = retry.withDefaults()
+	n := time.Duration(retry.MaxAttempts)
+	return n*callTimeout + (n-1)*retry.MaxDelay
 }
 
 // EventKind classifies a fault-tolerance event.
@@ -97,7 +100,7 @@ type ClientConfig struct {
 	Breaker BreakerPolicy
 	// CallTimeout bounds each attempt (dial + handshake + exchange) in real
 	// time: a redial under a context derived for it, the exchange under the
-	// connection's watchdog. Default 30s; negative disables the bound.
+	// connection's watchdog. Default (zero or negative) 30s.
 	CallTimeout time.Duration
 	// Idempotent reports methods safe to blindly re-issue after a transport
 	// failure mid-call. Dial failures are always retried (the request never
@@ -132,7 +135,7 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 		cfg.Peer = cfg.Addr
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
-	if cfg.CallTimeout == 0 {
+	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = defaultCallTimeout
 	}
 	if cfg.Seed == 0 {
@@ -150,9 +153,9 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 // BreakerState returns the current circuit-breaker state.
 func (rc *ReconnectClient) BreakerState() BreakerState { return rc.breaker.State() }
 
-// Connect ensures a live connection, dialing if necessary (bounded by both
-// ctx and CallTimeout). Calls dial lazily, so Connect is only needed when
-// reachability must be probed eagerly.
+// Connect ensures a live connection, dialing if necessary (bounded by
+// CallTimeout, and by ctx when it ends first). Calls dial lazily, so
+// Connect is only needed when reachability must be probed eagerly.
 func (rc *ReconnectClient) Connect(ctx context.Context) error {
 	_, err := rc.conn(ctx, rc.attemptDeadline())
 	return err
@@ -171,16 +174,14 @@ func (rc *ReconnectClient) Close() error {
 	return nil
 }
 
-// Call is CallCtx with a background context (the CallTimeout still bounds
-// each attempt). It exists for tests; production call sites carry a
-// deadline context and are held to that by the ctxdeadline analyzer.
+// Call is CallCtx with a background context.
 func (rc *ReconnectClient) Call(method string, req, resp any) error {
-	//lint:ignore ctxdeadline test-only convenience wrapper; CallTimeout still bounds each attempt
 	return rc.CallCtx(context.Background(), method, req, resp)
 }
 
 // CallCtx sends method(req), retrying across transient transport failures
-// only when the method is registered idempotent.
+// only when the method is registered idempotent. The client bounds the call
+// itself (OpBudget); ctx may end it sooner and may carry the caller's span.
 func (rc *ReconnectClient) CallCtx(ctx context.Context, method string, req, resp any) error {
 	idem := rc.cfg.Idempotent != nil && rc.cfg.Idempotent(method)
 	return rc.do(ctx, method, "", func(int) (any, error) { return req, nil }, resp, idem)
@@ -229,7 +230,7 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 		asp := parent.Child("rpc:" + method)
 		asp.Annotate("peer", rc.cfg.Peer)
 		asp.Annotate("attempt", strconv.Itoa(attempt+1))
-		sent, err := rc.attempt(obs.ContextWith(ctx, asp), method, idemKey, req, resp)
+		sent, err := rc.attempt(ctx, asp.Context(), method, idemKey, req, resp)
 		asp.EndErr(err)
 		if err == nil {
 			rc.breaker.success()
@@ -253,16 +254,17 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 	return lastErr
 }
 
-// attempt runs one try. sent reports whether the request may have reached
-// the peer: dial and broken-connection failures are always safe to retry,
-// failures after send only for retryable calls.
-func (rc *ReconnectClient) attempt(ctx context.Context, method, idemKey string, req, resp any) (sent bool, err error) {
+// attempt runs one try, carrying the attempt's span context sc to the peer.
+// sent reports whether the request may have reached the peer: dial and
+// broken-connection failures are always safe to retry, failures after send
+// only for retryable calls.
+func (rc *ReconnectClient) attempt(ctx context.Context, sc obs.SpanContext, method, idemKey string, req, resp any) (sent bool, err error) {
 	deadline := rc.attemptDeadline()
 	c, err := rc.conn(ctx, deadline)
 	if err != nil {
 		return false, err
 	}
-	err = c.call(ctx, deadline, method, idemKey, req, resp)
+	err = c.call(ctx, sc, deadline, method, idemKey, req, resp)
 	if err == nil {
 		return true, nil
 	}
@@ -279,13 +281,8 @@ func (rc *ReconnectClient) attempt(ctx context.Context, method, idemKey string, 
 	return true, err
 }
 
-// attemptDeadline is when an attempt starting now must have ended, or zero
-// when attempts are unbounded. The caller's context bounds the attempt as
-// well, so retries fit inside its deadline.
+// attemptDeadline is when an attempt starting now must have ended.
 func (rc *ReconnectClient) attemptDeadline() time.Time {
-	if rc.cfg.CallTimeout <= 0 {
-		return time.Time{}
-	}
 	//lint:wallclock CallTimeout bounds real network exchanges; it elapses in real time
 	return time.Now().Add(rc.cfg.CallTimeout)
 }
@@ -303,11 +300,8 @@ func (rc *ReconnectClient) conn(ctx context.Context, deadline time.Time) (*Clien
 		return c, nil
 	}
 	rc.mu.Unlock()
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	c, err := DialContext(ctx, rc.cfg.Network, rc.cfg.Addr, rc.cfg.Secchan)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dialing %s: %w", rc.cfg.Peer, err)

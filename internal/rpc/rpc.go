@@ -12,16 +12,19 @@
 // backoff and per-peer circuit breakers; FaultNetwork (fault.go) injects
 // the failures the rest is built to tolerate.
 //
-// How a call is bounded: each bound interrupts the exchange the same way,
-// by moving the connection's deadline into the past, and nothing else
-// touches connection deadlines. The caller's context does it through the
-// one context.AfterFunc a call registers, when it expires or is cancelled.
-// A ReconnectClient attempt is bounded by CallTimeout through a watchdog
-// timer the connection keeps and re-arms per exchange (Reset/Stop); only
-// the rare redial derives a context, for the dial and handshake. Whenever
-// a bound may have fired, the connection is marked broken, since its
-// interrupt can land after the call returns: the next call redials
-// instead of meeting a deadline in the past.
+// How a call is bounded: a ReconnectClient bounds itself. Each attempt
+// ends within CallTimeout, through a watchdog timer the connection keeps
+// and re-arms per exchange (Reset/Stop); only the rare redial derives a
+// context, for the dial and handshake. With the attempts and backoffs
+// capped as well, no call outlasts OpBudget, and its callers pass a
+// context only to carry a span or to end it sooner. A raw Client is
+// bounded by its caller's context alone, through the one context.AfterFunc
+// a call registers when that context can end at all. Each bound interrupts
+// the exchange the same way, by moving the connection's deadline into the
+// past, and nothing else touches connection deadlines. Whenever a bound
+// may have fired, the connection is marked broken, since its interrupt
+// can land after the call returns: the next call redials instead of
+// meeting a deadline in the past.
 package rpc
 
 import (
@@ -468,7 +471,7 @@ func (c *Client) Call(method string, req, resp any) error {
 // transport poisons the connection — later calls fail fast with
 // ErrClientBroken until the caller redials.
 func (c *Client) CallCtx(ctx context.Context, method string, req, resp any) error {
-	return c.call(ctx, time.Time{}, method, "", req, resp)
+	return c.call(ctx, obs.FromContext(ctx).Context(), time.Time{}, method, "", req, resp)
 }
 
 // CallIdem is CallCtx with an idempotency key: the server executes the
@@ -476,14 +479,15 @@ func (c *Client) CallCtx(ctx context.Context, method string, req, resp any) erro
 // duplicates, making the call safe to retry even when the method is not
 // naturally idempotent.
 func (c *Client) CallIdem(ctx context.Context, method, key string, req, resp any) error {
-	return c.call(ctx, time.Time{}, method, key, req, resp)
+	return c.call(ctx, obs.FromContext(ctx).Context(), time.Time{}, method, key, req, resp)
 }
 
-// call runs one exchange, interrupted when ctx ends or, for a non-zero
-// deadline, when the connection's watchdog fires at it.
-func (c *Client) call(ctx context.Context, deadline time.Time, method, idemKey string, req, resp any) error {
+// call runs one exchange carrying the span context sc, interrupted when ctx
+// ends or, for a non-zero deadline, when the connection's watchdog fires at
+// it.
+func (c *Client) call(ctx context.Context, sc obs.SpanContext, deadline time.Time, method, idemKey string, req, resp any) error {
 	env := requestEnvelope{Method: method, IdemKey: idemKey}
-	if sc := obs.FromContext(ctx).Context(); sc.Traced() {
+	if sc.Traced() {
 		env.Trace, env.Span = sc.Trace, sc.Span
 	}
 	c.mu.Lock()
@@ -496,13 +500,16 @@ func (c *Client) call(ctx context.Context, deadline time.Time, method, idemKey s
 		return err
 	}
 	c.out = out
-	stop := context.AfterFunc(ctx, c.interrupt)
+	var stop func() bool
+	if ctx.Done() != nil { // a context that can never end needs no interrupt
+		stop = context.AfterFunc(ctx, c.interrupt)
+	}
 	if !deadline.IsZero() {
 		//lint:wallclock CallTimeout bounds a real network exchange; it elapses in real time
 		c.arm(time.Until(deadline))
 	}
 	msg, err := c.exchange(method, out)
-	ctxFired := !stop()
+	ctxFired := stop != nil && !stop()
 	if !deadline.IsZero() && !c.watchdog.Stop() || ctxFired {
 		// A bound fired: its interrupt may reach the connection after
 		// this call returns, so no later call may use it.

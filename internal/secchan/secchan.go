@@ -107,6 +107,13 @@ type Conn struct {
 	recvErr  error
 	sendBuf  []byte // reused frame build buffer (header + sealed record)
 	recvBuf  []byte // reused record read buffer; ReadMsg returns views of it
+	// Per-direction scratch the AEAD and the transport are handed slices
+	// of. On the stack they would escape through those interfaces, costing
+	// an allocation per record; one reader and one writer at a time may
+	// share a Conn, so each direction owns its own.
+	sendNonce [12]byte
+	recvNonce [12]byte
+	recvHdr   [4]byte
 }
 
 func newConn(raw net.Conn, peer string, peerKey ed25519.PublicKey, sendKey, recvKey []byte, resumed bool) (*Conn, error) {
@@ -547,11 +554,10 @@ func (c *Conn) WriteMsg(payload []byte) error {
 	if len(payload)+c.sendAEAD.Overhead() > maxFrame {
 		return fmt.Errorf("secchan: frame of %d bytes exceeds limit", len(payload))
 	}
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], c.sendSeq)
+	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
 	c.sendSeq++
 	b := append(c.sendBuf[:0], 0, 0, 0, 0)
-	b = c.sendAEAD.Seal(b, nonce[:], payload, nil)
+	b = c.sendAEAD.Seal(b, c.sendNonce[:], payload, nil)
 	c.sendBuf = b[:0] // keep the (possibly grown) buffer for reuse
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	_, err := c.raw.Write(b)
@@ -566,11 +572,10 @@ func (c *Conn) ReadMsg() ([]byte, error) {
 	if c.recvErr != nil {
 		return nil, c.recvErr
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.raw, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.raw, c.recvHdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.recvHdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("secchan: oversized frame (%d bytes)", n)
 	}
@@ -585,10 +590,9 @@ func (c *Conn) ReadMsg() ([]byte, error) {
 		c.recvErr = ErrSequenceExhausted
 		return nil, c.recvErr
 	}
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], c.recvSeq)
+	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvSeq)
 	c.recvSeq++
-	plain, err := c.recvAEAD.Open(sealed[:0], nonce[:], sealed, nil)
+	plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("secchan: record authentication failed (tampering or replay): %w", err)
 	}

@@ -312,6 +312,36 @@ func TestUnpackFieldsErrors(t *testing.T) {
 	}
 }
 
+// TestRecordRoundTripAllocFree: once the record buffers have grown, a
+// WriteMsg/ReadMsg round trip through an echoing peer allocates nothing —
+// the header, both nonces and both records live in the Conn.
+func TestRecordRoundTripAllocFree(t *testing.T) {
+	ci, si := cryptoutil.MustIdentity("a"), cryptoutil.MustIdentity("b")
+	c, s := pair(t, ci, si, registry(ci, si))
+	defer c.Close()
+	go func() {
+		for {
+			msg, err := s.ReadMsg()
+			if err != nil || s.WriteMsg(msg) != nil {
+				return
+			}
+		}
+	}()
+	payload := make([]byte, 512)
+	roundTrip := func() {
+		if err := c.WriteMsg(payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadMsg(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // grows the record buffers
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Fatalf("a record round trip allocates %.1f times, want 0", n)
+	}
+}
+
 func BenchmarkSecureChannelRoundTrip(b *testing.B) {
 	ci, si := cryptoutil.MustIdentity("a"), cryptoutil.MustIdentity("b")
 	verify := registry(ci, si)
