@@ -61,6 +61,11 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
+	// firstReports closes when a dispatch first returns reports. Until then
+	// no stream is exported, so those reports count as produced: the churn
+	// cannot finish before either engine has run.
+	firstReports := make(chan struct{})
+	var once sync.Once
 	var wg sync.WaitGroup
 	for _, e := range engines {
 		wg.Add(1)
@@ -71,7 +76,9 @@ func TestShardChurnHandoffRace(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					e.runDue()
+					if len(e.runDue()) > 0 {
+						once.Do(func() { close(firstReports) })
+					}
 				}
 			}
 		}(e)
@@ -81,6 +88,9 @@ func TestShardChurnHandoffRace(t *testing.T) {
 	// generation, and hand off every stream the new generation reassigns.
 	for round := 0; round < rounds; round++ {
 		clock.Add(int64(freq))
+		if round == 0 {
+			<-firstReports
+		}
 		gen.Add(1)
 		for name, e := range engines {
 			exported := e.exportWhere(func(vid string) bool { return ownerOf(vid) != name })

@@ -3,6 +3,8 @@ package binenc
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -111,4 +113,81 @@ func TestFixed(t *testing.T) {
 	if r.Err() == nil {
 		t.Fatal("short Fixed read not rejected")
 	}
+}
+
+// decodeString reads one String field from b.
+func decodeString(t testing.TB, b []byte) string {
+	r := NewReader(b)
+	s := r.String()
+	if err := r.Done(); err != nil {
+		t.Fatalf("decode %q: %v", b, err)
+	}
+	return s
+}
+
+func TestStringRecurringFieldAllocFree(t *testing.T) {
+	b := AppendString(nil, "vm-0001")
+	decodeString(t, b)
+	if n := testing.AllocsPerRun(100, func() { decodeString(t, b) }); n != 0 {
+		t.Fatalf("a recurring field allocates %v times per decode, want 0", n)
+	}
+}
+
+func TestStringLongFieldAllocates(t *testing.T) {
+	b := AppendString(nil, string(bytes.Repeat([]byte{'x'}, internMaxLen+1)))
+	decodeString(t, b)
+	if n := testing.AllocsPerRun(100, func() { decodeString(t, b) }); n != 1 {
+		t.Fatalf("a %d-byte field allocates %v times per decode, want 1 (it bypasses the table)", internMaxLen+1, n)
+	}
+}
+
+func TestStringEqualsItsBytes(t *testing.T) {
+	// Every length up to past the table's bound, each decoded twice: a
+	// miss and then a hit, or two copies past the bound.
+	for n := 1; n <= internMaxLen+2; n++ {
+		for _, c := range []byte{'a', 'b', 0, 0xff} {
+			want := string(bytes.Repeat([]byte{c}, n))
+			b := AppendString(nil, want)
+			for i := 0; i < 2; i++ {
+				if got := decodeString(t, b); got != want {
+					t.Fatalf("decoded %q, want %q", got, want)
+				}
+			}
+		}
+	}
+}
+
+// collidingValues returns n distinct short values that share one slot.
+func collidingValues(n int) []string {
+	var out []string
+	slot := internSlot([]byte("v0"))
+	for i := 0; len(out) < n; i++ {
+		v := fmt.Sprintf("v%d", i)
+		if internSlot([]byte(v)) == slot {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestStringTableConcurrent decodes values that evict each other from one
+// slot on several goroutines; run with -race.
+func TestStringTableConcurrent(t *testing.T) {
+	vals := collidingValues(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				want := vals[(g+i)%len(vals)]
+				r := NewReader(AppendString(nil, want))
+				if got := r.String(); got != want {
+					t.Errorf("decoded %q, want %q", got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

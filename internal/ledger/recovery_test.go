@@ -8,9 +8,13 @@ import (
 	"time"
 )
 
-// fillLedger writes n entries to a fresh on-disk ledger and returns the
-// directory and the committed entries.
-func fillLedger(t *testing.T, n int, segBytes int64) (string, []Entry) {
+// entryKinds is every kind of entry the stack records.
+var entryKinds = []Kind{KindAppraisal, KindRemediation, KindLaunch, KindCertIssue, KindDegraded, KindRPCFault, KindIntent}
+
+// fillLedger writes n entries, cycling through every entry kind, to a fresh
+// on-disk ledger and returns the directory and the committed entries. The
+// entries depend only on n.
+func fillLedger(t testing.TB, n int, segBytes int64) (string, []Entry) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l, err := Open(Options{Dir: dir, MaxSegmentBytes: segBytes})
@@ -19,11 +23,16 @@ func fillLedger(t *testing.T, n int, segBytes int64) (string, []Entry) {
 	}
 	entries := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
+		var trace string
+		if i%2 == 0 {
+			trace = fmt.Sprintf("%016x", i)
+		}
 		e, err := l.Append(Entry{
 			At:      time.Duration(i) * time.Millisecond,
-			Kind:    KindAppraisal,
+			Kind:    entryKinds[i%len(entryKinds)],
 			Vid:     fmt.Sprintf("vm-%04d", i),
 			Prop:    "runtime-integrity",
+			Trace:   trace,
 			Payload: []byte(fmt.Sprintf(`{"seq":%d}`, i)),
 		})
 		if err != nil {

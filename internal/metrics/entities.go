@@ -13,4 +13,5 @@ var KnownEntities = map[string]bool{
 	"ledger":     true, // append-only attestation ledger
 	"controller": true, // cloud controller operations
 	"reconcile":  true, // reconciliation loop
+	"obs":        true, // telemetry accounting for itself (the span store)
 }

@@ -52,7 +52,9 @@ const defaultTraceLimit = 50
 
 // AdminMux builds the operator HTTP handler:
 //
-//	GET /metrics        Prometheus text exposition of every registry
+//	GET /metrics        Prometheus text exposition of every registry, and
+//	                    the span store's obs_spans_total and
+//	                    obs_spans_dropped_total
 //	GET /healthz        JSON per-entity liveness + breaker states; 503 if
 //	                    any entity reports not-alive
 //	GET /traces         recent completed traces as JSON, newest first;
@@ -65,6 +67,9 @@ func AdminMux(cfg AdminConfig) *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WritePrometheus(w, cfg.Registries)
+		if cfg.Store != nil {
+			writeStoreCounters(w, cfg.Store)
+		}
 	})
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -23,7 +23,12 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		reg.Summary("appraise/vm-integrity").Observe(time.Duration(i) * time.Millisecond)
 	}
-	cfg := AdminConfig{Registries: map[string]*metrics.Registry{"controller": reg}}
+	st := NewStore(4)
+	tr := NewTracer(st, "controller", (&fakeClock{}).Now)
+	for i := 0; i < 6; i++ {
+		tr.Start(SpanContext{}, "w").End("")
+	}
+	cfg := AdminConfig{Registries: map[string]*metrics.Registry{"controller": reg}, Store: st}
 
 	rec := adminGet(t, cfg, "/metrics")
 	if rec.Code != 200 {
@@ -39,6 +44,8 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		`controller_appraise_vm_integrity_seconds{quantile="0.95"}`,
 		"controller_appraise_vm_integrity_seconds_count 100",
 		"# TYPE controller_appraise_vm_integrity_seconds summary",
+		"# TYPE obs_spans_total counter\nobs_spans_total 6\n",
+		"# TYPE obs_spans_dropped_total counter\nobs_spans_dropped_total 2\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)

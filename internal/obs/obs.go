@@ -20,8 +20,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -40,8 +40,11 @@ func (sc SpanContext) Traced() bool { return sc.Trace != "" }
 // nonce N1): deterministic under the seeded nonce machinery, unique per
 // request, and wall-clock free.
 func MintTrace(seed []byte) string {
-	sum := sha256.Sum256(append([]byte("monatt-trace\x00"), seed...))
-	return hex.EncodeToString(sum[:8])
+	var in [64]byte
+	sum := sha256.Sum256(append(append(in[:0], "monatt-trace\x00"...), seed...))
+	var out [16]byte
+	hex.Encode(out[:], sum[:8])
+	return string(out[:])
 }
 
 // Annotation is one key=value note on a span (retry attempts, breaker
@@ -77,8 +80,14 @@ type Tracer struct {
 	store  *Store
 	entity string
 	now    func() time.Duration
-	seq    atomic.Uint64
+
+	mu  sync.Mutex
+	seq uint64 // the last span number handed out
+	ids string // the rendered IDs after seq, up to the end of their block
 }
+
+// idBlock is how many span IDs a Tracer renders into one string at a time.
+const idBlock = 32
 
 // NewTracer creates a tracer recording into store under the entity name.
 // It returns nil when store is nil (tracing disabled).
@@ -106,11 +115,10 @@ func (t *Tracer) Start(parent SpanContext, name string) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	var id [64]byte
 	sp := &ActiveSpan{tracer: t}
 	sp.span = Span{
 		Trace:  parent.Trace,
-		ID:     string(strconv.AppendUint(append(append(id[:0], t.entity...), '#'), t.seq.Add(1), 10)),
+		ID:     t.nextID(),
 		Parent: parent.Span,
 		Entity: t.entity,
 		Name:   name,
@@ -121,6 +129,29 @@ func (t *Tracer) Start(parent SpanContext, name string) *ActiveSpan {
 		sp.span.Parent = ""
 	}
 	return sp
+}
+
+// nextID returns the next span ID, "<entity>#<seq>". IDs are rendered
+// idBlock at a time into one string, and each is a substring of it.
+func (t *Tracer) nextID() string {
+	var num [20]byte
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seq++
+	if t.ids == "" {
+		var b strings.Builder
+		b.Grow(idBlock * (len(t.entity) + 1 + len(strconv.AppendUint(num[:0], t.seq+idBlock-1, 10))))
+		for s := t.seq; s < t.seq+idBlock; s++ {
+			b.WriteString(t.entity)
+			b.WriteByte('#')
+			b.Write(strconv.AppendUint(num[:0], s, 10))
+		}
+		t.ids = b.String()
+	}
+	n := len(t.entity) + 1 + len(strconv.AppendUint(num[:0], t.seq, 10))
+	id := t.ids[:n]
+	t.ids = t.ids[n:]
+	return id
 }
 
 // ActiveSpan is an open span. It is safe for concurrent annotation; End
@@ -156,6 +187,9 @@ func (s *ActiveSpan) Annotate(key, value string) {
 		return
 	}
 	s.mu.Lock()
+	if s.span.Notes == nil {
+		s.span.Notes = make([]Annotation, 0, 2) // spans carry one or two notes
+	}
 	s.span.Notes = append(s.span.Notes, Annotation{Key: key, Value: value})
 	s.mu.Unlock()
 }

@@ -247,3 +247,36 @@ func TestStoreConcurrency(t *testing.T) {
 		t.Fatalf("Total = %d, want %d", st.Total(), 4*200*2)
 	}
 }
+
+func TestSpanIDsAcrossBlocks(t *testing.T) {
+	clock := &fakeClock{}
+	tr := NewTracer(NewStore(16), "e", clock.Now)
+	for i := 1; i <= 70; i++ { // crosses two idBlock boundaries
+		if got, want := tr.Start(SpanContext{}, "w").Context().Span, fmt.Sprintf("e#%d", i); got != want {
+			t.Fatalf("span %d has ID %q, want %q", i, got, want)
+		}
+	}
+}
+
+func TestStartAllocsOne(t *testing.T) {
+	clock := &fakeClock{}
+	tr := NewTracer(NewStore(16), "controller", clock.Now)
+	parent := SpanContext{Trace: "t1", Span: "p"}
+	if n := testing.AllocsPerRun(10*idBlock, func() { tr.Start(parent, "w") }); n != 1 {
+		t.Fatalf("Start allocates %v times amortized, want 1 (the span)", n)
+	}
+}
+
+func TestTwoAnnotationsAllocOnce(t *testing.T) {
+	clock := &fakeClock{}
+	tr := NewTracer(NewStore(16), "controller", clock.Now)
+	parent := SpanContext{Trace: "t1", Span: "p"}
+	n := testing.AllocsPerRun(10*idBlock, func() {
+		sp := tr.Start(parent, "w")
+		sp.Annotate("peer", "cloud-server-1")
+		sp.Annotate("attempt", "1")
+	})
+	if n != 2 {
+		t.Fatalf("a span with two notes allocates %v times, want 2 (the span and its notes)", n)
+	}
+}

@@ -73,3 +73,10 @@ func WritePrometheus(w io.Writer, regs map[string]*metrics.Registry) {
 		}
 	}
 }
+
+// writeStoreCounters renders the span store's accounting of itself: how
+// many spans were recorded, and how many the bound evicted.
+func writeStoreCounters(w io.Writer, st *Store) {
+	fmt.Fprintf(w, "# TYPE obs_spans_total counter\nobs_spans_total %d\n", st.Total())
+	fmt.Fprintf(w, "# TYPE obs_spans_dropped_total counter\nobs_spans_dropped_total %d\n", st.Dropped())
+}
