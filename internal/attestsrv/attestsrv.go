@@ -586,17 +586,24 @@ func (s *Server) ExportNotOwned() ShardState {
 // ImportShardState installs handed-off VM state. VM records overwrite (they
 // are immutable launch references, so last-write is identical); task
 // imports are idempotent — a (vid, prop) stream already armed here is left
-// untouched, so a retried handoff cannot double-arm. Returns how many
-// tasks were newly armed.
+// untouched, so a retried handoff cannot double-arm. A task for a VM this
+// shard then holds no record of is not armed: every tick of it could only
+// fail. Returns how many tasks were newly armed.
 func (s *Server) ImportShardState(st ShardState) int {
 	s.mu.Lock()
 	for i := range st.VMs {
 		cp := st.VMs[i]
 		s.vms[cp.Vid] = &cp
 	}
+	var tasks []PeriodicTaskState
+	for _, t := range st.Tasks {
+		if _, held := s.vms[t.Vid]; held {
+			tasks = append(tasks, t)
+		}
+	}
 	s.mu.Unlock()
 	armed := 0
-	for _, t := range st.Tasks {
+	for _, t := range tasks {
 		if s.periodic.importTask(t) {
 			armed++
 		}

@@ -65,13 +65,11 @@ func runConstTime(pass *Pass) {
 					pass.Reportf(n.Pos(), "%s compared with %s leaks a timing side channel; use crypto/subtle.ConstantTimeCompare", name, n.Op)
 				}
 			case *ast.CallExpr:
-				pkg, fn := calleeOf(pass.Info, n)
-				isEq := pkg == "bytes" && fn == "Equal"
-				isDeep := pkg == "reflect" && fn == "DeepEqual"
-				if (isEq || isDeep) && len(n.Args) == 2 {
+				_, key := callee(pass.Info, n)
+				if (key == "bytes.Equal" || key == "reflect.DeepEqual") && len(n.Args) == 2 {
 					for _, arg := range n.Args {
 						if name, ok := sensitiveOperand(pass.Info, arg); ok {
-							pass.Reportf(n.Pos(), "%s compared with %s.%s leaks a timing side channel; use crypto/subtle.ConstantTimeCompare", name, pkg, fn)
+							pass.Reportf(n.Pos(), "%s compared with %s leaks a timing side channel; use crypto/subtle.ConstantTimeCompare", name, key)
 							break
 						}
 					}

@@ -11,7 +11,8 @@ import (
 // diagnostic matching the regex; every other line must be clean. Fixture
 // packages live under testdata/src (invisible to the go tool) and are
 // type-checked against the real module packages they import, under a
-// synthetic import path chosen to put them in the analyzer's scope.
+// synthetic import path (a loader alias) chosen to put them in the
+// analyzer's scope.
 func TestAnalyzerFixtures(t *testing.T) {
 	cases := []struct {
 		dir      string
@@ -19,8 +20,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		analyzer *Analyzer
 		// deps maps synthetic import paths to fixture dirs the main package
 		// imports — the cross-package-fact cases. They are registered as
-		// loader aliases, and the facts phase covers them via the Loader
-		// option, so facts exported in a dep are importable in the fixture.
+		// loader aliases, and the facts phase covers every package the
+		// loader holds, so facts exported in a dep are visible in the fixture.
 		deps map[string]string
 	}{
 		{"vclockonly", "cloudmonatt/internal/vclockonlyfix", VClockOnly, nil},
@@ -28,8 +29,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		// consttime's math/rand rule only applies inside key-handling
 		// packages; the synthetic path plants the fixture there.
 		{"consttime", "cloudmonatt/internal/cryptoutil/consttimefix", ConstTime, nil},
-		{"ctxdeadline", "cloudmonatt/internal/ctxdeadlinefix", CtxDeadline, nil},
-		{"spanend", "cloudmonatt/internal/spanendfix", SpanEnd, nil},
 		{"metricsname", "cloudmonatt/internal/metricsnamefix", MetricsName, nil},
 		{"secretflow", "cloudmonatt/internal/secretflowfix", SecretFlow,
 			map[string]string{"cloudmonatt/internal/secretflowdep": "secretflowdep"}},
@@ -44,10 +43,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loader.alias = make(map[string]string)
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			for path, dir := range tc.deps {
-				loader.Alias(path, filepath.Join("testdata", "src", dir))
+				loader.alias[path] = filepath.Join("testdata", "src", dir)
 			}
 			runFixture(t, loader, tc.dir, tc.asPath, tc.analyzer)
 		})
@@ -59,10 +59,12 @@ var wantPattern = regexp.MustCompile("want `([^`]+)`")
 
 func runFixture(t *testing.T, loader *Loader, dir, asPath string, analyzer *Analyzer) {
 	t.Helper()
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", dir), asPath)
+	loader.alias[asPath] = filepath.Join("testdata", "src", dir)
+	pkgs, err := loader.Load(asPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	pkg := pkgs[0]
 
 	type lineKey struct {
 		file string
@@ -86,10 +88,10 @@ func runFixture(t *testing.T, loader *Loader, dir, asPath string, analyzer *Anal
 		}
 	}
 
-	// The full Analyze driver (rather than single-package Run) computes
-	// facts over every package the loader has cached — in particular the
-	// aliased dep packages — in dependency order before diagnosing.
-	ds := Analyze([]*Package{pkg}, []*Analyzer{analyzer}, AnalyzeOptions{Loader: loader})
+	// Analyze computes facts over every package the loader has cached — in
+	// particular the aliased dep packages — in dependency order before
+	// diagnosing.
+	ds := Analyze(loader, pkgs, []*Analyzer{analyzer})
 	matched := make(map[lineKey]bool)
 	for _, d := range ds {
 		pos := pkg.Fset.Position(d.Pos)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // IntentBracket enforces the two-phase intent contract of DESIGN.md §13:
@@ -25,7 +26,7 @@ import (
 // inside it strands the fleet in a state replay cannot reconstruct.
 // Functions with an intent-custody parameter (a string parameter whose
 // name contains "intent") inherit an open intent from their caller and
-// export a "needsIntent" fact instead.
+// pass that demand on as their "effect" fact instead.
 var IntentBracket = &Analyzer{
 	Name: "intentbracket",
 	Doc: "side-effecting VM operations (launch/terminate/migrate/suspend/resume) must " +
@@ -33,18 +34,6 @@ var IntentBracket = &Analyzer{
 		"a state/end entry after transitions; unbracketed exported performers are findings",
 	Run:   runIntentBracket,
 	Facts: intentBracketFacts,
-}
-
-// effectFact marks a function that performs a raw fleet side effect
-// without bracketing it, passing the obligation to callers.
-type effectFact struct {
-	Op string `json:"op"` // the wire method, e.g. "terminate"
-}
-
-// needsIntentFact marks a function that takes custody of an open intent
-// via parameter: callers must have begun one.
-type needsIntentFact struct {
-	Param string `json:"param"`
 }
 
 // funcEffects summarizes one function body for the bracket rule.
@@ -62,16 +51,6 @@ type intentTouch struct {
 	begin bool
 }
 
-func (fx funcEffects) beginTouches() []token.Pos {
-	var out []token.Pos
-	for _, t := range fx.intents {
-		if t.begin {
-			out = append(out, t.pos)
-		}
-	}
-	return out
-}
-
 type effectSite struct {
 	pos  token.Pos
 	op   string
@@ -85,14 +64,11 @@ func collectEffects(pass *Pass, fd *ast.FuncDecl) funcEffects {
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
-				if containsFold(name.Name, "intent") && isStringType(pass.Info, name) {
+				if strings.Contains(strings.ToLower(name.Name), "intent") && isStringType(pass.Info, name) {
 					fx.custodyParam = name.Name
 				}
 			}
 		}
-	}
-	if fd.Body == nil {
-		return fx
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -101,8 +77,9 @@ func collectEffects(pass *Pass, fd *ast.FuncDecl) funcEffects {
 		}
 		// Intent-ledger touches: the intent helper family, or any call
 		// passing ledger.KindIntent (MigrateVM appends records directly).
-		if _, name := splitCallee(pass.Info, call); intentCallNames[name] {
-			fx.intents = append(fx.intents, intentTouch{pos: call.Pos(), begin: name == "intentBegin"})
+		f, _ := callee(pass.Info, call)
+		if f != nil && intentCallNames[f.Name()] {
+			fx.intents = append(fx.intents, intentTouch{pos: call.Pos(), begin: f.Name() == "intentBegin"})
 			return true
 		}
 		for _, arg := range call.Args {
@@ -113,7 +90,7 @@ func collectEffects(pass *Pass, fd *ast.FuncDecl) funcEffects {
 		}
 		// Direct effect RPCs: a Call* on an rpc client whose method
 		// argument folds to an effect method.
-		if recv, _ := methodOf(pass.Info, call); rpcClientTypes[recv] {
+		if _, ok := rpcCall(pass.Info, call); ok {
 			for _, arg := range call.Args {
 				if m, ok := constString(pass.Info, arg); ok {
 					if kind, isEffect := effectMethods[m]; isEffect {
@@ -125,18 +102,10 @@ func collectEffects(pass *Pass, fd *ast.FuncDecl) funcEffects {
 			return true
 		}
 		// Effects via facts: calling a function another pass marked as a
-		// raw performer.
-		if obj := calleeObject(pass.Info, call); obj != nil {
-			var ef effectFact
-			if pass.ImportFact(obj, "effect", &ef) {
-				kind := effectMethods[ef.Op]
-				fx.effects = append(fx.effects, effectSite{pos: call.Pos(), op: ef.Op, kind: kind, via: obj.Name()})
-			}
-			var nf needsIntentFact
-			if pass.ImportFact(obj, "needsIntent", &nf) {
-				// Calling a custody-taking helper is itself an effect that
-				// demands an open intent here.
-				fx.effects = append(fx.effects, effectSite{pos: call.Pos(), op: "remediate", kind: effectBegin, via: obj.Name()})
+		// raw performer, or a custody-taking helper.
+		if f != nil {
+			if op, ok := pass.Fact(f, "effect"); ok {
+				fx.effects = append(fx.effects, effectSite{pos: call.Pos(), op: op, kind: effectMethods[op], via: f.Name()})
 			}
 		}
 		return true
@@ -144,127 +113,74 @@ func collectEffects(pass *Pass, fd *ast.FuncDecl) funcEffects {
 	return fx
 }
 
-// intentBracketFacts exports effect/needsIntent facts for unbracketed
-// performers, so the diagnostic pass sees through helper layers.
+// intentBracketFacts exports an "effect" fact (the op its callers must
+// bracket) for unbracketed performers, so the diagnostic pass sees through
+// helper layers. A helper with an intent-custody parameter demands an open
+// begin intent of its callers whatever it does, recorded as "remediate"
+// (a begin-phase op: it has no effectMethods row); otherwise only an
+// unexported performer passes its first effect on.
 func intentBracketFacts(pass *Pass) {
-	// Iterate to a fixed point within the package: helpers calling helpers
-	// settle in as many rounds as the call chain is deep.
-	for i := 0; i < 5; i++ {
-		changed := false
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj := pass.Info.ObjectOf(fd.Name)
-				if obj == nil {
-					continue
-				}
-				fx := collectEffects(pass, fd)
-				if len(fx.effects) == 0 || len(fx.intents) > 0 {
-					continue // no effects, or self-bracketed
-				}
-				if fx.custodyParam != "" {
-					var prev needsIntentFact
-					if !pass.ImportFact(obj, "needsIntent", &prev) {
-						pass.ExportFact(obj, "needsIntent", needsIntentFact{Param: fx.custodyParam})
-						changed = true
-					}
-					continue
-				}
-				if !fd.Name.IsExported() {
-					var prev effectFact
-					if !pass.ImportFact(obj, "effect", &prev) {
-						pass.ExportFact(obj, "effect", effectFact{Op: fx.effects[0].op})
-						changed = true
-					}
-				}
-			}
+	exportToFixedPoint(pass, "effect", func(fd *ast.FuncDecl) (string, bool) {
+		fx := collectEffects(pass, fd)
+		switch {
+		case len(fx.effects) == 0 || len(fx.intents) > 0:
+			return "", false // no effects, or self-bracketed
+		case fx.custodyParam != "":
+			return "remediate", true
+		default:
+			return fx.effects[0].op, !fd.Name.IsExported()
 		}
-		if !changed {
-			break
-		}
-	}
+	})
 }
 
 // runIntentBracket reports the violations.
 func runIntentBracket(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fx := collectEffects(pass, fd)
-			if len(fx.effects) == 0 {
-				continue
-			}
-			if len(fx.intents) == 0 {
-				// Unexported performers without custody export facts; the
-				// obligation lands on their callers. Exported ones are the
-				// API surface — a crash here is unrecoverable by replay.
-				if fd.Name.IsExported() && fx.custodyParam == "" {
-					e := fx.effects[0]
-					how := "performs"
-					if e.via != "" {
-						how = "performs (via " + e.via + ")"
-					}
-					pass.Reportf(fd.Name.Pos(),
-						"%s %s a %q side effect but appends no KindIntent ledger entry; "+
-							"a controller crash here is invisible to replay (DESIGN.md §13 two-phase intent contract)",
-						fd.Name.Name, how, e.op)
+	eachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
+		fx := collectEffects(pass, fd)
+		if len(fx.effects) == 0 {
+			return
+		}
+		if len(fx.intents) == 0 {
+			// Unexported performers and custody takers export facts; the
+			// obligation lands on their callers. Exported ones are the
+			// API surface — a crash here is unrecoverable by replay.
+			if fd.Name.IsExported() && fx.custodyParam == "" {
+				e := fx.effects[0]
+				how := "performs"
+				if e.via != "" {
+					how = "performs (via " + e.via + ")"
 				}
-				continue
+				pass.Reportf(fd.Name.Pos(),
+					"%s %s a %q side effect but appends no KindIntent ledger entry; "+
+						"a controller crash here is invisible to replay (DESIGN.md §13 two-phase intent contract)",
+					fd.Name.Name, how, e.op)
 			}
-			// Self-bracketed: check ordering for begin-phase effects. The
-			// rule binds only functions that append their own begin entry —
-			// phase-2 executors (finalizeTeardown, MigrateVM's convergent
-			// steps, crash recovery) close intents that were made durable
-			// by an earlier pass, so end-only touches after the effect are
-			// the contract working, not a violation.
-			begins := fx.beginTouches()
-			if len(begins) == 0 {
-				continue
-			}
-			for _, e := range fx.effects {
-				if e.kind != effectBegin {
-					continue
-				}
-				anyBefore := false
-				for _, ip := range begins {
-					if ip < e.pos {
-						anyBefore = true
-						break
-					}
-				}
-				if !anyBefore {
-					pass.Reportf(e.pos,
-						"begin-phase effect %q happens before its begin intent is appended; "+
-							"append the intent first (the crash window is between deciding and doing)", e.op)
-				}
+			return
+		}
+		// Self-bracketed: check ordering for begin-phase effects. The rule
+		// binds only functions that append their own begin entry — phase-2
+		// executors (finalizeTeardown, MigrateVM's convergent steps, crash
+		// recovery) close intents that were made durable by an earlier
+		// pass, so end-only touches after the effect are the contract
+		// working, not a violation.
+		firstBegin := token.NoPos // intents are in source order
+		for _, t := range fx.intents {
+			if t.begin {
+				firstBegin = t.pos
+				break
 			}
 		}
-	}
-}
-
-// splitCallee returns (pkgPath-or-recv, bare name) for plain and method calls.
-func splitCallee(info *types.Info, call *ast.CallExpr) (string, string) {
-	if pkg, name := calleeOf(info, call); pkg != "" {
-		return pkg, name
-	}
-	if recv, method := methodOf(info, call); recv != "" {
-		return recv, method
-	}
-	// Unresolved selector (e.g. method on a local interface): fall back to
-	// the syntactic name so intentCallNames still matches helpers.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return "", sel.Sel.Name
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		return "", id.Name
-	}
-	return "", ""
+		if firstBegin == token.NoPos {
+			return
+		}
+		for _, e := range fx.effects {
+			if e.kind == effectBegin && e.pos < firstBegin {
+				pass.Reportf(e.pos,
+					"begin-phase effect %q happens before its begin intent is appended; "+
+						"append the intent first (the crash window is between deciding and doing)", e.op)
+			}
+		}
+	})
 }
 
 // recordsBeginPhase reports whether a direct KindIntent record call
@@ -314,30 +230,4 @@ func isStringType(info *types.Info, id *ast.Ident) bool {
 	}
 	basic, ok := obj.Type().Underlying().(*types.Basic)
 	return ok && basic.Kind() == types.String
-}
-
-func containsFold(s, sub string) bool {
-	return len(s) >= len(sub) && indexFold(s, sub) >= 0
-}
-
-func indexFold(s, sub string) int {
-	lower := func(b byte) byte {
-		if 'A' <= b && b <= 'Z' {
-			return b + 'a' - 'A'
-		}
-		return b
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		ok := true
-		for j := 0; j < len(sub); j++ {
-			if lower(s[i+j]) != lower(sub[j]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
-	}
-	return -1
 }

@@ -36,10 +36,12 @@ type Loader struct {
 	ModRoot string
 	ModPath string
 
-	std   types.Importer // stdlib, type-checked from GOROOT source
-	cache map[string]*Package
-	busy  map[string]bool   // cycle detection
-	alias map[string]string // synthetic import path → dir (fixtures)
+	std     types.Importer // stdlib, type-checked from GOROOT source
+	cache   map[string]*Package
+	loaded  []*Package        // the cache in load order: every package after its imports
+	busy    map[string]bool   // cycle detection
+	alias   map[string]string // synthetic import path → dir (fixtures)
+	overlay map[string]string // source file path → contents read instead of the file
 }
 
 // NewLoader creates a loader for the module containing dir.
@@ -121,7 +123,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 func (l *Loader) expand(pattern string) ([]string, error) {
 	pattern = filepath.ToSlash(pattern)
 	switch {
-	case pattern == "./...." || pattern == "./...", pattern == "...":
+	case pattern == "./..." || pattern == "...":
 		return l.walk(l.ModRoot)
 	case strings.HasSuffix(pattern, "/..."):
 		base := strings.TrimSuffix(pattern, "/...")
@@ -216,44 +218,8 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 		return nil, err
 	}
 	l.cache[path] = pkg
+	l.loaded = append(l.loaded, pkg)
 	return pkg, nil
-}
-
-// LoadDir type-checks the sources in dir as a package with the given
-// synthetic import path. Used by the fixture harness: fixtures live under
-// testdata (invisible to the go tool) but are checked against the real
-// module packages they import.
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	pkg, err := l.check(dir, asPath)
-	if err != nil {
-		return nil, err
-	}
-	l.cache[asPath] = pkg
-	return pkg, nil
-}
-
-// Alias maps a synthetic import path to a source directory, letting one
-// fixture package import another (the cross-package-fact test cases).
-func (l *Loader) Alias(importPath, dir string) {
-	if l.alias == nil {
-		l.alias = make(map[string]string)
-	}
-	l.alias[importPath] = dir
-}
-
-// Cached returns every package this loader has loaded so far, including
-// dependencies pulled in during type-checking. Order is deterministic.
-func (l *Loader) Cached() []*Package {
-	paths := make([]string, 0, len(l.cache))
-	for p := range l.cache {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		out = append(out, l.cache[p])
-	}
-	return out
 }
 
 func (l *Loader) check(dir, path string) (*Package, error) {
@@ -266,7 +232,11 @@ func (l *Loader) check(dir, path string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, src := range srcs {
-		f, err := parser.ParseFile(l.Fset, src, nil, parser.ParseComments|parser.SkipObjectResolution)
+		var text any
+		if t, ok := l.overlay[src]; ok {
+			text = t
+		}
+		f, err := parser.ParseFile(l.Fset, src, text, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"strings"
 )
 
 // LockOrder enforces two lock-discipline rules that the paper's
@@ -35,11 +37,6 @@ var LockOrder = &Analyzer{
 	Facts: lockOrderFacts,
 }
 
-// blocksFact marks a function that can park its caller indefinitely.
-type blocksFact struct {
-	Why string `json:"why"` // e.g. "rpc call", "channel send"
-}
-
 // --- facts: the transitive blocking footprint ---
 
 func lockOrderFacts(pass *Pass) {
@@ -58,7 +55,7 @@ func lockOrderFacts(pass *Pass) {
 				if hasMarker(m.Doc, blockingMarker) || hasMarker(m.Comment, blockingMarker) {
 					for _, name := range m.Names {
 						if obj := pass.Info.ObjectOf(name); obj != nil {
-							pass.ExportFact(obj, "blocks", blocksFact{Why: "contractually blocking (" + name.Name + ")"})
+							pass.ExportFact(obj, "blocks", "contractually blocking ("+name.Name+")")
 						}
 					}
 				}
@@ -68,32 +65,10 @@ func lockOrderFacts(pass *Pass) {
 	}
 	// Function footprints, to a same-package fixed point so helper chains
 	// settle regardless of declaration order.
-	for i := 0; i < 10; i++ {
-		changed := false
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj := pass.Info.ObjectOf(fd.Name)
-				if obj == nil {
-					continue
-				}
-				var prev blocksFact
-				if pass.ImportFact(obj, "blocks", &prev) {
-					continue
-				}
-				if why := firstBlocking(pass, fd.Body); why != "" {
-					pass.ExportFact(obj, "blocks", blocksFact{Why: why})
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	exportToFixedPoint(pass, "blocks", func(fd *ast.FuncDecl) (string, bool) {
+		why := firstBlocking(pass, fd.Body)
+		return why, why != ""
+	})
 }
 
 // firstBlocking returns a description of the first operation in body that
@@ -157,20 +132,13 @@ func firstBlocking(pass *Pass, body *ast.BlockStmt) string {
 
 // callBlocks reports why a call can block, or "".
 func callBlocks(pass *Pass, call *ast.CallExpr) string {
-	if recv, method := methodOf(pass.Info, call); recv != "" {
-		if why, ok := blockingMethods[recv+"."+method]; ok {
-			return why
-		}
+	f, key := callee(pass.Info, call)
+	if why, ok := blockingCalls[key]; ok {
+		return why
 	}
-	if pkg, name := calleeOf(pass.Info, call); pkg != "" {
-		if why, ok := blockingFuncs[pkg+"."+name]; ok {
-			return why
-		}
-	}
-	if obj := calleeObject(pass.Info, call); obj != nil {
-		var fact blocksFact
-		if pass.ImportFact(obj, "blocks", &fact) {
-			return fact.Why + " in " + obj.Name()
+	if f != nil {
+		if why, ok := pass.Fact(f, "blocks"); ok {
+			return why + " in " + f.Name()
 		}
 	}
 	return ""
@@ -196,32 +164,13 @@ func isChanType(info *types.Info, expr ast.Expr) bool {
 
 // --- diagnostics: held-lock walk ---
 
-// heldLock records one acquisition.
-type heldLock struct {
-	key string
-	pos token.Pos
-}
-
-type heldSet map[string]heldLock
-
-func (h heldSet) clone() heldSet {
-	out := make(heldSet, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
+// heldSet is the set of locks held, by lock key.
+type heldSet map[string]bool
 
 func runLockOrder(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			walkLocks(pass, fd.Body, make(heldSet))
-		}
-	}
+	eachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
+		walkLocks(pass, fd.Body, make(heldSet))
+	})
 }
 
 // walkLocks walks a block linearly, tracking acquisitions. Nested control
@@ -269,9 +218,9 @@ func walkLockStmt(pass *Pass, stmt ast.Stmt, held heldSet) {
 			walkLockStmt(pass, s.Init, held)
 		}
 		scanLockExpr(pass, s.Cond, held)
-		walkLocks(pass, s.Body, held.clone())
+		walkLocks(pass, s.Body, maps.Clone(held))
 		if s.Else != nil {
-			walkLockStmt(pass, s.Else, held.clone())
+			walkLockStmt(pass, s.Else, maps.Clone(held))
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -280,13 +229,13 @@ func walkLockStmt(pass *Pass, stmt ast.Stmt, held heldSet) {
 		if s.Cond != nil {
 			scanLockExpr(pass, s.Cond, held)
 		}
-		walkLocks(pass, s.Body, held.clone())
+		walkLocks(pass, s.Body, maps.Clone(held))
 	case *ast.RangeStmt:
 		if isChanType(pass.Info, s.X) {
 			reportBlocked(pass, s.Pos(), "channel receive", held)
 		}
 		scanLockExpr(pass, s.X, held)
-		walkLocks(pass, s.Body, held.clone())
+		walkLocks(pass, s.Body, maps.Clone(held))
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			walkLockStmt(pass, s.Init, held)
@@ -294,37 +243,16 @@ func walkLockStmt(pass *Pass, stmt ast.Stmt, held heldSet) {
 		if s.Tag != nil {
 			scanLockExpr(pass, s.Tag, held)
 		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				inner := held.clone()
-				for _, st := range cc.Body {
-					walkLockStmt(pass, st, inner)
-				}
-			}
-		}
+		walkClauses(pass, s.Body, held)
 	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				inner := held.clone()
-				for _, st := range cc.Body {
-					walkLockStmt(pass, st, inner)
-				}
-			}
-		}
+		walkClauses(pass, s.Body, held)
 	case *ast.SelectStmt:
 		if !selectHasDefault(s) {
 			reportBlocked(pass, s.Pos(), "blocking select", held)
 		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				inner := held.clone()
-				for _, st := range cc.Body {
-					walkLockStmt(pass, st, inner)
-				}
-			}
-		}
+		walkClauses(pass, s.Body, held)
 	case *ast.BlockStmt:
-		walkLocks(pass, s, held.clone())
+		walkLocks(pass, s, maps.Clone(held))
 	case *ast.LabeledStmt:
 		walkLockStmt(pass, s.Stmt, held)
 	case *ast.DeferStmt:
@@ -344,6 +272,24 @@ func walkLockStmt(pass *Pass, stmt ast.Stmt, held heldSet) {
 		}
 		for _, a := range s.Call.Args {
 			scanLockExpr(pass, a, held)
+		}
+	}
+}
+
+// walkClauses walks each case or comm clause of a switch or select with
+// its own copy of the held set.
+func walkClauses(pass *Pass, body *ast.BlockStmt, held heldSet) {
+	for _, c := range body.List {
+		var stmts []ast.Stmt
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			stmts = cc.Body
+		case *ast.CommClause:
+			stmts = cc.Body
+		}
+		inner := maps.Clone(held)
+		for _, st := range stmts {
+			walkLockStmt(pass, st, inner)
 		}
 	}
 }
@@ -380,31 +326,11 @@ func scanLockExpr(pass *Pass, expr ast.Expr, held heldSet) {
 // returns the lock's stable key and the method name.
 func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
+	f, k := callee(info, call)
+	if !isSel || !(strings.HasPrefix(k, "sync.Mutex.") || strings.HasPrefix(k, "sync.RWMutex.")) {
 		return "", "", false
 	}
-	obj, isFunc := info.ObjectOf(sel.Sel).(*types.Func)
-	if !isFunc || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	recv := obj.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return "", "", false
-	}
-	named := namedOf(recv.Type())
-	if named == nil {
-		return "", "", false
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-	default:
-		return "", "", false
-	}
-	switch obj.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-		return lockKeyOf(info, sel.X), obj.Name(), true
-	}
-	return "", "", false
+	return lockKeyOf(info, sel.X), f.Name(), true
 }
 
 // lockKeyOf names a lock by "Type.field" when it is a field of a named
@@ -431,16 +357,13 @@ func applyMutexOp(pass *Pass, pos token.Pos, key, op string, held heldSet) {
 		// Order rule: never acquire the senior lock of a documented pair
 		// while its junior is held.
 		for _, pair := range lockOrder {
-			if pair[0] == key {
-				if junior, bad := held[pair[1]]; bad {
-					_ = junior
-					pass.Reportf(pos,
-						"%s acquired while %s is held; the documented order is %s before %s — "+
-							"acquiring them inverted is a latent deadlock", key, pair[1], pair[0], pair[1])
-				}
+			if pair[0] == key && held[pair[1]] {
+				pass.Reportf(pos,
+					"%s acquired while %s is held; the documented order is %s before %s — "+
+						"acquiring them inverted is a latent deadlock", key, pair[1], pair[0], pair[1])
 			}
 		}
-		held[key] = heldLock{key: key, pos: pos}
+		held[key] = true
 	case "Unlock", "RUnlock":
 		delete(held, key)
 	}

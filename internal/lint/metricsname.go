@@ -18,9 +18,9 @@ import (
 // dashboards and alert rules across two grammars.
 //
 // The first segment (the "entity") must additionally come from
-// metrics.KnownEntities — the shared subsystem table both the runtime and
-// this analyzer read — so a new metric lands inside an existing dashboard
-// grouping or the table is extended deliberately.
+// metrics.KnownEntities, the subsystem table this analyzer reads, so a new
+// metric lands inside an existing dashboard grouping or the table is
+// extended deliberately.
 //
 // Names built at runtime are checked on their constant prefix
 // ("appraise/" + prop); fully dynamic names are skipped.
@@ -40,7 +40,12 @@ var (
 	metricPrefix = regexp.MustCompile(`^[a-z0-9]+(-[a-z0-9]+)*(/[a-z0-9-]*)*$`)
 )
 
-var registryCtors = map[string]bool{"Counter": true, "Summary": true, "IntSummary": true}
+// registryCtors are the metrics.Registry methods that name a metric.
+var registryCtors = map[string]bool{
+	"cloudmonatt/internal/metrics.Registry.Counter":    true,
+	"cloudmonatt/internal/metrics.Registry.Summary":    true,
+	"cloudmonatt/internal/metrics.Registry.IntSummary": true,
+}
 
 func runMetricsName(pass *Pass) {
 	for _, f := range pass.Files {
@@ -49,8 +54,7 @@ func runMetricsName(pass *Pass) {
 			if !ok || len(call.Args) < 1 {
 				return true
 			}
-			recv, method := methodOf(pass.Info, call)
-			if recv != "cloudmonatt/internal/metrics.Registry" || !registryCtors[method] {
+			if _, key := callee(pass.Info, call); !registryCtors[key] {
 				return true
 			}
 			arg := call.Args[0]

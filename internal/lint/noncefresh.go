@@ -57,8 +57,8 @@ func runNonceFresh(pass *Pass) {
 }
 
 func checkFreshMethod(pass *Pass, call *ast.CallExpr) {
-	recv, method := methodOf(pass.Info, call)
-	if !rpcClientTypes[recv] {
+	method, ok := rpcCall(pass.Info, call)
+	if !ok {
 		return
 	}
 	idx, ok := rpcCallMethods[method]
@@ -118,16 +118,13 @@ func checkNonceReuse(pass *Pass, body *ast.BlockStmt) {
 }
 
 // buildsRequest reports whether call constructs or transmits a protocol
-// message: a Build*/Compute* package function or a client call method.
+// message: a Build*/Compute* function or a client call method.
 func buildsRequest(pass *Pass, call *ast.CallExpr) bool {
-	if _, fn := calleeOf(pass.Info, call); strings.HasPrefix(fn, "Build") || strings.HasPrefix(fn, "Compute") {
-		return true
+	if method, ok := rpcCall(pass.Info, call); ok {
+		return strings.HasPrefix(method, "Call") || method == "Connect"
 	}
-	recv, method := methodOf(pass.Info, call)
-	if rpcClientTypes[recv] && (strings.HasPrefix(method, "Call") || method == "Connect") {
-		return true
-	}
-	return false
+	f, _ := callee(pass.Info, call)
+	return f != nil && (strings.HasPrefix(f.Name(), "Build") || strings.HasPrefix(f.Name(), "Compute"))
 }
 
 // assignedWithin reports whether v is (re)assigned anywhere inside body.

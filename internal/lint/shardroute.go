@@ -35,15 +35,9 @@ var ShardRoute = &Analyzer{
 	Facts: shardRouteFacts,
 }
 
-// vmAddressedFact marks a method-name constant as VM-addressed: calls
-// carrying it must flow through the routing layer.
-type vmAddressedFact struct {
-	Method string `json:"method"`
-}
-
-// shardRouteFacts exports vmAddressed facts for method constants. A
-// constant qualifies if its value is in the taxonomy seed list or its
-// doc comment carries the "vm-addressed" marker.
+// shardRouteFacts exports vmAddressed facts (the method name) for method
+// constants. A constant qualifies if its value is in the taxonomy seed
+// list or its doc comment carries the "vm-addressed" marker.
 func shardRouteFacts(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -66,7 +60,7 @@ func shardRouteFacts(pass *Pass) {
 					}
 					val := strings.Trim(cnst.Val().ExactString(), `"`)
 					if marked || vmAddressedMethods[val] {
-						pass.ExportFact(obj, "vmAddressed", vmAddressedFact{Method: val})
+						pass.ExportFact(obj, "vmAddressed", val)
 					}
 				}
 			}
@@ -105,8 +99,7 @@ func runShardRoute(pass *Pass) {
 // argument is VM-addressed, unless the client was pulled out of an
 // attestRoute (rt.client.CallFresh(...) — provenance carried by the type).
 func checkRawRoutedCall(pass *Pass, call *ast.CallExpr) {
-	recv, _ := methodOf(pass.Info, call)
-	if !rpcClientTypes[recv] {
+	if _, ok := rpcCall(pass.Info, call); !ok {
 		return
 	}
 	method := vmAddressedMethodArg(pass, call)
@@ -137,9 +130,8 @@ func vmAddressedMethodArg(pass *Pass, call *ast.CallExpr) string {
 		}
 		if id := constIdent(arg); id != nil {
 			if obj := pass.Info.ObjectOf(id); obj != nil {
-				var fact vmAddressedFact
-				if pass.ImportFact(obj, "vmAddressed", &fact) {
-					return fact.Method
+				if method, ok := pass.Fact(obj, "vmAddressed"); ok {
+					return method
 				}
 			}
 		}
@@ -192,12 +184,9 @@ func clientFromRoute(info *types.Info, call *ast.CallExpr) bool {
 // errors: strings.Contains/HasPrefix/HasSuffix/Index with an argument
 // mentioning the wrong-shard marker.
 func checkStringlyWrongShard(pass *Pass, call *ast.CallExpr) {
-	pkg, name := calleeOf(pass.Info, call)
-	if pkg != "strings" {
-		return
-	}
-	switch name {
-	case "Contains", "HasPrefix", "HasSuffix", "Index":
+	_, key := callee(pass.Info, call)
+	switch key {
+	case "strings.Contains", "strings.HasPrefix", "strings.HasSuffix", "strings.Index":
 	default:
 		return
 	}
@@ -206,7 +195,7 @@ func checkStringlyWrongShard(pass *Pass, call *ast.CallExpr) {
 		if s, ok := constString(pass.Info, arg); ok && strings.Contains(s, "wrong-shard") {
 			pass.Reportf(call.Pos(),
 				"wrong-shard errors are typed; classify with shard.ParseWrongShard instead of "+
-					"strings.%s — substring matching breaks when the redirect message changes", name)
+					"%s — substring matching breaks when the redirect message changes", key)
 			return
 		}
 	}

@@ -31,12 +31,16 @@ var vclockExempt = map[string]bool{
 // synthetic internal/ path participate, which is how the analyzer's own
 // tests exercise both sides of the rule.
 func vclockScoped(path string) bool {
+	top, ok := internalTop(path)
+	return ok && !vclockExempt[top]
+}
+
+// internalTop returns a module package's first path segment under
+// internal/, by which the scoped rules are keyed.
+func internalTop(path string) (string, bool) {
 	rel, ok := strings.CutPrefix(path, modPrefix)
-	if !ok {
-		return false
-	}
 	top, _, _ := strings.Cut(rel, "/")
-	return !vclockExempt[top]
+	return top, ok
 }
 
 // freshNonceMethods maps RPC method names (the wire strings, resolved from
@@ -75,12 +79,8 @@ var cryptoPkgs = map[string]bool{
 }
 
 func cryptoScoped(path string) bool {
-	rel, ok := strings.CutPrefix(path, modPrefix)
-	if !ok {
-		return false
-	}
-	top, _, _ := strings.Cut(rel, "/")
-	return cryptoPkgs[top]
+	top, ok := internalTop(path)
+	return ok && cryptoPkgs[top]
 }
 
 // rpcClientTypes are the client types whose call methods the noncefresh,
@@ -153,19 +153,16 @@ var intentCallNames = map[string]bool{
 
 // --- secretflow ---
 
-// secretSourceFuncs are the key-derivation functions whose results are raw
-// keying material: traffic keys, resumption master secrets, and their
-// ratchet steps (PR 8's session-resumption schedule).
-var secretSourceFuncs = map[string]bool{
-	"cloudmonatt/internal/secchan.deriveKeys": true,
-	"cloudmonatt/internal/secchan.deriveRMS":  true,
-	"cloudmonatt/internal/secchan.resumeKeys": true,
-	"cloudmonatt/internal/secchan.nextRMS":    true,
-}
-
-// secretSourceMethods are methods whose results are secret material.
-var secretSourceMethods = map[string]bool{
-	"cloudmonatt/internal/cryptoutil.Identity.Seed": true,
+// secretSources are the calls whose results are raw keying material, by
+// callee key, with the description a finding gives them: the identity
+// seed, and the secchan key schedule's traffic keys, resumption master
+// secrets and their ratchet steps.
+var secretSources = map[string]string{
+	"cloudmonatt/internal/cryptoutil.Identity.Seed": "identity seed",
+	"cloudmonatt/internal/secchan.deriveKeys":       "derived key material",
+	"cloudmonatt/internal/secchan.deriveRMS":        "derived key material",
+	"cloudmonatt/internal/secchan.resumeKeys":       "derived key material",
+	"cloudmonatt/internal/secchan.nextRMS":          "derived key material",
 }
 
 // secretFields are struct fields holding secret material; reading one is a
@@ -174,19 +171,13 @@ var secretFields = map[string]bool{
 	"cloudmonatt/internal/secchan.Ticket.RMS": true,
 }
 
-// secretSanitizers launder secret material into something loggable: a
-// domain-separated hash or a short redacted fingerprint. Keyed by
-// (pkgPath, funcName) for functions.
-var secretSanitizers = map[string]bool{
-	"cloudmonatt/internal/cryptoutil.Redact": true,
-	"cloudmonatt/internal/cryptoutil.Hash":   true,
-}
-
-// secretSinkFuncs (pkg.func → sink description) format or persist their
-// arguments somewhere an operator, log pipeline, or trace store can read
-// them back. fmt.Sprintf is deliberately a propagator, not a sink: its
-// result only matters if it subsequently reaches one of these.
-var secretSinkFuncs = map[string]string{
+// secretSinks (callee key → sink description) format or persist their
+// arguments somewhere an operator, log pipeline, trace store or dashboard
+// can read them back. fmt.Sprintf is deliberately a propagator, not a
+// sink: its result only matters if it subsequently reaches one of these.
+// cryptoutil.WriteSecretFile, the sanctioned persistence path (0600,
+// documented provisioning), is not a sink.
+var secretSinks = map[string]string{
 	"fmt.Errorf":   "error string",
 	"fmt.Printf":   "stdout",
 	"fmt.Print":    "stdout",
@@ -201,60 +192,46 @@ var secretSinkFuncs = map[string]string{
 	"log.Panicf":   "log",
 	"log.Panic":    "log",
 	"os.WriteFile": "plaintext file",
+
+	"cloudmonatt/internal/obs.ActiveSpan.Annotate":     "span annotation",
+	"cloudmonatt/internal/metrics.Registry.Counter":    "metric name",
+	"cloudmonatt/internal/metrics.Registry.Summary":    "metric name",
+	"cloudmonatt/internal/metrics.Registry.IntSummary": "metric name",
 }
 
-// secretWriteHelpers are the sanctioned persistence paths for secret
-// material (tight permissions, documented provisioning semantics). A
-// tainted value may flow into them.
-var secretWriteHelpers = map[string]bool{
-	"cloudmonatt/internal/cryptoutil.WriteSecretFile": true,
-}
-
-// secretPropagators forward taint from arguments to results: encoders and
-// formatters whose output still reveals the input.
+// secretPropagators forward taint from arguments (and a method's
+// receiver) to results: encoders and formatters whose output still
+// reveals the input.
 var secretPropagators = map[string]bool{
-	"fmt.Sprintf":                 true,
-	"fmt.Sprint":                  true,
-	"fmt.Sprintln":                true,
-	"fmt.Appendf":                 true,
-	"encoding/json.Marshal":       true,
-	"encoding/json.MarshalIndent": true,
-}
-
-// secretPropagatorMethods are method propagators ("pkg.Type.Method").
-var secretPropagatorMethods = map[string]bool{
+	"fmt.Sprintf":                             true,
+	"fmt.Sprint":                              true,
+	"fmt.Sprintln":                            true,
+	"fmt.Appendf":                             true,
+	"encoding/json.Marshal":                   true,
+	"encoding/json.MarshalIndent":             true,
+	"encoding/hex.EncodeToString":             true,
+	"encoding/hex.AppendEncode":               true,
 	"encoding/base64.Encoding.EncodeToString": true,
 	"encoding/base64.Encoding.AppendEncode":   true,
-	"encoding/hex.Encoder.Write":              true,
-}
-
-// secretPropagatorFuncs extends the list with plain functions.
-var secretPropagatorFuncs = map[string]bool{
-	"encoding/hex.EncodeToString": true,
-	"encoding/hex.AppendEncode":   true,
 }
 
 // --- lockorder ---
 
-// blockingMethods are method calls ("pkg.Type.Method") that can park the
-// calling goroutine indefinitely: RPC round-trips and WaitGroup waits.
-// Channel operations and selects are recognized
-// syntactically; everything else arrives transitively via "blocks" facts.
-var blockingMethods = map[string]string{
+// blockingCalls (callee key → why) can park the calling goroutine
+// indefinitely: RPC round-trips, WaitGroup waits and sleeps. Channel
+// operations and selects are recognized syntactically; everything else
+// arrives transitively via "blocks" facts.
+var blockingCalls = map[string]string{
 	"cloudmonatt/internal/rpc.Client.Call":               "rpc call",
 	"cloudmonatt/internal/rpc.ReconnectClient.Call":      "rpc call",
 	"cloudmonatt/internal/rpc.ReconnectClient.CallCtx":   "rpc call",
 	"cloudmonatt/internal/rpc.ReconnectClient.CallIdem":  "rpc call",
 	"cloudmonatt/internal/rpc.ReconnectClient.CallFresh": "rpc call",
 	"sync.WaitGroup.Wait":                                "waitgroup wait",
+	"time.Sleep":                                         "sleep",
 	// Advance runs every cloud server's kernel, each under that server's
 	// lock: a caller holding one of them never returns.
 	"cloudmonatt/internal/vclock.Clock.Advance": "clock advance",
-}
-
-// blockingFuncs are plain functions that block.
-var blockingFuncs = map[string]string{
-	"time.Sleep": "sleep",
 }
 
 // opSerializers are mutexes whose documented purpose is to serialize whole
@@ -291,47 +268,42 @@ const vmAddressedMarker = "vm-addressed"
 
 // --- type-resolution helpers shared by the analyzers ---
 
-// calleeOf resolves a call to (package path, function name) for package-
-// level functions, or ("", "") otherwise.
-func calleeOf(info *types.Info, call *ast.CallExpr) (pkgPath, name string) {
+// callee resolves a call to the called function and its table key:
+// "pkg/path.Func" for a package-level function, "pkg/path.Type.Method" for
+// a method (declared receiver, pointers dereferenced). Calls of anything
+// but a declared function or method (conversions, builtins, func values)
+// resolve to (nil, "").
+func callee(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
+	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if obj, ok := info.Uses[fun.Sel]; ok {
-			if f, ok := obj.(*types.Func); ok && f.Pkg() != nil {
-				if f.Type().(*types.Signature).Recv() == nil {
-					return f.Pkg().Path(), f.Name()
-				}
-			}
-		}
 	case *ast.Ident:
-		if obj, ok := info.Uses[fun]; ok {
-			if f, ok := obj.(*types.Func); ok && f.Pkg() != nil {
-				if f.Type().(*types.Signature).Recv() == nil {
-					return f.Pkg().Path(), f.Name()
-				}
-			}
-		}
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil, ""
 	}
-	return "", ""
+	f, ok := info.Uses[id].(*types.Func)
+	if !ok || f.Pkg() == nil {
+		return nil, ""
+	}
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		named := namedOf(recv.Type())
+		if named == nil {
+			return f, ""
+		}
+		return f, named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
+	}
+	return f, f.Pkg().Path() + "." + f.Name()
 }
 
-// methodOf resolves a method call to (qualified receiver type, method
-// name): ("cloudmonatt/internal/rpc.ReconnectClient", "CallFresh").
-// Pointer receivers are dereferenced.
-func methodOf(info *types.Info, call *ast.CallExpr) (recvType, method string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
+// rpcCall returns the method name of a call on one of rpcClientTypes.
+func rpcCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	f, key := callee(info, call)
+	if f == nil || !rpcClientTypes[strings.TrimSuffix(key, "."+f.Name())] {
+		return "", false
 	}
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return "", ""
-	}
-	named := namedOf(s.Recv())
-	if named == nil || named.Obj().Pkg() == nil {
-		return "", ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name(), sel.Sel.Name
+	return f.Name(), true
 }
 
 // namedOf unwraps pointers and aliases down to a named type, or nil.

@@ -1,6 +1,6 @@
 // Package vclockonlyfix exercises the vclockonly analyzer: wall-clock
 // reads and timers are flagged in vclock-wired packages; injected clocks,
-// pure time constructors, and justified //lint:wallclock waivers are not.
+// pure time constructors, and justified //lint:ignore waivers are not.
 package vclockonlyfix
 
 import "time"
@@ -27,15 +27,11 @@ func clean(now Clock) time.Duration {
 }
 
 func waived() time.Time {
-	//lint:wallclock fixture stands in for a net.Conn deadline, which is wall-clock by contract
+	//lint:ignore vclockonly fixture stands in for a net.Conn deadline, which is wall-clock by contract
 	return time.Now()
 }
 
-func suppressed() {
-	//lint:ignore vclockonly fixture demonstrates the generic suppression directive
-	_ = time.Now()
-}
-
-func typoDirective() {
-	//lint:wallcheck misspelled verb // want `unknown directive`
+func badDirectives() {
+	//lint:wallclock the retired verb // want `unknown directive //lint:wallclock`
+	//lint:ignore vclock a misspelled analyzer name waives nothing // want `names unknown analyzer "vclock"`
 }

@@ -12,13 +12,13 @@ import (
 // evidence timestamps, retry budgets, or ledger entries from the simulated
 // timeline. Genuine wall-time needs (net.Conn deadlines, file mtimes,
 // real backoff sleeps) are allowed case by case with
-// //lint:wallclock <justification>.
+// //lint:ignore vclockonly <justification>.
 var VClockOnly = &Analyzer{
 	Name: "vclockonly",
 	Doc: "wall-clock reads (time.Now/Since/Until) and wall-clock timers " +
 		"(time.After/Sleep/Tick/NewTimer/NewTicker/AfterFunc) are forbidden in " +
 		"packages wired to internal/vclock; use the injected clock or annotate " +
-		"//lint:wallclock <justification>",
+		"//lint:ignore vclockonly <justification>",
 	Run: runVClockOnly,
 }
 
@@ -26,15 +26,15 @@ var VClockOnly = &Analyzer{
 // against the wall clock. Pure constructors (time.Duration arithmetic,
 // time.Unix, time.Date) are fine: they don't read the clock.
 var wallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"After":     true,
-	"Tick":      true,
-	"Sleep":     true,
-	"NewTimer":  true,
-	"NewTicker": true,
-	"AfterFunc": true,
+	"time.Now":       true,
+	"time.Since":     true,
+	"time.Until":     true,
+	"time.After":     true,
+	"time.Tick":      true,
+	"time.Sleep":     true,
+	"time.NewTimer":  true,
+	"time.NewTicker": true,
+	"time.AfterFunc": true,
 }
 
 func runVClockOnly(pass *Pass) {
@@ -47,11 +47,10 @@ func runVClockOnly(pass *Pass) {
 			if !ok {
 				return true
 			}
-			pkg, name := calleeOf(pass.Info, call)
-			if pkg == "time" && wallClockFuncs[name] {
+			if _, key := callee(pass.Info, call); wallClockFuncs[key] {
 				pass.Reportf(call.Pos(),
-					"wall-clock time.%s in a vclock-wired package breaks seeded replay; "+
-						"use the injected virtual clock or annotate //lint:wallclock <justification>", name)
+					"wall-clock %s in a vclock-wired package breaks seeded replay; "+
+						"use the injected virtual clock or annotate //lint:ignore vclockonly <why>", key)
 			}
 			return true
 		})

@@ -89,7 +89,7 @@ func (b *breaker) allow() error {
 	case BreakerClosed:
 		return nil
 	case BreakerOpen:
-		//lint:wallclock the cooldown paces redials of a real peer, like the backoff sleeps; it elapses in real time
+		//lint:ignore vclockonly the cooldown paces redials of a real peer, like the backoff sleeps; it elapses in real time
 		if time.Since(b.openedAt) < b.policy.Cooldown {
 			return ErrBreakerOpen
 		}
@@ -132,7 +132,7 @@ func (b *breaker) failure() {
 	if b.state == BreakerClosed && b.failures < b.policy.Threshold {
 		return
 	}
-	//lint:wallclock the cooldown is measured from the latest failure in real time (see allow)
+	//lint:ignore vclockonly the cooldown is measured from the latest failure in real time (see allow)
 	b.openedAt = time.Now()
 	if b.state != BreakerOpen {
 		b.transition(BreakerOpen)

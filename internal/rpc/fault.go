@@ -197,7 +197,7 @@ func (f *FaultNetwork) DialContext(ctx context.Context, addr string) (net.Conn, 
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("rpc: dialing %q (partitioned): %w", addr, ctx.Err())
-		//lint:wallclock the fault injector emulates the physical network; injected waits are real waits
+		//lint:ignore vclockonly the fault injector emulates the physical network; injected waits are real waits
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -205,7 +205,7 @@ func (f *FaultNetwork) DialContext(ctx context.Context, addr string) (net.Conn, 
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("rpc: dialing %q: %w", addr, ctx.Err())
-		//lint:wallclock injected dial latency is a real-time delay by design
+		//lint:ignore vclockonly injected dial latency is a real-time delay by design
 		case <-time.After(p.delay):
 		}
 	}
@@ -304,14 +304,14 @@ func (c *faultConn) gate(read bool) error {
 		}
 		// Honor the connection deadline while blackholed, like a kernel
 		// timing out a read on a dead route.
-		//lint:wallclock connection deadlines set via net.Conn SetDeadline are wall-clock by contract
+		//lint:ignore vclockonly connection deadlines set via net.Conn SetDeadline are wall-clock by contract
 		if dl := c.deadline(read); !dl.IsZero() && time.Now().After(dl) {
 			return os.ErrDeadlineExceeded
 		}
 		select {
 		case <-c.closed:
 			return net.ErrClosed
-		//lint:wallclock blackhole polling emulates a dead route in real time
+		//lint:ignore vclockonly blackhole polling emulates a dead route in real time
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -339,7 +339,7 @@ func (c *faultConn) gate(read bool) error {
 		select {
 		case <-c.closed:
 			return net.ErrClosed
-		//lint:wallclock injected per-op latency is a real-time delay by design
+		//lint:ignore vclockonly injected per-op latency is a real-time delay by design
 		case <-time.After(d):
 		}
 	}

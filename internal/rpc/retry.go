@@ -283,7 +283,7 @@ func (rc *ReconnectClient) attempt(ctx context.Context, sc obs.SpanContext, meth
 
 // attemptDeadline is when an attempt starting now must have ended.
 func (rc *ReconnectClient) attemptDeadline() time.Time {
-	//lint:wallclock CallTimeout bounds real network exchanges; it elapses in real time
+	//lint:ignore vclockonly CallTimeout bounds real network exchanges; it elapses in real time
 	return time.Now().Add(rc.cfg.CallTimeout)
 }
 
@@ -331,7 +331,7 @@ func (rc *ReconnectClient) drop(c *Client) {
 }
 
 func (rc *ReconnectClient) sleep(ctx context.Context, attempt int) error {
-	//lint:wallclock backoff paces real network redials; it must elapse in real time even under simulation
+	//lint:ignore vclockonly backoff paces real network redials; it must elapse in real time even under simulation
 	t := time.NewTimer(rc.backoff(attempt))
 	defer t.Stop()
 	select {
@@ -382,7 +382,7 @@ var idemCounter atomic.Uint64
 func NewIdemKey() string {
 	var buf [16]byte
 	if _, err := rand.Read(buf[:]); err != nil {
-		//lint:wallclock entropy source of last resort when crypto/rand fails; uniqueness matters, not replay
+		//lint:ignore vclockonly entropy source of last resort when crypto/rand fails; uniqueness matters, not replay
 		return fmt.Sprintf("idem-%d-%d", time.Now().UnixNano(), idemCounter.Add(1))
 	}
 	return hex.EncodeToString(buf[:])

@@ -279,7 +279,7 @@ func Serve(l net.Listener, cfg secchan.Config, h Handler) {
 			} else if backoff *= 2; backoff > 200*time.Millisecond {
 				backoff = 200 * time.Millisecond
 			}
-			//lint:wallclock accept-error backoff throttles a real listener; real time by design
+			//lint:ignore vclockonly accept-error backoff throttles a real listener; real time by design
 			time.Sleep(backoff)
 			continue
 		}
@@ -290,7 +290,7 @@ func Serve(l net.Listener, cfg secchan.Config, h Handler) {
 
 func serveConn(raw net.Conn, cfg secchan.Config, h Handler, idem *idemCache) {
 	defer raw.Close()
-	//lint:wallclock net.Conn deadlines are kernel wall-clock deadlines by contract
+	//lint:ignore vclockonly net.Conn deadlines are kernel wall-clock deadlines by contract
 	raw.SetDeadline(time.Now().Add(handshakeTimeout))
 	conn, err := secchan.Server(raw, cfg)
 	if err != nil {
@@ -459,9 +459,8 @@ func (c *Client) Broken() bool {
 
 // Call sends method(req) and decodes the reply into resp (resp may be nil
 // for fire-and-forget semantics with an empty reply). It exists for tests;
-// production call sites carry a deadline context (ctxdeadline analyzer).
+// production call sites carry a deadline context.
 func (c *Client) Call(method string, req, resp any) error {
-	//lint:ignore ctxdeadline test-only convenience wrapper; production sites use CallCtx with a deadline
 	return c.CallCtx(context.Background(), method, req, resp)
 }
 
@@ -505,7 +504,7 @@ func (c *Client) call(ctx context.Context, sc obs.SpanContext, deadline time.Tim
 		stop = context.AfterFunc(ctx, c.interrupt)
 	}
 	if !deadline.IsZero() {
-		//lint:wallclock CallTimeout bounds a real network exchange; it elapses in real time
+		//lint:ignore vclockonly CallTimeout bounds a real network exchange; it elapses in real time
 		c.arm(time.Until(deadline))
 	}
 	msg, err := c.exchange(method, out)
@@ -548,7 +547,7 @@ func (c *Client) exchange(method string, out []byte) ([]byte, error) {
 // arm starts the watchdog to interrupt the exchange after d. c.mu is held.
 func (c *Client) arm(d time.Duration) {
 	if c.watchdog == nil {
-		//lint:wallclock CallTimeout bounds a real network exchange; it elapses in real time
+		//lint:ignore vclockonly CallTimeout bounds a real network exchange; it elapses in real time
 		c.watchdog = time.AfterFunc(d, c.interrupt)
 		return
 	}

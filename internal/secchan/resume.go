@@ -80,7 +80,7 @@ func (s *SessionCache) take(key string) *Ticket {
 		return nil
 	}
 	delete(s.m, key)
-	//lint:wallclock ticket expiry is real wall-clock time by protocol design
+	//lint:ignore vclockonly ticket expiry is real wall-clock time by protocol design
 	if !t.Expiry.IsZero() && time.Now().After(t.Expiry) {
 		return nil
 	}
