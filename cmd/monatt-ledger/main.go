@@ -16,7 +16,7 @@
 //
 //	monatt-ledger show -dir DIR [-vid V] [-kind K] [-prop P] [-limit N]
 //	    query committed entries by VM, entry kind, property, or any
-//	    combination.
+//	    combination. An unknown kind exits 2 and names the kinds.
 package main
 
 import (
@@ -166,12 +166,20 @@ func show(args []string) {
 	if *dir == "" {
 		usage()
 	}
+	var k ledger.Kind
+	if *kind != "" {
+		var err error
+		if k, err = ledger.ParseKind(*kind); err != nil {
+			fmt.Fprintln(os.Stderr, "monatt-ledger:", err)
+			os.Exit(2)
+		}
+	}
 	l, err := ledger.Open(ledger.Options{Dir: *dir, ReadOnly: true})
 	if err != nil {
 		fatal(err)
 	}
 	defer l.Close()
-	es, err := l.Query(ledger.Filter{Vid: *vid, Kind: ledger.Kind(*kind), Prop: *prop, Limit: *limit})
+	es, err := l.Query(ledger.Filter{Vid: *vid, Kind: k, Prop: *prop, Limit: *limit})
 	if err != nil {
 		fatal(err)
 	}

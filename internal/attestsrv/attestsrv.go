@@ -10,7 +10,6 @@ package attestsrv
 import (
 	"context"
 	"crypto/ed25519"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -96,9 +95,6 @@ type Config struct {
 	Retry rpc.RetryPolicy
 	// Breaker tunes the per-server circuit breakers.
 	Breaker rpc.BreakerPolicy
-	// Periodic tunes the periodic monitoring engine (worker pool size,
-	// per-server in-flight cap, result buffer bound).
-	Periodic PeriodicConfig
 	// MinTCB is the minimum platform security version accepted from
 	// confidential-VM backends — the firmware-rollback floor. Zero means
 	// the sev-snp backend's fleet-current version.
@@ -164,7 +160,7 @@ func New(cfg Config) *Server {
 		Ledger:      cfg.Ledger,
 		Now:         cfg.Clock.Now,
 	})
-	s.periodic = newPeriodicEngine(cfg.Periodic, s.cfg.Clock.Now, s.drawJitter, s.appraiseOnce, s.metrics, s.tracer)
+	s.periodic = newPeriodicEngine(PeriodicConfig{}, s.cfg.Clock.Now, s.drawJitter, s.appraiseOnce, s.metrics, s.tracer)
 	return s
 }
 
@@ -434,32 +430,22 @@ func (s *Server) landLog(srvRec *ServerRecord, mem *driver.LogMemory) {
 	}
 }
 
+// AppraisalRecord is the payload of a ledger.KindAppraisal entry.
+type AppraisalRecord struct {
+	Server       string `json:"server"`
+	Backend      string `json:"backend,omitempty"`
+	Healthy      bool   `json:"healthy"`
+	Unattestable bool   `json:"unattestable,omitempty"`
+	Class        string `json:"class,omitempty"`
+	Reason       string `json:"reason,omitempty"`
+}
+
 // recordAppraisal appends one evidence entry for an appraised report.
 // Appends are best-effort: a full or failing evidence store must not stop
 // the attestation path itself (the report is still signed and delivered).
 func (s *Server) recordAppraisal(req *wire.AppraisalRequest, v properties.Verdict, trace string) {
-	if s.cfg.Ledger == nil {
-		return
-	}
-	payload, err := json.Marshal(struct {
-		Server       string `json:"server"`
-		Backend      string `json:"backend,omitempty"`
-		Healthy      bool   `json:"healthy"`
-		Unattestable bool   `json:"unattestable,omitempty"`
-		Class        string `json:"class,omitempty"`
-		Reason       string `json:"reason,omitempty"`
-	}{req.ServerID, v.Backend, v.Healthy, v.Unattestable, string(v.Class), v.Reason})
-	if err != nil {
-		return
-	}
-	s.cfg.Ledger.Append(ledger.Entry{
-		At:      s.cfg.Clock.Now(),
-		Kind:    ledger.KindAppraisal,
-		Vid:     req.Vid,
-		Prop:    string(req.Prop),
-		Trace:   trace,
-		Payload: payload,
-	})
+	s.cfg.Ledger.Record(ledger.Entry{At: s.cfg.Clock.Now(), Kind: ledger.KindAppraisal, Vid: req.Vid, Prop: string(req.Prop), Trace: trace},
+		AppraisalRecord{req.ServerID, v.Backend, v.Healthy, v.Unattestable, string(v.Class), v.Reason})
 }
 
 // --- periodic attestation engine (paper §3.2.1, §5.2) ---

@@ -90,9 +90,6 @@ type Options struct {
 	Retry rpc.RetryPolicy
 	// Breaker tunes their per-peer circuit breakers.
 	Breaker rpc.BreakerPolicy
-	// Periodic tunes every Attestation Server's periodic monitoring engine
-	// (worker pool, per-server in-flight cap, result buffer bound).
-	Periodic attestsrv.PeriodicConfig
 	// ReattestEvery, when positive, makes the controller's reconcile loop
 	// periodically re-attest every active VM's provisioned properties.
 	ReattestEvery time.Duration
@@ -441,7 +438,6 @@ func (tb *Testbed) startShard() (*cryptoutil.Identity, string, error) {
 		CallTimeout: tb.opts.CallTimeout,
 		Retry:       tb.opts.Retry,
 		Breaker:     tb.opts.Breaker,
-		Periodic:    tb.opts.Periodic,
 		Obs:         tb.Obs,
 		MinTCB:      tb.opts.MinTCB,
 		Properties:  tb.opts.Properties,

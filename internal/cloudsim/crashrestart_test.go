@@ -1,7 +1,6 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/ledger"
+	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
@@ -504,12 +504,9 @@ func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 	last := uint64(0)
 	subjects := make(map[string]bool)
 	for _, e := range entries {
-		var rec struct {
-			Subject string `json:"subject"`
-			Serial  uint64 `json:"serial"`
-		}
-		if err := json.Unmarshal(e.Payload, &rec); err != nil {
-			t.Fatalf("issuance payload: %v", err)
+		var rec pca.IssuanceRecord
+		if err := e.Decode(&rec); err != nil {
+			t.Fatal(err)
 		}
 		if rec.Serial <= last {
 			t.Fatalf("serial %d issued after %d — sequence not strictly increasing", rec.Serial, last)

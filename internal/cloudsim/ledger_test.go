@@ -1,11 +1,12 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"cloudmonatt/internal/attestsrv"
+	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/properties"
 )
@@ -46,12 +47,8 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	if len(launches) != 1 {
 		t.Fatalf("launch entries = %d", len(launches))
 	}
-	var ld struct {
-		OK     bool   `json:"ok"`
-		Owner  string `json:"owner"`
-		Server string `json:"server"`
-	}
-	if err := json.Unmarshal(launches[0].Payload, &ld); err != nil {
+	var ld controller.LaunchRecord
+	if err := launches[0].Decode(&ld); err != nil {
 		t.Fatal(err)
 	}
 	if !ld.OK || ld.Owner != "alice" || ld.Server != res.Server {
@@ -68,7 +65,11 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 		t.Fatalf("appraisal entries = %d, want >= 3", len(appr))
 	}
 	last := appr[len(appr)-1]
-	if last.Prop != string(properties.RuntimeIntegrity) || !strings.Contains(string(last.Payload), `"healthy":false`) {
+	var ap attestsrv.AppraisalRecord
+	if err := last.Decode(&ap); err != nil {
+		t.Fatal(err)
+	}
+	if last.Prop != string(properties.RuntimeIntegrity) || ap.Healthy {
 		t.Fatalf("final appraisal entry %+v %s", last, last.Payload)
 	}
 
@@ -92,8 +93,12 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rems) != 1 || !strings.Contains(string(rems[0].Payload), `"response":"termination"`) {
+	if len(rems) != 1 {
 		t.Fatalf("remediation entries %+v", rems)
+	}
+	var rem controller.RemediationRecord
+	if err := rems[0].Decode(&rem); err != nil || rem.Response != string(controller.Terminate) {
+		t.Fatalf("remediation payload %s (%v), want a termination", rems[0].Payload, err)
 	}
 
 	// The control plane's two-phase intents: every begin must be matched by
@@ -105,12 +110,9 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	}
 	open := map[string]int{}
 	for _, e := range ints {
-		var ir struct {
-			Phase string `json:"phase"`
-			ID    string `json:"id"`
-		}
-		if err := json.Unmarshal(e.Payload, &ir); err != nil {
-			t.Fatalf("intent payload %s: %v", e.Payload, err)
+		var ir controller.IntentRecord
+		if err := e.Decode(&ir); err != nil {
+			t.Fatal(err)
 		}
 		if ir.Phase == "begin" {
 			open[ir.ID]++

@@ -1,11 +1,11 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/properties"
@@ -112,12 +112,8 @@ func TestMixedFleetAppraisal(t *testing.T) {
 	if len(appr) != 1 {
 		t.Fatalf("covert appraisal entries for %s = %d", onVTPM.Vid, len(appr))
 	}
-	var ap struct {
-		Backend      string `json:"backend"`
-		Healthy      bool   `json:"healthy"`
-		Unattestable bool   `json:"unattestable"`
-	}
-	if err := json.Unmarshal(appr[0].Payload, &ap); err != nil {
+	var ap attestsrv.AppraisalRecord
+	if err := appr[0].Decode(&ap); err != nil {
 		t.Fatal(err)
 	}
 	if ap.Backend != "vtpm" || ap.Healthy || !ap.Unattestable {
@@ -141,8 +137,12 @@ func TestMixedFleetAppraisal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != 1 || !strings.Contains(string(entries[0].Payload), `"backend":"`+backend+`"`) {
-			t.Fatalf("launch entry for %s (%s): %s", vid, backend, entries[0].Payload)
+		if len(entries) != 1 {
+			t.Fatalf("launch entries for %s: %d", vid, len(entries))
+		}
+		var ld controller.LaunchRecord
+		if err := entries[0].Decode(&ld); err != nil || ld.Backend != backend {
+			t.Fatalf("launch entry for %s (%s): %s (%v)", vid, backend, entries[0].Payload, err)
 		}
 	}
 }
@@ -220,12 +220,8 @@ func TestRollbackRejectedAtLaunch(t *testing.T) {
 	if len(appr) != 1 {
 		t.Fatalf("appraisal entries = %d", len(appr))
 	}
-	var ap struct {
-		Backend string `json:"backend"`
-		Healthy bool   `json:"healthy"`
-		Class   string `json:"class"`
-	}
-	if err := json.Unmarshal(appr[0].Payload, &ap); err != nil {
+	var ap attestsrv.AppraisalRecord
+	if err := appr[0].Decode(&ap); err != nil {
 		t.Fatal(err)
 	}
 	if ap.Healthy || ap.Class != string(properties.FailurePlatform) || ap.Backend != "sev-snp" {

@@ -102,6 +102,13 @@ func (c *Controller) AttestTraced(parent obs.SpanContext, req wire.AttestRequest
 	return wire.BuildCustomerReport(c.cfg.Identity, req.Vid, req.Prop, rep.Verdict, req.N1), nil
 }
 
+// StaleServeRecord is the payload of a stale serve's ledger.KindDegraded
+// entry. Both fields are always present, an age of 0 included.
+type StaleServeRecord struct {
+	AgeNS int64  `json:"age_ns"`
+	Cause string `json:"cause"`
+}
+
 // staleReport serves the cached last-known-good verdict as a stale report
 // when the attestation infrastructure is unavailable, or nil when nothing
 // is cached. A verdict of any age is served: the report carries its age, so
@@ -114,10 +121,7 @@ func (c *Controller) staleReport(vid string, p properties.Property, n1 cryptouti
 	}
 	age := c.cfg.Clock.Now() - lg.at
 	c.metrics.Counter("controller/degraded-stale-reports").Inc()
-	c.record(ledger.KindDegraded, vid, p, trace, struct {
-		AgeNS int64  `json:"age_ns"`
-		Cause string `json:"cause"`
-	}{int64(age), cause.Error()})
+	c.record(ledger.KindDegraded, vid, p, trace, StaleServeRecord{int64(age), cause.Error()})
 	return wire.BuildStaleCustomerReport(c.cfg.Identity, vid, p, lg.verdict, n1, age)
 }
 
@@ -133,6 +137,13 @@ func (c *Controller) StartPeriodic(req wire.PeriodicRequest) error {
 		}, nil)
 	})
 	return err
+}
+
+// PeriodicLossRecord is the payload of the ledger.KindDegraded entry a
+// drain leaves when its stream lost reports or ticks.
+type PeriodicLossRecord struct {
+	Dropped uint64 `json:"dropped,omitempty"`
+	Skipped uint64 `json:"skipped,omitempty"`
 }
 
 // DrainPeriodic serves fetch_attest_periodic (the stream stays armed) and
@@ -161,10 +172,7 @@ func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) ([]*
 	if batch.Dropped > 0 || batch.Skipped > 0 {
 		c.metrics.Counter("controller/periodic-dropped-reports").Add(int64(batch.Dropped))
 		c.metrics.Counter("controller/periodic-skipped-ticks").Add(int64(batch.Skipped))
-		c.record(ledger.KindDegraded, req.Vid, req.Prop, req.Trace, struct {
-			Dropped uint64 `json:"dropped,omitempty"`
-			Skipped uint64 `json:"skipped,omitempty"`
-		}{batch.Dropped, batch.Skipped})
+		c.record(ledger.KindDegraded, req.Vid, req.Prop, req.Trace, PeriodicLossRecord{batch.Dropped, batch.Skipped})
 	}
 	return c.repackage(req.Vid, req.Prop, req.N1, rt, batch.Reports)
 }
@@ -267,7 +275,7 @@ func (c *Controller) TerminateVM(vid string) error {
 	rec.Deleted = true
 	rec.lastErr = nil
 	c.mu.Unlock()
-	id := c.intentBegin(vid, "", intentRecord{Op: "terminate"})
+	id := c.intentBegin(vid, "", IntentRecord{Op: "terminate"})
 	c.mu.Lock()
 	rec.terminateIntent = id
 	c.mu.Unlock()
@@ -292,9 +300,7 @@ func (c *Controller) ResumeVM(vid string) error {
 	if err := c.setRunState(vid, "suspended", "active"); err != nil {
 		return err
 	}
-	c.record(ledger.KindRemediation, vid, "", "", struct {
-		Response string `json:"response"`
-	}{"resume"})
+	c.record(ledger.KindRemediation, vid, "", "", RemediationRecord{Response: "resume"})
 	return nil
 }
 
@@ -425,7 +431,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		c.mu.Unlock()
 		// The migrate-out is complete external state: record it so recovery
 		// can finish the relaunch from the ledger alone.
-		c.record(ledger.KindIntent, vid, "", "", intentRecord{
+		c.record(ledger.KindIntent, vid, "", "", IntentRecord{
 			Phase: "end", Op: "migrate-out", ID: c.intentID(), OK: true,
 			Server: src, Spec: &sp,
 		})
@@ -442,7 +448,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	rec.MigratedOut = false
 	rec.MigrateSpec = nil
 	c.mu.Unlock()
-	c.record(ledger.KindIntent, vid, "", "", intentRecord{
+	c.record(ledger.KindIntent, vid, "", "", IntentRecord{
 		Phase: "end", Op: "migrated", ID: c.intentID(), OK: true, Server: dest.Name,
 	})
 	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Migrated", dest.Name)

@@ -1,7 +1,6 @@
 package controller_test
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -74,8 +73,8 @@ func auditLifecycle(t *testing.T, tb *cloudsim.Testbed, capacity server.Capacity
 	}
 	open := make(map[string]string)
 	for _, e := range es {
-		var ir struct{ Phase, Op, ID string }
-		if err := json.Unmarshal(e.Payload, &ir); err != nil {
+		var ir controller.IntentRecord
+		if err := e.Decode(&ir); err != nil {
 			t.Fatal(err)
 		}
 		switch {

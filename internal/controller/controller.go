@@ -10,7 +10,6 @@ package controller
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -328,21 +327,7 @@ func idempotentMethod(method string) bool {
 // trail, not a gate on the control path. trace, when non-empty, lets an
 // auditor join the evidence to the request's distributed trace.
 func (c *Controller) record(kind ledger.Kind, vid string, prop properties.Property, trace string, payload any) {
-	if c.cfg.Ledger == nil {
-		return
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return
-	}
-	c.cfg.Ledger.Append(ledger.Entry{
-		At:      c.cfg.Clock.Now(),
-		Kind:    kind,
-		Vid:     vid,
-		Prop:    string(prop),
-		Trace:   trace,
-		Payload: data,
-	})
+	c.cfg.Ledger.Record(ledger.Entry{At: c.cfg.Clock.Now(), Kind: kind, Vid: vid, Prop: string(prop), Trace: trace}, payload)
 }
 
 // RegisterServer adds a cloud server to the scheduling pool.
@@ -594,6 +579,16 @@ func (l *launchOp) stage(name string, d time.Duration) {
 	l.result.Stages = append(l.result.Stages, StageTiming{Stage: name, Duration: d})
 }
 
+// LaunchRecord is the payload of a ledger.KindLaunch entry: one launch
+// decision, accepted or rejected.
+type LaunchRecord struct {
+	OK      bool   `json:"ok"`
+	Owner   string `json:"owner"`
+	Server  string `json:"server,omitempty"`
+	Backend string `json:"backend,omitempty"`
+	Reason  string `json:"reason,omitempty"`
+}
+
 // LaunchVMTraced runs the launch pipeline: Scheduling → Networking →
 // Block_device_mapping → Spawning → Attestation (the fifth stage
 // CloudMonatt adds, §7.1.1). A platform-integrity failure reschedules onto
@@ -643,7 +638,7 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 	for i, p := range req.Props {
 		props[i] = string(p)
 	}
-	launchIntent := c.intentBegin(vid, "", intentRecord{
+	launchIntent := c.intentBegin(vid, "", IntentRecord{
 		Op: "launch", Owner: req.Owner, Image: req.ImageName,
 		Flavor: req.Flavor, Workload: req.Workload, Props: props,
 		Allowlist: req.Allowlist, MinShare: req.MinShare, Pin: req.Pin,
@@ -667,14 +662,9 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 		} else {
 			lsp.End("rejected: " + result.Reason)
 		}
-		c.record(ledger.KindLaunch, vid, "", lsp.Context().Trace, struct {
-			OK      bool   `json:"ok"`
-			Owner   string `json:"owner"`
-			Server  string `json:"server,omitempty"`
-			Backend string `json:"backend,omitempty"`
-			Reason  string `json:"reason,omitempty"`
-		}{result.OK, req.Owner, result.Server, c.serverBackend(result.Server), result.Reason})
-		c.intentEnd(vid, intentRecord{
+		c.record(ledger.KindLaunch, vid, "", lsp.Context().Trace,
+			LaunchRecord{result.OK, req.Owner, result.Server, c.serverBackend(result.Server), result.Reason})
+		c.intentEnd(vid, IntentRecord{
 			Op: "launch", ID: launchIntent, OK: result.OK, Server: result.Server,
 		})
 	}()
@@ -741,7 +731,7 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 	// The place intent goes in *before* the spawn: a crash after the guest
 	// exists but before any completion record leaves a torn place intent
 	// naming the server, which recovery cleans up.
-	placeIntent := c.intentBegin(l.vid, "", intentRecord{Op: "place", Server: cand.Name})
+	placeIntent := c.intentBegin(l.vid, "", IntentRecord{Op: "place", Server: cand.Name})
 	// Every failure from here on undoes what the attempt got to — a guest or
 	// reservation left behind leaks capacity until the host is drained — and
 	// closes the place intent as failed. A crash undoes nothing: guest,
@@ -761,7 +751,7 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 			// Best effort: the host may be what failed.
 			_ = c.evict(l.vid, cand.Name)
 		}
-		c.intentEnd(l.vid, intentRecord{Op: "place", ID: placeIntent, OK: false})
+		c.intentEnd(l.vid, IntentRecord{Op: "place", ID: placeIntent, OK: false})
 	}()
 
 	if err := c.spawn(cand.Name, server.LaunchSpec{
@@ -827,7 +817,7 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 		return false, nil
 	}
 	c.storeLastGood(l.vid, properties.StartupIntegrity, rep.Verdict)
-	c.intentEnd(l.vid, intentRecord{Op: "place", ID: placeIntent, OK: true, Server: cand.Name})
+	c.intentEnd(l.vid, IntentRecord{Op: "place", ID: placeIntent, OK: true, Server: cand.Name})
 	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Scheduled", cand.Name)
 	c.setCond(rec, reconcile.CondAttested, reconcile.True, "Verified", string(properties.StartupIntegrity))
 	c.setCond(rec, reconcile.CondHealthy, reconcile.True, "Verified", string(properties.StartupIntegrity))

@@ -3,7 +3,6 @@ package controller
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -316,8 +315,8 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 			}
 			closed := false
 			for _, e := range es {
-				var ir intentRecord
-				if json.Unmarshal(e.Payload, &ir) == nil && ir.Op == "place" && ir.Phase == "end" {
+				var ir IntentRecord
+				if e.Decode(&ir) == nil && ir.Op == "place" && ir.Phase == "end" {
 					closed = !ir.OK
 				}
 			}

@@ -32,9 +32,9 @@ func (c *Controller) failpoint(point string) error {
 
 // --- two-phase intents ---
 
-// intentRecord is the JSON payload of a KindIntent ledger entry. One
-// struct covers every op; unused fields are omitted.
-type intentRecord struct {
+// IntentRecord is the payload of a ledger.KindIntent entry. One struct
+// covers every op; unused fields are omitted.
+type IntentRecord struct {
 	Phase string `json:"phase"` // begin | end
 	Op    string `json:"op"`    // launch | place | remediate | terminate | migrate-out | migrated | state
 	ID    string `json:"id"`
@@ -79,7 +79,7 @@ func (c *Controller) intentID() string {
 // operation acts, so a crash between action and completion leaves a torn
 // intent recovery can finish. It returns the intent id ("" without a
 // ledger — recovery is then unsupported, and nothing is recorded).
-func (c *Controller) intentBegin(vid string, prop properties.Property, ir intentRecord) string {
+func (c *Controller) intentBegin(vid string, prop properties.Property, ir IntentRecord) string {
 	if c.cfg.Ledger == nil {
 		return ""
 	}
@@ -90,7 +90,7 @@ func (c *Controller) intentBegin(vid string, prop properties.Property, ir intent
 }
 
 // intentEnd appends the end half, marking the intent complete.
-func (c *Controller) intentEnd(vid string, ir intentRecord) {
+func (c *Controller) intentEnd(vid string, ir IntentRecord) {
 	if c.cfg.Ledger == nil || ir.ID == "" {
 		return
 	}
@@ -104,7 +104,7 @@ func (c *Controller) stateIntent(vid, state string) {
 	if c.cfg.Ledger == nil {
 		return
 	}
-	c.record(ledger.KindIntent, vid, "", "", intentRecord{
+	c.record(ledger.KindIntent, vid, "", "", IntentRecord{
 		Phase: "end", Op: "state", ID: c.intentID(), OK: true, State: state,
 	})
 }
@@ -264,12 +264,23 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 		// (half-finished teardowns always finish).
 		return err
 	}
-	c.intentEnd(vid, intentRecord{Op: "terminate", ID: intentID, OK: true})
+	c.intentEnd(vid, IntentRecord{Op: "terminate", ID: intentID, OK: true})
 	c.mu.Lock()
 	rec.Finalized = true
 	c.mu.Unlock()
 	c.setCond(rec, reconcile.CondTerminating, reconcile.True, "Finalized", "teardown complete")
 	return nil
+}
+
+// RemediationRecord is the payload of a ledger.KindRemediation entry: an
+// executed policy response, or a resume (Response "resume" alone).
+type RemediationRecord struct {
+	Response   string `json:"response"`
+	Reason     string `json:"reason,omitempty"`
+	Backend    string `json:"backend,omitempty"`
+	NewServer  string `json:"new_server,omitempty"`
+	Terminated bool   `json:"terminated,omitempty"`
+	Intent     string `json:"intent,omitempty"`
 }
 
 // maxMigrateAttempts bounds migrate retries before the loop falls back to
@@ -291,7 +302,7 @@ func (c *Controller) executeRemediation(rec *vmRecord, p *pendingRemediation) er
 	c.mu.Unlock()
 
 	if p.IntentID == "" {
-		p.IntentID = c.intentBegin(vid, p.Prop, intentRecord{
+		p.IntentID = c.intentBegin(vid, p.Prop, IntentRecord{
 			Op: "remediate", Response: string(p.Response), Reason: p.Reason,
 		})
 	}
@@ -368,15 +379,9 @@ func (c *Controller) executeRemediation(rec *vmRecord, p *pendingRemediation) er
 	if ev.NewServer != "" {
 		backendSrv = ev.NewServer
 	}
-	c.record(ledger.KindRemediation, vid, p.Prop, "", struct {
-		Response   string `json:"response"`
-		Reason     string `json:"reason,omitempty"`
-		Backend    string `json:"backend,omitempty"`
-		NewServer  string `json:"new_server,omitempty"`
-		Terminated bool   `json:"terminated,omitempty"`
-		Intent     string `json:"intent,omitempty"`
-	}{string(p.Response), p.Reason, c.serverBackend(backendSrv), ev.NewServer, ev.Terminated, p.IntentID})
-	c.intentEnd(vid, intentRecord{
+	c.record(ledger.KindRemediation, vid, p.Prop, "",
+		RemediationRecord{string(p.Response), p.Reason, c.serverBackend(backendSrv), ev.NewServer, ev.Terminated, p.IntentID})
+	c.intentEnd(vid, IntentRecord{
 		Op: "remediate", ID: p.IntentID, OK: opErr == nil,
 		Response: string(p.Response), Reason: p.Reason,
 		NewServer: ev.NewServer, Terminated: ev.Terminated,

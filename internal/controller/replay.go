@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"cloudmonatt/internal/image"
@@ -29,12 +28,14 @@ import (
 //
 // Degradation evidence (KindDegraded) replays to nothing: an
 // infrastructure failure never becomes a remediation, crash or no crash.
+// An intent or remediation entry the fold cannot read is an error naming
+// it: folding past it would lose or resurrect the work it records.
 func (c *Controller) Recover() error {
 	if c.cfg.Ledger == nil {
 		return fmt.Errorf("controller: recovery requires a ledger")
 	}
 
-	launchBegins := make(map[string]intentRecord)         // vid → open launch
+	launchBegins := make(map[string]IntentRecord)         // vid → open launch
 	openPlaces := make(map[string]map[string]string)      // vid → intent id → server
 	openRemediate := make(map[string]*pendingRemediation) // vid → torn remediation
 	recs := make(map[string]*vmRecord)
@@ -83,9 +84,9 @@ func (c *Controller) Recover() error {
 		replayed++
 		switch e.Kind {
 		case ledger.KindIntent:
-			var ir intentRecord
-			if err := json.Unmarshal(e.Payload, &ir); err != nil {
-				continue
+			var ir IntentRecord
+			if err := e.Decode(&ir); err != nil {
+				return fmt.Errorf("controller: ledger replay: %w", err)
 			}
 			noteIntent(ir.ID)
 			rec := recs[e.Vid]
@@ -183,10 +184,11 @@ func (c *Controller) Recover() error {
 		case ledger.KindRemediation:
 			// ResumeVM leaves a plain remediation record; fold it so a
 			// suspended-then-resumed VM recovers as active.
-			var p struct {
-				Response string `json:"response"`
+			var p RemediationRecord
+			if err := e.Decode(&p); err != nil {
+				return fmt.Errorf("controller: ledger replay: %w", err)
 			}
-			if err := json.Unmarshal(e.Payload, &p); err == nil && p.Response == "resume" {
+			if p.Response == "resume" {
 				if rec := recs[e.Vid]; rec != nil && rec.State == "suspended" {
 					rec.State = "active"
 					rec.SuspendedFor = ""
@@ -268,7 +270,7 @@ func (c *Controller) Recover() error {
 	}
 	c.metrics.Counter("controller/recover-replayed-entries").Add(int64(replayed))
 	c.metrics.Counter("controller/recover-torn-intents").Add(int64(torn))
-	c.record(ledger.KindIntent, "", "", "", intentRecord{
+	c.record(ledger.KindIntent, "", "", "", IntentRecord{
 		Phase: "end", Op: "recover", ID: c.intentID(), OK: true,
 	})
 

@@ -2,8 +2,8 @@ package controller
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cloudmonatt/internal/cryptoutil"
@@ -47,13 +47,9 @@ func memLedger(t *testing.T) *ledger.Ledger {
 	return led
 }
 
-func appendIntent(t *testing.T, led *ledger.Ledger, vid, prop string, ir intentRecord) {
+func appendIntent(t *testing.T, led *ledger.Ledger, vid, prop string, ir IntentRecord) {
 	t.Helper()
-	data, err := json.Marshal(ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := led.Append(ledger.Entry{Kind: ledger.KindIntent, Vid: vid, Prop: prop, Payload: data}); err != nil {
+	if err := led.Record(ledger.Entry{Kind: ledger.KindIntent, Vid: vid, Prop: prop}, ir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,18 +57,18 @@ func appendIntent(t *testing.T, led *ledger.Ledger, vid, prop string, ir intentR
 // launchEntries appends a completed two-phase launch for vid on srv-a.
 func launchEntries(t *testing.T, led *ledger.Ledger, vid string, n int) {
 	t.Helper()
-	appendIntent(t, led, vid, "", intentRecord{
+	appendIntent(t, led, vid, "", IntentRecord{
 		Phase: "begin", Op: "launch", ID: fmt.Sprintf("in-%06d", n),
 		Owner: "alice", Image: "cirros", Flavor: "small", Workload: "idle",
 		Props: []string{string(properties.RuntimeIntegrity)},
 	})
-	appendIntent(t, led, vid, "", intentRecord{
+	appendIntent(t, led, vid, "", IntentRecord{
 		Phase: "begin", Op: "place", ID: fmt.Sprintf("in-%06d", n+1), Server: "srv-a",
 	})
-	appendIntent(t, led, vid, "", intentRecord{
+	appendIntent(t, led, vid, "", IntentRecord{
 		Phase: "end", Op: "place", ID: fmt.Sprintf("in-%06d", n+1), OK: true, Server: "srv-a",
 	})
-	appendIntent(t, led, vid, "", intentRecord{
+	appendIntent(t, led, vid, "", IntentRecord{
 		Phase: "end", Op: "launch", ID: fmt.Sprintf("in-%06d", n), OK: true, Server: "srv-a",
 	})
 }
@@ -135,11 +131,11 @@ func TestRecoverReplayTable(t *testing.T) {
 		led := memLedger(t)
 		// The ledger ends mid-launch: begin + place begin, no completions —
 		// the crash hit after the guest spawned.
-		appendIntent(t, led, "vm-0001", "", intentRecord{
+		appendIntent(t, led, "vm-0001", "", IntentRecord{
 			Phase: "begin", Op: "launch", ID: "in-000001",
 			Owner: "alice", Image: "cirros", Flavor: "small",
 		})
-		appendIntent(t, led, "vm-0001", "", intentRecord{
+		appendIntent(t, led, "vm-0001", "", IntentRecord{
 			Phase: "begin", Op: "place", ID: "in-000002", Server: "srv-a",
 		})
 		c := newRecoverController(t, led)
@@ -167,11 +163,11 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("completed remediation is not re-executed", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		appendIntent(t, led, "vm-0001", string(properties.RuntimeIntegrity), intentRecord{
+		appendIntent(t, led, "vm-0001", string(properties.RuntimeIntegrity), IntentRecord{
 			Phase: "begin", Op: "remediate", ID: "in-000005",
 			Response: string(Terminate), Reason: "rootkit",
 		})
-		appendIntent(t, led, "vm-0001", "", intentRecord{
+		appendIntent(t, led, "vm-0001", "", IntentRecord{
 			Phase: "end", Op: "remediate", ID: "in-000005", OK: true,
 			Response: string(Terminate), Reason: "rootkit", Terminated: true,
 		})
@@ -201,7 +197,7 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("torn remediation becomes pending work once", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		appendIntent(t, led, "vm-0001", string(properties.RuntimeIntegrity), intentRecord{
+		appendIntent(t, led, "vm-0001", string(properties.RuntimeIntegrity), IntentRecord{
 			Phase: "begin", Op: "remediate", ID: "in-000005",
 			Response: string(Terminate), Reason: "rootkit",
 		})
@@ -233,7 +229,7 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("torn teardown re-enters the finalizer", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		appendIntent(t, led, "vm-0001", "", intentRecord{
+		appendIntent(t, led, "vm-0001", "", IntentRecord{
 			Phase: "begin", Op: "terminate", ID: "in-000005",
 		})
 		c := newRecoverController(t, led)
@@ -257,13 +253,9 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("degradation evidence never becomes remediation", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		payload, _ := json.Marshal(struct {
-			Reason string `json:"reason"`
-		}{"attestation server unreachable"})
-		if _, err := led.Append(ledger.Entry{
-			Kind: ledger.KindDegraded, Vid: "vm-0001",
-			Prop: string(properties.RuntimeIntegrity), Payload: payload,
-		}); err != nil {
+		if err := led.Record(ledger.Entry{
+			Kind: ledger.KindDegraded, Vid: "vm-0001", Prop: string(properties.RuntimeIntegrity),
+		}, StaleServeRecord{AgeNS: 0, Cause: "attestation server unreachable"}); err != nil {
 			t.Fatal(err)
 		}
 		c := newRecoverController(t, led)
@@ -285,13 +277,10 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("suspend then resume folds to active", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		appendIntent(t, led, "vm-0001", "", intentRecord{
+		appendIntent(t, led, "vm-0001", "", IntentRecord{
 			Phase: "end", Op: "state", ID: "in-000005", OK: true, State: "suspended",
 		})
-		payload, _ := json.Marshal(struct {
-			Response string `json:"response"`
-		}{"resume"})
-		if _, err := led.Append(ledger.Entry{Kind: ledger.KindRemediation, Vid: "vm-0001", Payload: payload}); err != nil {
+		if err := led.Record(ledger.Entry{Kind: ledger.KindRemediation, Vid: "vm-0001"}, RemediationRecord{Response: "resume"}); err != nil {
 			t.Fatal(err)
 		}
 		c := newRecoverController(t, led)
@@ -300,6 +289,20 @@ func TestRecoverReplayTable(t *testing.T) {
 		}
 		if rec := c.vms["vm-0001"]; rec == nil || rec.State != "active" {
 			t.Fatalf("record = %+v, want active after suspend+resume", rec)
+		}
+	})
+
+	t.Run("unreadable intent fails recovery", func(t *testing.T) {
+		led := memLedger(t)
+		launchEntries(t, led, "vm-0001", 1)
+		// Entry 5: a phase that is not a string. Folding past it could drop
+		// the begin of a torn operation.
+		if _, err := led.Append(ledger.Entry{Kind: ledger.KindIntent, Vid: "vm-0001", Payload: []byte(`{"phase":1}`)}); err != nil {
+			t.Fatal(err)
+		}
+		c := newRecoverController(t, led)
+		if err := c.Recover(); err == nil || !strings.Contains(err.Error(), "entry 5") {
+			t.Fatalf("Recover over an unreadable intent = %v, want an error naming entry 5", err)
 		}
 	})
 }

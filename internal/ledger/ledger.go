@@ -56,17 +56,17 @@ const (
 	KindIntent Kind = "intent"
 )
 
-// RPCFault is the payload of every KindRPCFault entry, whichever entity's
-// channel observed the event. Retries fill Method/Attempt/Err, breaker
-// transitions From/To.
-type RPCFault struct {
-	Event   string `json:"event"` // "retry" | "breaker"
-	Peer    string `json:"peer"`
-	Method  string `json:"method,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Err     string `json:"err,omitempty"`
-	From    string `json:"from,omitempty"`
-	To      string `json:"to,omitempty"`
+// kinds lists every entry kind, in declaration order.
+var kinds = []Kind{KindAppraisal, KindRemediation, KindLaunch, KindCertIssue, KindDegraded, KindRPCFault, KindIntent}
+
+// ParseKind resolves an operator-supplied entry kind name.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range kinds {
+		if k == Kind(s) {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("ledger: unknown entry kind %q (have %v)", s, kinds)
 }
 
 // Entry is one committed evidence record. Seq, PrevHash and Hash are
@@ -78,7 +78,7 @@ type Entry struct {
 	Vid      string
 	Prop     string
 	Trace    string // obs trace ID joining this evidence to its timing spans
-	Payload  []byte
+	Payload  []byte // the writer's record as Record encodes it; Decode reads it back
 	PrevHash [32]byte
 	Hash     [32]byte
 }

@@ -8,9 +8,6 @@ import (
 	"time"
 )
 
-// entryKinds is every kind of entry the stack records.
-var entryKinds = []Kind{KindAppraisal, KindRemediation, KindLaunch, KindCertIssue, KindDegraded, KindRPCFault, KindIntent}
-
 // fillLedger writes n entries, cycling through every entry kind, to a fresh
 // on-disk ledger and returns the directory and the committed entries. The
 // entries depend only on n.
@@ -29,7 +26,7 @@ func fillLedger(t testing.TB, n int, segBytes int64) (string, []Entry) {
 		}
 		e, err := l.Append(Entry{
 			At:      time.Duration(i) * time.Millisecond,
-			Kind:    entryKinds[i%len(entryKinds)],
+			Kind:    kinds[i%len(kinds)],
 			Vid:     fmt.Sprintf("vm-%04d", i),
 			Prop:    "runtime-integrity",
 			Trace:   trace,

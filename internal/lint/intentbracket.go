@@ -185,7 +185,7 @@ func runIntentBracket(pass *Pass) {
 
 // recordsBeginPhase reports whether a direct KindIntent record call
 // carries a Phase: "begin" field in one of its composite-literal
-// arguments (the c.record(ledger.KindIntent, ..., intentRecord{Phase:
+// arguments (the c.record(ledger.KindIntent, ..., IntentRecord{Phase:
 // "begin", ...}) form). Anything else is a phase-2 close.
 func recordsBeginPhase(call *ast.CallExpr) bool {
 	for _, arg := range call.Args {

@@ -81,8 +81,8 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 			analyzer: IntentBracket, file: "internal/controller/attest.go",
 			old: "\tc.stateIntent(vid, to)\n", new: "",
 			want: []string{
-				`attest.go:286: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
-				`attest.go:291: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:294: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:299: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
 			},
 		},
 		{

@@ -17,12 +17,14 @@ package oracle
 
 import (
 	"crypto/ed25519"
-	"encoding/json"
 	"fmt"
 	"sort"
 
+	"cloudmonatt/internal/attestsrv"
+	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/metrics"
+	"cloudmonatt/internal/pca"
 )
 
 // Run is what a finished run leaves behind.
@@ -138,12 +140,9 @@ func checkRemediations(entries []ledger.Entry, report reportFunc) {
 		e := &entries[i]
 		switch e.Kind {
 		case ledger.KindAppraisal:
-			var v struct {
-				Healthy      bool `json:"healthy"`
-				Unattestable bool `json:"unattestable"`
-			}
-			if err := json.Unmarshal(e.Payload, &v); err != nil {
-				report(CheckRemediation, "appraisal %d does not decode: %v", e.Seq, err)
+			var v attestsrv.AppraisalRecord
+			if err := e.Decode(&v); err != nil {
+				report(CheckRemediation, "%v", err)
 				continue
 			}
 			if !v.Healthy && !v.Unattestable {
@@ -153,11 +152,9 @@ func checkRemediations(entries []ledger.Entry, report reportFunc) {
 		case ledger.KindDegraded:
 			at(e).degraded = true
 		case ledger.KindRemediation:
-			var rem struct {
-				Response string `json:"response"`
-			}
-			if err := json.Unmarshal(e.Payload, &rem); err != nil {
-				report(CheckRemediation, "remediation %d does not decode: %v", e.Seq, err)
+			var rem controller.RemediationRecord
+			if err := e.Decode(&rem); err != nil {
+				report(CheckRemediation, "%v", err)
 				continue
 			}
 			if rem.Response == "resume" {
@@ -185,13 +182,9 @@ func checkIntents(entries []ledger.Entry, report reportFunc) {
 		if e.Kind != ledger.KindIntent {
 			continue
 		}
-		var ir struct {
-			Phase string `json:"phase"`
-			Op    string `json:"op"`
-			ID    string `json:"id"`
-		}
-		if err := json.Unmarshal(e.Payload, &ir); err != nil {
-			report(CheckIntents, "intent %d does not decode: %v", e.Seq, err)
+		var ir controller.IntentRecord
+		if err := e.Decode(&ir); err != nil {
+			report(CheckIntents, "%v", err)
 			continue
 		}
 		switch {
@@ -221,11 +214,9 @@ func checkSerials(entries []ledger.Entry, report reportFunc) {
 		if e.Kind != ledger.KindCertIssue {
 			continue
 		}
-		var c struct {
-			Serial uint64 `json:"serial"`
-		}
-		if err := json.Unmarshal(e.Payload, &c); err != nil {
-			report(CheckSerials, "issuance %d does not decode: %v", e.Seq, err)
+		var c pca.IssuanceRecord
+		if err := e.Decode(&c); err != nil {
+			report(CheckSerials, "%v", err)
 			continue
 		}
 		if c.Serial <= last {

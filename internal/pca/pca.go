@@ -12,7 +12,6 @@ package pca
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -153,8 +152,9 @@ func (p *PCA) Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error) {
 // recovers the serial high-water mark from prior KindCertIssue entries.
 // The serial counter was in-memory only: a restarted pCA would reissue
 // anon-1, anon-2, … and silently break the serial uniqueness every
-// verifier assumes. now supplies the virtual event time (the pCA has no
-// clock of its own).
+// verifier assumes. An issuance it cannot read is an error: the mark could
+// then sit below a serial already issued. now supplies the virtual event
+// time (the pCA has no clock of its own).
 func (p *PCA) SetLedger(l *ledger.Ledger, now func() time.Duration) error {
 	var high uint64
 	if l != nil {
@@ -163,20 +163,17 @@ func (p *PCA) SetLedger(l *ledger.Ledger, now func() time.Duration) error {
 			return fmt.Errorf("pca: recovering serial high-water mark: %w", err)
 		}
 		for _, e := range issued {
-			var rec struct {
-				Serial uint64 `json:"serial"`
+			var rec IssuanceRecord
+			if err := e.Decode(&rec); err != nil {
+				return fmt.Errorf("pca: recovering serial high-water mark: %w", err)
 			}
-			if json.Unmarshal(e.Payload, &rec) == nil && rec.Serial > high {
-				high = rec.Serial
-			}
+			high = max(high, rec.Serial)
 		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ledger, p.now = l, now
-	if high > p.serial {
-		p.serial = high
-	}
+	p.serial = max(p.serial, high)
 	return nil
 }
 
@@ -194,30 +191,26 @@ func (p *PCA) CertStats() Stats {
 	return p.stats
 }
 
-// recordIssuance appends the issuance evidence, best-effort. The entry
+// IssuanceRecord is the payload of a ledger.KindCertIssue entry. It
 // deliberately names only the anonymous subject and serial — recording the
-// requesting server here would undo the privacy the pCA exists to provide
+// requesting server would undo the privacy the pCA exists to provide
 // (paper §3.4.2).
+type IssuanceRecord struct {
+	Subject string `json:"subject"`
+	Serial  uint64 `json:"serial"`
+	Purpose string `json:"purpose"`
+}
+
+// recordIssuance appends the issuance evidence, best-effort.
 func (p *PCA) recordIssuance(subject string, serial uint64) {
 	p.mu.RLock()
 	l, now := p.ledger, p.now
 	p.mu.RUnlock()
-	if l == nil {
-		return
-	}
 	var at time.Duration
 	if now != nil {
 		at = now()
 	}
-	payload, err := json.Marshal(struct {
-		Subject string `json:"subject"`
-		Serial  uint64 `json:"serial"`
-		Purpose string `json:"purpose"`
-	}{subject, serial, PurposeAttestationKey})
-	if err != nil {
-		return
-	}
-	l.Append(ledger.Entry{At: at, Kind: ledger.KindCertIssue, Payload: payload})
+	l.Record(ledger.Entry{At: at, Kind: ledger.KindCertIssue}, IssuanceRecord{subject, serial, PurposeAttestationKey})
 }
 
 // verifiedCertsSize bounds the verified-certificate set. One certificate is

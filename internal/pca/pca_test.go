@@ -186,6 +186,27 @@ func TestSerialsSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestUnreadableIssuanceFailsRecovery: an issuance SetLedger cannot read
+// may hold the highest serial, so skipping it would let the next Certify
+// issue serial 4 again. Recovery refuses and names the entry instead.
+func TestUnreadableIssuanceFailsRecovery(t *testing.T) {
+	led, err := ledger.Open(ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	for _, payload := range []string{`{"serial":1}`, `{"serial":2}`, `{"serial":3}`, `{"serial":"4"}`} {
+		if _, err := led.Append(ledger.Entry{Kind: ledger.KindCertIssue, Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca, _ := setup(t)
+	err = ca.SetLedger(led, nil)
+	if err == nil || !strings.Contains(err.Error(), "entry 4") {
+		t.Fatalf("SetLedger over an unreadable issuance = %v (high-water %d), want an error naming entry 4", err, ca.SerialHighWater())
+	}
+}
+
 // TestCertifyCachesSessions: re-certifying the same (server, session key)
 // returns the identical certificate without consuming a serial, so N
 // shards appraising one server don't turn the pCA into a bottleneck.

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"time"
@@ -100,10 +99,23 @@ func (ps *PeerSet) Health() []obs.PeerHealth {
 	return out
 }
 
+// FaultRecord is the payload of every ledger.KindRPCFault entry, whichever
+// entity's channel observed the event. Retries fill Method/Attempt/Err,
+// breaker transitions From/To.
+type FaultRecord struct {
+	Event   string `json:"event"` // "retry" | "breaker"
+	Peer    string `json:"peer"`
+	Method  string `json:"method,omitempty"`
+	Attempt int    `json:"attempt,omitempty"`
+	Err     string `json:"err,omitempty"`
+	From    string `json:"from,omitempty"`
+	To      string `json:"to,omitempty"`
+}
+
 // onEvent counts a retry or breaker transition and records it as evidence.
 // It runs on the calling client's goroutine, possibly concurrently.
 func (ps *PeerSet) onEvent(ev Event) {
-	fault := ledger.RPCFault{Event: string(ev.Kind), Peer: ev.Peer}
+	fault := FaultRecord{Event: string(ev.Kind), Peer: ev.Peer}
 	switch ev.Kind {
 	case EventRetry:
 		ps.cfg.Metrics.Counter(ps.cfg.Entity + "/rpc-retries").Inc()
@@ -118,12 +130,7 @@ func (ps *PeerSet) onEvent(ev Event) {
 		}
 		fault.From, fault.To = ev.From.String(), ev.To.String()
 	}
-	if ps.cfg.Ledger == nil {
-		return
+	if ps.cfg.Ledger != nil { // Now is set only with a ledger
+		ps.cfg.Ledger.Record(ledger.Entry{At: ps.cfg.Now(), Kind: ledger.KindRPCFault}, fault)
 	}
-	payload, err := json.Marshal(fault)
-	if err != nil {
-		return
-	}
-	ps.cfg.Ledger.Append(ledger.Entry{At: ps.cfg.Now(), Kind: ledger.KindRPCFault, Payload: payload})
 }

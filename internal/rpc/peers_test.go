@@ -1,9 +1,7 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -134,20 +132,18 @@ func TestPeerSetRecordsRetryAndBreakerOpen(t *testing.T) {
 	if err != nil || len(es) != 2 {
 		t.Fatalf("rpc-fault entries: %d (err %v), want 2", len(es), err)
 	}
-	var faults []ledger.RPCFault
+	var faults []FaultRecord
 	for _, e := range es {
 		if e.At != 7*time.Second {
 			t.Errorf("entry stamped %v, want the peer set's clock (7s)", e.At)
 		}
-		var f ledger.RPCFault
-		dec := json.NewDecoder(bytes.NewReader(e.Payload))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&f); err != nil {
-			t.Fatalf("payload %s is not a ledger.RPCFault: %v", e.Payload, err)
+		var f FaultRecord
+		if err := e.Decode(&f); err != nil {
+			t.Fatalf("payload %s is not a FaultRecord: %v", e.Payload, err)
 		}
 		faults = append(faults, f)
 	}
-	if f := faults[0]; f != (ledger.RPCFault{Event: "breaker", Peer: "server-dead", From: "closed", To: "open"}) {
+	if f := faults[0]; f != (FaultRecord{Event: "breaker", Peer: "server-dead", From: "closed", To: "open"}) {
 		t.Errorf("breaker entry = %+v", f)
 	}
 	if f := faults[1]; f.Event != "retry" || f.Peer != "server-dead" || f.Method != "echo" || f.Attempt != 2 || f.Err == "" || f.From != "" || f.To != "" {
