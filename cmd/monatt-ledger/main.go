@@ -16,20 +16,28 @@
 //
 //	monatt-ledger show -dir DIR [-vid V] [-kind K] [-prop P] [-limit N]
 //	    query committed entries by VM, entry kind, property, or any
-//	    combination. An unknown kind exits 2 and names the kinds.
+//	    combination, each printed with the set fields of its record,
+//	    decoded as its kind's record type. An unknown kind exits 2 and
+//	    names the kinds; an entry whose record does not decode is printed
+//	    with the reason and makes show exit 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"time"
 
+	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/cloudsim"
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/ledger"
+	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/rpc"
 )
 
 func main() {
@@ -183,9 +191,73 @@ func show(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	bad := 0
 	for _, e := range es {
+		rec, err := decode(&e)
+		desc := fields(rec)
+		if err != nil {
+			bad++
+			desc = "undecodable: " + err.Error()
+		}
 		fmt.Printf("%6d  %12s  %-12s %-10s %-22s %s\n",
-			e.Seq, e.At, e.Kind, e.Vid, e.Prop, e.Payload)
+			e.Seq, e.At, e.Kind, e.Vid, e.Prop, desc)
 	}
 	fmt.Printf("%d entries\n", len(es))
+	if bad > 0 {
+		fatal(fmt.Errorf("%d entries do not decode as their kind's record", bad))
+	}
+}
+
+// decode decodes e's record into the type its kind names; of
+// KindDegraded's two types, the one its tag names.
+func decode(e *ledger.Entry) (ledger.Decoder, error) {
+	var rec ledger.Decoder
+	switch e.Kind {
+	case ledger.KindAppraisal:
+		rec = new(attestsrv.AppraisalRecord)
+	case ledger.KindLaunch:
+		rec = new(controller.LaunchRecord)
+	case ledger.KindRemediation:
+		rec = new(controller.RemediationRecord)
+	case ledger.KindIntent:
+		rec = new(controller.IntentRecord)
+	case ledger.KindDegraded:
+		if e.Tag() == ledger.TagPeriodicLossRecord {
+			rec = new(controller.PeriodicLossRecord)
+		} else {
+			rec = new(controller.StaleServeRecord)
+		}
+	case ledger.KindCertIssue:
+		rec = new(pca.IssuanceRecord)
+	case ledger.KindRPCFault:
+		rec = new(rpc.FaultRecord)
+	default:
+		return nil, fmt.Errorf("no record type for kind %q", e.Kind)
+	}
+	return rec, e.Decode(rec)
+}
+
+// fields renders a decoded record's set fields as Name=value in
+// declaration order, strings quoted and a nested spec as {Field:value ...}.
+func fields(rec ledger.Decoder) string {
+	if rec == nil {
+		return ""
+	}
+	v := reflect.ValueOf(rec).Elem()
+	var out []string
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.IsZero() {
+			continue
+		}
+		format := "%s=%v"
+		switch f.Kind() {
+		case reflect.String:
+			format = "%s=%q"
+		case reflect.Pointer:
+			f, format = f.Elem(), "%s=%+v"
+		}
+		out = append(out, fmt.Sprintf(format, v.Type().Field(i).Name, f.Interface()))
+	}
+	return strings.Join(out, " ")
 }

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/interpret"
 	"cloudmonatt/internal/latency"
@@ -432,19 +433,44 @@ func (s *Server) landLog(srvRec *ServerRecord, mem *driver.LogMemory) {
 
 // AppraisalRecord is the payload of a ledger.KindAppraisal entry.
 type AppraisalRecord struct {
-	Server       string `json:"server"`
-	Backend      string `json:"backend,omitempty"`
-	Healthy      bool   `json:"healthy"`
-	Unattestable bool   `json:"unattestable,omitempty"`
-	Class        string `json:"class,omitempty"`
-	Reason       string `json:"reason,omitempty"`
+	Server       string
+	Backend      string
+	Healthy      bool
+	Unattestable bool
+	Class        string
+	Reason       string
+}
+
+// AppendWire appends the record's binenc encoding to b.
+func (r AppraisalRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagAppraisalRecord)
+	b = binenc.AppendString(b, r.Server)
+	b = binenc.AppendString(b, r.Backend)
+	b = binenc.AppendBool(b, r.Healthy)
+	b = binenc.AppendBool(b, r.Unattestable)
+	b = binenc.AppendString(b, r.Class)
+	return binenc.AppendString(b, r.Reason)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *AppraisalRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagAppraisalRecord)
+	*r = AppraisalRecord{}
+	r.Server = rd.String()
+	r.Backend = rd.String()
+	r.Healthy = rd.Bool()
+	r.Unattestable = rd.Bool()
+	r.Class = rd.String()
+	r.Reason = rd.String()
+	return ledger.Finish(&rd, "AppraisalRecord")
 }
 
 // recordAppraisal appends one evidence entry for an appraised report.
 // Appends are best-effort: a full or failing evidence store must not stop
 // the attestation path itself (the report is still signed and delivered).
 func (s *Server) recordAppraisal(req *wire.AppraisalRequest, v properties.Verdict, trace string) {
-	s.cfg.Ledger.Record(ledger.Entry{At: s.cfg.Clock.Now(), Kind: ledger.KindAppraisal, Vid: req.Vid, Prop: string(req.Prop), Trace: trace},
+	ledger.Record(s.cfg.Ledger, ledger.Entry{At: s.cfg.Clock.Now(), Kind: ledger.KindAppraisal, Vid: req.Vid, Prop: string(req.Prop), Trace: trace},
 		AppraisalRecord{req.ServerID, v.Backend, v.Healthy, v.Unattestable, string(v.Class), v.Reason})
 }
 

@@ -8,18 +8,43 @@ import (
 
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/metrics"
+	"cloudmonatt/internal/oracle"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
 )
 
+// newTB builds a testbed and puts its finished run under the whole-run
+// oracle when the test ends, so every scenario here, faults and attacks
+// included, must leave a ledger and metrics that keep the oracle's claims.
 func newTB(t *testing.T, opts Options) *Testbed {
 	t.Helper()
 	tb, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { checkOracle(t, tb) })
 	return tb
+}
+
+// checkOracle judges the finished run tb leaves behind — its ledger, the
+// ledger head signed by the controller and every shard's metrics — and
+// fails the test on each violation the oracle finds.
+func checkOracle(t *testing.T, tb *Testbed) {
+	t.Helper()
+	shards := make(map[string]metrics.RegistrySnapshot)
+	for _, as := range tb.AttestServers {
+		shards[as.Shard()] = as.Metrics().Snapshot()
+	}
+	for _, v := range oracle.Check(oracle.Run{
+		Ledger:        tb.Ledger,
+		Checkpoint:    tb.Ledger.Checkpoint(tb.ctrlID),
+		CheckpointKey: tb.ctrlID.Public(),
+		Shards:        shards,
+	}) {
+		t.Errorf("oracle: %v", v)
+	}
 }
 
 func launch(t *testing.T, cu *Customer, req controller.LaunchRequest) controller.LaunchResult {

@@ -52,7 +52,7 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ld.OK || ld.Owner != "alice" || ld.Server != res.Server {
-		t.Fatalf("launch payload %s", launches[0].Payload)
+		t.Fatalf("launch record %+v", ld)
 	}
 
 	// Appraisals, recorded by the Attestation Server: the startup check at
@@ -70,7 +70,7 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if last.Prop != string(properties.RuntimeIntegrity) || ap.Healthy {
-		t.Fatalf("final appraisal entry %+v %s", last, last.Payload)
+		t.Fatalf("final appraisal entry %+v: %+v", last, ap)
 	}
 
 	// Certificate issuances, recorded by the pCA — anonymously: no entry may
@@ -84,7 +84,7 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	}
 	for _, e := range certs {
 		if e.Vid != "" || strings.Contains(string(e.Payload), res.Server) {
-			t.Fatalf("cert-issue entry leaks placement: %+v %s", e, e.Payload)
+			t.Fatalf("cert-issue entry leaks placement: %+v", e)
 		}
 	}
 
@@ -98,32 +98,14 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	}
 	var rem controller.RemediationRecord
 	if err := rems[0].Decode(&rem); err != nil || rem.Response != string(controller.Terminate) {
-		t.Fatalf("remediation payload %s (%v), want a termination", rems[0].Payload, err)
+		t.Fatalf("remediation record %+v (%v), want a termination", rem, err)
 	}
 
-	// The control plane's two-phase intents: every begin must be matched by
-	// an end — an unmatched begin after a clean run would mean a torn
-	// intent without a crash.
+	// The control plane's two-phase intents. That every begin was ended is
+	// the oracle's to check, over every VM, when the test ends.
 	ints, err := tb.Ledger.Query(ledger.Filter{Kind: ledger.KindIntent, Vid: res.Vid})
 	if err != nil {
 		t.Fatal(err)
-	}
-	open := map[string]int{}
-	for _, e := range ints {
-		var ir controller.IntentRecord
-		if err := e.Decode(&ir); err != nil {
-			t.Fatal(err)
-		}
-		if ir.Phase == "begin" {
-			open[ir.ID]++
-		} else {
-			open[ir.ID]--
-		}
-	}
-	for id, n := range open {
-		if n > 0 {
-			t.Fatalf("intent %s left torn (%d unmatched begins) without a crash", id, n)
-		}
 	}
 
 	// Querying by VM id alone interleaves all kinds for that VM, in order.
@@ -140,8 +122,8 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The chain verifies in-process and — after closing — under an
-	// independent audit of the directory.
+	// The chain verifies in-process and under an independent audit of the
+	// directory, which opens the segments afresh beside the live writer.
 	n, err := tb.Ledger.Verify()
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +131,6 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	headSeq, headHash := tb.Ledger.Head()
 	if uint64(n) != headSeq {
 		t.Fatalf("verified %d entries, head seq %d", n, headSeq)
-	}
-	if err := tb.Ledger.Close(); err != nil {
-		t.Fatal(err)
 	}
 	res2, err := ledger.Audit(dir)
 	if err != nil {

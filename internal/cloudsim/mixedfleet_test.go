@@ -97,7 +97,7 @@ func TestMixedFleetAppraisal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rem) != 0 {
-			t.Fatalf("unattestable verdict triggered remediation: %s", rem[0].Payload)
+			t.Fatalf("unattestable verdict triggered remediation: entry %+v", rem[0])
 		}
 	}
 
@@ -117,7 +117,7 @@ func TestMixedFleetAppraisal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ap.Backend != "vtpm" || ap.Healthy || !ap.Unattestable {
-		t.Fatalf("appraisal payload %s", appr[0].Payload)
+		t.Fatalf("appraisal record %+v", ap)
 	}
 	annotated := false
 	for _, sp := range tb.Obs.Spans(appr[0].Trace) {
@@ -142,7 +142,7 @@ func TestMixedFleetAppraisal(t *testing.T) {
 		}
 		var ld controller.LaunchRecord
 		if err := entries[0].Decode(&ld); err != nil || ld.Backend != backend {
-			t.Fatalf("launch entry for %s (%s): %s (%v)", vid, backend, entries[0].Payload, err)
+			t.Fatalf("launch entry for %s (%s): %+v (%v)", vid, backend, ld, err)
 		}
 	}
 }
@@ -225,7 +225,7 @@ func TestRollbackRejectedAtLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ap.Healthy || ap.Class != string(properties.FailurePlatform) || ap.Backend != "sev-snp" {
-		t.Fatalf("rollback appraisal payload %s", appr[0].Payload)
+		t.Fatalf("rollback appraisal record %+v", ap)
 	}
 
 	// The same server under a verifier floor lowered to its stale version

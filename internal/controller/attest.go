@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"cloudmonatt/internal/attestsrv"
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/obs"
@@ -103,10 +104,27 @@ func (c *Controller) AttestTraced(parent obs.SpanContext, req wire.AttestRequest
 }
 
 // StaleServeRecord is the payload of a stale serve's ledger.KindDegraded
-// entry. Both fields are always present, an age of 0 included.
+// entry.
 type StaleServeRecord struct {
-	AgeNS int64  `json:"age_ns"`
-	Cause string `json:"cause"`
+	AgeNS int64
+	Cause string
+}
+
+// AppendWire appends the record's binenc encoding to b.
+func (r StaleServeRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagStaleServeRecord)
+	b = binenc.AppendUint64(b, uint64(r.AgeNS))
+	return binenc.AppendString(b, r.Cause)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *StaleServeRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagStaleServeRecord)
+	*r = StaleServeRecord{}
+	r.AgeNS = int64(rd.Uint64())
+	r.Cause = rd.String()
+	return ledger.Finish(&rd, "StaleServeRecord")
 }
 
 // staleReport serves the cached last-known-good verdict as a stale report
@@ -121,7 +139,7 @@ func (c *Controller) staleReport(vid string, p properties.Property, n1 cryptouti
 	}
 	age := c.cfg.Clock.Now() - lg.at
 	c.metrics.Counter("controller/degraded-stale-reports").Inc()
-	c.record(ledger.KindDegraded, vid, p, trace, StaleServeRecord{int64(age), cause.Error()})
+	record(c, ledger.KindDegraded, vid, p, trace, StaleServeRecord{int64(age), cause.Error()})
 	return wire.BuildStaleCustomerReport(c.cfg.Identity, vid, p, lg.verdict, n1, age)
 }
 
@@ -142,8 +160,25 @@ func (c *Controller) StartPeriodic(req wire.PeriodicRequest) error {
 // PeriodicLossRecord is the payload of the ledger.KindDegraded entry a
 // drain leaves when its stream lost reports or ticks.
 type PeriodicLossRecord struct {
-	Dropped uint64 `json:"dropped,omitempty"`
-	Skipped uint64 `json:"skipped,omitempty"`
+	Dropped uint64
+	Skipped uint64
+}
+
+// AppendWire appends the record's binenc encoding to b.
+func (r PeriodicLossRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagPeriodicLossRecord)
+	b = binenc.AppendUint64(b, r.Dropped)
+	return binenc.AppendUint64(b, r.Skipped)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *PeriodicLossRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagPeriodicLossRecord)
+	*r = PeriodicLossRecord{}
+	r.Dropped = rd.Uint64()
+	r.Skipped = rd.Uint64()
+	return ledger.Finish(&rd, "PeriodicLossRecord")
 }
 
 // DrainPeriodic serves fetch_attest_periodic (the stream stays armed) and
@@ -172,7 +207,7 @@ func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) ([]*
 	if batch.Dropped > 0 || batch.Skipped > 0 {
 		c.metrics.Counter("controller/periodic-dropped-reports").Add(int64(batch.Dropped))
 		c.metrics.Counter("controller/periodic-skipped-ticks").Add(int64(batch.Skipped))
-		c.record(ledger.KindDegraded, req.Vid, req.Prop, req.Trace, PeriodicLossRecord{batch.Dropped, batch.Skipped})
+		record(c, ledger.KindDegraded, req.Vid, req.Prop, req.Trace, PeriodicLossRecord{batch.Dropped, batch.Skipped})
 	}
 	return c.repackage(req.Vid, req.Prop, req.N1, rt, batch.Reports)
 }
@@ -300,7 +335,7 @@ func (c *Controller) ResumeVM(vid string) error {
 	if err := c.setRunState(vid, "suspended", "active"); err != nil {
 		return err
 	}
-	c.record(ledger.KindRemediation, vid, "", "", RemediationRecord{Response: "resume"})
+	record(c, ledger.KindRemediation, vid, "", "", RemediationRecord{Response: "resume"})
 	return nil
 }
 
@@ -431,7 +466,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		c.mu.Unlock()
 		// The migrate-out is complete external state: record it so recovery
 		// can finish the relaunch from the ledger alone.
-		c.record(ledger.KindIntent, vid, "", "", IntentRecord{
+		record(c, ledger.KindIntent, vid, "", "", IntentRecord{
 			Phase: "end", Op: "migrate-out", ID: c.intentID(), OK: true,
 			Server: src, Spec: &sp,
 		})
@@ -448,7 +483,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	rec.MigratedOut = false
 	rec.MigrateSpec = nil
 	c.mu.Unlock()
-	c.record(ledger.KindIntent, vid, "", "", IntentRecord{
+	record(c, ledger.KindIntent, vid, "", "", IntentRecord{
 		Phase: "end", Op: "migrated", ID: c.intentID(), OK: true, Server: dest.Name,
 	})
 	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Migrated", dest.Name)

@@ -22,10 +22,7 @@ func (m LaunchRequest) AppendWire(b []byte) []byte {
 	b = binenc.AppendString(b, m.Flavor)
 	b = binenc.AppendString(b, m.Workload)
 	b = appendProps(b, m.Props)
-	b = binenc.AppendUint32(b, uint32(len(m.Allowlist)))
-	for _, t := range m.Allowlist {
-		b = binenc.AppendString(b, t)
-	}
+	b = appendStrings(b, m.Allowlist)
 	b = binenc.AppendUint64(b, math.Float64bits(m.MinShare))
 	b = binenc.AppendUint64(b, uint64(m.Pin))
 	b = binenc.AppendString(b, m.Server)
@@ -41,10 +38,7 @@ func (m *LaunchRequest) DecodeWire(data []byte) error {
 	m.Flavor = rd.String()
 	m.Workload = rd.String()
 	m.Props = readProps(&rd)
-	n := rd.Count(4)
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		m.Allowlist = append(m.Allowlist, rd.String())
-	}
+	m.Allowlist = readStrings(&rd)
 	m.MinShare = math.Float64frombits(rd.Uint64())
 	m.Pin = int(int64(rd.Uint64()))
 	m.Server = rd.String()
@@ -66,6 +60,23 @@ func readProps(rd *binenc.Reader) []properties.Property {
 		ps = append(ps, properties.Property(rd.String()))
 	}
 	return ps
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = binenc.AppendUint32(b, uint32(len(ss)))
+	for _, s := range ss {
+		b = binenc.AppendString(b, s)
+	}
+	return b
+}
+
+func readStrings(rd *binenc.Reader) []string {
+	var ss []string
+	n := rd.Count(4)
+	for i := 0; i < n && rd.Err() == nil; i++ {
+		ss = append(ss, rd.String())
+	}
+	return ss
 }
 
 // AppendWire appends the message's binary encoding to b.

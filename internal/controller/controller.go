@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"cloudmonatt/internal/attestsrv"
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/image"
 	"cloudmonatt/internal/latency"
@@ -325,9 +326,11 @@ func idempotentMethod(method string) bool {
 
 // record appends one evidence entry, best-effort: the ledger is the audit
 // trail, not a gate on the control path. trace, when non-empty, lets an
-// auditor join the evidence to the request's distributed trace.
-func (c *Controller) record(kind ledger.Kind, vid string, prop properties.Property, trace string, payload any) {
-	c.cfg.Ledger.Record(ledger.Entry{At: c.cfg.Clock.Now(), Kind: kind, Vid: vid, Prop: string(prop), Trace: trace}, payload)
+// auditor join the evidence to the request's distributed trace. It is a
+// function, not a method, so that it can be generic like ledger.Record and
+// hand rec on unboxed.
+func record[R ledger.Appender](c *Controller, kind ledger.Kind, vid string, prop properties.Property, trace string, rec R) {
+	ledger.Record(c.cfg.Ledger, ledger.Entry{At: c.cfg.Clock.Now(), Kind: kind, Vid: vid, Prop: string(prop), Trace: trace}, rec)
 }
 
 // RegisterServer adds a cloud server to the scheduling pool.
@@ -582,11 +585,34 @@ func (l *launchOp) stage(name string, d time.Duration) {
 // LaunchRecord is the payload of a ledger.KindLaunch entry: one launch
 // decision, accepted or rejected.
 type LaunchRecord struct {
-	OK      bool   `json:"ok"`
-	Owner   string `json:"owner"`
-	Server  string `json:"server,omitempty"`
-	Backend string `json:"backend,omitempty"`
-	Reason  string `json:"reason,omitempty"`
+	OK      bool
+	Owner   string
+	Server  string
+	Backend string
+	Reason  string
+}
+
+// AppendWire appends the record's binenc encoding to b.
+func (r LaunchRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagLaunchRecord)
+	b = binenc.AppendBool(b, r.OK)
+	b = binenc.AppendString(b, r.Owner)
+	b = binenc.AppendString(b, r.Server)
+	b = binenc.AppendString(b, r.Backend)
+	return binenc.AppendString(b, r.Reason)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *LaunchRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagLaunchRecord)
+	*r = LaunchRecord{}
+	r.OK = rd.Bool()
+	r.Owner = rd.String()
+	r.Server = rd.String()
+	r.Backend = rd.String()
+	r.Reason = rd.String()
+	return ledger.Finish(&rd, "LaunchRecord")
 }
 
 // LaunchVMTraced runs the launch pipeline: Scheduling → Networking →
@@ -662,7 +688,7 @@ func (c *Controller) LaunchVMTraced(parent obs.SpanContext, req LaunchRequest) (
 		} else {
 			lsp.End("rejected: " + result.Reason)
 		}
-		c.record(ledger.KindLaunch, vid, "", lsp.Context().Trace,
+		record(c, ledger.KindLaunch, vid, "", lsp.Context().Trace,
 			LaunchRecord{result.OK, req.Owner, result.Server, c.serverBackend(result.Server), result.Reason})
 		c.intentEnd(vid, IntentRecord{
 			Op: "launch", ID: launchIntent, OK: result.OK, Server: result.Server,

@@ -3,9 +3,11 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
@@ -33,38 +35,100 @@ func (c *Controller) failpoint(point string) error {
 // --- two-phase intents ---
 
 // IntentRecord is the payload of a ledger.KindIntent entry. One struct
-// covers every op; unused fields are omitted.
+// covers every op; an op leaves the fields it does not use zero.
 type IntentRecord struct {
-	Phase string `json:"phase"` // begin | end
-	Op    string `json:"op"`    // launch | place | remediate | terminate | migrate-out | migrated | state
-	ID    string `json:"id"`
-	OK    bool   `json:"ok,omitempty"`
+	Phase string // begin | end
+	Op    string // launch | place | remediate | terminate | migrate-out | migrated | state
+	ID    string
+	OK    bool
 
 	// launch begin: the full desired state being declared.
-	Owner     string   `json:"owner,omitempty"`
-	Image     string   `json:"image,omitempty"`
-	Flavor    string   `json:"flavor,omitempty"`
-	Workload  string   `json:"workload,omitempty"`
-	Props     []string `json:"props,omitempty"`
-	Allowlist []string `json:"allowlist,omitempty"`
-	MinShare  float64  `json:"min_share,omitempty"`
-	Pin       int      `json:"pin,omitempty"`
-	ReqServer string   `json:"req_server,omitempty"`
+	Owner     string
+	Image     string
+	Flavor    string
+	Workload  string
+	Props     []string
+	Allowlist []string
+	MinShare  float64
+	Pin       int
+	ReqServer string
 
 	// place begin / launch end / migrate-out end / migrated end: placement.
-	Server string `json:"server,omitempty"`
+	Server string
 
 	// remediate begin/end.
-	Response   string `json:"response,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-	NewServer  string `json:"new_server,omitempty"`
-	Terminated bool   `json:"terminated,omitempty"`
+	Response   string
+	Reason     string
+	NewServer  string
+	Terminated bool
 
 	// state end: a lifecycle transition outside remediation.
-	State string `json:"state,omitempty"`
+	State string
 
 	// migrate-out end: the captured spec that relaunches the VM.
-	Spec *server.LaunchSpec `json:"spec,omitempty"`
+	Spec *server.LaunchSpec
+}
+
+// AppendWire appends the record's binenc encoding to b. Spec rides as its
+// own LaunchSpec encoding behind a length, empty when Spec is nil.
+func (r IntentRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagIntentRecord)
+	b = binenc.AppendString(b, r.Phase)
+	b = binenc.AppendString(b, r.Op)
+	b = binenc.AppendString(b, r.ID)
+	b = binenc.AppendBool(b, r.OK)
+	b = binenc.AppendString(b, r.Owner)
+	b = binenc.AppendString(b, r.Image)
+	b = binenc.AppendString(b, r.Flavor)
+	b = binenc.AppendString(b, r.Workload)
+	b = appendStrings(b, r.Props)
+	b = appendStrings(b, r.Allowlist)
+	b = binenc.AppendUint64(b, math.Float64bits(r.MinShare))
+	b = binenc.AppendUint64(b, uint64(r.Pin))
+	b = binenc.AppendString(b, r.ReqServer)
+	b = binenc.AppendString(b, r.Server)
+	b = binenc.AppendString(b, r.Response)
+	b = binenc.AppendString(b, r.Reason)
+	b = binenc.AppendString(b, r.NewServer)
+	b = binenc.AppendBool(b, r.Terminated)
+	b = binenc.AppendString(b, r.State)
+	if r.Spec == nil {
+		return binenc.AppendBytes(b, nil)
+	}
+	return wire.AppendFramed(b, r.Spec)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *IntentRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagIntentRecord)
+	*r = IntentRecord{}
+	r.Phase = rd.String()
+	r.Op = rd.String()
+	r.ID = rd.String()
+	r.OK = rd.Bool()
+	r.Owner = rd.String()
+	r.Image = rd.String()
+	r.Flavor = rd.String()
+	r.Workload = rd.String()
+	r.Props = readStrings(&rd)
+	r.Allowlist = readStrings(&rd)
+	r.MinShare = math.Float64frombits(rd.Uint64())
+	r.Pin = int(int64(rd.Uint64()))
+	r.ReqServer = rd.String()
+	r.Server = rd.String()
+	r.Response = rd.String()
+	r.Reason = rd.String()
+	r.NewServer = rd.String()
+	r.Terminated = rd.Bool()
+	r.State = rd.String()
+	if spec := rd.BytesView(); spec != nil {
+		r.Spec = new(server.LaunchSpec)
+		if err := r.Spec.DecodeWire(spec); err != nil {
+			rd.Fail(err)
+		}
+	}
+	return ledger.Finish(&rd, "IntentRecord")
 }
 
 // intentID allocates the next intent identifier.
@@ -85,7 +149,7 @@ func (c *Controller) intentBegin(vid string, prop properties.Property, ir Intent
 	}
 	ir.Phase = "begin"
 	ir.ID = c.intentID()
-	c.record(ledger.KindIntent, vid, prop, "", ir)
+	record(c, ledger.KindIntent, vid, prop, "", ir)
 	return ir.ID
 }
 
@@ -95,7 +159,7 @@ func (c *Controller) intentEnd(vid string, ir IntentRecord) {
 		return
 	}
 	ir.Phase = "end"
-	c.record(ledger.KindIntent, vid, "", "", ir)
+	record(c, ledger.KindIntent, vid, "", "", ir)
 }
 
 // stateIntent appends a completed lifecycle transition (a customer-driven
@@ -104,7 +168,7 @@ func (c *Controller) stateIntent(vid, state string) {
 	if c.cfg.Ledger == nil {
 		return
 	}
-	c.record(ledger.KindIntent, vid, "", "", IntentRecord{
+	record(c, ledger.KindIntent, vid, "", "", IntentRecord{
 		Phase: "end", Op: "state", ID: c.intentID(), OK: true, State: state,
 	})
 }
@@ -275,12 +339,37 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 // RemediationRecord is the payload of a ledger.KindRemediation entry: an
 // executed policy response, or a resume (Response "resume" alone).
 type RemediationRecord struct {
-	Response   string `json:"response"`
-	Reason     string `json:"reason,omitempty"`
-	Backend    string `json:"backend,omitempty"`
-	NewServer  string `json:"new_server,omitempty"`
-	Terminated bool   `json:"terminated,omitempty"`
-	Intent     string `json:"intent,omitempty"`
+	Response   string
+	Reason     string
+	Backend    string
+	NewServer  string
+	Terminated bool
+	Intent     string
+}
+
+// AppendWire appends the record's binenc encoding to b.
+func (r RemediationRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagRemediationRecord)
+	b = binenc.AppendString(b, r.Response)
+	b = binenc.AppendString(b, r.Reason)
+	b = binenc.AppendString(b, r.Backend)
+	b = binenc.AppendString(b, r.NewServer)
+	b = binenc.AppendBool(b, r.Terminated)
+	return binenc.AppendString(b, r.Intent)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *RemediationRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagRemediationRecord)
+	*r = RemediationRecord{}
+	r.Response = rd.String()
+	r.Reason = rd.String()
+	r.Backend = rd.String()
+	r.NewServer = rd.String()
+	r.Terminated = rd.Bool()
+	r.Intent = rd.String()
+	return ledger.Finish(&rd, "RemediationRecord")
 }
 
 // maxMigrateAttempts bounds migrate retries before the loop falls back to
@@ -379,7 +468,7 @@ func (c *Controller) executeRemediation(rec *vmRecord, p *pendingRemediation) er
 	if ev.NewServer != "" {
 		backendSrv = ev.NewServer
 	}
-	c.record(ledger.KindRemediation, vid, p.Prop, "",
+	record(c, ledger.KindRemediation, vid, p.Prop, "",
 		RemediationRecord{string(p.Response), p.Reason, c.serverBackend(backendSrv), ev.NewServer, ev.Terminated, p.IntentID})
 	c.intentEnd(vid, IntentRecord{
 		Op: "remediate", ID: p.IntentID, OK: opErr == nil,

@@ -270,7 +270,7 @@ func (c *Controller) Recover() error {
 	}
 	c.metrics.Counter("controller/recover-replayed-entries").Add(int64(replayed))
 	c.metrics.Counter("controller/recover-torn-intents").Add(int64(torn))
-	c.record(ledger.KindIntent, "", "", "", IntentRecord{
+	record(c, ledger.KindIntent, "", "", "", IntentRecord{
 		Phase: "end", Op: "recover", ID: c.intentID(), OK: true,
 	})
 

@@ -49,7 +49,7 @@ func memLedger(t *testing.T) *ledger.Ledger {
 
 func appendIntent(t *testing.T, led *ledger.Ledger, vid, prop string, ir IntentRecord) {
 	t.Helper()
-	if err := led.Record(ledger.Entry{Kind: ledger.KindIntent, Vid: vid, Prop: prop}, ir); err != nil {
+	if err := ledger.Record(led, ledger.Entry{Kind: ledger.KindIntent, Vid: vid, Prop: prop}, ir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -253,7 +253,7 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("degradation evidence never becomes remediation", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		if err := led.Record(ledger.Entry{
+		if err := ledger.Record(led, ledger.Entry{
 			Kind: ledger.KindDegraded, Vid: "vm-0001", Prop: string(properties.RuntimeIntegrity),
 		}, StaleServeRecord{AgeNS: 0, Cause: "attestation server unreachable"}); err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestRecoverReplayTable(t *testing.T) {
 		appendIntent(t, led, "vm-0001", "", IntentRecord{
 			Phase: "end", Op: "state", ID: "in-000005", OK: true, State: "suspended",
 		})
-		if err := led.Record(ledger.Entry{Kind: ledger.KindRemediation, Vid: "vm-0001"}, RemediationRecord{Response: "resume"}); err != nil {
+		if err := ledger.Record(led, ledger.Entry{Kind: ledger.KindRemediation, Vid: "vm-0001"}, RemediationRecord{Response: "resume"}); err != nil {
 			t.Fatal(err)
 		}
 		c := newRecoverController(t, led)
@@ -295,9 +295,10 @@ func TestRecoverReplayTable(t *testing.T) {
 	t.Run("unreadable intent fails recovery", func(t *testing.T) {
 		led := memLedger(t)
 		launchEntries(t, led, "vm-0001", 1)
-		// Entry 5: a phase that is not a string. Folding past it could drop
+		// Entry 5: an intent cut short by a byte. Folding past it could drop
 		// the begin of a torn operation.
-		if _, err := led.Append(ledger.Entry{Kind: ledger.KindIntent, Vid: "vm-0001", Payload: []byte(`{"phase":1}`)}); err != nil {
+		enc := IntentRecord{Phase: "begin", Op: "terminate", ID: "in-000005"}.AppendWire(nil)
+		if _, err := led.Append(ledger.Entry{Kind: ledger.KindIntent, Vid: "vm-0001", Payload: enc[:len(enc)-1]}); err != nil {
 			t.Fatal(err)
 		}
 		c := newRecoverController(t, led)

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,11 +43,14 @@ func unpackSegments(in []byte, max int) [][]byte {
 }
 
 // FuzzLedgerRecover hands torn and mutated segment bytes to the recovery
-// scan (open → scanSegment). Whatever the bytes, a read-write open keeps a
-// prefix of the original chain that verifies and takes a further append,
-// and a read-only open either refuses or keeps the same entries. The seeds
-// committed under testdata/fuzz are the variants below of the original
-// ledger; regenerate them with REGEN_GOLDEN=1 after changing fillLedger.
+// scan (open → scanSegment). Whatever the bytes, a read-write open either
+// keeps a prefix of the original chain that verifies and takes a further
+// append, or refuses a segment of another format (ErrSegmentFormat)
+// exactly when a read-only open does; otherwise a read-only open either
+// refuses or keeps the same entries. The seeds committed under
+// testdata/fuzz are the variants below of the original ledger, and the
+// JSON-era segment of testdata/json-era; regenerate them with
+// REGEN_GOLDEN=1 after changing fillLedger or the segment format.
 func FuzzLedgerRecover(f *testing.F) {
 	dir, orig := fillLedger(f, fuzzEntries, fuzzSegBytes)
 	var names []string
@@ -70,6 +74,10 @@ func FuzzLedgerRecover(f *testing.F) {
 	}
 
 	if os.Getenv("REGEN_GOLDEN") != "" {
+		jsonEra, err := os.ReadFile(jsonEraSegment)
+		if err != nil {
+			f.Fatal(err)
+		}
 		last := len(segs) - 1
 		flipped := append([]byte(nil), segs[1]...)
 		flipped[len(flipped)/2] ^= 0x10
@@ -78,10 +86,12 @@ func FuzzLedgerRecover(f *testing.F) {
 			"torn-tail":       packSegments(append(segs[:last:last], segs[last][:len(segs[last])-7])),
 			"flipped-middle":  packSegments([][]byte{segs[0], flipped, segs[2]}),
 			"middle-missing":  packSegments([][]byte{segs[0], segs[2]}),
-			"first-truncated": packSegments([][]byte{segs[0][:frameHeader+3]}),
+			"first-truncated": packSegments([][]byte{segs[0][:segHeaderLen+frameHeader+3]}),
+			"torn-header":     packSegments([][]byte{segs[0][:segHeaderLen-5]}),
 			"unframed-second": append(packSegments(segs[:1]), segs[1]...),
 			"no-segments":     nil,
 			"empty-first":     packSegments(append([][]byte{{}}, segs...)),
+			"json-era":        packSegments([][]byte{jsonEra}),
 		}
 		corpus := filepath.Join("testdata", "fuzz", "FuzzLedgerRecover")
 		if err := os.MkdirAll(corpus, 0o755); err != nil {
@@ -118,6 +128,12 @@ func checkRecovery(t *testing.T, names []string, orig []Entry, in []byte) {
 	}
 
 	l, err := open(Options{MaxSegmentBytes: 1 << 20}, st)
+	if errors.Is(err, ErrSegmentFormat) != errors.Is(roErr, ErrSegmentFormat) {
+		t.Fatalf("read-write open: %v; read-only open: %v", err, roErr)
+	}
+	if errors.Is(err, ErrSegmentFormat) {
+		return
+	}
 	if err != nil {
 		t.Fatalf("read-write open: %v", err)
 	}

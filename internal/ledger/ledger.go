@@ -93,7 +93,15 @@ func entryHash(prev [32]byte, seq uint64, at time.Duration, kind Kind, vid, prop
 	return cryptoutil.Hash("ledger-entry", prev[:], seqB[:], atB[:], []byte(kind), []byte(vid), []byte(prop), []byte(trace), payload)
 }
 
-// --- on-disk frame format ---
+// --- on-disk segment format ---
+//
+// A segment opens with segMagic and one format-version byte, then holds
+// frames back to back. Version 2 is the first with the header; its
+// payloads are binenc records (record.go). A segment without the header
+// was written with JSON payloads, and no build reads it any more: Open
+// refuses it with ErrSegmentFormat instead of repairing it away.
+//
+// Each frame is
 //
 //	u32 frameLen                (bytes after this field)
 //	u64 seq
@@ -114,6 +122,20 @@ const (
 	maxSmallField = 1 << 16
 	maxPayload    = 1 << 24
 )
+
+const (
+	segMagic     = "MONATT-LEDGER-SEG"
+	segVersion   = 2
+	segHeaderLen = len(segMagic) + 1
+)
+
+var segHeader = append([]byte(segMagic), segVersion)
+
+// ErrSegmentFormat is returned by Open, in either mode, for a segment this
+// build does not read: one from before segments carried a header (JSON
+// payloads), or one of another format version. A read-write open refuses
+// the ledger rather than truncate such a segment as if it were torn.
+var ErrSegmentFormat = errors.New("format not readable by this build")
 
 func frameSize(e *Entry) int {
 	return 8 + 8 + 2 + len(e.Kind) + 2 + len(e.Vid) + 2 + len(e.Prop) + 2 + len(e.Trace) + 4 + len(e.Payload) + 32 + 32
@@ -228,8 +250,12 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 // --- ledger ---
 
 // maxBatchScratch caps the serialization buffer the committer keeps for the
-// next batch, so one huge payload does not pin its size for good.
-const maxBatchScratch = 1 << 20
+// next batch, and maxRecordScratch the encoding buffer a waiter keeps for
+// its next Record, so one huge payload does not pin its size for good.
+const (
+	maxBatchScratch  = 1 << 20
+	maxRecordScratch = 4 << 10
+)
 
 // Options configures a ledger.
 type Options struct {
@@ -273,13 +299,16 @@ type loc struct {
 
 // waiter is one queued append. out, err and done are written by the
 // committer under Ledger.mu, and done is what the appender waits for on
-// Ledger.cond.
+// Ledger.cond. Once done is set the committer touches only its batch
+// slice, so the appender puts the waiter back on Ledger.free for the next
+// append, payload buffer and all.
 type waiter struct {
-	in    Entry
-	start time.Time
-	out   Entry
-	err   error
-	done  bool
+	in      Entry
+	payload []byte // Record's encoding of in.Payload, reused append to append
+	start   time.Time
+	out     Entry
+	err     error
+	done    bool
 }
 
 // postingKey names one posting list: the entries whose field (one of the
@@ -313,6 +342,7 @@ type Ledger struct {
 	committing bool
 	queue      []*waiter
 	spare      []*waiter // the last batch's array, for the queue after the next
+	free       []*waiter // finished appends' waiters, for reuse
 
 	// The committer's scratch, reused batch to batch: only the appender
 	// holding the committer role touches it, and both stores copy on Write.
@@ -391,13 +421,14 @@ func open(opts Options, st store) (*Ledger, error) {
 		seg := &segment{name: name, file: f, firstSeq: l.headSeq + 1}
 		good, err := l.scanSegment(seg, len(l.segs))
 		if err != nil {
-			if opts.ReadOnly {
+			if opts.ReadOnly || errors.Is(err, ErrSegmentFormat) {
 				return nil, fmt.Errorf("ledger: segment %s: %w", name, err)
 			}
 			// Crash recovery: keep the longest valid prefix. The bad
 			// suffix of this segment is truncated and any later segments
-			// (which can no longer chain) are dropped.
-			if good == 0 {
+			// (which can no longer chain) are dropped, and so is this one
+			// when not one frame of it survives.
+			if good <= int64(segHeaderLen) {
 				f.Close()
 				if rerr := st.Remove(name); rerr != nil {
 					return nil, rerr
@@ -425,30 +456,23 @@ func open(opts Options, st store) (*Ledger, error) {
 // scanSegment replays one segment's frames, extending the chain state and
 // index. It returns the offset of the first invalid byte (== size when the
 // segment is fully valid) and an error describing why scanning stopped
-// early, if it did.
+// early, if it did. A segment of another format is ErrSegmentFormat; an
+// empty one, created by a writer that died before its first batch, holds
+// no entries.
 func (l *Ledger) scanSegment(seg *segment, segIdx int) (int64, error) {
 	size, err := seg.file.Size()
 	if err != nil {
 		return 0, err
 	}
-	var off int64
-	var hdr [frameHeader]byte
+	if size == 0 {
+		return 0, nil
+	}
+	if err := checkSegHeader(seg.file, size); err != nil {
+		return 0, err
+	}
+	off := int64(segHeaderLen)
 	for off < size {
-		if size-off < frameHeader {
-			return off, errors.New("torn frame header")
-		}
-		if _, err := io.ReadFull(io.NewSectionReader(seg.file, off, frameHeader), hdr[:]); err != nil {
-			return off, err
-		}
-		n := int64(binary.BigEndian.Uint32(hdr[:]))
-		if n <= 0 || n > frameHeader+maxPayload || off+frameHeader+n > size {
-			return off, errors.New("torn or oversized frame")
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(io.NewSectionReader(seg.file, off+frameHeader, n), body); err != nil {
-			return off, err
-		}
-		e, err := decodeFrame(body)
+		e, n, err := readFrame(seg.file, off, size)
 		if err != nil {
 			return off, err
 		}
@@ -461,11 +485,57 @@ func (l *Ledger) scanSegment(seg *segment, segIdx int) (int64, error) {
 		if e.Hash != entryHash(e.PrevHash, e.Seq, e.At, e.Kind, e.Vid, e.Prop, e.Trace, e.Payload) {
 			return off, fmt.Errorf("entry %d hash mismatch", e.Seq)
 		}
-		l.indexEntry(&e, loc{seg: segIdx, off: off, n: int32(frameHeader + n)})
+		l.indexEntry(&e, loc{seg: segIdx, off: off, n: int32(n)})
 		l.headSeq, l.headHash = e.Seq, e.Hash
-		off += frameHeader + n
+		off += n
 	}
 	return off, nil
+}
+
+// readFrame reads the frame at off of a segment of size bytes, returning it
+// and its length with the length prefix.
+func readFrame(f segFile, off, size int64) (Entry, int64, error) {
+	var hdr [frameHeader]byte
+	if size-off < frameHeader {
+		return Entry{}, 0, errors.New("torn frame header")
+	}
+	if _, err := io.ReadFull(io.NewSectionReader(f, off, frameHeader), hdr[:]); err != nil {
+		return Entry{}, 0, err
+	}
+	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	if n <= 0 || n > frameHeader+maxPayload || off+frameHeader+n > size {
+		return Entry{}, 0, errors.New("torn or oversized frame")
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(io.NewSectionReader(f, off+frameHeader, n), body); err != nil {
+		return Entry{}, 0, err
+	}
+	e, err := decodeFrame(body)
+	return e, frameHeader + n, err
+}
+
+// checkSegHeader checks that a non-empty segment opens with the current
+// header. A torn or mangled header is an ordinary scan error, which a
+// read-write open repairs; a segment that opens with a whole, self-hashing
+// frame instead predates the header, and one with the magic but another
+// version byte was written by another format: both are ErrSegmentFormat.
+func checkSegHeader(f segFile, size int64) error {
+	hdr := make([]byte, min(size, int64(segHeaderLen)))
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(len(hdr))), hdr); err != nil {
+		return err
+	}
+	switch {
+	case string(hdr) == string(segHeader):
+		return nil
+	case len(hdr) == segHeaderLen && string(hdr[:len(segMagic)]) == segMagic:
+		return fmt.Errorf("%w: format version %d, this build reads %d", ErrSegmentFormat, hdr[len(segMagic)], segVersion)
+	case len(hdr) < segHeaderLen && string(hdr) == string(segHeader[:len(hdr)]):
+		return errors.New("torn segment header")
+	}
+	if e, _, err := readFrame(f, 0, size); err == nil && e.Hash == entryHash(e.PrevHash, e.Seq, e.At, e.Kind, e.Vid, e.Prop, e.Trace, e.Payload) {
+		return fmt.Errorf("%w: unversioned, written before segments had a header (JSON payloads; no migration exists)", ErrSegmentFormat)
+	}
+	return errors.New("bad segment header")
 }
 
 // indexEntry records the location and postings of one committed entry.
@@ -509,23 +579,62 @@ func (l *Ledger) Len() int {
 // next committer, so the per-append durability cost is amortized across
 // the batch.
 func (l *Ledger) Append(e Entry) (Entry, error) {
-	if e.Kind == "" {
-		return Entry{}, errors.New("ledger: entry kind required")
-	}
-	if len(e.Vid) >= maxSmallField || len(e.Prop) >= maxSmallField || len(string(e.Kind)) >= maxSmallField || len(e.Trace) >= maxSmallField {
-		return Entry{}, errors.New("ledger: field too large")
-	}
-	if len(e.Payload) > maxPayload {
-		return Entry{}, errors.New("ledger: payload too large")
-	}
-	if l.opts.ReadOnly {
-		return Entry{}, errors.New("ledger: read-only")
-	}
-	w := &waiter{in: e, start: l.opts.Now()}
+	return l.submit(l.waiter(), e)
+}
+
+// waiter takes a finished append's waiter off the free list, or makes one.
+func (l *Ledger) waiter() *waiter {
 	l.mu.Lock()
-	if l.closed {
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(waiter)
+	}
+	w := l.free[n-1]
+	l.free = l.free[:n-1]
+	return w
+}
+
+// recycleLocked puts w back on the free list, keeping only its payload
+// buffer: the free list holds on to no appender's strings. l.mu is held.
+func (l *Ledger) recycleLocked(w *waiter) {
+	payload := w.payload[:0]
+	if cap(payload) > maxRecordScratch {
+		payload = nil
+	}
+	*w = waiter{payload: payload}
+	l.free = append(l.free, w)
+}
+
+// check refuses an entry Append cannot commit.
+func (l *Ledger) check(e *Entry) error {
+	switch {
+	case e.Kind == "":
+		return errors.New("ledger: entry kind required")
+	case len(e.Vid) >= maxSmallField || len(e.Prop) >= maxSmallField || len(string(e.Kind)) >= maxSmallField || len(e.Trace) >= maxSmallField:
+		return errors.New("ledger: field too large")
+	case len(e.Payload) > maxPayload:
+		return errors.New("ledger: payload too large")
+	case l.opts.ReadOnly:
+		return errors.New("ledger: read-only")
+	}
+	return nil
+}
+
+// submit appends e through w, and recycles w once the append is done.
+func (l *Ledger) submit(w *waiter, e Entry) (Entry, error) {
+	err := l.check(&e)
+	if err == nil {
+		w.in, w.start = e, l.opts.Now()
+	}
+	l.mu.Lock()
+	if err == nil && l.closed {
+		err = ErrClosed
+	}
+	if err != nil {
+		l.recycleLocked(w)
 		l.mu.Unlock()
-		return Entry{}, ErrClosed
+		return Entry{}, err
 	}
 	l.queue = append(l.queue, w)
 	if l.committing {
@@ -533,7 +642,6 @@ func (l *Ledger) Append(e Entry) (Entry, error) {
 		for !w.done {
 			l.cond.Wait()
 		}
-		l.mu.Unlock()
 	} else {
 		// Become the committer and drain batches until the queue is empty.
 		l.committing = true
@@ -548,10 +656,13 @@ func (l *Ledger) Append(e Entry) (Entry, error) {
 		}
 		l.committing = false
 		l.cond.Broadcast()
-		l.mu.Unlock()
 	}
-	l.appendSum.Observe(l.opts.Now().Sub(w.start))
-	return w.out, w.err
+	out, start := w.out, w.start
+	err = w.err
+	l.recycleLocked(w)
+	l.mu.Unlock()
+	l.appendSum.Observe(l.opts.Now().Sub(start))
+	return out, err
 }
 
 // commit flushes one batch: a single serialization, write and fsync for
@@ -571,8 +682,11 @@ func (l *Ledger) commit(batch []*waiter) {
 
 	// Serialize the whole batch against the running chain. Each loc's
 	// segment index is filled in at publish: a compaction may renumber the
-	// segments meanwhile.
+	// segments meanwhile. A new segment's first batch carries its header.
 	buf := l.batchBuf[:0]
+	if seg.size == 0 {
+		buf = append(buf, segHeader...)
+	}
 	offs := l.batchLocs[:0]
 	writeOff := seg.size
 	for _, w := range batch {
@@ -778,12 +892,26 @@ func (l *Ledger) Entry(seq uint64) (Entry, error) {
 // Verify replays the whole retained chain from the compaction base,
 // recomputing every entry hash and link, and checks the result against the
 // in-memory head. It returns the number of entries verified. Any mutation
-// of a committed byte — payload, metadata, or either hash — fails it.
+// of a committed byte — a segment header, payload, metadata, or either
+// hash — fails it.
 func (l *Ledger) Verify() (int, error) {
 	l.mu.Lock()
 	base := l.base
 	headSeq, headHash := l.headSeq, l.headHash
+	segs := make([]segment, len(l.segs))
+	for i, s := range l.segs {
+		segs[i] = *s
+	}
 	l.mu.Unlock()
+
+	for _, s := range segs {
+		if s.size == 0 {
+			continue
+		}
+		if err := checkSegHeader(s.file, s.size); err != nil {
+			return 0, fmt.Errorf("ledger: verify: segment %s: %w", s.name, err)
+		}
+	}
 
 	prev := base.Hash
 	n := 0

@@ -29,7 +29,7 @@ func appendN(t *testing.T, l *Ledger, n int) []Entry {
 			Kind:    KindAppraisal,
 			Vid:     fmt.Sprintf("vm-%04d", i%3),
 			Prop:    "runtime-integrity",
-			Payload: []byte(fmt.Sprintf(`{"i":%d}`, i)),
+			Payload: probe{N: uint64(i)}.AppendWire(nil),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,12 @@
 package ledger
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,7 +33,7 @@ func fillLedger(t testing.TB, n int, segBytes int64) (string, []Entry) {
 			Vid:     fmt.Sprintf("vm-%04d", i),
 			Prop:    "runtime-integrity",
 			Trace:   trace,
-			Payload: []byte(fmt.Sprintf(`{"seq":%d}`, i)),
+			Payload: probe{N: uint64(i)}.AppendWire(nil),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -166,11 +169,11 @@ func TestRecoveryMidChainCorruptionDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b [1]byte
-	if _, err := f.ReadAt(b[:], frameHeader); err != nil {
+	if _, err := f.ReadAt(b[:], int64(segHeaderLen+frameHeader)); err != nil {
 		t.Fatal(err)
 	}
 	b[0] ^= 0x01
-	if _, err := f.WriteAt(b[:], frameHeader); err != nil {
+	if _, err := f.WriteAt(b[:], int64(segHeaderLen+frameHeader)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -193,6 +196,56 @@ func TestRecoveryMidChainCorruptionDropsSuffix(t *testing.T) {
 		if e.Name() == segs[1] || e.Name() == segs[2] {
 			t.Fatalf("unverifiable segment %s still present", e.Name())
 		}
+	}
+}
+
+// jsonEraSegment is a segment as the ledger wrote it before segments had a
+// header and payloads were binenc: an issuance and an appraisal, each
+// payload the JSON of its record.
+var jsonEraSegment = filepath.Join("testdata", "json-era", "seg-0000000000000001.log")
+
+// TestOpenRefusesOtherSegmentFormats: a JSON-era segment, and a segment
+// whose header names another format version, are refused by name in
+// either mode, and a read-write open leaves them as they were instead of
+// truncating them away as torn.
+func TestOpenRefusesOtherSegmentFormats(t *testing.T) {
+	jsonEra, err := os.ReadFile(jsonEraSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, _ := fillLedger(t, 2, 1<<20)
+	seg, _ := lastSegment(t, current)
+	future, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	future[segHeaderLen-1]++
+	for _, row := range []struct {
+		name, detail string
+		seg          []byte
+	}{
+		{"json-era", "unversioned", jsonEra},
+		{"future-version", fmt.Sprintf("format version %d", segVersion+1), future},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(1))
+			if err := os.WriteFile(path, row.seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, readOnly := range []bool{true, false} {
+				l, err := Open(Options{Dir: dir, ReadOnly: readOnly})
+				if err == nil {
+					l.Close()
+				}
+				if !errors.Is(err, ErrSegmentFormat) || !strings.Contains(err.Error(), row.detail) {
+					t.Errorf("Open(ReadOnly: %v) = %v; want ErrSegmentFormat saying %q", readOnly, err, row.detail)
+				}
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, row.seg) {
+				t.Fatalf("the refused segment changed on disk (%v)", err)
+			}
+		})
 	}
 }
 

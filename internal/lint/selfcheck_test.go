@@ -61,14 +61,14 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 		},
 		{
 			analyzer: VClockOnly, file: "internal/ledger/ledger.go",
-			old: "start: l.opts.Now()}", new: "start: time.Now()}",
-			want: []string{"ledger.go:524: wall-clock time.Now in a vclock-wired package breaks seeded replay; " +
+			old: "w.in, w.start = e, l.opts.Now()", new: "w.in, w.start = e, time.Now()",
+			want: []string{"ledger.go:628: wall-clock time.Now in a vclock-wired package breaks seeded replay; " +
 				"use the injected virtual clock or annotate //lint:ignore vclockonly <why>"},
 		},
 		{
 			analyzer: MetricsName, file: "internal/ledger/ledger.go",
 			old: `reg.Summary("ledger/append")`, new: `reg.Summary("ledger.append")`,
-			want: []string{`ledger.go:366: metric name "ledger.append" breaks the entity/noun-verb convention ` +
+			want: []string{`ledger.go:396: metric name "ledger.append" breaks the entity/noun-verb convention ` +
 				`(lowercase segments joined by '/', hyphens within a segment, at least two segments)`},
 		},
 		{
@@ -81,8 +81,8 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 			analyzer: IntentBracket, file: "internal/controller/attest.go",
 			old: "\tc.stateIntent(vid, to)\n", new: "",
 			want: []string{
-				`attest.go:294: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
-				`attest.go:299: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:329: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:334: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
 			},
 		},
 		{

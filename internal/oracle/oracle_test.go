@@ -1,6 +1,9 @@
 package oracle
 
 import (
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"testing"
 
 	"cloudmonatt/internal/attestsrv"
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/image"
@@ -17,13 +21,14 @@ import (
 	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
+	"cloudmonatt/internal/wire"
 )
 
 // entry is one hand-built ledger entry, its payload the writer's record.
 type entry struct {
 	kind      ledger.Kind
 	vid, prop string
-	payload   any
+	payload   ledger.Appender
 }
 
 var (
@@ -69,7 +74,7 @@ func run(t *testing.T, dir string, es ...entry) Run {
 	}
 	t.Cleanup(func() { l.Close() })
 	for _, e := range es {
-		if err := l.Record(ledger.Entry{Kind: e.kind, Vid: e.vid, Prop: e.prop}, e.payload); err != nil {
+		if err := ledger.Record(l, ledger.Entry{Kind: e.kind, Vid: e.vid, Prop: e.prop}, e.payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,86 +181,175 @@ func TestEachCheckFindsItsViolation(t *testing.T) {
 	}
 }
 
-// TestRecordEncodingsUnchanged pins every ledger record type's encoding to
-// a literal (one row per type, and for a type with omitempty fields a row
-// with all of them set and one with none), and checks that each decodes
-// back to itself. Ledgers already on disk hold these bytes and chain
-// hashes over them, so a renamed tag or reordered field fails here. This
-// package imports every record type's package.
-func TestRecordEncodingsUnchanged(t *testing.T) {
+// recordCase is one ledger record type: its tag, a fresh decoder, and a
+// row with every field set and one with none (or, where a writer records
+// a partial value, that value).
+type recordCase struct {
+	name  string
+	kind  ledger.Kind
+	tag   byte
+	fresh func() ledger.Decoder
+	rows  []recordRow
+}
+
+type recordRow struct {
+	name string
+	rec  ledger.Appender
+}
+
+func recordCases() []recordCase {
 	spec := &server.LaunchSpec{Vid: "vm-0001", ImageName: "cirros", ImageDigest: [32]byte{7},
 		Flavor: image.Flavor{Name: "small", VCPUs: 1, MemoryMB: 2048, DiskGB: 20}, Workload: "idle", Pin: 1}
-	rows := []struct {
-		name string
-		kind ledger.Kind
-		rec  any // a value of the record type
-		want string
-	}{
-		{"appraisal/all", ledger.KindAppraisal,
-			attestsrv.AppraisalRecord{Server: "cloud-server-3", Backend: "sev-snp", Unattestable: true, Class: "platform", Reason: "not attestable"},
-			`{"server":"cloud-server-3","backend":"sev-snp","healthy":false,"unattestable":true,"class":"platform","reason":"not attestable"}`},
-		{"appraisal/none", ledger.KindAppraisal, attestsrv.AppraisalRecord{Server: "cloud-server-1", Healthy: true},
-			`{"server":"cloud-server-1","healthy":true}`},
-		{"launch/all", ledger.KindLaunch,
-			controller.LaunchRecord{OK: true, Owner: "alice", Server: "cloud-server-1", Backend: "tpm", Reason: "placed"},
-			`{"ok":true,"owner":"alice","server":"cloud-server-1","backend":"tpm","reason":"placed"}`},
-		{"launch/none", ledger.KindLaunch, controller.LaunchRecord{Owner: "alice"}, `{"ok":false,"owner":"alice"}`},
-		{"remediation/all", ledger.KindRemediation,
-			controller.RemediationRecord{Response: "migration", Reason: "bimodal histogram", Backend: "vtpm", NewServer: "cloud-server-2", Terminated: true, Intent: "in-000007"},
-			`{"response":"migration","reason":"bimodal histogram","backend":"vtpm","new_server":"cloud-server-2","terminated":true,"intent":"in-000007"}`},
-		{"remediation/none (resume)", ledger.KindRemediation, controller.RemediationRecord{Response: "resume"}, `{"response":"resume"}`},
-		{"intent/all", ledger.KindIntent, controller.IntentRecord{
-			Phase: "end", Op: "launch", ID: "in-000001", OK: true,
-			Owner: "alice", Image: "cirros", Flavor: "small", Workload: "idle",
-			Props: []string{"runtime-integrity"}, Allowlist: []string{"init"},
-			MinShare: 0.25, Pin: -1, ReqServer: "cloud-server-1", Server: "cloud-server-2",
-			Response: "termination", Reason: "rootkit", NewServer: "cloud-server-3", Terminated: true,
-			State: "suspended", Spec: spec,
-		}, `{"phase":"end","op":"launch","id":"in-000001","ok":true,"owner":"alice","image":"cirros","flavor":"small",` +
-			`"workload":"idle","props":["runtime-integrity"],"allowlist":["init"],"min_share":0.25,"pin":-1,` +
-			`"req_server":"cloud-server-1","server":"cloud-server-2","response":"termination","reason":"rootkit",` +
-			`"new_server":"cloud-server-3","terminated":true,"state":"suspended","spec":{"Vid":"vm-0001","ImageName":"cirros",` +
-			`"ImageDigest":[7,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],` +
-			`"Flavor":{"Name":"small","VCPUs":1,"MemoryMB":2048,"DiskGB":20},"Workload":"idle","Pin":1}}`},
-		{"intent/none", ledger.KindIntent, controller.IntentRecord{Phase: "begin", Op: "terminate", ID: "in-000002"},
-			`{"phase":"begin","op":"terminate","id":"in-000002"}`},
-		{"stale-serve/age 0", ledger.KindDegraded, controller.StaleServeRecord{Cause: "breaker open"}, `{"age_ns":0,"cause":"breaker open"}`},
-		{"stale-serve", ledger.KindDegraded, controller.StaleServeRecord{AgeNS: 1500000000, Cause: "breaker open"},
-			`{"age_ns":1500000000,"cause":"breaker open"}`},
-		{"periodic-loss/all", ledger.KindDegraded, controller.PeriodicLossRecord{Dropped: 3, Skipped: 2}, `{"dropped":3,"skipped":2}`},
-		{"periodic-loss/none", ledger.KindDegraded, controller.PeriodicLossRecord{}, `{}`},
-		{"issuance", ledger.KindCertIssue, pca.IssuanceRecord{Subject: "anon-4", Serial: 4, Purpose: pca.PurposeAttestationKey},
-			`{"subject":"anon-4","serial":4,"purpose":"cloudmonatt-attestation-key"}`},
-		{"rpc-fault/all", ledger.KindRPCFault,
-			rpc.FaultRecord{Event: "retry", Peer: "server-a", Method: "measure", Attempt: 2, Err: "reset", From: "closed", To: "open"},
-			`{"event":"retry","peer":"server-a","method":"measure","attempt":2,"err":"reset","from":"closed","to":"open"}`},
-		{"rpc-fault/none", ledger.KindRPCFault, rpc.FaultRecord{Event: "breaker", Peer: "server-a"}, `{"event":"breaker","peer":"server-a"}`},
+	return []recordCase{
+		{"appraisal", ledger.KindAppraisal, ledger.TagAppraisalRecord, func() ledger.Decoder { return new(attestsrv.AppraisalRecord) }, []recordRow{
+			{"all", attestsrv.AppraisalRecord{Server: "cloud-server-3", Backend: "sev-snp", Healthy: true, Unattestable: true, Class: "platform", Reason: "not attestable"}},
+			{"none", attestsrv.AppraisalRecord{}},
+		}},
+		{"launch", ledger.KindLaunch, ledger.TagLaunchRecord, func() ledger.Decoder { return new(controller.LaunchRecord) }, []recordRow{
+			{"all", controller.LaunchRecord{OK: true, Owner: "alice", Server: "cloud-server-1", Backend: "tpm", Reason: "placed"}},
+			{"none", controller.LaunchRecord{}},
+		}},
+		{"remediation", ledger.KindRemediation, ledger.TagRemediationRecord, func() ledger.Decoder { return new(controller.RemediationRecord) }, []recordRow{
+			{"all", controller.RemediationRecord{Response: "migration", Reason: "bimodal histogram", Backend: "vtpm", NewServer: "cloud-server-2", Terminated: true, Intent: "in-000007"}},
+			{"none (resume)", controller.RemediationRecord{Response: "resume"}},
+		}},
+		{"intent", ledger.KindIntent, ledger.TagIntentRecord, func() ledger.Decoder { return new(controller.IntentRecord) }, []recordRow{
+			{"all", controller.IntentRecord{
+				Phase: "end", Op: "launch", ID: "in-000001", OK: true,
+				Owner: "alice", Image: "cirros", Flavor: "small", Workload: "idle",
+				Props: []string{"runtime-integrity"}, Allowlist: []string{"init"},
+				MinShare: 0.25, Pin: -1, ReqServer: "cloud-server-1", Server: "cloud-server-2",
+				Response: "termination", Reason: "rootkit", NewServer: "cloud-server-3", Terminated: true,
+				State: "suspended", Spec: spec,
+			}},
+			{"none", controller.IntentRecord{}},
+		}},
+		{"stale-serve", ledger.KindDegraded, ledger.TagStaleServeRecord, func() ledger.Decoder { return new(controller.StaleServeRecord) }, []recordRow{
+			{"", controller.StaleServeRecord{AgeNS: 1500000000, Cause: "breaker open"}},
+			{"age 0", controller.StaleServeRecord{Cause: "breaker open"}},
+			{"none", controller.StaleServeRecord{}},
+		}},
+		{"periodic-loss", ledger.KindDegraded, ledger.TagPeriodicLossRecord, func() ledger.Decoder { return new(controller.PeriodicLossRecord) }, []recordRow{
+			{"all", controller.PeriodicLossRecord{Dropped: 3, Skipped: 2}},
+			{"none", controller.PeriodicLossRecord{}},
+		}},
+		{"issuance", ledger.KindCertIssue, ledger.TagIssuanceRecord, func() ledger.Decoder { return new(pca.IssuanceRecord) }, []recordRow{
+			{"", pca.IssuanceRecord{Subject: "anon-4", Serial: 4, Purpose: pca.PurposeAttestationKey}},
+			{"none", pca.IssuanceRecord{}},
+		}},
+		{"rpc-fault", ledger.KindRPCFault, ledger.TagFaultRecord, func() ledger.Decoder { return new(rpc.FaultRecord) }, []recordRow{
+			{"all", rpc.FaultRecord{Event: "retry", Peer: "server-a", Method: "measure", Attempt: 2, Err: "reset", From: "closed", To: "open"}},
+			{"none", rpc.FaultRecord{}},
+		}},
 	}
+}
+
+// TestRecordEncodingsUnchanged pins every ledger record type's encoding to
+// a committed golden vector per row (testdata/records), and checks that
+// the entry Record writes carries exactly those bytes, led by the type's
+// tag, and decodes back to the recorded value. Ledgers hold these bytes
+// and chain hashes over them, so a changed tag, field order or field
+// encoding fails here; regenerate with REGEN_GOLDEN=1 only for a format
+// change the segment version records. This package imports every record
+// type's package.
+func TestRecordEncodingsUnchanged(t *testing.T) {
 	l, err := ledger.Open(ledger.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			if err := l.Record(ledger.Entry{Kind: row.kind}, row.rec); err != nil {
-				t.Fatal(err)
+	for _, rc := range recordCases() {
+		for _, row := range rc.rows {
+			name := rc.name
+			if row.name != "" {
+				name += "/" + row.name
 			}
-			seq, _ := l.Head()
-			e, err := l.Entry(seq)
-			if err != nil {
-				t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				path := filepath.Join("testdata", "records", strings.NewReplacer("/", "-", " ", "-", "(", "", ")", "").Replace(name)+".hex")
+				enc := row.rec.AppendWire(nil)
+				if os.Getenv("REGEN_GOLDEN") != "" {
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, []byte(hex.EncodeToString(enc)+"\n"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden vector (run with REGEN_GOLDEN=1 after an intentional format change): %v", err)
+				}
+				want, err := hex.DecodeString(string(bytes.TrimSpace(raw)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ledger.Record(l, ledger.Entry{Kind: rc.kind}, row.rec); err != nil {
+					t.Fatal(err)
+				}
+				seq, _ := l.Head()
+				e, err := l.Entry(seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(e.Payload, want) || !bytes.Equal(enc, want) {
+					t.Fatalf("recorded\n\t%x\nencoded\n\t%x\nwant\n\t%x", e.Payload, enc, want)
+				}
+				if e.Tag() != rc.tag {
+					t.Fatalf("the entry's tag is %d, want %d", e.Tag(), rc.tag)
+				}
+				back := rc.fresh()
+				if err := e.Decode(back); err != nil {
+					t.Fatal(err)
+				}
+				if got := reflect.ValueOf(back).Elem().Interface(); !reflect.DeepEqual(got, row.rec) {
+					t.Fatalf("decoded %+v, recorded %+v", got, row.rec)
+				}
+			})
+		}
+	}
+}
+
+// TestRecordDecodersRefuseForeignBytes: each record type's DecodeWire
+// takes its own encoding and nothing near it: not with a byte after it,
+// not one byte short, and not under any other record type's tag. The
+// tags are distinct, and outside internal/wire's message tags.
+func TestRecordDecodersRefuseForeignBytes(t *testing.T) {
+	cases := recordCases()
+	seen := make(map[byte]string)
+	for _, rc := range cases {
+		if rc.tag <= wire.TagRebindRequest {
+			t.Errorf("%s has tag %d, inside the wire messages' range", rc.name, rc.tag)
+		}
+		if other, dup := seen[rc.tag]; dup {
+			t.Errorf("%s and %s share tag %d", rc.name, other, rc.tag)
+		}
+		seen[rc.tag] = rc.name
+	}
+	for _, rc := range cases {
+		own := rc.rows[0].rec.AppendWire(nil)
+		bodies := []struct {
+			name string
+			body []byte
+			want error
+		}{
+			{"trailing byte", append(own[:len(own):len(own)], 0), binenc.ErrTrailing},
+			{"truncated by one byte", own[:len(own)-1], binenc.ErrTruncated},
+			{"header only", own[:3], binenc.ErrTruncated},
+		}
+		for _, other := range cases {
+			if other.tag != rc.tag {
+				retagged := append([]byte{binenc.Magic, binenc.Version, other.tag}, own[3:]...)
+				bodies = append(bodies, struct {
+					name string
+					body []byte
+					want error
+				}{other.name + "'s tag", retagged, binenc.ErrHeader})
 			}
-			if string(e.Payload) != row.want {
-				t.Fatalf("recorded\n\t%s\nwant\n\t%s", e.Payload, row.want)
+		}
+		for _, b := range bodies {
+			if err := rc.fresh().DecodeWire(b.body); !errors.Is(err, b.want) {
+				t.Errorf("%s with %s: %v, want %v", rc.name, b.name, err, b.want)
 			}
-			back := reflect.New(reflect.TypeOf(row.rec))
-			if err := e.Decode(back.Interface()); err != nil {
-				t.Fatal(err)
-			}
-			if got := back.Elem().Interface(); !reflect.DeepEqual(got, row.rec) {
-				t.Fatalf("decoded %+v, recorded %+v", got, row.rec)
-			}
-		})
+		}
 	}
 }

@@ -131,8 +131,13 @@ func (p *PCA) Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error) {
 	p.serial++
 	serial := p.serial
 	p.stats.Issued++
-	p.mu.Unlock()
 	subject := fmt.Sprintf("anon-%d", serial)
+	// The issuance is recorded before the certificate exists, under the
+	// lock that took its serial: the ledger then holds serials in the order
+	// they were taken, and a pCA restarted after a crash at any point from
+	// here on resumes above this one.
+	p.recordIssuanceLocked(subject, serial)
+	p.mu.Unlock()
 	cert := cryptoutil.IssueCertificate(p.identity, subject, PurposeAttestationKey, req.Key, serial)
 	p.mu.Lock()
 	if _, dup := p.cache[cacheKey]; !dup {
@@ -144,7 +149,6 @@ func (p *PCA) Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error) {
 		}
 	}
 	p.mu.Unlock()
-	p.recordIssuance(subject, serial)
 	return cert, nil
 }
 
@@ -196,21 +200,38 @@ func (p *PCA) CertStats() Stats {
 // requesting server would undo the privacy the pCA exists to provide
 // (paper §3.4.2).
 type IssuanceRecord struct {
-	Subject string `json:"subject"`
-	Serial  uint64 `json:"serial"`
-	Purpose string `json:"purpose"`
+	Subject string
+	Serial  uint64
+	Purpose string
 }
 
-// recordIssuance appends the issuance evidence, best-effort.
-func (p *PCA) recordIssuance(subject string, serial uint64) {
-	p.mu.RLock()
-	l, now := p.ledger, p.now
-	p.mu.RUnlock()
+// AppendWire appends the record's binenc encoding to b.
+func (r IssuanceRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagIssuanceRecord)
+	b = binenc.AppendString(b, r.Subject)
+	b = binenc.AppendUint64(b, r.Serial)
+	return binenc.AppendString(b, r.Purpose)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *IssuanceRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagIssuanceRecord)
+	*r = IssuanceRecord{}
+	r.Subject = rd.String()
+	r.Serial = rd.Uint64()
+	r.Purpose = rd.String()
+	return ledger.Finish(&rd, "IssuanceRecord")
+}
+
+// recordIssuanceLocked appends the issuance evidence, best-effort. p.mu is
+// held.
+func (p *PCA) recordIssuanceLocked(subject string, serial uint64) {
 	var at time.Duration
-	if now != nil {
-		at = now()
+	if p.now != nil {
+		at = p.now()
 	}
-	l.Record(ledger.Entry{At: at, Kind: ledger.KindCertIssue}, IssuanceRecord{subject, serial, PurposeAttestationKey})
+	ledger.Record(p.ledger, ledger.Entry{At: at, Kind: ledger.KindCertIssue}, IssuanceRecord{subject, serial, PurposeAttestationKey})
 }
 
 // verifiedCertsSize bounds the verified-certificate set. One certificate is

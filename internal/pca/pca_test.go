@@ -195,10 +195,14 @@ func TestUnreadableIssuanceFailsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer led.Close()
-	for _, payload := range []string{`{"serial":1}`, `{"serial":2}`, `{"serial":3}`, `{"serial":"4"}`} {
-		if _, err := led.Append(ledger.Entry{Kind: ledger.KindCertIssue, Payload: []byte(payload)}); err != nil {
+	for serial := uint64(1); serial <= 3; serial++ {
+		if err := ledger.Record(led, ledger.Entry{Kind: ledger.KindCertIssue}, IssuanceRecord{Serial: serial}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Entry 4 carries a byte after its record.
+	if _, err := led.Append(ledger.Entry{Kind: ledger.KindCertIssue, Payload: append(IssuanceRecord{Serial: 4}.AppendWire(nil), 0)}); err != nil {
+		t.Fatal(err)
 	}
 	ca, _ := setup(t)
 	err = ca.SetLedger(led, nil)

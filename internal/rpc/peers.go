@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/metrics"
 	"cloudmonatt/internal/obs"
@@ -103,13 +104,40 @@ func (ps *PeerSet) Health() []obs.PeerHealth {
 // entity's channel observed the event. Retries fill Method/Attempt/Err,
 // breaker transitions From/To.
 type FaultRecord struct {
-	Event   string `json:"event"` // "retry" | "breaker"
-	Peer    string `json:"peer"`
-	Method  string `json:"method,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Err     string `json:"err,omitempty"`
-	From    string `json:"from,omitempty"`
-	To      string `json:"to,omitempty"`
+	Event   string // "retry" | "breaker"
+	Peer    string
+	Method  string
+	Attempt int
+	Err     string
+	From    string
+	To      string
+}
+
+// AppendWire appends the record's binenc encoding to b.
+func (r FaultRecord) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, ledger.TagFaultRecord)
+	b = binenc.AppendString(b, r.Event)
+	b = binenc.AppendString(b, r.Peer)
+	b = binenc.AppendString(b, r.Method)
+	b = binenc.AppendUint64(b, uint64(r.Attempt))
+	b = binenc.AppendString(b, r.Err)
+	b = binenc.AppendString(b, r.From)
+	return binenc.AppendString(b, r.To)
+}
+
+// DecodeWire strictly decodes the record from its binenc encoding.
+func (r *FaultRecord) DecodeWire(data []byte) error {
+	rd := binenc.NewReader(data)
+	rd.Header(ledger.TagFaultRecord)
+	*r = FaultRecord{}
+	r.Event = rd.String()
+	r.Peer = rd.String()
+	r.Method = rd.String()
+	r.Attempt = int(int64(rd.Uint64()))
+	r.Err = rd.String()
+	r.From = rd.String()
+	r.To = rd.String()
+	return ledger.Finish(&rd, "FaultRecord")
 }
 
 // onEvent counts a retry or breaker transition and records it as evidence.
@@ -131,6 +159,6 @@ func (ps *PeerSet) onEvent(ev Event) {
 		fault.From, fault.To = ev.From.String(), ev.To.String()
 	}
 	if ps.cfg.Ledger != nil { // Now is set only with a ledger
-		ps.cfg.Ledger.Record(ledger.Entry{At: ps.cfg.Now(), Kind: ledger.KindRPCFault}, fault)
+		ledger.Record(ps.cfg.Ledger, ledger.Entry{At: ps.cfg.Now(), Kind: ledger.KindRPCFault}, fault)
 	}
 }

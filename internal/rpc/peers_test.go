@@ -139,7 +139,7 @@ func TestPeerSetRecordsRetryAndBreakerOpen(t *testing.T) {
 		}
 		var f FaultRecord
 		if err := e.Decode(&f); err != nil {
-			t.Fatalf("payload %s is not a FaultRecord: %v", e.Payload, err)
+			t.Fatalf("payload %x is not a FaultRecord: %v", e.Payload, err)
 		}
 		faults = append(faults, f)
 	}

@@ -50,6 +50,8 @@ const (
 	TagVMRecord           = 21 // attestsrv.VMRecord
 	TagPeriodicControl    = 22 // attestsrv.PeriodicControl
 	TagRebindRequest      = 23 // attestsrv.RebindRequest
+	// 32-39: the evidence ledger's records, which cross no channel
+	// (internal/ledger/record.go).
 )
 
 // Finish closes a message decoder: nil only when the cursor consumed the
