@@ -2,9 +2,9 @@
 // ways:
 //
 //  1. the bounded symbolic Dolev-Yao verifier over the six §7.2.2
-//     secrecy/integrity/authentication properties, for the full protocol
-//     and for deliberately weakened variants that prove the checks have
-//     teeth;
+//     secrecy/integrity/authentication properties, for the full protocol,
+//     for it with periodic drains signed once per hop, and for
+//     deliberately weakened variants that prove the checks have teeth;
 //  2. the symbolic handshake model: the channel key exchange resists an
 //     active man in the middle exactly because of its transcript
 //     signatures;
@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cloudmonatt/internal/cloudsim"
@@ -42,6 +43,8 @@ func symbolic() {
 		protoverif.ReusedNonces,
 		protoverif.LeakedSessionKey,
 		protoverif.UnsignedReports,
+		protoverif.PeriodicDrain,
+		protoverif.PerReportDrain,
 	}
 	exitCode := 0
 	for _, v := range variants {
@@ -56,13 +59,19 @@ func symbolic() {
 				fmt.Printf("    [%s] %s\n", f.Property, f.Detail)
 			}
 		}
-		// The full protocol must be clean; the weakened variants other than
-		// unsigned-reports (whose weakness only shows combined with a key
-		// leak) must be flagged.
+		// The full protocol and its periodic drains must be clean; the
+		// weakened variants other than unsigned-reports (whose weakness only
+		// shows combined with a key leak) must be flagged, and a drain signed
+		// per report must be caught dropping a verdict.
 		clean := len(findings) == 0
 		switch v {
-		case protoverif.Full, protoverif.UnsignedReports:
+		case protoverif.Full, protoverif.UnsignedReports, protoverif.PeriodicDrain:
 			if !clean {
+				exitCode = 1
+			}
+		case protoverif.PerReportDrain:
+			if !hasFinding(findings, "integrity", "a dropped verdict") {
+				fmt.Printf("    WARNING: per-report drain not caught dropping a verdict — verifier lost its teeth\n")
 				exitCode = 1
 			}
 		default:
@@ -77,6 +86,15 @@ func symbolic() {
 	} else {
 		os.Exit(exitCode)
 	}
+}
+
+func hasFinding(findings []protoverif.Finding, property, detail string) bool {
+	for _, f := range findings {
+		if f.Property == property && strings.Contains(f.Detail, detail) {
+			return true
+		}
+	}
+	return false
 }
 
 // handshake checks the channel-establishment model.

@@ -10,6 +10,8 @@ package attestsrv
 import (
 	"context"
 	"crypto/ed25519"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -259,7 +261,17 @@ func (s *Server) Appraise(req wire.AppraisalRequest) (*wire.Report, error) {
 // AppraiseTraced is Appraise recording its work as an "appraise" span under
 // parent (the controller's span context carried in the rpc envelope), with
 // each measurement RPC attempt nesting beneath it.
-func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalRequest) (rep *wire.Report, err error) {
+func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalRequest) (*wire.Report, error) {
+	verdict, err := s.appraise(parent, &req)
+	if err != nil {
+		return nil, err
+	}
+	return wire.BuildReport(s.cfg.Identity, req.Vid, req.ServerID, req.Prop, verdict, req.N2), nil
+}
+
+// appraise is the appraisal itself, up to the verdict; who signs it, and
+// what, is the caller's business.
+func (s *Server) appraise(parent obs.SpanContext, req *wire.AppraisalRequest) (verdict properties.Verdict, err error) {
 	start := s.cfg.Clock.Now()
 	sp := s.tracer.Start(parent, "appraise")
 	sp.SetVM(req.Vid, string(req.Prop))
@@ -267,7 +279,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		s.metrics.Summary("appraise/" + string(req.Prop)).Observe(s.cfg.Clock.Now() - start)
 		if err != nil {
 			sp.EndErr(err)
-		} else if rep != nil && !rep.Verdict.Healthy {
+		} else if !verdict.Healthy {
 			sp.End("unhealthy")
 		} else {
 			sp.End("")
@@ -275,20 +287,20 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 	}()
 	spec, custom := s.custom[req.Prop]
 	if !custom && !properties.Valid(req.Prop) {
-		return nil, fmt.Errorf("attestsrv: unsupported property %q", req.Prop)
+		return verdict, fmt.Errorf("attestsrv: unsupported property %q", req.Prop)
 	}
 	if !s.replay.Check(req.N2) {
-		return nil, fmt.Errorf("attestsrv: replayed request nonce")
+		return verdict, fmt.Errorf("attestsrv: replayed request nonce")
 	}
 	s.mu.Lock()
 	srvRec, okS := s.servers[req.ServerID]
 	vmRec, okV := s.vms[req.Vid]
 	s.mu.Unlock()
 	if !okS {
-		return nil, fmt.Errorf("attestsrv: unknown cloud server %q", req.ServerID)
+		return verdict, fmt.Errorf("attestsrv: unknown cloud server %q", req.ServerID)
 	}
 	if !okV {
-		return nil, fmt.Errorf("attestsrv: no references for VM %q", req.Vid)
+		return verdict, fmt.Errorf("attestsrv: no references for VM %q", req.Vid)
 	}
 	backend := srvRec.Backend.OrDefault()
 	sp.Annotate("backend", string(backend))
@@ -299,19 +311,19 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		// report says so explicitly — distinct from healthy and from
 		// compromised — and the attempt is ledgered like any appraisal.
 		s.metrics.Counter("appraise/unattestable").Inc()
-		verdict := properties.UnattestableVerdict(req.Prop, string(backend))
-		s.recordAppraisal(&req, verdict, sp.Context().Trace)
-		return wire.BuildReport(s.cfg.Identity, req.Vid, req.ServerID, req.Prop, verdict, req.N2), nil
+		verdict = properties.UnattestableVerdict(req.Prop, string(backend))
+		s.recordAppraisal(req, verdict, sp.Context().Trace)
+		return verdict, nil
 	}
 	if !srvRec.Supports(req.Prop) {
-		return nil, fmt.Errorf("attestsrv: server %s cannot monitor %s", req.ServerID, req.Prop)
+		return verdict, fmt.Errorf("attestsrv: server %s cannot monitor %s", req.ServerID, req.Prop)
 	}
 
 	var rM properties.Request
 	if custom {
 		rM = spec.Request
 	} else if rM, err = driver.MapToMeasurements(backend, req.Prop); err != nil {
-		return nil, err
+		return verdict, err
 	}
 
 	// The tpm backend's startup evidence is incremental: the request says
@@ -327,7 +339,6 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 			s.metrics.Counter("appraise/log-from-zero-no-memory").Inc()
 		}
 	}
-	var verdict properties.Verdict
 	for {
 		logFrom := 0
 		if mem != nil {
@@ -335,7 +346,7 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		}
 		ev, n3, err := s.measure(sp, srvRec, req.Vid, rM, logFrom)
 		if err != nil {
-			return nil, err
+			return verdict, err
 		}
 		if lat := s.cfg.Latency; lat != nil {
 			s.cfg.Clock.Advance(lat.InterpretCost)
@@ -379,8 +390,8 @@ func (s *Server) AppraiseTraced(parent obs.SpanContext, req wire.AppraisalReques
 		sp.Annotate("log-refetch", mem.Miss)
 		mem = new(driver.LogMemory)
 	}
-	s.recordAppraisal(&req, verdict, sp.Context().Trace)
-	return wire.BuildReport(s.cfg.Identity, req.Vid, req.ServerID, req.Prop, verdict, req.N2), nil
+	s.recordAppraisal(req, verdict, sp.Context().Trace)
+	return verdict, nil
 }
 
 // measure runs one measurement exchange with a cloud server (Fig. 3's
@@ -513,33 +524,86 @@ func (s *Server) drawJitter(max int64) int64 {
 // appraiseOnce is the engine's appraisal path: generate a fresh N2 and run
 // the full appraisal. A nonce failure is an appraisal failure — the engine
 // has already rescheduled the task, so entropy exhaustion can never pin a
-// task permanently due (the hot loop the linear scheduler had).
+// task permanently due (the hot loop the linear scheduler had). The report
+// is unsigned: the engine keeps its verdict until a drain signs it.
 func (s *Server) appraiseOnce(parent obs.SpanContext, vid, serverID string, p properties.Property) (*wire.Report, error) {
 	n2, err := cryptoutil.NewNonce(s.cfg.Rand)
 	if err != nil {
 		s.metrics.Counter("periodic/nonce-failures").Inc()
 		return nil, fmt.Errorf("attestsrv: periodic nonce: %w", err)
 	}
-	return s.AppraiseTraced(parent, wire.AppraisalRequest{Vid: vid, ServerID: serverID, Prop: p, N2: n2})
+	req := wire.AppraisalRequest{Vid: vid, ServerID: serverID, Prop: p, N2: n2}
+	verdict, err := s.appraise(parent, &req)
+	if err != nil {
+		return nil, err
+	}
+	return &wire.Report{Vid: vid, ServerID: serverID, Prop: p, Verdict: verdict, N2: n2}, nil
 }
 
 // StopPeriodic disarms a periodic attestation and returns any undelivered
 // results with the loss accounting (dropped reports, shed ticks)
-// accumulated since the last drain.
-func (s *Server) StopPeriodic(vid string, p properties.Property) PeriodicBatch {
-	return s.periodic.stop(vid, p)
+// accumulated since the last drain, signed under the controller's n2.
+func (s *Server) StopPeriodic(vid string, p properties.Property, n2 cryptoutil.Nonce) PeriodicBatch {
+	return s.signBatch(s.periodic.stop(vid, p), vid, p, n2)
 }
 
 // FetchPeriodic drains the accumulated fresh results for (vid, prop), with
-// the loss accounting since the last drain.
-func (s *Server) FetchPeriodic(vid string, p properties.Property) PeriodicBatch {
-	return s.periodic.fetch(vid, p)
+// the loss accounting since the last drain, signed under the controller's
+// n2. A stream that is not armed here drains empty, and that is signed too.
+func (s *Server) FetchPeriodic(vid string, p properties.Property, n2 cryptoutil.Nonce) PeriodicBatch {
+	return s.signBatch(s.periodic.fetch(vid, p), vid, p, n2)
+}
+
+// signBatch binds a drain to its stream and the requester's nonce and signs
+// it.
+func (s *Server) signBatch(b PeriodicBatch, vid string, p properties.Property, n2 cryptoutil.Nonce) PeriodicBatch {
+	b.Vid, b.Prop, b.N2 = vid, p, n2
+	SignPeriodicBatch(s.cfg.Identity, &b)
+	return b
+}
+
+// SignPeriodicBatch signs a drain once with the shard's identity key SKa.
+func SignPeriodicBatch(signer *cryptoutil.Identity, b *PeriodicBatch) {
+	body := batchBody(b)
+	b.Sig = signer.Sign(body[:])
+}
+
+// batchBody hashes what a drain's one signature covers: [Vid, P, N2, the
+// entries in order (I and R each), Dropped, Skipped].
+func batchBody(b *PeriodicBatch) [32]byte {
+	var buf [wire.BatchStack]byte
+	entries := binenc.AppendUint32(buf[:0], uint32(len(b.Entries)))
+	for i := range b.Entries {
+		entries = binenc.AppendString(entries, b.Entries[i].ServerID)
+		entries = b.Entries[i].Verdict.AppendEncode(entries)
+	}
+	var loss [16]byte
+	binary.BigEndian.PutUint64(loss[:8], b.Dropped)
+	binary.BigEndian.PutUint64(loss[8:], b.Skipped)
+	return cryptoutil.Hash("periodic-batch", []byte(b.Vid), []byte(b.Prop), b.N2[:], entries, loss[:])
+}
+
+// VerifyPeriodicBatch is the controller's check of a drain: one signature
+// under the answering shard's key over the whole batch, for this stream and
+// the nonce it sent. Nothing in the batch, the loss counts included, is
+// meaningful before it passes.
+func VerifyPeriodicBatch(b *PeriodicBatch, shardKey ed25519.PublicKey, vid string, p properties.Property, n2 cryptoutil.Nonce) error {
+	if b.Vid != vid || b.Prop != p {
+		return errors.New("attestsrv: periodic batch does not match the request")
+	}
+	if b.N2 != n2 {
+		return errors.New("attestsrv: periodic batch nonce mismatch (replay?)")
+	}
+	if body := batchBody(b); !cryptoutil.Verify(shardKey, body[:], b.Sig) {
+		return errors.New("attestsrv: periodic batch signature invalid")
+	}
+	return nil
 }
 
 // RunDue appraises every periodic task whose deadline has passed — due
 // tasks run concurrently on the engine's bounded worker pool — and returns
-// the reports committed for still-live tasks in this pass. The testbed
-// calls it as virtual time advances.
+// the unsigned reports committed for still-live tasks in this pass. The
+// testbed calls it as virtual time advances.
 func (s *Server) RunDue() []*wire.Report {
 	return s.periodic.runDue()
 }

@@ -135,20 +135,20 @@ func TestPeriodicEngine(t *testing.T) {
 		t.Fatalf("RunDue fired early: %d", len(got))
 	}
 	tb.RunFor(13 * time.Second)
-	results := tb.Attest.FetchPeriodic(vid, properties.CPUAvailability).Reports
+	results := tb.Attest.FetchPeriodic(vid, properties.CPUAvailability, cryptoutil.MustNonce()).Entries
 	if len(results) < 2 {
 		t.Fatalf("only %d periodic results over 13s at 4s frequency", len(results))
 	}
 	// Stop returns undelivered results and disarms.
 	tb.RunFor(5 * time.Second)
-	left := tb.Attest.StopPeriodic(vid, properties.CPUAvailability).Reports
+	left := tb.Attest.StopPeriodic(vid, properties.CPUAvailability, cryptoutil.MustNonce()).Entries
 	if len(left) == 0 {
 		t.Fatal("no undelivered results at stop")
 	}
 	if _, ok := tb.Attest.NextDue(); ok {
 		t.Fatal("deadline still armed after stop")
 	}
-	if tb.Attest.StopPeriodic(vid, properties.CPUAvailability).Reports != nil {
+	if tb.Attest.StopPeriodic(vid, properties.CPUAvailability, cryptoutil.MustNonce()).Entries != nil {
 		t.Fatal("double stop returned results")
 	}
 }
@@ -180,11 +180,11 @@ func TestPeriodicRandomIntervals(t *testing.T) {
 	// Collect a number of inter-report gaps; they must vary (random mode)
 	// and stay within [freq/2, 3*freq/2] plus the per-round appraisal time.
 	tb.RunFor(60 * time.Second)
-	reports := tb.Attest.FetchPeriodic(vid, properties.CPUAvailability).Reports
+	reports := tb.Attest.FetchPeriodic(vid, properties.CPUAvailability, cryptoutil.MustNonce()).Entries
 	if len(reports) < 6 {
 		t.Fatalf("only %d random-interval reports over 60s at ~4s mean", len(reports))
 	}
-	tb.Attest.StopPeriodic(vid, properties.CPUAvailability)
+	tb.Attest.StopPeriodic(vid, properties.CPUAvailability, cryptoutil.MustNonce())
 }
 
 func TestMetricsRecordAppraisals(t *testing.T) {

@@ -48,6 +48,7 @@ func (m PeriodicControl) AppendWire(b []byte) []byte {
 	b = binenc.AppendString(b, string(m.Prop))
 	b = binenc.AppendUint64(b, uint64(m.Freq))
 	b = binenc.AppendBool(b, m.Random)
+	b = append(b, m.N2[:]...)
 	return b
 }
 
@@ -61,19 +62,29 @@ func (m *PeriodicControl) DecodeWire(data []byte) error {
 	m.Prop = properties.Property(rd.String())
 	m.Freq = time.Duration(rd.Uint64())
 	m.Random = rd.Bool()
+	rd.Fixed(m.N2[:])
 	return wire.Finish(&rd, "PeriodicControl")
 }
 
-// AppendWire appends the message's binary encoding to b: the loss counts,
-// then each report framed as the Report message it is.
+// entryMin is the fewest bytes an entry's encoding takes: the server's
+// length prefix and a verdict's fewest (four length prefixes, two booleans
+// and the details count).
+const entryMin = 4 + 22
+
+// AppendWire appends the message's binary encoding to b.
 func (m PeriodicBatch) AppendWire(b []byte) []byte {
 	b = binenc.AppendHeader(b, wire.TagPeriodicBatch)
+	b = binenc.AppendString(b, m.Vid)
+	b = binenc.AppendString(b, string(m.Prop))
+	b = append(b, m.N2[:]...)
+	b = binenc.AppendUint32(b, uint32(len(m.Entries)))
+	for i := range m.Entries {
+		b = binenc.AppendString(b, m.Entries[i].ServerID)
+		b = m.Entries[i].Verdict.AppendWire(b)
+	}
 	b = binenc.AppendUint64(b, m.Dropped)
 	b = binenc.AppendUint64(b, m.Skipped)
-	b = binenc.AppendUint32(b, uint32(len(m.Reports)))
-	for _, r := range m.Reports {
-		b = wire.AppendFramed(b, r)
-	}
+	b = binenc.AppendBytes(b, m.Sig)
 	return b
 }
 
@@ -82,16 +93,19 @@ func (m *PeriodicBatch) DecodeWire(data []byte) error {
 	rd := binenc.NewReader(data)
 	rd.Header(wire.TagPeriodicBatch)
 	*m = PeriodicBatch{}
+	m.Vid = rd.String()
+	m.Prop = properties.Property(rd.String())
+	rd.Fixed(m.N2[:])
+	if n := rd.Count(entryMin); n > 0 {
+		m.Entries = make([]PeriodicEntry, n)
+		for i := 0; i < n && rd.Err() == nil; i++ {
+			m.Entries[i].ServerID = rd.String()
+			m.Entries[i].Verdict.ReadWire(&rd)
+		}
+	}
 	m.Dropped = rd.Uint64()
 	m.Skipped = rd.Uint64()
-	n := rd.Count(4)
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		r := new(wire.Report)
-		if err := r.DecodeWire(rd.BytesView()); err != nil {
-			rd.Fail(err)
-		}
-		m.Reports = append(m.Reports, r)
-	}
+	m.Sig = rd.Bytes()
 	return wire.Finish(&rd, "PeriodicBatch")
 }
 

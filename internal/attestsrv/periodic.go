@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/metrics"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
@@ -67,16 +68,31 @@ func (c PeriodicConfig) withDefaults() PeriodicConfig {
 	return c
 }
 
+// PeriodicEntry is one undelivered result of a periodic task: the cloud
+// server I that was measured and the verdict R. An entry is not signed by
+// itself; the drain that delivers it is (PeriodicBatch).
+type PeriodicEntry struct {
+	ServerID string
+	Verdict  properties.Verdict
+}
+
 // PeriodicBatch is one drain of a task's undelivered results, with the
-// loss accounting accumulated since the previous drain.
+// loss accounting accumulated since the previous drain. The shard that
+// answers the drain signs it once, [Vid, P, N2, (I, R)…, Dropped,
+// Skipped]_SKa under the N2 the controller sent (Server.FetchPeriodic), so
+// the loss counts and the entries' order are covered too.
 type PeriodicBatch struct {
-	Reports []*wire.Report
+	Vid     string
+	Prop    properties.Property
+	N2      cryptoutil.Nonce
+	Entries []PeriodicEntry
 	// Dropped counts reports evicted from the bounded ring since the last
 	// drain (the customer fetched too rarely for the buffer size).
 	Dropped uint64
 	// Skipped counts due ticks shed since the last drain because the
 	// previous appraisal of this task was still in flight.
 	Skipped uint64
+	Sig     []byte
 }
 
 // periodicTask is one armed (vid, property) monitoring stream.
@@ -92,8 +108,8 @@ type periodicTask struct {
 	running bool // an appraisal is in flight
 	stopped bool // disarmed; in-flight results must be discarded
 
-	// Bounded result ring: ring[head] is the oldest undelivered report.
-	ring    []*wire.Report
+	// Bounded result ring: ring[head] is the oldest undelivered result.
+	ring    []PeriodicEntry
 	head    int
 	n       int
 	dropped uint64 // evictions since last drain
@@ -113,32 +129,32 @@ func (t *periodicTask) interval(draw func(max int64) int64) time.Duration {
 	return t.freq/2 + time.Duration(draw(int64(t.freq)))
 }
 
-// push appends a report to the ring, evicting the oldest when full.
-func (t *periodicTask) push(rep *wire.Report, cap int) (evicted bool) {
+// push appends a result to the ring, evicting the oldest when full.
+func (t *periodicTask) push(e PeriodicEntry, cap int) (evicted bool) {
 	if len(t.ring) == 0 {
-		t.ring = make([]*wire.Report, cap)
+		t.ring = make([]PeriodicEntry, cap)
 	}
 	if t.n == len(t.ring) {
-		t.ring[t.head] = rep
+		t.ring[t.head] = e
 		t.head = (t.head + 1) % len(t.ring)
 		t.dropped++
 		return true
 	}
-	t.ring[(t.head+t.n)%len(t.ring)] = rep
+	t.ring[(t.head+t.n)%len(t.ring)] = e
 	t.n++
 	return false
 }
 
-// drain removes and returns all buffered reports in arrival order.
-func (t *periodicTask) drain() []*wire.Report {
+// drain removes and returns all buffered results in arrival order.
+func (t *periodicTask) drain() []PeriodicEntry {
 	if t.n == 0 {
 		return nil
 	}
-	out := make([]*wire.Report, 0, t.n)
+	out := make([]PeriodicEntry, 0, t.n)
 	for i := 0; i < t.n; i++ {
 		idx := (t.head + i) % len(t.ring)
 		out = append(out, t.ring[idx])
-		t.ring[idx] = nil
+		t.ring[idx] = PeriodicEntry{}
 	}
 	t.head, t.n = 0, 0
 	return out
@@ -167,8 +183,9 @@ func (h *dueHeap) Pop() any {
 
 // appraiseFunc runs one appraisal of (vid, prop) against a cloud server,
 // recording its spans under parent (the engine's per-tick root span). The
-// engine injects the Attestation Server's full appraisal path here;
-// benchmarks and the scheduler race test inject stubs.
+// engine keeps the report's verdict, not its signature. The Attestation
+// Server injects its full appraisal path here, unsigned; benchmarks and the
+// scheduler race test inject stubs.
 type appraiseFunc func(parent obs.SpanContext, vid, serverID string, p properties.Property) (*wire.Report, error)
 
 // periodicEngine is the concurrent monitoring engine.
@@ -242,7 +259,7 @@ func (e *periodicEngine) unlink(t *periodicTask) {
 }
 
 // stop disarms (vid, prop) and returns the undelivered results with their
-// loss accounting. A missing task returns an empty batch.
+// loss accounting, unsigned. A missing task returns an empty batch.
 func (e *periodicEngine) stop(vid string, p properties.Property) PeriodicBatch {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -268,7 +285,7 @@ func (e *periodicEngine) fetch(vid string, p properties.Property) PeriodicBatch 
 }
 
 func (e *periodicEngine) drainLocked(t *periodicTask) PeriodicBatch {
-	b := PeriodicBatch{Reports: t.drain(), Dropped: t.dropped, Skipped: t.skipped}
+	b := PeriodicBatch{Entries: t.drain(), Dropped: t.dropped, Skipped: t.skipped}
 	t.dropped, t.skipped = 0, 0
 	return b
 }
@@ -276,8 +293,9 @@ func (e *periodicEngine) drainLocked(t *periodicTask) PeriodicBatch {
 // PeriodicTaskState is the portable snapshot of one armed monitoring
 // stream: everything a shard needs to continue the stream exactly where
 // its previous owner left it — the preserved deadline (no re-jitter, so a
-// handoff cannot stretch a measurement interval), the undelivered reports,
-// and the loss accounting.
+// handoff cannot stretch a measurement interval), the undelivered results,
+// and the loss accounting. The results are unsigned: the shard that
+// answers the next drain signs them with its own key.
 type PeriodicTaskState struct {
 	Vid      string
 	ServerID string
@@ -285,7 +303,7 @@ type PeriodicTaskState struct {
 	Freq     time.Duration
 	Random   bool
 	NextDue  time.Duration
-	Reports  []*wire.Report
+	Entries  []PeriodicEntry
 	Dropped  uint64
 	Skipped  uint64
 }
@@ -311,7 +329,7 @@ func (e *periodicEngine) exportWhere(move func(vid string) bool) []PeriodicTaskS
 			Freq:     t.freq,
 			Random:   t.random,
 			NextDue:  t.nextDue,
-			Reports:  t.drain(),
+			Entries:  t.drain(),
 			Dropped:  t.dropped,
 			Skipped:  t.skipped,
 		})
@@ -344,8 +362,8 @@ func (e *periodicEngine) importTask(st PeriodicTaskState) bool {
 		dropped:  st.Dropped,
 		skipped:  st.Skipped,
 	}
-	for _, rep := range st.Reports {
-		if t.push(rep, e.cfg.ResultBuffer) {
+	for _, en := range st.Entries {
+		if t.push(en, e.cfg.ResultBuffer) {
 			e.reg.Counter("periodic/dropped").Inc()
 		}
 	}
@@ -411,8 +429,8 @@ func (e *periodicEngine) serverSemFor(serverID string) chan struct{} {
 }
 
 // runDue dispatches every task whose deadline has passed to the worker
-// pool, waits for the dispatched batch, and returns the reports committed
-// for still-live tasks. Each popped deadline resolves to exactly one
+// pool, waits for the dispatched batch, and returns the reports whose
+// results were committed for still-live tasks. Each popped deadline resolves to exactly one
 // outcome (report, skip, failure, or stopped-discard), every one counted.
 func (e *periodicEngine) runDue() []*wire.Report {
 	now := e.now()
@@ -496,7 +514,7 @@ func (e *periodicEngine) runDue() []*wire.Report {
 				sp.Annotate("engine", "failure")
 				sp.EndErr(err)
 			default:
-				if d.t.push(rep, e.cfg.ResultBuffer) {
+				if d.t.push(PeriodicEntry{ServerID: d.serverID, Verdict: rep.Verdict}, e.cfg.ResultBuffer) {
 					e.reg.Counter("periodic/dropped").Inc()
 				}
 				e.reg.Counter("periodic/produced").Inc()

@@ -91,21 +91,21 @@ func TestPeriodicEngineChurnRace(t *testing.T) {
 			for round := 0; round < 6; round++ {
 				for i := g; i < nTasks; i += churners {
 					b := e.fetch(vid(i), properties.CPUAvailability)
-					if len(b.Reports) > buffer {
-						errs <- fmt.Errorf("fetch drained %d > buffer %d", len(b.Reports), buffer)
+					if len(b.Entries) > buffer {
+						errs <- fmt.Errorf("fetch drained %d > buffer %d", len(b.Entries), buffer)
 						return
 					}
 					if i%5 != round%5 {
 						continue
 					}
-					if b = e.stop(vid(i), properties.CPUAvailability); len(b.Reports) > buffer {
-						errs <- fmt.Errorf("stop drained %d > buffer %d", len(b.Reports), buffer)
+					if b = e.stop(vid(i), properties.CPUAvailability); len(b.Entries) > buffer {
+						errs <- fmt.Errorf("stop drained %d > buffer %d", len(b.Entries), buffer)
 						return
 					}
 					// Stopped: no further delivery, even while the engine
 					// keeps ticking other tasks (and possibly finishes an
 					// in-flight appraisal of this one).
-					if b = e.fetch(vid(i), properties.CPUAvailability); len(b.Reports) != 0 {
+					if b = e.fetch(vid(i), properties.CPUAvailability); len(b.Entries) != 0 {
 						errs <- fmt.Errorf("report delivered for stopped task %s", vid(i))
 						return
 					}
@@ -137,8 +137,8 @@ func TestPeriodicEngineChurnRace(t *testing.T) {
 	}
 	// Final sweep: every surviving ring is within bound.
 	for i := 0; i < nTasks; i++ {
-		if b := e.stop(vid(i), properties.CPUAvailability); len(b.Reports) > buffer {
-			t.Fatalf("final drain of %s: %d > buffer %d", vid(i), len(b.Reports), buffer)
+		if b := e.stop(vid(i), properties.CPUAvailability); len(b.Entries) > buffer {
+			t.Fatalf("final drain of %s: %d > buffer %d", vid(i), len(b.Entries), buffer)
 		}
 	}
 }
@@ -165,8 +165,8 @@ func TestPeriodicStopDiscardsInFlightResult(t *testing.T) {
 	done := make(chan []*wire.Report, 1)
 	go func() { done <- e.runDue() }()
 	<-started
-	if b := e.stop("vm-1", properties.CPUAvailability); len(b.Reports) != 0 {
-		t.Fatalf("final drain returned %d reports for a task with nothing buffered", len(b.Reports))
+	if b := e.stop("vm-1", properties.CPUAvailability); len(b.Entries) != 0 {
+		t.Fatalf("final drain returned %d reports for a task with nothing buffered", len(b.Entries))
 	}
 	close(release)
 	if produced := <-done; len(produced) != 0 {
@@ -175,7 +175,7 @@ func TestPeriodicStopDiscardsInFlightResult(t *testing.T) {
 	if n := reg.Counter("periodic/stopped-discards").Value(); n != 1 {
 		t.Fatalf("stopped-discards = %d, want 1", n)
 	}
-	if b := e.fetch("vm-1", properties.CPUAvailability); len(b.Reports) != 0 {
+	if b := e.fetch("vm-1", properties.CPUAvailability); len(b.Entries) != 0 {
 		t.Fatal("report resurrected after stop")
 	}
 }
@@ -214,8 +214,8 @@ func TestPeriodicSkipsWhileInFlight(t *testing.T) {
 		t.Fatalf("slow appraisal produced %d reports, want 1", len(produced))
 	}
 	b := e.fetch("vm-1", properties.CPUAvailability)
-	if len(b.Reports) != 1 || b.Skipped != 1 {
-		t.Fatalf("fetch = %d reports, skipped %d; want 1 and 1", len(b.Reports), b.Skipped)
+	if len(b.Entries) != 1 || b.Skipped != 1 {
+		t.Fatalf("fetch = %d reports, skipped %d; want 1 and 1", len(b.Entries), b.Skipped)
 	}
 	// Loss accounting resets on drain.
 	if b = e.fetch("vm-1", properties.CPUAvailability); b.Skipped != 0 {
@@ -268,7 +268,7 @@ func TestPeriodicRingDropsOldest(t *testing.T) {
 	reg := metrics.NewRegistry()
 	var seq atomic.Int64
 	appraise := func(_ obs.SpanContext, vid, serverID string, p properties.Property) (*wire.Report, error) {
-		return &wire.Report{Vid: fmt.Sprintf("r%d", seq.Add(1))}, nil
+		return &wire.Report{Verdict: properties.Verdict{Reason: fmt.Sprintf("r%d", seq.Add(1))}}, nil
 	}
 	e := newPeriodicEngine(PeriodicConfig{ResultBuffer: 3}, clock.now, noJitter, appraise, reg, nil)
 	if err := e.start("vm-1", "s1", properties.CPUAvailability, time.Second, false); err != nil {
@@ -279,16 +279,16 @@ func TestPeriodicRingDropsOldest(t *testing.T) {
 		e.runDue()
 	}
 	b := e.fetch("vm-1", properties.CPUAvailability)
-	if len(b.Reports) != 3 {
-		t.Fatalf("drained %d reports, want 3", len(b.Reports))
+	if len(b.Entries) != 3 {
+		t.Fatalf("drained %d reports, want 3", len(b.Entries))
 	}
 	if b.Dropped != 5 {
 		t.Fatalf("dropped = %d, want 5", b.Dropped)
 	}
 	// Oldest-first eviction: the survivors are the newest three, in order.
 	for i, want := range []string{"r6", "r7", "r8"} {
-		if b.Reports[i].Vid != want {
-			t.Fatalf("survivor %d = %s, want %s", i, b.Reports[i].Vid, want)
+		if got := b.Entries[i].Verdict.Reason; got != want {
+			t.Fatalf("survivor %d = %s, want %s", i, got, want)
 		}
 	}
 	if n := reg.Counter("periodic/dropped").Value(); n != 5 {

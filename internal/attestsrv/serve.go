@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/secchan"
@@ -34,13 +35,16 @@ type RebindRequest struct {
 	ServerID string
 }
 
-// PeriodicControl starts or addresses a periodic attestation task.
+// PeriodicControl starts or addresses a periodic attestation task. N2 is
+// the controller's fresh nonce for a drain (periodic-fetch, periodic-stop),
+// under which the shard signs the batch it returns.
 type PeriodicControl struct {
 	Vid      string
 	ServerID string
 	Prop     properties.Property
 	Freq     time.Duration
 	Random   bool
+	N2       cryptoutil.Nonce
 }
 
 // Handler returns the RPC dispatch for the Attestation Server.
@@ -115,9 +119,9 @@ func (s *Server) Handler() rpc.Handler {
 				return nil, err
 			}
 			if method == MethodPeriodicStop {
-				return rpc.Encode(s.StopPeriodic(req.Vid, req.Prop))
+				return rpc.Encode(s.StopPeriodic(req.Vid, req.Prop, req.N2))
 			}
-			return rpc.Encode(s.FetchPeriodic(req.Vid, req.Prop))
+			return rpc.Encode(s.FetchPeriodic(req.Vid, req.Prop, req.N2))
 		case MethodRebindVM:
 			var req RebindRequest
 			if err := rpc.Decode(body, &req); err != nil {

@@ -99,7 +99,7 @@ func TestDefaultTestbedIsOneMemberRing(t *testing.T) {
 // the armed streams to the new shard (exactly the ones the ring reassigns),
 // a leave drains the shard completely, and across both handoffs no stream
 // is lost, none is double-armed, and fetches keep verifying — including
-// reports buffered on the old owner before the move.
+// results buffered on the old owner before the move.
 func TestShardChurnRebalanceMovesFraction(t *testing.T) {
 	tb := newTB(t, Options{Seed: 11, Shards: 2, Servers: 6})
 	cu, err := tb.NewCustomer("alice")
@@ -115,8 +115,8 @@ func TestShardChurnRebalanceMovesFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let every stream buffer at least one report on its original owner, so
-	// the handoff has to carry old-shard-signed results too.
+	// Let every stream buffer at least one result on its original owner, so
+	// the handoff has to carry old-shard results too.
 	tb.RunFor(6 * time.Second)
 	before := shardTaskKeys(t, tb)
 	if len(before) != vms {
@@ -155,7 +155,7 @@ func TestShardChurnRebalanceMovesFraction(t *testing.T) {
 	}
 
 	// Streams keep producing on their new owners, and fetch verifies both
-	// eras of each stream (pre-handoff reports are signed by the old shard).
+	// eras of each stream (pre-handoff results, signed by the new owner).
 	tb.RunFor(6 * time.Second)
 	for _, vid := range vids {
 		verdicts, err := cu.FetchPeriodic(vid, properties.CPUAvailability)
@@ -194,6 +194,71 @@ func TestShardChurnRebalanceMovesFraction(t *testing.T) {
 	for _, vid := range vids {
 		if verdicts, err := cu.FetchPeriodic(vid, properties.CPUAvailability); err != nil || len(verdicts) < 1 {
 			t.Fatalf("stream %s broken after leave: %d verdicts, err=%v", vid, len(verdicts), err)
+		}
+	}
+}
+
+// TestHandedOffResultIsDeliveredOnce: results buffered on one shard move
+// with their streams on JoinShard, unsigned, and the new owner signs the
+// drain that delivers them. Drained before the new shard has produced
+// anything of its own, every moved stream still delivers what its old
+// owner buffered, the controller and the customer verify it, every
+// produced result is delivered, and none is delivered twice.
+func TestHandedOffResultIsDeliveredOnce(t *testing.T) {
+	tb := newTB(t, Options{Seed: 14, Servers: 4})
+	cu, err := tb.NewCustomer("dave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vms = 8
+	vids := make([]string, 0, vms)
+	for i := 0; i < vms; i++ {
+		vids = append(vids, launch(t, cu, basicLaunch()).Vid)
+	}
+	for _, vid := range vids {
+		if err := cu.StartPeriodic(vid, properties.CPUAvailability, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.RunFor(6 * time.Second)
+	old := tb.Attest.Shard()
+	name, moved, err := tb.JoinShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 || moved == vms {
+		t.Fatalf("join moved %d of %d streams — want a proper fraction", moved, vms)
+	}
+	produced := func(shard string) int64 {
+		return tb.shardByName[shard].Metrics().Counter("periodic/produced").Value()
+	}
+	if n := produced(name); n != 0 {
+		t.Fatalf("the new shard produced %d results before any time passed", n)
+	}
+	delivered := int64(0)
+	movedDelivered := 0
+	for _, vid := range vids {
+		vs, err := cu.FetchPeriodic(vid, properties.CPUAvailability)
+		if err != nil {
+			t.Fatalf("fetch %s after the join: %v", vid, err)
+		}
+		delivered += int64(len(vs))
+		if owner, _, _ := tb.Ring.Lookup(vid); owner == name {
+			if len(vs) == 0 {
+				t.Fatalf("moved stream %s delivered nothing of what %s buffered", vid, old)
+			}
+			movedDelivered++
+		}
+	}
+	if movedDelivered != moved {
+		t.Fatalf("%d moved streams delivered, want %d", movedDelivered, moved)
+	}
+	if want := produced(old); delivered != want {
+		t.Fatalf("delivered %d results, %s produced %d", delivered, old, want)
+	}
+	for _, vid := range vids {
+		if vs, err := cu.FetchPeriodic(vid, properties.CPUAvailability); err != nil || len(vs) != 0 {
+			t.Fatalf("second fetch of %s = (%d verdicts, %v), want nothing delivered twice", vid, len(vs), err)
 		}
 	}
 }

@@ -62,6 +62,41 @@ func TestSignatureBudget(t *testing.T) {
 	}
 }
 
+// TestPeriodicSignatureBudget pins the periodic row of DESIGN.md §15's
+// table: a drain of k buffered results costs k evidence signatures (one
+// per tick, under ASKs), one batch signature by the shard (SKa) and one by
+// the controller (SKc), and two per session rotation (the CSR under SKs and
+// the pCA's certificate) — and one verification of each. Signed per
+// report, as before, the same drain cost 3k plus the rotations.
+func TestPeriodicSignatureBudget(t *testing.T) {
+	tb := newTB(t, Options{Seed: 5, Servers: 1})
+	cu, err := tb.NewCustomer("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := launch(t, cu, basicLaunch())
+	if err := cu.StartPeriodic(res.Vid, properties.RuntimeIntegrity, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	issued := tb.PCA.CertStats().Issued
+	before := cryptoutil.Ops()
+	tb.RunFor(12 * time.Second)
+	vs, err := cu.FetchPeriodic(res.Vid, properties.RuntimeIntegrity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cryptoutil.Ops().Sub(before)
+	k, rotations := uint64(len(vs)), tb.PCA.CertStats().Issued-issued
+	if k < sessionUses || rotations < 1 {
+		t.Fatalf("one drain of %d results across %d rotations; want at least %d results and a rotation", k, rotations, sessionUses)
+	}
+	want := k + 1 + 1 + 2*rotations
+	if got.Sign != want || got.Verify != want {
+		t.Fatalf("a drain of %d results across %d rotations cost %d signs / %d verifies, want %d / %d",
+			k, rotations, got.Sign, got.Verify, want, want)
+	}
+}
+
 // TestAVKConfinement checks what the session policy relies on: an
 // attestation key and its anonymous certificate appear in hop-4 evidence and
 // nowhere an observer of the system's outputs can look — no ledger payload,

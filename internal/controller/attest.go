@@ -182,11 +182,14 @@ func (r *PeriodicLossRecord) DecodeWire(data []byte) error {
 }
 
 // DrainPeriodic serves fetch_attest_periodic (the stream stays armed) and
-// stop_attest_periodic (stop disarms it), returning the undelivered results
-// and surfacing the engine's loss accounting: reports the bounded buffer
-// evicted and ticks shed under overload are counted in the controller's
-// metrics and, when any occurred, recorded as evidence.
-func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) ([]*wire.CustomerReport, error) {
+// stop_attest_periodic (stop disarms it). The owning shard answers with one
+// batch signed under the fresh N2 sent to it; once that signature checks
+// under the answering shard's key, the engine's loss accounting is
+// surfaced — reports the bounded buffer evicted and ticks shed under
+// overload are counted in the controller's metrics and, when any occurred,
+// recorded as evidence — and the verdicts go to the customer re-signed as
+// one batch under its N1.
+func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) (*wire.CustomerBatch, error) {
 	if _, err := c.vmFor(req.Vid, req.Prop); err != nil {
 		return nil, err
 	}
@@ -195,66 +198,52 @@ func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) ([]*
 		method = attestsrv.MethodPeriodicStop
 	}
 	var batch attestsrv.PeriodicBatch
+	var n2 cryptoutil.Nonce
 	// Drains are destructive server-side; the idempotency key makes a
-	// retried drain replay the recorded batch instead of losing it.
+	// retried drain replay the recorded batch, signed under the same N2,
+	// instead of losing it. A redirect to another shard is a new exchange
+	// and draws a new N2.
 	rt, err := c.callVM(req.Vid, func(rt attestRoute) error {
+		n, err := cryptoutil.NewNonce(c.cfg.Rand)
+		if err != nil {
+			return err
+		}
+		n2 = n
 		return rt.client.CallIdem(context.Background(), method, rpc.NewIdemKey(),
-			attestsrv.PeriodicControl{Vid: req.Vid, Prop: req.Prop}, &batch)
+			attestsrv.PeriodicControl{Vid: req.Vid, Prop: req.Prop, N2: n}, &batch)
 	})
 	if err != nil {
 		return nil, err
+	}
+	if err := attestsrv.VerifyPeriodicBatch(&batch, rt.key, req.Vid, req.Prop, n2); err != nil {
+		return nil, fmt.Errorf("controller: rejecting periodic batch: %w", err)
 	}
 	if batch.Dropped > 0 || batch.Skipped > 0 {
 		c.metrics.Counter("controller/periodic-dropped-reports").Add(int64(batch.Dropped))
 		c.metrics.Counter("controller/periodic-skipped-ticks").Add(int64(batch.Skipped))
 		record(c, ledger.KindDegraded, req.Vid, req.Prop, req.Trace, PeriodicLossRecord{batch.Dropped, batch.Skipped})
 	}
-	return c.repackage(req.Vid, req.Prop, req.N1, rt, batch.Reports)
+	return c.repackage(req.Vid, req.Prop, req.N1, batch.Entries), nil
 }
 
-// verifyShardReport verifies a drained report against the answering
-// route's key first and then any registered shard's key: a
-// report buffered before a rebalance was signed by the task's previous
-// owner, travels to the new owner inside the handoff state, and is still
-// genuine — just under a sibling shard's signature.
-func (c *Controller) verifyShardReport(rt attestRoute, rep *wire.Report, vid string, p properties.Property) error {
-	err := wire.VerifyReport(rep, rt.key, vid, p, rep.N2)
-	if err == nil {
-		return err
-	}
-	for _, key := range c.shardKeys() {
-		if wire.VerifyReport(rep, key, vid, p, rep.N2) == nil {
-			return nil
-		}
-	}
-	return err
-}
-
-// repackage validates appraiser reports and re-signs them for the customer.
-// Failed verdicts trigger the Response Module (once per batch).
-func (c *Controller) repackage(vid string, p properties.Property, n1 cryptoutil.Nonce, rt attestRoute, reports []*wire.Report) ([]*wire.CustomerReport, error) {
-	var out []*wire.CustomerReport
+// repackage re-signs a verified drain for the customer as one batch bound
+// to its N1. A failed verdict triggers the Response Module (once per
+// batch).
+func (c *Controller) repackage(vid string, p properties.Property, n1 cryptoutil.Nonce, entries []attestsrv.PeriodicEntry) *wire.CustomerBatch {
+	verdicts := make([]properties.Verdict, len(entries))
 	responded := false
-	for _, rep := range reports {
-		if rep.Vid != vid || rep.Prop != p {
-			continue
-		}
-		if err := c.verifyShardReport(rt, rep, vid, p); err != nil {
-			continue
-		}
-		c.storeLastGood(vid, p, rep.Verdict)
-		if !rep.Verdict.Healthy && !rep.Verdict.Unattestable && !responded {
-			c.Respond(vid, p, rep.Verdict.Reason)
+	for i, e := range entries {
+		verdicts[i] = e.Verdict
+		if !e.Verdict.Healthy && !e.Verdict.Unattestable && !responded {
+			c.storeLastGood(vid, p, e.Verdict)
+			c.Respond(vid, p, e.Verdict.Reason)
 			responded = true
 		}
-		// The loop packages one drain batch, not retry attempts: every
-		// report answering a single fetch exchange is bound to the
-		// customer's one N1 by design (the customer's replay cache admits
-		// N1 once and accepts the whole batch under it).
-		//lint:ignore noncefresh one fetch exchange = one N1; the loop packages a batch, not attempts
-		out = append(out, wire.BuildCustomerReport(c.cfg.Identity, vid, p, rep.Verdict, n1))
 	}
-	return out, nil
+	if len(verdicts) > 0 {
+		c.storeLastGood(vid, p, verdicts[len(verdicts)-1])
+	}
+	return wire.BuildCustomerBatch(c.cfg.Identity, vid, p, n1, verdicts)
 }
 
 // --- Response Module (paper §5.2) ---

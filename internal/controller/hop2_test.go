@@ -37,6 +37,7 @@ type hop2Rig struct {
 	led    *ledger.Ledger
 	a, b   *cryptoutil.Identity
 	answer func(shardName string, req wire.AppraisalRequest) (*wire.Report, error)
+	drain  func(shardName string, req attestsrv.PeriodicControl) attestsrv.PeriodicBatch
 	healed chan struct{}
 
 	mu     sync.Mutex
@@ -74,6 +75,13 @@ func newHop2Rig(t *testing.T) *hop2Rig {
 	for _, id := range []*cryptoutil.Identity{r.a, r.b} {
 		id := id
 		serve(id, func(_ rpc.Peer, method string, body []byte) ([]byte, error) {
+			if (method == attestsrv.MethodPeriodicFetch || method == attestsrv.MethodPeriodicStop) && r.drain != nil {
+				var req attestsrv.PeriodicControl
+				if err := rpc.Decode(body, &req); err != nil {
+					return nil, err
+				}
+				return rpc.Encode(r.drain(id.Name, req))
+			}
 			if method != attestsrv.MethodAppraise {
 				r.mu.Lock()
 				r.vmSeen = append(r.vmSeen, method)
@@ -170,10 +178,9 @@ func TestVerifiedAppraisalFollowsRedirectAndVerifiesUnderTheAnsweringKey(t *test
 }
 
 // TestOnDemandAppraisalRejectsASiblingShardsSignature: shard-a answers with
-// a report carrying shard-b's (genuine, registered) signature. On demand the
-// report must verify under the answering shard's key, so it is a bad
-// report; only a periodic drain, whose reports may predate a rebalance,
-// accepts any registered shard's key.
+// a report carrying shard-b's (genuine, registered) signature. The report
+// must verify under the answering shard's key, so it is a bad report. A
+// periodic drain is held to the same rule (TestPeriodicDrainRejectsATamperedBatch).
 func TestOnDemandAppraisalRejectsASiblingShardsSignature(t *testing.T) {
 	r := newHop2Rig(t)
 	r.answer = signedBy(r.b)
@@ -181,18 +188,75 @@ func TestOnDemandAppraisalRejectsASiblingShardsSignature(t *testing.T) {
 	if !isBadReport(err) {
 		t.Fatalf("report signed by a registered but not answering shard: err = %v, want a bad report", err)
 	}
-	rtA, err := r.c.routeForNode(r.a.Name)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPeriodicDrainRejectsATamperedBatch: the owning shard answers a drain
+// with one batch signed over the stream, the N2 the controller sent, every
+// entry in order and the loss counts. A batch with an entry dropped, with
+// Dropped or Skipped changed, signed under another N2 or by a registered
+// sibling shard is rejected, and the rejection leaves no degraded entry:
+// loss counts are believed only under a signature that checks.
+func TestPeriodicDrainRejectsATamperedBatch(t *testing.T) {
+	const vid = "vm-0001"
+	prop := properties.RuntimeIntegrity
+	rows := []struct {
+		name   string
+		signer func(r *hop2Rig) *cryptoutil.Identity
+		stale  bool // signed under an N2 the controller never sent
+		tamper func(b *attestsrv.PeriodicBatch)
+	}{
+		{name: "genuine"},
+		{name: "entry dropped", tamper: func(b *attestsrv.PeriodicBatch) { b.Entries = b.Entries[1:] }},
+		{name: "Dropped changed", tamper: func(b *attestsrv.PeriodicBatch) { b.Dropped = 0 }},
+		{name: "Skipped changed", tamper: func(b *attestsrv.PeriodicBatch) { b.Skipped = 0 }},
+		{name: "stale N2", stale: true},
+		{name: "signed by a sibling shard", signer: func(r *hop2Rig) *cryptoutil.Identity { return r.b }},
 	}
-	n2 := cryptoutil.MustNonce()
-	drained := wire.BuildReport(r.b, "vm-0001", "srv-a", properties.RuntimeIntegrity, hop2Healthy, n2)
-	if err := r.c.verifyShardReport(rtA, drained, "vm-0001", properties.RuntimeIntegrity); err != nil {
-		t.Fatalf("periodic drain lost the any-registered-key fallback: %v", err)
-	}
-	forged := wire.BuildReport(cryptoutil.MustIdentity("mallory"), "vm-0001", "srv-a", properties.RuntimeIntegrity, hop2Healthy, n2)
-	if err := r.c.verifyShardReport(rtA, forged, "vm-0001", properties.RuntimeIntegrity); err == nil {
-		t.Fatal("periodic drain accepted an unregistered key")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r := newHop2Rig(t)
+			r.addVM(vid, "active")
+			unhealthy := properties.Verdict{Property: prop, Class: properties.FailureRuntime, Reason: "unexpected task"}
+			r.drain = func(_ string, req attestsrv.PeriodicControl) attestsrv.PeriodicBatch {
+				b := attestsrv.PeriodicBatch{Vid: req.Vid, Prop: req.Prop, N2: req.N2, Dropped: 2, Skipped: 1,
+					Entries: []attestsrv.PeriodicEntry{{ServerID: "srv-a", Verdict: unhealthy}, {ServerID: "srv-a", Verdict: hop2Healthy}}}
+				if row.stale {
+					b.N2 = cryptoutil.MustNonce()
+				}
+				signer := r.a
+				if row.signer != nil {
+					signer = row.signer(r)
+				}
+				attestsrv.SignPeriodicBatch(signer, &b)
+				if row.tamper != nil {
+					row.tamper(&b)
+				}
+				return b
+			}
+			batch, err := r.c.DrainPeriodic(wire.StopPeriodicRequest{Vid: vid, Prop: prop, N1: cryptoutil.MustNonce()}, false)
+			degraded, qerr := r.led.Query(ledger.Filter{Kind: ledger.KindDegraded, Vid: vid})
+			if qerr != nil {
+				t.Fatal(qerr)
+			}
+			if row.name == "genuine" {
+				if err != nil || len(batch.Verdicts) != 2 || batch.Verdicts[0].Healthy || !batch.Verdicts[1].Healthy {
+					t.Fatalf("genuine batch = (%+v, %v), want both verdicts in order", batch, err)
+				}
+				if len(degraded) != 1 {
+					t.Fatalf("genuine batch with losses left %d degraded entries, want 1", len(degraded))
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "rejecting periodic batch") || batch != nil {
+				t.Fatalf("DrainPeriodic = (%+v, %v), want a rejection", batch, err)
+			}
+			if len(degraded) != 0 || r.c.metrics.Counter("controller/periodic-dropped-reports").Value() != 0 {
+				t.Fatalf("a rejected batch recorded its loss counts: %d degraded entries", len(degraded))
+			}
+			if evs := r.c.Events(); len(evs) != 0 {
+				t.Fatalf("a rejected batch remediated: %+v", evs)
+			}
+		})
 	}
 }
 

@@ -65,9 +65,8 @@ func mgmtCases() []mgmtCase {
 		Details: map[string]string{"pcrs": "0,1,7", "image": "cirros"},
 	}
 	signer := mgmtIdentity("signer")
-	crep := wire.BuildCustomerReport(signer, "vm-0001", properties.RuntimeIntegrity, verdict, n1)
-	stale := wire.BuildStaleCustomerReport(signer, "vm-0001", properties.RuntimeIntegrity, verdict, n1, 42*time.Second)
-	rep := wire.BuildReport(signer, "vm-0001", "cloud-server-1", properties.RuntimeIntegrity, verdict, n2)
+	cbatch := wire.BuildCustomerBatch(signer, "vm-0001", properties.RuntimeIntegrity, n1, []properties.Verdict{verdict, verdict})
+	entries := []attestsrv.PeriodicEntry{{ServerID: "cloud-server-1", Verdict: verdict}, {ServerID: "cloud-server-2", Verdict: verdict}}
 	small, _ := image.FlavorByName("small")
 	return []mgmtCase{
 		{"vid-request", wire.TagVidRequest, func() wireMsg { return new(wire.VidRequest) }, []wireMsg{
@@ -85,12 +84,13 @@ func mgmtCases() []mgmtCase {
 			&wire.VMStatus{Vid: "vm-0002", Finalized: true},
 			&wire.VMStatus{},
 		}},
-		{"customer-report-list", wire.TagCustomerReportList, func() wireMsg { return new(wire.CustomerReportList) }, []wireMsg{
-			&wire.CustomerReportList{crep, stale},
-			new(wire.CustomerReportList),
+		{"customer-batch", wire.TagCustomerBatch, func() wireMsg { return new(wire.CustomerBatch) }, []wireMsg{
+			cbatch,
+			new(wire.CustomerBatch),
 		}},
 		{"periodic-batch", wire.TagPeriodicBatch, func() wireMsg { return new(attestsrv.PeriodicBatch) }, []wireMsg{
-			&attestsrv.PeriodicBatch{Reports: []*wire.Report{rep, rep}, Dropped: 3, Skipped: 1},
+			&attestsrv.PeriodicBatch{Vid: "vm-0001", Prop: properties.RuntimeIntegrity, N2: n2, Entries: entries,
+				Dropped: 3, Skipped: 1, Sig: signer.Sign([]byte("periodic-batch"))},
 			&attestsrv.PeriodicBatch{},
 		}},
 		{"launch-request", wire.TagLaunchRequest, func() wireMsg { return new(controller.LaunchRequest) }, []wireMsg{
@@ -142,7 +142,7 @@ func mgmtCases() []mgmtCase {
 			&attestsrv.VMRecord{},
 		}},
 		{"periodic-control", wire.TagPeriodicControl, func() wireMsg { return new(attestsrv.PeriodicControl) }, []wireMsg{
-			&attestsrv.PeriodicControl{Vid: "vm-0001", ServerID: "cloud-server-1", Prop: properties.CPUAvailability, Freq: 5 * time.Second, Random: true},
+			&attestsrv.PeriodicControl{Vid: "vm-0001", ServerID: "cloud-server-1", Prop: properties.CPUAvailability, Freq: 5 * time.Second, Random: true, N2: n2},
 			&attestsrv.PeriodicControl{},
 		}},
 		{"rebind-request", wire.TagRebindRequest, func() wireMsg { return new(attestsrv.RebindRequest) }, []wireMsg{
@@ -298,9 +298,12 @@ func TestMgmtDecodersRefuseHostileInput(t *testing.T) {
 	hugeList := func(tag byte) []byte {
 		return cat(header(tag), u32(1_000_000), make([]byte, 33))
 	}
-	hugeBatch := cat(header(wire.TagPeriodicBatch), make([]byte, 16), u32(1_000_000), make([]byte, 17))
+	// A drain's count follows its stream (two empty strings) and a nonce.
+	hugeDrain := func(tag byte) []byte {
+		return cat(header(tag), str(""), str(""), make([]byte, 32), u32(1_000_000), make([]byte, 17))
+	}
 	badBool := (&attestsrv.PeriodicControl{Vid: "vm-0001", Random: true}).AppendWire(nil)
-	badBool[len(badBool)-1] = 2
+	badBool[len(badBool)-33] = 2
 	result := (&controller.LaunchResult{Vid: "vm-0001", OK: true}).AppendWire(nil)
 	badOK := bytes.Replace(result, cat(str("vm-0001"), str(""), []byte{1}), cat(str("vm-0001"), str(""), []byte{0xFF}), 1)
 
@@ -314,8 +317,8 @@ func TestMgmtDecodersRefuseHostileInput(t *testing.T) {
 		{"string length of 2^32-1 in a 40-byte body", new(controller.LaunchRequest), hugeString},
 		{"summary count of 10^6 in a 40-byte body", new(controller.VMSummaryList), hugeList(wire.TagVMSummaryList)},
 		{"event count of 10^6 in a 40-byte body", new(controller.ResponseEventList), hugeList(wire.TagResponseEventList)},
-		{"report count of 10^6 in a 40-byte body", new(wire.CustomerReportList), hugeList(wire.TagCustomerReportList)},
-		{"batch count of 10^6 in a 40-byte body", new(attestsrv.PeriodicBatch), hugeBatch},
+		{"verdict count of 10^6 in a 64-byte body", new(wire.CustomerBatch), hugeDrain(wire.TagCustomerBatch)},
+		{"entry count of 10^6 in a 64-byte body", new(attestsrv.PeriodicBatch), hugeDrain(wire.TagPeriodicBatch)},
 		{"trailing byte", new(controller.LaunchRequest), append(append([]byte(nil), launch...), 0)},
 		{"truncated by one byte", new(controller.LaunchRequest), launch[:len(launch)-1]},
 		{"header only", new(controller.LaunchRequest), header(wire.TagLaunchRequest)},

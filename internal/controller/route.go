@@ -189,14 +189,3 @@ func (c *Controller) appraise(ctx context.Context, rt attestRoute, vid, serverID
 	}
 	return &rep, n2, nil
 }
-
-// shardKeys snapshots every registered shard's report-signing key.
-func (c *Controller) shardKeys() [][]byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([][]byte, 0, len(c.shards))
-	for _, e := range c.shards {
-		out = append(out, e.key)
-	}
-	return out
-}

@@ -108,12 +108,12 @@ func (c *Controller) Handler() rpc.Handler {
 				return nil, err
 			}
 			sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
-			reps, err := c.DrainPeriodic(req, method == MethodStopAttestPeriodic)
+			batch, err := c.DrainPeriodic(req, method == MethodStopAttestPeriodic)
 			sp.EndErr(err)
 			if err != nil {
 				return nil, err
 			}
-			return rpc.Encode(wire.CustomerReportList(reps))
+			return rpc.Encode(batch)
 		case MethodListVMs:
 			// Scoped to the authenticated peer: a customer sees only its VMs.
 			return rpc.Encode(VMSummaryList(c.ListVMs(peer.Name)))

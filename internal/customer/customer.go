@@ -156,7 +156,8 @@ func (cu *Customer) startPeriodic(req wire.PeriodicRequest) error {
 	return cu.client.CallIdem(context.Background(), controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(), req, nil)
 }
 
-// FetchPeriodic drains and end-verifies accumulated periodic results.
+// FetchPeriodic drains and end-verifies accumulated periodic results: the
+// verdicts since the last drain, in the order they were produced.
 func (cu *Customer) FetchPeriodic(vid string, p properties.Property) ([]properties.Verdict, error) {
 	return cu.drainPeriodic(controller.MethodFetchPeriodic, vid, p)
 }
@@ -169,21 +170,19 @@ func (cu *Customer) StopPeriodic(vid string, p properties.Property) ([]propertie
 
 func (cu *Customer) drainPeriodic(method, vid string, p properties.Property) ([]properties.Verdict, error) {
 	n1 := cryptoutil.MustNonce()
-	var reps wire.CustomerReportList
+	var batch wire.CustomerBatch
 	// Fetch/stop drain results controller-side; the idempotency key makes a
 	// retried drain replay the recorded batch instead of losing it.
 	if err := cu.client.CallIdem(context.Background(), method, rpc.NewIdemKey(),
-		wire.StopPeriodicRequest{Vid: vid, Prop: p, N1: n1, Trace: obs.MintTrace(n1[:])}, &reps); err != nil {
+		wire.StopPeriodicRequest{Vid: vid, Prop: p, N1: n1, Trace: obs.MintTrace(n1[:])}, &batch); err != nil {
 		return nil, err
 	}
-	var out []properties.Verdict
-	for _, rep := range reps {
-		if err := wire.VerifyCustomerReport(rep, cu.ctrlKey, vid, p, n1); err != nil {
-			return nil, fmt.Errorf("customer: rejecting periodic report: %w", err)
-		}
-		out = append(out, rep.Verdict)
+	// One signature covers the whole drain: a verdict dropped, reordered or
+	// taken from another drain fails it, and nothing of it is returned.
+	if err := wire.VerifyCustomerBatch(&batch, cu.ctrlKey, vid, p, n1); err != nil {
+		return nil, fmt.Errorf("customer: rejecting periodic batch: %w", err)
 	}
-	return out, nil
+	return batch.Verdicts, nil
 }
 
 // Status fetches the desired/observed state join the controller keeps for

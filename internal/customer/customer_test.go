@@ -218,31 +218,65 @@ func TestAttestSurfacesStaleReports(t *testing.T) {
 }
 
 // TestDrainRejectsABatchWithOneBadReport: a periodic drain is all or
-// nothing — one report of the batch failing verification rejects it.
+// nothing, and its one signature covers every verdict in order. A drain
+// that lost a verdict, had its verdicts reordered or one swapped for a
+// verdict of another drain, answers another N1, or is signed by another key
+// is rejected by fetch and by stop, and none of its verdicts is returned.
 func TestDrainRejectsABatchWithOneBadReport(t *testing.T) {
 	mallory := cryptoutil.MustIdentity("mallory")
-	forged := false
-	s := newStub(t, func(s *stub, _ int, n1 cryptoutil.Nonce) (any, error) {
-		batch := wire.CustomerReportList{
-			wire.BuildCustomerReport(s.id, vid, prop, healthy, n1),
-			wire.BuildCustomerReport(s.id, vid, prop, healthy, n1),
-		}
-		if forged {
-			batch[1] = wire.BuildCustomerReport(mallory, vid, prop, healthy, n1)
-		}
-		return batch, nil
-	})
-	cu := s.connect(t)
-	if vs, err := cu.FetchPeriodic(vid, prop); err != nil || len(vs) != 2 {
-		t.Fatalf("genuine batch: %d verdicts, err %v", len(vs), err)
+	first := properties.Verdict{Property: prop, Healthy: true, Reason: "first"}
+	second := properties.Verdict{Property: prop, Class: properties.FailureRuntime, Reason: "second: unexpected task"}
+	rows := []struct {
+		name   string
+		tamper func(s *stub, n1 cryptoutil.Nonce) *wire.CustomerBatch
+		want   string
+	}{
+		{"none", func(s *stub, n1 cryptoutil.Nonce) *wire.CustomerBatch {
+			return wire.BuildCustomerBatch(s.id, vid, prop, n1, []properties.Verdict{first, second})
+		}, ""},
+		{"a dropped verdict", func(s *stub, n1 cryptoutil.Nonce) *wire.CustomerBatch {
+			b := wire.BuildCustomerBatch(s.id, vid, prop, n1, []properties.Verdict{first, second})
+			b.Verdicts = b.Verdicts[:1]
+			return b
+		}, "signature invalid"},
+		{"reordered verdicts", func(s *stub, n1 cryptoutil.Nonce) *wire.CustomerBatch {
+			b := wire.BuildCustomerBatch(s.id, vid, prop, n1, []properties.Verdict{first, second})
+			b.Verdicts[0], b.Verdicts[1] = b.Verdicts[1], b.Verdicts[0]
+			return b
+		}, "signature invalid"},
+		{"a verdict taken from another drain", func(s *stub, n1 cryptoutil.Nonce) *wire.CustomerBatch {
+			other := wire.BuildCustomerBatch(s.id, vid, prop, cryptoutil.MustNonce(), []properties.Verdict{first})
+			b := wire.BuildCustomerBatch(s.id, vid, prop, n1, []properties.Verdict{first, second})
+			b.Verdicts[1] = other.Verdicts[0]
+			return b
+		}, "signature invalid"},
+		{"another N1", func(s *stub, _ cryptoutil.Nonce) *wire.CustomerBatch {
+			return wire.BuildCustomerBatch(s.id, vid, prop, cryptoutil.MustNonce(), []properties.Verdict{first, second})
+		}, "nonce mismatch"},
+		{"another signer", func(_ *stub, n1 cryptoutil.Nonce) *wire.CustomerBatch {
+			return wire.BuildCustomerBatch(mallory, vid, prop, n1, []properties.Verdict{first, second})
+		}, "signature invalid"},
 	}
-	forged = true
-	for name, drain := range map[string]func(string, properties.Property) ([]properties.Verdict, error){
-		"fetch": cu.FetchPeriodic, "stop": cu.StopPeriodic,
-	} {
-		if vs, err := drain(vid, prop); err == nil || !strings.Contains(err.Error(), "rejecting periodic report") || vs != nil {
-			t.Fatalf("%s of a batch with one forged report = (%v, %v), want rejection", name, vs, err)
-		}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cu := newStub(t, func(s *stub, _ int, n1 cryptoutil.Nonce) (any, error) {
+				return row.tamper(s, n1), nil
+			}).connect(t)
+			for name, drain := range map[string]func(string, properties.Property) ([]properties.Verdict, error){
+				"fetch": cu.FetchPeriodic, "stop": cu.StopPeriodic,
+			} {
+				vs, err := drain(vid, prop)
+				if row.want == "" {
+					if err != nil || len(vs) != 2 || vs[0].Reason != first.Reason || vs[1].Reason != second.Reason {
+						t.Fatalf("%s of a genuine drain = (%v, %v), want both verdicts in order", name, vs, err)
+					}
+					continue
+				}
+				if err == nil || !strings.Contains(err.Error(), "rejecting periodic batch") || !strings.Contains(err.Error(), row.want) || vs != nil {
+					t.Fatalf("%s = (%v, %v), want a rejection mentioning %q", name, vs, err, row.want)
+				}
+			}
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 		{
 			analyzer: ConstTime, file: "internal/wire/wire.go",
 			old: "cryptoutil.ConstEqual(e.Q3[:], want3[:])", new: "bytes.Equal(e.Q3[:], want3[:])", addImport: "bytes",
-			want: []string{"wire.go:165: Q3 compared with bytes.Equal leaks a timing side channel; use crypto/subtle.ConstantTimeCompare"},
+			want: []string{"wire.go:167: Q3 compared with bytes.Equal leaks a timing side channel; use crypto/subtle.ConstantTimeCompare"},
 		},
 		{
 			analyzer: VClockOnly, file: "internal/ledger/ledger.go",
@@ -81,8 +81,8 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 			analyzer: IntentBracket, file: "internal/controller/attest.go",
 			old: "\tc.stateIntent(vid, to)\n", new: "",
 			want: []string{
-				`attest.go:329: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
-				`attest.go:334: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:318: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:323: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
 			},
 		},
 		{

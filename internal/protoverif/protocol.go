@@ -19,6 +19,14 @@ const (
 	// UnsignedReports omits the controller/attestation-server signatures,
 	// relying on channel encryption alone.
 	UnsignedReports
+	// PeriodicDrain is Full plus two periodic drains of two verdicts each,
+	// every drain one message per hop, signed once under the requester's
+	// nonce: N2 on hop 5, N1 on hop 6.
+	PeriodicDrain
+	// PerReportDrain is the drain shape before that — every verdict signed
+	// on its own on hops 5 and 6 — with Kx leaked: whoever holds the
+	// channel key can drop or reorder verdicts.
+	PerReportDrain
 )
 
 // String names the variant.
@@ -34,6 +42,10 @@ func (v Variant) String() string {
 		return "leaked-session-key"
 	case UnsignedReports:
 		return "unsigned-reports"
+	case PeriodicDrain:
+		return "periodic-drain"
+	case PerReportDrain:
+		return "per-report-drain"
 	}
 	return fmt.Sprintf("variant(%d)", int(v))
 }
@@ -45,10 +57,19 @@ type Session struct {
 	Trace      []*Term
 }
 
+// Drain holds the symbolic values of one periodic drain: the customer's N1,
+// the controller's N2, and the verdicts the shard buffered, in order.
+type Drain struct {
+	N1, N2 *Term
+	R      []*Term
+	Trace  []*Term
+}
+
 // Model is the symbolic CloudMonatt system: long-term keys, the per-
 // connection channel keys, two attestation requests over the same channels
 // (to test cross-request replay — the scenario the protocol nonces exist
-// for), and the attacker's knowledge.
+// for), for the drain variants two periodic drains, and the attacker's
+// knowledge.
 type Model struct {
 	Variant Variant
 
@@ -57,6 +78,7 @@ type Model struct {
 	Kx, Ky, Kz                         *Term // per-connection session keys
 
 	S1, S2 *Session
+	D1, D2 *Drain // nil but in the drain variants
 	K      *Knowledge
 }
 
@@ -79,6 +101,9 @@ func NewModel(v Variant) *Model {
 	}
 	m.S1 = m.session(1, v)
 	m.S2 = m.session(2, v)
+	if v == PeriodicDrain || v == PerReportDrain {
+		m.D1, m.D2 = m.drain(1), m.drain(2)
+	}
 
 	// Attacker initial knowledge: public identities and keys, own material.
 	initial := []*Term{
@@ -86,11 +111,16 @@ func NewModel(v Variant) *Model {
 		PK(m.SKCust), PK(m.SKC), PK(m.SKA), PK(m.SKS), PK(m.ASKS), PK(m.SKPCA),
 		Name("sk_attacker"), Name("n_attacker"), Name("r_fake"), Name("p_fake"), Name("m_fake"),
 	}
-	if v == LeakedSessionKey {
+	if v == LeakedSessionKey || v == PerReportDrain {
 		initial = append(initial, m.Kx)
 	}
 	initial = append(initial, m.S1.Trace...)
 	initial = append(initial, m.S2.Trace...)
+	for _, d := range []*Drain{m.D1, m.D2} {
+		if d != nil {
+			initial = append(initial, d.Trace...)
+		}
+	}
 	m.K = NewKnowledge(initial)
 	return m
 }
@@ -163,6 +193,55 @@ func (m *Model) message6(s *Session, r *Term) *Term {
 	return SEnc(m.Kx, signed)
 }
 
+// drain builds the network trace of one honest periodic drain: the
+// customer's fetch, the controller's drain request, the measurement
+// exchange behind each buffered verdict (each tick draws its own N3), and
+// hops 5 and 6 in the variant's shape.
+func (m *Model) drain(i int) *Drain {
+	p, rM := Name("prop"), Name("req_measurements")
+	cert := Sign(m.SKPCA, PK(m.ASKS))
+	d := &Drain{N1: Name(fmt.Sprintf("drain_n1_%d", i)), N2: Name(fmt.Sprintf("drain_n2_%d", i))}
+	d.Trace = []*Term{
+		SEnc(m.Kx, Pair(m.Vid, p, d.N1)),
+		SEnc(m.Ky, Pair(m.Vid, p, d.N2)),
+	}
+	var entries, hop5 []*Term
+	for j := 1; j <= 2; j++ {
+		r := Name(fmt.Sprintf("drain_report_%d_%d", i, j))
+		meas := Name(fmt.Sprintf("drain_meas_%d_%d", i, j))
+		n3 := Name(fmt.Sprintf("drain_n3_%d_%d", i, j))
+		d.R = append(d.R, r)
+		d.Trace = append(d.Trace,
+			SEnc(m.Kz, Pair(m.Vid, rM, n3)),
+			SEnc(m.Kz, Pair(Sign(m.ASKS, Pair(m.Vid, rM, meas, n3, Hash(Pair(m.Vid, rM, meas, n3)))), cert)))
+		entries = append(entries, Pair(m.ServerID, r))
+		// Per report, each verdict was signed under its own tick's N2.
+		n2 := Name(fmt.Sprintf("drain_tick_n2_%d_%d", i, j))
+		hop5 = append(hop5, Sign(m.SKA, Pair(m.Vid, m.ServerID, p, r, n2, Hash(Pair(m.Vid, m.ServerID, p, r, n2)))))
+	}
+	if m.Variant == PeriodicDrain {
+		hop5 = []*Term{Sign(m.SKA, Pair(m.Vid, p, d.N2, Pair(entries...), Name("loss_counts")))}
+	}
+	d.Trace = append(d.Trace, SEnc(m.Ky, Pair(hop5...)), m.drainMessage6(d, d.R))
+	return d
+}
+
+// drainMessage6 builds the term a customer in drain d accepts for the
+// verdicts rs, in order: the shape check of VerifyCustomerBatch — or, per
+// report, of VerifyCustomerReport on each element of the list.
+func (m *Model) drainMessage6(d *Drain, rs []*Term) *Term {
+	p := Name("prop")
+	if m.Variant == PerReportDrain {
+		var reports []*Term
+		for _, r := range rs {
+			reports = append(reports, Sign(m.SKC, Pair(m.Vid, p, r, d.N1, Hash(Pair(m.Vid, p, r, d.N1)))))
+		}
+		return SEnc(m.Kx, Pair(reports...))
+	}
+	verdicts := Pair(rs...)
+	return SEnc(m.Kx, Sign(m.SKC, Pair(m.Vid, p, d.N1, verdicts, Hash(Pair(m.Vid, p, d.N1, verdicts)))))
+}
+
 // Finding is one violated property.
 type Finding struct {
 	Property string
@@ -193,6 +272,9 @@ func (m *Model) Check() []Finding {
 	secret("P", m.S1.P)
 	secret("M", m.S1.M)
 	secret("R", m.S1.R)
+	if m.D1 != nil {
+		secret("drained R", m.D1.R[0])
+	}
 
 	// Property 3 (integrity): the attacker cannot make the customer accept
 	// a fabricated report r_fake in session 2.
@@ -205,6 +287,26 @@ func (m *Model) Check() []Finding {
 	genuine := m.message6(m.S2, m.S2.R)
 	if !replayed.Equal(genuine) && m.K.CanDerive(replayed) {
 		out = append(out, Finding{Property: "integrity", Detail: "session-1 report replays into session 2"})
+	}
+
+	// ... and a drain is accepted whole or not at all: no fabricated, dropped
+	// or reordered verdict, and not session 1's verdicts under session 2's
+	// N1.
+	if m.D1 != nil {
+		d1, d2 := m.D1, m.D2
+		for _, c := range []struct {
+			label string
+			rs    []*Term
+		}{
+			{"a fabricated verdict", []*Term{d2.R[0], Name("r_fake")}},
+			{"a dropped verdict", []*Term{d2.R[1]}},
+			{"reordered verdicts", []*Term{d2.R[1], d2.R[0]}},
+			{"session 1's verdicts", d1.R},
+		} {
+			if m.K.CanDerive(m.drainMessage6(d2, c.rs)) {
+				out = append(out, Finding{Property: "integrity", Detail: "customer accepts a drain with " + c.label})
+			}
+		}
 	}
 
 	// Properties 4–6 (authentication): impersonating an entity on any hop

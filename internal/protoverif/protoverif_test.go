@@ -181,8 +181,53 @@ func TestUnsignedReportsSurviveOnlyViaChannel(t *testing.T) {
 	}
 }
 
+// TestPeriodicDrainHasNoViolations: two drains of two verdicts each, one
+// signature per hop under the requester's nonce, keep every property —
+// and the drain's integrity survives a leaked channel key, because the one
+// SKc signature covers the verdicts' count and order.
+func TestPeriodicDrainHasNoViolations(t *testing.T) {
+	m := NewModel(PeriodicDrain)
+	if findings := m.Check(); len(findings) != 0 {
+		t.Fatalf("periodic drain violated: %v", findings)
+	}
+	if m.D1 == nil || len(m.D1.R) != 2 || len(m.D2.R) != 2 {
+		t.Fatal("drain variant built without two drains of two verdicts")
+	}
+	m.K = NewKnowledge(append(snapshot(m.K.terms), m.Kx))
+	for _, f := range m.Check() {
+		if f.Property == "integrity" {
+			t.Fatalf("a drain signed once lost integrity to a leaked Kx: %v", f)
+		}
+	}
+}
+
+// TestPerReportDrainDropsAVerdict: the drain shape before, one signature
+// per verdict, lets whoever holds Kx drop or reorder a verdict — what the
+// one signature per hop closes. It still cannot fabricate one or replay
+// session 1's verdicts into session 2.
+func TestPerReportDrainDropsAVerdict(t *testing.T) {
+	expectViolation(t, PerReportDrain, "integrity", "a dropped verdict")
+	expectViolation(t, PerReportDrain, "integrity", "reordered verdicts")
+	for _, f := range NewModel(PerReportDrain).Check() {
+		if strings.Contains(f.Detail, "fabricated") || strings.Contains(f.Detail, "session 1's") {
+			t.Fatalf("per-report signatures lost more than completeness: %v", f)
+		}
+	}
+}
+
+// TestOnDemandVariantsKeepTheirFindings: the drain checks run only where
+// the model has drains, so the five on-demand variants find what they found
+// before them.
+func TestOnDemandVariantsKeepTheirFindings(t *testing.T) {
+	for v, want := range map[Variant]int{Full: 0, NoEncryption: 3, ReusedNonces: 1, LeakedSessionKey: 3, UnsignedReports: 0} {
+		if got := NewModel(v).Check(); len(got) != want {
+			t.Errorf("%s: %d findings, want %d: %v", v, len(got), want, got)
+		}
+	}
+}
+
 func TestVariantStrings(t *testing.T) {
-	for _, v := range []Variant{Full, NoEncryption, ReusedNonces, LeakedSessionKey, UnsignedReports} {
+	for _, v := range []Variant{Full, NoEncryption, ReusedNonces, LeakedSessionKey, UnsignedReports, PeriodicDrain, PerReportDrain} {
 		if v.String() == "" || strings.HasPrefix(v.String(), "variant(") {
 			t.Fatalf("missing name for variant %d", int(v))
 		}

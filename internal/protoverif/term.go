@@ -6,9 +6,9 @@
 // six secrecy / integrity / authentication properties the paper verifies.
 //
 // The verifier is deliberately falsifiable: weakened protocol variants
-// (plaintext reports, reused nonces, leaked session keys, unsigned reports)
-// must — and do — produce violations, demonstrating that the checks have
-// discriminating power.
+// (plaintext reports, reused nonces, leaked session keys, unsigned reports,
+// periodic drains signed per report) must — and do — produce violations,
+// demonstrating that the checks have discriminating power.
 package protoverif
 
 import (

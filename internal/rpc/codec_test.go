@@ -29,7 +29,7 @@ func TestDecodeOneCodecPerType(t *testing.T) {
 		{wire.CustomerReport{Vid: "vm-1", Sig: []byte{2}}, &wire.CustomerReport{}},
 		{wire.VidRequest{Vid: "vm-1"}, &wire.VidRequest{}},
 		{wire.VMStatus{Vid: "vm-1", Conditions: []wire.Condition{{Type: "Placed"}}}, &wire.VMStatus{}},
-		{wire.CustomerReportList{{Vid: "vm-1", Sig: []byte{2}}}, &wire.CustomerReportList{}},
+		{wire.CustomerBatch{Vid: "vm-1", Verdicts: []properties.Verdict{{Property: properties.CPUAvailability}}, Sig: []byte{2}}, &wire.CustomerBatch{}},
 		{requestEnvelope{Method: "m", Body: []byte{3}}, &requestEnvelope{}},
 		{responseEnvelope{Err: "e", Body: []byte{4}}, &responseEnvelope{}},
 	}

@@ -37,19 +37,20 @@ const (
 	TagReport              = 7
 	TagCustomerReport      = 8
 	// 9, 10: rpc request and response envelope.
-	TagVidRequest         = 11 // wire.VidRequest
-	TagVMStatus           = 12 // wire.VMStatus
-	TagCustomerReportList = 13 // wire.CustomerReportList
-	TagPeriodicBatch      = 14 // attestsrv.PeriodicBatch
-	TagLaunchRequest      = 15 // controller.LaunchRequest
-	TagLaunchResult       = 16 // controller.LaunchResult
-	TagVMSummaryList      = 17 // controller.VMSummaryList
-	TagResponseEventList  = 18 // controller.ResponseEventList
-	TagLaunchSpec         = 19 // server.LaunchSpec
-	TagVMInfo             = 20 // server.VMInfo
-	TagVMRecord           = 21 // attestsrv.VMRecord
-	TagPeriodicControl    = 22 // attestsrv.PeriodicControl
-	TagRebindRequest      = 23 // attestsrv.RebindRequest
+	TagVidRequest = 11 // wire.VidRequest
+	TagVMStatus   = 12 // wire.VMStatus
+	// 13: retired with the per-report drain reply; not to be reused.
+	TagPeriodicBatch     = 14 // attestsrv.PeriodicBatch
+	TagLaunchRequest     = 15 // controller.LaunchRequest
+	TagLaunchResult      = 16 // controller.LaunchResult
+	TagVMSummaryList     = 17 // controller.VMSummaryList
+	TagResponseEventList = 18 // controller.ResponseEventList
+	TagLaunchSpec        = 19 // server.LaunchSpec
+	TagVMInfo            = 20 // server.VMInfo
+	TagVMRecord          = 21 // attestsrv.VMRecord
+	TagPeriodicControl   = 22 // attestsrv.PeriodicControl
+	TagRebindRequest     = 23 // attestsrv.RebindRequest
+	TagCustomerBatch     = 24 // wire.CustomerBatch
 	// 32-39: the evidence ledger's records, which cross no channel
 	// (internal/ledger/record.go).
 )

@@ -112,3 +112,25 @@ func TestCustomerReportCodecRoundTrip(t *testing.T) {
 		t.Fatalf("customer report broken by round trip: %v", err)
 	}
 }
+
+func TestCustomerBatchCodecRoundTrip(t *testing.T) {
+	f := newFixture(t)
+	n1 := cryptoutil.MustNonce()
+	for _, vs := range [][]properties.Verdict{nil, {sampleVerdict(), sampleVerdict()}} {
+		b := BuildCustomerBatch(f.ctrl, "vm-1", properties.CPUAvailability, n1, vs)
+		body, err := rpc.Encode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got CustomerBatch
+		if err := rpc.Decode(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyCustomerBatch(&got, f.ctrl.Public(), "vm-1", properties.CPUAvailability, n1); err != nil {
+			t.Fatalf("customer batch of %d broken by round trip: %v", len(vs), err)
+		}
+		if len(got.Verdicts) != len(vs) {
+			t.Fatalf("round trip kept %d of %d verdicts", len(got.Verdicts), len(vs))
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/wire"
 )
 
@@ -22,15 +23,19 @@ import (
 // must reject or accept, never panic, whatever the bytes claim.
 
 func binarySeeds() [][]byte {
-	seeds := make([][]byte, 0, 12)
+	seeds := make([][]byte, 0, 13)
 	for _, gc := range goldenCases() {
 		seeds = append(seeds, gc.enc)
 	}
+	verdict := properties.Verdict{Property: properties.CPUAvailability, Healthy: true, Reason: "ok", Details: map[string]string{"share": "0.5"}}
+	batch := wire.BuildCustomerBatch(fuzzIdentity("controller"), "vm-1", properties.CPUAvailability, fuzzNonce("n1"),
+		[]properties.Verdict{verdict, verdict})
 	return append(seeds,
 		[]byte{0xC1},             // bare magic
 		[]byte{0xC1, 0x01},       // magic + version, no tag
 		[]byte{0xC1, 0x02, 0x01}, // future version
 		[]byte{},
+		batch.AppendWire(nil),
 	)
 }
 
@@ -70,6 +75,10 @@ func FuzzBinaryWireDecode(f *testing.F) {
 		var cr wire.CustomerReport
 		if check("customer-report", cr.DecodeWire(data), func() []byte { return cr.AppendWire(nil) }) {
 			_ = wire.VerifyCustomerReport(&cr, key, cr.Vid, cr.Prop, cr.N1)
+		}
+		var cb wire.CustomerBatch
+		if check("customer-batch", cb.DecodeWire(data), func() []byte { return cb.AppendWire(nil) }) {
+			_ = wire.VerifyCustomerBatch(&cb, key, cb.Vid, cb.Prop, cb.N1)
 		}
 	})
 }

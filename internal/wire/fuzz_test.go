@@ -44,7 +44,7 @@ func FuzzWireDecode(f *testing.F) {
 			&wire.AttestRequest{}, &wire.PeriodicRequest{}, &wire.StopPeriodicRequest{},
 			&wire.AppraisalRequest{}, &wire.MeasureRequest{},
 			&wire.Evidence{}, &wire.Report{}, &wire.CustomerReport{},
-			&wire.VidRequest{}, &wire.VMStatus{}, &wire.CustomerReportList{},
+			&wire.VidRequest{}, &wire.VMStatus{}, &wire.CustomerBatch{},
 		} {
 			if err := rpc.Decode(data, m); err == nil && (len(data) == 0 || data[0] != binenc.Magic) {
 				t.Fatalf("rpc.Decode accepted a body not led by the binary header into %T: %x", m, data)

@@ -1,12 +1,13 @@
 // Management-plane messages this package owns, in the codec of codec.go:
 // the one message that addresses a VM by id, the vm_status reply, and the
-// report list a periodic drain returns to the customer.
+// signed batch a periodic drain returns to the customer.
 package wire
 
 import (
 	"time"
 
 	"cloudmonatt/internal/binenc"
+	"cloudmonatt/internal/properties"
 )
 
 // VidRequest addresses one VM by id: the request of terminate_vm and
@@ -76,35 +77,42 @@ func (m *VMStatus) DecodeWire(data []byte) error {
 	return Finish(&rd, "VMStatus")
 }
 
-// CustomerReportList is the reply of stop_attest_periodic and
-// fetch_attest_periodic: the drained reports, each framed as the
-// CustomerReport message it is.
-type CustomerReportList []*CustomerReport
+// verdictMin is the fewest bytes a verdict's wire encoding takes: four
+// length prefixes, two booleans and the details count.
+const verdictMin = 22
 
 // AppendWire appends the message's binary encoding to b.
-func (l CustomerReportList) AppendWire(b []byte) []byte {
-	b = binenc.AppendHeader(b, TagCustomerReportList)
-	b = binenc.AppendUint32(b, uint32(len(l)))
-	for _, r := range l {
-		b = AppendFramed(b, r)
+func (m CustomerBatch) AppendWire(b []byte) []byte {
+	b = binenc.AppendHeader(b, TagCustomerBatch)
+	b = binenc.AppendString(b, m.Vid)
+	b = binenc.AppendString(b, string(m.Prop))
+	b = append(b, m.N1[:]...)
+	b = binenc.AppendUint32(b, uint32(len(m.Verdicts)))
+	for i := range m.Verdicts {
+		b = m.Verdicts[i].AppendWire(b)
 	}
+	b = append(b, m.Q1[:]...)
+	b = binenc.AppendBytes(b, m.Sig)
 	return b
 }
 
 // DecodeWire strictly decodes the message from its binary encoding.
-func (l *CustomerReportList) DecodeWire(data []byte) error {
+func (m *CustomerBatch) DecodeWire(data []byte) error {
 	rd := binenc.NewReader(data)
-	rd.Header(TagCustomerReportList)
-	*l = nil
-	n := rd.Count(4)
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		r := new(CustomerReport)
-		if err := r.DecodeWire(rd.BytesView()); err != nil {
-			rd.Fail(err)
+	rd.Header(TagCustomerBatch)
+	*m = CustomerBatch{}
+	m.Vid = rd.String()
+	m.Prop = properties.Property(rd.String())
+	rd.Fixed(m.N1[:])
+	if n := rd.Count(verdictMin); n > 0 {
+		m.Verdicts = make([]properties.Verdict, n)
+		for i := 0; i < n && rd.Err() == nil; i++ {
+			m.Verdicts[i].ReadWire(&rd)
 		}
-		*l = append(*l, r)
 	}
-	return Finish(&rd, "CustomerReportList")
+	rd.Fixed(m.Q1[:])
+	m.Sig = rd.Bytes()
+	return Finish(&rd, "CustomerBatch")
 }
 
 // AppendFramed appends m's complete encoding behind a u32 length, filled

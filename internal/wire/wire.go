@@ -9,6 +9,8 @@
 //	controller→ customer   : [Vid, P, R, N1, Q1]_SKc            over Kx
 //
 // with Q3 = H(Vid‖rM‖M‖N3), Q2 = H(Vid‖I‖P‖R‖N2), Q1 = H(Vid‖P‖R‖N1).
+// A periodic drain crosses hops 5 and 6 as one message each, signed once
+// over every verdict it carries (attestsrv.PeriodicBatch, CustomerBatch).
 // The session-key encryption (Kx/Ky/Kz) is provided by internal/secchan;
 // this package provides the payload structures, the quote computations and
 // the signature construction/verification for each signed hop.
@@ -326,6 +328,81 @@ func VerifyCustomerReport(r *CustomerReport, controllerKey ed25519.PublicKey, vi
 	want1 := computeQ1(r.Vid, r.Prop, verdict, r.N1)
 	if !cryptoutil.ConstEqual(r.Q1[:], want1[:]) {
 		return errors.New("wire: customer report quote Q1 mismatch")
+	}
+	return nil
+}
+
+// --- controller → customer, one periodic drain ---
+
+// CustomerBatch is the reply of fetch_attest_periodic and
+// stop_attest_periodic: every verdict drained since the last one, signed
+// once as [Vid, P, N1, R_1…R_k, Q1]_SKc with Q1 = H(Vid‖P‖N1‖R_1…R_k).
+// The signature covers the verdicts' count and order, so whoever holds the
+// channel key can neither drop nor reorder one. An empty drain is signed
+// too.
+type CustomerBatch struct {
+	Vid      string
+	Prop     properties.Property
+	N1       cryptoutil.Nonce
+	Verdicts []properties.Verdict
+	Q1       [32]byte
+	Sig      []byte
+}
+
+// BatchStack sizes the stack buffer a drain's entries are rendered into
+// for its signed body; a longer drain spills to the heap.
+const BatchStack = 1024
+
+// appendVerdicts renders a drain's verdicts in order: their count, then
+// each in its canonical rendering (see ComputeQ2).
+func appendVerdicts(out []byte, vs []properties.Verdict) []byte {
+	out = binary.BigEndian.AppendUint32(out, uint32(len(vs)))
+	for i := range vs {
+		out = vs[i].AppendEncode(out)
+	}
+	return out
+}
+
+func computeBatchQ1(vid string, p properties.Property, n1 cryptoutil.Nonce, verdicts []byte) [32]byte {
+	return cryptoutil.Hash("Q1-batch", []byte(vid), []byte(p), n1[:], verdicts)
+}
+
+func customerBatchBody(b *CustomerBatch, verdicts []byte) [32]byte {
+	return cryptoutil.Hash("customer-batch", []byte(b.Vid), []byte(b.Prop), b.N1[:], verdicts, b.Q1[:])
+}
+
+// BuildCustomerBatch assembles and signs a drain with the Cloud
+// Controller's identity key SKc.
+func BuildCustomerBatch(signer *cryptoutil.Identity, vid string, p properties.Property, n1 cryptoutil.Nonce, vs []properties.Verdict) *CustomerBatch {
+	var buf [BatchStack]byte
+	verdicts := appendVerdicts(buf[:0], vs)
+	b := &CustomerBatch{Vid: vid, Prop: p, N1: n1, Verdicts: vs, Q1: computeBatchQ1(vid, p, n1, verdicts)}
+	body := customerBatchBody(b, verdicts)
+	b.Sig = signer.Sign(body[:])
+	return b
+}
+
+// VerifyCustomerBatch is the customer's check of a drain: the controller's
+// one signature over every verdict in order, the nonce it chose, and the
+// quote.
+func VerifyCustomerBatch(b *CustomerBatch, controllerKey ed25519.PublicKey, vid string, p properties.Property, n1 cryptoutil.Nonce) error {
+	if b == nil {
+		return errors.New("wire: nil customer batch")
+	}
+	if b.Vid != vid || b.Prop != p {
+		return errors.New("wire: customer batch does not match the request")
+	}
+	if b.N1 != n1 {
+		return errors.New("wire: customer batch nonce mismatch (replay?)")
+	}
+	var buf [BatchStack]byte
+	verdicts := appendVerdicts(buf[:0], b.Verdicts)
+	if body := customerBatchBody(b, verdicts); !cryptoutil.Verify(controllerKey, body[:], b.Sig) {
+		return errors.New("wire: customer batch signature invalid")
+	}
+	want1 := computeBatchQ1(b.Vid, b.Prop, b.N1, verdicts)
+	if !cryptoutil.ConstEqual(b.Q1[:], want1[:]) {
+		return errors.New("wire: customer batch quote Q1 mismatch")
 	}
 	return nil
 }

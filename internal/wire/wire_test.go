@@ -242,6 +242,47 @@ func TestCustomerReportRejectsReplay(t *testing.T) {
 	}
 }
 
+// TestCustomerBatchBindsEveryVerdictInOrder: one signature covers the
+// drain, so the batch verifies as built and fails once a verdict is
+// dropped, reordered or changed, or under another N1, VM or property.
+func TestCustomerBatchBindsEveryVerdictInOrder(t *testing.T) {
+	f := newFixture(t)
+	n1 := cryptoutil.MustNonce()
+	unhealthy := sampleVerdict()
+	unhealthy.Healthy, unhealthy.Reason = false, "rootkit"
+	vs := []properties.Verdict{sampleVerdict(), unhealthy}
+	build := func() *CustomerBatch {
+		return BuildCustomerBatch(f.ctrl, "vm-1", properties.CPUAvailability, n1, append([]properties.Verdict(nil), vs...))
+	}
+	if err := VerifyCustomerBatch(build(), f.ctrl.Public(), "vm-1", properties.CPUAvailability, n1); err != nil {
+		t.Fatalf("genuine batch rejected: %v", err)
+	}
+	for name, tamper := range map[string]func(b *CustomerBatch){
+		"dropped":   func(b *CustomerBatch) { b.Verdicts = b.Verdicts[:1] },
+		"reordered": func(b *CustomerBatch) { b.Verdicts[0], b.Verdicts[1] = b.Verdicts[1], b.Verdicts[0] },
+		"flipped":   func(b *CustomerBatch) { b.Verdicts[1].Healthy = true },
+		"emptied":   func(b *CustomerBatch) { b.Verdicts = nil },
+	} {
+		b := build()
+		tamper(b)
+		if err := VerifyCustomerBatch(b, f.ctrl.Public(), "vm-1", properties.CPUAvailability, n1); err == nil {
+			t.Errorf("%s batch accepted", name)
+		}
+	}
+	if err := VerifyCustomerBatch(build(), f.ctrl.Public(), "vm-1", properties.CPUAvailability, cryptoutil.MustNonce()); err == nil {
+		t.Error("batch accepted under another N1")
+	}
+	if err := VerifyCustomerBatch(build(), f.ctrl.Public(), "vm-2", properties.CPUAvailability, n1); err == nil {
+		t.Error("batch accepted for another VM")
+	}
+	if err := VerifyCustomerBatch(build(), f.attest.Public(), "vm-1", properties.CPUAvailability, n1); err == nil {
+		t.Error("batch accepted under another key")
+	}
+	if err := VerifyCustomerBatch(nil, f.ctrl.Public(), "vm-1", properties.CPUAvailability, n1); err == nil {
+		t.Error("nil batch accepted")
+	}
+}
+
 func TestQuotesBindAllFields(t *testing.T) {
 	req, ms := sampleMeasurements()
 	n := cryptoutil.MustNonce()
