@@ -205,7 +205,7 @@ func (m *Model) drain(i int) *Drain {
 		SEnc(m.Kx, Pair(m.Vid, p, d.N1)),
 		SEnc(m.Ky, Pair(m.Vid, p, d.N2)),
 	}
-	var entries, hop5 []*Term
+	var entries []*Term
 	for j := 1; j <= 2; j++ {
 		r := Name(fmt.Sprintf("drain_report_%d_%d", i, j))
 		meas := Name(fmt.Sprintf("drain_meas_%d_%d", i, j))
@@ -215,12 +215,15 @@ func (m *Model) drain(i int) *Drain {
 			SEnc(m.Kz, Pair(m.Vid, rM, n3)),
 			SEnc(m.Kz, Pair(Sign(m.ASKS, Pair(m.Vid, rM, meas, n3, Hash(Pair(m.Vid, rM, meas, n3)))), cert)))
 		entries = append(entries, Pair(m.ServerID, r))
-		// Per report, each verdict was signed under its own tick's N2.
-		n2 := Name(fmt.Sprintf("drain_tick_n2_%d_%d", i, j))
-		hop5 = append(hop5, Sign(m.SKA, Pair(m.Vid, m.ServerID, p, r, n2, Hash(Pair(m.Vid, m.ServerID, p, r, n2)))))
 	}
-	if m.Variant == PeriodicDrain {
-		hop5 = []*Term{Sign(m.SKA, Pair(m.Vid, p, d.N2, Pair(entries...), Name("loss_counts")))}
+	hop5 := []*Term{Sign(m.SKA, Pair(m.Vid, p, d.N2, Pair(entries...), Name("loss_counts")))}
+	if m.Variant == PerReportDrain {
+		// Per report, each verdict was signed under its own tick's N2.
+		hop5 = nil
+		for j, r := range d.R {
+			n2 := Name(fmt.Sprintf("drain_tick_n2_%d_%d", i, j+1))
+			hop5 = append(hop5, Sign(m.SKA, Pair(m.Vid, m.ServerID, p, r, n2, Hash(Pair(m.Vid, m.ServerID, p, r, n2)))))
+		}
 	}
 	d.Trace = append(d.Trace, SEnc(m.Ky, Pair(hop5...)), m.drainMessage6(d, d.R))
 	return d
