@@ -3,7 +3,10 @@
 // canonical hash used for protocol quotes (Q1/Q2/Q3 in Fig. 3 of the paper),
 // and nonce generation with replay detection.
 //
-// Everything is stdlib-only (crypto/ed25519, crypto/sha256, crypto/rand).
+// Everything is stdlib-only (crypto/ed25519, crypto/sha256, crypto/rand)
+// but verification: Verify checks signatures against per-key tables built
+// with the standard library's own curve arithmetic, copied into the
+// edwards25519 subpackage because Go does not export it.
 package cryptoutil
 
 import (
@@ -94,12 +97,6 @@ func IdentityFromSeed(name string, seed []byte) (*Identity, error) {
 func (id *Identity) Sign(msg []byte) []byte {
 	opSign.Add(1)
 	return ed25519.Sign(id.priv, msg)
-}
-
-// Verify checks sig over msg under pub.
-func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	opVerify.Add(1)
-	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
 }
 
 // Hash computes the canonical domain-separated hash of a list of fields:

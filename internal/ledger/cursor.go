@@ -24,16 +24,6 @@ func (l *Ledger) Cursor() *Cursor {
 	return &Cursor{l: l, next: l.base.Seq + 1}
 }
 
-// CursorFrom returns a cursor positioned at seq (clamped below to the
-// first retained entry).
-func (l *Ledger) CursorFrom(seq uint64) *Cursor {
-	c := l.Cursor()
-	if seq > c.next {
-		c.next = seq
-	}
-	return c
-}
-
 // Next returns the next committed entry. ok is false when the cursor has
 // reached the head; a later Next may return more if the chain has grown.
 func (c *Cursor) Next() (Entry, bool, error) {

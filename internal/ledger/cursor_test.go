@@ -67,10 +67,4 @@ func TestCursorStartsAtCompactionBase(t *testing.T) {
 	if n != 10-baseSeq {
 		t.Fatalf("walked %d retained entries, want %d", n, 10-baseSeq)
 	}
-
-	cf := l.CursorFrom(9)
-	e, ok, err = cf.Next()
-	if err != nil || !ok || e.Seq != 9 {
-		t.Fatalf("CursorFrom(9) first = %d (ok=%v err=%v)", e.Seq, ok, err)
-	}
 }

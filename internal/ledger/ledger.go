@@ -775,15 +775,12 @@ func (l *Ledger) segIndexLocked(seg *segment) int {
 
 // --- queries ---
 
-// Filter selects entries. Zero fields match everything; From/To bound the
-// virtual event time inclusively (To == 0 means unbounded above).
+// Filter selects entries. Zero fields match everything.
 type Filter struct {
 	Vid   string
 	Kind  Kind
 	Prop  string
 	Trace string
-	From  time.Duration
-	To    time.Duration
 	Limit int
 }
 
@@ -797,16 +794,7 @@ func (f *Filter) match(e *Entry) bool {
 	if f.Prop != "" && e.Prop != f.Prop {
 		return false
 	}
-	if f.Trace != "" && e.Trace != f.Trace {
-		return false
-	}
-	if e.At < f.From {
-		return false
-	}
-	if f.To > 0 && e.At > f.To {
-		return false
-	}
-	return true
+	return f.Trace == "" || e.Trace == f.Trace
 }
 
 // Query returns the committed entries matching f in chain order, using the

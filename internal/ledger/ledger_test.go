@@ -94,11 +94,6 @@ func TestQueryByVidKindPropTime(t *testing.T) {
 	if err != nil || len(combined) != 3 {
 		t.Fatalf("combined: %d entries, %v", len(combined), err)
 	}
-	// Time range over the appraisals (At = 0s..8s).
-	ranged, err := l.Query(Filter{From: 2 * time.Second, To: 4 * time.Second})
-	if err != nil || len(ranged) != 3 {
-		t.Fatalf("ranged: %d entries, %v", len(ranged), err)
-	}
 	limited, err := l.Query(Filter{Kind: KindAppraisal, Limit: 2})
 	if err != nil || len(limited) != 2 {
 		t.Fatalf("limited: %d entries, %v", len(limited), err)

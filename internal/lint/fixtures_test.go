@@ -112,3 +112,26 @@ func runFixture(t *testing.T, loader *Loader, dir, asPath string, analyzer *Anal
 		}
 	}
 }
+
+// TestLoaderHonoursBuildConstraints loads a package that declares one
+// function in an _amd64.go file and again behind //go:build !amd64, as the
+// vendored field arithmetic does: exactly one of the two may load, and a
+// //go:build ignore file never.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader.alias = map[string]string{"cloudmonatt/internal/buildtagsfix": filepath.Join("testdata", "src", "buildtags")}
+	pkgs, err := loader.Load("cloudmonatt/internal/buildtagsfix")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	var names []string
+	for _, f := range pkgs[0].Files {
+		names = append(names, filepath.Base(loader.Fset.File(f.Pos()).Name()))
+	}
+	if len(names) != 2 || names[0] != "buildtags.go" {
+		t.Fatalf("loaded %v, want buildtags.go and one file declaring mul", names)
+	}
+}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -179,6 +180,9 @@ func (l *Loader) walk(root string) ([]string, error) {
 	return out, err
 }
 
+// goSources lists the non-test Go files of dir that the go tool would
+// build for this GOOS/GOARCH: a file's _arch suffix and //go:build line
+// count, so an assembly stub and its generic twin do not both load.
 func goSources(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -188,6 +192,11 @@ func goSources(dir string) ([]string, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		out = append(out, filepath.Join(dir, name))

@@ -254,6 +254,7 @@ var lockOrder = [][2]string{
 	{"Server.sessMu", "PCA.mu"},             // … and then the pCA itself; neither calls back into a server
 	{"periodicEngine.mu", "Server.mu"},      // attestsrv: engine before server state
 	{"Clock.mu", "Server.mu"},               // vclock: Advance and Attach take each cloud server's lock under the clock's
+	{"keyCache.mu", "keySlot.mu"},           // cryptoutil: a miss locks the slot it evicts under the index lock
 }
 
 // blockingMarker in an interface method's doc or line comment declares the
