@@ -34,8 +34,26 @@ type script struct {
 	rng    *rand.Rand
 	nextID int
 	limit  int
+	depth  int // the depth a handler steers Pending() towards; 0: let it grow
 	log    fireLog
 }
+
+// regime is the queue depth a script runs at: how many events it starts
+// with, the depth its handlers hold (0: the queue grows until the script has
+// scheduled all its events), and the range Pending() must stay in over the
+// first half of the run for the regime to be the one it is named for.
+type regime struct {
+	name           string
+	initial, depth int
+	lo, hi         int
+}
+
+var (
+	// shallow is the depth every kernel of the program runs at (DESIGN §16).
+	shallow = regime{name: "shallow", initial: 8, depth: 8, lo: 1, hi: 16}
+	// deep keeps at least 64 events standing and grows into the hundreds.
+	deep = regime{name: "deep", initial: 72, lo: 64, hi: 3000}
+)
 
 func (sc *script) spawn(absolute bool) {
 	if sc.nextID >= sc.limit {
@@ -56,7 +74,17 @@ func (sc *script) fired(id int) {
 	sc.log.ids = append(sc.log.ids, id)
 	sc.log.at = append(sc.log.at, sc.s.Now())
 	sc.log.pending = append(sc.log.pending, sc.s.Pending())
-	for n := sc.rng.Intn(4); n > 0; n-- {
+	n := sc.rng.Intn(4)
+	if sc.depth > 0 {
+		// Below the depth one to three, at it none or one: the queue
+		// neither dies out nor grows.
+		if sc.s.Pending() < sc.depth {
+			n = 1 + sc.rng.Intn(3)
+		} else {
+			n = sc.rng.Intn(2)
+		}
+	}
+	for ; n > 0; n-- {
 		sc.spawn(sc.rng.Intn(2) == 0)
 	}
 	if sc.rng.Intn(3) == 0 {
@@ -64,9 +92,9 @@ func (sc *script) fired(id int) {
 	}
 }
 
-func runScript(s scheduler, sc *script, seed int64) fireLog {
-	sc.s, sc.rng, sc.limit = s, rand.New(rand.NewSource(seed)), 3000
-	for i := 0; i < 60; i++ {
+func runScript(s scheduler, sc *script, r regime, seed int64) fireLog {
+	sc.s, sc.rng, sc.limit, sc.depth = s, rand.New(rand.NewSource(seed)), 3000, r.depth
+	for i := 0; i < r.initial; i++ {
 		sc.spawn(i%2 == 0)
 	}
 	for s.step() {
@@ -91,7 +119,8 @@ func (k *kernelSched) cancel(id int) { k.handles[id].Cancel() }
 func (k *kernelSched) step() bool    { return k.Step() }
 
 // refSched is the reference: an insertion-ordered slice stable-sorted by due
-// time before every step, so (due, seq) order holds by construction.
+// time before every step, so it fires by due time, then scheduling order,
+// by construction.
 type refSched struct {
 	sc    *script
 	now   Time
@@ -133,27 +162,43 @@ func (r *refSched) step() bool {
 // queue: random At/After/Cancel sequences, most of them issued from inside
 // handlers, must fire in the same order, at the same Now(), with the same
 // Pending() (which counts cancelled events not yet popped) as a reference
-// that stable-sorts by due time.
+// that stable-sorts by due time. It runs at the depth the program's kernels
+// run at and at depths of 64 and more, where the queue's insert walks far.
 func TestKernelMatchesSortedReference(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
-		ksc := &script{}
-		got := runScript(&kernelSched{Kernel: NewKernel(seed), sc: ksc, handles: map[int]Event{}}, ksc, seed)
-		rsc := &script{}
-		want := runScript(&refSched{sc: rsc, byID: map[int]*refEvent{}}, rsc, seed)
+	for _, r := range []regime{shallow, deep} {
+		for seed := int64(1); seed <= 25; seed++ {
+			ksc := &script{}
+			got := runScript(&kernelSched{Kernel: NewKernel(seed), sc: ksc, handles: map[int]Event{}}, ksc, r, seed)
+			rsc := &script{}
+			want := runScript(&refSched{sc: rsc, byID: map[int]*refEvent{}}, rsc, r, seed)
 
-		if len(got.ids) != len(want.ids) {
-			t.Fatalf("seed %d: kernel fired %d events, reference %d", seed, len(got.ids), len(want.ids))
-		}
-		if len(got.ids) < 500 {
-			t.Fatalf("seed %d: script fired only %d events; it no longer exercises the queue", seed, len(got.ids))
-		}
-		for i := range want.ids {
-			if got.ids[i] != want.ids[i] || got.at[i] != want.at[i] || got.pending[i] != want.pending[i] {
-				t.Fatalf("seed %d: fire #%d: kernel (id %d at %v, pending %d), reference (id %d at %v, pending %d)",
-					seed, i, got.ids[i], got.at[i], got.pending[i], want.ids[i], want.at[i], want.pending[i])
+			if len(got.ids) != len(want.ids) {
+				t.Fatalf("%s, seed %d: kernel fired %d events, reference %d", r.name, seed, len(got.ids), len(want.ids))
+			}
+			if len(got.ids) < 500 {
+				t.Fatalf("%s, seed %d: script fired only %d events; it no longer exercises the queue", r.name, seed, len(got.ids))
+			}
+			for i := range want.ids {
+				if got.ids[i] != want.ids[i] || got.at[i] != want.at[i] || got.pending[i] != want.pending[i] {
+					t.Fatalf("%s, seed %d: fire #%d: kernel (id %d at %v, pending %d), reference (id %d at %v, pending %d)",
+						r.name, seed, i, got.ids[i], got.at[i], got.pending[i], want.ids[i], want.at[i], want.pending[i])
+				}
+			}
+			if lo, hi := depthRange(got.pending[:len(got.pending)/2]); lo < r.lo || hi > r.hi {
+				t.Fatalf("%s, seed %d: Pending() ran %d..%d over the first half of the script, want within %d..%d",
+					r.name, seed, lo, hi, r.lo, r.hi)
 			}
 		}
 	}
+}
+
+// depthRange returns the least and greatest of the observed depths.
+func depthRange(pending []int) (lo, hi int) {
+	lo, hi = pending[0], pending[0]
+	for _, p := range pending {
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	return lo, hi
 }
 
 // TestRunUntilPendingCountsUnpoppedCancelled pins what Pending() means
@@ -221,25 +266,27 @@ func TestStaleHandleNeverCancelsLaterEvent(t *testing.T) {
 
 // TestKernelAllocsPerEvent pins the event kernel's allocation rate: a fired
 // or popped-cancelled event is reused by the next At, so a queue that is not
-// growing allocates nothing.
+// growing allocates nothing, at the depth the program's kernels run at and
+// at a depth far beyond it.
 func TestKernelAllocsPerEvent(t *testing.T) {
-	k := NewKernel(1)
-	nop := func() {}
-	// A standing queue as deep as the eight-server fleet's.
-	for i := 0; i < 71; i++ {
-		k.After(time.Hour, nop)
-	}
-	const events = 1000
-	perRun := testing.AllocsPerRun(20, func() {
-		for i := 0; i < events; i++ {
-			k.After(time.Millisecond, nop)
-			if i%4 == 0 {
-				k.After(time.Millisecond, nop).Cancel()
-			}
-			k.Step()
+	for _, depth := range []int{8, 64} {
+		k := NewKernel(1)
+		nop := func() {}
+		for i := 0; i < depth; i++ {
+			k.After(time.Hour, nop)
 		}
-	})
-	if perRun != 0 {
-		t.Fatalf("After+Cancel+Step allocates %.0f times per %d events, want 0", perRun, events)
+		const events = 1000
+		perRun := testing.AllocsPerRun(20, func() {
+			for i := 0; i < events; i++ {
+				k.After(time.Millisecond, nop)
+				if i%4 == 0 {
+					k.After(time.Millisecond, nop).Cancel()
+				}
+				k.Step()
+			}
+		})
+		if perRun != 0 {
+			t.Fatalf("depth %d: After+Cancel+Step allocates %.0f times per %d events, want 0", depth, perRun, events)
+		}
 	}
 }

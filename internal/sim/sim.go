@@ -45,16 +45,11 @@ func (h Event) Cancel() {
 	}
 }
 
-// slot is one entry of the event queue. The ordering key lives in the slot,
-// not behind the pointer, so sifting compares without a dereference.
+// slot is one entry of the event queue. The due time lives in the slot, not
+// behind the pointer, so an insert compares without a dereference.
 type slot struct {
 	due Time
-	seq uint64 // tie-break: FIFO among events with equal due time
 	ev  *event
-}
-
-func (a slot) before(b slot) bool {
-	return a.due < b.due || (a.due == b.due && a.seq < b.seq)
 }
 
 // slabSize is how many events one allocation adds when every event the kernel
@@ -65,9 +60,8 @@ const slabSize = 128
 // usable; construct with NewKernel.
 type Kernel struct {
 	now    Time
-	queue  []slot   // binary min-heap ordered by (due, seq)
+	queue  []slot   // by due time, then scheduling order, latest first: the head is the last slot
 	free   []*event // events not queued, most recently released last
-	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
 	halted bool
@@ -109,20 +103,18 @@ func (k *Kernel) At(due Time, fire func()) Event {
 	e := k.free[len(k.free)-1]
 	k.free = k.free[:len(k.free)-1]
 	e.fire = fire
-	s := slot{due: due, seq: k.seq, ev: e}
-	k.seq++
-	// Sift up: move later parents down into the hole until s fits.
-	q := append(k.queue, s)
+	// The new slot fires after every slot due no later than it (those were
+	// scheduled before it) and before every slot due later: it enters at the
+	// head end and walks back past the former. A kernel's queue holds a
+	// handful of events (DESIGN §16), where this walk is cheaper than a
+	// heap's sift up and sift down.
+	q := append(k.queue, slot{})
 	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
+	for i > 0 && q[i-1].due <= due {
+		q[i] = q[i-1]
+		i--
 	}
-	q[i] = s
+	q[i] = slot{due: due, ev: e}
 	k.queue = q
 	return Event{e, e.gen}
 }
@@ -132,8 +124,9 @@ func (k *Kernel) At(due Time, fire func()) Event {
 // handle on it is stale from here on. It returns when the event was due and
 // what it was to run, nil if it had been cancelled.
 func (k *Kernel) pop() (Time, func()) {
-	q := k.queue
-	top := q[0]
+	n := len(k.queue) - 1
+	top := k.queue[n]
+	k.queue = k.queue[:n]
 	e := top.ev
 	fire := e.fire
 	if e.cancelled {
@@ -142,30 +135,6 @@ func (k *Kernel) pop() (Time, func()) {
 	e.fire, e.cancelled = nil, false
 	e.gen++
 	k.free = append(k.free, e)
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	k.queue = q
-	if n == 0 {
-		return top.due, fire
-	}
-	// Sift down: move the earlier child up into the hole until last fits.
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q[c+1].before(q[c]) {
-			c++
-		}
-		if !q[c].before(last) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = last
 	return top.due, fire
 }
 
@@ -204,11 +173,12 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) RunUntil(deadline Time) {
 	k.halted = false
 	for !k.halted && len(k.queue) > 0 {
-		if k.queue[0].ev.cancelled {
+		head := k.queue[len(k.queue)-1]
+		if head.ev.cancelled {
 			k.pop() // skip cancelled events without advancing time
 			continue
 		}
-		if k.queue[0].due > deadline {
+		if head.due > deadline {
 			break
 		}
 		k.Step()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -241,27 +242,33 @@ func TestQuickCancelSubsetProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelThroughput measures one schedule + one fire at the queue
-// depth of the eight-server fleet: 71 standing events, each rescheduling
-// itself after a pseudo-random delay from a handler bound once.
+// BenchmarkKernelThroughput measures one schedule + one fire with a number
+// of standing events, each rescheduling itself after a pseudo-random delay
+// from a handler bound once: depth-8 is what a server's kernel holds
+// (TestSplitFleetQueueDepthPinned in internal/xen bounds it at 16), depth-71
+// what the eight-server fleet held when it ran on one kernel.
 func BenchmarkKernelThroughput(b *testing.B) {
-	k := NewKernel(1)
-	var delays [1024]Time
-	for i := range delays {
-		delays[i] = Time(1+k.Rand().Intn(10000)) * time.Microsecond
-	}
-	next := 0
-	var again func()
-	again = func() {
-		next++
-		k.After(delays[next%len(delays)], again)
-	}
-	for i := 0; i < 71; i++ {
-		again()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step()
+	for _, depth := range []int{8, 71} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			k := NewKernel(1)
+			var delays [1024]Time
+			for i := range delays {
+				delays[i] = Time(1+k.Rand().Intn(10000)) * time.Microsecond
+			}
+			next := 0
+			var again func()
+			again = func() {
+				next++
+				k.After(delays[next%len(delays)], again)
+			}
+			for i := 0; i < depth; i++ {
+				again()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
 	}
 }

@@ -95,6 +95,30 @@ func TestFiredCountPinned(t *testing.T) {
 	}
 }
 
+// TestSplitFleetQueueDepthPinned bounds the queue depth that internal/sim's
+// sorted-slice queue is chosen for (DESIGN §16): stepped event by event over
+// the ten virtual seconds of TestFiredCountPinned's split fleet, no server's
+// kernel holds more than 16 pending events. A model change that deepens the
+// queue fails here, and reopens the choice of queue, instead of paying for
+// the depth on every insert unnoticed.
+func TestSplitFleetQueueDepthPinned(t *testing.T) {
+	const bound = 16
+	for seed := int64(1); seed <= 8; seed++ {
+		k, _ := newFleet(t, seed, haltedDom0, 1, 4)
+		deepest := k.Pending()
+		for k.Now() < 10*time.Second && k.Step() {
+			deepest = max(deepest, k.Pending())
+		}
+		if k.Fired() < 12000 {
+			t.Fatalf("kernel seeded %d fired %d events in ten virtual seconds; the scenario no longer runs the fleet", seed, k.Fired())
+		}
+		if deepest > bound {
+			t.Errorf("kernel seeded %d held %d pending events, want at most %d", seed, deepest, bound)
+		}
+		t.Logf("kernel seeded %d: at most %d pending over %d events", seed, deepest, k.Fired())
+	}
+}
+
 // TestWarmVirtualSecondAllocatesNothing pins the scheduler's allocation rate
 // at the shape of one benchmark server (Dom0 + four `file` guests on two
 // pCPUs): once the event queue, the kernel's free list and the run queues
