@@ -62,6 +62,43 @@ func TestSignatureBudget(t *testing.T) {
 	}
 }
 
+// TestVerifyTableBuildsOnePerAVK pins the miss rate cryptoutil.Verify's
+// per-key tables rest on: once a testbed is warm, its long-lived keys stay
+// cached, and 64 on-demand attestations on one server build tables for
+// the 8 attestation keys they cross, one each, and for nothing else. A
+// smaller cache or a change to AVK rotation fails here before it makes
+// every check pay a table build.
+func TestVerifyTableBuildsOnePerAVK(t *testing.T) {
+	tb := newTB(t, Options{Seed: 5, Servers: 1})
+	cu, err := tb.NewCustomer("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := launch(t, cu, basicLaunch())
+	attest := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			p := properties.StartupIntegrity
+			if i%2 == 1 {
+				p = properties.RuntimeIntegrity
+			}
+			if v, err := cu.Attest(res.Vid, p); err != nil || !v.Healthy {
+				t.Fatalf("attest %d (%s): %v %v", i, p, v, err)
+			}
+		}
+	}
+	attest(2 * sessionUses)
+	issued := tb.PCA.CertStats().Issued
+	before := cryptoutil.VerifyTableBuilds()
+	const n = 8 * sessionUses
+	attest(n)
+	builds := cryptoutil.VerifyTableBuilds() - before
+	if avks := tb.PCA.CertStats().Issued - issued; avks != n/sessionUses || builds != avks {
+		t.Fatalf("%d attestations crossed %d fresh attestation keys and built %d key tables, want %d and %d",
+			n, avks, builds, n/sessionUses, n/sessionUses)
+	}
+}
+
 // TestPeriodicSignatureBudget pins the periodic row of DESIGN.md §15's
 // table: a drain of k buffered results costs k evidence signatures (one
 // per tick, under ASKs), one batch signature by the shard (SKa) and one by

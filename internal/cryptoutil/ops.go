@@ -6,7 +6,7 @@ package cryptoutil
 
 import "sync/atomic"
 
-var opSign, opVerify, opECDH atomic.Uint64
+var opSign, opVerify, opECDH, tableBuilds atomic.Uint64
 
 // OpCounts is a snapshot of the process-wide asymmetric-crypto counters.
 type OpCounts struct {
@@ -19,6 +19,11 @@ type OpCounts struct {
 func Ops() OpCounts {
 	return OpCounts{Sign: opSign.Load(), Verify: opVerify.Load(), ECDH: opECDH.Load()}
 }
+
+// VerifyTableBuilds returns how many times Verify has built a key's tables
+// into its cache, counting a key that does not decode. A build is what a
+// cache miss pays on top of a check, so it is counted apart from Ops.
+func VerifyTableBuilds() uint64 { return tableBuilds.Load() }
 
 // Sub returns the per-counter difference c - prev.
 func (c OpCounts) Sub(prev OpCounts) OpCounts {

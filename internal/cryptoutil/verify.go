@@ -24,8 +24,8 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 // shard and server key of a testbed, and each server's current AVK.
 const keySlots = 64
 
-// A keySlot holds one key's tables, 5 KiB. Its lock is read-held for each
-// check against the key, in place: copying the tables out would put 5 KiB
+// A keySlot holds one key's tables, 10 KiB. Its lock is read-held for each
+// check against the key, in place: copying the tables out would put 10 KiB
 // on every verifying goroutine's stack.
 type keySlot struct {
 	mu    sync.RWMutex
@@ -87,6 +87,7 @@ func (c *keyCache) fill(pub [32]byte, msg, sig []byte) bool {
 	c.index[pub] = i
 	c.mu.Unlock()
 
+	tableBuilds.Add(1)
 	valid := s.vk.Set(pub[:]) == nil
 	s.pub, s.valid = pub, valid
 	ok := valid && s.vk.Verify(msg, sig)

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cloudmonatt/internal/cryptoutil/edwards25519"
 )
 
 // signVectors reads testdata/sign.input.gz, the Ed25519 test vectors
@@ -315,6 +317,53 @@ func TestVerifyCacheEvictionUnderConcurrency(t *testing.T) {
 	wg.Wait()
 }
 
+// TestVerifyBuildsOncePerKey pins when Verify builds a key's tables: on
+// the key's first check, never on a later one while it stays cached, and
+// exactly once more after 64 other keys have evicted it.
+func TestVerifyBuildsOncePerKey(t *testing.T) {
+	pubs, msgs, sigs := cacheTriples(keySlots+2, "builds")
+	check := func(i int, wantBuilds uint64) {
+		t.Helper()
+		before := VerifyTableBuilds()
+		if !Verify(pubs[i], msgs[i], sigs[i]) {
+			t.Fatalf("key %d rejected its signature", i)
+		}
+		if got := VerifyTableBuilds() - before; got != wantBuilds {
+			t.Fatalf("a check under key %d built %d tables, want %d", i, got, wantBuilds)
+		}
+	}
+	check(0, 1)
+	check(0, 0)
+	check(0, 0)
+
+	// Key 1 is checked once, so its reference bit is clear, and the clock
+	// hand reaches its slot within 64 misses.
+	check(1, 1)
+	for i := 2; i < len(pubs); i++ {
+		check(i, 1)
+	}
+	verifyKeys.mu.Lock()
+	_, cached := verifyKeys.index[[32]byte(pubs[1])]
+	verifyKeys.mu.Unlock()
+	if cached {
+		t.Fatalf("key 1 is still cached after %d other keys", len(pubs)-2)
+	}
+	check(1, 1)
+	check(1, 0)
+
+	var bad [32]byte
+	bad[0] = 2 // y = 2 is not on the curve
+	before := VerifyTableBuilds()
+	for range 2 {
+		if Verify(bad[:], msgs[0], sigs[0]) {
+			t.Fatal("a key that does not decode accepted a signature")
+		}
+	}
+	if got := VerifyTableBuilds() - before; got != 2 {
+		t.Fatalf("two checks under a key that does not decode built %d tables, want 2: it is not kept", got)
+	}
+}
+
 func BenchmarkVerify(b *testing.B) {
 	pubs, msgs, sigs := cacheTriples(2*keySlots, "bench")
 	b.Run("cached", func(b *testing.B) {
@@ -327,6 +376,14 @@ func BenchmarkVerify(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % len(pubs)
 			Verify(pubs[j], msgs[j], sigs[j])
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		var vk edwards25519.VerifyKey
+		for i := 0; i < b.N; i++ {
+			if err := vk.Set(pubs[i%len(pubs)]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("stdlib", func(b *testing.B) {
