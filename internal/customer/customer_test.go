@@ -154,6 +154,15 @@ func TestAttestRejectsUnverifiableReplies(t *testing.T) {
 			}
 			return wire.BuildCustomerReport(s.id, vid, prop, healthy, s.n1s[0]), nil
 		}, "nonce mismatch"},
+		{"previous attempt's report with its N1 rewritten", func(s *stub, attempt int, n1 cryptoutil.Nonce) (any, error) {
+			if attempt == 1 {
+				s.dropConn()
+				return nil, errors.New("never delivered")
+			}
+			r := wire.BuildCustomerReport(s.id, vid, prop, healthy, s.n1s[0])
+			r.N1 = n1
+			return r, nil
+		}, "signature invalid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
