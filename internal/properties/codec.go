@@ -1,9 +1,7 @@
 // Binary wire codec for the property types nested inside the protocol
-// messages. This is deliberately separate from the canonical Encode()
-// methods used for quoting: those exist to be hashed (and tolerate
-// misaligned parallel slices by padding), while this codec must be a
-// strict bijection — every field framed independently, every decode
-// canonical — so the wire fuzzer can assert decode∘encode == identity.
+// messages. It is a strict bijection — every field framed independently,
+// every decode canonical — so the wire fuzzer can assert decode∘encode ==
+// identity, and the quotes and signed bodies hash these same bytes.
 package properties
 
 import (
@@ -33,10 +31,10 @@ func (r *Request) ReadWire(rd *binenc.Reader) {
 	}
 }
 
-// AppendWire appends the measurement's binary wire encoding to b. Unlike
-// the quoting encoding, the parallel LogNames/LogSums and QuotePCR/QuoteVal
-// slices are framed with independent counts, so nothing is padded or
-// dropped and the decode below inverts it exactly.
+// AppendWire appends the measurement's binary wire encoding to b. The
+// parallel LogNames/LogSums and QuotePCR/QuoteVal slices are framed with
+// independent counts, so nothing is padded or dropped and the decode below
+// inverts it exactly.
 func (m Measurement) AppendWire(b []byte) []byte {
 	b = binenc.AppendString(b, string(m.Kind))
 	b = append(b, m.Digest[:]...)
@@ -135,16 +133,25 @@ func ReadWireAll(rd *binenc.Reader) []Measurement {
 	return ms
 }
 
-// AppendWire appends the verdict's binary wire encoding to b. Details —
-// advisory, excluded from the signed quotes — still ride the wire, with
-// keys sorted so the encoding is deterministic.
-func (v Verdict) AppendWire(b []byte) []byte {
+// AppendEncode appends the verdict's signed rendering — the R of the Q1/Q2
+// quotes and the signed report bodies — to b: its wire encoding without
+// Details. Signing and verifying a report each render it once, into a
+// buffer on the caller's stack.
+func (v Verdict) AppendEncode(b []byte) []byte {
 	b = binenc.AppendString(b, string(v.Property))
 	b = binenc.AppendBool(b, v.Healthy)
 	b = binenc.AppendString(b, string(v.Class))
 	b = binenc.AppendString(b, v.Reason)
 	b = binenc.AppendString(b, v.Backend)
-	b = binenc.AppendBool(b, v.Unattestable)
+	return binenc.AppendBool(b, v.Unattestable)
+}
+
+// AppendWire appends the verdict's binary wire encoding to b: its signed
+// rendering, then Details. Details are advisory and excluded from the
+// signed quotes, as Class and Reason carry the authoritative finding; they
+// still ride the wire, with keys sorted so the encoding is deterministic.
+func (v Verdict) AppendWire(b []byte) []byte {
+	b = v.AppendEncode(b)
 	keys := make([]string, 0, len(v.Details))
 	for k := range v.Details {
 		keys = append(keys, k)

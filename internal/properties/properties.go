@@ -4,12 +4,12 @@
 // (paper §4.1). Which request evidences a built-in property on which trust
 // backend is the capability table of internal/trust/driver.
 //
-// Measurements carry a canonical binary encoding so they can be hashed into
-// protocol quotes (Q3 = H(Vid‖rM‖M‖N3)) identically on both ends.
+// Each value has one binary encoding, its AppendWire (codec.go): the bytes
+// the wire carries are the bytes hashed into the protocol quotes
+// (Q3 = H(Vid‖rM‖M‖N3)), so both ends hash them identically.
 package properties
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -87,29 +87,13 @@ type Request struct {
 	Window time.Duration // observation window for histogram/cpu-time kinds
 }
 
-// Encode renders the request canonically for inclusion in quotes.
-func (r Request) Encode() []byte {
-	n := 8 + 4
-	for _, k := range r.Kinds {
-		n += 4 + len(k)
-	}
-	out := make([]byte, 0, n)
-	out = binary.BigEndian.AppendUint64(out, uint64(r.Window))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Kinds)))
-	for _, k := range r.Kinds {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-		out = append(out, k...)
-	}
-	return out
-}
-
 // DefaultWindow is the runtime monitors' observation window. One second
 // spans ~33 scheduler accounting periods — enough for a stable histogram.
 const DefaultWindow = time.Second
 
 // Measurement is one collected piece of evidence. Exactly the fields
-// relevant to Kind are populated; Encode produces an injective canonical
-// byte string for quoting and signing.
+// relevant to Kind are populated; AppendWire renders it injectively, for
+// the wire and for quoting and signing alike.
 type Measurement struct {
 	Kind MeasurementKind
 
@@ -139,83 +123,6 @@ type Measurement struct {
 	Endorse []byte
 }
 
-// Encode renders the measurement canonically.
-func (m Measurement) Encode() []byte {
-	return m.appendEncode(make([]byte, 0, m.encodedLen()))
-}
-
-// encodedLen is the length of the canonical encoding, so that Encode and
-// EncodeAll size their buffer once: a platform quote's log makes it tens of
-// kilobytes, and both are hashed on every build and verify of an evidence.
-func (m Measurement) encodedLen() int {
-	n := 4 + len(m.Kind) + 4 + len(m.Digest)
-	n += 4
-	for i, name := range m.LogNames {
-		n += 4 + len(name) + 4
-		if i < len(m.LogSums) {
-			n += len(m.LogSums[i])
-		}
-	}
-	n += 4 + len(m.QuoteSig)
-	n += 4 + len(m.QuotePCR)*(4+4)
-	n += min(len(m.QuotePCR), len(m.QuoteVal)) * len(m.Digest)
-	n += 4
-	for _, t := range m.Tasks {
-		n += 4 + len(t)
-	}
-	n += 4 + 8*len(m.Counters)
-	n += 8 + 8
-	n += 4 + len(m.Report) + 4 + len(m.VKey) + 4 + len(m.Endorse)
-	return n
-}
-
-// appendEncode appends the canonical encoding to out.
-func (m Measurement) appendEncode(out []byte) []byte {
-	appendBytes := func(b []byte) {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	appendString := func(s string) {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
-	}
-	appendString(string(m.Kind))
-	appendBytes(m.Digest[:])
-	out = binary.BigEndian.AppendUint32(out, uint32(len(m.LogNames)))
-	for i, n := range m.LogNames {
-		appendString(n)
-		if i < len(m.LogSums) {
-			appendBytes(m.LogSums[i][:])
-		} else {
-			appendBytes(nil)
-		}
-	}
-	appendBytes(m.QuoteSig)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(m.QuotePCR)))
-	for i, p := range m.QuotePCR {
-		out = binary.BigEndian.AppendUint32(out, p)
-		if i < len(m.QuoteVal) {
-			appendBytes(m.QuoteVal[i][:])
-		} else {
-			appendBytes(nil)
-		}
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Tasks)))
-	for _, t := range m.Tasks {
-		appendString(t)
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Counters)))
-	for _, c := range m.Counters {
-		out = binary.BigEndian.AppendUint64(out, c)
-	}
-	out = binary.BigEndian.AppendUint64(out, uint64(m.CPUTime))
-	out = binary.BigEndian.AppendUint64(out, uint64(m.WallTime))
-	appendBytes(m.Report)
-	appendBytes(m.VKey)
-	appendBytes(m.Endorse)
-	return out
-}
-
 // Find returns the first measurement of the given kind.
 func Find(ms []Measurement, kind MeasurementKind) (Measurement, bool) {
 	for _, m := range ms {
@@ -224,22 +131,6 @@ func Find(ms []Measurement, kind MeasurementKind) (Measurement, bool) {
 		}
 	}
 	return Measurement{}, false
-}
-
-// EncodeAll renders a measurement list canonically: the count, then each
-// measurement's encoding behind its length.
-func EncodeAll(ms []Measurement) []byte {
-	n := 4
-	for _, m := range ms {
-		n += 4 + m.encodedLen()
-	}
-	out := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(ms)))
-	for _, m := range ms {
-		at := len(out)
-		out = m.appendEncode(append(out, 0, 0, 0, 0))
-		binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
-	}
-	return out
 }
 
 // FailureClass categorizes an unhealthy verdict by what is at fault, which
@@ -292,32 +183,6 @@ func UnattestableVerdict(p Property, backend string) Verdict {
 		Backend:      backend,
 		Reason:       fmt.Sprintf("property %s is not attestable on the %s trust backend", p, backend),
 	}
-}
-
-// AppendEncode appends the verdict's canonical rendering — the R of the
-// Q1/Q2 quotes and the signed report bodies — to out. Signing and verifying
-// a report each render it once, into a buffer on the caller's stack.
-func (v Verdict) AppendEncode(out []byte) []byte {
-	out = appendField(out, string(v.Property))
-	out = appendFlag(out, v.Healthy)
-	out = appendField(out, string(v.Class))
-	out = appendField(out, v.Reason)
-	// Details are advisory and excluded from the signed body; Class and
-	// Reason carry the authoritative finding.
-	out = appendField(out, v.Backend)
-	return appendFlag(out, v.Unattestable)
-}
-
-func appendField(out []byte, s string) []byte {
-	out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-	return append(out, s...)
-}
-
-func appendFlag(out []byte, f bool) []byte {
-	if f {
-		return append(out, 1)
-	}
-	return append(out, 0)
 }
 
 // String renders the verdict for humans.

@@ -22,7 +22,7 @@ func TestValid(t *testing.T) {
 func TestMeasurementEncodeDistinguishesKinds(t *testing.T) {
 	a := Measurement{Kind: KindTaskList, Tasks: []string{"init"}}
 	b := Measurement{Kind: KindCPUTime, CPUTime: time.Second}
-	if bytes.Equal(a.Encode(), b.Encode()) {
+	if bytes.Equal(a.AppendWire(nil), b.AppendWire(nil)) {
 		t.Fatal("different measurements encode identically")
 	}
 }
@@ -31,7 +31,7 @@ func TestMeasurementEncodeInjective(t *testing.T) {
 	// Task-list boundary attack: ["ab","c"] vs ["a","bc"].
 	a := Measurement{Kind: KindTaskList, Tasks: []string{"ab", "c"}}
 	b := Measurement{Kind: KindTaskList, Tasks: []string{"a", "bc"}}
-	if bytes.Equal(a.Encode(), b.Encode()) {
+	if bytes.Equal(a.AppendWire(nil), b.AppendWire(nil)) {
 		t.Fatal("task-list encoding is not injective")
 	}
 }
@@ -39,7 +39,7 @@ func TestMeasurementEncodeInjective(t *testing.T) {
 func TestQuickMeasurementEncodeDeterministic(t *testing.T) {
 	f := func(tasks []string, counters []uint64, cpu uint32) bool {
 		m := Measurement{Kind: KindIntervalHistogram, Tasks: tasks, Counters: counters, CPUTime: time.Duration(cpu)}
-		return bytes.Equal(m.Encode(), m.Encode())
+		return bytes.Equal(m.AppendWire(nil), m.AppendWire(nil))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -52,28 +52,11 @@ func TestQuickCounterSensitivity(t *testing.T) {
 			return true
 		}
 		m := Measurement{Kind: KindIntervalHistogram, Counters: counters}
-		enc := m.Encode()
+		enc := m.AppendWire(nil)
 		mod := append([]uint64(nil), counters...)
 		mod[0]++
 		m2 := Measurement{Kind: KindIntervalHistogram, Counters: mod}
-		return !bytes.Equal(enc, m2.Encode())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Encode and EncodeAll size their buffer before filling it; a length that
-// disagrees with what is appended costs a second allocation of a
-// log-sized buffer, or wastes one. The parallel slices are deliberately
-// uneven: the encoding pads the shorter side.
-func TestQuickEncodedLenIsExact(t *testing.T) {
-	f := func(names, tasks []string, sums, vals [][32]byte, pcrs []uint32, counters []uint64, blob []byte) bool {
-		m := Measurement{Kind: KindPlatformQuote, LogNames: names, LogSums: sums, QuoteSig: blob,
-			QuotePCR: pcrs, QuoteVal: vals, Tasks: tasks, Counters: counters, Report: blob, VKey: blob[:len(blob)/2]}
-		enc, all := m.Encode(), EncodeAll([]Measurement{m, {Kind: KindImageDigest}, m})
-		return len(enc) == m.encodedLen() && cap(enc) == len(enc) && cap(all) == len(all) &&
-			bytes.Equal(all[8:8+len(enc)], enc)
+		return !bytes.Equal(enc, m2.AppendWire(nil))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -82,21 +65,21 @@ func TestQuickEncodedLenIsExact(t *testing.T) {
 
 func TestEncodeAllLengthSensitive(t *testing.T) {
 	m := Measurement{Kind: KindTaskList, Tasks: []string{"x"}}
-	one := EncodeAll([]Measurement{m})
-	two := EncodeAll([]Measurement{m, m})
+	one := AppendWireAll(nil, []Measurement{m})
+	two := AppendWireAll(nil, []Measurement{m, m})
 	if bytes.Equal(one, two) {
-		t.Fatal("EncodeAll insensitive to list length")
+		t.Fatal("AppendWireAll insensitive to list length")
 	}
 }
 
 func TestRequestEncode(t *testing.T) {
 	a := Request{Kinds: []MeasurementKind{KindTaskList}, Window: time.Second}
 	b := Request{Kinds: []MeasurementKind{KindTaskList}, Window: 2 * time.Second}
-	if bytes.Equal(a.Encode(), b.Encode()) {
+	if bytes.Equal(a.AppendWire(nil), b.AppendWire(nil)) {
 		t.Fatal("request encoding ignores window")
 	}
 	c := Request{Kinds: []MeasurementKind{KindCPUTime}, Window: time.Second}
-	if bytes.Equal(a.Encode(), c.Encode()) {
+	if bytes.Equal(a.AppendWire(nil), c.AppendWire(nil)) {
 		t.Fatal("request encoding ignores kinds")
 	}
 }

@@ -93,9 +93,6 @@ func NewLoop(cfg LoopConfig) *Loop {
 // Enqueue marks key for reconciliation now.
 func (lp *Loop) Enqueue(key string) { lp.q.Add(key) }
 
-// EnqueueAfter schedules key for reconciliation d from now.
-func (lp *Loop) EnqueueAfter(key string, d time.Duration) { lp.q.AddAfter(key, d) }
-
 // Forget resets key's backoff (e.g. when its desired state is deleted).
 func (lp *Loop) Forget(key string) { lp.q.Forget(key) }
 

@@ -175,7 +175,7 @@ func TestBackoffJitterBuiltLazily(t *testing.T) {
 	const seed = 42
 	rc := NewReconnectClient(ClientConfig{
 		Network: NewMemNetwork(), Addr: "srv", Seed: seed,
-		Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Second, Jitter: 0.5},
+		Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Second},
 	})
 	if rc.rng != nil {
 		t.Fatal("jitter source built before any backoff")
@@ -183,7 +183,7 @@ func TestBackoffJitterBuiltLazily(t *testing.T) {
 	eager := mathrand.New(mathrand.NewSource(seed))
 	for attempt := 1; attempt <= 8; attempt++ {
 		d := time.Millisecond << (attempt - 1)
-		want := time.Duration(float64(d) * (1 - 0.5*eager.Float64()))
+		want := time.Duration(float64(d) * (1 - backoffJitter*eager.Float64()))
 		if got := rc.backoff(attempt); got != want {
 			t.Fatalf("backoff before attempt %d: %v, want %v", attempt, got, want)
 		}

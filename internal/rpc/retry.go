@@ -27,10 +27,11 @@ type RetryPolicy struct {
 	// retry up to MaxDelay. Defaults 25ms / 1s.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter is the fraction of each delay randomized away (0..1), breaking
-	// retry synchronization across peers. Default 0.5.
-	Jitter float64
 }
+
+// backoffJitter is the fraction of each backoff delay randomized away,
+// breaking retry synchronization across peers.
+const backoffJitter = 0.5
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
@@ -41,9 +42,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
 	}
 	return p
 }
@@ -343,7 +341,7 @@ func (rc *ReconnectClient) sleep(ctx context.Context, attempt int) error {
 }
 
 // backoff returns the exponential delay before the given retry (attempt ≥
-// 1), with a random fraction (Jitter) shaved off.
+// 1), with a random fraction (up to backoffJitter) shaved off.
 func (rc *ReconnectClient) backoff(attempt int) time.Duration {
 	d := rc.cfg.Retry.BaseDelay
 	for i := 1; i < attempt; i++ {
@@ -362,7 +360,7 @@ func (rc *ReconnectClient) backoff(attempt int) time.Duration {
 		// source is ~4.9 KiB.
 		rc.rng = mathrand.New(mathrand.NewSource(rc.cfg.Seed))
 	}
-	f := 1 - rc.cfg.Retry.Jitter*rc.rng.Float64()
+	f := 1 - backoffJitter*rc.rng.Float64()
 	rc.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }

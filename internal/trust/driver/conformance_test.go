@@ -273,7 +273,7 @@ func BenchmarkStartupEvidence(b *testing.B) {
 			ms := collect(b, drv, nonce, image)
 			var size int
 			for _, m := range ms {
-				size += len(m.Encode())
+				size += len(m.AppendWire(nil))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

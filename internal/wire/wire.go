@@ -107,13 +107,28 @@ type Evidence struct {
 	Sig          []byte
 }
 
+// evidenceStack sizes the stack buffer rM and M are rendered into for the
+// evidence's quote and signed body; a server's first startup evidence,
+// which ships its whole measurement log, spills to the heap.
+const evidenceStack = 1024
+
 // ComputeQ3 computes Q3 = H(Vid‖rM‖M‖N3).
 func ComputeQ3(vid string, req properties.Request, ms []properties.Measurement, n3 cryptoutil.Nonce) [32]byte {
-	return computeQ3(vid, req.Encode(), properties.EncodeAll(ms), n3)
+	var buf [evidenceStack]byte
+	rM, m := appendReqMeasurements(buf[:0], req, ms)
+	return computeQ3(vid, rM, m, n3)
 }
 
-// computeQ3 and evidenceBody take rM and M in their canonical encoding, so
-// that building or verifying an evidence encodes them once for both hashes.
+// appendReqMeasurements renders rM and M in their wire encoding into b and
+// returns the two, so that building or verifying an evidence renders them
+// once for both hashes.
+func appendReqMeasurements(b []byte, req properties.Request, ms []properties.Measurement) (rM, m []byte) {
+	b = req.AppendWire(b)
+	n := len(b)
+	b = properties.AppendWireAll(b, ms)
+	return b[:n], b[n:]
+}
+
 func computeQ3(vid string, rM, m []byte, n3 cryptoutil.Nonce) [32]byte {
 	return cryptoutil.Hash("Q3", []byte(vid), rM, m, n3[:])
 }
@@ -126,7 +141,8 @@ func evidenceBody(e *Evidence, rM, m []byte) [32]byte {
 // session attestation key. backend names the trust backend that rooted the
 // measurements.
 func BuildEvidence(sess *trust.Session, vid string, req properties.Request, ms []properties.Measurement, n3 cryptoutil.Nonce, backend string) *Evidence {
-	rM, m := req.Encode(), properties.EncodeAll(ms)
+	var buf [evidenceStack]byte
+	rM, m := appendReqMeasurements(buf[:0], req, ms)
 	e := &Evidence{
 		Vid:          vid,
 		Req:          req,
@@ -158,7 +174,8 @@ func VerifyEvidence(e *Evidence, caName string, caKey ed25519.PublicKey, vid str
 	if err := pca.VerifyAttestationCert(e.Cert, caName, caKey, ed25519.PublicKey(e.AVK)); err != nil {
 		return fmt.Errorf("wire: attestation key not certified: %w", err)
 	}
-	rM, m := e.Req.Encode(), properties.EncodeAll(e.Measurements)
+	var buf [evidenceStack]byte
+	rM, m := appendReqMeasurements(buf[:0], e.Req, e.Measurements)
 	if body := evidenceBody(e, rM, m); !cryptoutil.Verify(ed25519.PublicKey(e.AVK), body[:], e.Sig) {
 		return errors.New("wire: evidence signature invalid")
 	}

@@ -86,12 +86,12 @@ func startupMeasurements() (properties.Request, []properties.Measurement) {
 }
 
 // TestEvidenceRoundTripAllocs pins what signing and checking one evidence
-// allocates. Each side hashes the canonical encoding of rM and M twice (Q3
-// and the signed body) and encodes them once, into buffers sized up front,
-// and the hashes themselves allocate nothing: 7 allocations for the pair
-// (the evidence, its AVK copy and signature, rM and M on each side), bound
-// at 8. Encoding per hash into grown buffers took 89, and hashing through a
-// heap digest 17.
+// allocates. Each side hashes the wire encoding of rM and M twice (Q3 and
+// the signed body) and renders it once, into a buffer on its stack, and
+// the hashes themselves allocate nothing: 3 allocations for the pair (the
+// evidence, its AVK copy and signature), bound at 4. Rendering rM and M
+// into heap buffers took 7, encoding per hash into grown buffers 89, and
+// hashing through a heap digest 17.
 func TestEvidenceRoundTripAllocs(t *testing.T) {
 	f := newFixture(t)
 	req, ms := startupMeasurements()
@@ -103,8 +103,27 @@ func TestEvidenceRoundTripAllocs(t *testing.T) {
 		}
 	}
 	roundTrip() // the certificate's signature is verified once, then remembered
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 8 {
-		t.Fatalf("BuildEvidence + VerifyEvidence: %v allocs, want at most 8", allocs)
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 4 {
+		t.Fatalf("BuildEvidence + VerifyEvidence: %v allocs, want at most 4", allocs)
+	}
+}
+
+// TestEvidenceVerifyAllocFree: checking an evidence whose AVK and pCA
+// certificate were seen before renders rM and M on the stack and allocates
+// nothing.
+func TestEvidenceVerifyAllocFree(t *testing.T) {
+	f := newFixture(t)
+	req, ms := sampleMeasurements()
+	n3 := cryptoutil.MustNonce()
+	ev := BuildEvidence(f.sess, "vm-1", req, ms, n3, "tpm")
+	verify := func() {
+		if err := VerifyEvidence(ev, f.ca.Name(), f.ca.PublicKey(), "vm-1", req, n3); err != nil {
+			t.Fatalf("genuine evidence rejected: %v", err)
+		}
+	}
+	verify() // warms the key and certificate caches
+	if allocs := testing.AllocsPerRun(100, verify); allocs != 0 {
+		t.Fatalf("VerifyEvidence with warm caches: %v allocs, want 0", allocs)
 	}
 }
 
@@ -178,7 +197,8 @@ func TestEvidenceKeySubstitution(t *testing.T) {
 	ev.Measurements[0].CPUTime = 0
 	ev.Q3 = ComputeQ3(ev.Vid, ev.Req, ev.Measurements, ev.N3)
 	ev.AVK = mallory.Public()
-	body := cryptoutil.Hash("evidence", []byte(ev.Vid), ev.Req.Encode(), properties.EncodeAll(ev.Measurements), ev.N3[:], ev.Q3[:], ev.AVK)
+	rM, m := appendReqMeasurements(nil, ev.Req, ev.Measurements)
+	body := evidenceBody(ev, rM, m)
 	ev.Sig = mallory.Sign(body[:])
 	if err := VerifyEvidence(ev, f.ca.Name(), f.ca.PublicKey(), "vm-1", req, n3); err == nil {
 		t.Fatal("key-substituted evidence accepted")

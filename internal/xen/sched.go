@@ -59,9 +59,6 @@ type PCPU struct {
 // ID returns the physical CPU index.
 func (p *PCPU) ID() int { return p.id }
 
-// Current returns the vCPU running right now, or nil when idle.
-func (p *PCPU) Current() *VCPU { return p.current }
-
 // IdleTime returns the accumulated time this pCPU spent with no runnable vCPU.
 func (p *PCPU) IdleTime() sim.Time {
 	t := p.idleTime

@@ -46,17 +46,6 @@ func (r *Recorder) Segments() []Segment { return r.segments }
 // Reset discards recorded segments.
 func (r *Recorder) Reset() { r.segments = nil }
 
-// DomainSegments returns the recorded segments belonging to d.
-func (r *Recorder) DomainSegments(d *Domain) []Segment {
-	var out []Segment
-	for _, s := range r.segments {
-		if s.VCPU.dom == d {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // MergeAdjacent coalesces segments of the same vCPU whose gap is below eps.
 // The covert-channel receiver observes the *sender's* occupancy as the gaps
 // in its own execution; merging removes scheduler-artifact micro-splits so a
