@@ -9,10 +9,10 @@
 //	    and a signed checkpoint of the head is printed.
 //
 //	monatt-ledger verify -dir DIR
-//	    independently replay the hash chain from the compaction snapshot
-//	    to the head, recomputing every entry hash and link. This shares no
-//	    state with the process that wrote the ledger: it is the auditor's
-//	    proof that the evidence was not rewritten.
+//	    independently replay the hash chain from entry 1 to the head,
+//	    recomputing every entry hash and link. This shares no state with
+//	    the process that wrote the ledger: it is the auditor's proof that
+//	    the evidence was not rewritten.
 //
 //	monatt-ledger show -dir DIR [-vid V] [-kind K] [-prop P] [-limit N]
 //	    query committed entries by VM, entry kind, property, or any
@@ -159,8 +159,8 @@ func verify(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("chain OK: %d entries replayed (seq %d..%d), head hash %x\n",
-		res.Entries, res.BaseSeq+1, res.HeadSeq, res.HeadHash)
+	fmt.Printf("chain OK: %d entries replayed (seq 1..%d), head hash %x\n",
+		res.Entries, res.HeadSeq, res.HeadHash)
 }
 
 func show(args []string) {

@@ -12,8 +12,8 @@ import (
 // Recover rebuilds the controller's desired state and in-flight intents
 // from the evidence ledger after a crash, then reconciles to convergence.
 //
-// The fold walks every retained entry in chain order and replays the
-// two-phase intents:
+// The fold walks every entry in chain order and replays the two-phase
+// intents:
 //
 //   - a completed launch recreates the VM row (desired state from the
 //     begin record, placement from the end) and its capacity reservation;

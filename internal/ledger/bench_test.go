@@ -15,7 +15,7 @@ func BenchmarkLedgerAppend(b *testing.B) {
 	payload := make([]byte, 256)
 	for _, appenders := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
-			l, err := Open(Options{Dir: b.TempDir(), MaxSegmentBytes: 64 << 20, NoSync: true})
+			l, err := Open(Options{MaxSegmentBytes: 64 << 20})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func BenchmarkLedgerAppendFsync(b *testing.B) {
 
 // BenchmarkLedgerVerify measures full-chain replay cost.
 func BenchmarkLedgerVerify(b *testing.B) {
-	l, err := Open(Options{Dir: b.TempDir(), NoSync: true})
+	l, err := Open(Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package ledger
 
-// Cursor streams the committed chain in sequence order, starting at the
-// compaction base. It is the replay primitive crash recovery is built on:
-// the controller walks every retained entry once, folding intents and
-// decisions back into its in-memory state, without materializing the
-// whole chain the way Query does.
+// Cursor streams the committed chain in sequence order, from entry 1. It
+// is the replay primitive crash recovery is built on: the controller walks
+// every entry once, folding intents and decisions back into its in-memory
+// state, without materializing the whole chain the way Query does.
 //
 // A cursor reads committed state only; entries appended after the cursor
 // was positioned are returned as the walk reaches them (each Next re-reads
@@ -14,14 +13,9 @@ type Cursor struct {
 	next uint64
 }
 
-// Cursor returns a cursor positioned at the first retained entry
-// (base.Seq+1). Entries compacted away are not replayable; recovery that
-// needs them must start from the compaction snapshot they were folded
-// into.
+// Cursor returns a cursor positioned at entry 1.
 func (l *Ledger) Cursor() *Cursor {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return &Cursor{l: l, next: l.base.Seq + 1}
+	return &Cursor{l: l, next: 1}
 }
 
 // Next returns the next committed entry. ok is false when the cursor has

@@ -35,36 +35,3 @@ func TestCursorEmptyLedger(t *testing.T) {
 		t.Fatalf("empty ledger: ok=%v err=%v", ok, err)
 	}
 }
-
-func TestCursorStartsAtCompactionBase(t *testing.T) {
-	// Tiny segments so Compact can actually retire some.
-	dir := t.TempDir()
-	l := mustOpen(t, Options{Dir: dir, MaxSegmentBytes: 128})
-	appendN(t, l, 10)
-	if err := l.Compact(6); err != nil {
-		t.Fatal(err)
-	}
-	baseSeq, _ := func() (uint64, [32]byte) { return l.base.Seq, l.base.Hash }()
-	if baseSeq == 0 {
-		t.Fatal("compaction retired nothing; segment sizing assumption broken")
-	}
-	c := l.Cursor()
-	e, ok, err := c.Next()
-	if err != nil || !ok || e.Seq != baseSeq+1 {
-		t.Fatalf("first retained entry seq = %d (ok=%v err=%v), want %d", e.Seq, ok, err, baseSeq+1)
-	}
-	n := uint64(1)
-	for {
-		_, ok, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 10-baseSeq {
-		t.Fatalf("walked %d retained entries, want %d", n, 10-baseSeq)
-	}
-}

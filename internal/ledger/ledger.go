@@ -10,10 +10,10 @@
 // onto a batch and block; one of them becomes the committer and flushes the
 // whole batch with a single serialization + write + fsync, so heavy
 // traffic amortizes the durability cost (the classic WAL group commit).
-// Storage is segmented; recovery after a crash truncates a torn tail back
-// to the longest valid prefix, and compaction retires old segments behind
-// a snapshot of the chain state. Checkpoints (head seq + hash) are
-// ed25519-signable for out-of-band anchoring.
+// Storage is segmented and append-only: no entry is ever retired, so the
+// chain always replays from entry 1. Recovery after a crash truncates a
+// torn tail back to the longest valid prefix. Checkpoints (head seq +
+// hash) are ed25519-signable for out-of-band anchoring.
 package ledger
 
 import (
@@ -214,39 +214,6 @@ func decodeFrame(body []byte) (Entry, error) {
 	return e, nil
 }
 
-// --- snapshot (compaction base) ---
-
-// SnapshotFile is the auxiliary file naming the chain state that precedes
-// the oldest retained segment.
-const SnapshotFile = "SNAPSHOT"
-
-var snapMagic = []byte("MONATT-LEDGER-SNAP1\n")
-
-// snapshot is the chain state at a compaction boundary: entries up to and
-// including Seq have been retired; Hash is the hash of entry Seq (or the
-// zero hash when Seq == 0, the genesis state).
-type snapshot struct {
-	Seq  uint64
-	Hash [32]byte
-}
-
-func encodeSnapshot(s snapshot) []byte {
-	buf := append([]byte(nil), snapMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, s.Seq)
-	return append(buf, s.Hash[:]...)
-}
-
-func decodeSnapshot(data []byte) (snapshot, error) {
-	var s snapshot
-	if len(data) != len(snapMagic)+8+32 || string(data[:len(snapMagic)]) != string(snapMagic) {
-		return s, errors.New("ledger: malformed snapshot")
-	}
-	data = data[len(snapMagic):]
-	s.Seq = binary.BigEndian.Uint64(data[:8])
-	copy(s.Hash[:], data[8:])
-	return s, nil
-}
-
 // --- ledger ---
 
 // maxBatchScratch caps the serialization buffer the committer keeps for the
@@ -263,17 +230,12 @@ type Options struct {
 	// fully functional (chaining, recovery semantics, queries) but not
 	// durable across the process.
 	Dir string
-	// ReadOnly opens an existing on-disk ledger for auditing: appends and
-	// compaction are rejected, and a torn tail is an error, not repaired.
+	// ReadOnly opens an existing on-disk ledger for auditing: appends are
+	// rejected, and a torn tail is an error, not repaired.
 	ReadOnly bool
 	// MaxSegmentBytes rolls the active segment when it exceeds this size.
 	// Default 1 MiB.
 	MaxSegmentBytes int64
-	// NoSync skips the per-flush fsync (benchmarks; never production).
-	NoSync bool
-	// Metrics receives append/flush latency and batch-size summaries.
-	// A private registry is created when nil.
-	Metrics *metrics.Registry
 	// Now supplies the clock used for append/flush latency measurement.
 	// The simulator injects its virtual clock here so latency summaries
 	// are reproducible under seeded replay; nil falls back to wall time.
@@ -284,10 +246,9 @@ type Options struct {
 var ErrClosed = errors.New("ledger: closed")
 
 type segment struct {
-	name     string
-	file     segFile
-	firstSeq uint64
-	size     int64
+	name string
+	file segFile
+	size int64
 }
 
 // loc addresses one committed frame.
@@ -349,12 +310,11 @@ type Ledger struct {
 	batchBuf  []byte
 	batchLocs []loc
 
-	base     snapshot // chain state before the first indexed entry
 	headSeq  uint64
 	headHash [32]byte
 
 	segs     []*segment
-	locs     []loc // locs[i] addresses seq base.Seq+1+i
+	locs     []loc // locs[i] addresses seq i+1
 	postings map[postingKey][]uint64
 }
 
@@ -382,10 +342,7 @@ func Open(opts Options) (*Ledger, error) {
 }
 
 func open(opts Options, st store) (*Ledger, error) {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -400,34 +357,37 @@ func open(opts Options, st store) (*Ledger, error) {
 	}
 	l.cond = sync.NewCond(&l.mu)
 
-	if data, ok, err := st.ReadAux(SnapshotFile); err != nil {
-		return nil, err
-	} else if ok {
-		if l.base, err = decodeSnapshot(data); err != nil {
-			return nil, err
-		}
-	}
-	l.headSeq, l.headHash = l.base.Seq, l.base.Hash
-
 	names, err := st.Segments()
 	if err != nil {
 		return nil, err
+	}
+	// The chain starts at entry 1, in the first segment. Without it every
+	// later segment would read as torn at its first entry, and a repair
+	// would delete them all.
+	if len(names) > 0 && names[0] != segName(1) {
+		return nil, fmt.Errorf("ledger: first segment is %s, not %s: the chain's start is missing", names[0], segName(1))
 	}
 	for i, name := range names {
 		f, err := st.Open(name)
 		if err != nil {
 			return nil, err
 		}
-		seg := &segment{name: name, file: f, firstSeq: l.headSeq + 1}
+		seg := &segment{name: name, file: f}
 		good, err := l.scanSegment(seg, len(l.segs))
 		if err != nil {
 			if opts.ReadOnly || errors.Is(err, ErrSegmentFormat) {
 				return nil, fmt.Errorf("ledger: segment %s: %w", name, err)
 			}
-			// Crash recovery: keep the longest valid prefix. The bad
-			// suffix of this segment is truncated and any later segments
-			// (which can no longer chain) are dropped, and so is this one
-			// when not one frame of it survives.
+			// Crash recovery: keep the longest valid prefix. Any later
+			// segments (which can no longer chain) are dropped first, so an
+			// interrupted repair never leaves a gap before a kept one; then
+			// the bad suffix of this segment is truncated, or the whole
+			// segment dropped when not one frame of it survives.
+			for _, later := range names[i+1:] {
+				if rerr := st.Remove(later); rerr != nil {
+					return nil, rerr
+				}
+			}
 			if good <= int64(segHeaderLen) {
 				f.Close()
 				if rerr := st.Remove(name); rerr != nil {
@@ -439,11 +399,6 @@ func open(opts Options, st store) (*Ledger, error) {
 				}
 				seg.size = good
 				l.segs = append(l.segs, seg)
-			}
-			for _, later := range names[i+1:] {
-				if rerr := st.Remove(later); rerr != nil {
-					return nil, rerr
-				}
 			}
 			return l, nil
 		}
@@ -566,7 +521,7 @@ func (l *Ledger) Head() (uint64, [32]byte) {
 	return l.headSeq, l.headHash
 }
 
-// Len returns the number of entries currently queryable (post-compaction).
+// Len returns the number of committed entries.
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -674,15 +629,15 @@ func (l *Ledger) commit(batch []*waiter) {
 	l.mu.Lock()
 	seq, prev := l.headSeq, l.headHash
 	seg, err := l.activeSegmentLocked(seq + 1)
+	segIdx := len(l.segs) - 1 // segments are only appended: the active one stays last
 	l.mu.Unlock()
 	if err != nil {
 		l.finishBatch(batch, err)
 		return
 	}
 
-	// Serialize the whole batch against the running chain. Each loc's
-	// segment index is filled in at publish: a compaction may renumber the
-	// segments meanwhile. A new segment's first batch carries its header.
+	// Serialize the whole batch against the running chain. A new segment's
+	// first batch carries its header.
 	buf := l.batchBuf[:0]
 	if seg.size == 0 {
 		buf = append(buf, segHeader...)
@@ -698,7 +653,7 @@ func (l *Ledger) commit(batch []*waiter) {
 		prev = e.Hash
 		start := len(buf)
 		buf = appendFrame(buf, &e)
-		offs = append(offs, loc{off: writeOff + int64(start), n: int32(len(buf) - start)})
+		offs = append(offs, loc{seg: segIdx, off: writeOff + int64(start), n: int32(len(buf) - start)})
 		w.out = e
 	}
 	if cap(buf) <= maxBatchScratch {
@@ -711,19 +666,15 @@ func (l *Ledger) commit(batch []*waiter) {
 		l.finishBatch(batch, fmt.Errorf("ledger: write: %w", err))
 		return
 	}
-	if !l.opts.NoSync {
-		if err := seg.file.Sync(); err != nil {
-			seg.file.Truncate(seg.size)
-			l.finishBatch(batch, fmt.Errorf("ledger: fsync: %w", err))
-			return
-		}
+	if err := seg.file.Sync(); err != nil {
+		seg.file.Truncate(seg.size)
+		l.finishBatch(batch, fmt.Errorf("ledger: fsync: %w", err))
+		return
 	}
 
 	// Publish: index the batch, advance the head and wake its appenders.
 	l.mu.Lock()
-	segIdx := l.segIndexLocked(seg)
 	for i, w := range batch {
-		offs[i].seg = segIdx
 		l.indexEntry(&w.out, offs[i])
 		w.done = true
 	}
@@ -758,19 +709,9 @@ func (l *Ledger) activeSegmentLocked(nextSeq uint64) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := &segment{name: name, file: f, firstSeq: nextSeq}
+	seg := &segment{name: name, file: f}
 	l.segs = append(l.segs, seg)
 	return seg, nil
-}
-
-// segIndexLocked returns seg's index in l.segs. l.mu is held.
-func (l *Ledger) segIndexLocked(seg *segment) int {
-	for i, s := range l.segs {
-		if s == seg {
-			return i
-		}
-	}
-	return -1
 }
 
 // --- queries ---
@@ -828,7 +769,7 @@ func (l *Ledger) Query(f Filter) ([]Entry, error) {
 	if !narrowed {
 		cands = make([]uint64, 0, len(l.locs))
 		for i := range l.locs {
-			cands = append(cands, l.base.Seq+1+uint64(i))
+			cands = append(cands, uint64(i)+1)
 		}
 	} else {
 		cands = append([]uint64(nil), cands...)
@@ -855,11 +796,11 @@ func (l *Ledger) Query(f Filter) ([]Entry, error) {
 // Entry reads one committed entry by sequence number.
 func (l *Ledger) Entry(seq uint64) (Entry, error) {
 	l.mu.Lock()
-	if seq <= l.base.Seq || seq > l.base.Seq+uint64(len(l.locs)) {
+	if seq == 0 || seq > uint64(len(l.locs)) {
 		l.mu.Unlock()
 		return Entry{}, fmt.Errorf("ledger: no entry %d", seq)
 	}
-	lc := l.locs[seq-l.base.Seq-1]
+	lc := l.locs[seq-1]
 	file := l.segs[lc.seg].file
 	l.mu.Unlock()
 
@@ -877,14 +818,12 @@ func (l *Ledger) Entry(seq uint64) (Entry, error) {
 
 // --- verification ---
 
-// Verify replays the whole retained chain from the compaction base,
-// recomputing every entry hash and link, and checks the result against the
-// in-memory head. It returns the number of entries verified. Any mutation
-// of a committed byte — a segment header, payload, metadata, or either
-// hash — fails it.
+// Verify replays the whole chain from entry 1, recomputing every entry
+// hash and link, and checks the result against the in-memory head. It
+// returns the number of entries verified. Any mutation of a committed byte
+// — a segment header, payload, metadata, or either hash — fails it.
 func (l *Ledger) Verify() (int, error) {
 	l.mu.Lock()
-	base := l.base
 	headSeq, headHash := l.headSeq, l.headHash
 	segs := make([]segment, len(l.segs))
 	for i, s := range l.segs {
@@ -901,9 +840,9 @@ func (l *Ledger) Verify() (int, error) {
 		}
 	}
 
-	prev := base.Hash
+	var prev [32]byte
 	n := 0
-	for seq := base.Seq + 1; seq <= headSeq; seq++ {
+	for seq := uint64(1); seq <= headSeq; seq++ {
 		e, err := l.Entry(seq)
 		if err != nil {
 			return n, fmt.Errorf("ledger: verify at %d: %w", seq, err)
@@ -962,79 +901,6 @@ func VerifyCheckpoint(cp Checkpoint, pub []byte) error {
 	return nil
 }
 
-// --- compaction ---
-
-// Compact retires sealed segments whose entries all precede keepFrom,
-// recording the chain state at the boundary in the snapshot file. Verify
-// and queries afterwards cover seqs > the new base; the snapshot hash
-// keeps the retained suffix anchored to the full history.
-func (l *Ledger) Compact(keepFrom uint64) error {
-	if l.opts.ReadOnly {
-		return errors.New("ledger: read-only")
-	}
-	l.mu.Lock()
-	for l.committing {
-		l.cond.Wait()
-	}
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	// A segment is removable if it is sealed (not the last) and every one
-	// of its entries is below keepFrom (i.e. the next segment starts at or
-	// below keepFrom).
-	removable := 0
-	for removable < len(l.segs)-1 && l.segs[removable+1].firstSeq <= keepFrom {
-		removable++
-	}
-	if removable == 0 {
-		l.mu.Unlock()
-		return nil
-	}
-	boundary := l.segs[removable].firstSeq - 1 // last retired seq
-	l.mu.Unlock()
-
-	bEntry, err := l.Entry(boundary)
-	if err != nil {
-		return err
-	}
-	snap := snapshot{Seq: boundary, Hash: bEntry.Hash}
-	if err := l.st.WriteAux(SnapshotFile, encodeSnapshot(snap)); err != nil {
-		return err
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	retired := l.segs[:removable]
-	l.segs = append([]*segment(nil), l.segs[removable:]...)
-	drop := int(boundary - l.base.Seq)
-	l.locs = append([]loc(nil), l.locs[drop:]...)
-	for i := range l.locs {
-		l.locs[i].seg -= removable
-	}
-	for key, seqs := range l.postings {
-		kept := seqs[:0]
-		for _, s := range seqs {
-			if s > boundary {
-				kept = append(kept, s)
-			}
-		}
-		if len(kept) == 0 {
-			delete(l.postings, key)
-		} else {
-			l.postings[key] = kept
-		}
-	}
-	l.base = snap
-	for _, seg := range retired {
-		seg.file.Close()
-		if err := l.st.Remove(seg.name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close waits for in-flight commits and releases the segment files.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
@@ -1059,14 +925,13 @@ func (l *Ledger) Close() error {
 
 // AuditResult summarizes an independent chain replay.
 type AuditResult struct {
-	BaseSeq  uint64
 	HeadSeq  uint64
 	HeadHash [32]byte
 	Entries  int
 }
 
 // Audit opens the on-disk ledger at dir read-only and replays its chain
-// from the snapshot base, failing on any broken link, mutated entry, or
+// from entry 1, failing on any broken link, mutated entry, or
 // torn tail. It is the auditor's entry point (cmd/monatt-ledger verify):
 // it shares no state with the writing process.
 func Audit(dir string) (AuditResult, error) {
@@ -1080,5 +945,5 @@ func Audit(dir string) (AuditResult, error) {
 		return AuditResult{}, err
 	}
 	seq, hash := l.Head()
-	return AuditResult{BaseSeq: l.base.Seq, HeadSeq: seq, HeadHash: hash, Entries: n}, nil
+	return AuditResult{HeadSeq: seq, HeadHash: hash, Entries: n}, nil
 }

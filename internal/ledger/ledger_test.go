@@ -186,34 +186,20 @@ func TestSignedCheckpoint(t *testing.T) {
 	}
 }
 
-func TestSegmentRollAndCompaction(t *testing.T) {
-	// Tiny segments force rolls; compaction must retire sealed segments,
-	// keep queries over the suffix working, and keep Verify green.
+func TestSegmentRoll(t *testing.T) {
+	// Tiny segments force rolls; the whole chain stays queryable and
+	// verifiable across them, and new appends still chain.
 	l := mustOpen(t, Options{MaxSegmentBytes: 256})
 	appendN(t, l, 30)
-	segsBefore, _ := l.st.Segments()
-	if len(segsBefore) < 3 {
-		t.Fatalf("expected multiple segments, got %v", segsBefore)
+	if segs, _ := l.st.Segments(); len(segs) < 3 {
+		t.Fatalf("expected multiple segments, got %v", segs)
 	}
-	if err := l.Compact(20); err != nil {
-		t.Fatal(err)
+	if n, err := l.Verify(); err != nil || n != 30 {
+		t.Fatalf("Verify = %d, %v; want 30", n, err)
 	}
-	segsAfter, _ := l.st.Segments()
-	if len(segsAfter) >= len(segsBefore) {
-		t.Fatalf("compaction removed nothing: %v -> %v", segsBefore, segsAfter)
-	}
-	if n, err := l.Verify(); err != nil || n == 0 || n > 30 {
-		t.Fatalf("post-compaction Verify = %d, %v", n, err)
-	}
-	// The suffix stays queryable and new appends still chain.
 	es, err := l.Query(Filter{Vid: "vm-0000"})
-	if err != nil || len(es) == 0 {
-		t.Fatalf("post-compaction query: %d, %v", len(es), err)
-	}
-	for _, e := range es {
-		if e.Seq <= l.base.Seq {
-			t.Fatalf("query returned retired seq %d (base %d)", e.Seq, l.base.Seq)
-		}
+	if err != nil || len(es) != 10 {
+		t.Fatalf("query: %d, %v; want 10", len(es), err)
 	}
 	if _, err := l.Append(Entry{Kind: KindLaunch, Vid: "vm-9999"}); err != nil {
 		t.Fatal(err)
@@ -269,9 +255,6 @@ func TestReadOnlyRejectsMutation(t *testing.T) {
 	ro := mustOpen(t, Options{Dir: dir, ReadOnly: true})
 	if _, err := ro.Append(Entry{Kind: KindLaunch}); err == nil {
 		t.Fatal("read-only append accepted")
-	}
-	if err := ro.Compact(2); err == nil {
-		t.Fatal("read-only compact accepted")
 	}
 	if n, err := ro.Verify(); err != nil || n != 2 {
 		t.Fatalf("read-only Verify = %d, %v", n, err)

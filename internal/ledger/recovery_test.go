@@ -270,3 +270,41 @@ func TestAuditRejectsTornLedger(t *testing.T) {
 		t.Fatalf("audit after repair = %+v, %v", res, err)
 	}
 }
+
+// TestOpenRefusesAMissingFirstSegment: a ledger whose first segment is
+// gone no longer holds the chain's start. Either mode refuses it, and a
+// read-write open leaves every remaining segment as it was instead of
+// reading the first of them as torn and deleting them all.
+func TestOpenRefusesAMissingFirstSegment(t *testing.T) {
+	dir, _ := fillLedger(t, 30, 256)
+	if err := os.Remove(filepath.Join(dir, segName(1))); err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[string][]byte)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if before[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(before) < 3 {
+		t.Fatalf("want ≥3 remaining segments, got %d", len(before))
+	}
+	for _, readOnly := range []bool{true, false} {
+		l, err := Open(Options{Dir: dir, ReadOnly: readOnly})
+		if err == nil {
+			l.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), segName(1)) {
+			t.Errorf("Open(ReadOnly: %v) = %v; want a refusal naming %s", readOnly, err, segName(1))
+		}
+	}
+	for name, want := range before {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("segment %s changed on disk (%v)", name, err)
+		}
+	}
+}

@@ -22,12 +22,8 @@ type store interface {
 	Open(name string) (segFile, error)
 	// Create creates a new empty segment.
 	Create(name string) (segFile, error)
-	// Remove deletes a segment (compaction).
+	// Remove deletes a segment (recovery drops those that no longer chain).
 	Remove(name string) error
-	// ReadAux reads an auxiliary file (the snapshot); ok=false if absent.
-	ReadAux(name string) (data []byte, ok bool, err error)
-	// WriteAux atomically replaces an auxiliary file.
-	WriteAux(name string, data []byte) error
 }
 
 // segFile is one append-only segment. Writes go at the end; reads are
@@ -119,28 +115,6 @@ func (d *dirStore) Remove(name string) error {
 	return os.Remove(filepath.Join(d.dir, name))
 }
 
-func (d *dirStore) ReadAux(name string) ([]byte, bool, error) {
-	data, err := os.ReadFile(filepath.Join(d.dir, name))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return data, true, nil
-}
-
-func (d *dirStore) WriteAux(name string, data []byte) error {
-	if d.readOnly {
-		return fmt.Errorf("ledger: store is read-only")
-	}
-	tmp := filepath.Join(d.dir, name+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(d.dir, name))
-}
-
 // osSeg adapts *os.File. The write offset is tracked explicitly so appends
 // and ReadAt never race over the file position.
 type osSeg struct {
@@ -202,11 +176,10 @@ func (s *osSeg) Close() error { return s.f.Close() }
 type memStore struct {
 	mu    sync.Mutex
 	files map[string]*memSeg
-	aux   map[string][]byte
 }
 
 func newMemStore() *memStore {
-	return &memStore{files: make(map[string]*memSeg), aux: make(map[string][]byte)}
+	return &memStore{files: make(map[string]*memSeg)}
 }
 
 func (m *memStore) Segments() ([]string, error) {
@@ -247,23 +220,6 @@ func (m *memStore) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.files, name)
-	return nil
-}
-
-func (m *memStore) ReadAux(name string) ([]byte, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.aux[name]
-	if !ok {
-		return nil, false, nil
-	}
-	return append([]byte(nil), data...), true, nil
-}
-
-func (m *memStore) WriteAux(name string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.aux[name] = append([]byte(nil), data...)
 	return nil
 }
 
