@@ -3,10 +3,14 @@
 // canonical hash used for protocol quotes (Q1/Q2/Q3 in Fig. 3 of the paper),
 // and nonce generation with replay detection.
 //
-// Everything is stdlib-only (crypto/ed25519, crypto/sha256, crypto/rand)
-// but verification: Verify checks signatures against per-key tables built
-// with the standard library's own curve arithmetic, copied into the
-// edwards25519 subpackage because Go does not export it.
+// Hashing and randomness are the standard library's (crypto/sha256,
+// crypto/rand). The asymmetric operations run on the standard library's
+// own curve arithmetic, copied into the edwards25519 subpackage because Go
+// does not export it, and make the standard library's bytes: Identity
+// expands its key once and signs as crypto/ed25519.Sign does, Verify
+// checks against per-key tables and accepts what crypto/ed25519.Verify
+// accepts, and Ephemeral gives the secure channel crypto/ecdh's X25519
+// keys and secrets.
 package cryptoutil
 
 import (
@@ -19,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"cloudmonatt/internal/cryptoutil/edwards25519"
 )
 
 // NonceSize is the byte length of protocol nonces (N1, N2, N3).
@@ -52,20 +58,34 @@ func MustNonce() Nonce {
 
 // Identity is a named Ed25519 key pair identifying one entity (customer,
 // Cloud Controller, Attestation Server, or the Trust Module of a cloud
-// server). The private key never leaves the owning process.
+// server). The private key never leaves the owning process. It is expanded
+// once, when the identity is made, so a signature pays only for its own
+// scalar multiplication.
 type Identity struct {
 	Name string
-	priv ed25519.PrivateKey
+	seed [ed25519.SeedSize]byte
+	key  edwards25519.SignKey
 	pub  ed25519.PublicKey
 }
 
-// NewIdentity generates a fresh identity using the given entropy source.
+// NewIdentity generates a fresh identity using the given entropy source,
+// drawing its 32-byte seed as crypto/ed25519.GenerateKey does.
 func NewIdentity(name string, r io.Reader) (*Identity, error) {
-	pub, priv, err := ed25519.GenerateKey(r)
-	if err != nil {
+	if r == nil {
+		r = rand.Reader
+	}
+	var seed [ed25519.SeedSize]byte
+	if _, err := io.ReadFull(r, seed[:]); err != nil {
 		return nil, fmt.Errorf("cryptoutil: generating identity %q: %w", name, err)
 	}
-	return &Identity{Name: name, priv: priv, pub: pub}, nil
+	return newIdentity(name, &seed), nil
+}
+
+func newIdentity(name string, seed *[ed25519.SeedSize]byte) *Identity {
+	id := &Identity{Name: name, seed: *seed}
+	pub := id.key.SetSeed(seed).Public()
+	id.pub = pub[:]
+	return id
 }
 
 // MustIdentity is NewIdentity from crypto/rand, panicking on failure.
@@ -82,21 +102,27 @@ func (id *Identity) Public() ed25519.PublicKey { return id.pub }
 
 // Seed exports the 32-byte private seed for out-of-band provisioning (e.g.
 // handing a CLI customer its enrolled identity). Handle with care.
-func (id *Identity) Seed() []byte { return id.priv.Seed() }
+func (id *Identity) Seed() []byte {
+	seed := id.seed
+	return seed[:]
+}
 
 // IdentityFromSeed reconstructs an identity from a provisioned seed.
 func IdentityFromSeed(name string, seed []byte) (*Identity, error) {
 	if len(seed) != ed25519.SeedSize {
 		return nil, fmt.Errorf("cryptoutil: seed must be %d bytes, got %d", ed25519.SeedSize, len(seed))
 	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return &Identity{Name: name, priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
+	return newIdentity(name, (*[ed25519.SeedSize]byte)(seed)), nil
 }
 
-// Sign signs msg with the private key.
+// Sign signs msg with the private key. The signature is the one
+// crypto/ed25519.Sign makes, byte for byte, and is the call's one
+// allocation.
 func (id *Identity) Sign(msg []byte) []byte {
 	opSign.Add(1)
-	return ed25519.Sign(id.priv, msg)
+	sig := new([ed25519.SignatureSize]byte)
+	id.key.Sign(sig, msg)
+	return sig[:]
 }
 
 // Hash computes the canonical domain-separated hash of a list of fields:

@@ -1,7 +1,8 @@
 // Asymmetric-operation accounting. Every ed25519 sign/verify and X25519
-// key-agreement in the process ticks a counter here, so tests can prove
-// hot-path claims ("a resumed secure channel performs zero asymmetric
-// operations") by differencing snapshots instead of trusting the code path.
+// key generation and agreement in the process runs in this package and
+// ticks a counter here, so tests can prove hot-path claims ("a resumed
+// secure channel performs zero asymmetric operations") by differencing
+// snapshots instead of trusting the code path.
 package cryptoutil
 
 import "sync/atomic"
@@ -32,7 +33,3 @@ func (c OpCounts) Sub(prev OpCounts) OpCounts {
 
 // Asymmetric returns the total asymmetric operations in the snapshot.
 func (c OpCounts) Asymmetric() uint64 { return c.Sign + c.Verify + c.ECDH }
-
-// NoteECDH records one X25519 operation. Callers that do their own curve
-// arithmetic (internal/secchan) tick this next to each operation.
-func NoteECDH() { opECDH.Add(1) }

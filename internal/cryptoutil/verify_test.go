@@ -18,9 +18,9 @@ import (
 
 // signVectors reads testdata/sign.input.gz, the Ed25519 test vectors
 // crypto/ed25519 tests itself with (a selection of
-// https://ed25519.cr.yp.to/python/sign.input): public key, message and
-// signature per line.
-func signVectors(tb testing.TB) (pubs, msgs, sigs [][]byte) {
+// https://ed25519.cr.yp.to/python/sign.input): seed, public key, message
+// and signature per line.
+func signVectors(tb testing.TB) (seeds, pubs, msgs, sigs [][]byte) {
 	tb.Helper()
 	f, err := os.Open("testdata/sign.input.gz")
 	if err != nil {
@@ -37,15 +37,17 @@ func signVectors(tb testing.TB) (pubs, msgs, sigs [][]byte) {
 		if len(parts) != 5 {
 			tb.Fatalf("bad vector line %q", sc.Text())
 		}
+		priv, _ := hex.DecodeString(parts[0])
 		pub, _ := hex.DecodeString(parts[1])
 		msg, _ := hex.DecodeString(parts[2])
 		sig, _ := hex.DecodeString(parts[3])
-		pubs, msgs, sigs = append(pubs, pub), append(msgs, msg), append(sigs, sig[:ed25519.SignatureSize])
+		seeds, pubs = append(seeds, priv[:ed25519.SeedSize]), append(pubs, pub)
+		msgs, sigs = append(msgs, msg), append(sigs, sig[:ed25519.SignatureSize])
 	}
 	if err := sc.Err(); err != nil {
 		tb.Fatal(err)
 	}
-	return pubs, msgs, sigs
+	return seeds, pubs, msgs, sigs
 }
 
 func fromHex(s string) []byte {
@@ -130,7 +132,7 @@ func agree(t testing.TB, pub, msg, sig []byte) {
 }
 
 func TestVerifySignVectors(t *testing.T) {
-	pubs, msgs, sigs := signVectors(t)
+	_, pubs, msgs, sigs := signVectors(t)
 	if len(pubs) != 128 {
 		t.Fatalf("%d vectors, want 128", len(pubs))
 	}
@@ -228,7 +230,7 @@ func TestVerifyMatchesStdlibTable(t *testing.T) {
 }
 
 func FuzzVerifyMatchesStdlib(f *testing.F) {
-	pubs, msgs, sigs := signVectors(f)
+	_, pubs, msgs, sigs := signVectors(f)
 	apubs, amsgs, asigs := adversarial()
 	pubs, msgs, sigs = append(pubs, apubs...), append(msgs, amsgs...), append(sigs, asigs...)
 	for i := range pubs {

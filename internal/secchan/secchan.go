@@ -15,7 +15,9 @@
 // where transcript = H(nameC‖nameS‖ephC‖ephS‖nonceC‖nonceS). Both sides
 // verify the peer's signature under the public key their identity registry
 // expects for the peer's claimed name, then derive directional AES keys
-// from the ECDH secret and the transcript.
+// from the ECDH secret and the transcript. The ephemerals are
+// cryptoutil.Ephemeral keys, drawn from Config.Rand and nothing else, so a
+// fixed Rand on both sides repeats a full handshake byte for byte.
 //
 // Session resumption (resume.go) lets a client that holds a ticket from a
 // prior session rekey with symmetric crypto only — no X25519, no Ed25519 —
@@ -26,7 +28,6 @@ package secchan
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -389,8 +390,7 @@ func Client(conn net.Conn, cfg Config) (*Conn, error) {
 }
 
 func clientFull(conn net.Conn, cfg Config) (*Conn, error) {
-	cryptoutil.NoteECDH()
-	eph, err := ecdh.X25519().GenerateKey(cfg.rand())
+	eph, err := cryptoutil.NewEphemeral(cfg.rand())
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +398,7 @@ func clientFull(conn net.Conn, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hc := helloC{Name: cfg.Identity.Name, Eph: eph.PublicKey().Bytes(), Nonce: nonceC}
+	hc := helloC{Name: cfg.Identity.Name, Eph: eph.Public(), Nonce: nonceC}
 	if cfg.wantsResume() {
 		hc.Flags |= flagWantTicket
 	}
@@ -421,14 +421,9 @@ func clientFull(conn net.Conn, cfg Config) (*Conn, error) {
 	if !cryptoutil.Verify(serverKey, append([]byte("server|"), trans...), hs.Sig) {
 		return nil, errors.New("secchan: server handshake signature invalid")
 	}
-	peerEph, err := ecdh.X25519().NewPublicKey(hs.Eph)
+	secret, err := eph.ECDH(hs.Eph)
 	if err != nil {
 		return nil, fmt.Errorf("secchan: bad server ephemeral: %w", err)
-	}
-	cryptoutil.NoteECDH()
-	secret, err := eph.ECDH(peerEph)
-	if err != nil {
-		return nil, err
 	}
 	fin := finishC{
 		Key: cfg.Identity.Public(),
@@ -442,10 +437,10 @@ func clientFull(conn net.Conn, cfg Config) (*Conn, error) {
 		if err != nil {
 			return nil, fmt.Errorf("secchan: reading ticket: %w", err)
 		}
-		rms := deriveRMS(secret, trans)
+		rms := deriveRMS(secret[:], trans)
 		cfg.Session.storeIssued(cfg.ResumeTo, hs.Name, serverKey, rms, raw)
 	}
-	kc, ks := deriveKeys(secret, trans)
+	kc, ks := deriveKeys(secret[:], trans)
 	return newConn(conn, hs.Name, serverKey, kc, ks, false)
 }
 
@@ -482,8 +477,7 @@ func serverFull(conn net.Conn, cfg Config, helloBody []byte) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cryptoutil.NoteECDH()
-	eph, err := ecdh.X25519().GenerateKey(cfg.rand())
+	eph, err := cryptoutil.NewEphemeral(cfg.rand())
 	if err != nil {
 		return nil, err
 	}
@@ -491,10 +485,10 @@ func serverFull(conn net.Conn, cfg Config, helloBody []byte) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	trans := transcript(hc.Name, cfg.Identity.Name, hc.Eph, eph.PublicKey().Bytes(), hc.Nonce, nonceS)
+	trans := transcript(hc.Name, cfg.Identity.Name, hc.Eph, eph.Public(), hc.Nonce, nonceS)
 	hs := helloS{
 		Name:  cfg.Identity.Name,
-		Eph:   eph.PublicKey().Bytes(),
+		Eph:   eph.Public(),
 		Nonce: nonceS,
 		Key:   cfg.Identity.Public(),
 		Sig:   cfg.Identity.Sign(append([]byte("server|"), trans...)),
@@ -517,23 +511,18 @@ func serverFull(conn net.Conn, cfg Config, helloBody []byte) (*Conn, error) {
 	if !cryptoutil.Verify(clientKey, append([]byte("client|"), trans...), fin.Sig) {
 		return nil, errors.New("secchan: client handshake signature invalid")
 	}
-	peerEph, err := ecdh.X25519().NewPublicKey(hc.Eph)
+	secret, err := eph.ECDH(hc.Eph)
 	if err != nil {
 		return nil, fmt.Errorf("secchan: bad client ephemeral: %w", err)
 	}
-	cryptoutil.NoteECDH()
-	secret, err := eph.ECDH(peerEph)
-	if err != nil {
-		return nil, err
-	}
 	if hc.Flags&flagWantTicket != 0 {
-		rms := deriveRMS(secret, trans)
+		rms := deriveRMS(secret[:], trans)
 		ticket := issueTicketPayload(cfg, hc.Name, clientKey, rms)
 		if err := writeHS(conn, hsTicket, ticket); err != nil {
 			return nil, fmt.Errorf("secchan: sending ticket: %w", err)
 		}
 	}
-	kc, ks := deriveKeys(secret, trans)
+	kc, ks := deriveKeys(secret[:], trans)
 	return newConn(conn, hc.Name, clientKey, ks, kc, false)
 }
 

@@ -422,3 +422,75 @@ func TestPeerKeyExposed(t *testing.T) {
 		t.Fatal("server sees wrong client key")
 	}
 }
+
+// recordingConn keeps a copy of every byte written through it.
+type recordingConn struct {
+	net.Conn
+	sent bytes.Buffer
+}
+
+func (r *recordingConn) Write(p []byte) (int, error) {
+	r.sent.Write(p)
+	return r.Conn.Write(p)
+}
+
+// fixedStream is a reader of 256 bytes that depend only on tag.
+func fixedStream(tag string) *bytes.Reader {
+	var b []byte
+	for i := byte(0); i < 8; i++ {
+		h := cryptoutil.Hash("secchan-test-stream", []byte(tag), []byte{i})
+		b = append(b, h[:]...)
+	}
+	return bytes.NewReader(b)
+}
+
+// TestFullHandshakeDependsOnlyOnRand runs a full handshake twenty times
+// with the same identities and fresh copies of the same Config.Rand
+// streams: the hellos, the finish and a record each way, and so the
+// ephemerals, nonces and traffic keys, must be byte-identical every time.
+func TestFullHandshakeDependsOnlyOnRand(t *testing.T) {
+	ci, si := cryptoutil.MustIdentity("customer"), cryptoutil.MustIdentity("controller")
+	verify := registry(ci, si)
+	var first []byte
+	for rep := 0; rep < 20; rep++ {
+		cp, sp := net.Pipe()
+		cRaw, sRaw := &recordingConn{Conn: cp}, &recordingConn{Conn: sp}
+		type res struct {
+			c   *Conn
+			err error
+		}
+		ch := make(chan res, 1)
+		go func() {
+			s, err := Server(sRaw, Config{Identity: si, Verify: verify, Rand: fixedStream("server")})
+			if err == nil {
+				var msg []byte
+				if msg, err = s.ReadMsg(); err == nil {
+					err = s.WriteMsg(msg)
+				}
+			}
+			ch <- res{s, err}
+		}()
+		c, err := Client(cRaw, Config{Identity: ci, Verify: verify, Rand: fixedStream("client")})
+		if err != nil {
+			t.Fatalf("client handshake: %v", err)
+		}
+		if err := c.WriteMsg([]byte("the same record")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadMsg(); err != nil {
+			t.Fatal(err)
+		}
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("server: %v", r.err)
+		}
+		c.Close()
+		r.c.Close()
+		got := append(append([]byte(nil), cRaw.sent.Bytes()...), sRaw.sent.Bytes()...)
+		if rep == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("handshake %d sent other bytes than handshake 0 from the same streams", rep)
+		}
+	}
+}
