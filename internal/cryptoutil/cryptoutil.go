@@ -64,8 +64,8 @@ func MustNonce() Nonce {
 type Identity struct {
 	Name string
 	seed [ed25519.SeedSize]byte
+	pub  [ed25519.PublicKeySize]byte
 	key  edwards25519.SignKey
-	pub  ed25519.PublicKey
 }
 
 // NewIdentity generates a fresh identity using the given entropy source,
@@ -83,8 +83,7 @@ func NewIdentity(name string, r io.Reader) (*Identity, error) {
 
 func newIdentity(name string, seed *[ed25519.SeedSize]byte) *Identity {
 	id := &Identity{Name: name, seed: *seed}
-	pub := id.key.SetSeed(seed).Public()
-	id.pub = pub[:]
+	id.pub = id.key.SetSeed(seed).Public()
 	return id
 }
 
@@ -98,7 +97,7 @@ func MustIdentity(name string) *Identity {
 }
 
 // Public returns the verification key.
-func (id *Identity) Public() ed25519.PublicKey { return id.pub }
+func (id *Identity) Public() ed25519.PublicKey { return id.pub[:] }
 
 // Seed exports the 32-byte private seed for out-of-band provisioning (e.g.
 // handing a CLI customer its enrolled identity). Handle with care.

@@ -213,3 +213,16 @@ func BenchmarkEphemeral(b *testing.B) {
 		}
 	})
 }
+
+// TestIdentityAllocs pins that making an identity from a seed allocates
+// the identity and nothing else: its public key lives inside it.
+func TestIdentityAllocs(t *testing.T) {
+	seed := make([]byte, ed25519.SeedSize)
+	var id *Identity
+	if n := testing.AllocsPerRun(100, func() { id, _ = IdentityFromSeed("alloc", seed) }); n != 1 {
+		t.Errorf("IdentityFromSeed allocates %v times, want 1", n)
+	}
+	if !bytes.Equal(id.Public(), ed25519.NewKeyFromSeed(seed).Public().(ed25519.PublicKey)) {
+		t.Fatal("public key differs from crypto/ed25519's")
+	}
+}
