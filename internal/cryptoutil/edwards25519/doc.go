@@ -11,6 +11,9 @@
 // every architecture, and declarations nothing here uses were deleted
 // whole, ScalarMult and VarTimeDoubleScalarBaseMult among them. Nothing
 // inside a kept function was edited.
+// Scalar.nonAdjacentForm (and so scalar.go's encoding/binary import) and
+// the SelectInto of nafLookupTable5 and nafLookupTable8 went when perkey.go
+// took over recoding and reading entries in place.
 //
 // Signing and key minting use these declarations, each copied whole into
 // the file named after its source:
@@ -27,9 +30,12 @@
 //
 // The test files are copied from the source's tests of the kept
 // declarations, with the same import rewrites: TestBaseMultVsDalek,
-// TestBasepointTableGeneration, TestAffineLookupTable and
-// TestScalarSetBytesWithClamping, and field's TestSelectSwap and TestMult32,
-// each with its helpers. Point.Bytes and Point.Equal, which only those
+// TestBasepointTableGeneration, TestAffineLookupTable, TestNafLookupTable5
+// and 8, TestScalarSetBytesWithClamping and TestScalarNonAdjacentForm, and
+// field's TestSelectSwap and TestMult32, each with its helpers. Point.Bytes and Point.Equal, which only those
 // tests use here, are copied into edwards25519_test.go. field's TestMult32
 // draws its elements from the Generate written in field/fe_test.go.
+// Three are edited: TestScalarNonAdjacentForm checks its digits against
+// recode, and the NafLookupTable tests read points[x/2] in place. The
+// written perkey_test.go keeps Scalar.nonAdjacentForm as recode's oracle.
 package edwards25519

@@ -7,6 +7,8 @@ package edwards25519
 import (
 	"crypto/sha512"
 	"crypto/subtle"
+	"encoding/binary"
+	"math/bits"
 	"sync"
 )
 
@@ -106,42 +108,84 @@ func (v *VerifyKey) Verify(msg, sig []byte) bool {
 	return subtle.ConstantTimeCompare(sig[:32], r.bytes(&enc)) == 1
 }
 
-// doubleScalarBaseMult sets out = k·(−A) + s·B in variable time. It walks
+// doubleScalarBaseMult sets out = k·(−A) + s·B in variable time. It adds
 // the same NAF digits as the source's VarTimeDoubleScalarBaseMult (deleted
-// here, unused), eight chunks at a time.
+// here, unused), eight chunks at a time, visiting only the non-zero ones.
 func (v *VerifyKey) doubleScalarBaseMult(out *Point, k, s *Scalar) {
 	base := baseNafTables()
-	kNaf := k.nonAdjacentForm(5)
-	sNaf := s.nonAdjacentForm(8)
+	var kNaf, sNaf nafRows
+	kNaf.recode(k, 5)
+	sNaf.recode(s, 8)
 
-	var multA projCached
-	var multB affineCached
 	var tmp1 projP1xP1
 	var tmp2 projP2
 	tmp2.Zero()
 	for i := width - 1; i >= 0; i-- {
 		tmp1.Double(&tmp2)
-		for j := 0; j < chunks; j++ {
-			if d := kNaf[width*j+i]; d > 0 {
-				out.fromP1xP1(&tmp1)
-				v.tables[j].SelectInto(&multA, d)
-				tmp1.Add(out, &multA)
-			} else if d < 0 {
-				out.fromP1xP1(&tmp1)
-				v.tables[j].SelectInto(&multA, -d)
-				tmp1.Sub(out, &multA)
+		for m := kNaf.rows[i]; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros8(m)
+			out.fromP1xP1(&tmp1)
+			if d := kNaf.digits[width*j+i]; d > 0 {
+				tmp1.Add(out, &v.tables[j].points[d/2])
+			} else {
+				tmp1.Sub(out, &v.tables[j].points[-d/2])
 			}
-			if d := sNaf[width*j+i]; d > 0 {
-				out.fromP1xP1(&tmp1)
-				base[j].SelectInto(&multB, d)
-				tmp1.AddAffine(out, &multB)
-			} else if d < 0 {
-				out.fromP1xP1(&tmp1)
-				base[j].SelectInto(&multB, -d)
-				tmp1.SubAffine(out, &multB)
+		}
+		for m := sNaf.rows[i]; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros8(m)
+			out.fromP1xP1(&tmp1)
+			if d := sNaf.digits[width*j+i]; d > 0 {
+				tmp1.AddAffine(out, &base[j].points[d/2])
+			} else {
+				tmp1.SubAffine(out, &base[j].points[-d/2])
 			}
 		}
 		tmp2.FromP1xP1(&tmp1)
 	}
 	out.fromP2(&tmp2)
+}
+
+// nafRows is a scalar's width-w NAF, digit i of weight 2^i, with bit j of
+// rows[i] set exactly when digit width·j+i, row i of chunk j, is non-zero.
+type nafRows struct {
+	digits [256]int8
+	rows   [width]uint8
+}
+
+// recode sets r to the width-w NAF of s, 2 ≤ w ≤ 8: the digits of the
+// source's Scalar.nonAdjacentForm, which perkey_test.go keeps as its
+// oracle. Between non-zero digits it skips, a word at a time, the bits that
+// equal the pending carry, since each of them makes an even window and so
+// a zero digit.
+func (r *nafRows) recode(s *Scalar, w uint) {
+	var b [32]byte
+	s.bytes(&b)
+	var words [5]uint64
+	for i := range 4 {
+		words[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	*r = nafRows{}
+	span := uint64(1) << w
+	carry := uint64(0)
+	for pos := uint(0); pos < 256; {
+		x := words[pos/64]
+		if carry != 0 {
+			x = ^x
+		}
+		if x >>= pos % 64; x == 0 {
+			pos = pos&^63 + 64 // no digit in the rest of this word
+			continue
+		}
+		pos += uint(bits.TrailingZeros64(x))
+		window := carry + (words[pos/64]>>(pos%64)|words[pos/64+1]<<(64-pos%64))&(span-1)
+		if window < span/2 {
+			carry = 0
+			r.digits[pos] = int8(window)
+		} else {
+			carry = 1
+			r.digits[pos] = int8(window) - int8(span)
+		}
+		r.rows[pos%width] |= 1 << (pos / width)
+		pos += w
+	}
 }

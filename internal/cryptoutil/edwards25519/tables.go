@@ -81,13 +81,3 @@ func (v *affineLookupTable) SelectInto(dest *affineCached, x int8) {
 	// Now dest = |x|*Q, conditionally negate to get x*Q
 	dest.CondNeg(int(xmask & 1))
 }
-
-// Given odd x with 0 < x < 2^4, return x*Q (in variable time).
-func (v *nafLookupTable5) SelectInto(dest *projCached, x int8) {
-	*dest = v.points[x/2]
-}
-
-// Given odd x with 0 < x < 2^7, return x*Q (in variable time).
-func (v *nafLookupTable8) SelectInto(dest *affineCached, x int8) {
-	*dest = v.points[x/2]
-}

@@ -2,7 +2,9 @@ package secchan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,6 +34,19 @@ func handshakeSeeds() [][]byte {
 		{0, 0, 0, 200, 'x'}, // field length past end of buffer
 		{},
 	}
+}
+
+// writeFrame sends one length-delimited frame as a single Write: the
+// framing readFrame parses, for building its inputs.
+func writeFrame(w io.Writer, payload []byte) error {
+	if len(payload) > maxFrame {
+		return fmt.Errorf("secchan: frame of %d bytes exceeds limit", len(payload))
+	}
+	buf := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
+	copy(buf[4:], payload)
+	_, err := w.Write(buf)
+	return err
 }
 
 func frameSeeds() [][]byte {

@@ -107,7 +107,8 @@ type Conn struct {
 	sendErr  error
 	recvErr  error
 	sendBuf  []byte // reused frame build buffer (header + sealed record)
-	recvBuf  []byte // reused record read buffer; ReadMsg returns views of it
+	recvBuf  []byte // reused frame read buffer; ReadMsg returns views of it
+	recvNext []byte // bytes of recvBuf read past the last frame
 	// Per-direction scratch the AEAD and the transport are handed slices
 	// of. On the stack they would escape through those interfaces, costing
 	// an allocation per record; one reader and one writer at a time may
@@ -156,18 +157,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadli
 
 // --- raw framing (pre-encryption transport) ---
 
-// writeFrame sends one length-delimited frame as a single Write.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("secchan: frame of %d bytes exceeds limit", len(payload))
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
 // readFrame reads one length-delimited frame of at most limit bytes. The
 // limit is the caller's authentication state: handshake reads pass
 // maxHandshakeFrame so an unauthenticated peer's length header can never
@@ -200,11 +189,15 @@ const (
 	hsResumeS byte = 6
 )
 
+// writeHS sends one handshake frame, typ then payload behind the length
+// header, built in one buffer and sent as a single Write.
 func writeHS(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, 1+len(payload))
-	buf[0] = typ
-	copy(buf[1:], payload)
-	return writeFrame(w, buf)
+	buf := make([]byte, 5+len(payload))
+	binary.BigEndian.PutUint32(buf, uint32(1+len(payload)))
+	buf[4] = typ
+	copy(buf[5:], payload)
+	_, err := w.Write(buf)
+	return err
 }
 
 func readHS(r io.Reader) (byte, []byte, error) {
@@ -557,33 +550,58 @@ func (c *Conn) WriteMsg(payload []byte) error {
 // connection's reusable record buffer: it is valid until the next ReadMsg
 // on this Conn, which is exactly the lifetime the rpc dispatch loop needs;
 // callers that retain a record across reads must copy it.
+// A frame that fits the buffer takes one Read when written in one Write, as
+// WriteMsg does; bytes read past it start the next frame. Before the first
+// record the buffer is the header alone, so the first frame sizes it.
 func (c *Conn) ReadMsg() ([]byte, error) {
 	if c.recvErr != nil {
 		return nil, c.recvErr
 	}
-	if _, err := io.ReadFull(c.raw, c.recvHdr[:]); err != nil {
+	buf := c.recvBuf[:cap(c.recvBuf)]
+	if len(buf) == 0 {
+		buf = c.recvHdr[:]
+	}
+	have := copy(buf, c.recvNext)
+	c.recvNext = nil
+	have, err := c.fill(buf, have, 4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(c.recvHdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > maxFrame {
 		return nil, fmt.Errorf("secchan: oversized frame (%d bytes)", n)
 	}
-	if cap(c.recvBuf) < int(n) {
-		c.recvBuf = make([]byte, n)
+	end := 4 + int(n)
+	if end > len(buf) {
+		grown := make([]byte, end)
+		copy(grown, buf[:have])
+		buf = grown
 	}
-	sealed := c.recvBuf[:n]
-	if _, err := io.ReadFull(c.raw, sealed); err != nil {
+	if have, err = c.fill(buf, have, end); err != nil {
 		return nil, err
 	}
+	c.recvBuf, c.recvNext = buf, buf[end:have]
 	if c.recvSeq == seqMax {
 		c.recvErr = ErrSequenceExhausted
 		return nil, c.recvErr
 	}
 	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvSeq)
 	c.recvSeq++
+	sealed := buf[4:end]
 	plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("secchan: record authentication failed (tampering or replay): %w", err)
 	}
 	return plain, nil
+}
+
+// fill reads into buf[have:] until at least want bytes of buf are filled,
+// returning how many are. A stream that ends inside a frame is torn:
+// io.ErrUnexpectedEOF.
+func (c *Conn) fill(buf []byte, have, want int) (int, error) {
+	n, err := io.ReadAtLeast(c.raw, buf[have:], want-have)
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return have + n, err
 }
