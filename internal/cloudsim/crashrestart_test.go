@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -384,6 +385,51 @@ func TestReattestLoopDetectsCompromise(t *testing.T) {
 	if events := tb.Ctrl.Events(); len(events) != 1 {
 		t.Fatalf("terminated VM re-remediated: %+v", events)
 	}
+}
+
+// TestOneSeedOneReconcileOrder: VMs whose re-attestations fall due
+// together are reconciled in one order, so one seed gives one ledger
+// sequence run after run.
+func TestOneSeedOneReconcileOrder(t *testing.T) {
+	run := func() string {
+		tb := newTB(t, Options{Seed: 7, Servers: 3, ReattestEvery: 2 * time.Second})
+		cu, err := tb.NewCustomer("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := basicLaunch()
+		req.Workload = "idle"
+		for i := 0; i < 6; i++ {
+			launch(t, cu, req)
+		}
+		tb.RunFor(20 * time.Second)
+		entries, err := tb.Ledger.Query(ledger.Filter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq strings.Builder
+		for _, e := range entries {
+			fmt.Fprintf(&seq, "%d %s %s %s\n", e.At, e.Kind, e.Vid, e.Prop)
+		}
+		return seq.String()
+	}
+	first := run()
+	for i := 1; i < 4; i++ {
+		if again := run(); again != first {
+			t.Fatalf("run %d of seed 7 wrote a different ledger sequence:\n%s", i+1, firstDiff(first, again))
+		}
+	}
+}
+
+// firstDiff renders the first line at which two ledger sequences part.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("entry %d: %q vs %q", i, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths %d vs %d", len(al), len(bl))
 }
 
 // TestChaosInfraFailureNeverRemediatesAcrossRestart: an attestation that

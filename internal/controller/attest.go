@@ -11,7 +11,6 @@ import (
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/reconcile"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
 	"cloudmonatt/internal/wire"
@@ -269,8 +268,8 @@ func (c *Controller) Respond(vid string, p properties.Property, reason string) (
 	if !declared {
 		return ResponseEvent{}, fmt.Errorf("controller: no active VM %q", vid)
 	}
-	c.loop.Enqueue(vid)
-	c.loop.ProcessReady()
+	c.queue.add(vid)
+	c.ReconcileNow()
 	c.mu.Lock()
 	ev, err := rec.lastEvent, rec.lastErr
 	stillPending := rec.Pending != nil
@@ -303,9 +302,9 @@ func (c *Controller) TerminateVM(vid string) error {
 	c.mu.Lock()
 	rec.terminateIntent = id
 	c.mu.Unlock()
-	c.setCond(rec, reconcile.CondTerminating, reconcile.True, "Requested", "teardown declared")
-	c.loop.Enqueue(vid)
-	c.loop.ProcessReady()
+	c.setCond(rec, condTerminating, statusTrue, "Requested", "teardown declared")
+	c.queue.add(vid)
+	c.ReconcileNow()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !rec.Finalized {
@@ -475,7 +474,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 	record(c, ledger.KindIntent, vid, "", "", IntentRecord{
 		Phase: "end", Op: "migrated", ID: c.intentID(), OK: true, Server: dest.Name,
 	})
-	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Migrated", dest.Name)
+	c.setCond(rec, condPlaced, statusTrue, "Migrated", dest.Name)
 	// Ongoing periodic monitoring follows the VM to its new host; the owning
 	// shard is unchanged (ownership hashes the VM id, not the host).
 	c.callVM(vid, func(rt attestRoute) error {

@@ -28,7 +28,6 @@ import (
 	"cloudmonatt/internal/metrics"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/reconcile"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/secchan"
 	"cloudmonatt/internal/server"
@@ -106,7 +105,7 @@ type vmRecord struct {
 	// Conditions is the typed observed-state summary (Placed, Attested,
 	// Healthy, Remediating, Terminating) with virtual-clock transition
 	// times.
-	Conditions reconcile.Conditions
+	Conditions []wire.Condition
 	// Deleted is the teardown finalizer: the desired state is "gone", and
 	// the reconcile loop keeps finishing the teardown (capacity release,
 	// host terminate, appraiser forget) until Finalized.
@@ -195,10 +194,6 @@ type Config struct {
 	// nova api records the root span of each request and the controller's
 	// internal stages nest under it.
 	Obs *obs.Store
-	// EventsCap bounds the in-memory remediation event list: beyond it the
-	// oldest event is dropped (and counted in controller/events-dropped),
-	// matching the obs.Store ring convention. 0 applies the default (1024).
-	EventsCap int
 	// ReattestEvery, when positive, schedules a periodic re-attestation of
 	// every active VM's provisioned properties through the reconcile loop
 	// (an explicit requeue-after on the VM's key). 0 disables it; customers
@@ -221,9 +216,9 @@ type Controller struct {
 	apiTracer *obs.Tracer
 	tracer    *obs.Tracer
 
-	// loop is the level-triggered reconcile loop; every VM key on it is
-	// driven toward its desired state with per-VM serialization.
-	loop *reconcile.Loop
+	// queue is the level-triggered reconcile loop's work queue; every VM
+	// on it is driven toward its desired state with per-VM serialization.
+	queue *workQueue
 
 	// metrics holds the retry, breaker and degradation counters; peers is
 	// every outbound channel (cloud-server management endpoints and
@@ -239,7 +234,7 @@ type Controller struct {
 	nextVid    int
 	nextIntent int
 	replay     *cryptoutil.ReplayCache
-	events     []ResponseEvent // bounded drop-oldest ring (Config.EventsCap)
+	events     []ResponseEvent // bounded drop-oldest ring (eventsCap)
 	policy     map[properties.Property]ResponseKind
 	lastGood   map[string]lastVerdict
 }
@@ -286,13 +281,7 @@ func New(cfg Config) *Controller {
 		Ledger:      cfg.Ledger,
 		Now:         cfg.Clock.Now,
 	})
-	c.loop = reconcile.NewLoop(reconcile.LoopConfig{
-		Queue:     reconcile.QueueConfig{Now: cfg.Clock.Now},
-		Reconcile: c.reconcileVM,
-		Metrics:   c.metrics,
-		Obs:       cfg.Obs,
-		Entity:    "controller",
-	})
+	c.queue = newWorkQueue(cfg.Clock.Now, c.metrics)
 	return c
 }
 
@@ -303,10 +292,11 @@ func (c *Controller) Metrics() *metrics.Registry { return c.metrics }
 // Health reports the controller's liveness and the breaker state of every
 // RPC channel it holds, for the operator /healthz endpoint.
 func (c *Controller) Health() obs.EntityHealth {
+	ready, delayed := c.queue.lens()
 	return obs.EntityHealth{Entity: "controller", Alive: true, Peers: c.peers.Health(), Queue: &obs.QueueHealth{
-		Ready:   c.loop.Len(),
-		Delayed: c.loop.DelayedLen(),
-		Dropped: c.loop.Dropped(),
+		Ready:   ready,
+		Delayed: delayed,
+		Dropped: uint64(c.queue.dropped.Value()),
 	}}
 }
 
@@ -343,9 +333,14 @@ func (c *Controller) RegisterServer(e ServerEntry) {
 	c.servers[e.Name] = &cp
 }
 
+// eventsCap bounds the in-memory remediation event list: beyond it the
+// oldest event is dropped (and counted in controller/events-dropped),
+// matching the obs.Store ring convention.
+const eventsCap = 1024
+
 // Events returns the executed remediation responses (the most recent
-// Config.EventsCap of them; older ones are dropped from the ring but
-// remain in the evidence ledger).
+// eventsCap of them; older ones are dropped from the ring but remain in
+// the evidence ledger).
 func (c *Controller) Events() []ResponseEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -355,14 +350,10 @@ func (c *Controller) Events() []ResponseEvent {
 // appendEvent records an executed remediation in the bounded drop-oldest
 // event ring. Evictions are counted; the ledger keeps the full history.
 func (c *Controller) appendEvent(ev ResponseEvent) {
-	bound := c.cfg.EventsCap
-	if bound <= 0 {
-		bound = 1024
-	}
 	c.mu.Lock()
 	c.events = append(c.events, ev)
 	var dropped int64
-	for len(c.events) > bound {
+	for len(c.events) > eventsCap {
 		c.events = c.events[1:]
 		dropped++
 	}
@@ -844,12 +835,12 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 	}
 	c.storeLastGood(l.vid, properties.StartupIntegrity, rep.Verdict)
 	c.intentEnd(l.vid, IntentRecord{Op: "place", ID: placeIntent, OK: true, Server: cand.Name})
-	c.setCond(rec, reconcile.CondPlaced, reconcile.True, "Scheduled", cand.Name)
-	c.setCond(rec, reconcile.CondAttested, reconcile.True, "Verified", string(properties.StartupIntegrity))
-	c.setCond(rec, reconcile.CondHealthy, reconcile.True, "Verified", string(properties.StartupIntegrity))
+	c.setCond(rec, condPlaced, statusTrue, "Scheduled", cand.Name)
+	c.setCond(rec, condAttested, statusTrue, "Verified", string(properties.StartupIntegrity))
+	c.setCond(rec, condHealthy, statusTrue, "Verified", string(properties.StartupIntegrity))
 	// Hand the VM to the reconcile loop (periodic re-attestation rides on
 	// its requeue-after schedule).
-	c.loop.Enqueue(l.vid)
+	c.queue.add(l.vid)
 	res.OK, res.Server = true, cand.Name
 	return true, nil
 }

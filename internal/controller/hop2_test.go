@@ -17,7 +17,6 @@ import (
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/reconcile"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/secchan"
 	"cloudmonatt/internal/server"
@@ -413,12 +412,12 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 			r.answer = script(r)
 			rec := r.addVM(vid, "active")
 			within(t, r, func() { r.c.reattest(rec) })
-			cond, _ := rec.Conditions.Get(reconcile.CondAttested)
-			want := map[string]reconcile.Condition{
-				"refused":     {Status: reconcile.False, Reason: "AppraisalRefused"},
-				"unreachable": {Status: reconcile.Unknown, Reason: "InfraUnreachable"},
-				"partitioned": {Status: reconcile.Unknown, Reason: "InfraUnreachable"},
-				"bad-report":  {Status: reconcile.False, Reason: "BadReport"},
+			cond := condOf(rec, condAttested)
+			want := map[string]wire.Condition{
+				"refused":     {Status: statusFalse, Reason: "AppraisalRefused"},
+				"unreachable": {Status: statusUnknown, Reason: "InfraUnreachable"},
+				"partitioned": {Status: statusUnknown, Reason: "InfraUnreachable"},
+				"bad-report":  {Status: statusFalse, Reason: "BadReport"},
 			}[class]
 			if cond.Status != want.Status || cond.Reason != want.Reason {
 				t.Fatalf("Attested condition = %s/%s (%s), want %s/%s", cond.Status, cond.Reason, cond.Message, want.Status, want.Reason)

@@ -11,7 +11,6 @@ import (
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/reconcile"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
 	"cloudmonatt/internal/wire"
@@ -175,12 +174,52 @@ func (c *Controller) stateIntent(vid, state string) {
 
 // --- conditions ---
 
-// setCond updates one condition on a VM record under the controller lock.
-func (c *Controller) setCond(rec *vmRecord, t reconcile.ConditionType, s reconcile.Status, reason, msg string) {
+// The condition types the controller maintains per VM.
+const (
+	// condPlaced: the VM is spawned on a cloud server with capacity
+	// reserved (observed placement matches desired).
+	condPlaced = "Placed"
+	// condAttested: the most recent appraisal exchange completed and its
+	// signed report verified (False on verification failure, Unknown when
+	// the attestation infrastructure is unreachable and a stale verdict
+	// is being served).
+	condAttested = "Attested"
+	// condHealthy: the latest verified verdict found the property healthy.
+	condHealthy = "Healthy"
+	// condRemediating: a policy response (terminate / suspend / migrate)
+	// has been declared and is not yet complete.
+	condRemediating = "Remediating"
+	// condTerminating: the teardown finalizer is set; True until every
+	// external resource (host spawn, appraisal registration, capacity
+	// reservation) is released.
+	condTerminating = "Terminating"
+)
+
+// A condition's tri-state status, in the Kubernetes convention.
+const (
+	statusTrue    = "True"
+	statusFalse   = "False"
+	statusUnknown = "Unknown"
+)
+
+// setCond updates (or adds) the condition of type t on a VM record under
+// the controller lock. Reason and message always take the latest values;
+// At moves to now only when the status changes, so "how long has this VM
+// been unhealthy" is answerable from the condition alone.
+func (c *Controller) setCond(rec *vmRecord, t, s, reason, msg string) {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
-	rec.Conditions.Set(now, reconcile.Condition{Type: t, Status: s, Reason: reason, Message: msg})
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for i := range rec.Conditions {
+		if cond := &rec.Conditions[i]; cond.Type == t {
+			if cond.Status != s {
+				cond.At = now
+			}
+			cond.Status, cond.Reason, cond.Message = s, reason, msg
+			return
+		}
+	}
+	rec.Conditions = append(rec.Conditions, wire.Condition{Type: t, Status: s, Reason: reason, Message: msg, At: now})
 }
 
 // VMStatus reports a VM's desired/observed state join: lifecycle state,
@@ -192,44 +231,84 @@ func (c *Controller) VMStatus(vid string) (wire.VMStatus, error) {
 	if !ok {
 		return wire.VMStatus{}, fmt.Errorf("controller: no such VM %q", vid)
 	}
-	st := wire.VMStatus{
-		Vid:       rec.Vid,
-		Owner:     rec.Owner,
-		Server:    rec.Server,
-		State:     rec.State,
-		Deleted:   rec.Deleted,
-		Finalized: rec.Finalized,
-	}
-	for _, cond := range rec.Conditions {
-		st.Conditions = append(st.Conditions, wire.Condition{
-			Type:    string(cond.Type),
-			Status:  string(cond.Status),
-			Reason:  cond.Reason,
-			Message: cond.Message,
-			At:      cond.At,
-		})
-	}
-	return st, nil
+	return wire.VMStatus{
+		Vid:        rec.Vid,
+		Owner:      rec.Owner,
+		Server:     rec.Server,
+		State:      rec.State,
+		Deleted:    rec.Deleted,
+		Finalized:  rec.Finalized,
+		Conditions: append([]wire.Condition(nil), rec.Conditions...),
+	}, nil
 }
 
 // --- the reconcile loop ---
 
-// ReconcileNow drives the loop until the ready list drains (or the drain
-// bound), returning the number of passes run. Callers must hold the
-// testbed's serialization; the nova api handlers and RunFor both do.
-func (c *Controller) ReconcileNow() int { return c.loop.ProcessReady() }
+// ReconcileNow drives the loop until the ready list drains (or
+// maxPassesPerDrain passes have run), returning the number of passes run.
+// Each pass is per-VM serialized, and a VM re-added mid-pass reruns. The
+// loop runs no goroutines of its own: callers must hold the testbed's
+// serialization; the nova api handlers and RunFor both do.
+func (c *Controller) ReconcileNow() int {
+	q := c.queue
+	q.promote()
+	n := 0
+	for ; n < maxPassesPerDrain; n++ {
+		vid, ok := q.get()
+		if !ok {
+			break
+		}
+		c.reconcilePass(vid)
+		// A pass may have advanced the virtual clock past more deadlines.
+		q.promote()
+	}
+	ready, _ := q.lens()
+	q.depth.Observe(int64(ready))
+	return n
+}
+
+// reconcilePass runs one pass for vid and applies its requeue decision:
+// backoff after a failure, the pass's own schedule after a success.
+func (c *Controller) reconcilePass(vid string) {
+	q := c.queue
+	sp := c.tracer.Start(obs.SpanContext{}, "reconcile")
+	sp.SetVM(vid, "")
+	start := c.cfg.Clock.Now()
+	after, err := c.reconcileVM(vid)
+	q.passLatency.Observe(c.cfg.Clock.Now() - start)
+	q.passes.Inc()
+	q.done(vid)
+	if err != nil {
+		q.passErrors.Inc()
+		q.requeues.Inc()
+		q.retry(vid)
+		sp.EndErr(err)
+		return
+	}
+	q.forget(vid)
+	if after > 0 {
+		q.requeuesAfter.Inc()
+		q.addAfter(vid, after)
+		sp.End("requeue-after")
+		return
+	}
+	sp.End("")
+}
 
 // NextReconcileDue reports the earliest virtual time a delayed requeue
 // (backoff retry or periodic re-attestation) becomes ready.
-func (c *Controller) NextReconcileDue() (time.Duration, bool) { return c.loop.NextDue() }
+func (c *Controller) NextReconcileDue() (time.Duration, bool) { return c.queue.nextDue() }
 
-// ReconcilePending reports whether any key is ready or waiting on a timer.
-func (c *Controller) ReconcilePending() bool { return c.loop.Len() > 0 || c.loop.DelayedLen() > 0 }
+// ReconcilePending reports whether any VM is ready or waiting on a timer.
+func (c *Controller) ReconcilePending() bool {
+	ready, delayed := c.queue.lens()
+	return ready > 0 || delayed > 0
+}
 
-// reconcileVM is the Reconciler: one pass converges a single VM toward
-// its declared desired state. It is idempotent and per-VM serialized by
-// the loop.
-func (c *Controller) reconcileVM(vid string) (reconcile.Result, error) {
+// reconcileVM converges a single VM toward its declared desired state. It
+// is idempotent and per-VM serialized by the queue. A positive
+// requeueAfter schedules the VM's next pass (periodic re-attestation).
+func (c *Controller) reconcileVM(vid string) (requeueAfter time.Duration, err error) {
 	c.mu.Lock()
 	rec, ok := c.vms[vid]
 	var pending *pendingRemediation
@@ -240,7 +319,7 @@ func (c *Controller) reconcileVM(vid string) (reconcile.Result, error) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		return reconcile.Result{}, nil // nothing desired; converged by absence
+		return 0, nil // nothing desired; converged by absence
 	}
 
 	// 1. Declared remediation: converge the policy response. This runs
@@ -251,7 +330,7 @@ func (c *Controller) reconcileVM(vid string) (reconcile.Result, error) {
 			c.mu.Lock()
 			rec.lastErr = err
 			c.mu.Unlock()
-			return reconcile.Result{}, err
+			return 0, err
 		}
 		c.mu.Lock()
 		deleted, finalized = rec.Deleted, rec.Finalized
@@ -262,13 +341,13 @@ func (c *Controller) reconcileVM(vid string) (reconcile.Result, error) {
 	// until every external resource is released.
 	if deleted {
 		if finalized {
-			return reconcile.Result{}, nil
+			return 0, nil
 		}
 		err := c.finalizeTeardown(rec)
 		c.mu.Lock()
 		rec.lastErr = err
 		c.mu.Unlock()
-		return reconcile.Result{}, err
+		return 0, err
 	}
 
 	// 3. Periodic re-attestation: the explicit requeue-after schedule.
@@ -292,11 +371,11 @@ func (c *Controller) reconcileVM(vid string) (reconcile.Result, error) {
 			state = rec.State
 			c.mu.Unlock()
 			if state == "active" {
-				return reconcile.Result{RequeueAfter: next - now}, nil
+				return next - now, nil
 			}
 		}
 	}
-	return reconcile.Result{}, nil
+	return 0, nil
 }
 
 // finalizeTeardown finishes a declared teardown: release the capacity
@@ -332,7 +411,7 @@ func (c *Controller) finalizeTeardown(rec *vmRecord) error {
 	c.mu.Lock()
 	rec.Finalized = true
 	c.mu.Unlock()
-	c.setCond(rec, reconcile.CondTerminating, reconcile.True, "Finalized", "teardown complete")
+	c.setCond(rec, condTerminating, statusTrue, "Finalized", "teardown complete")
 	return nil
 }
 
@@ -395,7 +474,7 @@ func (c *Controller) executeRemediation(rec *vmRecord, p *pendingRemediation) er
 			Op: "remediate", Response: string(p.Response), Reason: p.Reason,
 		})
 	}
-	c.setCond(rec, reconcile.CondRemediating, reconcile.True, string(p.Response), p.Reason)
+	c.setCond(rec, condRemediating, statusTrue, string(p.Response), p.Reason)
 	if err := c.failpoint("mid-remediation"); err != nil {
 		return err
 	}
@@ -443,7 +522,7 @@ func (c *Controller) executeRemediation(rec *vmRecord, p *pendingRemediation) er
 				// Transient failure mid-migration: leave the remediation
 				// pending; the next pass resumes exactly where the
 				// migration stopped (MigratedOut + captured spec).
-				c.setCond(rec, reconcile.CondRemediating, reconcile.True, string(p.Response),
+				c.setCond(rec, condRemediating, statusTrue, string(p.Response),
 					fmt.Sprintf("retrying: %v", opErr))
 				return opErr
 			}
@@ -463,7 +542,7 @@ func (c *Controller) executeRemediation(rec *vmRecord, p *pendingRemediation) er
 	rec.lastEvent = &ev
 	rec.lastErr = opErr
 	c.mu.Unlock()
-	c.setCond(rec, reconcile.CondRemediating, reconcile.False, "Completed", string(p.Response))
+	c.setCond(rec, condRemediating, statusFalse, "Completed", string(p.Response))
 	backendSrv := srv
 	if ev.NewServer != "" {
 		backendSrv = ev.NewServer
@@ -487,7 +566,7 @@ func (c *Controller) remediationTerminate(rec *vmRecord) error {
 	rec.Deleted = true
 	alreadyFinal := rec.Finalized
 	c.mu.Unlock()
-	c.setCond(rec, reconcile.CondTerminating, reconcile.True, "Remediation", "terminated by policy response")
+	c.setCond(rec, condTerminating, statusTrue, "Remediation", "terminated by policy response")
 	if alreadyFinal {
 		return nil
 	}
@@ -517,18 +596,18 @@ func (c *Controller) reattest(rec *vmRecord) {
 			var rerr *rpc.RemoteError
 			switch {
 			case isBadReport(err):
-				c.setCond(rec, reconcile.CondAttested, reconcile.False, "BadReport", err.Error())
+				c.setCond(rec, condAttested, statusFalse, "BadReport", err.Error())
 			case errors.As(err, &rerr):
-				c.setCond(rec, reconcile.CondAttested, reconcile.False, "AppraisalRefused", rerr.Msg)
+				c.setCond(rec, condAttested, statusFalse, "AppraisalRefused", rerr.Msg)
 			default:
 				// Unreachable infrastructure: degrade, never remediate.
 				c.metrics.Counter("controller/reattest-degraded").Inc()
-				c.setCond(rec, reconcile.CondAttested, reconcile.Unknown, "InfraUnreachable", err.Error())
+				c.setCond(rec, condAttested, statusUnknown, "InfraUnreachable", err.Error())
 			}
 			continue
 		}
 		c.storeLastGood(vid, p, rep.Verdict)
-		c.setCond(rec, reconcile.CondAttested, reconcile.True, "Verified", string(p))
+		c.setCond(rec, condAttested, statusTrue, "Verified", string(p))
 		c.observeVerdict(rec, p, rep.Verdict)
 		if !rep.Verdict.Healthy && !rep.Verdict.Unattestable {
 			c.declareRemediation(rec, p, rep.Verdict.Reason)
@@ -550,11 +629,11 @@ func (c *Controller) reattest(rec *vmRecord) {
 func (c *Controller) observeVerdict(rec *vmRecord, p properties.Property, v properties.Verdict) {
 	switch {
 	case v.Unattestable:
-		c.setCond(rec, reconcile.CondHealthy, reconcile.Unknown, "Unattestable", v.Reason)
+		c.setCond(rec, condHealthy, statusUnknown, "Unattestable", v.Reason)
 	case v.Healthy:
-		c.setCond(rec, reconcile.CondHealthy, reconcile.True, "Verified", string(p))
+		c.setCond(rec, condHealthy, statusTrue, "Verified", string(p))
 	default:
-		c.setCond(rec, reconcile.CondHealthy, reconcile.False, string(p), v.Reason)
+		c.setCond(rec, condHealthy, statusFalse, string(p), v.Reason)
 	}
 }
 

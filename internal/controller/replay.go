@@ -2,11 +2,11 @@ package controller
 
 import (
 	"fmt"
+	"sort"
 
 	"cloudmonatt/internal/image"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/properties"
-	"cloudmonatt/internal/reconcile"
 )
 
 // Recover rebuilds the controller's desired state and in-flight intents
@@ -241,12 +241,16 @@ func (c *Controller) Recover() error {
 	}
 	c.mu.Unlock()
 
-	now := c.cfg.Clock.Now()
-	for vid, rec := range recs {
-		rec.Conditions.Set(now, reconcile.Condition{
-			Type: reconcile.CondPlaced, Status: reconcile.True,
-			Reason: "Recovered", Message: rec.Server,
-		})
+	// Survivors are enqueued in vid order, so a restarted controller
+	// finishes torn work in one order however the map iterates.
+	vids := make([]string, 0, len(recs))
+	for vid := range recs {
+		vids = append(vids, vid)
+	}
+	sort.Strings(vids)
+	for _, vid := range vids {
+		rec := recs[vid]
+		c.setCond(rec, condPlaced, statusTrue, "Recovered", rec.Server)
 		if p := openRemediate[vid]; p != nil && !rec.Finalized {
 			torn++
 			rec.Pending = p
@@ -262,7 +266,7 @@ func (c *Controller) Recover() error {
 			}
 		}
 		if !(rec.Deleted && rec.Finalized) {
-			c.loop.Enqueue(vid)
+			c.queue.add(vid)
 		}
 	}
 	for _, ev := range eventOrder {
@@ -276,6 +280,6 @@ func (c *Controller) Recover() error {
 
 	// Converge: finish torn teardowns, re-execute torn remediations,
 	// schedule periodic re-attestation for the survivors.
-	c.loop.ProcessReady()
+	c.ReconcileNow()
 	return nil
 }

@@ -309,26 +309,25 @@ func TestRecoverReplayTable(t *testing.T) {
 }
 
 // TestEventsRingBounded: the controller's remediation event feed is a
-// drop-oldest ring of Config.EventsCap entries; overflow is counted, never
+// drop-oldest ring of eventsCap entries; overflow is counted, never
 // unbounded growth.
 func TestEventsRingBounded(t *testing.T) {
 	c := New(Config{
-		Identity:  cryptoutil.MustIdentity("cloud-controller"),
-		Network:   rpc.NewMemNetwork(),
-		Clock:     vclock.New(sim.NewKernel(1)),
-		Latency:   latency.New(1),
-		Rand:      rand.Reader,
-		EventsCap: 3,
+		Identity: cryptoutil.MustIdentity("cloud-controller"),
+		Network:  rpc.NewMemNetwork(),
+		Clock:    vclock.New(sim.NewKernel(1)),
+		Latency:  latency.New(1),
+		Rand:     rand.Reader,
 	})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < eventsCap+2; i++ {
 		c.appendEvent(ResponseEvent{Vid: fmt.Sprintf("vm-%04d", i+1), Response: Terminate})
 	}
 	events := c.Events()
-	if len(events) != 3 {
-		t.Fatalf("ring holds %d events, want 3", len(events))
+	if len(events) != eventsCap {
+		t.Fatalf("ring holds %d events, want %d", len(events), eventsCap)
 	}
-	if events[0].Vid != "vm-0003" || events[2].Vid != "vm-0005" {
-		t.Fatalf("ring did not drop oldest: %+v", events)
+	if first, last := events[0].Vid, events[eventsCap-1].Vid; first != "vm-0003" || last != fmt.Sprintf("vm-%04d", eventsCap+2) {
+		t.Fatalf("ring did not drop oldest: holds %s..%s", first, last)
 	}
 	if n := c.metrics.Counter("controller/events-dropped").Value(); n != 2 {
 		t.Fatalf("events-dropped = %d, want 2", n)

@@ -81,8 +81,8 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 			analyzer: IntentBracket, file: "internal/controller/attest.go",
 			old: "\tc.stateIntent(vid, to)\n", new: "",
 			want: []string{
-				`attest.go:318: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
-				`attest.go:323: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:317: SuspendVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
+				`attest.go:322: ResumeVM performs (via setRunState) a "suspend" side effect but ` + unbracketed,
 			},
 		},
 		{

@@ -2,9 +2,9 @@ package wire
 
 import "time"
 
-// Condition is one typed convergence observation about a VM, as exposed
-// on the nova api status surface (the wire projection of
-// reconcile.Condition). At is the virtual-clock time of the last status
+// Condition is one typed convergence observation about a VM, as the
+// controller keeps it on the VM's record and exposes it on the nova api
+// status surface. At is the virtual-clock time of the last status
 // transition.
 //
 // Conditions ride on the unsigned status reply, not on CustomerReport:
