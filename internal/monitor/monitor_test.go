@@ -3,6 +3,7 @@ package monitor
 import (
 	"crypto/rand"
 	"crypto/sha256"
+	"sync"
 	"testing"
 	"time"
 
@@ -377,9 +378,10 @@ func TestBusWatchIdleVMIsQuiet(t *testing.T) {
 }
 
 // TestUnarmedMonitorTakesNoLock pins the scheduler-side fast path: while no
-// watch is armed, run segments and bus-lock counts are dropped without
-// touching the Module's mutex. The test holds that mutex across an advance
-// that delivers both kinds of callback; taking it would deadlock.
+// watch is armed the Module has no observer registered, so run segments and
+// bus-lock counts never reach its mutex. The test holds that mutex across an
+// advance that would deliver both kinds of callback; taking it would
+// deadlock.
 func TestUnarmedMonitorTakesNoLock(t *testing.T) {
 	r := newRig(t, nil)
 	svc, err := workload.NewService("file")
@@ -421,17 +423,27 @@ func TestUnarmedMonitorTakesNoLock(t *testing.T) {
 	if total == 0 {
 		t.Fatal("armed watch saw no intervals")
 	}
-	if r.m.armed.Load() != 0 {
-		t.Fatalf("armed = %d after the only watch was collected", r.m.armed.Load())
+	if r.m.unobserveSegs != nil || r.m.unobserveBus != nil {
+		t.Fatal("observers still registered after the only watch was collected")
 	}
 }
 
 // TestWatchesUnderConcurrentAdvance arms, collects and removes watches from
 // one goroutine while another advances the scheduler, which is what a cloud
-// server's RPC handlers do to each other. Run under -race: the armed count
-// beside the mutex must not let a callback touch a watch unsynchronised.
+// server's RPC handlers do to each other. Both hold kernelMu for each step,
+// as both hold Server.mu there. Run under -race: registering and removing
+// the observers must not let a callback touch a watch unsynchronised.
 func TestWatchesUnderConcurrentAdvance(t *testing.T) {
 	r := newRig(t, nil)
+	var kernelMu sync.Mutex
+	locked := func(f func() error) {
+		t.Helper()
+		kernelMu.Lock()
+		defer kernelMu.Unlock()
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	vids := []string{"vm-1", "vm-2", "vm-3", "vm-4"}
 	for _, vid := range vids {
 		svc, err := workload.NewService("file")
@@ -448,24 +460,22 @@ func TestWatchesUnderConcurrentAdvance(t *testing.T) {
 			case <-stop:
 				return
 			default:
+				kernelMu.Lock()
 				r.advance(10 * time.Millisecond)
+				kernelMu.Unlock()
 			}
 		}
 	}()
 	for i := 0; i < 2000; i++ {
 		vid := vids[i%len(vids)]
-		if err := r.m.StartIntervalWatch(vid); err != nil {
-			t.Fatal(err)
-		}
+		locked(func() error { return r.m.StartIntervalWatch(vid) })
 		if i%3 == 0 {
 			// Leave this one armed for RemoveVM or a later re-arm to clear.
 			continue
 		}
-		if _, err := r.m.CollectIntervalHistogram(vid); err != nil {
-			t.Fatal(err)
-		}
+		locked(func() error { _, err := r.m.CollectIntervalHistogram(vid); return err })
 		if i == 1000 {
-			r.m.RemoveVM(vids[len(vids)-1])
+			locked(func() error { r.m.RemoveVM(vids[len(vids)-1]); return nil })
 			vids = vids[:len(vids)-1]
 		}
 	}
@@ -474,7 +484,7 @@ func TestWatchesUnderConcurrentAdvance(t *testing.T) {
 	for _, vid := range vids {
 		r.m.RemoveVM(vid)
 	}
-	if r.m.armed.Load() != 0 {
-		t.Fatalf("armed = %d with every VM removed", r.m.armed.Load())
+	if r.m.unobserveSegs != nil || r.m.unobserveBus != nil {
+		t.Fatal("observers still registered with every VM removed")
 	}
 }

@@ -29,7 +29,7 @@ type rig struct {
 	srv   *Server
 }
 
-func newServer(t *testing.T, name string, clock *vclock.Clock, certifier Certifier) *Server {
+func newServer(t testing.TB, name string, clock *vclock.Clock, certifier Certifier) *Server {
 	t.Helper()
 	srv, err := New(Config{
 		Name:      name,

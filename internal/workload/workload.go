@@ -28,10 +28,10 @@ type Service struct {
 
 // NextBurst implements xen.Program.
 func (s *Service) NextBurst(env xen.Env, self *xen.VCPU) xen.Burst {
-	busy, idle := s.Busy, s.Idle
+	rng, busy, idle := env.Rand(), s.Busy, s.Idle
 	if s.Jitter > 0 {
-		busy += sim.Time(float64(busy) * s.Jitter * (2*env.Rand().Float64() - 1))
-		idle += sim.Time(float64(idle) * s.Jitter * (2*env.Rand().Float64() - 1))
+		busy += sim.Time(float64(busy) * s.Jitter * (2*rng.Float64() - 1))
+		idle += sim.Time(float64(idle) * s.Jitter * (2*rng.Float64() - 1))
 	}
 	if busy < 100*time.Microsecond {
 		busy = 100 * time.Microsecond
@@ -42,7 +42,7 @@ func (s *Service) NextBurst(env xen.Env, self *xen.VCPU) xen.Burst {
 	// Real software issues a background trickle of locked operations
 	// (atomics in allocators, refcounts); the bus-covert detector must not
 	// mistake it for signaling.
-	return xen.Burst{Run: busy, Block: idle, BusLocks: int(env.Rand().Int63n(3))}
+	return xen.Burst{Run: busy, Block: idle, BusLocks: int(rng.Int63n(3))}
 }
 
 // Job is a finite CPU-bound program that consumes Total CPU time in bursts

@@ -229,14 +229,14 @@ func (p *PCPU) pickNext() {
 func (p *PCPU) dispatch(v *VCPU) bool {
 	now := p.hv.k.Now()
 	if !v.havePend {
-		b := v.program.NextBurst(p.hv, v)
+		v.pending = v.program.NextBurst(p.hv, v)
+		b := &v.pending
 		if b.Run < 0 {
 			panic(fmt.Sprintf("xen: %s returned negative Run %v", v, b.Run))
 		}
 		if b.Run == 0 && !b.Halt && !b.Done && b.Block == 0 && b.IOBytes == 0 {
 			panic(fmt.Sprintf("xen: %s returned a no-op burst (would livelock)", v))
 		}
-		v.pending = b
 		v.havePend = true
 		v.remaining = b.Run
 	}
@@ -320,7 +320,7 @@ func (p *PCPU) accountRun(v *VCPU) {
 			v.boosted = false
 		}
 	}
-	for _, o := range p.hv.observers {
+	for _, o := range p.hv.observers.list {
 		o.ObserveRunSegment(v, start, now)
 	}
 }
@@ -332,7 +332,7 @@ func (v *VCPU) finishBurst() {
 	v.havePend = false
 	v.remaining = 0
 	if b.BusLocks > 0 {
-		for _, o := range hv.busObservers {
+		for _, o := range hv.busObservers.list {
 			o.ObserveBusLocks(v, hv.k.Now(), b.BusLocks)
 		}
 	}

@@ -324,8 +324,27 @@ type Hypervisor struct {
 	domains      []*Domain
 	disk         *IODevice
 	nextDomID    int
-	observers    []RunSegmentObserver
-	busObservers []BusLockObserver
+	observers    observerList[RunSegmentObserver]
+	busObservers observerList[BusLockObserver]
+}
+
+// observerList keeps observers in registration order. add's remover deletes
+// that registration alone and does nothing when called again.
+type observerList[T any] struct {
+	list []T
+	ids  []uint64
+	last uint64
+}
+
+func (l *observerList[T]) add(o T) (remove func()) {
+	l.last++
+	id := l.last
+	l.list, l.ids = append(l.list, o), append(l.ids, id)
+	return func() {
+		if i := slices.Index(l.ids, id); i >= 0 {
+			l.list, l.ids = slices.Delete(l.list, i, i+1), slices.Delete(l.ids, i, i+1)
+		}
+	}
 }
 
 // New creates a hypervisor with n physical CPUs on the given kernel and
@@ -362,11 +381,12 @@ func (hv *Hypervisor) PCPUs() []*PCPU { return hv.pcpus }
 // Domains returns the created domains that have not been destroyed.
 func (hv *Hypervisor) Domains() []*Domain { return hv.domains }
 
-// Observe registers an observer for completed run segments of all vCPUs.
-func (hv *Hypervisor) Observe(o RunSegmentObserver) { hv.observers = append(hv.observers, o) }
+// Observe registers an observer for completed run segments of all vCPUs and
+// returns its remover. Call both under the lock the kernel runs under.
+func (hv *Hypervisor) Observe(o RunSegmentObserver) (remove func()) { return hv.observers.add(o) }
 
-// ObserveBus registers an observer for bus-lock counts of all vCPUs.
-func (hv *Hypervisor) ObserveBus(o BusLockObserver) { hv.busObservers = append(hv.busObservers, o) }
+// ObserveBus is Observe for bus-lock counts.
+func (hv *Hypervisor) ObserveBus(o BusLockObserver) (remove func()) { return hv.busObservers.add(o) }
 
 // Now returns the current virtual time (Env).
 func (hv *Hypervisor) Now() sim.Time { return hv.k.Now() }
