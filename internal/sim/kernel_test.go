@@ -220,17 +220,18 @@ func TestRunUntilPendingCountsUnpoppedCancelled(t *testing.T) {
 	if k.Fired() != 0 || k.Now() != 10*time.Millisecond {
 		t.Fatalf("Fired = %d, Now = %v; want 0 and the deadline", k.Fired(), k.Now())
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if k.Fired() != 1 || k.Pending() != 0 {
-		t.Fatalf("Fired = %d, Pending = %d after Run; want 1 and 0", k.Fired(), k.Pending())
+		t.Fatalf("Fired = %d, Pending = %d after stepping; want 1 and 0", k.Fired(), k.Pending())
 	}
 }
 
 // TestStaleHandleNeverCancelsLaterEvent is the handle-lifetime contract: an
 // Event refers to the one scheduling that returned it, for ever. Cancel on
 // a handle whose event already fired (or was cancelled and popped) is a
-// no-op however many events are scheduled afterwards: the kernel recycles
-// the storage, and the old handle's generation no longer reaches it.
+// no-op however many events are scheduled afterwards: the kernel reuses the
+// queue's slots, and no later event gets the old handle's id.
 func TestStaleHandleNeverCancelsLaterEvent(t *testing.T) {
 	k := NewKernel(1)
 	nop := func() {}
@@ -240,7 +241,8 @@ func TestStaleHandleNeverCancelsLaterEvent(t *testing.T) {
 	}
 	dropped := k.After(time.Millisecond, nop)
 	dropped.Cancel()
-	k.Run()
+	for k.Step() {
+	}
 	if k.Fired() != 300 || k.Pending() != 0 {
 		t.Fatalf("Fired = %d, Pending = %d; want 300 and 0", k.Fired(), k.Pending())
 	}
@@ -258,16 +260,17 @@ func TestStaleHandleNeverCancelsLaterEvent(t *testing.T) {
 	for _, e := range stale {
 		e.Cancel()
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if count != later {
 		t.Fatalf("%d of %d later events fired: a stale handle cancelled a live event", count, later)
 	}
 }
 
-// TestKernelAllocsPerEvent pins the event kernel's allocation rate: a fired
-// or popped-cancelled event is reused by the next At, so a queue that is not
-// growing allocates nothing, at the depth the program's kernels run at and
-// at a depth far beyond it.
+// TestKernelAllocsPerEvent pins the event kernel's allocation rate: the slot
+// of a fired or popped-cancelled event is reused by the next At, so a queue
+// that is not growing allocates nothing, at the depth the program's kernels
+// run at and at a depth far beyond it.
 func TestKernelAllocsPerEvent(t *testing.T) {
 	for _, depth := range []int{8, 64} {
 		k := NewKernel(1)

@@ -121,8 +121,8 @@ func TestSplitFleetQueueDepthPinned(t *testing.T) {
 
 // TestWarmVirtualSecondAllocatesNothing pins the scheduler's allocation rate
 // at the shape of one benchmark server (Dom0 + four `file` guests on two
-// pCPUs): once the event queue, the kernel's free list and the run queues
-// have reached their working size, a virtual second allocates nothing.
+// pCPUs): once the event queue and the run queues have reached their working
+// size, a virtual second allocates nothing.
 func TestWarmVirtualSecondAllocatesNothing(t *testing.T) {
 	k, _ := newFleet(t, 1, haltedDom0, 1, 4)
 	k.RunUntil(2 * time.Second)

@@ -18,7 +18,6 @@ package xen
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -154,7 +153,7 @@ type Env interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
 	// Rand returns the deterministic random source of the simulation.
-	Rand() *rand.Rand
+	Rand() *sim.Rand
 	// TickPeriod returns the scheduler's credit-sampling period; attack
 	// programs use it to time bursts between ticks.
 	TickPeriod() sim.Time
@@ -392,7 +391,7 @@ func (hv *Hypervisor) ObserveBus(o BusLockObserver) (remove func()) { return hv.
 func (hv *Hypervisor) Now() sim.Time { return hv.k.Now() }
 
 // Rand returns the simulation's random source (Env).
-func (hv *Hypervisor) Rand() *rand.Rand { return hv.k.Rand() }
+func (hv *Hypervisor) Rand() *sim.Rand { return hv.k.Rand() }
 
 // TickPeriod returns the credit-sampling period (Env).
 func (hv *Hypervisor) TickPeriod() sim.Time { return hv.cfg.TickPeriod }
