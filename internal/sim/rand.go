@@ -44,12 +44,16 @@ func (r *Rand) uint64() uint64 {
 	return x
 }
 
-// Int63, Int63n, Intn and Float64 are math/rand's methods of the same names.
+// Int63, Int63n and Float64 are math/rand's methods of the same names.
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (r *Rand) Int63() int64 { return int64(r.uint64() & (1<<63 - 1)) }
 
 // Int63n returns a pseudo-random number in [0,n); it panics if n <= 0.
+//
+// math/rand redraws above max = 1<<63 - 1 - (1<<63)%n. As (1<<63)%n < n,
+// max >= 1<<63 - n, so a first draw up to 1<<63 - n is never redrawn and
+// skips the division that computes max.
 func (r *Rand) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("invalid argument to Int63n")
@@ -57,33 +61,14 @@ func (r *Rand) Int63n(n int64) int64 {
 	if n&(n-1) == 0 { // n is power of two, can mask
 		return r.Int63() & (n - 1)
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
 	v := r.Int63()
-	for v > max {
-		v = r.Int63()
+	if v > (1<<63-1)-(n-1) {
+		max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+		for v > max {
+			v = r.Int63()
+		}
 	}
 	return v % n
-}
-
-// Intn returns a pseudo-random number in [0,n); it panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("invalid argument to Intn")
-	}
-	if n > 1<<31-1 {
-		return int(r.Int63n(int64(n)))
-	}
-	// Int31n, on the top 31 bits of each Int63.
-	m := int32(n)
-	if m&(m-1) == 0 {
-		return int(int32(r.Int63()>>32) & (m - 1))
-	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
-	v := int32(r.Int63() >> 32)
-	for v > max {
-		v = int32(r.Int63() >> 32)
-	}
-	return int(v % m)
 }
 
 // Float64 returns a pseudo-random number in [0.0,1.0).

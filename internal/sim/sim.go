@@ -31,9 +31,10 @@ type Event struct {
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
 // already fired or been cancelled, or the zero Event, is a no-op. The
-// cancelled slot stays queued until it is popped.
+// cancelled slot stays queued until it is popped. A handler cancelling its
+// own event, whose slot Step popped already, returns without the scan.
 func (h Event) Cancel() {
-	if h.k == nil {
+	if h.k == nil || h.id == h.k.firing {
 		return
 	}
 	q := h.k.queue
@@ -58,6 +59,7 @@ type Kernel struct {
 	now    Time
 	queue  []slot // by due time, then scheduling order, latest first: the head is the last slot
 	lastID uint64 // the id the latest At handed out
+	firing uint64 // the id of the event Step fired last
 	fired  uint64
 	rng    Rand
 }
@@ -136,6 +138,7 @@ func (k *Kernel) Step() bool {
 		}
 		k.now = s.due
 		k.fired++
+		k.firing = s.id
 		s.fire()
 		return true
 	}

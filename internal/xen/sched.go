@@ -370,7 +370,8 @@ func (hv *Hypervisor) SendIPI(target *VCPU) { hv.k.After(hv.cfg.IPILatency, targ
 
 // wakeBoosted is the event an IPI, the vCPU's own timer and its IO completion
 // all fire. wake drops v.wakeEvent whether it is the one firing or still
-// pending; cancelling a fired event is a no-op.
+// pending; cancelling the event that is firing returns at once, without
+// scanning the kernel's queue.
 func (v *VCPU) wakeBoosted() { v.wake(true) }
 
 // wake transitions a blocked vCPU to runnable. When boost is true and the
@@ -389,6 +390,14 @@ func (v *VCPU) wake(boost bool) {
 	v.state = StateRunnable
 	v.lastWake = hv.k.Now()
 	p := v.pcpu
+	if p.current == nil && p.runq[PrioBoost].n+p.runq[PrioUnder].n+p.runq[PrioOver].n == 0 {
+		// Queued alone on an idle pCPU, v would be popped at once.
+		v.tokBump()
+		if !p.dispatch(v) {
+			p.pickNext()
+		}
+		return
+	}
 	p.enqueue(v)
 	if p.current == nil {
 		p.pickNext()
