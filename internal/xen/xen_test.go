@@ -283,6 +283,26 @@ func TestPauseAndResume(t *testing.T) {
 	}
 }
 
+// TestResumeAtBurstEnd pauses a spinner at the instant its burst ends, before
+// the burst's end fires, so it resumes with nothing left to run. Its wake
+// finds the pCPU idle, finishes that burst without running it and requeues
+// the spinner, which must then be dispatched.
+func TestResumeAtBurstEnd(t *testing.T) {
+	k, hv := newHV(t, 1)
+	d := hv.NewDomain("vm", 256, 0, spinner(5*time.Millisecond))
+	k.At(5*time.Millisecond, func() { hv.PauseDomain(d) }) // ahead of the burst's end
+	k.At(6*time.Millisecond, func() { hv.ResumeDomain(d) })
+	d.WakeAll()
+	k.RunUntil(6 * time.Millisecond)
+	v := d.VCPUs()[0]
+	if v.State() != StateRunning || v.Dispatches() != 2 {
+		t.Fatalf("after resume: %s with %d dispatches, want running with 2", v.State(), v.Dispatches())
+	}
+	if msg := schedInvariant(hv); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 func TestDestroyDomainStopsScheduling(t *testing.T) {
 	k, hv := newHV(t, 1)
 	d := hv.NewDomain("vm", 256, 0, spinner(5*time.Millisecond))
