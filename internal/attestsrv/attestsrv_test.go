@@ -195,11 +195,11 @@ func TestMetricsRecordAppraisals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := tb.Attest.Metrics().Summary("appraise/" + string(properties.RuntimeIntegrity))
+	s := tb.Attest.Metrics().Summary("appraise/" + string(properties.RuntimeIntegrity)).Snapshot()
 	// The testbed launch already appraised startup integrity; runtime
 	// integrity has exactly our three.
-	if s.Count() != 3 {
-		t.Fatalf("appraisal metric count %d, want 3", s.Count())
+	if s.Count != 3 {
+		t.Fatalf("appraisal metric count %d, want 3", s.Count)
 	}
 	if s.Mean() <= 0 {
 		t.Fatal("appraisal metric has no duration")

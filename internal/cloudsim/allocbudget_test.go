@@ -8,10 +8,10 @@ import (
 
 // attestationAllocBudget is what one customer attestation on a one-server
 // testbed may allocate, summed over the four entities and three RPC hops it
-// crosses: 89 on Go 1.24 (91 under -race, where sync.Pool drops a share of
+// crosses: 87 on Go 1.24 (89 under -race, where sync.Pool drops a share of
 // what is put back), plus ~10 % headroom for other toolchains. DESIGN.md §14
 // breaks the count down by source.
-const attestationAllocBudget = 97
+const attestationAllocBudget = 96
 
 // TestAttestationAllocBudget pins the allocation count of the benchmark's
 // attest-steady shape: startup and runtime integrity alternating on one VM

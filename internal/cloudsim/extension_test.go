@@ -347,7 +347,7 @@ func TestMultipleAttestationServers(t *testing.T) {
 	}
 	// Both appraisers did real work (launch startup attestations at least).
 	for i, as := range tb.AttestServers {
-		if as.Metrics().Summary("appraise/"+string(properties.StartupIntegrity)).Count() == 0 {
+		if as.Metrics().Summary("appraise/"+string(properties.StartupIntegrity)).Snapshot().Count == 0 {
 			t.Fatalf("attestation server %d appraised nothing", i)
 		}
 	}

@@ -42,7 +42,7 @@ func BenchmarkLedgerAppend(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			b.ReportMetric(l.Metrics().IntSummary("ledger/batch-size").Mean(), "entries/flush")
+			b.ReportMetric(l.Metrics().IntSummary("ledger/batch-size").Snapshot().Mean(), "entries/flush")
 			if _, err := l.Verify(); err != nil {
 				b.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func BenchmarkLedgerAppendFsync(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	b.ReportMetric(l.Metrics().IntSummary("ledger/batch-size").Mean(), "entries/flush")
+	b.ReportMetric(l.Metrics().IntSummary("ledger/batch-size").Snapshot().Mean(), "entries/flush")
 }
 
 // BenchmarkLedgerVerify measures full-chain replay cost.

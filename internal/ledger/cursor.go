@@ -3,7 +3,7 @@ package ledger
 // Cursor streams the committed chain in sequence order, from entry 1. It
 // is the replay primitive crash recovery is built on: the controller walks
 // every entry once, folding intents and decisions back into its in-memory
-// state, without materializing the whole chain the way Query does.
+// state, holding one entry at a time where Query collects every match.
 //
 // A cursor reads committed state only; entries appended after the cursor
 // was positioned are returned as the walk reaches them (each Next re-reads

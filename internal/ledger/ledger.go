@@ -272,21 +272,6 @@ type waiter struct {
 	done    bool
 }
 
-// postingKey names one posting list: the entries whose field (one of the
-// postingVid… tags) has the value val.
-type postingKey struct {
-	field byte
-	val   string
-}
-
-// The indexed fields.
-const (
-	postingVid byte = iota
-	postingKind
-	postingProp
-	postingTrace
-)
-
 // Ledger is the append-only hash-chained evidence ledger.
 type Ledger struct {
 	opts Options
@@ -313,9 +298,8 @@ type Ledger struct {
 	headSeq  uint64
 	headHash [32]byte
 
-	segs     []*segment
-	locs     []loc // locs[i] addresses seq i+1
-	postings map[postingKey][]uint64
+	segs []*segment
+	locs []loc // locs[i] addresses seq i+1
 }
 
 // Open opens (creating or recovering as needed) the ledger described by
@@ -353,7 +337,6 @@ func open(opts Options, st store) (*Ledger, error) {
 		appendSum: reg.Summary("ledger/append"),
 		flushSum:  reg.Summary("ledger/flush"),
 		batchSum:  reg.IntSummary("ledger/batch-size"),
-		postings:  make(map[postingKey][]uint64),
 	}
 	l.cond = sync.NewCond(&l.mu)
 
@@ -409,11 +392,11 @@ func open(opts Options, st store) (*Ledger, error) {
 }
 
 // scanSegment replays one segment's frames, extending the chain state and
-// index. It returns the offset of the first invalid byte (== size when the
-// segment is fully valid) and an error describing why scanning stopped
-// early, if it did. A segment of another format is ErrSegmentFormat; an
-// empty one, created by a writer that died before its first batch, holds
-// no entries.
+// the frame locations. It returns the offset of the first invalid byte
+// (== size when the segment is fully valid) and an error describing why
+// scanning stopped early, if it did. A segment of another format is
+// ErrSegmentFormat; an empty one, created by a writer that died before its
+// first batch, holds no entries.
 func (l *Ledger) scanSegment(seg *segment, segIdx int) (int64, error) {
 	size, err := seg.file.Size()
 	if err != nil {
@@ -440,7 +423,7 @@ func (l *Ledger) scanSegment(seg *segment, segIdx int) (int64, error) {
 		if e.Hash != entryHash(e.PrevHash, e.Seq, e.At, e.Kind, e.Vid, e.Prop, e.Trace, e.Payload) {
 			return off, fmt.Errorf("entry %d hash mismatch", e.Seq)
 		}
-		l.indexEntry(&e, loc{seg: segIdx, off: off, n: int32(n)})
+		l.locs = append(l.locs, loc{seg: segIdx, off: off, n: int32(n)})
 		l.headSeq, l.headHash = e.Seq, e.Hash
 		off += n
 	}
@@ -491,24 +474,6 @@ func checkSegHeader(f segFile, size int64) error {
 		return fmt.Errorf("%w: unversioned, written before segments had a header (JSON payloads; no migration exists)", ErrSegmentFormat)
 	}
 	return errors.New("bad segment header")
-}
-
-// indexEntry records the location and postings of one committed entry.
-// Callers hold l.mu or are still single-threaded (open/scan/commit role).
-func (l *Ledger) indexEntry(e *Entry, lc loc) {
-	l.locs = append(l.locs, lc)
-	l.post(postingKey{postingVid, e.Vid}, e.Seq)
-	l.post(postingKey{postingKind, string(e.Kind)}, e.Seq)
-	if e.Prop != "" {
-		l.post(postingKey{postingProp, e.Prop}, e.Seq)
-	}
-	if e.Trace != "" {
-		l.post(postingKey{postingTrace, e.Trace}, e.Seq)
-	}
-}
-
-func (l *Ledger) post(key postingKey, seq uint64) {
-	l.postings[key] = append(l.postings[key], seq)
 }
 
 // Metrics returns the registry holding the ledger's summaries.
@@ -672,10 +637,11 @@ func (l *Ledger) commit(batch []*waiter) {
 		return
 	}
 
-	// Publish: index the batch, advance the head and wake its appenders.
+	// Publish: record the batch's frames, advance the head and wake its
+	// appenders.
 	l.mu.Lock()
-	for i, w := range batch {
-		l.indexEntry(&w.out, offs[i])
+	l.locs = append(l.locs, offs...)
+	for _, w := range batch {
 		w.done = true
 	}
 	seg.size += int64(len(buf))
@@ -721,7 +687,6 @@ type Filter struct {
 	Vid   string
 	Kind  Kind
 	Prop  string
-	Trace string
 	Limit int
 }
 
@@ -732,52 +697,19 @@ func (f *Filter) match(e *Entry) bool {
 	if f.Kind != "" && e.Kind != f.Kind {
 		return false
 	}
-	if f.Prop != "" && e.Prop != f.Prop {
-		return false
-	}
-	return f.Trace == "" || e.Trace == f.Trace
+	return f.Prop == "" || e.Prop == f.Prop
 }
 
-// Query returns the committed entries matching f in chain order, using the
-// smallest applicable posting list (by VM, kind, or property) as the
-// candidate set.
+// Query returns the committed entries matching f in chain order, stopping
+// at f.Limit. It walks the chain from entry 1 to the head as of the call:
+// no caller is on a hot path, so the ledger keeps no index beside it.
 func (l *Ledger) Query(f Filter) ([]Entry, error) {
 	l.mu.Lock()
-	var cands []uint64
-	narrowed := false
-	consider := func(key postingKey) {
-		p, ok := l.postings[key]
-		if !narrowed || (ok && len(p) < len(cands)) {
-			cands, narrowed = p, true
-		}
-		if !ok {
-			cands = nil
-		}
-	}
-	if f.Vid != "" {
-		consider(postingKey{postingVid, f.Vid})
-	}
-	if f.Kind != "" {
-		consider(postingKey{postingKind, string(f.Kind)})
-	}
-	if f.Prop != "" {
-		consider(postingKey{postingProp, f.Prop})
-	}
-	if f.Trace != "" {
-		consider(postingKey{postingTrace, f.Trace})
-	}
-	if !narrowed {
-		cands = make([]uint64, 0, len(l.locs))
-		for i := range l.locs {
-			cands = append(cands, uint64(i)+1)
-		}
-	} else {
-		cands = append([]uint64(nil), cands...)
-	}
+	head := l.headSeq
 	l.mu.Unlock()
 
 	var out []Entry
-	for _, seq := range cands {
+	for seq := uint64(1); seq <= head; seq++ {
 		e, err := l.Entry(seq)
 		if err != nil {
 			return nil, err

@@ -70,13 +70,30 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// TestQueryByVidKindPropTime runs the same queries on a disk ledger's
+// writer and on a read-only reopen of it, rolled into several segments:
+// Query walks the chain either way, so both must answer alike.
 func TestQueryByVidKindPropTime(t *testing.T) {
-	l := mustOpen(t, Options{})
-	appendN(t, l, 9) // vids vm-0000..vm-0002 round robin
-	if _, err := l.Append(Entry{At: 100 * time.Second, Kind: KindRemediation, Vid: "vm-0001", Prop: "cpu-availability"}); err != nil {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir, MaxSegmentBytes: 512})
+	appendN(t, w, 9) // vids vm-0000..vm-0002 round robin
+	if _, err := w.Append(Entry{At: 100 * time.Second, Kind: KindRemediation, Vid: "vm-0001", Prop: "cpu-availability"}); err != nil {
 		t.Fatal(err)
 	}
+	r := mustOpen(t, Options{Dir: dir, ReadOnly: true, MaxSegmentBytes: 512})
+	if len(r.segs) < 2 {
+		t.Fatalf("the ledger holds %d segment(s), want it rolled", len(r.segs))
+	}
 
+	for _, c := range []struct {
+		name string
+		l    *Ledger
+	}{{"writer", w}, {"read-only reopen", r}} {
+		t.Run(c.name, func(t *testing.T) { checkQueries(t, c.l) })
+	}
+}
+
+func checkQueries(t *testing.T, l *Ledger) {
 	byVid, err := l.Query(Filter{Vid: "vm-0001"})
 	if err != nil || len(byVid) != 4 {
 		t.Fatalf("by vid: %d entries, %v", len(byVid), err)
@@ -89,7 +106,7 @@ func TestQueryByVidKindPropTime(t *testing.T) {
 	if err != nil || len(byProp) != 1 {
 		t.Fatalf("by prop: %d entries, %v", len(byProp), err)
 	}
-	// Combined narrowing: vid + kind.
+	// Combined: vid + kind.
 	combined, err := l.Query(Filter{Vid: "vm-0001", Kind: KindAppraisal})
 	if err != nil || len(combined) != 3 {
 		t.Fatalf("combined: %d entries, %v", len(combined), err)
@@ -129,10 +146,10 @@ func TestConcurrentAppendersGroupCommit(t *testing.T) {
 	if n, err := l.Verify(); err != nil || n != goroutines*perG {
 		t.Fatalf("Verify = %d, %v", n, err)
 	}
-	if got := l.Metrics().IntSummary("ledger/batch-size").Count(); got == 0 {
+	if got := l.Metrics().IntSummary("ledger/batch-size").Snapshot().Count; got == 0 {
 		t.Fatal("no batch-size observations recorded")
 	}
-	if got := l.Metrics().Summary("ledger/append").Count(); got != goroutines*perG {
+	if got := l.Metrics().Summary("ledger/append").Snapshot().Count; got != goroutines*perG {
 		t.Fatalf("append summary count = %d", got)
 	}
 }

@@ -62,13 +62,13 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 		{
 			analyzer: VClockOnly, file: "internal/ledger/ledger.go",
 			old: "w.in, w.start = e, l.opts.Now()", new: "w.in, w.start = e, time.Now()",
-			want: []string{"ledger.go:583: wall-clock time.Now in a vclock-wired package breaks seeded replay; " +
+			want: []string{"ledger.go:548: wall-clock time.Now in a vclock-wired package breaks seeded replay; " +
 				"use the injected virtual clock or annotate //lint:ignore vclockonly <why>"},
 		},
 		{
 			analyzer: MetricsName, file: "internal/ledger/ledger.go",
 			old: `reg.Summary("ledger/append")`, new: `reg.Summary("ledger.append")`,
-			want: []string{`ledger.go:353: metric name "ledger.append" breaks the entity/noun-verb convention ` +
+			want: []string{`ledger.go:337: metric name "ledger.append" breaks the entity/noun-verb convention ` +
 				`(lowercase segments joined by '/', hyphens within a segment, at least two segments)`},
 		},
 		{

@@ -78,9 +78,9 @@ type SummarySnapshot struct {
 	Samples []time.Duration // sorted ascending
 }
 
-// Snapshot copies the summary's state under a single lock acquisition.
-// Renders and exporters must use this: reading Count/Mean/Quantile through
-// separate calls lets a concurrent Observe land between them, producing
+// Snapshot copies the summary's state under a single lock acquisition. It
+// is the one way to read a summary: separate reads of count, mean and
+// quantiles would let a concurrent Observe land between them, producing
 // torn lines where n and mean describe different populations.
 func (s *Summary) Snapshot() SummarySnapshot {
 	s.mu.Lock()
@@ -111,45 +111,6 @@ func (sn SummarySnapshot) Quantile(q float64) time.Duration {
 		return 0
 	}
 	return time.Duration(interpolate(q, len(sn.Samples), func(i int) float64 { return float64(sn.Samples[i]) }) + 0.5)
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Mean returns the average observation.
-func (s *Summary) Mean() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / time.Duration(s.count)
-}
-
-// Min returns the smallest observation.
-func (s *Summary) Min() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
-// Max returns the largest observation.
-func (s *Summary) Max() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the retained samples,
-// linearly interpolated between the two nearest order statistics. (The
-// previous nearest-rank truncation `int(q·(n-1))` always rounded the rank
-// down, biasing p95/p99 low on small sample sets.)
-func (s *Summary) Quantile(q float64) time.Duration {
-	return s.Snapshot().Quantile(q)
 }
 
 // String renders the summary compactly from one consistent snapshot.
@@ -237,44 +198,6 @@ func (sn IntSummarySnapshot) Quantile(q float64) int64 {
 		return 0
 	}
 	return int64(math.Round(interpolate(q, len(sn.Samples), func(i int) float64 { return float64(sn.Samples[i]) })))
-}
-
-// Count returns the number of observations.
-func (s *IntSummary) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Mean returns the average observation.
-func (s *IntSummary) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	return float64(s.sum) / float64(s.count)
-}
-
-// Min returns the smallest observation.
-func (s *IntSummary) Min() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
-// Max returns the largest observation.
-func (s *IntSummary) Max() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the retained samples,
-// linearly interpolated between the two nearest order statistics and
-// rounded to the nearest integer.
-func (s *IntSummary) Quantile(q float64) int64 {
-	return s.Snapshot().Quantile(q)
 }
 
 // interpolate computes the q-quantile of n sorted values (read through at)

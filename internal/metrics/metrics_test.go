@@ -10,28 +10,29 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Count() != 0 || s.Mean() != 0 || s.Quantile(0.5) != 0 {
+	if sn := s.Snapshot(); sn.Count != 0 || sn.Mean() != 0 || sn.Quantile(0.5) != 0 {
 		t.Fatal("zero-value summary not empty")
 	}
 	s.Observe(10 * time.Millisecond)
 	s.Observe(20 * time.Millisecond)
 	s.Observe(30 * time.Millisecond)
-	if s.Count() != 3 {
-		t.Fatalf("Count = %d", s.Count())
+	sn := s.Snapshot()
+	if sn.Count != 3 {
+		t.Fatalf("Count = %d", sn.Count)
 	}
-	if s.Mean() != 20*time.Millisecond {
-		t.Fatalf("Mean = %v", s.Mean())
+	if sn.Mean() != 20*time.Millisecond {
+		t.Fatalf("Mean = %v", sn.Mean())
 	}
-	if s.Min() != 10*time.Millisecond || s.Max() != 30*time.Millisecond {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if sn.Min != 10*time.Millisecond || sn.Max != 30*time.Millisecond {
+		t.Fatalf("Min/Max = %v/%v", sn.Min, sn.Max)
 	}
-	if q := s.Quantile(0.5); q != 20*time.Millisecond {
+	if q := sn.Quantile(0.5); q != 20*time.Millisecond {
 		t.Fatalf("p50 = %v", q)
 	}
-	if q := s.Quantile(0); q != 10*time.Millisecond {
+	if q := sn.Quantile(0); q != 10*time.Millisecond {
 		t.Fatalf("p0 = %v", q)
 	}
-	if q := s.Quantile(1); q != 30*time.Millisecond {
+	if q := sn.Quantile(1); q != 30*time.Millisecond {
 		t.Fatalf("p100 = %v", q)
 	}
 	if !strings.Contains(s.String(), "n=3") {
@@ -71,7 +72,7 @@ func TestQuantileTable(t *testing.T) {
 		for _, d := range tc.samples {
 			s.Observe(d)
 		}
-		if got := s.Quantile(tc.q); got != tc.want {
+		if got := s.Snapshot().Quantile(tc.q); got != tc.want {
 			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
 		}
 	}
@@ -94,12 +95,12 @@ func TestIntQuantileTable(t *testing.T) {
 		{0, 1},
 		{1, 100},
 	} {
-		if got := s.Quantile(tc.q); got != tc.want {
+		if got := s.Snapshot().Quantile(tc.q); got != tc.want {
 			t.Errorf("IntSummary.Quantile(%v) = %d, want %d", tc.q, got, tc.want)
 		}
 	}
 	var empty IntSummary
-	if empty.Quantile(0.5) != 0 {
+	if empty.Snapshot().Quantile(0.5) != 0 {
 		t.Error("empty IntSummary quantile not 0")
 	}
 }
@@ -109,8 +110,9 @@ func TestSummaryBounded(t *testing.T) {
 	for i := 0; i < 3*maxSamples; i++ {
 		s.Observe(time.Duration(i))
 	}
-	if s.Count() != uint64(3*maxSamples) {
-		t.Fatalf("Count = %d", s.Count())
+	sn := s.Snapshot()
+	if sn.Count != uint64(3*maxSamples) {
+		t.Fatalf("Count = %d", sn.Count)
 	}
 	s.mu.Lock()
 	n := len(s.samples)
@@ -118,8 +120,8 @@ func TestSummaryBounded(t *testing.T) {
 	if n > maxSamples {
 		t.Fatalf("samples grew to %d", n)
 	}
-	if s.Max() != time.Duration(3*maxSamples-1) {
-		t.Fatalf("Max lost: %v", s.Max())
+	if sn.Max != time.Duration(3*maxSamples-1) {
+		t.Fatalf("Max lost: %v", sn.Max)
 	}
 }
 
@@ -129,9 +131,10 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		for _, m := range ms {
 			s.Observe(time.Duration(m) * time.Microsecond)
 		}
-		return s.Quantile(0.1) <= s.Quantile(0.5) &&
-			s.Quantile(0.5) <= s.Quantile(0.9) &&
-			s.Min() <= s.Quantile(0.5) && s.Quantile(0.5) <= s.Max()
+		sn := s.Snapshot()
+		return sn.Quantile(0.1) <= sn.Quantile(0.5) &&
+			sn.Quantile(0.5) <= sn.Quantile(0.9) &&
+			sn.Min <= sn.Quantile(0.5) && sn.Quantile(0.5) <= sn.Max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -151,8 +154,8 @@ func TestSummaryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.Count() != 4000 {
-		t.Fatalf("lost observations: %d", s.Count())
+	if n := s.Snapshot().Count; n != 4000 {
+		t.Fatalf("lost observations: %d", n)
 	}
 }
 

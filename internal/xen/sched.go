@@ -390,8 +390,9 @@ func (v *VCPU) wake(boost bool) {
 	v.state = StateRunnable
 	v.lastWake = hv.k.Now()
 	p := v.pcpu
-	if p.current == nil && p.runq[PrioBoost].n+p.runq[PrioUnder].n+p.runq[PrioOver].n == 0 {
-		// Queued alone on an idle pCPU, v would be popped at once.
+	if p.current == nil {
+		// An idle pCPU holds no valid queue entry (only stale ones), so v,
+		// queued, would be the first popped: dispatch it directly.
 		v.tokBump()
 		if !p.dispatch(v) {
 			p.pickNext()
@@ -399,9 +400,7 @@ func (v *VCPU) wake(boost bool) {
 		return
 	}
 	p.enqueue(v)
-	if p.current == nil {
-		p.pickNext()
-	} else if v.Priority() < p.current.Priority() {
+	if v.Priority() < p.current.Priority() {
 		p.preempt()
 		p.pickNext()
 	}
