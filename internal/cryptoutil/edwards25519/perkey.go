@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sync"
+
+	"cloudmonatt/internal/cryptoutil/edwards25519/field"
 )
 
 // A 256-digit NAF is cut into chunks of width digits each. A point P is
@@ -105,7 +107,21 @@ func (v *VerifyKey) Verify(msg, sig []byte) bool {
 	var r Point
 	v.doubleScalarBaseMult(&r, &k, &s)
 	var enc [32]byte
-	return subtle.ConstantTimeCompare(sig[:32], r.bytes(&enc)) == 1
+	return subtle.ConstantTimeCompare(sig[:32], r.bytesVarTime(&enc)) == 1
+}
+
+// bytesVarTime is the copied Point.bytes with Z inverted in variable time,
+// which Verify may do: r is computed from the key, the message and the
+// signature, all of them public. Signing encodes with the constant-time
+// Point.bytes.
+func (v *Point) bytesVarTime(buf *[32]byte) []byte {
+	var zInv, x, y field.Element
+	invertVarTime(&zInv, &v.z)
+	x.Multiply(&v.x, &zInv)
+	y.Multiply(&v.y, &zInv)
+	copy(buf[:], y.Bytes())
+	buf[31] |= byte(x.IsNegative() << 7)
+	return buf[:]
 }
 
 // doubleScalarBaseMult sets out = k·(−A) + s·B in variable time. It adds

@@ -25,56 +25,3 @@ var basepointTablePrecomp struct {
 	table    [32]affineLookupTable
 	initOnce sync.Once
 }
-
-// ScalarBaseMult sets v = x * B, where B is the canonical generator, and
-// returns v.
-//
-// The scalar multiplication is done in constant time.
-func (v *Point) ScalarBaseMult(x *Scalar) *Point {
-	basepointTable := basepointTable()
-
-	// Write x = sum(x_i * 16^i) so  x*B = sum( B*x_i*16^i )
-	// as described in the Ed25519 paper
-	//
-	// Group even and odd coefficients
-	// x*B     = x_0*16^0*B + x_2*16^2*B + ... + x_62*16^62*B
-	//         + x_1*16^1*B + x_3*16^3*B + ... + x_63*16^63*B
-	// x*B     = x_0*16^0*B + x_2*16^2*B + ... + x_62*16^62*B
-	//    + 16*( x_1*16^0*B + x_3*16^2*B + ... + x_63*16^62*B)
-	//
-	// We use a lookup table for each i to get x_i*16^(2*i)*B
-	// and do four doublings to multiply by 16.
-	digits := x.signedRadix16()
-
-	multiple := &affineCached{}
-	tmp1 := &projP1xP1{}
-	tmp2 := &projP2{}
-
-	// Accumulate the odd components first
-	v.Set(NewIdentityPoint())
-	for i := 1; i < 64; i += 2 {
-		basepointTable[i/2].SelectInto(multiple, digits[i])
-		tmp1.AddAffine(v, multiple)
-		v.fromP1xP1(tmp1)
-	}
-
-	// Multiply by 16
-	tmp2.FromP3(v)       // tmp2 =    v in P2 coords
-	tmp1.Double(tmp2)    // tmp1 =  2*v in P1xP1 coords
-	tmp2.FromP1xP1(tmp1) // tmp2 =  2*v in P2 coords
-	tmp1.Double(tmp2)    // tmp1 =  4*v in P1xP1 coords
-	tmp2.FromP1xP1(tmp1) // tmp2 =  4*v in P2 coords
-	tmp1.Double(tmp2)    // tmp1 =  8*v in P1xP1 coords
-	tmp2.FromP1xP1(tmp1) // tmp2 =  8*v in P2 coords
-	tmp1.Double(tmp2)    // tmp1 = 16*v in P1xP1 coords
-	v.fromP1xP1(tmp1)    // now v = 16*(odd components)
-
-	// Accumulate the even components
-	for i := 0; i < 64; i += 2 {
-		basepointTable[i/2].SelectInto(multiple, digits[i])
-		tmp1.AddAffine(v, multiple)
-		v.fromP1xP1(tmp1)
-	}
-
-	return v
-}

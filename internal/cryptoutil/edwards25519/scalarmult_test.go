@@ -17,7 +17,7 @@ var (
 
 func TestBaseMultVsDalek(t *testing.T) {
 	var p Point
-	p.ScalarBaseMult(dalekScalar)
+	p.scalarBaseMult(dalekScalar)
 	if dalekScalarBasepoint.Equal(&p) != 1 {
 		t.Error("Scalar mul does not match dalek")
 	}

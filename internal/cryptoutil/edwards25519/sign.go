@@ -31,7 +31,7 @@ func (k *SignKey) SetSeed(seed *[32]byte) *SignKey {
 	}
 	copy(k.prefix[:], h[32:])
 	var a Point
-	a.ScalarBaseMult(&k.s)
+	a.scalarBaseMult(&k.s)
 	a.bytes(&k.a)
 	return k
 }
@@ -55,7 +55,7 @@ func (k *SignKey) Sign(sig *[64]byte, msg []byte) {
 		panic("edwards25519: internal error: setting scalar failed")
 	}
 	var R Point
-	encR := R.ScalarBaseMult(&r).bytes((*[32]byte)(sig[:32]))
+	encR := R.scalarBaseMult(&r).bytes((*[32]byte)(sig[:32]))
 
 	h.Reset()
 	h.Write(encR)
@@ -66,6 +66,37 @@ func (k *SignKey) Sign(sig *[64]byte, msg []byte) {
 	}
 	s.MultiplyAdd(&c, &k.s, &r)
 	s.bytes((*[32]byte)(sig[32:]))
+}
+
+// scalarBaseMult sets v = x·B, where B is the canonical generator, in
+// constant time, and returns v. It is the source's ScalarBaseMult (deleted
+// here) with each of its 64 table lookups made by selectAffine, which reads
+// the eight entries of a table with SSE2 where the copied SelectInto
+// selects them one field element at a time. It writes x = Σ x_i·16^i,
+// −8 ≤ x_i ≤ 8, adds the odd digits' x_i·16^(i−1)·B from table i/2,
+// multiplies by 16, then adds the even digits'.
+func (v *Point) scalarBaseMult(x *Scalar) *Point {
+	table := basepointTable()
+	digits := x.signedRadix16()
+
+	var multiple affineCached
+	var tmp1 projP1xP1
+	var tmp2 projP2
+	v.Set(NewIdentityPoint())
+	for i := 1; i < 64; i += 2 {
+		table[i/2].selectAffine(&multiple, digits[i])
+		v.fromP1xP1(tmp1.AddAffine(v, &multiple))
+	}
+	tmp2.FromP3(v)
+	for range 3 {
+		tmp2.FromP1xP1(tmp1.Double(&tmp2))
+	}
+	v.fromP1xP1(tmp1.Double(&tmp2))
+	for i := 0; i < 64; i += 2 {
+		table[i/2].selectAffine(&multiple, digits[i])
+		v.fromP1xP1(tmp1.AddAffine(v, &multiple))
+	}
+	return v
 }
 
 // X25519Base sets dst to X25519(scalar, 9), the public key of an X25519
@@ -79,7 +110,7 @@ func X25519Base(dst, scalar *[32]byte) {
 		panic("edwards25519: internal error: setting scalar failed")
 	}
 	var p Point
-	p.ScalarBaseMult(&s)
+	p.scalarBaseMult(&s)
 	var u, zMinusY field.Element
 	u.Add(&p.z, &p.y)
 	zMinusY.Subtract(&p.z, &p.y)
