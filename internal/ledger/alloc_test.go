@@ -59,3 +59,44 @@ func TestAppendAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryAllocsPerEntry pins what reading an entry costs: its frame, one
+// allocation, plus one per non-empty VM, property or trace string. The
+// frame is read with one ReadAt, the payload is a slice of it and the kind
+// comes from the table of kinds. A query that matches nothing reads every
+// entry and keeps none, so it costs exactly that sum.
+func TestQueryAllocsPerEntry(t *testing.T) {
+	const n = 1000
+	l := mustOpen(t, Options{})
+	budget := 0
+	for i := 0; i < n; i++ {
+		e := Entry{At: time.Duration(i) * time.Second, Kind: kinds[i%len(kinds)], Payload: probe{N: uint64(i)}.AppendWire(nil)}
+		if i%2 == 0 {
+			e.Vid = fmt.Sprintf("vm-%04d", i%7)
+		}
+		if i%3 == 0 {
+			e.Prop = "runtime-integrity"
+		}
+		if i%5 == 0 {
+			e.Trace = fmt.Sprintf("t-%d", i)
+		}
+		for _, s := range []string{e.Vid, e.Prop, e.Trace} {
+			if s != "" {
+				budget++
+			}
+		}
+		if _, err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget += n
+	got := testing.AllocsPerRun(5, func() {
+		if es, err := l.Query(Filter{Vid: "vm-none"}); err != nil || len(es) != 0 {
+			t.Fatalf("Query matched %d entries (%v), want none", len(es), err)
+		}
+	})
+	t.Logf("a query over %d entries allocates %.0f times, budget %d", n, got, budget)
+	if got > float64(budget) {
+		t.Errorf("a query over %d entries allocates %.0f times, want at most %d", n, got, budget)
+	}
+}

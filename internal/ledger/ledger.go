@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -160,7 +161,8 @@ func appendFrame(buf []byte, e *Entry) []byte {
 	return buf
 }
 
-// decodeFrame parses one frame body (after the length prefix).
+// decodeFrame parses one frame body (after the length prefix). The entry's
+// Payload is a slice of body, which each caller has just read afresh.
 func decodeFrame(body []byte) (Entry, error) {
 	var e Entry
 	take := func(n int) ([]byte, bool) {
@@ -177,13 +179,12 @@ func decodeFrame(body []byte) (Entry, error) {
 	}
 	e.Seq = binary.BigEndian.Uint64(fixed[:8])
 	e.At = time.Duration(binary.BigEndian.Uint64(fixed[8:]))
-	str := func() (string, bool) {
+	str := func() ([]byte, bool) {
 		lb, ok := take(2)
 		if !ok {
-			return "", false
+			return nil, false
 		}
-		b, ok := take(int(binary.BigEndian.Uint16(lb)))
-		return string(b), ok
+		return take(int(binary.BigEndian.Uint16(lb)))
 	}
 	kind, ok1 := str()
 	vid, ok2 := str()
@@ -192,7 +193,12 @@ func decodeFrame(body []byte) (Entry, error) {
 	if !ok1 || !ok2 || !ok3 || !ok6 {
 		return e, errors.New("ledger: short frame")
 	}
-	e.Kind, e.Vid, e.Prop, e.Trace = Kind(kind), vid, prop, trace
+	e.Vid, e.Prop, e.Trace = string(vid), string(prop), string(trace)
+	if i := slices.IndexFunc(kinds, func(k Kind) bool { return string(k) == string(kind) }); i >= 0 {
+		e.Kind = kinds[i] // a known kind allocates nothing
+	} else {
+		e.Kind = Kind(kind)
+	}
 	plb, ok := take(4)
 	if !ok {
 		return e, errors.New("ledger: short frame")
@@ -202,7 +208,7 @@ func decodeFrame(body []byte) (Entry, error) {
 		return e, errors.New("ledger: short frame")
 	}
 	if len(pl) > 0 {
-		e.Payload = append([]byte(nil), pl...)
+		e.Payload = pl[:len(pl):len(pl)]
 	}
 	prev, ok4 := take(32)
 	h, ok5 := take(32)
@@ -737,7 +743,7 @@ func (l *Ledger) Entry(seq uint64) (Entry, error) {
 	l.mu.Unlock()
 
 	frame := make([]byte, lc.n)
-	if _, err := io.ReadFull(io.NewSectionReader(file, lc.off, int64(len(frame))), frame); err != nil {
+	if n, err := file.ReadAt(frame, lc.off); n < len(frame) {
 		return Entry{}, err
 	}
 	// The length prefix is part of the committed bytes: a mutated prefix is
