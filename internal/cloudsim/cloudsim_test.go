@@ -31,7 +31,7 @@ func newTB(t *testing.T, opts Options) *Testbed {
 // checkOracle judges the finished run tb leaves behind — its ledger, the
 // ledger head signed by the controller and every shard's metrics — and
 // fails the test on each violation the oracle finds.
-func checkOracle(t *testing.T, tb *Testbed) {
+func checkOracle(t testing.TB, tb *Testbed) {
 	t.Helper()
 	shards := make(map[string]metrics.RegistrySnapshot)
 	for _, as := range tb.AttestServers {
