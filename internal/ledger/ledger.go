@@ -20,8 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"slices"
 	"sync"
 	"time"
 
@@ -60,14 +58,15 @@ const (
 // kinds lists every entry kind, in declaration order.
 var kinds = []Kind{KindAppraisal, KindRemediation, KindLaunch, KindCertIssue, KindDegraded, KindRPCFault, KindIntent}
 
-// ParseKind resolves an operator-supplied entry kind name.
-func ParseKind(s string) (Kind, error) {
+// ParseKind resolves an operator's or a frame's entry kind name, allocating
+// nothing for a known one. An unknown name comes back as a Kind, with an error.
+func ParseKind[S string | []byte](s S) (Kind, error) {
 	for _, k := range kinds {
-		if k == Kind(s) {
+		if string(k) == string(s) {
 			return k, nil
 		}
 	}
-	return "", fmt.Errorf("ledger: unknown entry kind %q (have %v)", s, kinds)
+	return Kind(s), fmt.Errorf("ledger: unknown entry kind %q (have %v)", s, kinds)
 }
 
 // Entry is one committed evidence record. Seq, PrevHash and Hash are
@@ -161,8 +160,7 @@ func appendFrame(buf []byte, e *Entry) []byte {
 	return buf
 }
 
-// decodeFrame parses one frame body (after the length prefix). The entry's
-// Payload is a slice of body, which each caller has just read afresh.
+// decodeFrame parses one frame body (after the length prefix).
 func decodeFrame(body []byte) (Entry, error) {
 	var e Entry
 	take := func(n int) ([]byte, bool) {
@@ -193,12 +191,8 @@ func decodeFrame(body []byte) (Entry, error) {
 	if !ok1 || !ok2 || !ok3 || !ok6 {
 		return e, errors.New("ledger: short frame")
 	}
+	e.Kind, _ = ParseKind(kind) // a kind this build does not know reads back as written
 	e.Vid, e.Prop, e.Trace = string(vid), string(prop), string(trace)
-	if i := slices.IndexFunc(kinds, func(k Kind) bool { return string(k) == string(kind) }); i >= 0 {
-		e.Kind = kinds[i] // a known kind allocates nothing
-	} else {
-		e.Kind = Kind(kind)
-	}
 	plb, ok := take(4)
 	if !ok {
 		return e, errors.New("ledger: short frame")
@@ -208,7 +202,7 @@ func decodeFrame(body []byte) (Entry, error) {
 		return e, errors.New("ledger: short frame")
 	}
 	if len(pl) > 0 {
-		e.Payload = pl[:len(pl):len(pl)]
+		e.Payload = pl[:len(pl):len(pl)] // each caller has read body afresh
 	}
 	prev, ok4 := take(32)
 	h, ok5 := take(32)
@@ -443,7 +437,7 @@ func readFrame(f segFile, off, size int64) (Entry, int64, error) {
 	if size-off < frameHeader {
 		return Entry{}, 0, errors.New("torn frame header")
 	}
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, frameHeader), hdr[:]); err != nil {
+	if n, err := f.ReadAt(hdr[:], off); n < len(hdr) {
 		return Entry{}, 0, err
 	}
 	n := int64(binary.BigEndian.Uint32(hdr[:]))
@@ -451,7 +445,7 @@ func readFrame(f segFile, off, size int64) (Entry, int64, error) {
 		return Entry{}, 0, errors.New("torn or oversized frame")
 	}
 	body := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+frameHeader, n), body); err != nil {
+	if k, err := f.ReadAt(body, off+frameHeader); k < len(body) {
 		return Entry{}, 0, err
 	}
 	e, err := decodeFrame(body)
@@ -465,7 +459,7 @@ func readFrame(f segFile, off, size int64) (Entry, int64, error) {
 // version byte was written by another format: both are ErrSegmentFormat.
 func checkSegHeader(f segFile, size int64) error {
 	hdr := make([]byte, min(size, int64(segHeaderLen)))
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(len(hdr))), hdr); err != nil {
+	if n, err := f.ReadAt(hdr, 0); n < len(hdr) {
 		return err
 	}
 	switch {
