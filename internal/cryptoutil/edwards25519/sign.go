@@ -70,8 +70,8 @@ func (k *SignKey) Sign(sig *[64]byte, msg []byte) {
 
 // scalarBaseMult sets v = x·B, where B is the canonical generator, in
 // constant time, and returns v. It is the source's ScalarBaseMult (deleted
-// here) with each of its 64 table lookups made by selectAffine, which reads
-// the eight entries of a table with SSE2 where the copied SelectInto
+// here) with each of its 64 table lookups made by selectAffine, which on
+// amd64 reads a table's eight entries with SSE2 where the copied SelectInto
 // selects them one field element at a time. It writes x = Σ x_i·16^i,
 // −8 ≤ x_i ≤ 8, adds the odd digits' x_i·16^(i−1)·B from table i/2,
 // multiplies by 16, then adds the even digits'.
