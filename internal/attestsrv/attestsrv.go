@@ -39,8 +39,6 @@ import (
 type ServerRecord struct {
 	Name string
 	Addr string
-	// IdentityKey (VKs) authenticates the secure channel to the server.
-	IdentityKey []byte
 	// AIK verifies the server's platform evidence: the TPM AIK, the vTPM
 	// hardware endorsement key, or the VCEK, per Backend.
 	AIK []byte

@@ -474,7 +474,7 @@ func TestConcurrentCustomers(t *testing.T) {
 // attests every VM — the scalability smoke test for the scheduler, the
 // attestation fan-out and the per-VM bookkeeping.
 func TestScaleManyVMsManyServers(t *testing.T) {
-	tb := newTB(t, Options{Seed: 17, Servers: 8, PCPUsPerServer: 4})
+	tb := newTB(t, Options{Seed: 17, Servers: 8})
 	cu, _ := tb.NewCustomer("fleet-owner")
 	req := basicLaunch()
 	req.Flavor = "small"
@@ -554,5 +554,36 @@ func TestHotPathOptions(t *testing.T) {
 	}
 	if n := cryptoutil.Ops().Sub(ops).ECDH; n != 0 {
 		t.Fatalf("the redial ran %d X25519 operations: it did not resume", n)
+	}
+}
+
+// TestOneSeedDistinctKeys: the seed drives the simulation, not the keys.
+// Two testbeds built from one seed replay one virtual run, yet every
+// identity in them is its own draw from the testbed's entropy source, so
+// the seed a run is published with rebuilds none of its keys.
+func TestOneSeedDistinctKeys(t *testing.T) {
+	keys := func() map[string][]byte {
+		tb := newTB(t, Options{Seed: 1, Servers: 1})
+		cu, err := tb.NewCustomer("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cu.Close()
+		tb.mu.Lock()
+		defer tb.mu.Unlock()
+		out := map[string][]byte{"privacy-ca": tb.PCA.PublicKey()}
+		for name, key := range tb.directory {
+			out[name] = key
+		}
+		return out
+	}
+	a, b := keys(), keys()
+	for _, name := range []string{"cloud-controller", "attestation-server", "privacy-ca", serverName(0), "alice"} {
+		switch {
+		case len(a[name]) == 0 || len(b[name]) == 0:
+			t.Errorf("no key for %s", name)
+		case cryptoutil.KeyEqual(a[name], b[name]):
+			t.Errorf("%s has one key in two testbeds built from seed 1", name)
+		}
 	}
 }

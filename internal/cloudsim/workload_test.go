@@ -3,8 +3,10 @@ package cloudsim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
@@ -40,15 +42,19 @@ func benchAttest(cu *Customer, vid string, p properties.Property) error {
 	return nil
 }
 
-// BenchmarkWorkload runs two of the repository benchmark's workloads
+// BenchmarkWorkload runs the repository benchmark's four workloads
 // (benchmark/workloads.go) as they are set up there: the same testbed, the
 // same launch request, the same warm-up and the same operation, numbered
 // from the same first op. Beside time per op it reports allocations,
-// signatures, signature checks and ledger appends per op. At one P its
-// allocations per op are the benchmark's allocs_per_op, which counts the
-// first 1 000 attest-steady ops and the first 100 churn cycles:
+// signatures, signature checks and ledger appends per unit of work, the
+// benchmark's "op": an attestation, a delivered periodic report or a churn
+// cycle. At one P its allocations per unit are the benchmark's
+// allocs_per_op, which counts the first 1 000 attest-steady ops, 32
+// attest-fleet visits, 3 periodic steps and 100 churn cycles:
 //
 //	go test -run '^$' -bench 'Workload/attest-steady' -benchtime 1000x -cpu 1 ./internal/cloudsim/
+//	go test -run '^$' -bench 'Workload/attest-fleet' -benchtime 32x -cpu 1 ./internal/cloudsim/
+//	go test -run '^$' -bench 'Workload/periodic' -benchtime 3x -cpu 1 ./internal/cloudsim/
 //	go test -run '^$' -bench 'Workload/churn' -benchtime 100x -cpu 1 ./internal/cloudsim/
 //
 // Add -cpuprofile cpu.out for a profile of the same operations.
@@ -56,21 +62,68 @@ func BenchmarkWorkload(b *testing.B) {
 	// attest-steady alternates the two integrity properties on the one VM
 	// of a one-server testbed.
 	b.Run("attest-steady", func(b *testing.B) {
-		tb := benchTestbed(b, Options{Seed: 1, Servers: 1})
-		cu, err := tb.NewCustomer("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := cu.Launch(benchLaunch())
-		if err != nil || !res.OK {
-			b.Fatalf("launch: %v %v", res, err)
-		}
+		tb, cu, vids := benchFleet(b, Options{Seed: 1, Servers: 1}, 1)
 		props := []properties.Property{properties.StartupIntegrity, properties.RuntimeIntegrity}
-		op := func(i int) error { return benchAttest(cu, res.Vid, props[i%len(props)]) }
+		op := func(i int) (int, error) { return 1, benchAttest(cu, vids[0], props[i%len(props)]) }
 		for i := 0; i < benchWarmupOps; i++ {
-			if err := op(i); err != nil {
+			if _, err := op(i); err != nil {
 				b.Fatal(err)
 			}
+		}
+		measureWorkload(b, tb, op)
+	})
+	// attest-fleet visits 32 VMs on eight servers and four shards in a
+	// seed-shuffled order, attesting all four properties on each visit.
+	b.Run("attest-fleet", func(b *testing.B) {
+		tb, cu, vids := benchFleet(b, Options{Seed: 1, Servers: 8, Shards: 4}, 32)
+		props := properties.All
+		op := func(i int) (int, error) {
+			var errs []error
+			for k := i * len(props); k < (i+1)*len(props); k++ {
+				errs = append(errs, benchAttest(cu, vids[(k/len(props))%len(vids)], props[k%len(props)]))
+			}
+			return len(props), errors.Join(errs...)
+		}
+		for i := 0; i < benchWarmupOps; i++ {
+			if _, err := op(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		measureWorkload(b, tb, op)
+	})
+	// periodic arms two streams on each of 16 VMs on four servers; an op
+	// runs one virtual minute, then drains and end-verifies every stream.
+	b.Run("periodic", func(b *testing.B) {
+		tb, cu, vids := benchFleet(b, Options{Seed: 1, Servers: 4}, 16)
+		streams := []struct {
+			prop properties.Property
+			freq time.Duration
+		}{{properties.RuntimeIntegrity, 5 * time.Second}, {properties.CPUAvailability, 10 * time.Second}}
+		for _, vid := range vids {
+			for _, s := range streams {
+				if err := cu.StartPeriodic(vid, s.prop, s.freq); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		op := func(int) (units int, err error) {
+			tb.RunFor(time.Minute)
+			for _, vid := range vids {
+				for _, s := range streams {
+					vs, ferr := cu.FetchPeriodic(vid, s.prop)
+					err = errors.Join(err, ferr)
+					for _, v := range vs {
+						if !v.Healthy {
+							err = errors.Join(err, fmt.Errorf("healthy VM %s reported unhealthy for %s: %s", vid, s.prop, v.Reason))
+						}
+					}
+					units += len(vs)
+				}
+			}
+			return units, err
+		}
+		if _, err := op(0); err != nil {
+			b.Fatal(err)
 		}
 		measureWorkload(b, tb, op)
 	})
@@ -102,7 +155,7 @@ func BenchmarkWorkload(b *testing.B) {
 		if err := op(0); err != nil {
 			b.Fatal(err)
 		}
-		measureWorkload(b, tb, op)
+		measureWorkload(b, tb, func(i int) (int, error) { return 1, op(i) })
 	})
 }
 
@@ -117,23 +170,47 @@ func benchTestbed(b *testing.B, opts Options) *Testbed {
 	return tb
 }
 
+// benchFleet builds a workload's testbed as the benchmark's setUp does: one
+// customer launches vms VMs, which it visits in the order the seed shuffles
+// them into.
+func benchFleet(b *testing.B, opts Options, vms int) (*Testbed, *Customer, []string) {
+	tb := benchTestbed(b, opts)
+	cu, err := tb.NewCustomer("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	vids := make([]string, vms)
+	for i := range vids {
+		res, err := cu.Launch(benchLaunch())
+		if err != nil || !res.OK {
+			b.Fatalf("launch %d: %v %v", i, res, err)
+		}
+		vids[i] = res.Vid
+	}
+	rand.New(rand.NewSource(opts.Seed)).Shuffle(len(vids), func(i, j int) { vids[i], vids[j] = vids[j], vids[i] })
+	return tb, cu, vids
+}
+
 // measureWorkload times b.N ops from number benchWarmupOps on, from a
 // collected heap as the benchmark starts its timed region, and reports
-// what they cost per op.
-func measureWorkload(b *testing.B, tb *Testbed, op func(i int) error) {
+// what they cost per unit of work. An op returns the units it completed.
+func measureWorkload(b *testing.B, tb *Testbed, op func(i int) (int, error)) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	ops0, appends0 := cryptoutil.Ops(), tb.Ledger.Len()
+	units := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := op(benchWarmupOps + i); err != nil {
+		u, err := op(benchWarmupOps + i)
+		if err != nil {
 			b.Fatalf("op %d: %v", benchWarmupOps+i, err)
 		}
+		units += u
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	ops, n := cryptoutil.Ops().Sub(ops0), float64(b.N)
+	ops, n := cryptoutil.Ops().Sub(ops0), float64(max(units, 1))
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "mallocs/op")
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/1024/n, "KiB/op")
 	b.ReportMetric(float64(ops.Sign)/n, "signs/op")

@@ -94,8 +94,6 @@ type vmRecord struct {
 	ImageName string
 	Flavor    image.Flavor
 	Props     []properties.Property
-	Allowlist []string
-	MinShare  float64
 	Workload  string
 	State     string // active | suspended | terminated
 	// SuspendedFor records which failing property triggered a suspension,
@@ -803,7 +801,6 @@ func (l *launchOp) place(cand *ServerEntry) (placed bool, err error) {
 	rec := &vmRecord{
 		Vid: l.vid, Owner: l.req.Owner, Server: cand.Name,
 		ImageName: l.req.ImageName, Flavor: l.flavor, Props: l.req.Props,
-		Allowlist: l.req.Allowlist, MinShare: l.req.MinShare,
 		Workload: l.req.Workload, State: "active",
 	}
 	c.mu.Lock()

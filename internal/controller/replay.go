@@ -111,7 +111,6 @@ func (c *Controller) Recover() error {
 				recs[e.Vid] = &vmRecord{
 					Vid: e.Vid, Owner: lb.Owner, Server: ir.Server,
 					ImageName: lb.Image, Flavor: flavor, Props: props,
-					Allowlist: lb.Allowlist, MinShare: lb.MinShare,
 					Workload: lb.Workload, State: "active",
 				}
 				c.reserve(ir.Server, flavor)

@@ -71,9 +71,6 @@ type Identity struct {
 // NewIdentity generates a fresh identity using the given entropy source,
 // drawing its 32-byte seed as crypto/ed25519.GenerateKey does.
 func NewIdentity(name string, r io.Reader) (*Identity, error) {
-	if r == nil {
-		r = rand.Reader
-	}
 	var seed [ed25519.SeedSize]byte
 	if _, err := io.ReadFull(r, seed[:]); err != nil {
 		return nil, fmt.Errorf("cryptoutil: generating identity %q: %w", name, err)

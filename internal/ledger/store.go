@@ -94,7 +94,7 @@ func (d *dirStore) Open(name string) (segFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &osSeg{f: f, readOnly: d.readOnly}, nil
+	return &osSeg{f: f}, nil
 }
 
 func (d *dirStore) Create(name string) (segFile, error) {
@@ -118,11 +118,10 @@ func (d *dirStore) Remove(name string) error {
 // osSeg adapts *os.File. The write offset is tracked explicitly so appends
 // and ReadAt never race over the file position.
 type osSeg struct {
-	mu       sync.Mutex
-	f        *os.File
-	readOnly bool
-	size     int64
-	sized    bool
+	mu    sync.Mutex
+	f     *os.File
+	size  int64
+	sized bool
 }
 
 func (s *osSeg) ReadAt(p []byte, off int64) (int, error) { return s.f.ReadAt(p, off) }

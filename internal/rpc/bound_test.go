@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	mathrand "math/rand"
 	"runtime"
 	"testing"
@@ -169,18 +170,19 @@ func TestIdemCacheRingBounded(t *testing.T) {
 }
 
 // TestBackoffJitterBuiltLazily: a client builds its jitter source on its
-// first backoff, not at construction, and draws the sequence its seed always
-// gave.
+// first backoff, not at construction, and draws the sequence its address
+// always gave.
 func TestBackoffJitterBuiltLazily(t *testing.T) {
-	const seed = 42
 	rc := NewReconnectClient(ClientConfig{
-		Network: NewMemNetwork(), Addr: "srv", Seed: seed,
+		Network: NewMemNetwork(), Addr: "srv",
 		Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Second},
 	})
 	if rc.rng != nil {
 		t.Fatal("jitter source built before any backoff")
 	}
-	eager := mathrand.New(mathrand.NewSource(seed))
+	h := fnv.New64a()
+	h.Write([]byte("srv"))
+	eager := mathrand.New(mathrand.NewSource(int64(h.Sum64())))
 	for attempt := 1; attempt <= 8; attempt++ {
 		d := time.Millisecond << (attempt - 1)
 		want := time.Duration(float64(d) * (1 - backoffJitter*eager.Float64()))

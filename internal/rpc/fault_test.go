@@ -296,7 +296,6 @@ func TestCallFreshRetriesThroughChaos(t *testing.T) {
 		Retry:       RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		Breaker:     BreakerPolicy{Threshold: -1},
 		CallTimeout: 2 * time.Second,
-		Seed:        1,
 	})
 	defer rc.Close()
 

@@ -107,8 +107,6 @@ type ClientConfig struct {
 	// OnEvent observes retries and breaker transitions. It may be called
 	// concurrently and must not call back into this client.
 	OnEvent func(Event)
-	// Seed makes backoff jitter deterministic; 0 derives a seed from Addr.
-	Seed int64
 }
 
 // ReconnectClient is a fault-tolerant RPC client: it dials lazily,
@@ -135,11 +133,6 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = defaultCallTimeout
-	}
-	if cfg.Seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(cfg.Addr))
-		cfg.Seed = int64(h.Sum64())
 	}
 	rc := &ReconnectClient{cfg: cfg}
 	rc.breaker = newBreaker(cfg.Breaker, func(from, to BreakerState) {
@@ -357,8 +350,10 @@ func (rc *ReconnectClient) backoff(attempt int) time.Duration {
 	rc.mu.Lock()
 	if rc.rng == nil {
 		// Built here, not per client: most clients never retry, and the
-		// source is ~4.9 KiB.
-		rc.rng = mathrand.New(mathrand.NewSource(rc.cfg.Seed))
+		// source is ~4.9 KiB. Its seed is FNV-1a of the peer's address.
+		h := fnv.New64a()
+		h.Write([]byte(rc.cfg.Addr))
+		rc.rng = mathrand.New(mathrand.NewSource(int64(h.Sum64())))
 	}
 	f := 1 - backoffJitter*rc.rng.Float64()
 	rc.mu.Unlock()

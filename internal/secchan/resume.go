@@ -120,7 +120,6 @@ type TicketKeeper struct {
 	aead     cipher.AEAD
 	lifetime time.Duration
 	replay   *cryptoutil.ReplayCache
-	rand     io.Reader
 	// now is the keeper's clock; wall clock in production, swappable in
 	// tests driving expiry.
 	now func() time.Time
@@ -135,7 +134,6 @@ func NewTicketKeeper(lifetime time.Duration) (*TicketKeeper, error) {
 	k := &TicketKeeper{
 		lifetime: lifetime,
 		replay:   cryptoutil.NewReplayCache(4096),
-		rand:     rand.Reader,
 		now:      time.Now,
 	}
 	if err := k.Rotate(); err != nil {
@@ -147,11 +145,7 @@ func NewTicketKeeper(lifetime time.Duration) (*TicketKeeper, error) {
 // Rotate replaces the ticket key, invalidating every outstanding ticket.
 func (k *TicketKeeper) Rotate() error {
 	key := make([]byte, 32)
-	r := k.rand
-	if r == nil {
-		r = rand.Reader
-	}
-	if _, err := io.ReadFull(r, key); err != nil {
+	if _, err := io.ReadFull(rand.Reader, key); err != nil {
 		return err
 	}
 	aead, err := newAEAD(key)
@@ -166,7 +160,7 @@ func (k *TicketKeeper) Rotate() error {
 
 // issue seals (name, key, rms, expiry) into a new single-use ticket.
 func (k *TicketKeeper) issue(name string, key ed25519.PublicKey, rms [32]byte) (id cryptoutil.Nonce, blob []byte, expiry time.Time, err error) {
-	id, err = cryptoutil.NewNonce(k.rand)
+	id, err = cryptoutil.NewNonce(rand.Reader)
 	if err != nil {
 		return id, nil, time.Time{}, err
 	}
@@ -175,7 +169,7 @@ func (k *TicketKeeper) issue(name string, key ed25519.PublicKey, rms [32]byte) (
 	binary.BigEndian.PutUint64(exp[:], uint64(expiry.UnixNano()))
 	state := packFields([]byte(name), key, rms[:], exp[:])
 	gcmNonce := make([]byte, 12)
-	if _, err := io.ReadFull(k.rand, gcmNonce); err != nil {
+	if _, err := io.ReadFull(rand.Reader, gcmNonce); err != nil {
 		return id, nil, time.Time{}, err
 	}
 	k.mu.Lock()

@@ -100,5 +100,5 @@ func (s *Server) Handler() rpc.Handler {
 // recorded response to retried duplicates, so a redelivered terminate
 // cannot kill a reincarnated VM.
 func (s *Server) Serve(l net.Listener, verify secchan.VerifyPeer) {
-	go rpc.Serve(l, secchan.Config{Identity: s.Identity(), Verify: verify, Tickets: s.tickets}, s.Handler())
+	go rpc.Serve(l, secchan.Config{Identity: s.Identity(), Verify: verify, Rand: s.cfg.Rand, Tickets: s.tickets}, s.Handler())
 }

@@ -261,10 +261,6 @@ func New(cfg Config) (*Server, error) {
 // Name returns the server's identity name.
 func (s *Server) Name() string { return s.cfg.Name }
 
-// IdentityKey returns the Trust Module's public identity key VKs (used for
-// channel authentication and pCA registration).
-func (s *Server) IdentityKey() []byte { return s.tm.IdentityKey() }
-
 // Identity returns the identity used for secure-channel authentication.
 // The paper notes the SSL identity key is "minimally what is required" and
 // already present — we share the Trust Module identity.

@@ -47,7 +47,6 @@ type TPM struct {
 	pcrs [NumPCRs]Digest
 	log  []Event
 	aik  *cryptoutil.Identity
-	rand io.Reader
 }
 
 // New creates a TPM whose attestation identity key is drawn from r.
@@ -56,7 +55,7 @@ func New(r io.Reader) (*TPM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tpm: %w", err)
 	}
-	return &TPM{aik: aik, rand: r}, nil
+	return &TPM{aik: aik}, nil
 }
 
 // AIK returns the public attestation identity key that verifies quotes.

@@ -146,7 +146,7 @@ func TestAppraiseRejections(t *testing.T) {
 				if tc.launched != "" {
 					launched = sha256.Sum256([]byte(tc.launched))
 				}
-				drv := provision(t, b, driver.Config{ServerName: "rejections"}, boot, launched)
+				drv := provision(t, b, driver.Config{ServerName: "rejections", Rand: rand.Reader}, boot, launched)
 				a := &appraisal{nonce: cryptoutil.MustNonce(), refs: refsFor(drv, pristineImage())}
 				a.ms = collect(t, drv, a.nonce, pristineImage())
 				if tc.mutate != nil {

@@ -6,6 +6,7 @@
 package driver_test
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 	"strings"
@@ -74,7 +75,7 @@ func sameVerdict(a, b properties.Verdict) bool {
 // against the memoryless appraisal of the whole log at that instant.
 func TestIncrementalAppraisalEqualsWholeLog(t *testing.T) {
 	pristine, trojaned := pristineImage(), imageOf("trojaned-image")
-	drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "incremental"}, platform, pristine)
+	drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "incremental", Rand: rand.Reader}, platform, pristine)
 	v := &verifier{t: t, drv: drv}
 	launched := map[string][32]byte{"vm-1": pristine}
 	events := 5 // four boot components and vm-1's image
@@ -200,7 +201,7 @@ func TestHostileAttester(t *testing.T) {
 			tc.class, tc.reason = properties.FailureImage, "no measurement for this VM's image"
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "hostile"}, platform, pristine)
+			drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "hostile", Rand: rand.Reader}, platform, pristine)
 			v := &verifier{t: t, drv: drv}
 			if verdict, _ := v.appraise("vm-1", pristine); !verdict.Healthy || v.mem.Count != 5 {
 				t.Fatalf("setting the memory up: %+v, %d events", verdict, v.mem.Count)
@@ -291,7 +292,7 @@ func TestLogMemoryMovesOnlyForward(t *testing.T) {
 	pristine := pristineImage()
 	for _, order := range []string{"short-first", "long-first"} {
 		t.Run(order, func(t *testing.T) {
-			drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "forward"}, platform, pristine)
+			drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "forward", Rand: rand.Reader}, platform, pristine)
 			v := &verifier{t: t, drv: drv}
 			v.appraise("vm-1", pristine)
 			appraise := func(vid string) *driver.LogMemory {
@@ -338,7 +339,7 @@ func TestLogMemoryMovesOnlyForward(t *testing.T) {
 // and back) or conflicting, and nothing after Forget.
 func TestLogMemoryImageEntries(t *testing.T) {
 	pristine, other := pristineImage(), imageOf("another-image")
-	drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "entries"}, platform, pristine)
+	drv := provision(t, driver.BackendTPM, driver.Config{ServerName: "entries", Rand: rand.Reader}, platform, pristine)
 	held := map[string]bool{"vm-1": true, "vm-2": true}
 	v := &verifier{t: t, drv: drv, keep: func(vid string) bool { return held[vid] }}
 	for _, vid := range []string{"vm-2", "vm-3"} {
