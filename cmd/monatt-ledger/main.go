@@ -9,10 +9,18 @@
 //	    and a signed checkpoint of the head is printed.
 //
 //	monatt-ledger verify -dir DIR
-//	    independently replay the hash chain from entry 1 to the head,
-//	    recomputing every entry hash and link. This shares no state with
-//	    the process that wrote the ledger: it is the auditor's proof that
-//	    the evidence was not rewritten.
+//	    open the ledger read-only and hold it to the claims it alone
+//	    decides (oracle.CheckLedger): the hash chain replays from entry 1
+//	    to the head, every entry hash and link recomputed; each
+//	    remediation answers an unhealthy verdict no earlier one answered,
+//	    and none follows an infrastructure failure alone; every begun
+//	    intent was ended or replayed by a recovery; the privacy CA's
+//	    serials strictly increase. It shares no state with the process
+//	    that wrote the ledger, so the auditor need not trust the operator.
+//	    It prints the head and the checks that held, or each violation on
+//	    stderr as "check: detail" and exits 1. An intent still open at the
+//	    head is a violation, so run it on a finished run, or after a
+//	    recovery (controller.Recover) has replayed a crashed one.
 //
 //	monatt-ledger show -dir DIR [-vid V] [-kind K] [-prop P] [-limit N]
 //	    query committed entries by VM, entry kind, property, or any
@@ -35,6 +43,7 @@ import (
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/ledger"
+	"cloudmonatt/internal/oracle"
 	"cloudmonatt/internal/pca"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
@@ -120,13 +129,12 @@ func demo(args []string) {
 		fatal(fmt.Errorf("infected VM attested healthy"))
 	}
 
-	n, err := tb.Ledger.Verify()
-	if err != nil {
-		fatal(err)
+	if vs := oracle.CheckLedger(tb.Ledger); len(vs) > 0 {
+		fatal(fmt.Errorf("the run broke its claims: %v", vs))
 	}
 	seq, hash := tb.Ledger.Head()
 	fmt.Printf("evidence ledger at %s\n", *dir)
-	fmt.Printf("  entries committed: %d (chain verified)\n", n)
+	fmt.Printf("  entries committed: %d (chain verified, claims hold)\n", seq)
 	fmt.Printf("  head: seq=%d hash=%x\n", seq, hash[:8])
 	for _, kind := range []ledger.Kind{ledger.KindLaunch, ledger.KindAppraisal, ledger.KindRemediation, ledger.KindCertIssue} {
 		es, err := tb.Ledger.Query(ledger.Filter{Kind: kind})
@@ -155,12 +163,20 @@ func verify(args []string) {
 	if *dir == "" {
 		usage()
 	}
-	res, err := ledger.Audit(*dir)
+	l, err := ledger.Open(ledger.Options{Dir: *dir, ReadOnly: true})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("chain OK: %d entries replayed (seq 1..%d), head hash %x\n",
-		res.Entries, res.HeadSeq, res.HeadHash)
+	defer l.Close()
+	if vs := oracle.CheckLedger(l); len(vs) > 0 {
+		for _, v := range vs {
+			fmt.Fprintln(os.Stderr, v)
+		}
+		os.Exit(1)
+	}
+	seq, hash := l.Head()
+	fmt.Printf("OK: %s, %s, %s and %s hold over seq 1..%d, head hash %x\n",
+		oracle.CheckChain, oracle.CheckRemediation, oracle.CheckIntents, oracle.CheckSerials, seq, hash)
 }
 
 func show(args []string) {

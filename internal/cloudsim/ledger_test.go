@@ -8,6 +8,7 @@ import (
 	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/ledger"
+	"cloudmonatt/internal/oracle"
 	"cloudmonatt/internal/properties"
 )
 
@@ -123,7 +124,8 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	}
 
 	// The chain verifies in-process and under an independent audit of the
-	// directory, which opens the segments afresh beside the live writer.
+	// directory, which opens the segments afresh, read-only, beside the
+	// live writer.
 	n, err := tb.Ledger.Verify()
 	if err != nil {
 		t.Fatal(err)
@@ -132,12 +134,19 @@ func TestEvidenceLedgerEndToEnd(t *testing.T) {
 	if uint64(n) != headSeq {
 		t.Fatalf("verified %d entries, head seq %d", n, headSeq)
 	}
-	res2, err := ledger.Audit(dir)
+	ro, err := ledger.Open(ledger.Options{Dir: dir, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.HeadSeq != headSeq || res2.HeadHash != headHash {
-		t.Fatalf("audit head (%d, %x) != live head (%d, %x)",
-			res2.HeadSeq, res2.HeadHash, headSeq, headHash)
+	defer ro.Close()
+	if n, err := ro.Verify(); err != nil || uint64(n) != headSeq {
+		t.Fatalf("audit verified %d entries (%v), head seq %d", n, err, headSeq)
+	}
+	if seq, hash := ro.Head(); seq != headSeq || hash != headHash {
+		t.Fatalf("audit head (%d, %x) != live head (%d, %x)", seq, hash, headSeq, headHash)
+	}
+	// The auditor's claim checks hold on the reopen as they do in-process.
+	for _, v := range oracle.CheckLedger(ro) {
+		t.Errorf("audit: %s", v)
 	}
 }

@@ -435,40 +435,20 @@ func TestAnalyzeBusTrace(t *testing.T) {
 	}
 }
 
-// --- IMA-style versioned appraisal catalogs ---
+// --- platform components against the known-good builds ---
 
-func TestApprovedVersionCatalogAcceptsOlderBuild(t *testing.T) {
-	// A server runs an older-but-approved hypervisor build: the primary
-	// catalog rejects it, but it is listed in an approved-versions catalog.
-	oldPlatform := monitor.StandardPlatform()
-	oldPlatform[1].Data = []byte("xen-4.1 pristine (previous approved build)")
-	tb := newTestbed(t, oldPlatform)
-	tb.addVM(t, workload.Idle(), guest.NewOS(), []byte("pristine-image"))
-	ms := tb.collect(t, properties.StartupIntegrity)
-
-	// Without the catalog: rejected.
-	if v := Interpret(properties.StartupIntegrity, ms, tb.nonce, tb.refs); v.Healthy {
-		t.Fatal("unapproved old build accepted")
-	}
-	// With the old build catalogued as approved: accepted.
-	oldCatalog := map[string][32]byte{}
-	for _, c := range oldPlatform {
-		oldCatalog[c.Name] = sha256.Sum256(c.Data)
-	}
-	refs := tb.refs
-	refs.ApprovedVersions = []map[string][32]byte{oldCatalog}
-	if v := Interpret(properties.StartupIntegrity, ms, tb.nonce, refs); !v.Healthy {
-		t.Fatalf("approved old build rejected: %v", v)
-	}
-	// A trojaned build is still rejected even with catalogs present.
-	trojan := monitor.StandardPlatform()
-	trojan[1].Data = []byte("xen TROJANED")
-	tb2 := newTestbed(t, trojan)
-	tb2.addVM(t, workload.Idle(), guest.NewOS(), []byte("pristine-image"))
-	ms2 := tb2.collect(t, properties.StartupIntegrity)
-	refs2 := tb2.refs
-	refs2.ApprovedVersions = []map[string][32]byte{oldCatalog}
-	if v := Interpret(properties.StartupIntegrity, ms2, tb2.nonce, refs2); v.Healthy {
-		t.Fatal("trojaned build slipped through the version catalogs")
+// TestPlatformRejectsUnapprovedOrTrojanedBuild: a platform component that
+// differs from its known-good digest fails startup integrity, whether it
+// is an older pristine build or a trojaned one.
+func TestPlatformRejectsUnapprovedOrTrojanedBuild(t *testing.T) {
+	for _, data := range []string{"xen-4.1 pristine (previous build)", "xen TROJANED"} {
+		platform := monitor.StandardPlatform()
+		platform[1].Data = []byte(data)
+		tb := newTestbed(t, platform)
+		tb.addVM(t, workload.Idle(), guest.NewOS(), []byte("pristine-image"))
+		ms := tb.collect(t, properties.StartupIntegrity)
+		if v := Interpret(properties.StartupIntegrity, ms, tb.nonce, tb.refs); v.Healthy || v.Reason != "platform component differs from known-good build" {
+			t.Fatalf("%q: %+v; want the platform component rejected", data, v)
+		}
 	}
 }

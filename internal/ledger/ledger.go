@@ -852,30 +852,3 @@ func (l *Ledger) Close() error {
 	}
 	return first
 }
-
-// --- auditing ---
-
-// AuditResult summarizes an independent chain replay.
-type AuditResult struct {
-	HeadSeq  uint64
-	HeadHash [32]byte
-	Entries  int
-}
-
-// Audit opens the on-disk ledger at dir read-only and replays its chain
-// from entry 1, failing on any broken link, mutated entry, or
-// torn tail. It is the auditor's entry point (cmd/monatt-ledger verify):
-// it shares no state with the writing process.
-func Audit(dir string) (AuditResult, error) {
-	l, err := Open(Options{Dir: dir, ReadOnly: true})
-	if err != nil {
-		return AuditResult{}, err
-	}
-	defer l.Close()
-	n, err := l.Verify()
-	if err != nil {
-		return AuditResult{}, err
-	}
-	seq, hash := l.Head()
-	return AuditResult{HeadSeq: seq, HeadHash: hash, Entries: n}, nil
-}

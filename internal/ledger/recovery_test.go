@@ -249,16 +249,17 @@ func TestOpenRefusesOtherSegmentFormats(t *testing.T) {
 	}
 }
 
-// TestAuditRejectsTornLedger: the read-only auditor must refuse a torn
-// tail rather than silently repairing it.
+// TestAuditRejectsTornLedger: the auditor's read-only open must refuse a
+// torn tail rather than silently repairing it.
 func TestAuditRejectsTornLedger(t *testing.T) {
 	dir, _ := fillLedger(t, 6, 1<<20)
 	seg, size := lastSegment(t, dir)
 	if err := os.Truncate(seg, size-10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Audit(dir); err == nil {
-		t.Fatal("audit accepted a torn ledger")
+	if l, err := Open(Options{Dir: dir, ReadOnly: true}); err == nil {
+		l.Close()
+		t.Fatal("read-only open accepted a torn ledger")
 	}
 	// A writing reopen repairs it; the auditor is then satisfied.
 	l, err := Open(Options{Dir: dir})
@@ -266,8 +267,12 @@ func TestAuditRejectsTornLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if res, err := Audit(dir); err != nil || res.HeadSeq != 5 {
-		t.Fatalf("audit after repair = %+v, %v", res, err)
+	ro := mustOpen(t, Options{Dir: dir, ReadOnly: true})
+	if n, err := ro.Verify(); err != nil || n != 5 {
+		t.Fatalf("read-only Verify after repair = %d, %v", n, err)
+	}
+	if seq, _ := ro.Head(); seq != 5 {
+		t.Fatalf("read-only head after repair = %d, want 5", seq)
 	}
 }
 

@@ -12,12 +12,15 @@
 //   - every begun intent was ended, or a later recovery replayed it;
 //   - the privacy CA's certificate serials strictly increase.
 //
-// Check reads only those artefacts, so a test calls it after any scenario.
+// Check reads only those artefacts, so a test calls it after any scenario;
+// CheckLedger, the checks that read the ledger alone, is what an auditor
+// holding only the ledger runs (cmd/monatt-ledger verify).
 package oracle
 
 import (
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cloudmonatt/internal/attestsrv"
@@ -58,25 +61,7 @@ func (v Violation) String() string { return v.Check + ": " + v.Detail }
 // Check runs every check over r and returns what they found, in check order.
 func Check(r Run) []Violation {
 	var vs []Violation
-	report := func(check, format string, args ...any) {
-		vs = append(vs, Violation{Check: check, Detail: fmt.Sprintf(format, args...)})
-	}
-	entries := checkChain(r, report)
-	checkPeriodic(r.Shards, report)
-	checkRemediations(entries, report)
-	checkIntents(entries, report)
-	checkSerials(entries, report)
-	return vs
-}
-
-type reportFunc func(check, format string, args ...any)
-
-// checkChain verifies the chain and the checkpoint, and returns the entries
-// it could read for the checks that follow.
-func checkChain(r Run, report reportFunc) []ledger.Entry {
-	if _, err := r.Ledger.Verify(); err != nil {
-		report(CheckChain, "%v", err)
-	}
+	report := reporter(&vs)
 	cp := r.Checkpoint
 	if err := ledger.VerifyCheckpoint(cp, r.CheckpointKey); err != nil {
 		report(CheckChain, "%v", err)
@@ -84,19 +69,26 @@ func checkChain(r Run, report reportFunc) []ledger.Entry {
 	if seq, hash := r.Ledger.Head(); cp.Seq != seq || cp.Hash != hash {
 		report(CheckChain, "the checkpoint signs seq %d, %x, not the head (seq %d, %x)", cp.Seq, cp.Hash[:4], seq, hash[:4])
 	}
-	var entries []ledger.Entry
-	cur := r.Ledger.Cursor()
-	for {
-		e, ok, err := cur.Next()
-		if err != nil {
-			report(CheckChain, "reading entry %d: %v", cur.Seq(), err)
-			return entries
-		}
-		if !ok {
-			return entries
-		}
-		entries = append(entries, e)
+	checkPeriodic(r.Shards, report)
+	return inCheckOrder(append(vs, CheckLedger(r.Ledger)...))
+}
+
+type reportFunc func(check, format string, args ...any)
+
+func reporter(vs *[]Violation) reportFunc {
+	return func(check, format string, args ...any) {
+		*vs = append(*vs, Violation{Check: check, Detail: fmt.Sprintf(format, args...)})
 	}
+}
+
+// inCheckOrder orders vs by check, each check's violations as they were
+// found.
+func inCheckOrder(vs []Violation) []Violation {
+	order := []string{CheckChain, CheckPeriodic, CheckRemediation, CheckIntents, CheckSerials}
+	slices.SortStableFunc(vs, func(a, b Violation) int {
+		return slices.Index(order, a.Check) - slices.Index(order, b.Check)
+	})
+	return vs
 }
 
 // checkPeriodic holds each shard's periodic engine to its accounting.
@@ -120,9 +112,17 @@ func checkPeriodic(shards map[string]metrics.RegistrySnapshot, report reportFunc
 	}
 }
 
-// checkRemediations pairs every remediation with the unhealthy verdicts of
-// its VM and property that no earlier remediation answered.
-func checkRemediations(entries []ledger.Entry, report reportFunc) {
+// CheckLedger runs the checks that read the ledger alone and returns what
+// they found, in check order. It verifies the chain, then walks it once,
+// each entry feeding the check its kind concerns. An intent still open at
+// the head counts as torn, so an auditor checks a finished or recovered run.
+func CheckLedger(l *ledger.Ledger) []Violation {
+	var vs []Violation
+	report := reporter(&vs)
+	if _, err := l.Verify(); err != nil {
+		report(CheckChain, "%v", err)
+	}
+
 	type key struct{ vid, prop string }
 	type state struct {
 		owed     bool // an unhealthy verdict awaits its remediation
@@ -136,9 +136,21 @@ func checkRemediations(entries []ledger.Entry, report reportFunc) {
 		}
 		return states[k]
 	}
-	for i := range entries {
-		e := &entries[i]
+	open := make(map[string]ledger.Entry) // intent ID → its begin entry
+	var lastSerial uint64
+
+	cur := l.Cursor()
+	for {
+		e, ok, err := cur.Next()
+		if err != nil {
+			report(CheckChain, "reading entry %d: %v", cur.Seq(), err)
+			break
+		}
+		if !ok {
+			break
+		}
 		switch e.Kind {
+		// remediation: each answers an unhealthy verdict no earlier one answered.
 		case ledger.KindAppraisal:
 			var v attestsrv.AppraisalRecord
 			if err := e.Decode(&v); err != nil {
@@ -146,11 +158,11 @@ func checkRemediations(entries []ledger.Entry, report reportFunc) {
 				continue
 			}
 			if !v.Healthy && !v.Unattestable {
-				st := at(e)
+				st := at(&e)
 				st.owed, st.degraded = true, false
 			}
 		case ledger.KindDegraded:
-			at(e).degraded = true
+			at(&e).degraded = true
 		case ledger.KindRemediation:
 			var rem controller.RemediationRecord
 			if err := e.Decode(&rem); err != nil {
@@ -160,7 +172,7 @@ func checkRemediations(entries []ledger.Entry, report reportFunc) {
 			if rem.Response == "resume" {
 				continue // the end of a suspension, not a response to a verdict
 			}
-			st := at(e)
+			st := at(&e)
 			switch {
 			case st.owed:
 			case st.degraded:
@@ -169,34 +181,36 @@ func checkRemediations(entries []ledger.Entry, report reportFunc) {
 				report(CheckRemediation, "remediation %d (%s of %s) answers no unhealthy verdict a remediation has not answered already", e.Seq, rem.Response, e.Vid)
 			}
 			st.owed = false
+		// intents: each begun one is ended, or a recovery pass replays it.
+		case ledger.KindIntent:
+			var ir controller.IntentRecord
+			if err := e.Decode(&ir); err != nil {
+				report(CheckIntents, "%v", err)
+				continue
+			}
+			switch {
+			case ir.Op == "recover":
+				clear(open)
+			case ir.Phase == "begin":
+				open[ir.ID] = e
+			default:
+				delete(open, ir.ID)
+			}
+		// cert-serials: issuance serials strictly increase.
+		case ledger.KindCertIssue:
+			var c pca.IssuanceRecord
+			if err := e.Decode(&c); err != nil {
+				report(CheckSerials, "%v", err)
+				continue
+			}
+			if c.Serial <= lastSerial {
+				report(CheckSerials, "issuance %d has serial %d after serial %d", e.Seq, c.Serial, lastSerial)
+			}
+			lastSerial = c.Serial
 		}
 	}
-}
 
-// checkIntents finds begun intents that were neither ended nor followed by
-// a recovery pass, which replays every intent it finds open.
-func checkIntents(entries []ledger.Entry, report reportFunc) {
-	open := make(map[string]*ledger.Entry) // intent ID → its begin entry
-	for i := range entries {
-		e := &entries[i]
-		if e.Kind != ledger.KindIntent {
-			continue
-		}
-		var ir controller.IntentRecord
-		if err := e.Decode(&ir); err != nil {
-			report(CheckIntents, "%v", err)
-			continue
-		}
-		switch {
-		case ir.Op == "recover":
-			clear(open)
-		case ir.Phase == "begin":
-			open[ir.ID] = e
-		default:
-			delete(open, ir.ID)
-		}
-	}
-	torn := make([]*ledger.Entry, 0, len(open))
+	torn := make([]ledger.Entry, 0, len(open))
 	for _, e := range open {
 		torn = append(torn, e)
 	}
@@ -204,24 +218,5 @@ func checkIntents(entries []ledger.Entry, report reportFunc) {
 	for _, e := range torn {
 		report(CheckIntents, "intent begun at %d (vm %q) was never ended or replayed", e.Seq, e.Vid)
 	}
-}
-
-// checkSerials holds certificate issuances to strictly increasing serials.
-func checkSerials(entries []ledger.Entry, report reportFunc) {
-	var last uint64
-	for i := range entries {
-		e := &entries[i]
-		if e.Kind != ledger.KindCertIssue {
-			continue
-		}
-		var c pca.IssuanceRecord
-		if err := e.Decode(&c); err != nil {
-			report(CheckSerials, "%v", err)
-			continue
-		}
-		if c.Serial <= last {
-			report(CheckSerials, "issuance %d has serial %d after serial %d", e.Seq, c.Serial, last)
-		}
-		last = c.Serial
-	}
+	return inCheckOrder(vs)
 }

@@ -64,15 +64,22 @@ func counters(kv map[string]int64) metrics.RegistrySnapshot {
 
 var signer = cryptoutil.MustIdentity("operator")
 
-// run appends entries to a ledger in dir (in memory when empty) and
-// returns the finished run, its head checkpointed by signer.
+// ledgerDirs maps each run's ledger to its directory, for audit.
+var ledgerDirs = make(map[*ledger.Ledger]string)
+
+// run appends entries to a ledger in dir (a fresh temporary directory when
+// empty) and returns the finished run, its head checkpointed by signer.
 func run(t *testing.T, dir string, es ...entry) Run {
 	t.Helper()
+	if dir == "" {
+		dir = t.TempDir()
+	}
 	l, err := ledger.Open(ledger.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	ledgerDirs[l] = dir
 	for _, e := range es {
 		if err := ledger.Record(l, ledger.Entry{Kind: e.kind, Vid: e.vid, Prop: e.prop}, e.payload); err != nil {
 			t.Fatal(err)
@@ -89,9 +96,24 @@ func run(t *testing.T, dir string, es ...entry) Run {
 	}
 }
 
+// audit is the auditor's view of r (monatt-ledger verify): CheckLedger on
+// a read-only reopen of its ledger's directory, beside the live writer. A
+// reopen the ledger refuses is a chain violation: the reopen's scan checks
+// every entry's hash and link before CheckLedger could.
+func audit(t *testing.T, r Run) []Violation {
+	t.Helper()
+	l, err := ledger.Open(ledger.Options{Dir: ledgerDirs[r.Ledger], ReadOnly: true})
+	if err != nil {
+		return []Violation{{Check: CheckChain, Detail: err.Error()}}
+	}
+	defer l.Close()
+	return CheckLedger(l)
+}
+
 // TestCleanRunHasNoViolations: a run that keeps every claim — a remediation
 // per unhealthy verdict however many infrastructure failures came between,
-// a torn intent replayed by recovery, increasing serials — passes.
+// a torn intent replayed by recovery, increasing serials — passes, under
+// Check and under the auditor's CheckLedger.
 func TestCleanRunHasNoViolations(t *testing.T) {
 	r := run(t, "", serial(1), begin("in-1"), end("in-1"), begin("in-2"), recovered,
 		healthy, unattestable, unhealthy, degraded, terminated, resumed,
@@ -99,11 +121,20 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 	if vs := Check(r); len(vs) != 0 {
 		t.Fatalf("violations on a clean run: %v", vs)
 	}
+	if vs := audit(t, r); len(vs) != 0 {
+		t.Fatalf("the auditor finds violations on a clean run: %v", vs)
+	}
 }
 
 // TestEachCheckFindsItsViolation builds, for each check, a run that breaks
-// only that check's claim, and requires exactly that check to object.
+// only that check's claim, and requires exactly that check to object. A
+// row that breaks a claim of the ledger alone must also be found by the
+// auditor, CheckLedger on a read-only reopen of the run's ledger.
 func TestEachCheckFindsItsViolation(t *testing.T) {
+	ledgerOnly := map[string]bool{
+		"mutated-entry": true, "remediated-twice": true, "remediated-healthy": true,
+		"remediated-infra-failure": true, "intent-torn": true, "serial-reused": true,
+	}
 	cases := []struct {
 		name   string
 		check  string
@@ -168,13 +199,19 @@ func TestEachCheckFindsItsViolation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			vs := Check(c.build(t))
-			if len(vs) == 0 {
-				t.Fatalf("no violation; want one from %s", c.check)
+			r := c.build(t)
+			found := map[string][]Violation{"Check": Check(r)}
+			if ledgerOnly[c.name] {
+				found["CheckLedger"] = audit(t, r)
 			}
-			for _, v := range vs {
-				if v.Check != c.check || !strings.Contains(v.Detail, c.detail) {
-					t.Fatalf("violations %v; want only %s ones mentioning %q", vs, c.check, c.detail)
+			for by, vs := range found {
+				if len(vs) == 0 {
+					t.Fatalf("%s: no violation; want one from %s", by, c.check)
+				}
+				for _, v := range vs {
+					if v.Check != c.check || !strings.Contains(v.Detail, c.detail) {
+						t.Fatalf("%s: violations %v; want only %s ones mentioning %q", by, vs, c.check, c.detail)
+					}
 				}
 			}
 		})

@@ -120,12 +120,6 @@ type Refs struct {
 	ServerAIK ed25519.PublicKey
 	// PlatformGolden maps platform component names to known-good digests.
 	PlatformGolden map[string][32]byte
-	// ApprovedVersions lists additional acceptable platform catalogs (an
-	// IMA-style appraiser knows every approved build, not just the newest:
-	// a fleet mid-upgrade runs several pristine hypervisor versions at
-	// once). A measured component passes if it matches PlatformGolden or
-	// any approved catalog.
-	ApprovedVersions []map[string][32]byte
 	// ExpectedImage is the pristine digest of the VM's image.
 	ExpectedImage [32]byte
 	// Vid is the attested VM's identifier (to pick its image-log entries).

@@ -172,11 +172,12 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 			}
 			continue
 		}
-		if !approvedComponent(refs, name, e.Measurement) {
-			if _, known := refs.PlatformGolden[name]; !known && !knownInAnyVersion(refs, name) {
-				return unhealthy(properties.FailurePlatform, "unknown software measured into platform",
-					map[string]string{"component": name})
-			}
+		golden, known := refs.PlatformGolden[name]
+		if !known {
+			return unhealthy(properties.FailurePlatform, "unknown software measured into platform",
+				map[string]string{"component": name})
+		}
+		if !cryptoutil.ConstEqual(e.Measurement[:], golden[:]) {
 			return unhealthy(properties.FailurePlatform, "platform component differs from known-good build",
 				map[string]string{"component": name})
 		}
@@ -193,28 +194,4 @@ func appraiseTPM(ms []properties.Measurement, nonce cryptoutil.Nonce, refs Refs)
 	mem.advance(bank, events)
 	return properties.Verdict{Property: properties.StartupIntegrity, Healthy: true,
 		Reason: "platform and VM image match known-good measurements"}
-}
-
-// approvedComponent checks a measured component against every approved
-// catalog.
-func approvedComponent(refs Refs, name string, m [32]byte) bool {
-	if golden, ok := refs.PlatformGolden[name]; ok && cryptoutil.ConstEqual(m[:], golden[:]) {
-		return true
-	}
-	for _, cat := range refs.ApprovedVersions {
-		if golden, ok := cat[name]; ok && cryptoutil.ConstEqual(m[:], golden[:]) {
-			return true
-		}
-	}
-	return false
-}
-
-// knownInAnyVersion reports whether any approved catalog names the component.
-func knownInAnyVersion(refs Refs, name string) bool {
-	for _, cat := range refs.ApprovedVersions {
-		if _, ok := cat[name]; ok {
-			return true
-		}
-	}
-	return false
 }
