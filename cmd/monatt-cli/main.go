@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.CallTimeout, cfg.Retry = *timeout, rpc.RetryPolicy{MaxAttempts: *retries}
+	cfg.RPC = rpc.Policy{CallTimeout: *timeout, MaxAttempts: *retries}
 	cu, err := customer.Connect(cfg)
 	if err != nil {
 		log.Fatalf("dialing controller: %v", err)

@@ -89,13 +89,9 @@ type Config struct {
 	// Ledger, when set, receives one evidence entry per appraised report
 	// (the durable trail behind the Property Certification Module).
 	Ledger *ledger.Ledger
-	// CallTimeout bounds each measurement RPC attempt in real time. Zero
-	// applies the rpc default (30s).
-	CallTimeout time.Duration
-	// Retry tunes per-call retries on the channels to cloud servers.
-	Retry rpc.RetryPolicy
-	// Breaker tunes the per-server circuit breakers.
-	Breaker rpc.BreakerPolicy
+	// RPC is the fault-tolerance policy of the measurement channels to the
+	// cloud servers.
+	RPC rpc.Policy
 	// MinTCB is the minimum platform security version accepted from
 	// confidential-VM backends — the firmware-rollback floor. Zero means
 	// the sev-snp backend's fleet-current version.
@@ -151,15 +147,13 @@ func New(cfg Config) *Server {
 	// The measurement channels keep their resumption tickets, so a redial
 	// to a cloud server skips the asymmetric handshake.
 	s.peers = rpc.NewPeerSet(rpc.PeerSetConfig{
-		Entity:      "attestsrv",
-		Network:     cfg.Network,
-		Secchan:     secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand, Session: secchan.NewSessionCache()},
-		Retry:       cfg.Retry,
-		Breaker:     cfg.Breaker,
-		CallTimeout: cfg.CallTimeout,
-		Metrics:     s.metrics,
-		Ledger:      cfg.Ledger,
-		Now:         cfg.Clock.Now,
+		Entity:  "attestsrv",
+		Network: cfg.Network,
+		Secchan: secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand, Session: secchan.NewSessionCache()},
+		Policy:  cfg.RPC,
+		Metrics: s.metrics,
+		Ledger:  cfg.Ledger,
+		Now:     cfg.Clock.Now,
 	})
 	s.periodic = newPeriodicEngine(PeriodicConfig{}, s.cfg.Clock.Now, s.drawJitter, s.appraiseOnce, s.metrics, s.tracer)
 	return s
@@ -403,7 +397,7 @@ func (s *Server) measure(sp *obs.ActiveSpan, srvRec *ServerRecord, vid string, r
 	}
 	// N3 is regenerated for every retry attempt, so a re-issued measurement
 	// request is a fresh challenge, never a replay. The client bounds the
-	// whole exchange (rpc.OpBudget), so a wedged cloud server degrades this
+	// whole exchange (rpc.Policy.Budget), so a wedged cloud server degrades this
 	// appraisal instead of pinning an attestation worker forever.
 	var n3 cryptoutil.Nonce
 	ev := new(wire.Evidence)

@@ -28,11 +28,9 @@ func TestFullFlowUnderChaos(t *testing.T) {
 		MaxDelay:  2 * time.Millisecond,
 	})
 	tb := newTB(t, Options{
-		Seed:        80,
-		Network:     fn,
-		CallTimeout: 2 * time.Second,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    80,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 2 * time.Second, MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, BreakerThreshold: -1},
 	})
 	// The customer's eager connect probe is deliberately single-attempt (it
 	// must fail closed under an active MITM), so joining under chaos is the

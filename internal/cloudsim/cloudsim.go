@@ -81,15 +81,10 @@ type Options struct {
 	// auditor can replay the chain after the run (cmd/monatt-ledger).
 	// Empty keeps the ledger in process memory.
 	LedgerDir string
-	// CallTimeout bounds each RPC attempt (real time) on every
-	// fault-tolerant client in the testbed: customer → controller,
-	// controller → attestation servers/cloud servers, attestation servers →
-	// cloud servers. 0 applies the rpc default (30s).
-	CallTimeout time.Duration
-	// Retry tunes those clients' retry loops.
-	Retry rpc.RetryPolicy
-	// Breaker tunes their per-peer circuit breakers.
-	Breaker rpc.BreakerPolicy
+	// RPC is the fault-tolerance policy of every client in the testbed:
+	// customer → controller, controller → attestation servers/cloud
+	// servers, attestation servers → cloud servers.
+	RPC rpc.Policy
 	// ReattestEvery, when positive, makes the controller's reconcile loop
 	// periodically re-attest every active VM's provisioned properties.
 	ReattestEvery time.Duration
@@ -365,9 +360,7 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 		ImageTamper:   tb.imageTamper,
 		Serialize:     &tb.opMu,
 		Ledger:        tb.Ledger,
-		CallTimeout:   tb.opts.CallTimeout,
-		Retry:         tb.opts.Retry,
-		Breaker:       tb.opts.Breaker,
+		RPC:           tb.opts.RPC,
 		Obs:           tb.Obs,
 		ReattestEvery: tb.opts.ReattestEvery,
 		FailPoint:     fp,
@@ -431,22 +424,20 @@ func (tb *Testbed) startShard() (*cryptoutil.Identity, string, error) {
 	}
 	tb.register(id.Name, id.Public())
 	as := attestsrv.New(attestsrv.Config{
-		Identity:    id,
-		PCAName:     tb.PCA.Name(),
-		PCAKey:      tb.PCA.PublicKey(),
-		Network:     tb.Net,
-		Clock:       tb.Clock,
-		Latency:     tb.Lat,
-		Verify:      tb.Verify,
-		Rand:        tb.rand,
-		Ledger:      tb.Ledger,
-		CallTimeout: tb.opts.CallTimeout,
-		Retry:       tb.opts.Retry,
-		Breaker:     tb.opts.Breaker,
-		Obs:         tb.Obs,
-		MinTCB:      tb.opts.MinTCB,
-		Properties:  tb.opts.Properties,
-		Ring:        tb.Ring,
+		Identity:   id,
+		PCAName:    tb.PCA.Name(),
+		PCAKey:     tb.PCA.PublicKey(),
+		Network:    tb.Net,
+		Clock:      tb.Clock,
+		Latency:    tb.Lat,
+		Verify:     tb.Verify,
+		Rand:       tb.rand,
+		Ledger:     tb.Ledger,
+		RPC:        tb.opts.RPC,
+		Obs:        tb.Obs,
+		MinTCB:     tb.opts.MinTCB,
+		Properties: tb.opts.Properties,
+		Ring:       tb.Ring,
 	})
 	l, addr, err := tb.listen(id.Name)
 	if err != nil {
@@ -826,9 +817,7 @@ func (tb *Testbed) NewCustomer(name string) (*Customer, error) {
 		Network:       tb.Net,
 		Addr:          tb.ControllerAddr,
 		ControllerKey: tb.ctrlID.Public(),
-		CallTimeout:   tb.opts.CallTimeout,
-		Retry:         tb.opts.Retry,
-		Breaker:       tb.opts.Breaker,
+		RPC:           tb.opts.RPC,
 	})
 }
 

@@ -1,7 +1,11 @@
 package cloudsim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -277,12 +281,10 @@ func TestChaosControllerRestartMidTeardown(t *testing.T) {
 func TestChaosMigrationRetriesAfterPartition(t *testing.T) {
 	fn := rpc.NewFaultNetwork(rpc.NewMemNetwork(), rpc.FaultConfig{Seed: 11})
 	tb := newTB(t, Options{
-		Seed:        145,
-		Servers:     2,
-		Network:     fn,
-		CallTimeout: 250 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    145,
+		Servers: 2,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 250 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	})
 	cu, err := tb.NewCustomer("alice")
 	if err != nil {
@@ -440,11 +442,9 @@ func firstDiff(a, b string) string {
 func TestChaosInfraFailureNeverRemediatesAcrossRestart(t *testing.T) {
 	fn := rpc.NewFaultNetwork(rpc.NewMemNetwork(), rpc.FaultConfig{Seed: 13})
 	tb := newTB(t, Options{
-		Seed:        146,
-		Network:     fn,
-		CallTimeout: 250 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    146,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 250 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	})
 	cu, err := tb.NewCustomer("alice")
 	if err != nil {
@@ -555,5 +555,66 @@ func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 			t.Fatalf("certificate subject %q reused across restart", rec.Subject)
 		}
 		subjects[rec.Subject] = true
+	}
+}
+
+// TestRecoveryRefusesAChainThatDoesNotVerify flips one byte of the VM id
+// in the second VM's launch-begin intent, on disk, after the testbed wrote
+// it, and restarts the controller. Recovery must return the hash mismatch
+// and rebuild no VM row: a fold over entries the chain no longer vouches
+// for would rebuild the controller from whatever the disk now says. With
+// the byte restored, the same chain recovers both VMs.
+func TestRecoveryRefusesAChainThatDoesNotVerify(t *testing.T) {
+	dir := t.TempDir()
+	tb := newTB(t, Options{Seed: 143, Servers: 2, LedgerDir: dir})
+	cu, err := tb.NewCustomer("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch(t, cu, basicLaunch())
+	vid := launch(t, cu, basicLaunch()).Vid
+
+	// The first intent entry naming vid is its launch begin: the frame holds
+	// the kind, then the VM id, each after a u16 length.
+	seg := filepath.Join(dir, "seg-0000000000000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := binary.BigEndian.AppendUint16(nil, uint16(len(ledger.KindIntent)))
+	marker = append(marker, ledger.KindIntent...)
+	marker = binary.BigEndian.AppendUint16(marker, uint16(len(vid)))
+	marker = append(marker, vid...)
+	i := bytes.Index(data, marker)
+	if i < 0 {
+		t.Fatalf("no intent entry for %s in %s", vid, seg)
+	}
+	off := int64(i + len(marker) - 1) // the VM id's last byte
+	write := func(b byte) {
+		f, err := os.OpenFile(seg, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{b}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write(data[off] ^ 0x08)
+	err = tb.RestartController()
+	if err == nil || !strings.Contains(err.Error(), "hash mismatch") {
+		t.Fatalf("recovery over a mutated intent entry: %v, want the hash mismatch", err)
+	}
+	if vms := tb.Ctrl.ListVMs("alice"); len(vms) != 0 {
+		t.Fatalf("recovery rebuilt %d rows from a chain that does not verify: %+v", len(vms), vms)
+	}
+
+	write(data[off])
+	if err := tb.RestartController(); err != nil {
+		t.Fatal(err)
+	}
+	if vms := tb.Ctrl.ListVMs("alice"); len(vms) != 2 {
+		t.Fatalf("recovery over the restored chain rebuilt %+v, want both VMs", vms)
 	}
 }

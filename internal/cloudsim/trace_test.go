@@ -218,11 +218,9 @@ func TestTracesUnderChaos(t *testing.T) {
 		MaxDelay:  2 * time.Millisecond,
 	})
 	tb := newTB(t, Options{
-		Seed:        80,
-		Network:     fn,
-		CallTimeout: 2 * time.Second,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    80,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 2 * time.Second, MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, BreakerThreshold: -1},
 	})
 	var cu *Customer
 	var err error
@@ -320,11 +318,9 @@ func TestTracesUnderChaos(t *testing.T) {
 func TestStaleReportServeAnnotated(t *testing.T) {
 	fn := rpc.NewFaultNetwork(rpc.NewMemNetwork(), rpc.FaultConfig{Seed: 5})
 	tb := newTB(t, Options{
-		Seed:        65,
-		Network:     fn,
-		CallTimeout: 250 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    65,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 250 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	})
 	cu, err := tb.NewCustomer("alice")
 	if err != nil {

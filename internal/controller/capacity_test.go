@@ -98,9 +98,7 @@ func auditLifecycle(t *testing.T, tb *cloudsim.Testbed, capacity server.Capacity
 func chaosOptions(seed int64, servers int, fn *rpc.FaultNetwork) cloudsim.Options {
 	return cloudsim.Options{
 		Seed: seed, Servers: servers, Network: fn,
-		CallTimeout: 250 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		RPC: rpc.Policy{CallTimeout: 250 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	}
 }
 

@@ -181,13 +181,9 @@ type Config struct {
 	// Ledger, when set, receives evidence entries for launch decisions and
 	// executed remediation responses.
 	Ledger *ledger.Ledger
-	// CallTimeout bounds each RPC attempt to the Attestation Servers and
-	// cloud servers in real time. Zero applies the rpc default (30s).
-	CallTimeout time.Duration
-	// Retry tunes per-call retries on the controller's RPC channels.
-	Retry rpc.RetryPolicy
-	// Breaker tunes the per-peer circuit breakers.
-	Breaker rpc.BreakerPolicy
+	// RPC is the fault-tolerance policy of the controller's channels to the
+	// Attestation Servers and cloud servers.
+	RPC rpc.Policy
 	// Obs, when set, receives distributed-tracing spans: the customer-facing
 	// nova api records the root span of each request and the controller's
 	// internal stages nest under it.
@@ -268,16 +264,14 @@ func New(cfg Config) *Controller {
 		lastGood:  make(map[string]lastVerdict),
 	}
 	c.peers = rpc.NewPeerSet(rpc.PeerSetConfig{
-		Entity:      "controller",
-		Network:     cfg.Network,
-		Secchan:     secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand},
-		Retry:       cfg.Retry,
-		Breaker:     cfg.Breaker,
-		CallTimeout: cfg.CallTimeout,
-		Idempotent:  idempotentMethod,
-		Metrics:     c.metrics,
-		Ledger:      cfg.Ledger,
-		Now:         cfg.Clock.Now,
+		Entity:     "controller",
+		Network:    cfg.Network,
+		Secchan:    secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand},
+		Policy:     cfg.RPC,
+		Idempotent: idempotentMethod,
+		Metrics:    c.metrics,
+		Ledger:     cfg.Ledger,
+		Now:        cfg.Clock.Now,
 	})
 	c.queue = newWorkQueue(cfg.Clock.Now, c.metrics)
 	return c

@@ -21,11 +21,9 @@ import (
 func TestAttestDegradesToStaleReportOnPartition(t *testing.T) {
 	fn := rpc.NewFaultNetwork(rpc.NewMemNetwork(), rpc.FaultConfig{Seed: 5})
 	tb, cu := newTB(t, cloudsim.Options{
-		Seed:        65,
-		Network:     fn,
-		CallTimeout: 250 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    65,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 250 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	})
 	res, err := cu.Launch(req())
 	if err != nil || !res.OK {
@@ -102,11 +100,9 @@ func TestAttestDegradesToStaleReportOnPartition(t *testing.T) {
 func TestAttestWithoutCacheFailsCleanlyOnPartition(t *testing.T) {
 	fn := rpc.NewFaultNetwork(rpc.NewMemNetwork(), rpc.FaultConfig{Seed: 6})
 	tb, cu := newTB(t, cloudsim.Options{
-		Seed:        66,
-		Network:     fn,
-		CallTimeout: 200 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Seed:    66,
+		Network: fn,
+		RPC:     rpc.Policy{CallTimeout: 200 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	})
 	res, err := cu.Launch(req())
 	if err != nil || !res.OK {

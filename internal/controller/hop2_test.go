@@ -106,18 +106,16 @@ func newHop2Rig(t *testing.T) *hop2Rig {
 	ring := shard.NewRing(1, 0)
 	ring.Join(r.a.Name)
 	r.c = New(Config{
-		Identity:    cryptoutil.MustIdentity("cloud-controller"),
-		Network:     network,
-		Clock:       vclock.New(sim.NewKernel(1)),
-		Latency:     latency.New(1),
-		Images:      image.NewLibrary(1),
-		Verify:      anyPeer,
-		Rand:        rand.Reader,
-		Ring:        ring,
-		Ledger:      r.led,
-		CallTimeout: 250 * time.Millisecond,
-		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 250 * time.Millisecond},
-		Breaker:     rpc.BreakerPolicy{Threshold: -1},
+		Identity: cryptoutil.MustIdentity("cloud-controller"),
+		Network:  network,
+		Clock:    vclock.New(sim.NewKernel(1)),
+		Latency:  latency.New(1),
+		Images:   image.NewLibrary(1),
+		Verify:   anyPeer,
+		Rand:     rand.Reader,
+		Ring:     ring,
+		Ledger:   r.led,
+		RPC:      rpc.Policy{CallTimeout: 250 * time.Millisecond, MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 250 * time.Millisecond, BreakerThreshold: -1},
 	})
 	r.c.RegisterAttestShard(r.a.Name, r.a.Name, r.a.Public())
 	r.c.RegisterAttestShard(r.b.Name, r.b.Name, r.b.Public())
@@ -265,7 +263,7 @@ func TestPeriodicDrainRejectsATamperedBatch(t *testing.T) {
 // the reply, or the shard partitioned so no reply ever comes), the report
 // failed verification — and checks what only that caller decides: degrade
 // to stale, unwind the launch, re-suspend, set the condition. No class ever
-// remediates, and no caller waits on the shard past rpc.OpBudget.
+// remediates, and no caller waits on the shard past rpc.Policy.Budget.
 func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 	const vid = "vm-0001"
 	classes := map[string]func(r *hop2Rig) func(string, wire.AppraisalRequest) (*wire.Report, error){
@@ -296,11 +294,11 @@ func TestAppraisalFailureClassesPerCaller(t *testing.T) {
 	// every RPC client holds itself to.
 	within := func(t *testing.T, r *hop2Rig, caller func()) {
 		t.Helper()
-		budget := rpc.OpBudget(r.c.cfg.CallTimeout, r.c.cfg.Retry)
+		budget := r.c.cfg.RPC.Budget()
 		start := time.Now()
 		caller()
 		if d := time.Since(start); d > budget {
-			t.Fatalf("the caller returned after %v, past rpc.OpBudget %v", d, budget)
+			t.Fatalf("the caller returned after %v, past rpc.Policy.Budget %v", d, budget)
 		}
 	}
 	for class, script := range classes {

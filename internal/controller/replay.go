@@ -12,8 +12,8 @@ import (
 // Recover rebuilds the controller's desired state and in-flight intents
 // from the evidence ledger after a crash, then reconciles to convergence.
 //
-// The fold walks every entry in chain order and replays the two-phase
-// intents:
+// The fold walks every entry in chain order as the walk verifies it
+// (ledger.Walk), and replays the two-phase intents:
 //
 //   - a completed launch recreates the VM row (desired state from the
 //     begin record, placement from the end) and its capacity reservation;
@@ -28,8 +28,9 @@ import (
 //
 // Degradation evidence (KindDegraded) replays to nothing: an
 // infrastructure failure never becomes a remediation, crash or no crash.
-// An intent or remediation entry the fold cannot read is an error naming
-// it: folding past it would lose or resurrect the work it records.
+// A chain that does not verify, or an intent or remediation entry the
+// fold cannot read, is an error naming the entry, and no row is installed:
+// folding past it would lose or resurrect the work it records.
 func (c *Controller) Recover() error {
 	if c.cfg.Ledger == nil {
 		return fmt.Errorf("controller: recovery requires a ledger")
@@ -40,7 +41,7 @@ func (c *Controller) Recover() error {
 	openRemediate := make(map[string]*pendingRemediation) // vid → torn remediation
 	recs := make(map[string]*vmRecord)
 	var eventOrder []ResponseEvent
-	maxVid, maxIntent, replayed := 0, 0, 0
+	maxVid, maxIntent := 0, 0
 
 	noteIntent := func(id string) {
 		var n int
@@ -72,21 +73,12 @@ func (c *Controller) Recover() error {
 		rec.MigratedOut = false
 	}
 
-	cur := c.cfg.Ledger.Cursor()
-	for {
-		e, ok, err := cur.Next()
-		if err != nil {
-			return fmt.Errorf("controller: ledger replay: %w", err)
-		}
-		if !ok {
-			break
-		}
-		replayed++
+	replayed, err := c.cfg.Ledger.Walk(func(e ledger.Entry) error {
 		switch e.Kind {
 		case ledger.KindIntent:
 			var ir IntentRecord
 			if err := e.Decode(&ir); err != nil {
-				return fmt.Errorf("controller: ledger replay: %w", err)
+				return err
 			}
 			noteIntent(ir.ID)
 			rec := recs[e.Vid]
@@ -185,7 +177,7 @@ func (c *Controller) Recover() error {
 			// suspended-then-resumed VM recovers as active.
 			var p RemediationRecord
 			if err := e.Decode(&p); err != nil {
-				return fmt.Errorf("controller: ledger replay: %w", err)
+				return err
 			}
 			if p.Response == "resume" {
 				if rec := recs[e.Vid]; rec != nil && rec.State == "suspended" {
@@ -194,6 +186,10 @@ func (c *Controller) Recover() error {
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("controller: ledger replay: %w", err)
 	}
 
 	// Torn launches: the crash hit mid-pipeline. Any open place intent may

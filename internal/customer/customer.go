@@ -36,12 +36,9 @@ type Config struct {
 	// ControllerKey is VKc, provisioned out of band: the only peer the
 	// channel accepts, and the key every report is verified under.
 	ControllerKey ed25519.PublicKey
-	// CallTimeout, Retry and Breaker tune the fault-tolerant channel
-	// (rpc.ClientConfig); the first two bound every operation end to end
-	// (rpc.OpBudget).
-	CallTimeout time.Duration
-	Retry       rpc.RetryPolicy
-	Breaker     rpc.BreakerPolicy
+	// RPC tunes the fault-tolerant channel; it bounds every operation end
+	// to end (rpc.Policy.Budget).
+	RPC rpc.Policy
 }
 
 // Customer is a connected cloud customer.
@@ -76,10 +73,8 @@ func Connect(cfg Config) (*Customer, error) {
 				}
 				return nil
 			}},
-			Retry:       cfg.Retry,
-			Breaker:     cfg.Breaker,
-			CallTimeout: cfg.CallTimeout,
-			Idempotent:  readOnly,
+			Policy:     cfg.RPC,
+			Idempotent: readOnly,
 		}),
 	}
 	if err := cu.client.Connect(context.Background()); err != nil {

@@ -117,8 +117,7 @@ func (s *stub) connect(t *testing.T) *Customer {
 		Network:       s.net,
 		Addr:          "ctrl",
 		ControllerKey: s.id.Public(),
-		CallTimeout:   2 * time.Second,
-		Retry:         rpc.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		RPC:           rpc.Policy{CallTimeout: 2 * time.Second, MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +322,7 @@ func TestConnectPinsTheControllerKey(t *testing.T) {
 		Network:       s.net,
 		Addr:          "ctrl",
 		ControllerKey: cryptoutil.MustIdentity("someone-else").Public(),
-		Retry:         rpc.RetryPolicy{MaxAttempts: 1},
+		RPC:           rpc.Policy{MaxAttempts: 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "controller identity mismatch") {
 		t.Fatalf("Connect to a controller with an unexpected key: %v", err)

@@ -754,7 +754,14 @@ func (l *Ledger) Entry(seq uint64) (Entry, error) {
 // hash and link, and checks the result against the in-memory head. It
 // returns the number of entries verified. Any mutation of a committed byte
 // — a segment header, payload, metadata, or either hash — fails it.
-func (l *Ledger) Verify() (int, error) {
+func (l *Ledger) Verify() (int, error) { return l.Walk(nil) }
+
+// Walk is Verify handing each entry to fn (when non-nil) once its sequence
+// number, link and hash have checked out, in chain order: a reader folds
+// the chain as it verifies it, holding one entry at a time. An error from
+// fn ends the walk and is returned as is. The walk reads the chain up to
+// the head as of the call; n counts the entries verified and handed over.
+func (l *Ledger) Walk(fn func(Entry) error) (n int, err error) {
 	l.mu.Lock()
 	headSeq, headHash := l.headSeq, l.headHash
 	segs := make([]segment, len(l.segs))
@@ -773,7 +780,6 @@ func (l *Ledger) Verify() (int, error) {
 	}
 
 	var prev [32]byte
-	n := 0
 	for seq := uint64(1); seq <= headSeq; seq++ {
 		e, err := l.Entry(seq)
 		if err != nil {
@@ -788,6 +794,11 @@ func (l *Ledger) Verify() (int, error) {
 		want := entryHash(prev, e.Seq, e.At, e.Kind, e.Vid, e.Prop, e.Trace, e.Payload)
 		if e.Hash != want {
 			return n, fmt.Errorf("ledger: verify: hash mismatch at %d", seq)
+		}
+		if fn != nil {
+			if err := fn(e); err != nil {
+				return n, err
+			}
 		}
 		prev = e.Hash
 		n++

@@ -1,8 +1,10 @@
 package ledger
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +180,61 @@ func TestSingleBitMutationDetected(t *testing.T) {
 	}
 	if n, err := base.Verify(); err != nil || n != 5 {
 		t.Fatalf("restored chain fails: %d, %v", n, err)
+	}
+}
+
+// TestWalkHandsOverTheChainInOrder: Walk hands each entry over once, in
+// chain order; an error from fn ends the walk and comes back as is; and an
+// entry whose bytes no longer hash to its chain link is never handed over.
+func TestWalkHandsOverTheChainInOrder(t *testing.T) {
+	l := mustOpen(t, Options{})
+	entries := appendN(t, l, 7)
+
+	var got []Entry
+	n, err := l.Walk(func(e Entry) error {
+		got = append(got, e)
+		return nil
+	})
+	if err != nil || n != len(entries) || len(got) != len(entries) {
+		t.Fatalf("Walk = %d, %v after handing over %d entries, want %d", n, err, len(got), len(entries))
+	}
+	for i, want := range entries {
+		if got[i].Seq != want.Seq || got[i].Hash != want.Hash {
+			t.Fatalf("entry %d: seq %d hash %x, want seq %d hash %x", i, got[i].Seq, got[i].Hash, want.Seq, want.Hash)
+		}
+	}
+
+	stop := errors.New("stop")
+	seen := 0
+	n, err = l.Walk(func(e Entry) error {
+		if seen++; e.Seq == 3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || n != 2 || seen != 3 {
+		t.Fatalf("Walk stopped at entry 3: %d, %v after %d entries, want 2, stop, 3", n, err, seen)
+	}
+
+	// Flip the last byte of entry 5's frame (its hash): entries 1-4 are
+	// handed over, entry 5 is refused.
+	seg := l.st.(*memStore).files[segName(1)]
+	last := l.locs[4]
+	*seg.at(int(last.off) + int(last.n) - 1) ^= 0x01
+	seen = 0
+	n, err = l.Walk(func(e Entry) error {
+		seen++
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "hash mismatch at 5") || n != 4 || seen != 4 {
+		t.Fatalf("Walk over a mutated entry 5 = %d, %v after %d entries", n, err, seen)
+	}
+}
+
+func TestWalkEmptyLedger(t *testing.T) {
+	l := mustOpen(t, Options{})
+	if n, err := l.Walk(func(Entry) error { return errors.New("an empty ledger handed over an entry") }); n != 0 || err != nil {
+		t.Fatalf("empty ledger: %d, %v", n, err)
 	}
 }
 

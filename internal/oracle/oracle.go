@@ -113,15 +113,14 @@ func checkPeriodic(shards map[string]metrics.RegistrySnapshot, report reportFunc
 }
 
 // CheckLedger runs the checks that read the ledger alone and returns what
-// they found, in check order. It verifies the chain, then walks it once,
-// each entry feeding the check its kind concerns. An intent still open at
-// the head counts as torn, so an auditor checks a finished or recovered run.
+// they found, in check order. It walks the chain once, verifying each
+// entry and then feeding it to the check its kind concerns. A chain that
+// does not verify is one chain violation and nothing else: a fold over an
+// unverified chain proves nothing. An intent still open at the head counts
+// as torn, so an auditor checks a finished or recovered run.
 func CheckLedger(l *ledger.Ledger) []Violation {
 	var vs []Violation
 	report := reporter(&vs)
-	if _, err := l.Verify(); err != nil {
-		report(CheckChain, "%v", err)
-	}
 
 	type key struct{ vid, prop string }
 	type state struct {
@@ -139,23 +138,14 @@ func CheckLedger(l *ledger.Ledger) []Violation {
 	open := make(map[string]ledger.Entry) // intent ID → its begin entry
 	var lastSerial uint64
 
-	cur := l.Cursor()
-	for {
-		e, ok, err := cur.Next()
-		if err != nil {
-			report(CheckChain, "reading entry %d: %v", cur.Seq(), err)
-			break
-		}
-		if !ok {
-			break
-		}
+	_, err := l.Walk(func(e ledger.Entry) error {
 		switch e.Kind {
 		// remediation: each answers an unhealthy verdict no earlier one answered.
 		case ledger.KindAppraisal:
 			var v attestsrv.AppraisalRecord
 			if err := e.Decode(&v); err != nil {
 				report(CheckRemediation, "%v", err)
-				continue
+				return nil
 			}
 			if !v.Healthy && !v.Unattestable {
 				st := at(&e)
@@ -167,10 +157,10 @@ func CheckLedger(l *ledger.Ledger) []Violation {
 			var rem controller.RemediationRecord
 			if err := e.Decode(&rem); err != nil {
 				report(CheckRemediation, "%v", err)
-				continue
+				return nil
 			}
 			if rem.Response == "resume" {
-				continue // the end of a suspension, not a response to a verdict
+				return nil // the end of a suspension, not a response to a verdict
 			}
 			st := at(&e)
 			switch {
@@ -186,7 +176,7 @@ func CheckLedger(l *ledger.Ledger) []Violation {
 			var ir controller.IntentRecord
 			if err := e.Decode(&ir); err != nil {
 				report(CheckIntents, "%v", err)
-				continue
+				return nil
 			}
 			switch {
 			case ir.Op == "recover":
@@ -201,13 +191,17 @@ func CheckLedger(l *ledger.Ledger) []Violation {
 			var c pca.IssuanceRecord
 			if err := e.Decode(&c); err != nil {
 				report(CheckSerials, "%v", err)
-				continue
+				return nil
 			}
 			if c.Serial <= lastSerial {
 				report(CheckSerials, "issuance %d has serial %d after serial %d", e.Seq, c.Serial, lastSerial)
 			}
 			lastSerial = c.Serial
 		}
+		return nil
+	})
+	if err != nil {
+		return []Violation{{Check: CheckChain, Detail: err.Error()}}
 	}
 
 	torn := make([]ledger.Entry, 0, len(open))

@@ -49,6 +49,27 @@ func TestClaimsRefindTheirBug(t *testing.T) {
 			new:   "StaleServeRecord{int64(age), cause.Error()})\n\tc.Respond(vid, p, cause.Error())\n",
 			pkgs:  []string{"internal/controller", "internal/cloudsim"},
 		},
+		{
+			claim: "no ReconnectClient call outlasts Policy.Budget",
+			file:  "internal/rpc/retry.go",
+			old:   "attempt < rc.cfg.Policy.MaxAttempts;",
+			new:   "attempt <= rc.cfg.Policy.MaxAttempts;",
+			pkgs:  []string{"internal/rpc"},
+		},
+		{
+			claim: "a breaker opens at its threshold",
+			file:  "internal/rpc/breaker.go",
+			old:   "b.failures < b.threshold",
+			new:   "b.failures <= b.threshold",
+			pkgs:  []string{"internal/rpc"},
+		},
+		{
+			claim: "recovery replays only a chain that verifies",
+			file:  "internal/controller/replay.go",
+			old:   `return fmt.Errorf("controller: ledger replay: %w", err)`,
+			new:   "_ = err",
+			pkgs:  []string{"internal/cloudsim"},
+		},
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -75,7 +75,7 @@ func TestWatchdogRaceNeverPoisons(t *testing.T) {
 }
 
 // TestReconnectClientBoundsItself: handed a context that never ends, every
-// entry point of a ReconnectClient still returns within OpBudget when its
+// entry point of a ReconnectClient still returns within Policy.Budget when its
 // peer is partitioned — whether the partition blackholes a live connection
 // or every redial — and leaves no goroutine behind.
 func TestReconnectClientBoundsItself(t *testing.T) {
@@ -86,12 +86,10 @@ func TestReconnectClientBoundsItself(t *testing.T) {
 		Network: fn, Addr: "srv", Peer: "srv",
 		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
 		// Every method retryable: the most attempts a call can make.
-		Idempotent:  func(string) bool { return true },
-		Retry:       RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond},
-		Breaker:     BreakerPolicy{Threshold: -1},
-		CallTimeout: 100 * time.Millisecond,
+		Idempotent: func(string) bool { return true },
+		Policy:     Policy{CallTimeout: 100 * time.Millisecond, MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond, BreakerThreshold: -1},
 	}
-	budget := OpBudget(cfg.CallTimeout, cfg.Retry)
+	budget := cfg.Policy.Budget()
 	ctx := context.Background()
 	var resp echoResp
 	calls := []struct {
@@ -128,7 +126,7 @@ func TestReconnectClientBoundsItself(t *testing.T) {
 				t.Fatalf("%s (live connection %v) succeeded across a partition", c.name, live)
 			}
 			if elapsed > budget {
-				t.Fatalf("%s (live connection %v) returned after %v, past OpBudget %v: %v", c.name, live, elapsed, budget, err)
+				t.Fatalf("%s (live connection %v) returned after %v, past Policy.Budget %v: %v", c.name, live, elapsed, budget, err)
 			}
 		}
 	}
@@ -175,7 +173,7 @@ func TestIdemCacheRingBounded(t *testing.T) {
 func TestBackoffJitterBuiltLazily(t *testing.T) {
 	rc := NewReconnectClient(ClientConfig{
 		Network: NewMemNetwork(), Addr: "srv",
-		Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Second},
+		Policy: Policy{BaseDelay: time.Millisecond, MaxDelay: time.Second},
 	})
 	if rc.rng != nil {
 		t.Fatal("jitter source built before any backoff")
@@ -188,6 +186,51 @@ func TestBackoffJitterBuiltLazily(t *testing.T) {
 		want := time.Duration(float64(d) * (1 - backoffJitter*eager.Float64()))
 		if got := rc.backoff(attempt); got != want {
 			t.Fatalf("backoff before attempt %d: %v, want %v", attempt, got, want)
+		}
+	}
+}
+
+// TestPolicyDefaults pins the value each zero Policy field takes, the
+// budget of the zero policy, and the breaker either threshold gives.
+func TestPolicyDefaults(t *testing.T) {
+	p := Policy{}.withDefaults()
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"CallTimeout", p.CallTimeout, 30 * time.Second},
+		{"MaxAttempts", p.MaxAttempts, 4},
+		{"BaseDelay", p.BaseDelay, 25 * time.Millisecond},
+		{"MaxDelay", p.MaxDelay, time.Second},
+		{"BreakerThreshold", p.BreakerThreshold, 8},
+		{"BreakerCooldown", p.BreakerCooldown, time.Second},
+		{"Budget", Policy{}.Budget(), 123 * time.Second}, // 4×30s + 3×1s
+		{"a set field is kept", Policy{MaxAttempts: 2, BreakerThreshold: -1}.withDefaults(), Policy{
+			CallTimeout: 30 * time.Second, MaxAttempts: 2, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second,
+			BreakerThreshold: -1, BreakerCooldown: time.Second,
+		}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+
+	b := newBreaker(p, nil)
+	for i := 1; i < p.BreakerThreshold; i++ {
+		b.failure()
+	}
+	if b.State() != BreakerClosed {
+		t.Fatalf("breaker %v after %d failures, want closed below the threshold", b.State(), p.BreakerThreshold-1)
+	}
+	if b.failure(); b.State() != BreakerOpen {
+		t.Fatalf("breaker %v at the threshold, want open", b.State())
+	}
+
+	off := newBreaker(Policy{BreakerThreshold: -1}.withDefaults(), nil)
+	for i := 0; i < 100; i++ {
+		off.failure()
+		if err := off.allow(); err != nil || off.State() != BreakerClosed {
+			t.Fatalf("a disabled breaker after %d failures: %v, state %v", i+1, err, off.State())
 		}
 	}
 }

@@ -29,26 +29,6 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerPolicy tunes a per-peer circuit breaker.
-type BreakerPolicy struct {
-	// Threshold is the number of consecutive transport failures that trips
-	// the breaker. Default 8; negative disables the breaker entirely.
-	Threshold int
-	// Cooldown is how long an open breaker rejects calls before admitting a
-	// half-open probe. Default 1s.
-	Cooldown time.Duration
-}
-
-func (p BreakerPolicy) withDefaults() BreakerPolicy {
-	if p.Threshold == 0 {
-		p.Threshold = 8
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = time.Second
-	}
-	return p
-}
-
 // ErrBreakerOpen fails a call fast because the peer's breaker is open: the
 // peer has failed repeatedly and the cooldown has not elapsed. Callers can
 // treat it as an infrastructure (not protocol) failure.
@@ -58,17 +38,20 @@ var ErrBreakerOpen = errors.New("rpc: circuit breaker open")
 // observes state transitions; it is invoked with the lock held, so it must
 // not call back into the breaker.
 type breaker struct {
-	mu       sync.Mutex
-	policy   BreakerPolicy
-	state    BreakerState
-	failures int
-	openedAt time.Time
-	probing  bool
-	notify   func(from, to BreakerState)
+	mu        sync.Mutex
+	threshold int
+	cooldown  time.Duration
+	state     BreakerState
+	failures  int
+	openedAt  time.Time
+	probing   bool
+	notify    func(from, to BreakerState)
 }
 
-func newBreaker(p BreakerPolicy, notify func(from, to BreakerState)) *breaker {
-	return &breaker{policy: p.withDefaults(), notify: notify}
+// newBreaker reads the threshold and cooldown of p, which the caller has
+// defaulted.
+func newBreaker(p Policy, notify func(from, to BreakerState)) *breaker {
+	return &breaker{threshold: p.BreakerThreshold, cooldown: p.BreakerCooldown, notify: notify}
 }
 
 // State returns the current breaker state.
@@ -80,7 +63,7 @@ func (b *breaker) State() BreakerState {
 
 // allow reports whether a call may proceed now; ErrBreakerOpen otherwise.
 func (b *breaker) allow() error {
-	if b.policy.Threshold < 0 {
+	if b.threshold < 0 {
 		return nil
 	}
 	b.mu.Lock()
@@ -90,7 +73,7 @@ func (b *breaker) allow() error {
 		return nil
 	case BreakerOpen:
 		//lint:ignore vclockonly the cooldown paces redials of a real peer, like the backoff sleeps; it elapses in real time
-		if time.Since(b.openedAt) < b.policy.Cooldown {
+		if time.Since(b.openedAt) < b.cooldown {
 			return ErrBreakerOpen
 		}
 		b.transition(BreakerHalfOpen)
@@ -107,7 +90,7 @@ func (b *breaker) allow() error {
 
 // success records a completed call and closes the breaker.
 func (b *breaker) success() {
-	if b.policy.Threshold < 0 {
+	if b.threshold < 0 {
 		return
 	}
 	b.mu.Lock()
@@ -122,14 +105,14 @@ func (b *breaker) success() {
 // failure records a transport failure, tripping the breaker at the
 // threshold (or immediately when a half-open probe fails).
 func (b *breaker) failure() {
-	if b.policy.Threshold < 0 {
+	if b.threshold < 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 	b.failures++
-	if b.state == BreakerClosed && b.failures < b.policy.Threshold {
+	if b.state == BreakerClosed && b.failures < b.threshold {
 		return
 	}
 	//lint:ignore vclockonly the cooldown is measured from the latest failure in real time (see allow)

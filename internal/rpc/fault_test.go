@@ -40,10 +40,8 @@ func TestPartitionedCallsReturnWithinDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	rc := NewReconnectClient(ClientConfig{
 		Network: fn, Addr: "srv", Peer: "srv",
-		Secchan:     secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
-		Retry:       RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:     BreakerPolicy{Threshold: -1},
-		CallTimeout: 150 * time.Millisecond,
+		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
+		Policy:  Policy{CallTimeout: 150 * time.Millisecond, MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond, BreakerThreshold: -1},
 	})
 	var resp echoResp
 	if err := rc.Call("echo", echoReq{Text: "warm"}, &resp); err != nil {
@@ -177,10 +175,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	var transitions []string
 	rc := NewReconnectClient(ClientConfig{
 		Network: n, Addr: "down", Peer: "down",
-		Secchan:     secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
-		Retry:       RetryPolicy{MaxAttempts: 1},
-		Breaker:     BreakerPolicy{Threshold: 2, Cooldown: 50 * time.Millisecond},
-		CallTimeout: time.Second,
+		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
+		Policy:  Policy{CallTimeout: time.Second, MaxAttempts: 1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond},
 		OnEvent: func(ev Event) {
 			if ev.Kind == EventBreaker {
 				mu.Lock()
@@ -292,10 +288,8 @@ func TestCallFreshRetriesThroughChaos(t *testing.T) {
 	startEcho(t, fn, "srv", cryptoutil.MustIdentity("server"))
 	rc := NewReconnectClient(ClientConfig{
 		Network: fn, Addr: "srv", Peer: "srv",
-		Secchan:     secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
-		Retry:       RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		Breaker:     BreakerPolicy{Threshold: -1},
-		CallTimeout: 2 * time.Second,
+		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
+		Policy:  Policy{CallTimeout: 2 * time.Second, MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, BreakerThreshold: -1},
 	})
 	defer rc.Close()
 
@@ -331,8 +325,7 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	rc := NewReconnectClient(ClientConfig{
 		Network: n, Addr: "srv", Peer: "srv",
 		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
-		Retry:   RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
-		Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Hour},
+		Policy:  Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, BreakerThreshold: 1, BreakerCooldown: time.Hour},
 		OnEvent: func(ev Event) {
 			if ev.Kind == EventRetry {
 				retries++

@@ -19,11 +19,9 @@ type PeerSetConfig struct {
 	Entity  string
 	Network Network
 	Secchan secchan.Config
-	Retry   RetryPolicy
-	Breaker BreakerPolicy
-	// CallTimeout bounds each attempt (ClientConfig.CallTimeout); it and
-	// Retry bound every call end to end (OpBudget).
-	CallTimeout time.Duration
+	// Policy is every client's (ClientConfig.Policy); it bounds every call
+	// end to end (Policy.Budget).
+	Policy Policy
 	// Idempotent marks the methods safe to blindly re-issue on every peer.
 	Idempotent func(method string) bool
 	Metrics    *metrics.Registry
@@ -73,15 +71,13 @@ func (ps *PeerSet) Client(peer string) (*ReconnectClient, bool) {
 		return nil, false
 	}
 	rc := NewReconnectClient(ClientConfig{
-		Network:     ps.cfg.Network,
-		Addr:        addr,
-		Peer:        peer,
-		Secchan:     ps.cfg.Secchan,
-		Retry:       ps.cfg.Retry,
-		Breaker:     ps.cfg.Breaker,
-		CallTimeout: ps.cfg.CallTimeout,
-		Idempotent:  ps.cfg.Idempotent,
-		OnEvent:     ps.onEvent,
+		Network:    ps.cfg.Network,
+		Addr:       addr,
+		Peer:       peer,
+		Secchan:    ps.cfg.Secchan,
+		Policy:     ps.cfg.Policy,
+		Idempotent: ps.cfg.Idempotent,
+		OnEvent:    ps.onEvent,
 	})
 	ps.clients[peer] = rc
 	return rc, true

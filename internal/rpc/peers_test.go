@@ -29,7 +29,7 @@ func (d *dialLog) DialContext(ctx context.Context, addr string) (net.Conn, error
 	return d.MemNetwork.DialContext(ctx, addr)
 }
 
-func newTestPeerSet(t *testing.T, n Network, retry RetryPolicy, breaker BreakerPolicy) (*PeerSet, *metrics.Registry, *ledger.Ledger) {
+func newTestPeerSet(t *testing.T, n Network, p Policy) (*PeerSet, *metrics.Registry, *ledger.Ledger) {
 	t.Helper()
 	led, err := ledger.Open(ledger.Options{})
 	if err != nil {
@@ -37,15 +37,13 @@ func newTestPeerSet(t *testing.T, n Network, retry RetryPolicy, breaker BreakerP
 	}
 	reg := metrics.NewRegistry()
 	return NewPeerSet(PeerSetConfig{
-		Entity:      "tester",
-		Network:     n,
-		Secchan:     secchan.Config{Identity: cryptoutil.MustIdentity("tester"), Verify: verifyAny},
-		Retry:       retry,
-		Breaker:     breaker,
-		CallTimeout: time.Second,
-		Metrics:     reg,
-		Ledger:      led,
-		Now:         func() time.Duration { return 7 * time.Second },
+		Entity:  "tester",
+		Network: n,
+		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("tester"), Verify: verifyAny},
+		Policy:  p,
+		Metrics: reg,
+		Ledger:  led,
+		Now:     func() time.Duration { return 7 * time.Second },
 	}), reg, led
 }
 
@@ -57,7 +55,7 @@ func TestPeerSetDialsLazilyAndRedialsOnReRegister(t *testing.T) {
 	n := &dialLog{MemNetwork: NewMemNetwork()}
 	startEcho(t, n, "old", cryptoutil.MustIdentity("srv"))
 	startEcho(t, n, "new", cryptoutil.MustIdentity("srv"))
-	ps, _, _ := newTestPeerSet(t, n, RetryPolicy{MaxAttempts: 1}, BreakerPolicy{})
+	ps, _, _ := newTestPeerSet(t, n, Policy{CallTimeout: time.Second, MaxAttempts: 1})
 
 	if _, ok := ps.Client("srv"); ok {
 		t.Fatal("client handed out for an unregistered peer")
@@ -90,7 +88,7 @@ func TestPeerSetDialsLazilyAndRedialsOnReRegister(t *testing.T) {
 
 // TestPeerSetHealthSorted: one row per built channel, sorted by peer.
 func TestPeerSetHealthSorted(t *testing.T) {
-	ps, _, _ := newTestPeerSet(t, NewMemNetwork(), RetryPolicy{}, BreakerPolicy{})
+	ps, _, _ := newTestPeerSet(t, NewMemNetwork(), Policy{CallTimeout: time.Second})
 	for _, peer := range []string{"server-b", "attest-z", "server-a"} {
 		ps.Register(peer, peer)
 		ps.Client(peer)
@@ -113,9 +111,9 @@ func TestPeerSetHealthSorted(t *testing.T) {
 // retry — three counters and two rpc-fault ledger entries, both of the one
 // payload shape.
 func TestPeerSetRecordsRetryAndBreakerOpen(t *testing.T) {
-	ps, reg, led := newTestPeerSet(t, NewMemNetwork(),
-		RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		BreakerPolicy{Threshold: 1, Cooldown: time.Minute})
+	ps, reg, led := newTestPeerSet(t, NewMemNetwork(), Policy{CallTimeout: time.Second,
+		MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond,
+		BreakerThreshold: 1, BreakerCooldown: time.Minute})
 	ps.Register("server-dead", "nowhere")
 	rc, _ := ps.Client("server-dead")
 	if err := rc.Call("echo", echoReq{}, nil); !errors.Is(err, ErrBreakerOpen) {

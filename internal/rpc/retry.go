@@ -18,8 +18,14 @@ import (
 	"cloudmonatt/internal/secchan"
 )
 
-// RetryPolicy tunes the retry loop of a ReconnectClient.
-type RetryPolicy struct {
+// Policy is how a fault-tolerant channel times out, retries and trips its
+// breaker. A zero field takes its default; withDefaults is the one place
+// the defaults are decided.
+type Policy struct {
+	// CallTimeout bounds each attempt (dial + handshake + exchange) in real
+	// time: a redial under a context derived for it, the exchange under the
+	// connection's watchdog. Default 30s.
+	CallTimeout time.Duration
 	// MaxAttempts caps the total number of attempts per call, first try
 	// included. Default 4.
 	MaxAttempts int
@@ -27,13 +33,22 @@ type RetryPolicy struct {
 	// retry up to MaxDelay. Defaults 25ms / 1s.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
+	// BreakerThreshold is the number of consecutive transport failures that
+	// opens the peer's breaker. Default 8; negative disables the breaker.
+	BreakerThreshold int
+	// BreakerCooldown is how long an open breaker rejects calls before
+	// admitting a half-open probe. Default 1s.
+	BreakerCooldown time.Duration
 }
 
 // backoffJitter is the fraction of each backoff delay randomized away,
 // breaking retry synchronization across peers.
 const backoffJitter = 0.5
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+func (p Policy) withDefaults() Policy {
+	if p.CallTimeout <= 0 {
+		p.CallTimeout = 30 * time.Second
+	}
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
 	}
@@ -43,27 +58,25 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
 	}
+	if p.BreakerThreshold == 0 {
+		p.BreakerThreshold = 8
+	}
+	if p.BreakerCooldown <= 0 {
+		p.BreakerCooldown = time.Second
+	}
 	return p
 }
 
-// defaultCallTimeout is the per-attempt bound a zero CallTimeout means.
-const defaultCallTimeout = 30 * time.Second
-
-// OpBudget is the longest one ReconnectClient call can take, whatever
-// context it is handed: at most MaxAttempts attempts, each ended within
-// CallTimeout (the redial's context and the connection's watchdog both
-// enforce it), and at most MaxDelay of backoff between two of them. A
+// Budget is the longest one ReconnectClient call under p can take,
+// whatever context it is handed: at most MaxAttempts attempts, each ended
+// within CallTimeout (the redial's context and the connection's watchdog
+// both enforce it), and at most MaxDelay of backoff between two of them. A
 // wedged or partitioned peer therefore degrades the caller's operation
-// instead of hanging it, and callers need no deadline of their own. The
-// arguments are the ClientConfig's CallTimeout and Retry, defaulted the
-// way NewReconnectClient defaults them.
-func OpBudget(callTimeout time.Duration, retry RetryPolicy) time.Duration {
-	if callTimeout <= 0 {
-		callTimeout = defaultCallTimeout
-	}
-	retry = retry.withDefaults()
-	n := time.Duration(retry.MaxAttempts)
-	return n*callTimeout + (n-1)*retry.MaxDelay
+// instead of hanging it, and callers need no deadline of their own.
+func (p Policy) Budget() time.Duration {
+	p = p.withDefaults()
+	n := time.Duration(p.MaxAttempts)
+	return n*p.CallTimeout + (n-1)*p.MaxDelay
 }
 
 // EventKind classifies a fault-tolerance event.
@@ -94,12 +107,7 @@ type ClientConfig struct {
 	// Peer labels events and errors; defaults to Addr.
 	Peer    string
 	Secchan secchan.Config
-	Retry   RetryPolicy
-	Breaker BreakerPolicy
-	// CallTimeout bounds each attempt (dial + handshake + exchange) in real
-	// time: a redial under a context derived for it, the exchange under the
-	// connection's watchdog. Default (zero or negative) 30s.
-	CallTimeout time.Duration
+	Policy  Policy
 	// Idempotent reports methods safe to blindly re-issue after a transport
 	// failure mid-call. Dial failures are always retried (the request never
 	// reached the peer). nil marks every method non-idempotent.
@@ -130,12 +138,9 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 	if cfg.Peer == "" {
 		cfg.Peer = cfg.Addr
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = defaultCallTimeout
-	}
+	cfg.Policy = cfg.Policy.withDefaults()
 	rc := &ReconnectClient{cfg: cfg}
-	rc.breaker = newBreaker(cfg.Breaker, func(from, to BreakerState) {
+	rc.breaker = newBreaker(cfg.Policy, func(from, to BreakerState) {
 		rc.event(Event{Kind: EventBreaker, Peer: cfg.Peer, From: from, To: to})
 	})
 	return rc
@@ -145,7 +150,7 @@ func NewReconnectClient(cfg ClientConfig) *ReconnectClient {
 func (rc *ReconnectClient) BreakerState() BreakerState { return rc.breaker.State() }
 
 // Connect ensures a live connection, dialing if necessary (bounded by
-// CallTimeout, and by ctx when it ends first). Calls dial lazily, so
+// Policy.CallTimeout, and by ctx when it ends first). Calls dial lazily, so
 // Connect is only needed when reachability must be probed eagerly.
 func (rc *ReconnectClient) Connect(ctx context.Context) error {
 	_, err := rc.conn(ctx, rc.attemptDeadline())
@@ -172,7 +177,7 @@ func (rc *ReconnectClient) Call(method string, req, resp any) error {
 
 // CallCtx sends method(req), retrying across transient transport failures
 // only when the method is registered idempotent. The client bounds the call
-// itself (OpBudget); ctx may end it sooner and may carry the caller's span.
+// itself (Policy.Budget); ctx may end it sooner and may carry the caller's span.
 func (rc *ReconnectClient) CallCtx(ctx context.Context, method string, req, resp any) error {
 	idem := rc.cfg.Idempotent != nil && rc.cfg.Idempotent(method)
 	return rc.do(ctx, method, "", func(int) (any, error) { return req, nil }, resp, idem)
@@ -199,7 +204,7 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 	// the remote handler's spans nest under the attempt that carried them.
 	parent := obs.FromContext(ctx)
 	var lastErr error
-	for attempt := 0; attempt < rc.cfg.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < rc.cfg.Policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rc.event(Event{Kind: EventRetry, Peer: rc.cfg.Peer, Method: method, Attempt: attempt + 1, Err: lastErr})
 			parent.Annotate("retry", fmt.Sprintf("%s attempt %d after: %v", method, attempt+1, lastErr))
@@ -275,7 +280,7 @@ func (rc *ReconnectClient) attempt(ctx context.Context, sc obs.SpanContext, meth
 // attemptDeadline is when an attempt starting now must have ended.
 func (rc *ReconnectClient) attemptDeadline() time.Time {
 	//lint:ignore vclockonly CallTimeout bounds real network exchanges; it elapses in real time
-	return time.Now().Add(rc.cfg.CallTimeout)
+	return time.Now().Add(rc.cfg.Policy.CallTimeout)
 }
 
 // conn returns the live connection, or dials one bounded by ctx and the
@@ -336,16 +341,16 @@ func (rc *ReconnectClient) sleep(ctx context.Context, attempt int) error {
 // backoff returns the exponential delay before the given retry (attempt ≥
 // 1), with a random fraction (up to backoffJitter) shaved off.
 func (rc *ReconnectClient) backoff(attempt int) time.Duration {
-	d := rc.cfg.Retry.BaseDelay
+	d := rc.cfg.Policy.BaseDelay
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= rc.cfg.Retry.MaxDelay {
-			d = rc.cfg.Retry.MaxDelay
+		if d >= rc.cfg.Policy.MaxDelay {
+			d = rc.cfg.Policy.MaxDelay
 			break
 		}
 	}
-	if d > rc.cfg.Retry.MaxDelay {
-		d = rc.cfg.Retry.MaxDelay
+	if d > rc.cfg.Policy.MaxDelay {
+		d = rc.cfg.Policy.MaxDelay
 	}
 	rc.mu.Lock()
 	if rc.rng == nil {

@@ -13,10 +13,10 @@
 // the failures the rest is built to tolerate.
 //
 // How a call is bounded: a ReconnectClient bounds itself. Each attempt
-// ends within CallTimeout, through a watchdog timer the connection keeps
+// ends within Policy.CallTimeout, through a watchdog timer the connection keeps
 // and re-arms per exchange (Reset/Stop); only the rare redial derives a
 // context, for the dial and handshake. With the attempts and backoffs
-// capped as well, no call outlasts OpBudget, and its callers pass a
+// capped as well, no call outlasts Policy.Budget, and its callers pass a
 // context only to carry a span or to end it sooner. A raw Client is
 // bounded by its caller's context alone, through the one context.AfterFunc
 // a call registers when that context can end at all. Each bound interrupts
