@@ -561,9 +561,10 @@ func TestChaosInfraPCARestartSerialsMonotonic(t *testing.T) {
 // TestRecoveryRefusesAChainThatDoesNotVerify flips one byte of the VM id
 // in the second VM's launch-begin intent, on disk, after the testbed wrote
 // it, and restarts the controller. Recovery must return the hash mismatch
-// and rebuild no VM row: a fold over entries the chain no longer vouches
-// for would rebuild the controller from whatever the disk now says. With
-// the byte restored, the same chain recovers both VMs.
+// and rebuild no VM row, nor hold any capacity: a fold over entries the
+// chain no longer vouches for would rebuild the controller from whatever
+// the disk now says. With the byte restored, the same chain recovers both
+// VMs.
 func TestRecoveryRefusesAChainThatDoesNotVerify(t *testing.T) {
 	dir := t.TempDir()
 	tb := newTB(t, Options{Seed: 143, Servers: 2, LedgerDir: dir})
@@ -608,6 +609,11 @@ func TestRecoveryRefusesAChainThatDoesNotVerify(t *testing.T) {
 	}
 	if vms := tb.Ctrl.ListVMs("alice"); len(vms) != 0 {
 		t.Fatalf("recovery rebuilt %d rows from a chain that does not verify: %+v", len(vms), vms)
+	}
+	for i := range len(tb.Servers) {
+		if used := tb.Ctrl.UsedCapacity(serverName(i)); used != (server.Capacity{}) {
+			t.Fatalf("a refused recovery holds %+v on %s", used, serverName(i))
+		}
 	}
 
 	write(data[off])

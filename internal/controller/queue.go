@@ -44,12 +44,12 @@ type workQueue struct {
 	failures   map[string]int           // consecutive failed passes
 	due        []dueVM                  // promote's scratch, reused
 
-	passLatency   *metrics.Summary
+	passLatency   *metrics.Summary[time.Duration]
 	passes        *metrics.Counter
 	requeues      *metrics.Counter
 	requeuesAfter *metrics.Counter
 	passErrors    *metrics.Counter
-	depth         *metrics.IntSummary
+	depth         *metrics.Summary[int64]
 	dropped       *metrics.Counter
 }
 

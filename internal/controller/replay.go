@@ -16,7 +16,7 @@ import (
 // (ledger.Walk), and replays the two-phase intents:
 //
 //   - a completed launch recreates the VM row (desired state from the
-//     begin record, placement from the end) and its capacity reservation;
+//     begin record, placement from the end);
 //   - a begin without an end is a torn intent — the crash hit between
 //     acting and recording completion — and becomes work: torn launches
 //     are cleaned off their candidate hosts, torn remediations are
@@ -30,7 +30,9 @@ import (
 // infrastructure failure never becomes a remediation, crash or no crash.
 // A chain that does not verify, or an intent or remediation entry the
 // fold cannot read, is an error naming the entry, and no row is installed:
-// folding past it would lose or resurrect the work it records.
+// folding past it would lose or resurrect the work it records. Capacity is
+// reserved only as the rows are installed, so a refused recovery holds
+// none.
 func (c *Controller) Recover() error {
 	if c.cfg.Ledger == nil {
 		return fmt.Errorf("controller: recovery requires a ledger")
@@ -60,16 +62,10 @@ func (c *Controller) Recover() error {
 		return f, err == nil
 	}
 	// foldFinalized folds a completed teardown, however it was declared: the
-	// row is gone for good and its reservation is given back exactly once.
+	// row is gone for good.
 	foldFinalized := func(rec *vmRecord) {
-		if rec.Finalized {
-			return
-		}
 		rec.State = "terminated"
 		rec.Deleted, rec.Finalized = true, true
-		if !rec.MigratedOut { // a half-migrated VM holds no reservation
-			c.release(rec.Server, rec.Flavor)
-		}
 		rec.MigratedOut = false
 	}
 
@@ -105,7 +101,6 @@ func (c *Controller) Recover() error {
 					ImageName: lb.Image, Flavor: flavor, Props: props,
 					Workload: lb.Workload, State: "active",
 				}
-				c.reserve(ir.Server, flavor)
 			case ir.Op == "place" && ir.Phase == "begin":
 				if openPlaces[e.Vid] == nil {
 					openPlaces[e.Vid] = make(map[string]string)
@@ -156,13 +151,11 @@ func (c *Controller) Recover() error {
 				}
 			case ir.Op == "migrate-out":
 				if rec != nil && !rec.MigratedOut {
-					c.release(rec.Server, rec.Flavor)
 					rec.MigratedOut = true
 					rec.MigrateSpec = ir.Spec
 				}
 			case ir.Op == "migrated":
 				if rec != nil {
-					c.reserve(ir.Server, rec.Flavor)
 					rec.Server = ir.Server
 					rec.MigratedOut = false
 					rec.MigrateSpec = nil
@@ -222,11 +215,15 @@ func (c *Controller) Recover() error {
 		}
 	}
 
-	// Install the recovered rows, then turn torn intents into declared
-	// work for the reconcile loop.
+	// Install the recovered rows with the capacity each still holds (a
+	// finalized VM holds none, nor does a half-migrated one), then turn
+	// torn intents into declared work for the reconcile loop.
 	c.mu.Lock()
 	for vid, rec := range recs {
 		c.vms[vid] = rec
+		if !rec.Finalized && !rec.MigratedOut {
+			c.used[rec.Server] = c.used[rec.Server].Add(rec.Flavor)
+		}
 	}
 	if maxVid > c.nextVid {
 		c.nextVid = maxVid

@@ -278,9 +278,9 @@ type Ledger struct {
 	st   store
 
 	reg       *metrics.Registry
-	appendSum *metrics.Summary
-	flushSum  *metrics.Summary
-	batchSum  *metrics.IntSummary
+	appendSum *metrics.Summary[time.Duration]
+	flushSum  *metrics.Summary[time.Duration]
+	batchSum  *metrics.Summary[int64]
 
 	mu         sync.Mutex
 	cond       *sync.Cond // signaled when a batch is published and when a commit round finishes

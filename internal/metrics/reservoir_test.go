@@ -18,7 +18,7 @@ import (
 // comes from each third of the stream.
 func TestReservoirRetainsWholeStream(t *testing.T) {
 	total := 3 * maxSamples
-	var s Summary
+	var s Summary[time.Duration]
 	for i := 0; i < total; i++ {
 		s.Observe(time.Duration(i))
 	}
@@ -47,10 +47,11 @@ func TestReservoirRetainsWholeStream(t *testing.T) {
 	}
 }
 
-// TestIntReservoirRetainsWholeStream is the same check for IntSummary.
+// TestIntReservoirRetainsWholeStream is the same check for an integer
+// summary.
 func TestIntReservoirRetainsWholeStream(t *testing.T) {
 	total := 3 * maxSamples
-	var s IntSummary
+	var s Summary[int64]
 	for i := 0; i < total; i++ {
 		s.Observe(int64(i))
 	}
@@ -70,8 +71,8 @@ func TestIntReservoirRetainsWholeStream(t *testing.T) {
 // retained sample set identical across runs — the property the seeded
 // simulation depends on.
 func TestReservoirDeterministic(t *testing.T) {
-	feed := func() SummarySnapshot {
-		var s Summary
+	feed := func() Snapshot[time.Duration] {
+		var s Summary[time.Duration]
 		for i := 0; i < 3*maxSamples; i++ {
 			s.Observe(time.Duration(i))
 		}
@@ -96,7 +97,7 @@ func TestReservoirDeterministic(t *testing.T) {
 // break the identity. Run with -race to also catch raw data races.
 func TestSnapshotNotTorn(t *testing.T) {
 	const v = 3 * time.Millisecond
-	var s Summary
+	var s Summary[time.Duration]
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -123,8 +124,8 @@ func TestSnapshotNotTorn(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIntSnapshotNotTorn is the same invariant for IntSummary, exercising
-// Render (which now consumes snapshots) concurrently as well.
+// TestIntSnapshotNotTorn is the same invariant for an integer summary,
+// exercising Render (which consumes snapshots) concurrently as well.
 func TestIntSnapshotNotTorn(t *testing.T) {
 	const v = int64(7)
 	r := NewRegistry()
@@ -184,10 +185,10 @@ func TestRegistrySnapshot(t *testing.T) {
 	if len(snap.Summaries) != 1 || snap.Summaries[0].Name != "lat" {
 		t.Fatalf("Summaries = %+v", snap.Summaries)
 	}
-	if got := snap.Summaries[0].Mean(); got != 2*time.Second {
+	if got := snap.Summaries[0].Value.Mean(); got != float64(2*time.Second) {
 		t.Fatalf("lat mean = %v", got)
 	}
-	if len(snap.IntSummaries) != 1 || snap.IntSummaries[0].Count != 1 {
+	if len(snap.IntSummaries) != 1 || snap.IntSummaries[0].Value.Count != 1 {
 		t.Fatalf("IntSummaries = %+v", snap.IntSummaries)
 	}
 	if len(snap.Counters) != 1 || snap.Counters[0].Value != 9 {

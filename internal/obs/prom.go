@@ -52,19 +52,19 @@ func WritePrometheus(w io.Writer, regs map[string]*metrics.Registry) {
 			full := sanitizeMetricName(prefix+"_"+s.Name) + "_seconds"
 			fmt.Fprintf(w, "# TYPE %s summary\n", full)
 			for _, q := range promQuantiles {
-				fmt.Fprintf(w, "%s{quantile=%q} %g\n", full, fmt.Sprintf("%g", q), s.Quantile(q).Seconds())
+				fmt.Fprintf(w, "%s{quantile=%q} %g\n", full, fmt.Sprintf("%g", q), s.Value.Quantile(q).Seconds())
 			}
-			fmt.Fprintf(w, "%s_sum %g\n", full, s.Sum.Seconds())
-			fmt.Fprintf(w, "%s_count %d\n", full, s.Count)
+			fmt.Fprintf(w, "%s_sum %g\n", full, s.Value.Sum.Seconds())
+			fmt.Fprintf(w, "%s_count %d\n", full, s.Value.Count)
 		}
 		for _, s := range snap.IntSummaries {
 			full := sanitizeMetricName(prefix + "_" + s.Name)
 			fmt.Fprintf(w, "# TYPE %s summary\n", full)
 			for _, q := range promQuantiles {
-				fmt.Fprintf(w, "%s{quantile=%q} %d\n", full, fmt.Sprintf("%g", q), s.Quantile(q))
+				fmt.Fprintf(w, "%s{quantile=%q} %d\n", full, fmt.Sprintf("%g", q), s.Value.Quantile(q))
 			}
-			fmt.Fprintf(w, "%s_sum %d\n", full, s.Sum)
-			fmt.Fprintf(w, "%s_count %d\n", full, s.Count)
+			fmt.Fprintf(w, "%s_sum %d\n", full, s.Value.Sum)
+			fmt.Fprintf(w, "%s_count %d\n", full, s.Value.Count)
 		}
 		for _, c := range snap.Counters {
 			full := sanitizeMetricName(prefix+"_"+c.Name) + "_total"

@@ -57,7 +57,7 @@ func serial(n uint64) entry {
 func counters(kv map[string]int64) metrics.RegistrySnapshot {
 	var s metrics.RegistrySnapshot
 	for k, v := range kv {
-		s.Counters = append(s.Counters, metrics.NamedCounter{Name: k, Value: v})
+		s.Counters = append(s.Counters, metrics.Named[int64]{Name: k, Value: v})
 	}
 	return s
 }

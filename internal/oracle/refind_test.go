@@ -70,6 +70,27 @@ func TestClaimsRefindTheirBug(t *testing.T) {
 			new:   "_ = err",
 			pkgs:  []string{"internal/cloudsim"},
 		},
+		{
+			claim: "recovery reserves nothing for a finalized VM",
+			file:  "internal/controller/replay.go",
+			old:   "if !rec.Finalized && !rec.MigratedOut {",
+			new:   "if !rec.MigratedOut {",
+			pkgs:  []string{"internal/controller", "internal/cloudsim"},
+		},
+		{
+			claim: "recovery reserves nothing for a half-migrated VM",
+			file:  "internal/controller/replay.go",
+			old:   "if !rec.Finalized && !rec.MigratedOut {",
+			new:   "if !rec.Finalized {",
+			pkgs:  []string{"internal/cloudsim"},
+		},
+		{
+			claim: "a summary's reservoir keeps the whole stream",
+			file:  "internal/metrics/metrics.go",
+			old:   "if j := s.rng.Int63n(int64(s.count)); j < maxSamples {",
+			new:   "if j := int64(s.count) % maxSamples; j >= 0 {",
+			pkgs:  []string{"internal/metrics"},
+		},
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
