@@ -62,6 +62,38 @@ func TestSignatureBudget(t *testing.T) {
 	}
 }
 
+// TestSixWritesPerAttestation pins Fig. 3's hop count on the wire: an
+// on-demand attestation is three request/response exchanges (customer →
+// controller → attestation server → cloud server), six secure-channel
+// records, and each record is one Write on its connection. A hop added, or
+// a record split across writes, fails here. The window is a multiple of
+// sessionUses, so it crosses whole key rotations, as the signature budget's
+// does; the pCA is in process and puts nothing on the wire.
+func TestSixWritesPerAttestation(t *testing.T) {
+	counted := &byteCountingNetwork{inner: rpc.NewMemNetwork()}
+	tb := newTB(t, Options{Seed: 5, Servers: 1, Network: counted})
+	cu, err := tb.NewCustomer("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := launch(t, cu, basicLaunch())
+	const n = 2 * sessionUses
+	w0, d0 := counted.writes.Load(), counted.dials.Load()
+	for i := 0; i < n; i++ {
+		p := properties.StartupIntegrity
+		if i%2 == 1 {
+			p = properties.RuntimeIntegrity
+		}
+		if v, err := cu.Attest(res.Vid, p); err != nil || !v.Healthy {
+			t.Fatalf("attest %d (%s): %v %v", i, p, v, err)
+		}
+	}
+	writes, dials := counted.writes.Load()-w0, counted.dials.Load()-d0
+	if writes != 6*n || dials != 0 {
+		t.Fatalf("%d attestations wrote %d records over %d new connections, want %d over none", n, writes, dials, 6*n)
+	}
+}
+
 // TestVerifyTableBuildsOnePerAVK pins the miss rate cryptoutil.Verify's
 // per-key tables rest on: once a testbed is warm, its long-lived keys stay
 // cached, and 64 on-demand attestations on one server build tables for
