@@ -394,3 +394,34 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkVerifyWorkingSet checks signatures under working sets of keys
+// on both sides of the cache's keySlots, cycling through the set with each
+// key checked u times in a row, and reports per check its time and the key
+// tables it built. At or below keySlots keys every warm check hits; past
+// it, the builds per check show what round-robin use of more keys than
+// the cache holds costs each check.
+func BenchmarkVerifyWorkingSet(b *testing.B) {
+	pubs, msgs, sigs := cacheTriples(1024, "working-set")
+	for _, keys := range []int{32, 64, 65, 128, 1024} {
+		for _, u := range []int{1, 8} {
+			b.Run(fmt.Sprintf("keys=%d/u=%d", keys, u), func(b *testing.B) {
+				check := func(i int) {
+					j := i / u % keys
+					if !Verify(pubs[j], msgs[j], sigs[j]) {
+						b.Fatalf("key %d rejected its signature", j)
+					}
+				}
+				for i := 0; i < keys*u; i++ {
+					check(i) // one pass over the set, so the cache holds what it would
+				}
+				before := VerifyTableBuilds()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					check(i)
+				}
+				b.ReportMetric(float64(VerifyTableBuilds()-before)/float64(b.N), "builds/check")
+			})
+		}
+	}
+}

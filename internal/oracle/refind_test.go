@@ -57,6 +57,25 @@ func TestClaimsRefindTheirBug(t *testing.T) {
 			pkgs:  []string{"internal/rpc"},
 		},
 		{
+			// Caught by TestReconnectClientBoundsItself (its stalled peer)
+			// and TestMemConnContract.
+			claim: "an interrupt reaches an exchange blocked on the in-memory wire",
+			file:  "internal/rpc/memconn.go",
+			old:   "c.arm()\n\tc.wake()\n\treturn nil",
+			new:   "c.arm()\n\treturn nil",
+			pkgs:  []string{"internal/rpc"},
+		},
+		{
+			// Caught by TestReconnectClientBoundsItself (a leaked serving
+			// goroutine), TestPartitionedCallsReturnWithinDeadline and
+			// TestMemConnContract.
+			claim: "closing one end ends the peer's blocked read",
+			file:  "internal/rpc/memconn.go",
+			old:   "\t\tc.timer.Stop()\n\t}\n\tc.wake()\n",
+			new:   "\t\tc.timer.Stop()\n\t}\n",
+			pkgs:  []string{"internal/rpc"},
+		},
+		{
 			claim: "a breaker opens at its threshold",
 			file:  "internal/rpc/breaker.go",
 			old:   "b.failures < b.threshold",

@@ -77,10 +77,22 @@ func TestWatchdogRaceNeverPoisons(t *testing.T) {
 // TestReconnectClientBoundsItself: handed a context that never ends, every
 // entry point of a ReconnectClient still returns within Policy.Budget when its
 // peer is partitioned — whether the partition blackholes a live connection
-// or every redial — and leaves no goroutine behind.
+// or every redial — or takes requests and never answers, where the bound
+// must interrupt a read blocked on the connection itself; and it leaves no
+// goroutine behind.
 func TestReconnectClientBoundsItself(t *testing.T) {
 	fn := NewFaultNetwork(NewMemNetwork(), FaultConfig{Seed: 3})
 	startEcho(t, fn, "srv", cryptoutil.MustIdentity("server"))
+	stall, err := fn.Listen("stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stall.Close() })
+	release := make(chan struct{})
+	go Serve(stall, secchan.Config{Identity: cryptoutil.MustIdentity("stall"), Verify: verifyAny}, func(Peer, string, []byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
 	before := runtime.NumGoroutine()
 	cfg := ClientConfig{
 		Network: fn, Addr: "srv", Peer: "srv",
@@ -106,27 +118,34 @@ func TestReconnectClientBoundsItself(t *testing.T) {
 		{"Connect", func(rc *ReconnectClient) error { return rc.Connect(ctx) }},
 	}
 	for _, c := range calls {
-		for _, live := range []bool{true, false} {
-			if live && c.name == "Connect" {
+		for _, peer := range []string{"partitioned, live connection", "partitioned", "stalled"} {
+			if c.name == "Connect" && peer != "partitioned" {
 				continue // a live connection is all Connect asks for
 			}
 			fn.HealAll()
+			cfg := cfg
+			if peer == "stalled" {
+				cfg.Addr, cfg.Peer = "stall", "stall"
+			}
 			rc := NewReconnectClient(cfg)
-			if live {
+			if peer == "partitioned, live connection" {
 				if err := rc.Connect(ctx); err != nil {
 					t.Fatal(err)
 				}
 			}
-			fn.Partition("srv")
+			if peer != "stalled" {
+				fn.Partition("srv")
+			}
 			start := time.Now()
-			err := c.call(rc)
+			// A call its bound never wakes fails here, not at the package timeout.
+			err := within(t, 2*budget, c.name, func() error { return c.call(rc) })
 			elapsed := time.Since(start)
 			rc.Close()
 			if err == nil {
-				t.Fatalf("%s (live connection %v) succeeded across a partition", c.name, live)
+				t.Fatalf("%s (%s peer) succeeded", c.name, peer)
 			}
 			if elapsed > budget {
-				t.Fatalf("%s (live connection %v) returned after %v, past Policy.Budget %v: %v", c.name, live, elapsed, budget, err)
+				t.Fatalf("%s (%s peer) returned after %v, past Policy.Budget %v: %v", c.name, peer, elapsed, budget, err)
 			}
 		}
 	}
@@ -134,6 +153,7 @@ func TestReconnectClientBoundsItself(t *testing.T) {
 		t.Fatal("no operation ever blocked on the partition — fault injection inert")
 	}
 	fn.HealAll()
+	close(release)
 	waitGoroutines(t, before)
 }
 
