@@ -62,7 +62,7 @@ func TestAnalyzersRefindTheirBug(t *testing.T) {
 		{
 			analyzer: ConstTime, file: "internal/wire/wire.go",
 			old: "cryptoutil.ConstEqual(e.Q3[:], want3[:])", new: "bytes.Equal(e.Q3[:], want3[:])", addImport: "bytes",
-			want: []string{"wire.go:184: Q3 compared with bytes.Equal leaks a timing side channel; use crypto/subtle.ConstantTimeCompare"},
+			want: []string{"wire.go:180: Q3 compared with bytes.Equal leaks a timing side channel; use crypto/subtle.ConstantTimeCompare"},
 		},
 		{
 			analyzer: VClockOnly, file: "internal/ledger/ledger.go",

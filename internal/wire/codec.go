@@ -65,8 +65,17 @@ func Finish(rd *binenc.Reader, what string) error {
 }
 
 // AppendWire appends the message's binary encoding to b.
-func (m AttestRequest) AppendWire(b []byte) []byte {
-	b = binenc.AppendHeader(b, TagAttestRequest)
+func (m AttestRequest) AppendWire(b []byte) []byte { return m.appendTagged(b, TagAttestRequest) }
+
+// DecodeWire strictly decodes the message from its binary encoding.
+func (m *AttestRequest) DecodeWire(data []byte) error {
+	return m.decodeTagged(data, TagAttestRequest, "AttestRequest")
+}
+
+// appendTagged and decodeTagged are AttestRequest's codec under a given
+// tag, which StopPeriodicRequest shares.
+func (m AttestRequest) appendTagged(b []byte, tag byte) []byte {
+	b = binenc.AppendHeader(b, tag)
 	b = binenc.AppendString(b, m.Vid)
 	b = binenc.AppendString(b, string(m.Prop))
 	b = append(b, m.N1[:]...)
@@ -74,16 +83,15 @@ func (m AttestRequest) AppendWire(b []byte) []byte {
 	return b
 }
 
-// DecodeWire strictly decodes the message from its binary encoding.
-func (m *AttestRequest) DecodeWire(data []byte) error {
+func (m *AttestRequest) decodeTagged(data []byte, tag byte, what string) error {
 	rd := binenc.NewReader(data)
-	rd.Header(TagAttestRequest)
+	rd.Header(tag)
 	*m = AttestRequest{}
 	m.Vid = rd.String()
 	m.Prop = properties.Property(rd.String())
 	rd.Fixed(m.N1[:])
 	m.Trace = rd.String()
-	return Finish(&rd, "AttestRequest")
+	return Finish(&rd, what)
 }
 
 // AppendWire appends the message's binary encoding to b.
@@ -114,24 +122,12 @@ func (m *PeriodicRequest) DecodeWire(data []byte) error {
 
 // AppendWire appends the message's binary encoding to b.
 func (m StopPeriodicRequest) AppendWire(b []byte) []byte {
-	b = binenc.AppendHeader(b, TagStopPeriodicRequest)
-	b = binenc.AppendString(b, m.Vid)
-	b = binenc.AppendString(b, string(m.Prop))
-	b = append(b, m.N1[:]...)
-	b = binenc.AppendString(b, m.Trace)
-	return b
+	return AttestRequest(m).appendTagged(b, TagStopPeriodicRequest)
 }
 
 // DecodeWire strictly decodes the message from its binary encoding.
 func (m *StopPeriodicRequest) DecodeWire(data []byte) error {
-	rd := binenc.NewReader(data)
-	rd.Header(TagStopPeriodicRequest)
-	*m = StopPeriodicRequest{}
-	m.Vid = rd.String()
-	m.Prop = properties.Property(rd.String())
-	rd.Fixed(m.N1[:])
-	m.Trace = rd.String()
-	return Finish(&rd, "StopPeriodicRequest")
+	return (*AttestRequest)(m).decodeTagged(data, TagStopPeriodicRequest, "StopPeriodicRequest")
 }
 
 // AppendWire appends the message's binary encoding to b.

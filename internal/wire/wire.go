@@ -53,13 +53,9 @@ type PeriodicRequest struct {
 	Trace  string
 }
 
-// StopPeriodicRequest invokes stop_attest_periodic.
-type StopPeriodicRequest struct {
-	Vid   string
-	Prop  properties.Property
-	N1    cryptoutil.Nonce
-	Trace string
-}
+// StopPeriodicRequest invokes stop_attest_periodic. It has AttestRequest's
+// fields, and its codec under its own tag.
+type StopPeriodicRequest AttestRequest
 
 // --- controller → attestation server ---
 
