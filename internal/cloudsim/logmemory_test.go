@@ -34,10 +34,6 @@ type byteCountingNetwork struct {
 
 func (n *byteCountingNetwork) Inner() rpc.Network { return n.inner }
 
-func (n *byteCountingNetwork) Dial(addr string) (net.Conn, error) {
-	return n.DialContext(context.Background(), addr)
-}
-
 func (n *byteCountingNetwork) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 	n.dials.Add(1)
 	c, err := n.inner.DialContext(ctx, addr)

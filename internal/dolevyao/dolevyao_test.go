@@ -2,6 +2,7 @@ package dolevyao
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"errors"
 	"strings"
@@ -33,7 +34,7 @@ func rig(t *testing.T, atk *Attacker) func() (*rpc.Client, error) {
 	})
 	client := cryptoutil.MustIdentity("client")
 	return func() (*rpc.Client, error) {
-		return rpc.Dial(n, "srv", secchan.Config{Identity: client, Verify: verify})
+		return rpc.DialContext(context.Background(), n, "srv", secchan.Config{Identity: client, Verify: verify})
 	}
 }
 
@@ -166,7 +167,7 @@ func TestReorderedFramesDetected(t *testing.T) {
 		}
 		result <- nil
 	}()
-	raw, err := n.Dial("srv")
+	raw, err := n.DialContext(context.Background(), "srv")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestWatchdogRaceNeverPoisons(t *testing.T) {
 	n := NewMemNetwork()
 	startEcho(t, n, "srv", cryptoutil.MustIdentity("server"))
 	cfg := secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny}
-	c, err := Dial(n, "srv", cfg)
+	c, err := DialContext(context.Background(), n, "srv", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWatchdogRaceNeverPoisons(t *testing.T) {
 				t.Fatalf("call on a broken connection: %v, want ErrClientBroken", err)
 			}
 			c.Close()
-			if c, err = Dial(n, "srv", cfg); err != nil {
+			if c, err = DialContext(context.Background(), n, "srv", cfg); err != nil {
 				t.Fatal(err)
 			}
 			continue

@@ -115,12 +115,6 @@ func (f *FaultNetwork) partitioned(addr string) bool {
 // Listen passes through to the wrapped network.
 func (f *FaultNetwork) Listen(addr string) (net.Listener, error) { return f.inner.Listen(addr) }
 
-// Dial connects with fault injection (unbounded when partitioned — prefer
-// DialContext).
-func (f *FaultNetwork) Dial(addr string) (net.Conn, error) {
-	return f.DialContext(context.Background(), addr)
-}
-
 // connPlan is the per-connection fault schedule, drawn at dial time.
 type connPlan struct {
 	drop    bool
@@ -212,7 +206,7 @@ func (f *FaultNetwork) DialContext(ctx context.Context, addr string) (net.Conn, 
 	if p.drop {
 		return nil, fmt.Errorf("rpc: injected connection drop to %q: %w", addr, syscall.ECONNREFUSED)
 	}
-	inner, err := dialNet(ctx, f.inner, addr)
+	inner, err := f.inner.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}

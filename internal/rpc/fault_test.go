@@ -145,7 +145,7 @@ func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
 		close(done)
 	}()
 
-	c, err := Dial(n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("x"), Verify: verifyAny})
+	c, err := DialContext(context.Background(), n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("x"), Verify: verifyAny})
 	if err != nil {
 		t.Fatalf("dial after transient accept failures: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestIdemKeyDeduplicates(t *testing.T) {
 			return Encode(echoResp{Text: "run"})
 		})
 
-	c, err := Dial(n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny})
+	c, err := DialContext(context.Background(), n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	mathrand "math/rand"
@@ -212,7 +213,7 @@ func TestMemConnRecordAllocFree(t *testing.T) {
 			}
 		}
 	}()
-	raw, err := n.Dial("srv")
+	raw, err := n.DialContext(context.Background(), "srv")
 	if err != nil {
 		t.Fatal(err)
 	}

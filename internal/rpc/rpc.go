@@ -42,24 +42,10 @@ import (
 )
 
 // Network abstracts connection establishment so tests can run in memory.
+// A dial is bounded (and abandoned) by its context.
 type Network interface {
-	Dial(addr string) (net.Conn, error)
-	Listen(addr string) (net.Listener, error)
-}
-
-// ContextDialer is implemented by Networks whose connection establishment
-// can be bounded (and abandoned) via a context. DialContext honors it.
-type ContextDialer interface {
 	DialContext(ctx context.Context, addr string) (net.Conn, error)
-}
-
-// dialNet establishes a raw connection, using the network's context-aware
-// dialer when it has one.
-func dialNet(ctx context.Context, n Network, addr string) (net.Conn, error) {
-	if cd, ok := n.(ContextDialer); ok {
-		return cd.DialContext(ctx, addr)
-	}
-	return n.Dial(addr)
+	Listen(addr string) (net.Listener, error)
 }
 
 // aLongTimeAgo is a deadline in the distant past: setting it interrupts
@@ -134,11 +120,6 @@ func (n *MemNetwork) Listen(addr string) (net.Listener, error) {
 	return l, nil
 }
 
-// Dial connects to a listening address.
-func (n *MemNetwork) Dial(addr string) (net.Conn, error) {
-	return n.DialContext(context.Background(), addr)
-}
-
 // DialContext connects to a listening address. The handoff to the
 // accepting side is bounded by ctx: a listener that exists but is not
 // accepting cannot block the dialer past its deadline.
@@ -170,9 +151,6 @@ func (n *MemNetwork) DialContext(ctx context.Context, addr string) (net.Conn, er
 
 // TCPNetwork is the real-network implementation.
 type TCPNetwork struct{}
-
-// Dial connects over TCP.
-func (TCPNetwork) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // DialContext connects over TCP, bounded by ctx.
 func (TCPNetwork) DialContext(ctx context.Context, addr string) (net.Conn, error) {
@@ -408,11 +386,6 @@ type Client struct {
 	watchdog *time.Timer
 }
 
-// Dial establishes a secure channel to addr over n and wraps it in a Client.
-func Dial(n Network, addr string, cfg secchan.Config) (*Client, error) {
-	return DialContext(context.Background(), n, addr, cfg)
-}
-
 // DialContext establishes a secure channel to addr over n, bounding both
 // connection establishment and the authentication handshake with ctx.
 //
@@ -424,7 +397,7 @@ func DialContext(ctx context.Context, n Network, addr string, cfg secchan.Config
 	if cfg.Session != nil && cfg.ResumeTo == "" {
 		cfg.ResumeTo = addr
 	}
-	raw, err := dialNet(ctx, n, addr)
+	raw, err := n.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}

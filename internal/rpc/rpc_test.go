@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -65,7 +66,7 @@ func TestCallRoundTrip(t *testing.T) {
 	n := NewMemNetwork()
 	server := cryptoutil.MustIdentity("server")
 	startEcho(t, n, "srv", server)
-	c, err := Dial(n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("client"), Verify: verifyAny})
+	c, err := DialContext(context.Background(), n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("client"), Verify: verifyAny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCallRoundTrip(t *testing.T) {
 func TestHandlerSeesAuthenticatedPeer(t *testing.T) {
 	n := NewMemNetwork()
 	startEcho(t, n, "srv", cryptoutil.MustIdentity("server"))
-	c, err := Dial(n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("alice"), Verify: verifyAny})
+	c, err := DialContext(context.Background(), n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("alice"), Verify: verifyAny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestHandlerSeesAuthenticatedPeer(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	n := NewMemNetwork()
 	startEcho(t, n, "srv", cryptoutil.MustIdentity("server"))
-	c, _ := Dial(n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("x"), Verify: verifyAny})
+	c, _ := DialContext(context.Background(), n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity("x"), Verify: verifyAny})
 	defer c.Close()
 	err := c.Call("fail", echoReq{}, nil)
 	if err == nil || !contains(err.Error(), "deliberate failure") {
@@ -140,7 +141,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity(fmt.Sprintf("c%d", i)), Verify: verifyAny})
+			c, err := DialContext(context.Background(), n, "srv", secchan.Config{Identity: cryptoutil.MustIdentity(fmt.Sprintf("c%d", i)), Verify: verifyAny})
 			if err != nil {
 				errs <- err
 				return
@@ -169,7 +170,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestMemNetworkAddressing(t *testing.T) {
 	n := NewMemNetwork()
-	if _, err := n.Dial("nowhere"); err == nil {
+	if _, err := n.DialContext(context.Background(), "nowhere"); err == nil {
 		t.Fatal("dialed a non-listening address")
 	}
 	l, err := n.Listen("a")
@@ -183,7 +184,7 @@ func TestMemNetworkAddressing(t *testing.T) {
 		t.Fatalf("listener addr %q", got)
 	}
 	l.Close()
-	if _, err := n.Dial("a"); err == nil {
+	if _, err := n.DialContext(context.Background(), "a"); err == nil {
 		t.Fatal("dialed a closed listener")
 	}
 	if _, err := n.Listen("a"); err != nil {
@@ -202,7 +203,7 @@ func TestTCPNetwork(t *testing.T) {
 	go Serve(l, secchan.Config{Identity: server, Verify: verifyAny}, func(peer Peer, method string, body []byte) ([]byte, error) {
 		return Encode(echoResp{Text: "tcp"})
 	})
-	c, err := Dial(n, l.Addr().String(), secchan.Config{Identity: cryptoutil.MustIdentity("x"), Verify: verifyAny})
+	c, err := DialContext(context.Background(), n, l.Addr().String(), secchan.Config{Identity: cryptoutil.MustIdentity("x"), Verify: verifyAny})
 	if err != nil {
 		t.Fatal(err)
 	}
