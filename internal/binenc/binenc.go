@@ -1,6 +1,7 @@
 // Package binenc provides the append/cursor primitives behind the
-// hand-rolled binary wire codec: big-endian fixed-width integers and
-// u32-length-prefixed byte fields, in the style of secchan's packFields.
+// program's one binary codec: big-endian fixed-width integers and
+// u32-length-prefixed byte fields. Every byte a peer sends is read through
+// it, the secure channel's handshake included.
 //
 // The encoder side is a family of Append functions so callers can reuse
 // one buffer across messages (zero allocations at steady state). The
