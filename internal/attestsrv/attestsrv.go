@@ -401,7 +401,7 @@ func (s *Server) measure(sp *obs.ActiveSpan, srvRec *ServerRecord, vid string, r
 	// appraisal instead of pinning an attestation worker forever.
 	var n3 cryptoutil.Nonce
 	ev := new(wire.Evidence)
-	if err := c.CallFresh(obs.ContextWith(context.Background(), sp), server.MethodMeasure, func(int) (any, error) {
+	if err := c.CallFresh(obs.ContextWith(context.Background(), sp), server.MethodMeasure, func() (any, error) {
 		n, err := cryptoutil.NewNonce(s.cfg.Rand)
 		if err != nil {
 			return nil, err

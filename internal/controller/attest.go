@@ -208,7 +208,7 @@ func (c *Controller) DrainPeriodic(req wire.StopPeriodicRequest, stop bool) (*wi
 			return err
 		}
 		n2 = n
-		return rt.client.CallIdem(context.Background(), method, rpc.NewIdemKey(),
+		return rt.client.CallIdem(context.Background(), method,
 			attestsrv.PeriodicControl{Vid: req.Vid, Prop: req.Prop, N2: n}, &batch)
 	})
 	if err != nil {
@@ -443,7 +443,7 @@ func (c *Controller) MigrateVM(vid string) (string, error) {
 		// Migrate-out removes the VM from the source host; the key makes a
 		// retried call replay the captured spec instead of failing on a VM
 		// that is already gone.
-		if err := srcMgmt.CallIdem(context.Background(), server.MethodMigrateOut, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, &spec); err != nil {
+		if err := srcMgmt.CallIdem(context.Background(), server.MethodMigrateOut, wire.VidRequest{Vid: vid}, &spec); err != nil {
 			return "", err
 		}
 		c.release(src, flavor)

@@ -264,14 +264,13 @@ func New(cfg Config) *Controller {
 		lastGood:  make(map[string]lastVerdict),
 	}
 	c.peers = rpc.NewPeerSet(rpc.PeerSetConfig{
-		Entity:     "controller",
-		Network:    cfg.Network,
-		Secchan:    secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand},
-		Policy:     cfg.RPC,
-		Idempotent: idempotentMethod,
-		Metrics:    c.metrics,
-		Ledger:     cfg.Ledger,
-		Now:        cfg.Clock.Now,
+		Entity:  "controller",
+		Network: cfg.Network,
+		Secchan: secchan.Config{Identity: cfg.Identity, Verify: cfg.Verify, Rand: cfg.Rand},
+		Policy:  cfg.RPC,
+		Metrics: c.metrics,
+		Ledger:  cfg.Ledger,
+		Now:     cfg.Clock.Now,
 	})
 	c.queue = newWorkQueue(cfg.Clock.Now, c.metrics)
 	return c
@@ -290,20 +289,6 @@ func (c *Controller) Health() obs.EntityHealth {
 		Delayed: delayed,
 		Dropped: uint64(c.queue.dropped.Value()),
 	}}
-}
-
-// idempotentMethod reports the RPCs the controller may blindly re-issue
-// after a transport failure: re-registering the same record or re-sending a
-// state transition converges to the same state. Everything else retries
-// only via fresh nonces (CallFresh) or idempotency keys (CallIdem).
-func idempotentMethod(method string) bool {
-	switch method {
-	case attestsrv.MethodRegisterVM, attestsrv.MethodForgetVM,
-		attestsrv.MethodRebindVM, attestsrv.MethodPeriodicStart,
-		server.MethodSuspend, server.MethodResume:
-		return true
-	}
-	return false
 }
 
 // record appends one evidence entry, best-effort: the ledger is the audit
@@ -845,7 +830,7 @@ func (c *Controller) spawn(srv string, spec server.LaunchSpec) error {
 	if err != nil {
 		return err
 	}
-	if err := mgmt.CallIdem(context.Background(), server.MethodLaunch, rpc.NewIdemKey(), spec, nil); err != nil {
+	if err := mgmt.CallIdem(context.Background(), server.MethodLaunch, spec, nil); err != nil {
 		return err
 	}
 	c.reserve(srv, spec.Flavor)
@@ -863,7 +848,7 @@ func (c *Controller) evict(vid, srv string) error {
 	if err != nil {
 		return err
 	}
-	if err := mgmt.CallIdem(context.Background(), server.MethodTerminate, rpc.NewIdemKey(), wire.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
+	if err := mgmt.CallIdem(context.Background(), server.MethodTerminate, wire.VidRequest{Vid: vid}, nil); err != nil && !isNoVM(err) {
 		return err
 	}
 	c.forgetVM(vid)

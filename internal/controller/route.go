@@ -176,7 +176,7 @@ func (c *Controller) verifiedAppraisal(sp *obs.ActiveSpan, vid, serverID string,
 func (c *Controller) appraise(ctx context.Context, rt attestRoute, vid, serverID string, p properties.Property) (*wire.Report, cryptoutil.Nonce, error) {
 	var n2 cryptoutil.Nonce
 	var rep wire.Report
-	err := rt.client.CallFresh(ctx, attestsrv.MethodAppraise, func(int) (any, error) {
+	err := rt.client.CallFresh(ctx, attestsrv.MethodAppraise, func() (any, error) {
 		n, err := cryptoutil.NewNonce(c.cfg.Rand)
 		if err != nil {
 			return nil, err

@@ -47,17 +47,6 @@ type Customer struct {
 	ctrlKey ed25519.PublicKey
 }
 
-// readOnly marks the nova api queries that are safe to blindly re-issue
-// after a transport failure; mutations go through idempotency keys and
-// attestations through fresh nonces.
-func readOnly(method string) bool {
-	switch method {
-	case controller.MethodListVMs, controller.MethodListEvents, controller.MethodVMStatus:
-		return true
-	}
-	return false
-}
-
 // Connect dials the controller's nova api and authenticates both ends.
 func Connect(cfg Config) (*Customer, error) {
 	ctrlKey := append(ed25519.PublicKey(nil), cfg.ControllerKey...)
@@ -73,8 +62,7 @@ func Connect(cfg Config) (*Customer, error) {
 				}
 				return nil
 			}},
-			Policy:     cfg.RPC,
-			Idempotent: readOnly,
+			Policy: cfg.RPC,
 		}),
 	}
 	if err := cu.client.Connect(context.Background()); err != nil {
@@ -88,7 +76,7 @@ func Connect(cfg Config) (*Customer, error) {
 // across connection failures without double-launching.
 func (cu *Customer) Launch(req controller.LaunchRequest) (controller.LaunchResult, error) {
 	var res controller.LaunchResult
-	err := cu.client.CallIdem(context.Background(), controller.MethodLaunchVM, rpc.NewIdemKey(), req, &res)
+	err := cu.client.CallIdem(context.Background(), controller.MethodLaunchVM, req, &res)
 	return res, err
 }
 
@@ -115,7 +103,7 @@ func (cu *Customer) AttestReport(vid string, p properties.Property) (*wire.Custo
 	}
 	var n1 cryptoutil.Nonce
 	var rep wire.CustomerReport
-	if err := cu.client.CallFresh(context.Background(), method, func(int) (_ any, err error) {
+	if err := cu.client.CallFresh(context.Background(), method, func() (_ any, err error) {
 		if n1, err = cryptoutil.NewNonce(rand.Reader); err != nil {
 			return nil, err
 		}
@@ -153,7 +141,7 @@ func (cu *Customer) startPeriodic(req wire.PeriodicRequest) (err error) {
 		return err
 	}
 	req.Trace = obs.MintTrace(req.N1[:])
-	return cu.client.CallIdem(context.Background(), controller.MethodRuntimeAttestPeriodic, rpc.NewIdemKey(), req, nil)
+	return cu.client.CallIdem(context.Background(), controller.MethodRuntimeAttestPeriodic, req, nil)
 }
 
 // FetchPeriodic drains and end-verifies accumulated periodic results: the
@@ -176,7 +164,7 @@ func (cu *Customer) drainPeriodic(method, vid string, p properties.Property) ([]
 	var batch wire.CustomerBatch
 	// Fetch/stop drain results controller-side; the idempotency key makes a
 	// retried drain replay the recorded batch instead of losing it.
-	if err = cu.client.CallIdem(context.Background(), method, rpc.NewIdemKey(),
+	if err = cu.client.CallIdem(context.Background(), method,
 		wire.StopPeriodicRequest{Vid: vid, Prop: p, N1: n1, Trace: obs.MintTrace(n1[:])}, &batch); err != nil {
 		return nil, err
 	}
@@ -213,8 +201,7 @@ func (cu *Customer) Events() ([]controller.ResponseEvent, error) {
 
 // Terminate releases the VM (idempotency-keyed: never executed twice).
 func (cu *Customer) Terminate(vid string) error {
-	return cu.client.CallIdem(context.Background(), controller.MethodTerminateVM, rpc.NewIdemKey(),
-		wire.VidRequest{Vid: vid}, nil)
+	return cu.client.CallIdem(context.Background(), controller.MethodTerminateVM, wire.VidRequest{Vid: vid}, nil)
 }
 
 // Close tears down the customer's channel.

@@ -33,7 +33,7 @@ var NonceFresh = &Analyzer{
 var rpcCallMethods = map[string]int{
 	"Call":     0, // Call(method, req, resp)
 	"CallCtx":  1, // CallCtx(ctx, method, req, resp)
-	"CallIdem": 1, // CallIdem(ctx, method, key, req, resp)
+	"CallIdem": 1, // CallIdem(ctx, method, req, resp)
 }
 
 func runNonceFresh(pass *Pass) {

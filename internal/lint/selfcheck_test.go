@@ -194,7 +194,7 @@ func TestEntropySources(t *testing.T) {
 		// by the benchmark module, and a ticket reaches neither the ledger
 		// nor a verdict.
 		"internal/secchan/resume.go": {"crypto/rand.Reader", "crypto/rand.Reader", "crypto/rand.Reader"},
-		// rpc.NewIdemKey: an idempotency key only de-duplicates.
+		// rpc.newIdemKey: an idempotency key only de-duplicates.
 		"internal/rpc/retry.go": {"crypto/rand.Read"},
 		// The bodies of MustNonce and MustIdentity.
 		"internal/cryptoutil/cryptoutil.go": {"crypto/rand.Reader", "crypto/rand.Reader"},

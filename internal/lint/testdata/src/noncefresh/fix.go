@@ -14,14 +14,14 @@ import (
 func BuildProbe(n cryptoutil.Nonce) any { return n }
 
 func staleMethods(ctx context.Context, rc *rpc.ReconnectClient, req, resp any) {
-	rc.CallCtx(ctx, "measure", req, resp)                      // want `must go through CallFresh`
-	rc.Call("appraise", req, resp)                             // want `must go through CallFresh`
-	rc.CallIdem(ctx, "runtime_attest_current", "k", req, resp) // want `must go through CallFresh`
-	rc.CallCtx(ctx, "list_vms", req, resp)                     // clean: carries no protocol nonce
+	rc.CallCtx(ctx, "measure", req, resp)                 // want `must go through CallFresh`
+	rc.Call("appraise", req, resp)                        // want `must go through CallFresh`
+	rc.CallIdem(ctx, "runtime_attest_current", req, resp) // want `must go through CallFresh`
+	rc.CallCtx(ctx, "list_vms", req, resp)                // clean: carries no protocol nonce
 }
 
 func freshMethod(ctx context.Context, rc *rpc.ReconnectClient, resp any) error {
-	return rc.CallFresh(ctx, "measure", func(int) (any, error) {
+	return rc.CallFresh(ctx, "measure", func() (any, error) {
 		return BuildProbe(cryptoutil.MustNonce()), nil
 	}, resp)
 }

@@ -57,6 +57,23 @@ func TestClaimsRefindTheirBug(t *testing.T) {
 			pkgs:  []string{"internal/rpc"},
 		},
 		{
+			// Caught by TestEachCallFormRetriesAReset/CallIdem.
+			claim: "a retried CallIdem executes its method once",
+			file:  "internal/rpc/retry.go",
+			old:   "err = rc.attempt(ctx, asp.Context(), method, idemKey, req, resp)",
+			new:   `err = rc.attempt(ctx, asp.Context(), method, map[bool]string{true: newIdemKey()}[idemKey != ""], req, resp)`,
+			pkgs:  []string{"internal/rpc"},
+		},
+		{
+			// Caught by TestCallFreshRetriesThroughChaos and
+			// TestEachCallFormRetriesAReset/CallFresh.
+			claim: "CallFresh rebuilds its request on every attempt",
+			file:  "internal/rpc/retry.go",
+			old:   `return rc.do(ctx, method, "", makeReq, resp)`,
+			new:   "req, err := makeReq()\n\treturn rc.do(ctx, method, \"\", func() (any, error) { return req, err }, resp)",
+			pkgs:  []string{"internal/rpc"},
+		},
+		{
 			// Caught by TestReconnectClientBoundsItself (its stalled peer)
 			// and TestMemConnContract.
 			claim: "an interrupt reaches an exchange blocked on the in-memory wire",

@@ -97,9 +97,7 @@ func TestReconnectClientBoundsItself(t *testing.T) {
 	cfg := ClientConfig{
 		Network: fn, Addr: "srv", Peer: "srv",
 		Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
-		// Every method retryable: the most attempts a call can make.
-		Idempotent: func(string) bool { return true },
-		Policy:     Policy{CallTimeout: 100 * time.Millisecond, MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond, BreakerThreshold: -1},
+		Policy:  Policy{CallTimeout: 100 * time.Millisecond, MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond, BreakerThreshold: -1},
 	}
 	budget := cfg.Policy.Budget()
 	ctx := context.Background()
@@ -110,10 +108,10 @@ func TestReconnectClientBoundsItself(t *testing.T) {
 	}{
 		{"CallCtx", func(rc *ReconnectClient) error { return rc.CallCtx(ctx, "echo", echoReq{Text: "x"}, &resp) }},
 		{"CallFresh", func(rc *ReconnectClient) error {
-			return rc.CallFresh(ctx, "echo", func(int) (any, error) { return echoReq{Text: "x"}, nil }, &resp)
+			return rc.CallFresh(ctx, "echo", func() (any, error) { return echoReq{Text: "x"}, nil }, &resp)
 		}},
 		{"CallIdem", func(rc *ReconnectClient) error {
-			return rc.CallIdem(ctx, "echo", NewIdemKey(), echoReq{Text: "x"}, &resp)
+			return rc.CallIdem(ctx, "echo", echoReq{Text: "x"}, &resp)
 		}},
 		{"Connect", func(rc *ReconnectClient) error { return rc.Connect(ctx) }},
 	}

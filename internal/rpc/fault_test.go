@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/secchan"
 )
 
@@ -253,12 +255,12 @@ func TestIdemKeyDeduplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	key := NewIdemKey()
+	key := newIdemKey()
 	var r1, r2, r3 echoResp
-	if err := c.CallIdem(context.Background(), "terminate", key, echoReq{Text: "vm-1"}, &r1); err != nil {
+	if err := c.call(context.Background(), obs.SpanContext{}, time.Time{}, "terminate", key, echoReq{Text: "vm-1"}, &r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CallIdem(context.Background(), "terminate", key, echoReq{Text: "vm-1"}, &r2); err != nil {
+	if err := c.call(context.Background(), obs.SpanContext{}, time.Time{}, "terminate", key, echoReq{Text: "vm-1"}, &r2); err != nil {
 		t.Fatal(err)
 	}
 	if got := count.Load(); got != 1 {
@@ -267,7 +269,7 @@ func TestIdemKeyDeduplicates(t *testing.T) {
 	if r1.Text != r2.Text {
 		t.Fatalf("replayed response %q differs from original %q", r2.Text, r1.Text)
 	}
-	if err := c.CallIdem(context.Background(), "terminate", NewIdemKey(), echoReq{Text: "vm-1"}, &r3); err != nil {
+	if err := c.call(context.Background(), obs.SpanContext{}, time.Time{}, "terminate", newIdemKey(), echoReq{Text: "vm-1"}, &r3); err != nil {
 		t.Fatal(err)
 	}
 	if got := count.Load(); got != 2 {
@@ -296,7 +298,7 @@ func TestCallFreshRetriesThroughChaos(t *testing.T) {
 	rebuilds := 0
 	for i := 0; i < 20; i++ {
 		var resp echoResp
-		err := rc.CallFresh(context.Background(), "echo", func(attempt int) (any, error) {
+		err := rc.CallFresh(context.Background(), "echo", func() (any, error) {
 			rebuilds++
 			return echoReq{Text: "chaos"}, nil
 		}, &resp)
@@ -313,6 +315,104 @@ func TestCallFreshRetriesThroughChaos(t *testing.T) {
 	}
 	if rebuilds <= 20 {
 		t.Fatalf("request rebuilt %d times for 20 calls — no retry ever rebuilt it", rebuilds)
+	}
+}
+
+// TestEachCallFormRetriesAReset: the peer reads the first request of each
+// call, runs its handler and resets the connection before replying. Every
+// call form retries that, each safely in its own way: CallCtx re-sends the
+// same idempotent request, CallFresh sends a rebuilt one, and CallIdem
+// re-sends its one key, so the handler runs once and the retry receives
+// the recorded response.
+func TestEachCallFormRetriesAReset(t *testing.T) {
+	ctx := context.Background()
+	rows := []struct {
+		name string
+		call func(rc *ReconnectClient, resp *echoResp) error
+		ran  []string // the requests the handler ran, in order
+		keys int      // idempotency keys the server recorded
+		resp string
+	}{
+		{"CallCtx", func(rc *ReconnectClient, resp *echoResp) error {
+			return rc.CallCtx(ctx, "echo", echoReq{Text: "query"}, resp)
+		}, []string{"query", "query"}, 0, "query #2"},
+		{"CallFresh", func(rc *ReconnectClient, resp *echoResp) error {
+			builds := 0
+			return rc.CallFresh(ctx, "echo", func() (any, error) {
+				builds++
+				return echoReq{Text: fmt.Sprintf("nonce %d", builds)}, nil
+			}, resp)
+		}, []string{"nonce 1", "nonce 2"}, 0, "nonce 2 #2"},
+		{"CallIdem", func(rc *ReconnectClient, resp *echoResp) error {
+			return rc.CallIdem(ctx, "echo", echoReq{Text: "terminate"}, resp)
+		}, []string{"terminate"}, 1, "terminate #1"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			n := NewMemNetwork()
+			var mu sync.Mutex
+			var conns []net.Conn // server ends, in dial order
+			var ran []string
+			n.Intercept = func(_ string, client, server net.Conn) (net.Conn, net.Conn) {
+				mu.Lock()
+				conns = append(conns, server)
+				mu.Unlock()
+				return client, server
+			}
+			l, err := n.Listen("srv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			idem := newIdemCache(idemCacheSize)
+			cfg := secchan.Config{Identity: cryptoutil.MustIdentity("server"), Verify: verifyAny}
+			h := func(_ Peer, _ string, body []byte) ([]byte, error) {
+				var req echoReq
+				if err := Decode(body, &req); err != nil {
+					return nil, err
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				ran = append(ran, req.Text)
+				if len(ran) == 1 {
+					conns[len(conns)-1].Close() // read, run, never answered
+				}
+				return Encode(echoResp{Text: fmt.Sprintf("%s #%d", req.Text, len(ran))})
+			}
+			go func() {
+				for {
+					raw, err := l.Accept()
+					if err != nil {
+						return
+					}
+					go serveConn(raw, cfg, h, idem)
+				}
+			}()
+			rc := NewReconnectClient(ClientConfig{
+				Network: n, Addr: "srv", Peer: "srv",
+				Secchan: secchan.Config{Identity: cryptoutil.MustIdentity("cust"), Verify: verifyAny},
+				Policy:  Policy{CallTimeout: 2 * time.Second, MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, BreakerThreshold: -1},
+			})
+			defer rc.Close()
+			var resp echoResp
+			if err := row.call(rc, &resp); err != nil {
+				t.Fatalf("call across a reset after the request was read: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if fmt.Sprint(ran) != fmt.Sprint(row.ran) {
+				t.Errorf("the handler ran %q, want %q", ran, row.ran)
+			}
+			idem.mu.Lock()
+			keys := idem.n
+			idem.mu.Unlock()
+			if keys != row.keys {
+				t.Errorf("the server recorded %d idempotency keys, want %d", keys, row.keys)
+			}
+			if resp.Text != row.resp {
+				t.Errorf("response %q, want %q", resp.Text, row.resp)
+			}
+		})
 	}
 }
 
@@ -333,7 +433,7 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 		},
 	})
 	defer rc.Close()
-	err := rc.CallFresh(context.Background(), "fail", func(int) (any, error) { return echoReq{}, nil }, nil)
+	err := rc.CallFresh(context.Background(), "fail", func() (any, error) { return echoReq{}, nil }, nil)
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) {
 		t.Fatalf("want RemoteError, got %v", err)

@@ -21,10 +21,8 @@ type PeerSetConfig struct {
 	Secchan secchan.Config
 	// Policy is every client's (ClientConfig.Policy); it bounds every call
 	// end to end (Policy.Budget).
-	Policy Policy
-	// Idempotent marks the methods safe to blindly re-issue on every peer.
-	Idempotent func(method string) bool
-	Metrics    *metrics.Registry
+	Policy  Policy
+	Metrics *metrics.Registry
 	// Ledger, when set, receives one rpc-fault entry per retry and breaker
 	// transition, stamped with Now (the entity's virtual clock).
 	Ledger *ledger.Ledger
@@ -34,8 +32,9 @@ type PeerSetConfig struct {
 // PeerSet is every outbound channel one entity holds: a peer → address
 // registry, one lazily built ReconnectClient per peer, and the counting
 // and evidence recording of their retries and breaker transitions. It
-// hands out *ReconnectClient, so call sites keep the CallCtx / CallFresh /
-// CallIdem surface the noncefresh analyzer polices.
+// hands out *ReconnectClient, so each call site picks the call form that
+// makes its retries safe (CallCtx, CallFresh or CallIdem), the surface the
+// noncefresh analyzer polices; every peer's client retries alike.
 type PeerSet struct {
 	cfg PeerSetConfig
 
@@ -71,13 +70,12 @@ func (ps *PeerSet) Client(peer string) (*ReconnectClient, bool) {
 		return nil, false
 	}
 	rc := NewReconnectClient(ClientConfig{
-		Network:    ps.cfg.Network,
-		Addr:       addr,
-		Peer:       peer,
-		Secchan:    ps.cfg.Secchan,
-		Policy:     ps.cfg.Policy,
-		Idempotent: ps.cfg.Idempotent,
-		OnEvent:    ps.onEvent,
+		Network: ps.cfg.Network,
+		Addr:    addr,
+		Peer:    peer,
+		Secchan: ps.cfg.Secchan,
+		Policy:  ps.cfg.Policy,
+		OnEvent: ps.onEvent,
 	})
 	ps.clients[peer] = rc
 	return rc, true

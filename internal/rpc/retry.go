@@ -108,10 +108,6 @@ type ClientConfig struct {
 	Peer    string
 	Secchan secchan.Config
 	Policy  Policy
-	// Idempotent reports methods safe to blindly re-issue after a transport
-	// failure mid-call. Dial failures are always retried (the request never
-	// reached the peer). nil marks every method non-idempotent.
-	Idempotent func(method string) bool
 	// OnEvent observes retries and breaker transitions. It may be called
 	// concurrently and must not call back into this client.
 	OnEvent func(Event)
@@ -119,9 +115,10 @@ type ClientConfig struct {
 
 // ReconnectClient is a fault-tolerant RPC client: it dials lazily,
 // redials broken connections with exponential backoff plus jitter, fails
-// fast behind a per-peer circuit breaker, and retries only what is safe —
-// idempotent methods, requests rebuilt with fresh nonces (CallFresh), and
-// requests carrying idempotency keys (CallIdem).
+// fast behind a per-peer circuit breaker, and retries every transport
+// failure within Policy.Budget. Each call form names why that is safe:
+// CallCtx sends an idempotent method, CallFresh rebuilds the request with
+// fresh nonces, and CallIdem carries one idempotency key on every attempt.
 type ReconnectClient struct {
 	cfg     ClientConfig
 	breaker *breaker
@@ -175,30 +172,32 @@ func (rc *ReconnectClient) Call(method string, req, resp any) error {
 	return rc.CallCtx(context.Background(), method, req, resp)
 }
 
-// CallCtx sends method(req), retrying across transient transport failures
-// only when the method is registered idempotent. The client bounds the call
-// itself (Policy.Budget); ctx may end it sooner and may carry the caller's span.
+// CallCtx sends method(req), retrying across transient transport failures;
+// the caller asserts that the method is idempotent, so that running it
+// twice converges to the state running it once does. The client bounds the
+// call itself (Policy.Budget); ctx may end it sooner and may carry the
+// caller's span.
 func (rc *ReconnectClient) CallCtx(ctx context.Context, method string, req, resp any) error {
-	idem := rc.cfg.Idempotent != nil && rc.cfg.Idempotent(method)
-	return rc.do(ctx, method, "", func(int) (any, error) { return req, nil }, resp, idem)
+	return rc.do(ctx, method, "", func() (any, error) { return req, nil }, resp)
 }
 
 // CallFresh rebuilds the request for every attempt (regenerating nonces),
 // which makes retrying safe at the protocol level: a replay cache on the
 // peer never sees the same nonce twice. The caller asserts that re-issuing
 // the rebuilt request is semantically safe.
-func (rc *ReconnectClient) CallFresh(ctx context.Context, method string, makeReq func(attempt int) (any, error), resp any) error {
-	return rc.do(ctx, method, "", makeReq, resp, true)
+func (rc *ReconnectClient) CallFresh(ctx context.Context, method string, makeReq func() (any, error), resp any) error {
+	return rc.do(ctx, method, "", makeReq, resp)
 }
 
-// CallIdem attaches an idempotency key, so the server deduplicates
-// re-executions and replays the recorded response; use for methods that
-// must not run twice (remediation RPCs like terminate/migrate).
-func (rc *ReconnectClient) CallIdem(ctx context.Context, method, key string, req, resp any) error {
-	return rc.do(ctx, method, key, func(int) (any, error) { return req, nil }, resp, true)
+// CallIdem mints one idempotency key and sends it on every attempt, so the
+// server runs the method at most once and replays the recorded response to
+// a retry; use for methods that must not run twice (remediation RPCs like
+// terminate/migrate).
+func (rc *ReconnectClient) CallIdem(ctx context.Context, method string, req, resp any) error {
+	return rc.do(ctx, method, newIdemKey(), func() (any, error) { return req, nil }, resp)
 }
 
-func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeReq func(int) (any, error), resp any, retryable bool) error {
+func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeReq func() (any, error), resp any) error {
 	// Each attempt gets its own child span under whatever span the caller
 	// put in ctx, so retries show up as sibling "rpc:<method>" spans and
 	// the remote handler's spans nest under the attempt that carried them.
@@ -219,14 +218,14 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 			}
 			return fmt.Errorf("rpc: %s to %s: %w", method, rc.cfg.Peer, err)
 		}
-		req, err := makeReq(attempt)
+		req, err := makeReq()
 		if err != nil {
 			return err
 		}
 		asp := parent.Child("rpc:" + method)
 		asp.Annotate("peer", rc.cfg.Peer)
 		asp.Annotate("attempt", strconv.Itoa(attempt+1))
-		sent, err := rc.attempt(ctx, asp.Context(), method, idemKey, req, resp)
+		err = rc.attempt(ctx, asp.Context(), method, idemKey, req, resp)
 		asp.EndErr(err)
 		if err == nil {
 			rc.breaker.success()
@@ -243,38 +242,28 @@ func (rc *ReconnectClient) do(ctx context.Context, method, idemKey string, makeR
 		if ctx.Err() != nil {
 			return lastErr
 		}
-		if sent && !retryable {
-			return lastErr
-		}
 	}
 	return lastErr
 }
 
 // attempt runs one try, carrying the attempt's span context sc to the peer.
-// sent reports whether the request may have reached the peer: dial and
-// broken-connection failures are always safe to retry, failures after send
-// only for retryable calls.
-func (rc *ReconnectClient) attempt(ctx context.Context, sc obs.SpanContext, method, idemKey string, req, resp any) (sent bool, err error) {
+// A transport failure drops the connection, so the next attempt redials.
+func (rc *ReconnectClient) attempt(ctx context.Context, sc obs.SpanContext, method, idemKey string, req, resp any) error {
 	deadline := rc.attemptDeadline()
 	c, err := rc.conn(ctx, deadline)
 	if err != nil {
-		return false, err
+		return err
 	}
 	err = c.call(ctx, sc, deadline, method, idemKey, req, resp)
 	if err == nil {
-		return true, nil
+		return nil
 	}
+	// Declared past the success return: errors.As moves rerr to the heap.
 	var rerr *RemoteError
-	if errors.As(err, &rerr) {
-		return true, err
+	if !errors.As(err, &rerr) {
+		rc.drop(c)
 	}
-	// Transport failure: the connection is poisoned; drop it so the next
-	// attempt redials.
-	rc.drop(c)
-	if errors.Is(err, ErrClientBroken) {
-		return false, err // this request was never written
-	}
-	return true, err
+	return err
 }
 
 // attemptDeadline is when an attempt starting now must have ended.
@@ -371,13 +360,13 @@ func (rc *ReconnectClient) event(ev Event) {
 	}
 }
 
-// idemCounter de-duplicates NewIdemKey fallbacks when the entropy source
+// idemCounter de-duplicates newIdemKey fallbacks when the entropy source
 // is unavailable.
 var idemCounter atomic.Uint64
 
-// NewIdemKey returns a fresh idempotency key for one logical operation;
-// reuse it across retries of that operation only.
-func NewIdemKey() string {
+// newIdemKey returns a fresh idempotency key for one CallIdem, which
+// reuses it across that call's attempts only.
+func newIdemKey() string {
 	var buf [16]byte
 	if _, err := rand.Read(buf[:]); err != nil {
 		//lint:ignore vclockonly entropy source of last resort when crypto/rand fails; uniqueness matters, not replay

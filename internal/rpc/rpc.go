@@ -415,13 +415,6 @@ func DialContext(ctx context.Context, n Network, addr string, cfg secchan.Config
 	return &Client{conn: conn}, nil
 }
 
-// PeerName returns the authenticated server name.
-func (c *Client) PeerName() string { return c.conn.PeerName() }
-
-// Resumed reports whether this connection was established by ticket
-// resumption rather than a full asymmetric handshake.
-func (c *Client) Resumed() bool { return c.conn.Resumed() }
-
 // Close tears down the channel.
 func (c *Client) Close() error { return c.conn.Close() }
 
@@ -447,14 +440,6 @@ func (c *Client) Call(method string, req, resp any) error {
 // ErrClientBroken until the caller redials.
 func (c *Client) CallCtx(ctx context.Context, method string, req, resp any) error {
 	return c.call(ctx, obs.FromContext(ctx).Context(), time.Time{}, method, "", req, resp)
-}
-
-// CallIdem is CallCtx with an idempotency key: the server executes the
-// method at most once per key and replays the recorded response to
-// duplicates, making the call safe to retry even when the method is not
-// naturally idempotent.
-func (c *Client) CallIdem(ctx context.Context, method, key string, req, resp any) error {
-	return c.call(ctx, obs.FromContext(ctx).Context(), time.Time{}, method, key, req, resp)
 }
 
 // call runs one exchange carrying the span context sc, interrupted when ctx

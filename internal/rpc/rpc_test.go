@@ -78,8 +78,8 @@ func TestCallRoundTrip(t *testing.T) {
 	if resp.Text != "hello" {
 		t.Fatalf("echo returned %q", resp.Text)
 	}
-	if c.PeerName() != "server" {
-		t.Fatalf("peer name %q", c.PeerName())
+	if c.conn.PeerName() != "server" {
+		t.Fatalf("peer name %q", c.conn.PeerName())
 	}
 }
 

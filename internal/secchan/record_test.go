@@ -87,11 +87,11 @@ func (c *scriptConn) Read(p []byte) (int, error) {
 // script is cut from.
 func recordPair(t testing.TB) (send, recv *Conn) {
 	k1, k2 := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32)
-	send, err := newConn(&scriptConn{}, "recv", nil, k1, k2, false)
+	send, err := newConn(&scriptConn{}, "recv", k1, k2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err = newConn(&scriptConn{}, "send", nil, k2, k1, false)
+	recv, err = newConn(&scriptConn{}, "send", k2, k1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,12 +51,11 @@ const DefaultTicketLifetime = 10 * time.Minute
 // server's opaque sealed state plus the secrets the client derived itself.
 // The server hands over ID, Blob and Expiry; the client fills in the rest.
 type Ticket struct {
-	ID      cryptoutil.Nonce  // public single-use identifier (AAD of Blob)
-	Blob    []byte            // server state sealed under the keeper key
-	Peer    string            // server name learned in the full handshake
-	PeerKey ed25519.PublicKey // server identity key learned then
-	RMS     [32]byte          // resumption master secret
-	Expiry  time.Time         // advisory: client skips resumption after this
+	ID     cryptoutil.Nonce // public single-use identifier (AAD of Blob)
+	Blob   []byte           // server state sealed under the keeper key
+	Peer   string           // server name learned in the full handshake
+	RMS    [32]byte         // resumption master secret
+	Expiry time.Time        // advisory: client skips resumption after this
 }
 
 // SessionCache holds each client's latest ticket per dial target. Take
@@ -105,9 +104,9 @@ func (s *SessionCache) Len() int {
 
 // storeIssued caches a ticket the server issued, beside the secrets the
 // client derived itself. A server that issued none stores nothing.
-func (s *SessionCache) storeIssued(key, peer string, peerKey ed25519.PublicKey, rms [32]byte, t *Ticket) {
+func (s *SessionCache) storeIssued(key, peer string, rms [32]byte, t *Ticket) {
 	if t != nil {
-		t.Peer, t.PeerKey, t.RMS = peer, peerKey, rms
+		t.Peer, t.RMS = peer, rms
 		s.put(key, t)
 	}
 }
@@ -352,9 +351,9 @@ func clientResume(conn net.Conn, cfg Config, tk *Ticket) (c *Conn, retryFull boo
 	if !cryptoutil.ConstEqual(rs.Confirm[:], confirm[:]) {
 		return nil, false, errors.New("secchan: resume confirmation invalid")
 	}
-	cfg.Session.storeIssued(cfg.ResumeTo, tk.Peer, tk.PeerKey, nextRMS(tk.RMS, trans), rs.Ticket)
+	cfg.Session.storeIssued(cfg.ResumeTo, tk.Peer, nextRMS(tk.RMS, trans), rs.Ticket)
 	kc, ks := resumeKeys(tk.RMS, trans)
-	c, err = newConn(conn, tk.Peer, tk.PeerKey, kc, ks, true)
+	c, err = newConn(conn, tk.Peer, kc, ks, true)
 	return c, false, err
 }
 
@@ -409,5 +408,5 @@ func serverResume(conn net.Conn, cfg Config, body []byte) (*Conn, error) {
 		return nil, fmt.Errorf("secchan: sending resume accept: %w", err)
 	}
 	kc, ks := resumeKeys(rms, trans)
-	return newConn(conn, name, clientKey, ks, kc, true)
+	return newConn(conn, name, ks, kc, true)
 }

@@ -100,7 +100,6 @@ func (c Config) wantsResume() bool { return c.Session != nil && c.ResumeTo != ""
 type Conn struct {
 	raw      net.Conn
 	peer     string
-	peerKey  ed25519.PublicKey
 	resumed  bool
 	sendAEAD cipher.AEAD
 	recvAEAD cipher.AEAD
@@ -120,7 +119,7 @@ type Conn struct {
 	recvHdr   [4]byte
 }
 
-func newConn(raw net.Conn, peer string, peerKey ed25519.PublicKey, sendKey, recvKey []byte, resumed bool) (*Conn, error) {
+func newConn(raw net.Conn, peer string, sendKey, recvKey []byte, resumed bool) (*Conn, error) {
 	send, err := newAEAD(sendKey)
 	if err != nil {
 		return nil, err
@@ -129,14 +128,11 @@ func newConn(raw net.Conn, peer string, peerKey ed25519.PublicKey, sendKey, recv
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{raw: raw, peer: peer, peerKey: peerKey, sendAEAD: send, recvAEAD: recv, resumed: resumed}, nil
+	return &Conn{raw: raw, peer: peer, sendAEAD: send, recvAEAD: recv, resumed: resumed}, nil
 }
 
 // PeerName returns the authenticated name of the remote endpoint.
 func (c *Conn) PeerName() string { return c.peer }
-
-// PeerKey returns the remote endpoint's verified identity key.
-func (c *Conn) PeerKey() ed25519.PublicKey { return c.peerKey }
 
 // Resumed reports whether this channel was established by ticket
 // resumption rather than a full handshake.
@@ -150,12 +146,6 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // (torn frame, unadvanced AEAD sequence); callers must discard the
 // connection rather than reuse it.
 func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
-
-// SetReadDeadline bounds future reads on the underlying transport.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
-
-// SetWriteDeadline bounds future writes on the underlying transport.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
 // --- raw framing (pre-encryption transport) ---
 
@@ -397,11 +387,11 @@ func clientFull(conn net.Conn, cfg Config) (*Conn, error) {
 		}
 		// A ticket that does not decode is dropped like a missing one.
 		if t, err := decodeTicket(raw); err == nil {
-			cfg.Session.storeIssued(cfg.ResumeTo, hs.Name, serverKey, deriveRMS(secret[:], trans), t)
+			cfg.Session.storeIssued(cfg.ResumeTo, hs.Name, deriveRMS(secret[:], trans), t)
 		}
 	}
 	kc, ks := deriveKeys(secret[:], trans)
-	return newConn(conn, hs.Name, serverKey, kc, ks, false)
+	return newConn(conn, hs.Name, kc, ks, false)
 }
 
 // Server performs the responder handshake over conn. A client opening
@@ -481,7 +471,7 @@ func serverFull(conn net.Conn, cfg Config, helloBody []byte) (*Conn, error) {
 		}
 	}
 	kc, ks := deriveKeys(secret[:], trans)
-	return newConn(conn, hc.Name, clientKey, ks, kc, false)
+	return newConn(conn, hc.Name, ks, kc, false)
 }
 
 // --- record layer ---

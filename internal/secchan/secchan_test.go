@@ -425,18 +425,6 @@ func BenchmarkHandshake(b *testing.B) {
 	}
 }
 
-func TestPeerKeyExposed(t *testing.T) {
-	ci, si := cryptoutil.MustIdentity("a"), cryptoutil.MustIdentity("b")
-	c, s := pair(t, ci, si, registry(ci, si))
-	defer c.Close()
-	if !cryptoutil.KeyEqual(c.PeerKey(), si.Public()) {
-		t.Fatal("client sees wrong server key")
-	}
-	if !cryptoutil.KeyEqual(s.PeerKey(), ci.Public()) {
-		t.Fatal("server sees wrong client key")
-	}
-}
-
 // recordingConn keeps a copy of every byte written through it.
 type recordingConn struct {
 	net.Conn

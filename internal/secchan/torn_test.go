@@ -71,7 +71,7 @@ func TestHandshakeDeadlineAgainstStalledPeer(t *testing.T) {
 func TestReadDeadlineMidLengthPrefix(t *testing.T) {
 	c, _, _, sRaw := rawPair(t)
 	go sRaw.Write([]byte{0x00, 0x00}) // 2 of the 4 header bytes
-	c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	c.raw.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	_, err := c.ReadMsg()
 	if err == nil {
 		t.Fatal("ReadMsg returned a record from half a length prefix")
@@ -89,7 +89,7 @@ func TestReadDeadlineMidCiphertext(t *testing.T) {
 		sRaw.Write([]byte{0x00, 0x00, 0x00, 0x40})
 		sRaw.Write(make([]byte, 10))
 	}()
-	c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	c.raw.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	_, err := c.ReadMsg()
 	if err == nil {
 		t.Fatal("ReadMsg returned a record from a truncated ciphertext")
@@ -104,7 +104,7 @@ func TestReadDeadlineMidCiphertext(t *testing.T) {
 // sender side).
 func TestWriteDeadlineWithStalledReader(t *testing.T) {
 	c, _, _, _ := rawPair(t)
-	c.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+	c.raw.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
 	start := time.Now()
 	err := c.WriteMsg([]byte("attestation evidence"))
 	if err == nil {
@@ -140,11 +140,11 @@ func TestTruncatedRecordOnClose(t *testing.T) {
 // connection, which is exactly what rpc.Client's poisoning does.
 func TestDesyncAfterTornWrite(t *testing.T) {
 	c, s, _, _ := rawPair(t)
-	c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+	c.raw.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
 	if err := c.WriteMsg([]byte("first")); err == nil {
 		t.Fatal("torn write succeeded with nobody reading")
 	}
-	c.SetWriteDeadline(time.Time{})
+	c.raw.SetWriteDeadline(time.Time{})
 	type res struct {
 		b   []byte
 		err error
