@@ -83,7 +83,7 @@ type Config struct {
 	PCAKey   []byte
 	Network  rpc.Network
 	Clock    *vclock.Clock
-	Latency  *latency.Model
+	Latency  *latency.Model // required: each exchange's modeled cost is charged to Clock
 	Verify   secchan.VerifyPeer
 	Rand     io.Reader
 	// Ledger, when set, receives one evidence entry per appraised report
@@ -340,9 +340,7 @@ func (s *Server) appraise(parent obs.SpanContext, req *wire.AppraisalRequest) (v
 		if err != nil {
 			return verdict, err
 		}
-		if lat := s.cfg.Latency; lat != nil {
-			s.cfg.Clock.Advance(lat.InterpretCost)
-		}
+		s.cfg.Clock.Advance(s.cfg.Latency.InterpretCost)
 		refs := interpret.References{
 			ServerAIK:      srvRec.AIK,
 			PlatformGolden: s.golden,
@@ -392,9 +390,8 @@ func (s *Server) appraise(parent obs.SpanContext, req *wire.AppraisalRequest) (v
 // exchange is charged to the virtual clock each time it runs.
 func (s *Server) measure(sp *obs.ActiveSpan, srvRec *ServerRecord, vid string, rM properties.Request, logFrom int) (*wire.Evidence, cryptoutil.Nonce, error) {
 	c, _ := s.peers.Client(srvRec.peer) // registered with the record
-	if lat := s.cfg.Latency; lat != nil {
-		s.cfg.Clock.Advance(lat.HopRTT + lat.QuoteCost + lat.CertifyCost)
-	}
+	lat := s.cfg.Latency
+	s.cfg.Clock.Advance(lat.HopRTT + lat.QuoteCost + lat.CertifyCost)
 	// N3 is regenerated for every retry attempt, so a re-issued measurement
 	// request is a fresh challenge, never a replay. The client bounds the
 	// whole exchange (rpc.Policy.Budget), so a wedged cloud server degrades this

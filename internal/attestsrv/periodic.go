@@ -18,12 +18,12 @@ package attestsrv
 //   - Shedding: when a deadline arrives while the previous appraisal of the
 //     same task is still in flight, the tick is skipped and counted
 //     (periodic/skipped) instead of queueing a pileup.
-//   - Bounded buffers: per-task result rings drop the oldest undelivered
+//   - Bounded buffers: per-task result queues drop the oldest undelivered
 //     report when full and count the loss (periodic/dropped), so a customer
 //     that never fetches cannot grow the server without bound.
 //
 // Every due deadline therefore resolves to exactly one outcome: a report
-// committed to the ring, a skip, an appraisal failure, or a discard because
+// committed to the queue, a skip, an appraisal failure, or a discard because
 // the task was stopped mid-flight. The engine counts each, and the race
 // test pins ticks == produced + skipped + failed + discarded.
 
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/fifo"
 	"cloudmonatt/internal/metrics"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/properties"
@@ -49,9 +50,9 @@ type PeriodicConfig struct {
 	// slow or partitioned server consumes at most this many workers.
 	// Default 2.
 	ServerInflight int
-	// ResultBuffer bounds each task's undelivered-result ring; the oldest
+	// ResultBuffer bounds each task's undelivered-result queue; the oldest
 	// report is dropped (and counted) when a new one arrives at a full
-	// ring. Default 64.
+	// queue. Default 64.
 	ResultBuffer int
 }
 
@@ -86,7 +87,7 @@ type PeriodicBatch struct {
 	Prop    properties.Property
 	N2      cryptoutil.Nonce
 	Entries []PeriodicEntry
-	// Dropped counts reports evicted from the bounded ring since the last
+	// Dropped counts reports evicted from the bounded queue since the last
 	// drain (the customer fetched too rarely for the buffer size).
 	Dropped uint64
 	// Skipped counts due ticks shed since the last drain because the
@@ -108,12 +109,9 @@ type periodicTask struct {
 	running bool // an appraisal is in flight
 	stopped bool // disarmed; in-flight results must be discarded
 
-	// Bounded result ring: ring[head] is the oldest undelivered result.
-	ring    []PeriodicEntry
-	head    int
-	n       int
-	dropped uint64 // evictions since last drain
-	skipped uint64 // shed ticks since last drain
+	results fifo.Queue[PeriodicEntry] // undelivered, bounded by ResultBuffer
+	dropped uint64                    // evictions since last drain
+	skipped uint64                    // shed ticks since last drain
 }
 
 // interval returns the next gap: the fixed frequency, or — in random mode —
@@ -129,35 +127,13 @@ func (t *periodicTask) interval(draw func(max int64) int64) time.Duration {
 	return t.freq/2 + time.Duration(draw(int64(t.freq)))
 }
 
-// push appends a result to the ring, evicting the oldest when full.
-func (t *periodicTask) push(e PeriodicEntry, cap int) (evicted bool) {
-	if len(t.ring) == 0 {
-		t.ring = make([]PeriodicEntry, cap)
-	}
-	if t.n == len(t.ring) {
-		t.ring[t.head] = e
-		t.head = (t.head + 1) % len(t.ring)
+// push buffers a result of t, evicting and counting the oldest when the
+// buffer is full. Caller holds e.mu.
+func (e *periodicEngine) push(t *periodicTask, en PeriodicEntry) {
+	if _, evicted := t.results.Push(en); evicted {
 		t.dropped++
-		return true
+		e.reg.Counter("periodic/dropped").Inc()
 	}
-	t.ring[(t.head+t.n)%len(t.ring)] = e
-	t.n++
-	return false
-}
-
-// drain removes and returns all buffered results in arrival order.
-func (t *periodicTask) drain() []PeriodicEntry {
-	if t.n == 0 {
-		return nil
-	}
-	out := make([]PeriodicEntry, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		idx := (t.head + i) % len(t.ring)
-		out = append(out, t.ring[idx])
-		t.ring[idx] = PeriodicEntry{}
-	}
-	t.head, t.n = 0, 0
-	return out
 }
 
 // --- deadline heap ---
@@ -236,6 +212,7 @@ func (e *periodicEngine) start(vid, serverID string, p properties.Property, freq
 		freq:     freq,
 		random:   random,
 		heapIdx:  -1,
+		results:  fifo.New[PeriodicEntry](e.cfg.ResultBuffer),
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -284,8 +261,10 @@ func (e *periodicEngine) fetch(vid string, p properties.Property) PeriodicBatch 
 	return e.drainLocked(t)
 }
 
+// drainLocked empties t's buffer, oldest first, with its loss accounting.
 func (e *periodicEngine) drainLocked(t *periodicTask) PeriodicBatch {
-	b := PeriodicBatch{Entries: t.drain(), Dropped: t.dropped, Skipped: t.skipped}
+	b := PeriodicBatch{Entries: t.results.AppendTo(nil), Dropped: t.dropped, Skipped: t.skipped}
+	t.results.Clear()
 	t.dropped, t.skipped = 0, 0
 	return b
 }
@@ -322,6 +301,7 @@ func (e *periodicEngine) exportWhere(move func(vid string) bool) []PeriodicTaskS
 		}
 		delete(e.tasks, key)
 		e.unlink(t)
+		b := e.drainLocked(t)
 		out = append(out, PeriodicTaskState{
 			Vid:      t.vid,
 			ServerID: t.serverID,
@@ -329,9 +309,9 @@ func (e *periodicEngine) exportWhere(move func(vid string) bool) []PeriodicTaskS
 			Freq:     t.freq,
 			Random:   t.random,
 			NextDue:  t.nextDue,
-			Entries:  t.drain(),
-			Dropped:  t.dropped,
-			Skipped:  t.skipped,
+			Entries:  b.Entries,
+			Dropped:  b.Dropped,
+			Skipped:  b.Skipped,
 		})
 	}
 	return out
@@ -359,13 +339,12 @@ func (e *periodicEngine) importTask(st PeriodicTaskState) bool {
 		random:   st.Random,
 		nextDue:  st.NextDue,
 		heapIdx:  -1,
+		results:  fifo.New[PeriodicEntry](e.cfg.ResultBuffer),
 		dropped:  st.Dropped,
 		skipped:  st.Skipped,
 	}
 	for _, en := range st.Entries {
-		if t.push(en, e.cfg.ResultBuffer) {
-			e.reg.Counter("periodic/dropped").Inc()
-		}
+		e.push(t, en)
 	}
 	e.tasks[key] = t
 	heap.Push(&e.queue, t)
@@ -514,9 +493,7 @@ func (e *periodicEngine) runDue() []*wire.Report {
 				sp.Annotate("engine", "failure")
 				sp.EndErr(err)
 			default:
-				if d.t.push(PeriodicEntry{ServerID: d.serverID, Verdict: rep.Verdict}, e.cfg.ResultBuffer) {
-					e.reg.Counter("periodic/dropped").Inc()
-				}
+				e.push(d.t, PeriodicEntry{ServerID: d.serverID, Verdict: rep.Verdict})
 				e.reg.Counter("periodic/produced").Inc()
 				sp.Annotate("engine", "produced")
 				sp.End("")

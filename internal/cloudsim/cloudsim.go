@@ -309,13 +309,14 @@ func New(opts Options) (*Testbed, error) {
 	// The nova api endpoint outlives controller restarts: the listener
 	// dispatches to whichever controller currently backs the testbed, so
 	// customers keep their address (and the controller its identity)
-	// across a crash.
+	// across a crash. Each request is one logical operation: it holds opMu,
+	// so exactly one operation drives virtual time while the channel and
+	// crypto layers stay concurrent.
 	go rpc.Serve(cl, secchan.Config{Identity: ctrlID, Verify: tb.Verify, Rand: tb.rand},
 		func(peer rpc.Peer, method string, body []byte) ([]byte, error) {
-			tb.mu.Lock()
-			ctrl := tb.Ctrl
-			tb.mu.Unlock()
-			return ctrl.Handler()(peer, method, body)
+			tb.opMu.Lock()
+			defer tb.opMu.Unlock()
+			return tb.ctrl().Handler()(peer, method, body)
 		})
 	return tb, nil
 }
@@ -358,7 +359,6 @@ func (tb *Testbed) newController(fp func(string) bool) *controller.Controller {
 		Rand:          tb.rand,
 		Policy:        tb.opts.Policy,
 		ImageTamper:   tb.imageTamper,
-		Serialize:     &tb.opMu,
 		Ledger:        tb.Ledger,
 		RPC:           tb.opts.RPC,
 		Obs:           tb.Obs,

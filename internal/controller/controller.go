@@ -22,6 +22,7 @@ import (
 	"cloudmonatt/internal/attestsrv"
 	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/fifo"
 	"cloudmonatt/internal/image"
 	"cloudmonatt/internal/latency"
 	"cloudmonatt/internal/ledger"
@@ -172,12 +173,6 @@ type Config struct {
 	// they are measured on the cloud server (failure injection for the
 	// startup-integrity case study).
 	ImageTamper func(name string, data []byte) []byte
-	// Serialize, when set, is held for the duration of each nova api
-	// request. A seeded run is one sequence of logical operations on one
-	// virtual clock; serializing at the customer-facing entry keeps exactly
-	// one of them driving virtual time while the channel/crypto layers stay
-	// concurrent.
-	Serialize *sync.Mutex
 	// Ledger, when set, receives evidence entries for launch decisions and
 	// executed remediation responses.
 	Ledger *ledger.Ledger
@@ -228,7 +223,7 @@ type Controller struct {
 	nextVid    int
 	nextIntent int
 	replay     *cryptoutil.ReplayCache
-	events     []ResponseEvent // bounded drop-oldest ring (eventsCap)
+	events     fifo.Queue[ResponseEvent] // the last eventsCap executed remediations
 	policy     map[properties.Property]ResponseKind
 	lastGood   map[string]lastVerdict
 }
@@ -260,6 +255,7 @@ func New(cfg Config) *Controller {
 		vms:       make(map[string]*vmRecord),
 		shards:    make(map[string]shardEntry),
 		replay:    cryptoutil.NewReplayCache(4096),
+		events:    fifo.New[ResponseEvent](eventsCap),
 		policy:    cfg.Policy,
 		lastGood:  make(map[string]lastVerdict),
 	}
@@ -311,32 +307,27 @@ func (c *Controller) RegisterServer(e ServerEntry) {
 }
 
 // eventsCap bounds the in-memory remediation event list: beyond it the
-// oldest event is dropped (and counted in controller/events-dropped),
-// matching the obs.Store ring convention.
+// oldest event is dropped (and counted in controller/events-dropped), as
+// the span store drops its oldest span.
 const eventsCap = 1024
 
 // Events returns the executed remediation responses (the most recent
-// eventsCap of them; older ones are dropped from the ring but remain in
+// eventsCap of them; older ones are dropped from the list but remain in
 // the evidence ledger).
 func (c *Controller) Events() []ResponseEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]ResponseEvent(nil), c.events...)
+	return c.events.AppendTo(nil)
 }
 
 // appendEvent records an executed remediation in the bounded drop-oldest
-// event ring. Evictions are counted; the ledger keeps the full history.
+// event list. Evictions are counted; the ledger keeps the full history.
 func (c *Controller) appendEvent(ev ResponseEvent) {
 	c.mu.Lock()
-	c.events = append(c.events, ev)
-	var dropped int64
-	for len(c.events) > eventsCap {
-		c.events = c.events[1:]
-		dropped++
-	}
+	_, dropped := c.events.Push(ev)
 	c.mu.Unlock()
-	if dropped > 0 {
-		c.metrics.Counter("controller/events-dropped").Add(dropped)
+	if dropped {
+		c.metrics.Counter("controller/events-dropped").Inc()
 	}
 }
 
@@ -376,14 +367,10 @@ func (c *Controller) ListVMs(owner string) []VMSummary {
 func (c *Controller) EventsFor(owner string) []ResponseEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []ResponseEvent
-	for _, ev := range c.events {
+	return slices.DeleteFunc(c.events.AppendTo(nil), func(ev ResponseEvent) bool {
 		rec, ok := c.vms[ev.Vid]
-		if ok && rec.Owner == owner {
-			out = append(out, ev)
-		}
-	}
-	return out
+		return !ok || rec.Owner != owner
+	})
 }
 
 // mgmtClient returns the fault-tolerant client for a cloud server's

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudmonatt/internal/fifo"
 	"cloudmonatt/internal/metrics"
 )
 
@@ -36,7 +37,7 @@ type workQueue struct {
 	now func() time.Duration
 
 	mu         sync.Mutex
-	ready      []string                 // FIFO of runnable VMs
+	ready      fifo.Queue[string]       // runnable VMs, at most queueBound
 	queued     map[string]bool          // VM is in ready
 	processing map[string]bool          // VM is held by a pass
 	dirty      map[string]bool          // re-add after the current pass
@@ -62,6 +63,7 @@ type dueVM struct {
 func newWorkQueue(now func() time.Duration, reg *metrics.Registry) *workQueue {
 	return &workQueue{
 		now:           now,
+		ready:         fifo.New[string](queueBound),
 		queued:        make(map[string]bool),
 		processing:    make(map[string]bool),
 		dirty:         make(map[string]bool),
@@ -96,10 +98,8 @@ func (q *workQueue) addLocked(vid string) {
 	}
 	delete(q.delayed, vid)
 	q.queued[vid] = true
-	q.ready = append(q.ready, vid)
-	for len(q.ready) > queueBound {
-		delete(q.queued, q.ready[0])
-		q.ready = q.ready[1:]
+	if old, evicted := q.ready.Push(vid); evicted {
+		delete(q.queued, old)
 		q.dropped.Inc()
 	}
 }
@@ -180,14 +180,11 @@ func (q *workQueue) promote() {
 func (q *workQueue) get() (vid string, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.ready) == 0 {
-		return "", false
+	if vid, ok = q.ready.Pop(); ok {
+		delete(q.queued, vid)
+		q.processing[vid] = true
 	}
-	vid = q.ready[0]
-	q.ready = q.ready[1:]
-	delete(q.queued, vid)
-	q.processing[vid] = true
-	return vid, true
+	return vid, ok
 }
 
 // done releases vid after a pass. If adds arrived during the pass, vid is
@@ -220,5 +217,5 @@ func (q *workQueue) nextDue() (time.Duration, bool) {
 func (q *workQueue) lens() (ready, delayed int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.ready), len(q.delayed)
+	return q.ready.Len(), len(q.delayed)
 }

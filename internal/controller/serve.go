@@ -43,10 +43,6 @@ func (c *Controller) apiRoot(peer rpc.Peer, method, trace, vid, prop string) *ob
 // Handler returns the nova api dispatch.
 func (c *Controller) Handler() rpc.Handler {
 	return func(peer rpc.Peer, method string, body []byte) ([]byte, error) {
-		if c.cfg.Serialize != nil {
-			c.cfg.Serialize.Lock()
-			defer c.cfg.Serialize.Unlock()
-		}
 		switch method {
 		case MethodLaunchVM:
 			var req LaunchRequest

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"cloudmonatt/internal/cryptoutil/edwards25519"
+	"cloudmonatt/internal/fifo"
 )
 
 // NonceSize is the byte length of protocol nonces (N1, N2, N3).
@@ -220,18 +221,13 @@ func ConstEqual(a, b []byte) bool {
 func KeyEqual(a, b ed25519.PublicKey) bool { return ConstEqual(a, b) }
 
 // ReplayCache remembers recently seen nonces and rejects duplicates. It is
-// bounded: when full, the oldest entries are evicted (FIFO), which is safe
+// bounded: when full, the oldest nonce is forgotten (FIFO), which is safe
 // because a replayed nonce old enough to have been evicted also fails the
-// session binding of the surrounding protocol. FIFO order lives in a fixed
-// ring buffer: the previous `order = order[1:]` slice shift kept the full
-// backing array reachable and forced append to re-allocate it over and
-// over on the hot nonce-admission path.
+// session binding of the surrounding protocol.
 type ReplayCache struct {
-	mu   sync.Mutex
-	seen map[Nonce]struct{}
-	ring []Nonce
-	head int // ring slot holding the oldest nonce
-	n    int // nonces currently held
+	mu    sync.Mutex
+	seen  map[Nonce]struct{}
+	order fifo.Queue[Nonce] // seen's nonces in arrival order
 }
 
 // NewReplayCache creates a cache holding up to capacity nonces.
@@ -239,7 +235,7 @@ func NewReplayCache(capacity int) *ReplayCache {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &ReplayCache{seen: make(map[Nonce]struct{}, capacity), ring: make([]Nonce, capacity)}
+	return &ReplayCache{seen: make(map[Nonce]struct{}, capacity), order: fifo.New[Nonce](capacity)}
 }
 
 // Check records n and reports whether it was fresh (true) or replayed (false).
@@ -249,13 +245,8 @@ func (rc *ReplayCache) Check(n Nonce) bool {
 	if _, dup := rc.seen[n]; dup {
 		return false
 	}
-	if rc.n == len(rc.ring) {
-		delete(rc.seen, rc.ring[rc.head])
-		rc.ring[rc.head] = n
-		rc.head = (rc.head + 1) % len(rc.ring)
-	} else {
-		rc.ring[(rc.head+rc.n)%len(rc.ring)] = n
-		rc.n++
+	if old, evicted := rc.order.Push(n); evicted {
+		delete(rc.seen, old)
 	}
 	rc.seen[n] = struct{}{}
 	return true

@@ -239,9 +239,8 @@ var blockingCalls = map[string]string{
 // held-across-blocking rule (that is what they are for) but still
 // participate in acquisition-order checking. Keyed "Type.field".
 var opSerializers = map[string]bool{
-	"Testbed.opMu":     true, // cloudsim: serializes kernel-driving operations
-	"Config.Serialize": true, // controller: the nova-api single-writer contract
-	"Server.sessMu":    true, // server: session rotation, the pCA round-trip included, once per 8 measurements
+	"Testbed.opMu":  true, // cloudsim: serializes kernel-driving operations
+	"Server.sessMu": true, // server: session rotation, the pCA round-trip included, once per 8 measurements
 }
 
 // lockOrder lists known lock pairs in acquisition order: the first member

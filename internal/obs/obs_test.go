@@ -155,10 +155,16 @@ func TestStoreDropsOldest(t *testing.T) {
 	}
 }
 
+// TestStoreDefaultCapacity: a store made with no capacity holds
+// DefaultStoreCapacity spans, dropping the oldest past it.
 func TestStoreDefaultCapacity(t *testing.T) {
 	for _, c := range []int{0, -5} {
-		if got := len(NewStore(c).ring); got != DefaultStoreCapacity {
-			t.Fatalf("NewStore(%d) capacity = %d, want %d", c, got, DefaultStoreCapacity)
+		st := NewStore(c)
+		for i := 0; i <= DefaultStoreCapacity; i++ {
+			st.add(Span{Trace: "t"})
+		}
+		if st.Len() != DefaultStoreCapacity || st.Dropped() != 1 {
+			t.Fatalf("NewStore(%d) after %d adds: Len=%d Dropped=%d, want %d/1", c, DefaultStoreCapacity+1, st.Len(), st.Dropped(), DefaultStoreCapacity)
 		}
 	}
 }

@@ -4,20 +4,20 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"cloudmonatt/internal/fifo"
 )
 
-// DefaultStoreCapacity bounds the in-memory span ring when callers pass 0.
+// DefaultStoreCapacity bounds the in-memory span store when callers pass 0.
 const DefaultStoreCapacity = 8192
 
-// Store is a bounded, drop-oldest ring of completed spans shared by every
+// Store is a bounded, drop-oldest queue of completed spans shared by every
 // entity in the in-process cloud. Queries reassemble traces on demand;
-// nothing is indexed ahead of time because the ring is small and the
+// nothing is indexed ahead of time because the store is small and the
 // operator surface reads it rarely compared to how often spans land.
 type Store struct {
 	mu      sync.Mutex
-	ring    []Span
-	head    int // next write position
-	n       int // spans currently held
+	spans   fifo.Queue[Span]
 	dropped uint64
 	total   uint64
 }
@@ -28,18 +28,14 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultStoreCapacity
 	}
-	return &Store{ring: make([]Span, capacity)}
+	return &Store{spans: fifo.New[Span](capacity)}
 }
 
 func (st *Store) add(sp Span) {
 	st.mu.Lock()
-	if st.n == len(st.ring) {
+	if _, evicted := st.spans.Push(sp); evicted {
 		st.dropped++
-	} else {
-		st.n++
 	}
-	st.ring[st.head] = sp
-	st.head = (st.head + 1) % len(st.ring)
 	st.total++
 	st.mu.Unlock()
 }
@@ -48,7 +44,7 @@ func (st *Store) add(sp Span) {
 func (st *Store) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.n
+	return st.spans.Len()
 }
 
 // Dropped returns how many spans were evicted to stay within capacity.
@@ -69,15 +65,7 @@ func (st *Store) Total() uint64 {
 func (st *Store) snapshot() []Span {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]Span, 0, st.n)
-	start := st.head - st.n
-	if start < 0 {
-		start += len(st.ring)
-	}
-	for i := 0; i < st.n; i++ {
-		out = append(out, st.ring[(start+i)%len(st.ring)])
-	}
-	return out
+	return st.spans.AppendTo(nil)
 }
 
 // Spans returns every held span belonging to the trace, oldest-first.

@@ -19,6 +19,7 @@ import (
 
 	"cloudmonatt/internal/binenc"
 	"cloudmonatt/internal/cryptoutil"
+	"cloudmonatt/internal/fifo"
 	"cloudmonatt/internal/ledger"
 	"cloudmonatt/internal/trust"
 )
@@ -49,7 +50,7 @@ type PCA struct {
 	// request any more; the cache stays for the repository benchmark, which
 	// times a repeated Certify and reads CacheHits (ROADMAP item 7).
 	cache      map[[32]byte]*cryptoutil.Certificate
-	cacheOrder [][32]byte // FIFO eviction order
+	cacheOrder fifo.Queue[[32]byte] // cache's keys in arrival order
 	stats      Stats
 }
 
@@ -74,9 +75,10 @@ func New(name string, r io.Reader) (*PCA, error) {
 // identity and hand it in here rather than minting a fresh one.
 func NewWithIdentity(id *cryptoutil.Identity) *PCA {
 	return &PCA{
-		identity: id,
-		servers:  make(map[string]ed25519.PublicKey),
-		cache:    make(map[[32]byte]*cryptoutil.Certificate),
+		identity:   id,
+		servers:    make(map[string]ed25519.PublicKey),
+		cache:      make(map[[32]byte]*cryptoutil.Certificate),
+		cacheOrder: fifo.New[[32]byte](certCacheSize),
 	}
 }
 
@@ -142,10 +144,8 @@ func (p *PCA) Certify(req *trust.CertRequest) (*cryptoutil.Certificate, error) {
 	p.mu.Lock()
 	if _, dup := p.cache[cacheKey]; !dup {
 		p.cache[cacheKey] = cert
-		p.cacheOrder = append(p.cacheOrder, cacheKey)
-		if len(p.cacheOrder) > certCacheSize {
-			delete(p.cache, p.cacheOrder[0])
-			p.cacheOrder = p.cacheOrder[1:]
+		if old, evicted := p.cacheOrder.Push(cacheKey); evicted {
+			delete(p.cache, old)
 		}
 	}
 	p.mu.Unlock()
@@ -246,11 +246,10 @@ const verifiedCertsSize = 1024
 // to a verification that passed, a CA key change misses by construction, and
 // failures are never stored. Oldest out first.
 var verified = struct {
-	mu   sync.Mutex
-	set  map[[32]byte]struct{}
-	fifo [verifiedCertsSize][32]byte
-	next int
-}{set: make(map[[32]byte]struct{})}
+	mu    sync.Mutex
+	set   map[[32]byte]struct{}
+	order fifo.Queue[[32]byte] // set's digests in arrival order
+}{set: make(map[[32]byte]struct{}), order: fifo.New[[32]byte](verifiedCertsSize)}
 
 // verifyCertificateOnce is cryptoutil.VerifyCertificate behind the set.
 func verifyCertificateOnce(cert *cryptoutil.Certificate, caName string, caKey ed25519.PublicKey) error {
@@ -273,11 +272,9 @@ func verifyCertificateOnce(cert *cryptoutil.Certificate, caName string, caKey ed
 	if err := cryptoutil.VerifyCertificate(cert, caName, caKey); err != nil {
 		return err
 	}
-	if len(verified.set) == verifiedCertsSize {
-		delete(verified.set, verified.fifo[verified.next])
+	if old, evicted := verified.order.Push(d); evicted {
+		delete(verified.set, old)
 	}
-	verified.fifo[verified.next] = d
-	verified.next = (verified.next + 1) % verifiedCertsSize
 	verified.set[d] = struct{}{}
 	return nil
 }

@@ -254,6 +254,44 @@ func TestCertifyCachesSessions(t *testing.T) {
 	}
 }
 
+// TestCertCacheEvictsOldest: past certCacheSize sessions the cache forgets
+// its oldest entry, so a repeat of that request is certified again under a
+// fresh serial, while the newest session is still answered from the cache.
+func TestCertCacheEvictsOldest(t *testing.T) {
+	ca, m := setup(t)
+	reqs := make([]*trust.CertRequest, certCacheSize+1)
+	var oldest *cryptoutil.Certificate
+	for i := range reqs {
+		var err error
+		if _, reqs[i], err = m.NewSession(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ca.Certify(reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			oldest = c
+		}
+	}
+	if n := len(ca.cache); n != certCacheSize {
+		t.Fatalf("cache holds %d certificates after %d sessions, want %d", n, len(reqs), certCacheSize)
+	}
+	again, err := ca.Certify(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == oldest || again.Serial != uint64(len(reqs)+1) {
+		t.Fatalf("evicted session re-certified with serial %d (first %d), want a fresh %d", again.Serial, oldest.Serial, len(reqs)+1)
+	}
+	if _, err := ca.Certify(reqs[len(reqs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if st := ca.CertStats(); st.Issued != uint64(len(reqs)+1) || st.CacheHits != 1 {
+		t.Fatalf("stats %+v, want %d issued / 1 cache hit", st, len(reqs)+1)
+	}
+}
+
 // --- the verified-certificate set ---
 
 // issued returns a genuine attestation-key certificate and its key.

@@ -404,7 +404,7 @@ func TestEachCallFormRetriesAReset(t *testing.T) {
 				t.Errorf("the handler ran %q, want %q", ran, row.ran)
 			}
 			idem.mu.Lock()
-			keys := idem.n
+			keys := idem.order.Len()
 			idem.mu.Unlock()
 			if keys != row.keys {
 				t.Errorf("the server recorded %d idempotency keys, want %d", keys, row.keys)

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudmonatt/internal/fifo"
 	"cloudmonatt/internal/obs"
 	"cloudmonatt/internal/secchan"
 )
@@ -316,14 +317,11 @@ func dispatch(h Handler, peer Peer, req requestEnvelope) responseEnvelope {
 // clients can safely retry non-idempotent methods (e.g. remediation RPCs):
 // the handler runs at most once per key, and duplicates — including
 // concurrent ones — receive the first execution's response. The oldest key
-// is evicted first; arrival order lives in a fixed ring, as in
-// cryptoutil.ReplayCache, so a full cache admits a key without allocating.
+// is evicted first.
 type idemCache struct {
 	mu      sync.Mutex
 	entries map[string]*idemEntry
-	ring    []string // keys in arrival order
-	head    int      // ring slot holding the oldest key
-	n       int      // keys currently held
+	order   fifo.Queue[string] // entries' keys in arrival order
 }
 
 type idemEntry struct {
@@ -332,7 +330,7 @@ type idemEntry struct {
 }
 
 func newIdemCache(max int) *idemCache {
-	return &idemCache{entries: make(map[string]*idemEntry), ring: make([]string, max)}
+	return &idemCache{entries: make(map[string]*idemEntry), order: fifo.New[string](max)}
 }
 
 func (c *idemCache) do(key string, fn func() responseEnvelope) responseEnvelope {
@@ -344,13 +342,8 @@ func (c *idemCache) do(key string, fn func() responseEnvelope) responseEnvelope 
 	}
 	e := &idemEntry{done: make(chan struct{})}
 	c.entries[key] = e
-	if c.n == len(c.ring) {
-		delete(c.entries, c.ring[c.head])
-		c.ring[c.head] = key
-		c.head = (c.head + 1) % len(c.ring)
-	} else {
-		c.ring[(c.head+c.n)%len(c.ring)] = key
-		c.n++
+	if old, evicted := c.order.Push(key); evicted {
+		delete(c.entries, old)
 	}
 	c.mu.Unlock()
 	e.resp = fn()

@@ -8,7 +8,8 @@ const randLen, randTap = 607, 334
 
 // Rand is a kernel's random stream: for a seed, exactly the values
 // math/rand.New(math/rand.NewSource(seed)) yields, method for method, each
-// drawn by a direct call instead of one through rand.Source.
+// drawn by a direct call instead of one through rand.Source. vec is not a
+// fifo.Queue: it is math/rand's ring, each draw overwriting its oldest.
 type Rand struct {
 	vec  [randLen]uint64 // the last randLen outputs; vec[next] is the oldest
 	next int

@@ -15,7 +15,8 @@ type queueEntry struct {
 }
 
 // runQueue is a FIFO of queue entries: a ring over one backing array that
-// only grows when more entries are queued at once than ever before.
+// only grows when more entries are queued at once than ever before. Not a
+// fifo.Queue: it has no bound, and it masks by a power of two per event.
 type runQueue struct {
 	buf     []queueEntry // len(buf) is zero or a power of two
 	head, n int
