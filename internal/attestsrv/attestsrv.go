@@ -481,17 +481,11 @@ func (s *Server) recordAppraisal(req *wire.AppraisalRequest, v properties.Verdic
 
 func taskKey(vid string, p properties.Property) string { return vid + "|" + string(p) }
 
-// StartPeriodic arms periodic attestation of (vid, prop) at the given
-// frequency.
-func (s *Server) StartPeriodic(vid, serverID string, p properties.Property, freq time.Duration) error {
-	return s.periodic.start(vid, serverID, p, freq, false)
-}
-
-// StartPeriodicRandom arms periodic attestation at random intervals with
-// the given mean frequency, so the schedule is unpredictable to a
-// co-resident attacker.
-func (s *Server) StartPeriodicRandom(vid, serverID string, p properties.Property, freq time.Duration) error {
-	return s.periodic.start(vid, serverID, p, freq, true)
+// StartPeriodic arms periodic attestation of (req.Vid, req.Prop) at
+// req.Freq, or, with req.Random, at random intervals of that mean, so the
+// schedule is unpredictable to a co-resident attacker.
+func (s *Server) StartPeriodic(req PeriodicControl) error {
+	return s.periodic.start(req.Vid, req.ServerID, req.Prop, req.Freq, req.Random)
 }
 
 // drawJitter draws a uniform value in [0, max) from crypto-grade entropy —

@@ -9,6 +9,8 @@ import (
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/cryptoutil"
 	"cloudmonatt/internal/properties"
+	"cloudmonatt/internal/rpc"
+	"cloudmonatt/internal/shard"
 	"cloudmonatt/internal/wire"
 )
 
@@ -117,10 +119,10 @@ func TestServerCapabilityGating(t *testing.T) {
 func TestPeriodicEngine(t *testing.T) {
 	tb, vid := newTB(t, cloudsim.Options{Seed: 45})
 	srv, _ := tb.Ctrl.VMServer(vid)
-	if err := tb.Attest.StartPeriodic(vid, srv, properties.CPUAvailability, 0); err == nil {
+	if err := tb.Attest.StartPeriodic(attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, Freq: 0}); err == nil {
 		t.Fatal("zero frequency accepted")
 	}
-	if err := tb.Attest.StartPeriodic(vid, srv, properties.CPUAvailability, 4*time.Second); err != nil {
+	if err := tb.Attest.StartPeriodic(attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, Freq: 4 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	due, ok := tb.Attest.NextDue()
@@ -156,7 +158,7 @@ func TestPeriodicEngine(t *testing.T) {
 func TestForgetVMDropsPeriodic(t *testing.T) {
 	tb, vid := newTB(t, cloudsim.Options{Seed: 46})
 	srv, _ := tb.Ctrl.VMServer(vid)
-	if err := tb.Attest.StartPeriodic(vid, srv, properties.CPUAvailability, time.Second); err != nil {
+	if err := tb.Attest.StartPeriodic(attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, Freq: time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	tb.Attest.ForgetVM(vid)
@@ -171,10 +173,10 @@ func TestForgetVMDropsPeriodic(t *testing.T) {
 func TestPeriodicRandomIntervals(t *testing.T) {
 	tb, vid := newTB(t, cloudsim.Options{Seed: 47})
 	srv, _ := tb.Ctrl.VMServer(vid)
-	if err := tb.Attest.StartPeriodicRandom(vid, srv, properties.CPUAvailability, 0); err == nil {
+	if err := tb.Attest.StartPeriodic(attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, Freq: 0, Random: true}); err == nil {
 		t.Fatal("zero frequency accepted")
 	}
-	if err := tb.Attest.StartPeriodicRandom(vid, srv, properties.CPUAvailability, 4*time.Second); err != nil {
+	if err := tb.Attest.StartPeriodic(attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, Freq: 4 * time.Second, Random: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Collect a number of inter-report gaps; they must vary (random mode)
@@ -203,5 +205,58 @@ func TestMetricsRecordAppraisals(t *testing.T) {
 	}
 	if s.Mean() <= 0 {
 		t.Fatal("appraisal metric has no duration")
+	}
+}
+
+// TestWrongShardChangesNothing sends every VM-addressed method to a shard
+// that does not own the VM but holds a record and a stream for it (as a
+// shard does between a ring change and its handoff). Each must be refused
+// with an error naming the owner, and leave that state as it was.
+func TestWrongShardChangesNothing(t *testing.T) {
+	tb, vid := newTB(t, cloudsim.Options{Seed: 48, Shards: 2})
+	srv, err := tb.Ctrl.VMServer(vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _, _ := tb.Ring.Lookup(vid)
+	var other *attestsrv.Server
+	for _, s := range tb.AttestServers {
+		if s.Shard() != owner {
+			other = s
+		}
+	}
+	if other == nil {
+		t.Fatalf("no shard but the owner %s", owner)
+	}
+	other.RegisterVM(attestsrv.VMRecord{Vid: vid, TaskAllowlist: []string{"init"}, MinCPUShare: 0.2})
+	if err := other.StartPeriodic(attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, Freq: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	before := other.VMState(vid)
+	stream := attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.CPUAvailability, N2: cryptoutil.MustNonce()}
+	for method, req := range map[string]any{
+		attestsrv.MethodAppraise:      wire.AppraisalRequest{Vid: vid, ServerID: srv, Prop: properties.RuntimeIntegrity, N2: cryptoutil.MustNonce()},
+		attestsrv.MethodRegisterVM:    attestsrv.VMRecord{Vid: vid, TaskAllowlist: []string{"rootkit"}},
+		attestsrv.MethodForgetVM:      wire.VidRequest{Vid: vid},
+		attestsrv.MethodPeriodicStart: attestsrv.PeriodicControl{Vid: vid, ServerID: srv, Prop: properties.RuntimeIntegrity, Freq: time.Second},
+		attestsrv.MethodPeriodicStop:  stream,
+		attestsrv.MethodPeriodicFetch: stream,
+		attestsrv.MethodRebindVM:      attestsrv.RebindRequest{Vid: vid, ServerID: "elsewhere"},
+	} {
+		body, err := rpc.Encode(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = other.Handler()(rpc.Peer{Name: "cloud-controller"}, method, body)
+		if err == nil {
+			t.Errorf("%s on the wrong shard succeeded", method)
+			continue
+		}
+		if ws, ok := shard.ParseWrongShard(err.Error()); !ok || ws.Key != vid || ws.Owner != owner {
+			t.Errorf("%s on the wrong shard: %v, want a wrong-shard refusal naming %s", method, err, owner)
+		}
+		if after := other.VMState(vid); after != before {
+			t.Errorf("%s on the wrong shard changed its state:\n was %s\n now %s", method, before, after)
+		}
 	}
 }

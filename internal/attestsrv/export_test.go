@@ -1,6 +1,12 @@
 package attestsrv
 
-import "cloudmonatt/internal/trust/driver"
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"cloudmonatt/internal/trust/driver"
+)
 
 // ForgetLogs empties what the server remembers of every cloud server's
 // event log. That memory is never persisted, so this is what a restart of
@@ -27,4 +33,23 @@ func (s *Server) StaleLog(server string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.servers[server].log.Bank[0][0] ^= 1
+}
+
+// VMState renders what the server holds for vid: its appraisal record and
+// each periodic stream's property, host, frequency and undelivered results.
+func (s *Server) VMState(vid string) string {
+	s.mu.Lock()
+	rec := fmt.Sprintf("%+v", s.vms[vid])
+	s.mu.Unlock()
+	var tasks []string
+	s.periodic.mu.Lock()
+	for _, t := range s.periodic.tasks {
+		if t.vid == vid {
+			tasks = append(tasks, fmt.Sprintf("%s@%s every %v random=%v stopped=%v results=%d",
+				t.prop, t.serverID, t.freq, t.random, t.stopped, t.results.Len()))
+		}
+	}
+	s.periodic.mu.Unlock()
+	slices.Sort(tasks)
+	return rec + " " + strings.Join(tasks, "; ")
 }

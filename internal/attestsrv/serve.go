@@ -1,7 +1,6 @@
 package attestsrv
 
 import (
-	"fmt"
 	"net"
 	"time"
 
@@ -57,84 +56,53 @@ type PeriodicControl struct {
 // handler refusal (rpc.RemoteError) — deliberately outside the transport
 // retry taxonomy, since re-sending the same bytes here can never succeed.
 func (s *Server) Handler() rpc.Handler {
-	return func(peer rpc.Peer, method string, body []byte) ([]byte, error) {
-		switch method {
-		case MethodAppraise:
-			var req wire.AppraisalRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+	return rpc.Methods{
+		MethodAppraise: rpc.Method(func(peer rpc.Peer, req *wire.AppraisalRequest) (any, error) {
 			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
-			rep, err := s.AppraiseTraced(peer.Trace, req)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(rep)
-		case MethodRegisterVM:
-			var rec VMRecord
-			if err := rpc.Decode(body, &rec); err != nil {
-				return nil, err
-			}
+			return s.AppraiseTraced(peer.Trace, *req)
+		}),
+		MethodRegisterVM: rpc.Method(func(_ rpc.Peer, rec *VMRecord) (any, error) {
 			if err := s.checkOwner(rec.Vid); err != nil {
 				return nil, err
 			}
-			s.RegisterVM(rec)
+			s.RegisterVM(*rec)
 			return nil, nil
-		case MethodForgetVM:
-			var req wire.VidRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+		}),
+		MethodForgetVM: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
 			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
 			s.ForgetVM(req.Vid)
 			return nil, nil
-		case MethodPeriodicStart:
-			var req PeriodicControl
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+		}),
+		MethodPeriodicStart: rpc.Method(func(_ rpc.Peer, req *PeriodicControl) (any, error) {
 			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
-			var err error
-			if req.Random {
-				err = s.StartPeriodicRandom(req.Vid, req.ServerID, req.Prop, req.Freq)
-			} else {
-				err = s.StartPeriodic(req.Vid, req.ServerID, req.Prop, req.Freq)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case MethodPeriodicStop, MethodPeriodicFetch:
-			var req PeriodicControl
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+			return nil, s.StartPeriodic(*req)
+		}),
+		MethodPeriodicStop: rpc.Method(func(_ rpc.Peer, req *PeriodicControl) (any, error) {
 			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
-			if method == MethodPeriodicStop {
-				return rpc.Encode(s.StopPeriodic(req.Vid, req.Prop, req.N2))
-			}
-			return rpc.Encode(s.FetchPeriodic(req.Vid, req.Prop, req.N2))
-		case MethodRebindVM:
-			var req RebindRequest
-			if err := rpc.Decode(body, &req); err != nil {
+			return s.StopPeriodic(req.Vid, req.Prop, req.N2), nil
+		}),
+		MethodPeriodicFetch: rpc.Method(func(_ rpc.Peer, req *PeriodicControl) (any, error) {
+			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
+			return s.FetchPeriodic(req.Vid, req.Prop, req.N2), nil
+		}),
+		MethodRebindVM: rpc.Method(func(_ rpc.Peer, req *RebindRequest) (any, error) {
 			if err := s.checkOwner(req.Vid); err != nil {
 				return nil, err
 			}
 			s.RebindVM(req.Vid, req.ServerID)
 			return nil, nil
-		}
-		return nil, fmt.Errorf("attestsrv: unknown method %q", method)
-	}
+		}),
+	}.Handler("attestsrv")
 }
 
 // Serve starts the Attestation Server's RPC endpoint on l.

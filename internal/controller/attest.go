@@ -349,7 +349,7 @@ func (c *Controller) setRunState(vid, from, to string) error {
 	if to == "suspended" {
 		err = mgmt.CallCtx(context.Background(), server.MethodSuspend, wire.VidRequest{Vid: vid}, nil)
 	} else {
-		err = mgmt.CallCtx(context.Background(), server.MethodResume, wire.VidRequest{Vid: vid}, nil)
+		err = mgmt.CallIdem(context.Background(), server.MethodResume, wire.VidRequest{Vid: vid}, nil)
 	}
 	if err != nil {
 		return err

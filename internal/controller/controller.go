@@ -204,6 +204,9 @@ type Controller struct {
 	// internal work. Both are nil (and free) when Config.Obs is unset.
 	apiTracer *obs.Tracer
 	tracer    *obs.Tracer
+	// api is the nova api's dispatch, built once: the testbed's listener
+	// asks for it on every request.
+	api rpc.Handler
 
 	// queue is the level-triggered reconcile loop's work queue; every VM
 	// on it is driven toward its desired state with per-VM serialization.
@@ -269,6 +272,7 @@ func New(cfg Config) *Controller {
 		Now:     cfg.Clock.Now,
 	})
 	c.queue = newWorkQueue(cfg.Clock.Now, c.metrics)
+	c.api = c.apiMethods().Handler("controller")
 	return c
 }
 

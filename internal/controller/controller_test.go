@@ -9,6 +9,7 @@ import (
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
 	"cloudmonatt/internal/server"
+	"cloudmonatt/internal/wire"
 )
 
 func newTB(t *testing.T, opts cloudsim.Options) (*cloudsim.Testbed, *cloudsim.Customer) {
@@ -268,8 +269,10 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 	h := tb.Ctrl.Handler()
 	for _, method := range []string{
 		controller.MethodLaunchVM, controller.MethodTerminateVM,
-		controller.MethodRuntimeAttestCurrent, controller.MethodRuntimeAttestPeriodic,
+		controller.MethodStartupAttestCurrent, controller.MethodRuntimeAttestCurrent,
+		controller.MethodRuntimeAttestPeriodic,
 		controller.MethodStopAttestPeriodic, controller.MethodFetchPeriodic,
+		controller.MethodVMStatus,
 	} {
 		if _, err := h(rpcPeer("x"), method, []byte("not-a-message")); err == nil {
 			t.Errorf("%s accepted garbage body", method)
@@ -281,6 +284,58 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 }
 
 func rpcPeer(name string) rpc.Peer { return rpc.Peer{Name: name} }
+
+// TestHandlerScopesToThePeer: through the nova api, a customer sees the
+// status, the listing and the remediation events of its own VMs only.
+func TestHandlerScopesToThePeer(t *testing.T) {
+	policy := controller.DefaultPolicy()
+	policy[properties.RuntimeIntegrity] = controller.Suspend
+	tb, cu := newTB(t, cloudsim.Options{Seed: 73, Policy: policy})
+	res, err := cu.Launch(req())
+	if err != nil || !res.OK {
+		t.Fatalf("launch: %v %s", err, res.Reason)
+	}
+	if _, err := tb.Ctrl.Respond(res.Vid, properties.RuntimeIntegrity, "rootkit"); err != nil {
+		t.Fatal(err)
+	}
+	h := tb.Ctrl.Handler()
+	body, err := rpc.Encode(wire.VidRequest{Vid: res.Vid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, peer := range []string{"tester", "mallory"} {
+		own := peer == "tester"
+		out, err := h(rpcPeer(peer), controller.MethodVMStatus, body)
+		var st wire.VMStatus
+		if err == nil {
+			err = rpc.Decode(out, &st)
+		}
+		if own && (err != nil || st.Vid != res.Vid) {
+			t.Errorf("%s's vm_status of its VM: %+v, %v", peer, st, err)
+		}
+		if !own && err == nil {
+			t.Errorf("%s read another customer's VM status: %+v", peer, st)
+		}
+
+		var vms controller.VMSummaryList
+		out, err = h(rpcPeer(peer), controller.MethodListVMs, nil)
+		if err == nil {
+			err = rpc.Decode(out, &vms)
+		}
+		if err != nil || (len(vms) == 1) != own || (own && vms[0].Vid != res.Vid) {
+			t.Errorf("%s's list_vms: %+v, %v", peer, vms, err)
+		}
+
+		var events controller.ResponseEventList
+		out, err = h(rpcPeer(peer), controller.MethodListEvents, nil)
+		if err == nil {
+			err = rpc.Decode(out, &events)
+		}
+		if err != nil || (len(events) == 1) != own || (own && events[0].Vid != res.Vid) {
+			t.Errorf("%s's list_events: %+v, %v", peer, events, err)
+		}
+	}
+}
 
 func TestLaunchSurvivesDeadServer(t *testing.T) {
 	// Failure injection: a registered server that is not listening. The

@@ -40,96 +40,77 @@ func (c *Controller) apiRoot(peer rpc.Peer, method, trace, vid, prop string) *ob
 	return sp
 }
 
-// Handler returns the nova api dispatch.
-func (c *Controller) Handler() rpc.Handler {
-	return func(peer rpc.Peer, method string, body []byte) ([]byte, error) {
-		switch method {
-		case MethodLaunchVM:
-			var req LaunchRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+// Handler returns the nova api dispatch, built once by New.
+func (c *Controller) Handler() rpc.Handler { return c.api }
+
+// apiMethods is the nova api's dispatch table.
+func (c *Controller) apiMethods() rpc.Methods {
+	return rpc.Methods{
+		MethodLaunchVM: rpc.Method(func(peer rpc.Peer, req *LaunchRequest) (any, error) {
 			// The owner is who the channel authenticated, never what the
 			// request says.
 			req.Owner = peer.Name
-			sp := c.apiRoot(peer, method, "", "", "")
-			res, err := c.LaunchVMTraced(sp.Context(), req)
+			sp := c.apiRoot(peer, MethodLaunchVM, "", "", "")
+			res, err := c.LaunchVMTraced(sp.Context(), *req)
 			sp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(res)
-		case MethodTerminateVM:
-			var req wire.VidRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			if err := c.TerminateVM(req.Vid); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case MethodStartupAttestCurrent, MethodRuntimeAttestCurrent:
-			// Both map to a one-time attestation; startup_attest_current is
-			// issued before relying on a freshly launched VM, while
-			// runtime_attest_current covers the running VM (Table 1).
-			var req wire.AttestRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
-			rep, err := c.AttestTraced(sp.Context(), req)
-			if err == nil && rep != nil && rep.Stale {
-				sp.Annotate("degraded", "stale-report")
-			}
+			return res, err
+		}),
+		MethodTerminateVM: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
+			return nil, c.TerminateVM(req.Vid)
+		}),
+		// Both map to a one-time attestation; startup_attest_current is
+		// issued before relying on a freshly launched VM, while
+		// runtime_attest_current covers the running VM (Table 1).
+		MethodStartupAttestCurrent: c.attestMethod(MethodStartupAttestCurrent),
+		MethodRuntimeAttestCurrent: c.attestMethod(MethodRuntimeAttestCurrent),
+		MethodRuntimeAttestPeriodic: rpc.Method(func(peer rpc.Peer, req *wire.PeriodicRequest) (any, error) {
+			sp := c.apiRoot(peer, MethodRuntimeAttestPeriodic, req.Trace, req.Vid, string(req.Prop))
+			err := c.StartPeriodic(*req)
 			sp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(rep)
-		case MethodRuntimeAttestPeriodic:
-			var req wire.PeriodicRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
-			err := c.StartPeriodic(req)
-			sp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case MethodStopAttestPeriodic, MethodFetchPeriodic:
-			var req wire.StopPeriodicRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
-			batch, err := c.DrainPeriodic(req, method == MethodStopAttestPeriodic)
-			sp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(batch)
-		case MethodListVMs:
-			// Scoped to the authenticated peer: a customer sees only its VMs.
+			return nil, err
+		}),
+		MethodStopAttestPeriodic: c.drainMethod(MethodStopAttestPeriodic, true),
+		MethodFetchPeriodic:      c.drainMethod(MethodFetchPeriodic, false),
+		// The listings and the status are scoped to the authenticated peer:
+		// a customer sees only its VMs.
+		MethodListVMs: func(peer rpc.Peer, _ []byte) ([]byte, error) {
 			return rpc.Encode(VMSummaryList(c.ListVMs(peer.Name)))
-		case MethodListEvents:
+		},
+		MethodListEvents: func(peer rpc.Peer, _ []byte) ([]byte, error) {
 			return rpc.Encode(ResponseEventList(c.EventsFor(peer.Name)))
-		case MethodVMStatus:
-			var req wire.VidRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+		},
+		MethodVMStatus: rpc.Method(func(peer rpc.Peer, req *wire.VidRequest) (any, error) {
 			st, err := c.VMStatus(req.Vid)
 			if err != nil {
 				return nil, err
 			}
-			// Scoped to the authenticated peer, like list_vms.
 			if st.Owner != peer.Name {
 				return nil, fmt.Errorf("controller: no such VM %q", req.Vid)
 			}
-			return rpc.Encode(st)
-		}
-		return nil, fmt.Errorf("controller: unknown method %q", method)
+			return st, nil
+		}),
 	}
+}
+
+// attestMethod is the entry of a one-time attestation command.
+func (c *Controller) attestMethod(method string) func(rpc.Peer, []byte) ([]byte, error) {
+	return rpc.Method(func(peer rpc.Peer, req *wire.AttestRequest) (any, error) {
+		sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
+		rep, err := c.AttestTraced(sp.Context(), *req)
+		if err == nil && rep != nil && rep.Stale {
+			sp.Annotate("degraded", "stale-report")
+		}
+		sp.EndErr(err)
+		return rep, err
+	})
+}
+
+// drainMethod is the entry of a periodic drain; stop also ends the stream.
+func (c *Controller) drainMethod(method string, stop bool) func(rpc.Peer, []byte) ([]byte, error) {
+	return rpc.Method(func(peer rpc.Peer, req *wire.StopPeriodicRequest) (any, error) {
+		sp := c.apiRoot(peer, method, req.Trace, req.Vid, string(req.Prop))
+		batch, err := c.DrainPeriodic(*req, stop)
+		sp.EndErr(err)
+		return batch, err
+	})
 }

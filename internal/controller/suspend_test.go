@@ -1,9 +1,12 @@
 package controller_test
 
 import (
+	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"cloudmonatt/internal/cloudsim"
 	"cloudmonatt/internal/controller"
 	"cloudmonatt/internal/properties"
 	"cloudmonatt/internal/rpc"
@@ -95,4 +98,69 @@ func TestSuspendRecordFollowsHostAck(t *testing.T) {
 	if got, want := hostState(), "running"; got != want || ctrlState() != "active" {
 		t.Fatalf("after resume: host %q, record %q", got, ctrlState())
 	}
+}
+
+// TestResumeSurvivesALostReply: the host resumes the VM and the reply is
+// lost with the connection. The retried resume must be answered from the
+// host's record of the first, not run again against a VM that is no
+// longer suspended, or the controller would keep the VM "suspended" while
+// its host runs it.
+func TestResumeSurvivesALostReply(t *testing.T) {
+	n := rpc.NewMemNetwork()
+	var mu sync.Mutex
+	armed := "" // the address whose next reply is lost
+	n.Intercept = func(addr string, client, srv net.Conn) (net.Conn, net.Conn) {
+		return client, &loseReply{Conn: srv, lose: func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if armed != addr {
+				return false
+			}
+			armed = ""
+			return true
+		}}
+	}
+	tb, cu := newTB(t, cloudsim.Options{Seed: 87, Network: n})
+	res, err := cu.Launch(req())
+	if err != nil || !res.OK {
+		t.Fatalf("launch: %v %s", err, res.Reason)
+	}
+	if err := tb.Ctrl.SuspendVM(res.Vid); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	armed = "server:" + res.Server
+	mu.Unlock()
+	if err := tb.Ctrl.ResumeVM(res.Vid); err != nil {
+		t.Fatalf("resume across a lost reply: %v", err)
+	}
+	mu.Lock()
+	lost := armed == ""
+	mu.Unlock()
+	if !lost {
+		t.Fatal("no reply was lost: the test did not reset the connection")
+	}
+	info, err := tb.Servers[res.Server].Info(res.Vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tb.Ctrl.VMState(res.Vid)
+	if err != nil || st != "active" || info.State != "running" {
+		t.Fatalf("after resume: record %q (%v), host %q", st, err, info.State)
+	}
+}
+
+// loseReply closes the server's end of a connection in place of a write
+// when lose says so: the request was read and run, and its reply is lost.
+type loseReply struct {
+	net.Conn
+	lose func() bool
+}
+
+func (c *loseReply) Write(p []byte) (int, error) {
+	if c.lose() {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
 }

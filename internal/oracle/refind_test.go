@@ -103,6 +103,31 @@ func TestClaimsRefindTheirBug(t *testing.T) {
 			pkgs:  []string{"internal/rpc"},
 		},
 		{
+			// Caught by TestResumeSurvivesALostReply: the retried resume
+			// runs again and the host refuses a VM that is not suspended.
+			claim: "a retried resume is answered, not run again",
+			file:  "internal/controller/attest.go",
+			old:   "err = mgmt.CallIdem(context.Background(), server.MethodResume,",
+			new:   "err = mgmt.CallCtx(context.Background(), server.MethodResume,",
+			pkgs:  []string{"internal/controller"},
+		},
+		{
+			// Caught by TestWrongShardChangesNothing.
+			claim: "a shard refuses a VM-addressed call for a VM it does not own",
+			file:  "internal/attestsrv/serve.go",
+			old:   "if err := s.checkOwner(rec.Vid); err != nil {",
+			new:   "if err := error(nil); err != nil {",
+			pkgs:  []string{"internal/attestsrv"},
+		},
+		{
+			// Caught by TestHandlerScopesToThePeer.
+			claim: "a customer reads the status of its own VMs only",
+			file:  "internal/controller/serve.go",
+			old:   "if st.Owner != peer.Name {",
+			new:   "if false {",
+			pkgs:  []string{"internal/controller"},
+		},
+		{
 			claim: "a breaker opens at its threshold",
 			file:  "internal/rpc/breaker.go",
 			old:   "b.failures < b.threshold",

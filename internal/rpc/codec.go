@@ -5,6 +5,11 @@
 // — implements the WireAppender/WireDecoder pair and travels as
 // hand-written binary led by binenc.Magic; a type without the pair does
 // not travel at all. The tag table is DESIGN.md section 14.
+//
+// A server serves through one dispatch table: Methods maps each method
+// name to its entry, and Method builds an entry from a typed function, so
+// no server decodes a body, encodes a reply or refuses an unknown method
+// by hand.
 package rpc
 
 import (
@@ -26,6 +31,43 @@ type WireAppender interface {
 // binary encoding (accepting exactly the bytes AppendWire produces).
 type WireDecoder interface {
 	DecodeWire(data []byte) error
+}
+
+// Methods is a server's dispatch table: each entry receives the
+// authenticated peer and the request body and returns the encoded reply
+// (nil is the bodiless ack). Method builds an entry from a typed function.
+type Methods map[string]func(peer Peer, body []byte) ([]byte, error)
+
+// Handler dispatches each request to its entry, and refuses a method the
+// table lacks, naming server.
+func (m Methods) Handler(server string) Handler {
+	return func(peer Peer, method string, body []byte) ([]byte, error) {
+		fn, ok := m[method]
+		if !ok {
+			return nil, fmt.Errorf("%s: unknown method %q", server, method)
+		}
+		return fn(peer, body)
+	}
+}
+
+// Method is the entry that strictly decodes the body into a new Req, hands
+// it to fn, and returns fn's error as it is or encodes fn's reply (nil is
+// the bodiless ack).
+func Method[Req any, P interface {
+	*Req
+	WireDecoder
+}](fn func(Peer, P) (any, error)) func(Peer, []byte) ([]byte, error) {
+	return func(peer Peer, body []byte) ([]byte, error) {
+		req := P(new(Req))
+		if err := req.DecodeWire(body); err != nil {
+			return nil, err
+		}
+		reply, err := fn(peer, req)
+		if err != nil {
+			return nil, err
+		}
+		return Encode(reply)
+	}
 }
 
 // Envelope tags sit in the internal/wire tag space (wire/codec.go

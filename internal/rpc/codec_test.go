@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -113,5 +114,47 @@ func TestAppendRequestIsTheEnvelope(t *testing.T) {
 	}
 	if got, err := appendRequest(prefix, head, struct{}{}); err == nil {
 		t.Fatalf("a body with no codec encoded to %x", got)
+	}
+}
+
+// TestMethodsDispatch pins the dispatch table: an entry decodes its request
+// strictly, a nil reply is the bodiless ack, an entry's error comes back as
+// it is, and a method the table lacks is refused naming the server.
+func TestMethodsDispatch(t *testing.T) {
+	refused := errors.New("refused")
+	h := Methods{
+		"echo": Method(func(peer Peer, req *echoReq) (any, error) {
+			return echoResp{Text: peer.Name + ":" + req.Text}, nil
+		}),
+		"ack": Method(func(Peer, *echoReq) (any, error) { return nil, nil }),
+		"refuse": Method(func(Peer, *echoReq) (any, error) {
+			return echoResp{Text: "unsent"}, refused
+		}),
+	}.Handler("srv-1")
+	body, err := Encode(echoReq{Text: "hi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := h(Peer{Name: "alice"}, "echo", body)
+	var resp echoResp
+	if err == nil {
+		err = Decode(out, &resp)
+	}
+	if err != nil || resp.Text != "alice:hi" {
+		t.Fatalf("echo: %+v, %v", resp, err)
+	}
+	if out, err := h(Peer{}, "ack", body); err != nil || out != nil {
+		t.Fatalf("ack: %q, %v, want the bodiless ack", out, err)
+	}
+	if out, err := h(Peer{}, "refuse", body); err != refused || out != nil {
+		t.Fatalf("refuse: %q, %v, want the entry's own error", out, err)
+	}
+	for _, bad := range [][]byte{nil, []byte("not-a-message"), append(body[:len(body):len(body)], 0)} {
+		if _, err := h(Peer{}, "echo", bad); err == nil {
+			t.Errorf("echo accepted the body %q", bad)
+		}
+	}
+	if _, err := h(Peer{}, "no-such-method", body); err == nil || err.Error() != `srv-1: unknown method "no-such-method"` {
+		t.Fatalf("unknown method: %v", err)
 	}
 }

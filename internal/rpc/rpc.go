@@ -229,9 +229,8 @@ type Peer struct {
 }
 
 // Handler serves one RPC: it receives the authenticated peer, the method
-// name and the encoded request body (rpc.Decode it into the method's
-// request message), and returns the encoded response body (rpc.Encode of
-// the response message; nil is the bodiless ack).
+// name and the encoded request body, and returns the encoded response body
+// (nil is the bodiless ack). A server builds it as Methods.Handler.
 type Handler func(peer Peer, method string, body []byte) ([]byte, error)
 
 // handshakeTimeout bounds the secure-channel handshake of each accepted

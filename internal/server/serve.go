@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net"
 
 	"cloudmonatt/internal/rpc"
@@ -25,80 +24,43 @@ const (
 
 // Handler returns the RPC dispatch for this server.
 func (s *Server) Handler() rpc.Handler {
-	return func(peer rpc.Peer, method string, body []byte) ([]byte, error) {
-		switch method {
-		case MethodMeasure:
-			var req wire.MeasureRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
+	return rpc.Methods{
+		MethodMeasure: rpc.Method(func(peer rpc.Peer, req *wire.MeasureRequest) (any, error) {
 			sp := s.tracer.Start(peer.Trace, "measure")
 			sp.SetVM(req.Vid, "")
-			ev, err := s.Measure(req)
+			ev, err := s.Measure(*req)
 			sp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(ev)
-		case MethodLaunch:
-			var spec LaunchSpec
-			if err := rpc.Decode(body, &spec); err != nil {
-				return nil, err
-			}
-			if err := s.Launch(spec); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case MethodTerminate, MethodSuspend, MethodResume:
-			var req wire.VidRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			var err error
-			switch method {
-			case MethodTerminate:
-				err = s.Terminate(req.Vid)
-			case MethodSuspend:
-				err = s.Suspend(req.Vid)
-			case MethodResume:
-				err = s.Resume(req.Vid)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case MethodMigrateOut:
-			var req wire.VidRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			spec, err := s.MigrateOut(req.Vid)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(spec)
-		case MethodInfo:
-			var req wire.VidRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			info, err := s.Info(req.Vid)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(info)
-		}
-		return nil, fmt.Errorf("server %s: unknown method %q", s.cfg.Name, method)
-	}
+			return ev, err
+		}),
+		MethodLaunch: rpc.Method(func(_ rpc.Peer, spec *LaunchSpec) (any, error) {
+			return nil, s.Launch(*spec)
+		}),
+		MethodTerminate: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
+			return nil, s.Terminate(req.Vid)
+		}),
+		MethodSuspend: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
+			return nil, s.Suspend(req.Vid)
+		}),
+		MethodResume: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
+			return nil, s.Resume(req.Vid)
+		}),
+		MethodMigrateOut: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
+			return s.MigrateOut(req.Vid)
+		}),
+		MethodInfo: rpc.Method(func(_ rpc.Peer, req *wire.VidRequest) (any, error) {
+			return s.Info(req.Vid)
+		}),
+	}.Handler("server " + s.cfg.Name)
 }
 
 // Serve starts the RPC endpoint on l. Verify gates which peers may speak
 // to this server (the Attestation Server and the Cloud Controller).
-// Remediation RPCs — terminate, suspend, resume, migrate-out, and launch —
-// arrive bearing idempotency keys from the controller; the rpc layer's
-// per-listener cache executes each key at most once and replays the
-// recorded response to retried duplicates, so a redelivered terminate
-// cannot kill a reincarnated VM.
+// Launch, terminate, resume and migrate-out arrive bearing idempotency
+// keys from the controller; the rpc layer's per-listener cache executes
+// each key at most once and replays the recorded response to retried
+// duplicates, so a redelivered terminate cannot kill a reincarnated VM and
+// a redelivered resume cannot fail on the VM the first one resumed.
+// Suspend carries none: suspending a suspended VM is a no-op.
 func (s *Server) Serve(l net.Listener, verify secchan.VerifyPeer) {
 	go rpc.Serve(l, secchan.Config{Identity: s.Identity(), Verify: verify, Rand: s.cfg.Rand, Tickets: s.tickets}, s.Handler())
 }
